@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .polyhedral import Complex, Polyhedron, codim1_faces, validate_complex
+from .polyhedral import Complex, validate_complex
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -58,18 +58,6 @@ class ConnectivityCertificate:
     subsets_examined: int
 
 
-def _gen_label(p: Polyhedron) -> str:
-    _, lin, verts, rays = p.canonical_key
-    parts = []
-    for v in verts:
-        parts.append("v(" + ",".join(str(x) for x in v) + ")")
-    for r in rays:
-        parts.append("r(" + ",".join(str(x) for x in r) + ")")
-    for l in lin:
-        parts.append("l(" + ",".join(str(x) for x in l) + ")")
-    return " ".join(parts) if parts else "origin"
-
-
 def build_hypergraph(c: Complex) -> FacetRidgeHypergraph:
     """Extract the facet-ridge hypergraph of a pure complex.
 
@@ -79,29 +67,35 @@ def build_hypergraph(c: Complex) -> FacetRidgeHypergraph:
     report = validate_complex(c)
     if not report.valid:
         raise ImpureComplex("; ".join(report.issues))
-    facets = c.facet_polyhedra
-    ridge_ids: dict[tuple, int] = {}
-    ridge_cells: list[Polyhedron] = []
-    members: list[set[int]] = []
-    for fid, f in enumerate(facets):
-        for ridge in codim1_faces(f):
-            if ridge.dim != f.dim - 1:
-                raise AssertionError("codimension-one face has wrong dimension")
-            key = ridge.canonical_key
-            rid = ridge_ids.get(key)
-            if rid is None:
-                rid = len(ridge_cells)
-                ridge_ids[key] = rid
-                ridge_cells.append(ridge)
-                members.append(set())
-            members[rid].add(fid)
-    order = sorted(range(len(ridge_cells)),
-                   key=lambda i: ridge_cells[i].canonical_key)
     return FacetRidgeHypergraph(
-        tuple(_gen_label(f) for f in facets),
-        tuple(frozenset(members[i]) for i in order),
-        tuple(_gen_label(ridge_cells[i]) for i in order),
+        tuple(f.label() for f in c.facet_polyhedra),
+        tuple(frozenset(fids) for _, fids in c.ridges),
+        tuple(ridge.label() for ridge, _ in c.ridges),
     )
+
+
+def _union_find(nodes: Iterable[int],
+                edges: Iterable[Iterable[int]]) -> Callable[[int], int]:
+    """Merge the members of every edge; return the root finder."""
+    parent = {f: f for f in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in edges:
+        it = iter(edge)
+        first = next(it, None)
+        if first is None:
+            continue
+        r0 = find(first)
+        for other in it:
+            r1 = find(other)
+            if r1 != r0:
+                parent[r1] = r0
+    return find
 
 
 def connected_after_removal(h: FacetRidgeHypergraph, removed: Iterable[int]) -> bool:
@@ -114,51 +108,13 @@ def connected_after_removal(h: FacetRidgeHypergraph, removed: Iterable[int]) -> 
     remaining = [f for f in range(h.num_facets) if f not in removed]
     if len(remaining) <= 1:
         return True
-    parent = {f: f for f in remaining}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in h.hyperedges:
-        if edge & removed:
-            continue
-        it = iter(edge)
-        try:
-            first = next(it)
-        except StopIteration:
-            continue
-        r0 = find(first)
-        for other in it:
-            r1 = find(other)
-            if r1 != r0:
-                parent[r1] = r0
-    roots = {find(f) for f in remaining}
-    return len(roots) == 1
+    find = _union_find(remaining, [e for e in h.hyperedges if not e & removed])
+    return len({find(f) for f in remaining}) == 1
 
 
 def connected_components(h: FacetRidgeHypergraph) -> list[set[int]]:
     """Connected components of the facet set."""
-    parent = {f: f for f in range(h.num_facets)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in h.hyperedges:
-        it = iter(edge)
-        first = next(it, None)
-        if first is None:
-            continue
-        r0 = find(first)
-        for other in it:
-            r1 = find(other)
-            if r1 != r0:
-                parent[r1] = r0
+    find = _union_find(range(h.num_facets), h.hyperedges)
     comps: dict[int, set[int]] = {}
     for f in range(h.num_facets):
         comps.setdefault(find(f), set()).add(f)
@@ -180,14 +136,14 @@ def is_k_connected(h: FacetRidgeHypergraph, k: int,
     """Exhaustively certify k-connectivity through codimension one.
 
     Tests every facet subset of size k-1 in colex order.  A false verdict
-    carries the first disconnecting subset found.  Subsets of size at least
-    the facet count are vacuously connected (nothing remains).
+    carries the first disconnecting subset found.  k = 0 holds vacuously, as
+    do subsets of size at least the facet count (nothing remains).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     t = k - 1
     n = h.num_facets
-    if t > n:
+    if t < 0 or t > n:
         return ConnectivityCertificate(k, True, None, 0)
     count = _ncr(n, t)
     if count > budget:
@@ -225,10 +181,8 @@ def is_k_connected_parallel(h: FacetRidgeHypergraph, k: int, jobs: int,
     reports the witness at the smallest colex position, so results do not
     depend on the job count.
     """
-    if jobs <= 1:
+    if jobs <= 1 or k < 1:
         return is_k_connected(h, k, budget)
-    if k < 1:
-        raise ValueError("k must be at least 1")
     t = k - 1
     n = h.num_facets
     if t > n:
@@ -298,20 +252,8 @@ def clique_connected_after_removal(h: FacetRidgeHypergraph,
     remaining = [f for f in range(h.num_facets) if f not in removed]
     if len(remaining) <= 1:
         return True
-    parent = {f: f for f in remaining}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in h.hyperedges:
-        live = [f for f in edge if f not in removed]
-        for a, b in zip(live, live[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+    find = _union_find(remaining, ([f for f in e if f not in removed]
+                                   for e in h.hyperedges))
     return len({find(f) for f in remaining}) == 1
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .polyhedral import Complex
-from .ratlin import as_int_list, vec
+from .ratlin import Vec, as_int_list, is_zero, primitive_vector, vec
 
 
 def format_rational(x: Fraction) -> Union[str, int]:
@@ -61,15 +61,25 @@ def fan_to_text(c: Complex) -> str:
     return json.dumps(fan_to_obj(c), indent=2) + "\n"
 
 
+def _integer_vector(entries, what: str) -> Vec:
+    v = vec(entries)
+    if any(x.denominator != 1 for x in v):
+        raise ValueError(f"{what} {entries} is not an integer vector")
+    return v
+
+
 def fan_from_obj(obj: dict) -> Complex:
     required = {"ambient_dim", "rays", "vertices", "lineality", "cells", "weights"}
     missing = required - set(obj)
     if missing:
         raise ValueError(f"fan file missing keys: {sorted(missing)}")
     n = int(obj["ambient_dim"])
-    rays = tuple(vec(r) for r in obj["rays"])
+    rays = tuple(_integer_vector(r, "ray") for r in obj["rays"])
+    for r in rays:
+        if is_zero(r) or primitive_vector(r) != r:
+            raise ValueError(f"ray {as_int_list(r)} is not a primitive nonzero vector")
     vertices = tuple(tuple(parse_rational(x) for x in v) for v in obj["vertices"])
-    lineality = tuple(vec(l) for l in obj["lineality"])
+    lineality = tuple(_integer_vector(l, "lineality row") for l in obj["lineality"])
     cells = []
     for cell in obj["cells"]:
         v = tuple(int(i) for i in cell.get("v", ()))

@@ -2,9 +2,11 @@
 
 A polyhedron is stored by generators (vertices, rays, lineality); cones leave
 the vertex list empty and have an implicit apex at the origin.  The facet
-description is computed lazily by an exact double description pass and cached.
-Complexes store shared generator pools plus per-facet index sets; lower faces
-are derived on demand.
+description is computed lazily by an exact double description pass and cached;
+it is the only source of face structure: canonical forms keep the generators
+whose tight facet sets have full rank, and faces are cut out by tight
+inequalities.  Complexes store shared generator pools plus per-facet index
+sets; ridges are derived once per complex, other lower faces on demand.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .ratlin import (
-    LinearProgram, Mat, Vec, ZeroVector, add, dot, frac, is_zero, lp_feasible,
-    mat, primitive_vector, rank_and_kernel, reduce_mod_subspace, scale, sub,
-    neg, subspace_canonical_basis, subspace_contains, vec, zero_vec,
+    Mat, Vec, ZeroVector, add, dot, frac, is_zero, mat, matrix_rank,
+    primitive_vector, rank_and_kernel, reduce_mod_subspace, scale, sub, neg,
+    subspace_canonical_basis, subspace_contains, vec, zero_vec,
 )
 
 
@@ -302,19 +304,32 @@ class Polyhedron:
     def canonical_key(self) -> tuple:
         """Hashable form identifying the polyhedron as a point set.
 
-        Vertices and rays are reduced modulo the true lineality space, then
+        Vertices and rays are reduced modulo the true lineality space,
         filtered down to extreme generators and sorted, so any two generator
-        presentations of the same set produce the same key.
+        presentations of the same set produce the same key.  Extremality is
+        read off the facet description by the rank test of double
+        description: with L the true lineality, a ray is extreme when the
+        equation normals and the inequality normals vanishing on it have rank
+        n - dim L - 1, and a vertex when those tight at it have rank n - dim L.
         """
         lin = self.true_lineality
-        verts = sorted({reduce_mod_subspace(v, lin) for v in self.vertices})
-        rays = sorted({primitive_vector(r2) for r in self.rays
-                       if not is_zero(r2 := reduce_mod_subspace(r, lin))})
-        rays = _extreme_rays(rays)
-        verts = _extreme_vertices(verts, rays)
+        full = self.ambient_dim - len(lin)
+        verts = {reduce_mod_subspace(v, lin) for v in self.vertices}
+        rays = {primitive_vector(r2) for r in self.rays
+                if not is_zero(r2 := reduce_mod_subspace(r, lin))}
+        verts = sorted(v for v in verts if self._tight_rank(v, point=True) == full)
+        rays = sorted(r for r in rays if self._tight_rank(r, point=False) == full - 1)
         if verts == [zero_vec(self.ambient_dim)]:
             verts = []
         return (self.ambient_dim, lin, tuple(verts), tuple(rays))
+
+    def _tight_rank(self, x: Vec, point: bool) -> int:
+        """Rank of the equation normals plus the inequality normals tight at
+        the point x (a.x = b) or along the direction x (a.x = 0)."""
+        h = self.hrep
+        rows = [a for a, _ in h.equations]
+        rows += [a for a, b in h.inequalities if dot(a, x) == (b if point else 0)]
+        return matrix_rank(rows)
 
     def canonical(self) -> "Polyhedron":
         n, lin, verts, rays = self.canonical_key
@@ -325,6 +340,19 @@ class Polyhedron:
 
     def __hash__(self) -> int:
         return hash(self.canonical_key)
+
+    def label(self) -> str:
+        """Canonical generators as text, e.g. ``v(0,1) r(1,0) l(1,1)``;
+        ``origin`` for the zero cone."""
+        _, lin, verts, rays = self.canonical_key
+        parts = []
+        for v in verts:
+            parts.append("v(" + ",".join(str(x) for x in v) + ")")
+        for r in rays:
+            parts.append("r(" + ",".join(str(x) for x in r) + ")")
+        for l in lin:
+            parts.append("l(" + ",".join(str(x) for x in l) + ")")
+        return " ".join(parts) if parts else "origin"
 
     # -- membership --------------------------------------------------------
 
@@ -345,81 +373,6 @@ class Polyhedron:
             all(self.contains_direction(r) for r in other.rays) and \
             all(self.contains_direction(l) and self.contains_direction(neg(l))
                 for l in other.lineality)
-
-    def generates_direction(self, d: Vec) -> bool:
-        """Whether d lies in cone(rays) + span(lineality), by generators."""
-        if is_zero(d):
-            return True
-        cols = list(self.rays)
-        k = len(cols)
-        lin = list(self.lineality)
-        cons = []
-        total = k + 2 * len(lin)
-        columns = cols + lin + [neg(l) for l in lin]
-        for coord in range(self.ambient_dim):
-            cons.append((tuple(c[coord] for c in columns), d[coord], "="))
-        for j in range(total):
-            cons.append((tuple(Fraction(1 if i == j else 0) for i in range(total)),
-                         Fraction(0), ">="))
-        if total == 0:
-            return False
-        return lp_feasible(LinearProgram(total, tuple(cons))) is not None
-
-
-def _nonneg_combination_lp(columns: list[Vec], target: Vec) -> LinearProgram:
-    """LP asking for nonnegative lambda with sum lambda_j columns_j = target."""
-    k = len(columns)
-    cons = []
-    for coord in range(len(target)):
-        cons.append((tuple(c[coord] for c in columns), target[coord], "="))
-    for j in range(k):
-        cons.append((tuple(Fraction(1 if i == j else 0) for i in range(k)),
-                     Fraction(0), ">="))
-    return LinearProgram(k, tuple(cons))
-
-
-def _extreme_rays(rays: list[Vec]) -> list[Vec]:
-    """Drop rays that are nonnegative combinations of the others (pointed case)."""
-    kept = list(rays)
-    changed = True
-    while changed:
-        changed = False
-        for i, r in enumerate(kept):
-            others = [o for j, o in enumerate(kept) if j != i]
-            if not others:
-                continue
-            if lp_feasible(_nonneg_combination_lp(others, r)) is not None:
-                kept.pop(i)
-                changed = True
-                break
-    return kept
-
-
-def _extreme_vertices(verts: list[Vec], rays: list[Vec]) -> list[Vec]:
-    """Drop listed points lying in the hull of the remaining generators."""
-    kept = list(verts)
-    changed = True
-    while changed:
-        changed = False
-        for i, v in enumerate(kept):
-            others = [o for j, o in enumerate(kept) if j != i]
-            if not others:
-                continue
-            cols = others + rays
-            k = len(cols)
-            cons = []
-            for coord in range(len(v)):
-                cons.append((tuple(c[coord] for c in cols), v[coord], "="))
-            cons.append((tuple(Fraction(1 if j < len(others) else 0) for j in range(k)),
-                         Fraction(1), "="))
-            for j in range(k):
-                cons.append((tuple(Fraction(1 if i2 == j else 0) for i2 in range(k)),
-                             Fraction(0), ">="))
-            if lp_feasible(LinearProgram(k, tuple(cons))) is not None:
-                kept.pop(i)
-                changed = True
-                break
-    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +508,7 @@ class Complex:
             for l in lin:
                 # pooling would silently fatten a cell missing the lineality
                 if not subspace_contains(f.lineality, l) and not (
-                        f.generates_direction(l) and f.generates_direction(neg(l))):
+                        f.contains_direction(l) and f.contains_direction(neg(l))):
                     raise ValueError(
                         "facet does not contain the declared lineality space")
             vidx = sorted(_pool_index(vpool, vec(v)) for v in f.vertices)
@@ -580,6 +533,21 @@ class Complex:
     @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
         return tuple(self.facet(i) for i in range(len(self.cells)))
+
+    @cached_property
+    def ridges(self) -> tuple[tuple[Polyhedron, tuple[int, ...]], ...]:
+        """Distinct codimension-one faces of the facets, sorted by canonical
+        key, each paired with the ids of the facets it is a face of."""
+        cells: dict[tuple, Polyhedron] = {}
+        members: dict[tuple, list[int]] = {}
+        for fid, f in enumerate(self.facet_polyhedra):
+            for ridge in codim1_faces(f):
+                if ridge.dim != f.dim - 1:
+                    raise AssertionError("codimension-one face has wrong dimension")
+                key = ridge.canonical_key
+                cells.setdefault(key, ridge)
+                members.setdefault(key, []).append(fid)
+        return tuple((cells[key], tuple(members[key])) for key in sorted(cells))
 
     @cached_property
     def dim(self) -> int:

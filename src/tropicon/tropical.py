@@ -265,26 +265,17 @@ def balancing_check(w: WeightedComplex) -> BalancingReport:
     """
     c = w.complex
     facets = c.facet_polyhedra
-    ridges: dict[tuple, Polyhedron] = {}
-    incidence: dict[tuple, list[int]] = {}
-    for fid, f in enumerate(facets):
-        for ridge in codim1_faces(f):
-            key = ridge.canonical_key
-            ridges.setdefault(key, ridge)
-            incidence.setdefault(key, []).append(fid)
     entries = []
     ok = True
-    from .connectivity import _gen_label
-    for key in sorted(ridges):
-        tau = ridges[key]
+    for tau, fids in c.ridges:
         total = zero_vec(c.ambient_dim)
-        for fid in incidence[key]:
+        for fid in fids:
             u = lattice_normal_generator(facets[fid], tau)
             total = add(total, scale(w.weights[fid], u))
         residual = reduce_mod_subspace(total, tau.direction_span)
         balanced = is_zero(residual)
         ok = ok and balanced
-        entries.append(RidgeBalance(_gen_label(tau), balanced, residual))
+        entries.append(RidgeBalance(tau.label(), balanced, residual))
     return BalancingReport(ok, tuple(entries))
 
 

@@ -109,6 +109,14 @@ class TestIsKConnected:
         h = build_hypergraph(cube_normal_fan(1))
         assert is_k_connected(h, 5).verdict is True
 
+    def test_k_zero_vacuous_negative_rejected(self):
+        h = build_hypergraph(two_planes_fan())
+        for cert in (is_k_connected(h, 0), is_k_connected_parallel(h, 0, jobs=2)):
+            assert (cert.k, cert.verdict, cert.witness, cert.subsets_examined) == \
+                (0, True, None, 0)
+        with pytest.raises(ValueError):
+            is_k_connected(h, -1)
+
     def test_witness_recheck(self):
         h = build_hypergraph(two_planes_fan())
         cert = is_k_connected(h, 2)

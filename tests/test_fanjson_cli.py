@@ -204,6 +204,28 @@ class TestCliCheck:
         code, _, _ = run_cli(["check", "/nonexistent/fan.json"], capsys)
         assert code == 1
 
+    def test_d_equals_lineality_is_vacuous(self, tmp_path, capsys):
+        path = tmp_path / "u13.json"
+        run_cli(["gen", "bergman-uniform", "1", "3", "-o", str(path)], capsys)
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        cert = json.loads(out)
+        assert code == 0 and cert["verdict"] is True
+        assert cert["k"] == 0 and cert["subsets_examined"] == 0
+
+    @pytest.mark.parametrize("key,row", [
+        ("rays", [0, 0]), ("rays", [2, 0]), ("rays", ["1/2", 0]),
+        ("lineality", ["1/2", 0]),
+    ], ids=["zero-ray", "non-primitive-ray", "fractional-ray",
+            "fractional-lineality"])
+    def test_off_schema_vectors_exit_1(self, tmp_path, capsys, key, row):
+        obj = {"ambient_dim": 2, "rays": [[1, 0], [0, 1]], "vertices": [],
+               "lineality": [], "cells": [{"v": [], "r": [0, 1]}], "weights": [1]}
+        obj[key] = [row] + obj[key][1:]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_cli(["check", str(path)], capsys)
+        assert code == 1 and key.rstrip("s") in err
+
 
 class TestCliSlice:
     def test_tropical_plane_slice(self, tmp_path, capsys):

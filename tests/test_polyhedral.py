@@ -193,6 +193,86 @@ class TestCanonicalForm:
         assert len({cone([1, 0], [0, 1]), cone([0, 1], [1, 0])}) == 1
 
 
+def _lp_extreme_generators(p):
+    """Reduced generators of p that no LP writes from the others: rays as
+    nonnegative combinations of the other rays, points as convex
+    combinations of the other points plus a nonnegative ray combination."""
+    from tropicon.ratlin import (
+        LinearProgram, lp_feasible, primitive_vector, reduce_mod_subspace,
+    )
+    n, lin = p.ambient_dim, p.true_lineality
+    verts = sorted({reduce_mod_subspace(v, lin) for v in p.vertices})
+    rays = sorted({primitive_vector(r) for r in
+                   (reduce_mod_subspace(r, lin) for r in p.rays) if any(r)})
+
+    def writable(target, points, directions):
+        """Whether target is in conv(points) + cone(directions), or in
+        cone(directions) when points is None."""
+        cols = (points or []) + directions
+        if not cols or points == []:
+            return False
+        cons = [(tuple(c[i] for c in cols), target[i], "=") for i in range(n)]
+        if points:
+            cons.append((tuple(F(int(j < len(points))) for j in range(len(cols))),
+                         F(1), "="))
+        cons += [(tuple(F(int(i == j)) for i in range(len(cols))), F(0), ">=")
+                 for j in range(len(cols))]
+        return lp_feasible(LinearProgram(len(cols), tuple(cons))) is not None
+
+    ext_rays = [r for r in rays if not writable(r, None, [o for o in rays if o != r])]
+    ext_verts = [v for v in verts if not writable(v, [o for o in verts if o != v], rays)]
+    if ext_verts == [vec([0] * n)]:
+        ext_verts = []
+    return tuple(ext_verts), tuple(ext_rays)
+
+
+class TestCanonicalFormAgainstLP:
+    """The rank test on facet tight sets keeps exactly the generators that
+    the LP oracle finds extreme."""
+
+    @staticmethod
+    def _random_polyhedron(rng, kind):
+        n = rng.randint(1, 4)
+
+        def point():
+            return [F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
+
+        def direction():
+            while True:
+                d = [rng.randint(-3, 3) for _ in range(n)]
+                if any(d):
+                    return d
+
+        if kind == "polytope":
+            rays, lin = [], []
+        else:
+            rays = [direction() for _ in range(rng.randint(1, n + 1))]
+            lin = [direction() for _ in range(rng.randint(0, 1))]
+        if kind == "cone":
+            # redundant, rescaled and opposite rays (hidden lineality)
+            rays += [[2 * x for x in rng.choice(rays)],
+                     [a + b for a, b in zip(rng.choice(rays), rng.choice(rays))]]
+            if rng.random() < 0.3:
+                rays.append([-x for x in rng.choice(rays)])
+            return Polyhedron.cone([r for r in rays if any(r)], lin, ambient_dim=n)
+        pts = [point() for _ in range(rng.randint(1, n + 1))]
+        # redundant points: a midpoint and a point pushed along a ray
+        a, b = rng.choice(pts), rng.choice(pts)
+        pts.append([(x + y) / 2 for x, y in zip(a, b)])
+        if rays:
+            pts.append([x + y for x, y in zip(rng.choice(pts), rng.choice(rays))])
+        return Polyhedron.from_vertices(pts, rays, lin, ambient_dim=n)
+
+    @pytest.mark.parametrize("kind,seed", [("cone", 601), ("polytope", 602),
+                                           ("polyhedron", 603)])
+    def test_extreme_generators_match_lp_oracle(self, kind, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            p = self._random_polyhedron(rng, kind)
+            _, _, verts, rays = p.canonical_key
+            assert (verts, rays) == _lp_extreme_generators(p)
+
+
 class TestValidateComplex:
     def test_two_planes_is_valid(self):
         from tropicon.tropical import two_planes_fan
