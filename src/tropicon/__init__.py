@@ -28,7 +28,7 @@ from .connectivity import (
     BudgetExceeded, ConnectivityCertificate, FacetRidgeHypergraph,
     TooFewFacets, build_hypergraph, clique_connected_after_removal,
     colex_combinations, connected_after_removal, connected_components,
-    hypergraph_dot, is_k_connected, is_k_connected_parallel, min_facet_cut,
+    hypergraph_dot, is_k_connected, min_facet_cut,
 )
 from .tropical import (
     BalancingReport, DeclarationMismatch, DegenerateInput, LinealityObstruction,

@@ -3,7 +3,7 @@
 Subcommands::
 
     tropicon gen <kind> [params] [-o f.json]       generate a canonical fan
-    tropicon check f.json [--k K] [--mincut] [--jobs N]
+    tropicon check f.json [--k K] [--mincut]
     tropicon slice f.json --h 1,2,4 --c 1 [-o g.json]
     tropicon balance f.json
     tropicon quotient f.json [-o g.json]
@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import connectivity, fanjson, matroid, tropical
 from .connectivity import (
     BudgetExceeded, build_hypergraph, connected_components, hypergraph_dot,
-    is_k_connected, is_k_connected_parallel, min_facet_cut,
+    is_k_connected, min_facet_cut,
 )
 from .fanjson import fan_to_text, load_fan, parse_rational, save_fan
 from .matroid import Matroid, bergman_fine
@@ -127,10 +127,7 @@ def cmd_check(args) -> int:
     ell = fan.lineality_dim
     k = args.k if args.k is not None else d - ell
     budget = _budget()
-    if args.jobs and args.jobs > 1:
-        cert = is_k_connected_parallel(h, k, args.jobs, budget)
-    else:
-        cert = is_k_connected(h, k, budget)
+    cert = is_k_connected(h, k, budget)
     out = {
         "k": cert.k,
         "verdict": cert.verdict,
@@ -248,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="connectivity to test (default: dim minus lineality dim)")
     p.add_argument("--mincut", action="store_true",
                    help="also search for a minimum disconnecting facet set")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the subset scan")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("slice", help="transverse affine hyperplane section")

@@ -9,7 +9,7 @@ configurable budget; verdicts carry re-checkable witnesses.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -131,6 +131,25 @@ def colex_combinations(n: int, t: int) -> Iterator[tuple[int, ...]]:
             yield rest + (top,)
 
 
+def _first_cut(h: FacetRidgeHypergraph, t: int,
+               budget: int) -> tuple[Optional[tuple[int, ...]], int]:
+    """Scan the t-subsets of facets in colex order.
+
+    Returns the first subset whose removal disconnects the hypergraph (None
+    if there is none) and the number of subsets examined.  Raises
+    BudgetExceeded before scanning when C(#facets, t) exceeds the budget.
+    """
+    count = math.comb(h.num_facets, t)
+    if count > budget:
+        raise BudgetExceeded(f"{count} subsets exceed budget {budget}")
+    examined = 0
+    for S in colex_combinations(h.num_facets, t):
+        examined += 1
+        if not connected_after_removal(h, S):
+            return S, examined
+    return None, examined
+
+
 def is_k_connected(h: FacetRidgeHypergraph, k: int,
                    budget: int = DEFAULT_BUDGET) -> ConnectivityCertificate:
     """Exhaustively certify k-connectivity through codimension one.
@@ -142,70 +161,10 @@ def is_k_connected(h: FacetRidgeHypergraph, k: int,
     if k < 0:
         raise ValueError("k must be nonnegative")
     t = k - 1
-    n = h.num_facets
-    if t < 0 or t > n:
+    if t < 0 or t > h.num_facets:
         return ConnectivityCertificate(k, True, None, 0)
-    count = _ncr(n, t)
-    if count > budget:
-        raise BudgetExceeded(f"{count} subsets exceed budget {budget}")
-    examined = 0
-    for S in colex_combinations(n, t):
-        examined += 1
-        if not connected_after_removal(h, S):
-            return ConnectivityCertificate(k, False, S, examined)
-    return ConnectivityCertificate(k, True, None, examined)
-
-
-def _ncr(n: int, t: int) -> int:
-    from math import comb
-    return comb(n, t)
-
-
-def _scan_block(h: FacetRidgeHypergraph, t: int, start: int,
-                stop: int) -> tuple[Optional[int], Optional[tuple[int, ...]], int]:
-    """Worker: scan colex positions [start, stop); return first failure."""
-    examined = 0
-    for pos, S in enumerate(itertools.islice(colex_combinations(h.num_facets, t),
-                                             start, stop)):
-        examined += 1
-        if not connected_after_removal(h, S):
-            return start + pos, S, examined
-    return None, None, examined
-
-
-def is_k_connected_parallel(h: FacetRidgeHypergraph, k: int, jobs: int,
-                            budget: int = DEFAULT_BUDGET) -> ConnectivityCertificate:
-    """Same certificate as is_k_connected, computed across worker processes.
-
-    The subset range is split into contiguous colex blocks; a false verdict
-    reports the witness at the smallest colex position, so results do not
-    depend on the job count.
-    """
-    if jobs <= 1 or k < 1:
-        return is_k_connected(h, k, budget)
-    t = k - 1
-    n = h.num_facets
-    if t > n:
-        return ConnectivityCertificate(k, True, None, 0)
-    count = _ncr(n, t)
-    if count > budget:
-        raise BudgetExceeded(f"{count} subsets exceed budget {budget}")
-    from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, -(-count // jobs))
-    blocks = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    examined = 0
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_scan_block, h, t, a, b) for a, b in blocks]
-        for fut in futures:
-            pos, witness, n_done = fut.result()
-            examined += n_done
-            if pos is not None and (best is None or pos < best[0]):
-                best = (pos, witness)
-    if best is None:
-        return ConnectivityCertificate(k, True, None, examined)
-    # report the same count a sequential scan stopping at the witness would
-    return ConnectivityCertificate(k, False, best[1], best[0] + 1)
+    witness, examined = _first_cut(h, t, budget)
+    return ConnectivityCertificate(k, witness is None, witness, examined)
 
 
 def min_facet_cut(h: FacetRidgeHypergraph,
@@ -215,7 +174,8 @@ def min_facet_cut(h: FacetRidgeHypergraph,
     Searches by increasing cardinality, capped by the cheapest facet
     isolation (removing all neighbors of one facet), and returns the
     colex-least witness of minimum size.  None means no cut of size below
-    #facets - 1 exists.
+    #facets - 1 exists.  The budget bounds the subsets of all sizes searched
+    together.
     """
     n = h.num_facets
     if n < 2:
@@ -229,13 +189,14 @@ def min_facet_cut(h: FacetRidgeHypergraph,
     cap = min(isolation_cap, n - 2)
     examined = 0
     for s in range(1, cap + 1):
-        count = _ncr(n, s)
-        if examined + count > budget:
-            raise BudgetExceeded(f"search at size {s} exceeds budget {budget}")
-        for S in colex_combinations(n, s):
-            examined += 1
-            if not connected_after_removal(h, S):
-                return s, S
+        try:
+            witness, done = _first_cut(h, s, budget - examined)
+        except BudgetExceeded:
+            raise BudgetExceeded(f"{examined + math.comb(n, s)} subsets through "
+                                 f"size {s} exceed budget {budget}") from None
+        if witness is not None:
+            return s, witness
+        examined += done
     return None
 
 

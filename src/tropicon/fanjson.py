@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .polyhedral import Complex
-from .ratlin import Vec, as_int_list, is_zero, primitive_vector, vec
+from .ratlin import Vec, as_int_list, is_zero, primitive_vector
 
 
 def format_rational(x: Fraction) -> Union[str, int]:
@@ -61,34 +61,58 @@ def fan_to_text(c: Complex) -> str:
     return json.dumps(fan_to_obj(c), indent=2) + "\n"
 
 
+def _integer(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} {x!r} is not a list")
+    return x
+
+
+def _rows(obj: dict, key: str, what: str) -> list:
+    return [_list(row, what) for row in _list(obj[key], key)]
+
+
 def _integer_vector(entries, what: str) -> Vec:
-    v = vec(entries)
+    v = tuple(parse_rational(x) for x in entries)
     if any(x.denominator != 1 for x in v):
         raise ValueError(f"{what} {entries} is not an integer vector")
     return v
 
 
 def fan_from_obj(obj: dict) -> Complex:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a fan file holds a JSON object, not {obj!r}")
     required = {"ambient_dim", "rays", "vertices", "lineality", "cells", "weights"}
     missing = required - set(obj)
     if missing:
         raise ValueError(f"fan file missing keys: {sorted(missing)}")
-    n = int(obj["ambient_dim"])
-    rays = tuple(_integer_vector(r, "ray") for r in obj["rays"])
+    n = _integer(obj["ambient_dim"], "ambient_dim")
+    rays = tuple(_integer_vector(r, "ray") for r in _rows(obj, "rays", "ray"))
     for r in rays:
         if is_zero(r) or primitive_vector(r) != r:
             raise ValueError(f"ray {as_int_list(r)} is not a primitive nonzero vector")
-    vertices = tuple(tuple(parse_rational(x) for x in v) for v in obj["vertices"])
-    lineality = tuple(_integer_vector(l, "lineality row") for l in obj["lineality"])
+    vertices = tuple(tuple(parse_rational(x) for x in v)
+                     for v in _rows(obj, "vertices", "vertex"))
+    lineality = tuple(_integer_vector(l, "lineality row")
+                      for l in _rows(obj, "lineality", "lineality row"))
     cells = []
-    for cell in obj["cells"]:
-        v = tuple(int(i) for i in cell.get("v", ()))
-        r = tuple(int(i) for i in cell.get("r", ()))
+    for cell in _list(obj["cells"], "cells"):
+        if not isinstance(cell, dict):
+            raise ValueError(f"cell {cell!r} is not an object")
+        v = tuple(_integer(i, "cell index") for i in _list(cell.get("v", []), "cell v"))
+        r = tuple(_integer(i, "cell index") for i in _list(cell.get("r", []), "cell r"))
         if any(i >= len(vertices) or i < 0 for i in v) or \
                 any(i >= len(rays) or i < 0 for i in r):
             raise ValueError("cell references an index outside the pools")
         cells.append((v, r))
-    weights = tuple(int(w) for w in obj["weights"])
+    weights = tuple(_integer(w, "weight") for w in _list(obj["weights"], "weights"))
+    if len(weights) != len(cells):
+        raise ValueError(f"{len(weights)} weights for {len(cells)} cells")
     return Complex(n, vertices, rays, lineality, tuple(cells), weights)
 
 

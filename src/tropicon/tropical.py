@@ -434,7 +434,12 @@ def witness_hyperplane(P: Polyhedron, Q: Polyhedron,
     modes_q = _meet_relint_modes(Q)
     for above in (True, False):
         side = _side_constraints(F, above)
-        for mp, mq in itertools.product(modes_p, modes_q):
+        # a pair can be feasible only if each of its modes is on its own
+        live_p = [mp for mp in modes_p if lp_feasible(
+            LinearProgram(n + 1, tuple(side + mp))) is not None]
+        live_q = [mq for mq in modes_q if lp_feasible(
+            LinearProgram(n + 1, tuple(side + mq))) is not None]
+        for mp, mq in itertools.product(live_p, live_q):
             lp = LinearProgram(n + 1, tuple(side + mp + mq))
             witness = lp_feasible(lp)
             if witness is None:

@@ -7,7 +7,7 @@ from tropicon.connectivity import (
     BudgetExceeded, TooFewFacets, build_hypergraph,
     clique_connected_after_removal, colex_combinations,
     connected_after_removal, connected_components, hypergraph_dot,
-    is_k_connected, is_k_connected_parallel, min_facet_cut,
+    is_k_connected, min_facet_cut,
 )
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import Complex, Polyhedron
@@ -111,9 +111,9 @@ class TestIsKConnected:
 
     def test_k_zero_vacuous_negative_rejected(self):
         h = build_hypergraph(two_planes_fan())
-        for cert in (is_k_connected(h, 0), is_k_connected_parallel(h, 0, jobs=2)):
-            assert (cert.k, cert.verdict, cert.witness, cert.subsets_examined) == \
-                (0, True, None, 0)
+        cert = is_k_connected(h, 0)
+        assert (cert.k, cert.verdict, cert.witness, cert.subsets_examined) == \
+            (0, True, None, 0)
         with pytest.raises(ValueError):
             is_k_connected(h, -1)
 
@@ -175,6 +175,15 @@ class TestMinFacetCut:
         size, _ = min_facet_cut(h)
         assert size == 1
 
+    def test_budget_covers_all_sizes(self):
+        # 8 facets, min cut 3: sizes 1-3 need 8 + 28 + 56 = 92 subsets
+        h = build_hypergraph(cube_normal_fan(3))
+        with pytest.raises(BudgetExceeded, match="92 subsets through size 3 "
+                                                 "exceed budget 91"):
+            min_facet_cut(h, budget=91)
+        size, witness = min_facet_cut(h, budget=92)
+        assert size == 3 and not connected_after_removal(h, witness)
+
     def test_too_few_facets(self):
         single = Complex.from_facets([Polyhedron.cone([[1, 0]], ambient_dim=2)])
         with pytest.raises(TooFewFacets):
@@ -196,17 +205,6 @@ class TestCliqueComparison:
         for fid in facets_containing_e1(c):
             assert not connected_after_removal(h, {fid})
             assert clique_connected_after_removal(h, {fid})
-
-
-class TestParallelSearch:
-    def test_matches_sequential(self):
-        h = build_hypergraph(cube_normal_fan(3))
-        for k in (3, 4):
-            seq = is_k_connected(h, k)
-            par = is_k_connected_parallel(h, k, jobs=3)
-            assert par.verdict == seq.verdict
-            assert par.witness == seq.witness
-            assert par.subsets_examined == seq.subsets_examined
 
 
 class TestDotExport:

@@ -186,13 +186,6 @@ class TestCliCheck:
         h = build_hypergraph(load_fan(str(path)))
         assert connected_after_removal(h, cert["witness"]) is False
 
-    def test_jobs_flag_same_result(self, tmp_path, capsys):
-        path = tmp_path / "cube.json"
-        run_cli(["gen", "normal-fan-cube", "3", "-o", str(path)], capsys)
-        _, out1, _ = run_cli(["check", str(path), "--k", "4"], capsys)
-        _, out2, _ = run_cli(["check", str(path), "--k", "4", "--jobs", "2"], capsys)
-        assert json.loads(out1) == json.loads(out2)
-
     def test_budget_env(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cube.json"
         run_cli(["gen", "normal-fan-cube", "3", "-o", str(path)], capsys)
@@ -212,19 +205,43 @@ class TestCliCheck:
         assert code == 0 and cert["verdict"] is True
         assert cert["k"] == 0 and cert["subsets_examined"] == 0
 
-    @pytest.mark.parametrize("key,row", [
-        ("rays", [0, 0]), ("rays", [2, 0]), ("rays", ["1/2", 0]),
-        ("lineality", ["1/2", 0]),
+    # (key, value, word): value replaces obj[key], or the whole document
+    # when key is None; the error message must name the word
+    @pytest.mark.parametrize("key,value,word", [
+        ("rays", [[0, 0], [0, 1]], "ray"),
+        ("rays", [[2, 0], [0, 1]], "ray"),
+        ("rays", [["1/2", 0], [0, 1]], "ray"),
+        ("lineality", [["1/2", 0]], "lineality"),
+        (None, 5, "object"),
+        ("rays", 5, "rays"),
+        ("rays", [5], "ray"),
+        ("vertices", [5], "vertex"),
+        ("lineality", [5], "lineality"),
+        ("cells", [5], "cell"),
+        ("cells", [{"v": 5, "r": [0, 1]}], "cell"),
+        ("cells", [{"v": [], "r": 5}], "cell"),
+        ("cells", [{"v": [], "r": [[0], 1]}], "cell"),
+        ("ambient_dim", [2], "ambient_dim"),
+        ("weights", [[1]], "weight"),
+        ("weights", [], "weight"),
+        ("weights", [1, 1], "weight"),
     ], ids=["zero-ray", "non-primitive-ray", "fractional-ray",
-            "fractional-lineality"])
-    def test_off_schema_vectors_exit_1(self, tmp_path, capsys, key, row):
+            "fractional-lineality", "top-level-number", "rays-not-list",
+            "ray-not-list", "vertex-not-list", "lineality-row-not-list",
+            "cell-not-object", "cell-v-not-list", "cell-r-not-list",
+            "cell-index-list", "ambient-dim-list", "weight-list",
+            "weights-too-few", "weights-too-many"])
+    def test_off_schema_vectors_exit_1(self, tmp_path, capsys, key, value, word):
         obj = {"ambient_dim": 2, "rays": [[1, 0], [0, 1]], "vertices": [],
                "lineality": [], "cells": [{"v": [], "r": [0, 1]}], "weights": [1]}
-        obj[key] = [row] + obj[key][1:]
+        if key is None:
+            obj = value
+        else:
+            obj[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         code, _, err = run_cli(["check", str(path)], capsys)
-        assert code == 1 and key.rstrip("s") in err
+        assert code == 1 and word in err
 
 
 class TestCliSlice:
