@@ -7,7 +7,7 @@ Subcommands::
     tropicon slice f.json --h 1,2,4 --c 1 [-o g.json]
     tropicon balance f.json
     tropicon quotient f.json [-o g.json]
-    tropicon star f.json --face-rays 0,2 [--face-vertices i,j] [-o g.json]
+    tropicon star f.json --face r0,r2 [-o g.json]
     tropicon dot f.json
 
 Exit codes: 0 success/verdict true, 1 input or usage error, 2 certified
@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import connectivity, fanjson, matroid, tropical
 from .connectivity import (
@@ -105,6 +104,8 @@ def cmd_gen(args) -> int:
             raise UsageError("usage: gen normal-fan <vertices-file>")
         with open(params[0]) as fh:
             pts = json.load(fh)
+        if not isinstance(pts, list) or not all(isinstance(p, list) for p in pts):
+            raise UsageError("a points file holds a list of coordinate lists")
         fan = normal_fan([[parse_rational(x) for x in p] for p in pts]).complex
     else:
         raise UsageError(f"unknown kind {kind!r}; choose from {', '.join(GEN_KINDS)}")
@@ -148,7 +149,7 @@ def cmd_check(args) -> int:
 
 def cmd_slice(args) -> int:
     fan = _load_checked(args.fan)
-    normal = vec([Fraction(tok) for tok in args.h.split(",")])
+    normal = vec([parse_rational(tok) for tok in args.h.split(",")])
     offset = parse_rational(args.c)
     H = AffineHyperplane(normal, offset)
     result = hyperplane_section(fan, H)
@@ -209,13 +210,13 @@ def _parse_face_spec(raw: str) -> tuple[list[int], list[int]]:
 def cmd_star(args) -> int:
     fan = _load_checked(args.fan)
     ray_ids, vert_ids = _parse_face_spec(args.face)
-    try:
-        face = Polyhedron(fan.ambient_dim,
-                          tuple(fan.vertex_pool[i] for i in vert_ids),
-                          tuple(fan.ray_pool[i] for i in ray_ids),
-                          fan.lineality)
-    except IndexError:
+    if not all(0 <= i < len(fan.ray_pool) for i in ray_ids) or \
+            not all(0 <= i < len(fan.vertex_pool) for i in vert_ids):
         raise UsageError("face index outside the fan's pools")
+    face = Polyhedron(fan.ambient_dim,
+                      tuple(fan.vertex_pool[i] for i in vert_ids),
+                      tuple(fan.ray_pool[i] for i in ray_ids),
+                      fan.lineality)
     out = star(fan, face)
     _write(fan_to_text(out), args.output)
     return EXIT_OK

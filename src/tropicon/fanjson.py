@@ -29,10 +29,11 @@ def format_rational(x: Fraction) -> Union[str, int]:
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
+    if isinstance(s, (int, str)):
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {s!r} has a zero denominator") from None
     raise ValueError(f"rationals must be strings or integers, got {type(s).__name__}")
 
 
@@ -92,6 +93,8 @@ def fan_from_obj(obj: dict) -> Complex:
     if missing:
         raise ValueError(f"fan file missing keys: {sorted(missing)}")
     n = _integer(obj["ambient_dim"], "ambient_dim")
+    if n < 0:
+        raise ValueError(f"ambient_dim {n} is negative")
     rays = tuple(_integer_vector(r, "ray") for r in _rows(obj, "rays", "ray"))
     for r in rays:
         if is_zero(r) or primitive_vector(r) != r:

@@ -4,9 +4,10 @@ A polyhedron is stored by generators (vertices, rays, lineality); cones leave
 the vertex list empty and have an implicit apex at the origin.  The facet
 description is computed lazily by an exact double description pass and cached;
 it is the only source of face structure: canonical forms keep the generators
-whose tight facet sets have full rank, and faces are cut out by tight
-inequalities.  Complexes store shared generator pools plus per-facet index
-sets; ridges are derived once per complex, other lower faces on demand.
+whose tight facet sets have full rank, faces are cut out by tight
+inequalities, and face tests read facet descriptions only.  Complexes store
+shared generator pools plus per-facet index sets; one face walk, `lower_faces`,
+gives the ridges (cached per complex) and, repeated, every lower face.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .ratlin import (
-    Mat, Vec, ZeroVector, add, dot, frac, is_zero, mat, matrix_rank,
+    Mat, Vec, ZeroVector, add, dot, frac, identity_mat, is_zero, mat, matrix_rank,
     primitive_vector, rank_and_kernel, reduce_mod_subspace, scale, sub, neg,
     subspace_canonical_basis, subspace_contains, vec, zero_vec,
 )
@@ -47,7 +48,7 @@ def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[Mat, Mat]
         _, kernel = rank_and_kernel(mat(eqs))
         lin = [primitive_vector(k) for k in kernel]
     else:
-        lin = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
+        lin = list(identity_mat(n))
     rays: list[Vec] = []
     zeros: list[set[int]] = []  # per ray: processed inequalities tight on it
     step = 0
@@ -281,9 +282,7 @@ class Polyhedron:
         normals = [a for a, _ in self.hrep.inequalities]
         normals += [a for a, _ in self.hrep.equations]
         if not normals:
-            return subspace_canonical_basis(
-                [tuple(Fraction(1 if j == i else 0) for j in range(self.ambient_dim))
-                 for i in range(self.ambient_dim)])
+            return subspace_canonical_basis(identity_mat(self.ambient_dim))
         _, kernel = rank_and_kernel(mat(normals))
         return subspace_canonical_basis(kernel)
 
@@ -368,11 +367,17 @@ class Polyhedron:
             all(dot(a, d) == 0 for a, _ in h.equations)
 
     def contains(self, other: "Polyhedron") -> bool:
-        pts = other.vertices if other.vertices else (zero_vec(self.ambient_dim),)
+        return self.contains_generators(other.vertices, other.rays, other.lineality)
+
+    def contains_generators(self, vertices: Sequence[Vec], rays: Sequence[Vec],
+                            lineality: Sequence[Vec]) -> bool:
+        """Whether conv(vertices) + cone(rays) + span(lineality) lies in the
+        polyhedron (no vertices: the origin)."""
+        pts = vertices if vertices else (zero_vec(self.ambient_dim),)
         return all(self.contains_point(v) for v in pts) and \
-            all(self.contains_direction(r) for r in other.rays) and \
+            all(self.contains_direction(r) for r in rays) and \
             all(self.contains_direction(l) and self.contains_direction(neg(l))
-                for l in other.lineality)
+                for l in lineality)
 
 
 # ---------------------------------------------------------------------------
@@ -426,35 +431,46 @@ def face_is_tight(face: Polyhedron, a: Vec, b: Fraction) -> bool:
         all(dot(a, l) == 0 for l in face.lineality)
 
 
-def _tighten(p: Polyhedron, a: Vec, b: Fraction) -> Polyhedron:
-    """Face of p where the valid inequality a.x >= b is tight, by generators."""
-    verts = tuple(v for v in p.vertices if dot(a, v) == b)
-    rays = tuple(r for r in p.rays if dot(a, r) == 0)
-    return Polyhedron(p.ambient_dim, verts, rays, p.lineality)
+def _cut(p: Polyhedron, tight: Sequence[tuple[Vec, Fraction]]) -> tuple[list, list]:
+    """Vertices and rays of p that, with its lineality, generate the face
+    where every valid inequality a.x >= b in tight is an equality."""
+    verts = [v for v in p.vertices if all(dot(a, v) == b for a, b in tight)]
+    rays = [r for r in p.rays if all(dot(a, r) == 0 for a, _ in tight)]
+    return verts, rays
 
 
 def codim1_faces(p: Polyhedron) -> list[Polyhedron]:
     """All faces of dimension dim(p) - 1, canonicalized and sorted."""
     seen = {}
     for a, b in p.hrep.inequalities:
-        face = _tighten(p, a, b).canonical()
+        face = Polyhedron(p.ambient_dim, *_cut(p, [(a, b)]), p.lineality).canonical()
         seen.setdefault(face.canonical_key, face)
     return [seen[k] for k in sorted(seen)]
 
 
+def lower_faces(cells: Sequence[Polyhedron]
+                ) -> tuple[tuple[Polyhedron, tuple[int, ...]], ...]:
+    """Distinct codimension-one faces of the cells, sorted by canonical key,
+    each paired with the indices of the cells it is a face of."""
+    faces: dict[tuple, tuple[Polyhedron, list[int]]] = {}
+    for i, cell in enumerate(cells):
+        for face in codim1_faces(cell):
+            if face.dim != cell.dim - 1:
+                raise AssertionError("codimension-one face has wrong dimension")
+            faces.setdefault(face.canonical_key, (face, []))[1].append(i)
+    return tuple((faces[key][0], tuple(faces[key][1])) for key in sorted(faces))
+
+
 def is_face_of(tau: Polyhedron, sigma: Polyhedron) -> bool:
-    """Whether tau is a face of sigma (cut out by tight valid inequalities)."""
+    """Whether tau is a face of sigma: tau lies in sigma and holds the face of
+    sigma cut out by the facet inequalities tight on tau.  Reads the two facet
+    descriptions only and builds no polyhedron."""
     if tau.ambient_dim != sigma.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if not sigma.contains(tau):
         return False
-    if tau.canonical_key == sigma.canonical_key:
-        return True
-    cur = sigma
-    for a, b in sigma.hrep.inequalities:
-        if face_is_tight(tau, a, b):
-            cur = _tighten(cur, a, b)
-    return cur.canonical_key == tau.canonical_key
+    tight = [(a, b) for a, b in sigma.hrep.inequalities if face_is_tight(tau, a, b)]
+    return tau.contains_generators(*_cut(sigma, tight), sigma.lineality)
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +554,7 @@ class Complex:
     def ridges(self) -> tuple[tuple[Polyhedron, tuple[int, ...]], ...]:
         """Distinct codimension-one faces of the facets, sorted by canonical
         key, each paired with the ids of the facets it is a face of."""
-        cells: dict[tuple, Polyhedron] = {}
-        members: dict[tuple, list[int]] = {}
-        for fid, f in enumerate(self.facet_polyhedra):
-            for ridge in codim1_faces(f):
-                if ridge.dim != f.dim - 1:
-                    raise AssertionError("codimension-one face has wrong dimension")
-                key = ridge.canonical_key
-                cells.setdefault(key, ridge)
-                members.setdefault(key, []).append(fid)
-        return tuple((cells[key], tuple(members[key])) for key in sorted(cells))
+        return lower_faces(self.facet_polyhedra)
 
     @cached_property
     def dim(self) -> int:

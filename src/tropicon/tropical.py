@@ -14,14 +14,14 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
-    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, codim1_faces,
-    is_face_of,
+    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, dd_cone,
+    is_face_of, lower_faces,
 )
 from .ratlin import (
-    LinearProgram, Mat, Vec, add, dot, is_zero, lattice_complement_projection,
-    lattice_normal_generator, lp_feasible, mat, mat_vec, neg, primitive_vector,
-    rank_and_kernel, reduce_mod_subspace, scale, sub, subspace_canonical_basis,
-    subspace_contains, vec, zero_vec,
+    LinearProgram, Mat, Vec, add, dot, identity_mat, is_zero,
+    lattice_complement_projection, lattice_normal_generator, lp_feasible, mat,
+    mat_vec, neg, primitive_vector, rank_and_kernel, reduce_mod_subspace, scale,
+    sub, subspace_canonical_basis, subspace_contains, unit_vec, vec, zero_vec,
 )
 
 
@@ -72,8 +72,7 @@ def _subspace_intersection(bases: Sequence[Mat], n: int) -> Mat:
         _, complement = rank_and_kernel(mat(basis))
         equations.extend(primitive_vector(k) for k in complement)
     if not equations:
-        return subspace_canonical_basis(
-            [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)])
+        return subspace_canonical_basis(identity_mat(n))
     _, meet = rank_and_kernel(mat(equations))
     return subspace_canonical_basis(meet)
 
@@ -122,8 +121,7 @@ def quotient_by_lineality(c: Complex) -> tuple[Complex, Mat]:
     """
     n = c.ambient_dim
     if not c.lineality:
-        return c, tuple(tuple(Fraction(1 if j == i else 0) for j in range(n))
-                        for i in range(n))
+        return c, identity_mat(n)
     proj = lattice_complement_projection(c.lineality, n)
     target = n - len(c.lineality)
     facets = [_project_polyhedron(f, proj, target) for f in c.facet_polyhedra]
@@ -168,7 +166,6 @@ def normal_fan(vertices: Sequence[Iterable]) -> WeightedComplex:
     if not pts:
         raise ValueError("at least one point required")
     n = len(pts[0])
-    from .polyhedral import dd_cone
     cones: list[Polyhedron] = []
     seen = set()
     for i, v in enumerate(pts):
@@ -187,8 +184,7 @@ def normal_fan(vertices: Sequence[Iterable]) -> WeightedComplex:
         _, complement = rank_and_kernel(mat([d for d in directions if not is_zero(d)]))
         lineality = subspace_canonical_basis(complement)
     else:
-        lineality = subspace_canonical_basis(
-            [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)])
+        lineality = subspace_canonical_basis(identity_mat(n))
     fan = Complex.from_facets(cones, lineality=lineality, ambient_dim=n)
     return WeightedComplex(fan)
 
@@ -204,17 +200,10 @@ def skeleton(c: Complex, k: int) -> Complex:
         raise ValueError(f"need lineality dim <= k <= {d}")
     if k == d:
         return c
-    faces = {f.canonical_key: f for f in c.facet_polyhedra}
-    level = d
-    while level > k:
-        nxt: dict[tuple, Polyhedron] = {}
-        for f in faces.values():
-            for g in codim1_faces(f):
-                nxt.setdefault(g.canonical_key, g)
-        faces = nxt
-        level -= 1
-    ordered = [faces[key] for key in sorted(faces)]
-    return Complex.from_facets(ordered, lineality=c.lineality,
+    faces = [f for f, _ in c.ridges]
+    for _ in range(d - 1 - k):
+        faces = [f for f, _ in lower_faces(faces)]
+    return Complex.from_facets(faces, lineality=c.lineality,
                                ambient_dim=c.ambient_dim)
 
 
@@ -296,17 +285,13 @@ class SectionResult:
 
 
 def _all_faces(c: Complex) -> list[Polyhedron]:
-    faces: dict[tuple, Polyhedron] = {}
-    frontier = list(c.facet_polyhedra)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            if f.canonical_key in faces:
-                continue
-            faces[f.canonical_key] = f
-            nxt.extend(codim1_faces(f))
-        frontier = nxt
-    return list(faces.values())
+    """The facets, then the faces of each lower dimension in key order."""
+    faces = list(c.facet_polyhedra)
+    level = [f for f, _ in c.ridges]
+    while level:
+        faces += level
+        level = [f for f, _ in lower_faces(level)]
+    return faces
 
 
 def check_transversality(c: Complex, H: AffineHyperplane) -> None:
@@ -481,14 +466,10 @@ def check_witness_hyperplane(P: Polyhedron, Q: Polyhedron, F: Polyhedron,
 # canonical generated fans
 
 
-def _unit(i: int, n: int) -> Vec:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
 def standard_tropical_plane() -> Complex:
     """Two-dimensional fan in R^3 with rays e1, e2, e3, -(1,1,1) and all six
     two-dimensional cones spanned by pairs of rays."""
-    rays = [_unit(i, 3) for i in range(3)]
+    rays = [unit_vec(i, 3) for i in range(3)]
     rays.append((Fraction(-1), Fraction(-1), Fraction(-1)))
     facets = [Polyhedron.cone([a, b], ambient_dim=3)
               for a, b in itertools.combinations(rays, 2)]
@@ -503,7 +484,7 @@ def two_planes_fan() -> Complex:
     twelve facets, but removing any closed facet containing e1 disconnects
     its facet-ridge hypergraph.
     """
-    e = [_unit(i, 5) for i in range(5)]
+    e = [unit_vec(i, 5) for i in range(5)]
     m123 = vec([-1, -1, -1, 0, 0])
     m145 = vec([-1, 0, 0, -1, -1])
     plane_a = [e[0], e[1], e[2], m123]

@@ -28,6 +28,8 @@ class TestRationalStrings:
         assert parse_rational(7) == F(7)
         with pytest.raises(ValueError):
             parse_rational(0.5)
+        with pytest.raises(ValueError, match="denominator"):
+            parse_rational("1/0")
 
     def test_round_trip(self):
         for x in (F(0), F(5), F(-3, 7), F(22, 6)):
@@ -139,6 +141,12 @@ class TestCliGen:
         assert code == 0
         assert len(fan_from_text(out)) == 3
 
+    def test_normal_fan_points_not_lists_exit_1(self, tmp_path, capsys):
+        vfile = tmp_path / "verts.json"
+        vfile.write_text("5")
+        code, _, err = run_cli(["gen", "normal-fan", str(vfile)], capsys)
+        assert code == 1 and "points file" in err
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(["gen", "two-planes"], capsys)
         _, out2, _ = run_cli(["gen", "two-planes"], capsys)
@@ -225,12 +233,16 @@ class TestCliCheck:
         ("weights", [[1]], "weight"),
         ("weights", [], "weight"),
         ("weights", [1, 1], "weight"),
+        ("vertices", [["1/0", "0"]], "denominator"),
+        (None, {"ambient_dim": -1, "rays": [], "vertices": [], "lineality": [],
+                "cells": [], "weights": []}, "ambient_dim"),
     ], ids=["zero-ray", "non-primitive-ray", "fractional-ray",
             "fractional-lineality", "top-level-number", "rays-not-list",
             "ray-not-list", "vertex-not-list", "lineality-row-not-list",
             "cell-not-object", "cell-v-not-list", "cell-r-not-list",
             "cell-index-list", "ambient-dim-list", "weight-list",
-            "weights-too-few", "weights-too-many"])
+            "weights-too-few", "weights-too-many", "vertex-zero-denominator",
+            "negative-ambient-dim"])
     def test_off_schema_vectors_exit_1(self, tmp_path, capsys, key, value, word):
         obj = {"ambient_dim": 2, "rays": [[1, 0], [0, 1]], "vertices": [],
                "lineality": [], "cells": [{"v": [], "r": [0, 1]}], "weights": [1]}
@@ -276,6 +288,14 @@ class TestCliSlice:
         code, _, err = run_cli(["slice", str(path), "--h", "1,2,4", "--c", "0"], capsys)
         assert code == 1 and "transverse" in err
 
+    @pytest.mark.parametrize("h,c", [("1,2,4", "1/0"), ("1/0,1,1", "1")],
+                             ids=["offset", "normal"])
+    def test_zero_denominator_exits_1(self, tmp_path, capsys, h, c):
+        path = tmp_path / "plane.json"
+        run_cli(["gen", "tropical-plane", "-o", str(path)], capsys)
+        code, _, err = run_cli(["slice", str(path), "--h", h, "--c", c], capsys)
+        assert code == 1 and "denominator" in err
+
 
 class TestCliOther:
     def test_balance_pass_and_fail(self, tmp_path, capsys):
@@ -314,11 +334,17 @@ class TestCliOther:
         st = fan_from_text(out)
         assert len(st) == 4 and st.ambient_dim == 2
 
-    def test_star_bad_face_spec(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spec,word", [
+        ("x3", "face token"),
+        ("r-1", "outside the fan's pools"),
+        ("r4", "outside the fan's pools"),
+        ("v0", "outside the fan's pools"),
+    ], ids=["bad-token", "negative-index", "index-past-pool", "empty-vertex-pool"])
+    def test_star_bad_face_spec(self, tmp_path, capsys, spec, word):
         path = tmp_path / "cube.json"
         run_cli(["gen", "normal-fan-cube", "2", "-o", str(path)], capsys)
-        code, _, err = run_cli(["star", str(path), "--face", "x3"], capsys)
-        assert code == 1 and "face token" in err
+        code, _, err = run_cli(["star", str(path), "--face", spec], capsys)
+        assert code == 1 and word in err
 
     def test_dot_command(self, tmp_path, capsys):
         path = tmp_path / "tp.json"

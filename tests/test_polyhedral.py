@@ -5,8 +5,8 @@ import pytest
 
 from tropicon.polyhedral import (
     AffineHyperplane, Complex, EmptyPolyhedron, HRep, Polyhedron, codim1_faces,
-    dim_lineality_pointed, dual_description, intersect, is_face_of,
-    relint_point, validate_complex,
+    dim_lineality_pointed, dual_description, face_is_tight, intersect,
+    is_face_of, relint_point, validate_complex,
 )
 from tropicon.ratlin import ZeroVector, dot, vec
 
@@ -271,6 +271,65 @@ class TestCanonicalFormAgainstLP:
             p = self._random_polyhedron(rng, kind)
             _, _, verts, rays = p.canonical_key
             assert (verts, rays) == _lp_extreme_generators(p)
+
+
+def _is_face_by_keys(tau, sigma):
+    """Face test by canonical keys: tau lies in sigma and equals, as a point
+    set, sigma cut down by every facet inequality of sigma tight on tau."""
+    if not sigma.contains(tau):
+        return False
+    if tau.canonical_key == sigma.canonical_key:
+        return True
+    verts, rays = sigma.vertices, sigma.rays
+    for a, b in sigma.hrep.inequalities:
+        if face_is_tight(tau, a, b):
+            verts = tuple(v for v in verts if dot(a, v) == b)
+            rays = tuple(r for r in rays if dot(a, r) == 0)
+    cur = Polyhedron(sigma.ambient_dim, verts, rays, sigma.lineality)
+    return cur.canonical_key == tau.canonical_key
+
+
+class TestIsFaceOfAgainstKeys:
+    """is_face_of, which reads only facet descriptions, agrees with the face
+    test by canonical keys on faces and on near misses of random polyhedra."""
+
+    @staticmethod
+    def _candidates(rng, p):
+        n = p.ambient_dim
+        faces = list(codim1_faces(p))
+        faces += [g for f in faces for g in codim1_faces(f)]
+        out = [p] + faces
+        for _ in range(4):
+            verts = [v for v in p.vertices if rng.random() < 0.5]
+            rays = [r for r in p.rays if rng.random() < 0.5]
+            out.append(Polyhedron(n, verts, rays, p.lineality))
+        # halved copies: the same cone, a moved polytope or polyhedron
+        out += [Polyhedron(n, [[x / 2 for x in v] for v in q.vertices],
+                           q.rays, q.lineality) for q in [p] + faces]
+        return out
+
+    @pytest.mark.parametrize("kind,seed", [("cone", 701), ("polytope", 702),
+                                           ("polyhedron", 703)])
+    def test_agrees_with_canonical_keys(self, kind, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            p = TestCanonicalFormAgainstLP._random_polyhedron(rng, kind)
+            for tau in self._candidates(rng, p):
+                assert is_face_of(tau, p) == _is_face_by_keys(tau, p)
+
+    def test_no_double_description_with_cached_facets(self, monkeypatch):
+        import tropicon.polyhedral as polyhedral
+        sigma = Polyhedron.from_vertices([[0, 0, 0], [2, 0, 0], [0, 2, 0]],
+                                         rays=[[0, 0, 1]])
+        taus = codim1_faces(sigma) + [Polyhedron.from_vertices([[1, 1, 0]])]
+        for p in [sigma] + taus:
+            p.hrep  # cache every facet description
+        calls = []
+        real = polyhedral.dd_cone
+        monkeypatch.setattr(polyhedral, "dd_cone",
+                            lambda *args: calls.append(args) or real(*args))
+        assert [is_face_of(tau, sigma) for tau in taus] == [True] * 4 + [False]
+        assert calls == []
 
 
 class TestValidateComplex:
