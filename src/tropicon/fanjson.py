@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .polyhedral import Complex
-from .ratlin import Vec, as_int_list, is_zero, primitive_vector
+from .ratlin import Vec, as_int_list, is_zero, matrix_rank, primitive_vector
 
 
 def format_rational(x: Fraction) -> Union[str, int]:
@@ -103,6 +103,8 @@ def fan_from_obj(obj: dict) -> Complex:
                      for v in _rows(obj, "vertices", "vertex"))
     lineality = tuple(_integer_vector(l, "lineality row")
                       for l in _rows(obj, "lineality", "lineality row"))
+    if matrix_rank(lineality) < len(lineality):
+        raise ValueError("lineality rows are zero or linearly dependent")
     cells = []
     for cell in _list(obj["cells"], "cells"):
         if not isinstance(cell, dict):

@@ -4,10 +4,11 @@ A polyhedron is stored by generators (vertices, rays, lineality); cones leave
 the vertex list empty and have an implicit apex at the origin.  The facet
 description is computed lazily by an exact double description pass and cached;
 it is the only source of face structure: canonical forms keep the generators
-whose tight facet sets have full rank, faces are cut out by tight
-inequalities, and face tests read facet descriptions only.  Complexes store
-shared generator pools plus per-facet index sets; one face walk, `lower_faces`,
-gives the ridges (cached per complex) and, repeated, every lower face.
+whose tight facet sets have full rank, and a face is the cell's canonical
+generators that lie on its tight inequalities, so its canonical key needs no
+double description of its own.  Complexes store shared generator pools plus
+per-facet index sets; one face walk, `lower_faces`, gives the ridges (cached
+per complex) and, repeated, every lower face.
 """
 
 from __future__ import annotations
@@ -367,17 +368,11 @@ class Polyhedron:
             all(dot(a, d) == 0 for a, _ in h.equations)
 
     def contains(self, other: "Polyhedron") -> bool:
-        return self.contains_generators(other.vertices, other.rays, other.lineality)
-
-    def contains_generators(self, vertices: Sequence[Vec], rays: Sequence[Vec],
-                            lineality: Sequence[Vec]) -> bool:
-        """Whether conv(vertices) + cone(rays) + span(lineality) lies in the
-        polyhedron (no vertices: the origin)."""
-        pts = vertices if vertices else (zero_vec(self.ambient_dim),)
+        pts = other.vertices if other.vertices else (zero_vec(self.ambient_dim),)
         return all(self.contains_point(v) for v in pts) and \
-            all(self.contains_direction(r) for r in rays) and \
+            all(self.contains_direction(r) for r in other.rays) and \
             all(self.contains_direction(l) and self.contains_direction(neg(l))
-                for l in lineality)
+                for l in other.lineality)
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +426,26 @@ def face_is_tight(face: Polyhedron, a: Vec, b: Fraction) -> bool:
         all(dot(a, l) == 0 for l in face.lineality)
 
 
-def _cut(p: Polyhedron, tight: Sequence[tuple[Vec, Fraction]]) -> tuple[list, list]:
-    """Vertices and rays of p that, with its lineality, generate the face
-    where every valid inequality a.x >= b in tight is an equality."""
-    verts = [v for v in p.vertices if all(dot(a, v) == b for a, b in tight)]
-    rays = [r for r in p.rays if all(dot(a, r) == 0 for a, _ in tight)]
-    return verts, rays
+def _face(p: Polyhedron, tight: Sequence[tuple[Vec, Fraction]]) -> Polyhedron:
+    """The face of p on which every valid inequality a.x >= b in tight is an
+    equality.  A nonempty face has the lineality of p, and its extreme
+    generators are those of p that lie on it, so its canonical key is read
+    off p's and no double description runs."""
+    n, lin, verts, rays = p.canonical_key
+    verts = tuple(v for v in verts if all(dot(a, v) == b for a, b in tight))
+    rays = tuple(r for r in rays if all(dot(a, r) == 0 for a, _ in tight))
+    if verts == (zero_vec(n),):
+        verts = ()
+    face = Polyhedron(n, verts, rays, lin)
+    object.__setattr__(face, "canonical_key", (n, lin, verts, rays))
+    return face
 
 
 def codim1_faces(p: Polyhedron) -> list[Polyhedron]:
     """All faces of dimension dim(p) - 1, canonicalized and sorted."""
     seen = {}
     for a, b in p.hrep.inequalities:
-        face = Polyhedron(p.ambient_dim, *_cut(p, [(a, b)]), p.lineality).canonical()
+        face = _face(p, [(a, b)])
         seen.setdefault(face.canonical_key, face)
     return [seen[k] for k in sorted(seen)]
 
@@ -462,15 +464,14 @@ def lower_faces(cells: Sequence[Polyhedron]
 
 
 def is_face_of(tau: Polyhedron, sigma: Polyhedron) -> bool:
-    """Whether tau is a face of sigma: tau lies in sigma and holds the face of
-    sigma cut out by the facet inequalities tight on tau.  Reads the two facet
-    descriptions only and builds no polyhedron."""
+    """Whether tau is a face of sigma: tau lies in sigma and equals the face
+    of sigma cut out by the facet inequalities tight on tau."""
     if tau.ambient_dim != sigma.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if not sigma.contains(tau):
         return False
     tight = [(a, b) for a, b in sigma.hrep.inequalities if face_is_tight(tau, a, b)]
-    return tau.contains_generators(*_cut(sigma, tight), sigma.lineality)
+    return tau.canonical_key == _face(sigma, tight).canonical_key
 
 
 # ---------------------------------------------------------------------------

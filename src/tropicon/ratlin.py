@@ -4,7 +4,9 @@ All arithmetic is over ``fractions.Fraction``; there is no floating point
 anywhere in this package.  Vectors are immutable tuples of fractions and
 matrices are tuples of equal-length vectors, so every value is hashable and
 safe to share.  The LP solver is a two-phase exact simplex with Bland's rule,
-which terminates and returns reproducible witnesses.
+which terminates and returns reproducible witnesses.  The lattice normal of a
+cell at a ridge comes from one saturated basis of the cell's lattice and an
+extended gcd of the tight facet inequality's values on it.
 """
 
 from __future__ import annotations
@@ -100,27 +102,6 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 def identity_mat(n: int) -> Mat:
     return tuple(unit_vec(i, n) for i in range(n))
-
-
-def mat_inverse(A: Mat) -> Mat:
-    """Exact Gauss-Jordan inverse; raises ValueError on a singular matrix."""
-    n = len(A)
-    if any(len(r) != n for r in A):
-        raise ValueError("inverse of non-square matrix")
-    work = [list(row) + [Fraction(1 if j == i else 0) for j in range(n)]
-            for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
 
 
 # ---------------------------------------------------------------------------
@@ -383,56 +364,6 @@ def lattice_complement_projection(gens: Sequence[Vec], ambient_dim: int) -> Mat:
     return tuple(vt[i] for i in range(ell, n))
 
 
-def lattice_quotient_generator(big_gens: Sequence[Vec], small_gens: Sequence[Vec],
-                               ambient_dim: int) -> Vec:
-    """Integral vector in span(big) generating (span(big) ∩ Z^n)/(span(small) ∩ Z^n).
-
-    Requires the quotient to have rank one, i.e. dim big = dim small + 1.
-    The sign of the generator is not determined here.
-    """
-    B = saturation_basis(big_gens, ambient_dim)
-    S = saturation_basis(small_gens, ambient_dim)
-    k = len(B)
-    if len(S) != k - 1:
-        raise WrongCodimension("quotient lattice does not have rank one")
-    if k == 1:
-        return B[0]
-    # coordinates of the small lattice inside the big one (integral since
-    # both lattices are saturated in Z^n)
-    Bt = transpose(B)
-    coords = []
-    for s in S:
-        sol = _solve_exact(Bt, s)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise AssertionError("small lattice not inside big lattice")
-        coords.append(sol)
-    D, _, V = smith_normal_form(mat(coords))
-    for i in range(k - 1):
-        if D[i][i] != 1:
-            raise AssertionError("face lattice should be saturated in the cell lattice")
-    # last row of V^{-1} descends to a generator of the rank-one quotient
-    vinv = mat_inverse(V)
-    gen_coords = vinv[k - 1]
-    out = zero_vec(ambient_dim)
-    for c, b in zip(gen_coords, B):
-        out = add(out, scale(c, b))
-    return out
-
-
-def _solve_exact(A: Mat, b: Vec) -> Optional[Vec]:
-    """One exact solution of A x = b, or None if inconsistent."""
-    m = len(A)
-    n = len(A[0]) if A else 0
-    aug = mat([tuple(A[i]) + (b[i],) for i in range(m)])
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
-    return tuple(x)
-
-
 # ---------------------------------------------------------------------------
 # linear programming: exact two-phase simplex, Bland's rule
 
@@ -616,13 +547,33 @@ def check_lp_witness(lp: LinearProgram, witness: Vec) -> None:
             raise AssertionError(f"strict inequality violated: {val} <= {b}")
 
 
+def _bezout(values: Sequence[int]) -> list[int]:
+    """Integers x with sum(x_i * values_i) = gcd(values) >= 0."""
+    g, xs = 0, []
+    for v in values:
+        # extended Euclid on (g, v), tracking the coefficients of g and of v
+        r0, r1, s0, s1, t0, t1 = g, v, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        if r0 < 0:
+            r0, s0, t0 = -r0, -s0, -t0
+        g, xs = r0, [s0 * x for x in xs] + [t0]
+    return xs
+
+
 def lattice_normal_generator(sigma, tau) -> Vec:
     """Integral vector in the direction span of sigma pointing from tau into
     sigma, generating the rank-one quotient of the cells' saturated lattices.
 
     sigma and tau are Polyhedron values with tau a codimension-one face of
-    sigma.  The result is well defined up to the face lattice, which does not
-    affect balancing verdicts.
+    sigma.  With a.x >= b the facet inequality of sigma tight on tau, the
+    face lattice is the kernel of a on the lattice of sigma, so u is the
+    combination of a basis of that lattice on which a takes its least
+    positive value.  The result is well defined up to the face lattice,
+    which does not affect balancing verdicts.
     """
     from . import polyhedral  # deferred: keeps the kernel importable alone
 
@@ -631,13 +582,10 @@ def lattice_normal_generator(sigma, tau) -> Vec:
     if tau.dim != sigma.dim - 1:
         raise WrongCodimension(
             f"expected codimension one, got dim {tau.dim} inside dim {sigma.dim}")
-    u = lattice_quotient_generator(sigma.direction_span, tau.direction_span,
-                                   sigma.ambient_dim)
-    # orient across the unique facet inequality of sigma that is tight on tau
-    for a, b in sigma.hrep.inequalities:
-        if polyhedral.face_is_tight(tau, a, b):
-            side = dot(a, u)
-            if side == 0:
-                continue
-            return u if side > 0 else neg(u)
-    raise NotAFace("no supporting inequality separates tau inside sigma")
+    a = next(primitive_vector(a) for a, b in sigma.hrep.inequalities
+             if polyhedral.face_is_tight(tau, a, b))
+    basis = saturation_basis(sigma.direction_span, sigma.ambient_dim)
+    u = zero_vec(sigma.ambient_dim)
+    for x, w in zip(_bezout([int(dot(a, w)) for w in basis]), basis):
+        u = add(u, scale(x, w))
+    return u

@@ -220,6 +220,8 @@ class TestCliCheck:
         ("rays", [[2, 0], [0, 1]], "ray"),
         ("rays", [["1/2", 0], [0, 1]], "ray"),
         ("lineality", [["1/2", 0]], "lineality"),
+        ("lineality", [[0, 0]], "lineality"),
+        ("lineality", [[1, 1], [1, 1]], "lineality"),
         (None, 5, "object"),
         ("rays", 5, "rays"),
         ("rays", [5], "ray"),
@@ -237,7 +239,8 @@ class TestCliCheck:
         (None, {"ambient_dim": -1, "rays": [], "vertices": [], "lineality": [],
                 "cells": [], "weights": []}, "ambient_dim"),
     ], ids=["zero-ray", "non-primitive-ray", "fractional-ray",
-            "fractional-lineality", "top-level-number", "rays-not-list",
+            "fractional-lineality", "zero-lineality", "dependent-lineality",
+            "top-level-number", "rays-not-list",
             "ray-not-list", "vertex-not-list", "lineality-row-not-list",
             "cell-not-object", "cell-v-not-list", "cell-r-not-list",
             "cell-index-list", "ambient-dim-list", "weight-list",

@@ -273,6 +273,28 @@ class TestCanonicalFormAgainstLP:
             assert (verts, rays) == _lp_extreme_generators(p)
 
 
+class TestFacesAgainstFreshPolyhedra:
+    """Faces read off their cell's canonical generators carry the canonical
+    key and dimension that a fresh polyhedron on the same generators derives
+    from its own facet description."""
+
+    @pytest.mark.parametrize("kind,seed", [("cone", 601), ("polytope", 602),
+                                           ("polyhedron", 603)])
+    def test_faces_and_their_faces(self, kind, seed):
+        rng = random.Random(seed)
+        cells = [TestCanonicalFormAgainstLP._random_polyhedron(rng, kind)
+                 for _ in range(25)]
+        # the face through the origin vertex is a cone, whose key has no vertex
+        cells.append(Polyhedron.from_vertices([[0, 0], [1, 0]], [[0, 1]]))
+        for p in cells:
+            faces = codim1_faces(p)
+            faces += [g for f in faces for g in codim1_faces(f)]
+            for f in faces:
+                fresh = Polyhedron(f.ambient_dim, f.vertices, f.rays, f.lineality)
+                assert f.canonical_key == fresh.canonical_key
+                assert f.dim == fresh.dim
+
+
 def _is_face_by_keys(tau, sigma):
     """Face test by canonical keys: tau lies in sigma and equals, as a point
     set, sigma cut down by every facet inequality of sigma tight on tau."""

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from tropicon.ratlin import (
-    ZeroVector, WrongCodimension, as_int_list, check_lp_witness,
+    ZeroVector, WrongCodimension, as_int_list, check_lp_witness, dot,
     integer_kernel_basis, is_zero, lattice_complement_projection,
     lattice_normal_generator, lp_feasible, make_lp,
     mat, mat_mul, mat_vec, matrix_rank, primitive_vector, rank_and_kernel,
@@ -199,24 +199,45 @@ class TestLatticeNormalGenerator:
         det = sympy.Matrix(coords).det()
         assert abs(det) == 1
 
-    def test_random_cones_snf_oracle(self):
-        # residue class generates the quotient lattice, on ambient dim <= 4
-        from tropicon.polyhedral import codim1_faces
-        rng = random.Random(1234)
+    @staticmethod
+    def _random_cell(rng, kind):
+        n = rng.randint(2, 4)
+
+        def direction():
+            return [rng.randint(-3, 3) for _ in range(n)]
+
+        rays = [r for r in (direction() for _ in range(rng.randint(2, n + 1))) if any(r)]
+        if kind == "pointed-cone":
+            return Polyhedron.cone(rays, ambient_dim=n).canonical()
+        lin = [l for l in [direction()] if any(l)]
+        if kind == "cone-with-lineality":
+            return Polyhedron.cone(rays, lin, ambient_dim=n).canonical()
+        pts = [[F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
+               for _ in range(rng.randint(1, n + 1))]
+        return Polyhedron.from_vertices(pts, rays[:rng.randint(0, len(rays))],
+                                        lin[:rng.randint(0, 1)], ambient_dim=n)
+
+    @pytest.mark.parametrize("kind,seed", [("pointed-cone", 1234),
+                                           ("cone-with-lineality", 1235),
+                                           ("polyhedron", 1236)],
+                             ids=["pointed-cones", "cones-with-lineality", "polyhedra"])
+    def test_random_cones_snf_oracle(self, kind, seed):
+        # residue class generates the quotient lattice, on ambient dim <= 4,
+        # and points into sigma across the facet inequality tight on tau
+        from tropicon.polyhedral import codim1_faces, face_is_tight
+        rng = random.Random(seed)
         checked = 0
         while checked < 20:
-            n = rng.randint(2, 4)
-            rays = [[rng.randint(-3, 3) for _ in range(n)]
-                    for _ in range(rng.randint(2, n + 1))]
-            rays = [r for r in rays if any(r)]
-            if not rays:
+            sigma = self._random_cell(rng, kind)
+            if sigma.dim < 1 or kind != "polyhedron" and \
+                    sigma.is_pointed != (kind == "pointed-cone"):
                 continue
-            sigma = Polyhedron.cone(rays, ambient_dim=n).canonical()
-            if sigma.dim < 1 or not sigma.is_pointed:
-                continue
+            n = sigma.ambient_dim
             for tau in codim1_faces(sigma):
                 u = lattice_normal_generator(sigma, tau)
                 assert all(x.denominator == 1 for x in u)
+                a = [a for a, b in sigma.hrep.inequalities if face_is_tight(tau, a, b)]
+                assert len(a) == 1 and dot(a[0], u) > 0
                 big = saturation_basis(sigma.direction_span, n)
                 small = list(saturation_basis(tau.direction_span, n))
                 B = sympy.Matrix([[int(b[i]) for b in big] for i in range(n)])

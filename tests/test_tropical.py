@@ -274,6 +274,20 @@ class TestBalancing:
         assert fan.dim == 3
         assert balancing_check(WeightedComplex(fan)).balanced
 
+    def test_one_double_description_per_facet(self, monkeypatch):
+        # ridges and lattice normals are read off the facets' own facet
+        # descriptions, so only the facets run a double description
+        import tropicon.polyhedral as polyhedral
+        from tropicon.fanjson import fan_from_text, fan_to_text
+        fan = fan_from_text(fan_to_text(bergman_fine(Matroid.uniform(3, 6))))
+        calls = []
+        real = polyhedral.dd_cone
+        monkeypatch.setattr(polyhedral, "dd_cone",
+                            lambda *args: calls.append(args) or real(*args))
+        build_hypergraph(fan)
+        assert balancing_check(WeightedComplex(fan)).balanced
+        assert len(fan) == 30 and len(calls) == 30
+
     def test_verdict_independent_of_normal_representative(self):
         # shifting a lattice normal by a ridge-span vector keeps the sum's
         # class unchanged; check by balancing the same fan twice through
