@@ -12,7 +12,7 @@ Subcommands::
 
 Exit codes: 0 success/verdict true, 1 input or usage error, 2 certified
 failure (disconnection, unbalanced, transversality refuted by a witness).
-The environment variable TROPICON_BUDGET overrides the subset-search budget.
+The environment variable TROPICON_BUDGET overrides the certification work budget.
 """
 
 from __future__ import annotations

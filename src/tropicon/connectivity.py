@@ -2,15 +2,76 @@
 
 The hypergraph of a pure complex has one vertex per facet and one hyperedge
 per ridge, the hyperedge listing every facet the ridge bounds.  Removing a
-facet removes all hyperedges through it (closed-facet semantics).  The
-certification routines are exhaustive subset searches in colex order with a
-configurable budget; verdicts carry re-checkable witnesses.
+facet removes all hyperedges through it (closed-facet semantics).  A
+*separator* is a facet set S whose removal leaves at least two facets in at
+least two components; the hypergraph is k-connected when no separator has
+at most k-1 facets.  Verdicts carry re-checkable witnesses.
+
+Certification decides whether a separator of at most t facets exists with a
+pair engine.  `is_k_connected` scans facet subsets in colex order only to
+pull out the colex-first witness once a cut is known to exist;
+`min_facet_cut` finds its colex-least witness with the engine alone.
+
+**Cut extension.**  If S separates and |S| + 1 <= #facets - 2, some S + {f}
+separates: at least three facets remain in at least two components; remove
+one from a component with two or more facets, or any one if all components
+are single facets, and two components survive.  So for t <= #facets - 2,
+"some t-subset disconnects" is the same as "some separator has at most t
+facets", and the least cut size is the least t for which the answer is yes.
+
+**Pairs.**  Facets a and b are separated by S (a, b not in S) when no
+hyperpath joins them after removing S.  A hyperpath is a chain of ridges
+from a to b; its interior is the set of members of its ridges other than a
+and b, and it survives S exactly when its interior misses S.  If t+1 paths
+have pairwise disjoint interiors, no t facets separate a from b; a ridge
+whose only members are a and b can never be killed.  Pairs that a greedy
+packing of BFS-shortest paths cannot prove go to an exact bounded search
+(Marx 2006, "Parameterized graph separation problems"): every separator
+extending the removed set R must meet the interior of a shortest path that
+survives R, so branching on that interior to depth t finds a separator if
+there is one.  The same search finds separators inside a given set A of
+removable facets: only the part of an interior in A must be disjoint, and
+a path whose interior misses A cannot be killed.
+
+**Even's reduction** (Even 1975, "An algorithm for determining whether the
+connectivity of a graph is at least k"), with t+1 = k and the facets in
+their order v_0, v_1, ...: no separator has at most t facets iff
+
+1. no pair v_i, v_j with i < j <= t is separated by at most t facets, and
+2. for each j > t, no t facets separate v_j from a virtual facet x_j joined
+   by 2-member ridges to v_0 .. v_{j-1}.
+
+It holds under closed semantics.  If a test fails with S, then S separates
+the hypergraph: in case 2 some v_i with i < j is outside S (|S| < j), sits
+with x_j, and a path from v_i to v_j avoiding S would join x_j to v_j.
+Conversely let S, |S| <= t, separate.  Among v_0 .. v_t some facet survives.
+If the survivors among them lie in two components, test 1 fails.  Otherwise
+they lie in one component C; take the least j with v_j outside C and S
+(j > t, as another component exists).  Every neighbour v_0 .. v_{j-1} of x_j
+lies in C or S, so removing S leaves x_j joined only to C, and test 2 fails
+at j.  Nothing here needs S to range over all facets, so the reduction also
+decides whether a separator of at most t facets lies inside A.
+
+**Colex-least minimum cut.**  Let s be the least cut size.  A separator of
+at most s facets has exactly s, so "some s-subset of A disconnects" is
+"a separator lies inside A", which the engine decides.  Colex order
+compares largest elements first, so the colex-least cut has as its largest
+element the least m for which facets 0..m hold a cut; given its largest
+elements m_1 > .. > m_i, the next is the least m for which 0..m together
+with m_1..m_i hold one (a cut there avoiding some m_l would lie in a
+prefix already ruled out).  Holding a cut grows with m, so each element is
+a binary search.
+
+Work (pair tests, search nodes, paths and witness-scan subsets, one unit
+each) counts against a budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .polyhedral import Complex, validate_complex
@@ -19,7 +80,7 @@ DEFAULT_BUDGET = 10 ** 7
 
 
 class BudgetExceeded(RuntimeError):
-    """The exhaustive search would exceed the configured subset budget."""
+    """Certification would exceed the configured work budget."""
 
 
 class TooFewFacets(ValueError):
@@ -48,6 +109,18 @@ class FacetRidgeHypergraph:
     @property
     def num_ridges(self) -> int:
         return len(self.hyperedges)
+
+    @cached_property
+    def _incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Per facet, the hyperedges through it that reach another facet,
+        smallest first, so a search meets a 2-member ridge before others."""
+        edges = self.hyperedges
+        incident: list[list[int]] = [[] for _ in self.facet_labels]
+        for i in sorted(range(len(edges)), key=lambda i: len(edges[i])):
+            if len(edges[i]) > 1:
+                for f in edges[i]:
+                    incident[f].append(i)
+        return tuple(map(tuple, incident))
 
 
 @dataclass(frozen=True)
@@ -105,11 +178,22 @@ def connected_after_removal(h: FacetRidgeHypergraph, removed: Iterable[int]) -> 
     most one facet left the result is vacuously true.
     """
     removed = set(removed)
-    remaining = [f for f in range(h.num_facets) if f not in removed]
-    if len(remaining) <= 1:
+    incidence, edges = h._incidence, h.hyperedges
+    gone = [f for f in range(h.num_facets) if f in removed]
+    if h.num_facets - len(gone) <= 1:
         return True
-    find = _union_find(remaining, [e for e in h.hyperedges if not e & removed])
-    return len({find(f) for f in remaining}) == 1
+    used = {e for f in gone for e in incidence[f]}
+    seen = set(gone)
+    stack = [next(f for f in range(h.num_facets) if f not in seen)]
+    seen.add(stack[0])
+    while stack:
+        for e in incidence[stack.pop()]:
+            if e not in used:
+                used.add(e)
+                fresh = edges[e] - seen
+                seen |= fresh
+                stack.extend(fresh)
+    return len(seen) == h.num_facets
 
 
 def connected_components(h: FacetRidgeHypergraph) -> list[set[int]]:
@@ -131,19 +215,112 @@ def colex_combinations(n: int, t: int) -> Iterator[tuple[int, ...]]:
             yield rest + (top,)
 
 
+class _Work:
+    """Units of certification work, checked against a budget as they are spent."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.done = 0
+
+    def spend(self) -> None:
+        self.done += 1
+        if self.done > self.budget:
+            raise BudgetExceeded(f"{self.done} units of work exceed budget {self.budget}")
+
+
+class _Separators:
+    """The pair engine: Even's reduction over packing-or-search pair tests."""
+
+    def __init__(self, h: FacetRidgeHypergraph, work: _Work):
+        self.n = h.num_facets
+        self.edges = h.hyperedges
+        self.incidence = h._incidence
+        self.work = work
+        self.facets = self.allowed = frozenset(range(self.n))
+
+    def find(self, t: int, allowed: Optional[frozenset[int]] = None
+             ) -> Optional[frozenset[int]]:
+        """A separator of at most t facets, all in `allowed` (default: any),
+        or None; needs 1 <= t <= #facets - 2."""
+        self.allowed = self.facets if allowed is None else allowed
+        pairs = itertools.chain(itertools.combinations(range(t + 1), 2),
+                                ((None, j) for j in range(t + 1, self.n)))
+        for a, b in pairs:
+            found = self._search(a, b, frozenset(), t, set())
+            if found is not None:
+                return found
+        return None
+
+    def _search(self, a: Optional[int], b: int, removed: frozenset[int], r: int,
+                seen: set) -> Optional[frozenset[int]]:
+        """Extend `removed` by at most r facets to separate a from b, or None.
+
+        a None is the virtual facet joined to every facet below b.  Tries to
+        pack r+1 paths whose interiors are disjoint where they can be
+        removed (in `allowed`), then branches on that part of the interior
+        of the shortest surviving path.
+        """
+        self.work.spend()
+        blocked = set(removed)
+        shortest = None
+        for _ in range(r + 1):
+            interior = self._path(a, b, blocked)
+            if interior is None:
+                break
+            interior &= self.allowed
+            if not interior:
+                return None
+            shortest = shortest or interior
+            blocked |= interior
+        else:
+            return None
+        if shortest is None:
+            return removed
+        for c in sorted(shortest):
+            grown = removed | {c}
+            if grown not in seen:
+                seen.add(grown)
+                found = self._search(a, b, grown, r - 1, seen)
+                if found is not None:
+                    return found
+        return None
+
+    def _path(self, a: Optional[int], b: int, blocked: set) -> Optional[set[int]]:
+        """The interior of a BFS-shortest hyperpath from b to a avoiding
+        `blocked`, or None.  With a None the path ends at any facet below b."""
+        self.work.spend()
+        edges, incidence = self.edges, self.incidence
+        parent = {b: None}
+        queue = [b]
+        for u in queue:
+            for e in incidence[u]:
+                edge = edges[e]
+                if not blocked.isdisjoint(edge):
+                    continue
+                for w in edge:
+                    if w in parent:
+                        continue
+                    parent[w] = (u, e)
+                    if w == a or (a is None and w < b):
+                        interior = set()
+                        while w != b:
+                            w, e = parent[w]
+                            interior |= edges[e]
+                        return interior - {a, b}
+                    queue.append(w)
+        return None
+
+
 def _first_cut(h: FacetRidgeHypergraph, t: int,
-               budget: int) -> tuple[Optional[tuple[int, ...]], int]:
-    """Scan the t-subsets of facets in colex order.
+               work: _Work) -> tuple[Optional[tuple[int, ...]], int]:
+    """Scan the t-subsets of facets in colex order, one unit of work each.
 
     Returns the first subset whose removal disconnects the hypergraph (None
-    if there is none) and the number of subsets examined.  Raises
-    BudgetExceeded before scanning when C(#facets, t) exceeds the budget.
+    if there is none) and the number of subsets examined.
     """
-    count = math.comb(h.num_facets, t)
-    if count > budget:
-        raise BudgetExceeded(f"{count} subsets exceed budget {budget}")
     examined = 0
     for S in colex_combinations(h.num_facets, t):
+        work.spend()
         examined += 1
         if not connected_after_removal(h, S):
             return S, examined
@@ -152,18 +329,25 @@ def _first_cut(h: FacetRidgeHypergraph, t: int,
 
 def is_k_connected(h: FacetRidgeHypergraph, k: int,
                    budget: int = DEFAULT_BUDGET) -> ConnectivityCertificate:
-    """Exhaustively certify k-connectivity through codimension one.
+    """Certify k-connectivity through codimension one.
 
-    Tests every facet subset of size k-1 in colex order.  A false verdict
-    carries the first disconnecting subset found.  k = 0 holds vacuously, as
-    do subsets of size at least the facet count (nothing remains).
+    The pair engine decides whether some set of at most k-1 facets
+    disconnects; by cut extension that is whether some (k-1)-subset does.
+    A true verdict counts all C(#facets, k-1) subsets as examined, since the
+    proof decides every one of them.  A false verdict carries the colex-first
+    disconnecting (k-1)-subset and its colex rank.  k = 0 holds vacuously, as
+    do subsets of size at least #facets - 1 (at most one facet remains).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     t = k - 1
-    if t < 0 or t > h.num_facets:
+    n = h.num_facets
+    if t < 0 or t > n:
         return ConnectivityCertificate(k, True, None, 0)
-    witness, examined = _first_cut(h, t, budget)
+    work = _Work(budget)
+    if t >= n - 1 or (t > 0 and _Separators(h, work).find(t) is None):
+        return ConnectivityCertificate(k, True, None, math.comb(n, t))
+    witness, examined = _first_cut(h, t, work)
     return ConnectivityCertificate(k, witness is None, witness, examined)
 
 
@@ -171,11 +355,14 @@ def min_facet_cut(h: FacetRidgeHypergraph,
                   budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, tuple[int, ...]]]:
     """Smallest facet set whose removal disconnects at least two facets.
 
-    Searches by increasing cardinality, capped by the cheapest facet
-    isolation (removing all neighbors of one facet), and returns the
-    colex-least witness of minimum size.  None means no cut of size below
-    #facets - 1 exists.  The budget bounds the subsets of all sizes searched
-    together.
+    Sizes are capped by the cheapest facet isolation (removing all neighbors
+    of one facet), which is tried first.  The pair engine lowers the size
+    while it finds smaller separators.  It then fixes the colex-least cut of
+    that size from its largest element down: each element is the least m
+    such that facets 0..m, with the elements already fixed, hold a cut of
+    that size (a binary search, as holding one is monotone in m).  None
+    means no cut of size below #facets - 1 exists.  The budget bounds all of
+    this work together.
     """
     n = h.num_facets
     if n < 2:
@@ -187,17 +374,32 @@ def min_facet_cut(h: FacetRidgeHypergraph,
     isolation_cap = min((len(nb) for f, nb in enumerate(neighbors)
                          if n - len(nb) >= 2), default=n - 1)
     cap = min(isolation_cap, n - 2)
-    examined = 0
-    for s in range(1, cap + 1):
-        try:
-            witness, done = _first_cut(h, s, budget - examined)
-        except BudgetExceeded:
-            raise BudgetExceeded(f"{examined + math.comb(n, s)} subsets through "
-                                 f"size {s} exceed budget {budget}") from None
-        if witness is not None:
-            return s, witness
-        examined += done
-    return None
+    if cap < 1:
+        return None
+    # removing the neighbors of one facet is a cut when it leaves two facets
+    size = cap if isolation_cap <= n - 2 else cap + 1
+    work = _Work(budget)
+    separators = _Separators(h, work)
+    while size > 1:
+        found = separators.find(size - 1)
+        if found is None:
+            break
+        size = max(len(found), 1)
+    if size > cap:
+        return None
+    cut: list[int] = []
+    top = n - 1
+    for level in range(size, 0, -1):
+        least = level - 1
+        while least < top:
+            m = (least + top) // 2
+            if separators.find(size, frozenset(range(m + 1)).union(cut)) is None:
+                least = m + 1
+            else:
+                top = m
+        cut.append(least)
+        top = least - 1
+    return size, tuple(reversed(cut))
 
 
 # ---------------------------------------------------------------------------

@@ -558,6 +558,11 @@ class Complex:
         return lower_faces(self.facet_polyhedra)
 
     @cached_property
+    def _validation(self) -> "ValidationReport":
+        """Purity and lineality containment, checked once per complex."""
+        return _validate(self)
+
+    @cached_property
     def dim(self) -> int:
         if not self.cells:
             return len(self.lineality)
@@ -589,11 +594,7 @@ class ValidationReport:
         return self.valid
 
 
-def validate_complex(c: Complex, pairwise: bool = False) -> ValidationReport:
-    """Check purity and lineality containment; optionally pairwise face fit.
-
-    Returns a structured report and never raises.
-    """
+def _validate(c: Complex) -> ValidationReport:
     issues = []
     facets = c.facet_polyhedra
     if not facets:
@@ -606,18 +607,31 @@ def validate_complex(c: Complex, pairwise: bool = False) -> ValidationReport:
             if not (f.contains_direction(l) and f.contains_direction(neg(l))):
                 issues.append(f"facet {i} does not contain the declared lineality")
                 break
-    if pairwise:
-        keys = [f.canonical_key for f in facets]
-        for i, j in itertools.combinations(range(len(facets)), 2):
-            if keys[i] == keys[j]:
-                issues.append(f"facets {i} and {j} coincide")
-                continue
-            inter = intersect(facets[i], facets[j])
-            if inter is None:
-                continue
-            if not is_face_of(inter, facets[i]) or not is_face_of(inter, facets[j]):
-                issues.append(f"facets {i} and {j} do not meet in a common face")
     return ValidationReport(not issues, d, tuple(issues))
+
+
+def validate_complex(c: Complex, pairwise: bool = False) -> ValidationReport:
+    """Check purity and lineality containment; optionally pairwise face fit.
+
+    Returns a structured report and never raises.  The report without the
+    pairwise check is computed once per complex and then reused.
+    """
+    report = c._validation
+    if not pairwise:
+        return report
+    issues = list(report.issues)
+    facets = c.facet_polyhedra
+    keys = [f.canonical_key for f in facets]
+    for i, j in itertools.combinations(range(len(facets)), 2):
+        if keys[i] == keys[j]:
+            issues.append(f"facets {i} and {j} coincide")
+            continue
+        inter = intersect(facets[i], facets[j])
+        if inter is None:
+            continue
+        if not is_face_of(inter, facets[i]) or not is_face_of(inter, facets[j]):
+            issues.append(f"facets {i} and {j} do not meet in a common face")
+    return ValidationReport(not issues, report.dim, tuple(issues))
 
 
 def intersect(p: Polyhedron, q: Polyhedron) -> Optional[Polyhedron]:

@@ -1,10 +1,14 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
+from test_theorem import loopless_matroids
+from tropicon import connectivity
 from tropicon.connectivity import (
-    BudgetExceeded, TooFewFacets, build_hypergraph,
+    BudgetExceeded, FacetRidgeHypergraph, TooFewFacets, build_hypergraph,
     clique_connected_after_removal, colex_combinations,
     connected_after_removal, connected_components, hypergraph_dot,
     is_k_connected, min_facet_cut,
@@ -176,13 +180,16 @@ class TestMinFacetCut:
         assert size == 1
 
     def test_budget_covers_all_sizes(self):
-        # 8 facets, min cut 3: sizes 1-3 need 8 + 28 + 56 = 92 subsets
+        # the cube graph, isolation cap 3.  Ruling out cuts of size 2 takes
+        # 28 units: pairs (0,1) and (0,2) share a ridge (a search node and
+        # one path each), pair (1,2) and the virtual facets x_3..x_7 pack 3
+        # paths (4 units each).  Fixing the colex-least cut of size 3 takes
+        # five more searches, within facets {0..4}, {0..3}, {0,1,2,4},
+        # {0,1,4} and {0,2,4}: 18 + 30 + 18 + 26 + 24 = 116 units.
         h = build_hypergraph(cube_normal_fan(3))
-        with pytest.raises(BudgetExceeded, match="92 subsets through size 3 "
-                                                 "exceed budget 91"):
-            min_facet_cut(h, budget=91)
-        size, witness = min_facet_cut(h, budget=92)
-        assert size == 3 and not connected_after_removal(h, witness)
+        with pytest.raises(BudgetExceeded, match="144 units of work exceed budget 143"):
+            min_facet_cut(h, budget=143)
+        assert min_facet_cut(h, budget=144) == (3, (1, 2, 4))
 
     def test_too_few_facets(self):
         single = Complex.from_facets([Polyhedron.cone([[1, 0]], ambient_dim=2)])
@@ -231,3 +238,114 @@ def test_connected_components_of_section():
                              AffineHyperplane(vec([1, 0, 0, 0, 0]), F(-1)))
     comps = connected_components(build_hypergraph(sec.section))
     assert len(comps) == 2
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive colex scan as the oracle of the pair engine
+
+
+def _oracle_disconnects(h, removed):
+    """Closed-facet removal by union-find, independent of the module."""
+    removed = set(removed)
+    left = [f for f in range(h.num_facets) if f not in removed]
+    if len(left) <= 1:
+        return False
+    root = list(range(h.num_facets))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for edge in h.hyperedges:
+        if removed.isdisjoint(edge):
+            first, *rest = edge
+            for f in rest:
+                root[find(f)] = find(first)
+    return len({find(f) for f in left}) > 1
+
+
+def _oracle_scan(h, t):
+    """First disconnecting t-subset in colex order and the subsets examined."""
+    subsets = sorted(itertools.combinations(range(h.num_facets), t),
+                     key=lambda s: s[::-1])
+    for rank, s in enumerate(subsets, 1):
+        if _oracle_disconnects(h, s):
+            return s, rank
+    return None, len(subsets)
+
+
+def _oracle_certificate(h, k):
+    t = k - 1
+    if t < 0 or t > h.num_facets:
+        return True, None, 0
+    witness, examined = _oracle_scan(h, t)
+    return witness is None, witness, examined
+
+
+def _oracle_min_cut(h):
+    """Scan sizes 1, 2, ... up to the cheapest facet isolation, and n - 2."""
+    n = h.num_facets
+    isolation = [len(set().union(*(e for e in h.hyperedges if f in e)) - {f})
+                 for f in range(n)]
+    cap = min([c for c in isolation if n - c >= 2] + [n - 1, n - 2])
+    for s in range(1, cap + 1):
+        witness, _ = _oracle_scan(h, s)
+        if witness is not None:
+            return s, witness
+    return None
+
+
+def _random_hypergraph(rng):
+    n = rng.randint(4, 10)
+    edges = [frozenset(rng.sample(range(n), rng.randint(2, min(4, n))))
+             for _ in range(rng.randint(n // 2, 3 * n))]
+    return FacetRidgeHypergraph(tuple(map(str, range(n))), tuple(edges),
+                                tuple(map(str, range(len(edges)))))
+
+
+class TestPairEngineAgainstScan:
+    def assert_agrees(self, h, ks):
+        for k in ks:
+            cert = is_k_connected(h, k)
+            assert (cert.verdict, cert.witness, cert.subsets_examined) == \
+                _oracle_certificate(h, k), k
+        if h.num_facets >= 2:
+            assert min_facet_cut(h) == _oracle_min_cut(h)
+
+    @pytest.mark.parametrize("fan", [
+        two_planes_fan, lambda: cube_normal_fan(3),
+        lambda: skeleton(cube_normal_fan(3), 2),
+        lambda: bergman_fine(Matroid.uniform(3, 4)),
+        lambda: bergman_fine(Matroid.uniform(3, 6)),
+        lambda: bergman_fine(Matroid.uniform(4, 5)),
+        lambda: bergman_fine(Matroid.graphic(
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])),
+        lambda: bergman_fine(Matroid.uniform(4, 6)),
+    ], ids=["two-planes", "cube3", "cube3-2-skeleton", "U(3,4)", "U(3,6)",
+            "U(4,5)", "M(K4)", "U(4,6)"])
+    def test_fixtures(self, fan):
+        self.assert_agrees(build_hypergraph(fan()), range(5))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(loopless_matroids())
+    def test_bergman_fans_of_random_matroids(self, m):
+        self.assert_agrees(build_hypergraph(bergman_fine(m)), range(5))
+
+    def test_random_hypergraphs_reach_the_exact_fallback(self, monkeypatch):
+        # branch nodes are searches with facets already removed; count those
+        # that find a separator and those that prove the pair
+        outcomes = Counter()
+        search = connectivity._Separators._search
+
+        def counted(self, a, b, removed, r, seen):
+            found = search(self, a, b, removed, r, seen)
+            if removed:
+                outcomes[found is not None] += 1
+            return found
+
+        monkeypatch.setattr(connectivity._Separators, "_search", counted)
+        rng = random.Random(20260)
+        for _ in range(2000):
+            self.assert_agrees(_random_hypergraph(rng), range(1, 5))
+        assert outcomes[True] > 0 and outcomes[False] > 0

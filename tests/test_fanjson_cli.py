@@ -1,6 +1,9 @@
+import io
 import json
+import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
@@ -194,6 +197,18 @@ class TestCliCheck:
         h = build_hypergraph(load_fan(str(path)))
         assert connected_after_removal(h, cert["witness"]) is False
 
+    @pytest.mark.parametrize("command", ["check", "balance", "dot"])
+    def test_validates_once(self, tmp_path, capsys, monkeypatch, command):
+        from tropicon import polyhedral
+        path = tmp_path / "b.json"
+        run_cli(["gen", "bergman-uniform", "3", "4", "-o", str(path)], capsys)
+        calls = []
+        validate = polyhedral._validate
+        monkeypatch.setattr(polyhedral, "_validate",
+                            lambda c: calls.append(c) or validate(c))
+        code, _, _ = run_cli([command, str(path)], capsys)
+        assert code == 0 and len(calls) == 1
+
     def test_budget_env(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cube.json"
         run_cli(["gen", "normal-fan-cube", "3", "-o", str(path)], capsys)
@@ -371,3 +386,86 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ambient_dim"] == 5
+
+
+# fans as `gen` writes them, one with vertices from a slice
+CLI_FIXTURES = {
+    "two-planes": ["gen", "two-planes"],
+    "tropical-plane": ["gen", "tropical-plane"],
+    "u34": ["gen", "bergman-uniform", "3", "4"],
+    "mk4": ["gen", "bergman-graphic", "0-1,0-2,0-3,1-2,1-3,2-3"],
+    "cube3": ["gen", "normal-fan-cube", "3"],
+    "slice": None,
+}
+
+
+@pytest.fixture(scope="module")
+def cli_fixture_texts():
+    texts = {}
+    for name, argv in CLI_FIXTURES.items():
+        texts[name] = (fan_to_text(hyperplane_section_fixture()) if argv is None
+                       else _cli_stdout(argv))
+    return texts
+
+
+def _cli_stdout(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def _mutate(rng, obj, kind):
+    """One seeded damage of a fan object: drop a key, put a value of the
+    wrong type, point a cell past its pool, write '1/0' into a number."""
+    if kind == "drop":
+        del obj[rng.choice(sorted(obj))]
+    elif kind == "type":
+        key = rng.choice(sorted(obj))
+        junk = rng.choice([None, True, 1.5, "x", {}, [None], [[{}]], -1])
+        if isinstance(obj[key], list) and obj[key] and rng.random() < 0.5:
+            obj[key][rng.randrange(len(obj[key]))] = junk
+        else:
+            obj[key] = junk
+    elif kind == "index":
+        cell = rng.choice(obj["cells"])
+        pool = rng.choice(["v", "r"])
+        cell[pool] = cell.get(pool, []) + [rng.choice([-1, 10 ** 6])]
+    elif kind == "zero-denominator":
+        rows = [row for key in ("rays", "vertices", "lineality")
+                for row in obj[key]]
+        if rows and rng.random() < 0.8:
+            row = rng.choice(rows)
+            row[rng.randrange(len(row))] = "1/0"
+        else:
+            obj["weights"][0] = "1/0"
+    return obj
+
+
+class TestCliRobustness:
+    @pytest.mark.parametrize("name", sorted(CLI_FIXTURES))
+    def test_load_print_load_print_keeps_the_bytes(self, tmp_path, cli_fixture_texts,
+                                                   name):
+        path = tmp_path / "fan.json"
+        path.write_text(cli_fixture_texts[name])
+        first = fan_to_text(load_fan(str(path)))
+        path.write_text(first)
+        assert fan_to_text(load_fan(str(path))) == first == cli_fixture_texts[name]
+
+    def test_damaged_fan_files_exit_1_without_traceback(self, tmp_path, capsys,
+                                                      cli_fixture_texts):
+        rng = random.Random(7)
+        kinds = ("drop", "type", "index", "zero-denominator", "truncate")
+        path = tmp_path / "damaged.json"
+        for i in range(300):
+            name = rng.choice(sorted(cli_fixture_texts))
+            text = cli_fixture_texts[name]
+            kind = kinds[i % len(kinds)]
+            if kind == "truncate":  # cut before the closing brace
+                text = text[:rng.randrange(len(text) - 2)]
+            else:
+                text = json.dumps(_mutate(rng, json.loads(text), kind))
+            path.write_text(text)
+            command = ("check", "balance", "dot")[i % 3]
+            code, _, err = run_cli([command, str(path)], capsys)
+            assert code == 1 and "Traceback" not in err, (command, text)

@@ -5,13 +5,18 @@ codimension one, where d is the fan's dimension and l its lineality
 dimension.  The bound is sharp: every facet is simplicial modulo the
 lineality, so removing one neighbor across each of its d-l ridges isolates
 it, and the minimum facet cut is d-l once at least d-l+2 facets exist.
+Balinski's theorem on the graphs of polytopes is a second oracle.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropicon.connectivity import build_hypergraph, is_k_connected, min_facet_cut
 from tropicon.matroid import Matroid, bergman_fine
-from tropicon.tropical import WeightedComplex, balancing_check
+from tropicon.ratlin import matrix_rank
+from tropicon.tropical import WeightedComplex, balancing_check, normal_fan
 
 
 @st.composite
@@ -37,3 +42,26 @@ def test_bergman_fans_are_balanced_and_sharply_connected(m):
     if len(fan) >= k + 2:
         cut = min_facet_cut(h)
         assert cut is not None and cut[0] == k
+
+
+def _random_lattice_polytope(rng, d):
+    """Lattice points in a small box whose hull is full-dimensional."""
+    while True:
+        pts = {tuple(rng.randint(-5, 5) for _ in range(d))
+               for _ in range(rng.randint(3 * d, 5 * d))}
+        if matrix_rank([[x - y for x, y in zip(p, min(pts))] for p in pts]) == d:
+            return sorted(pts)
+
+
+@pytest.mark.parametrize("d,seed", [(3, s) for s in range(10)] + [(4, s) for s in range(4)])
+def test_balinski_normal_fans_are_d_connected(d, seed):
+    """Balinski's theorem: the graph of a d-polytope is d-connected.  The
+    normal fan's facet-ridge hypergraph is that graph, every ridge of the
+    complete fan bounding two cones."""
+    fan = normal_fan(_random_lattice_polytope(random.Random(seed), d)).complex
+    assert (fan.dim, fan.lineality_dim) == (d, 0)
+    h = build_hypergraph(fan)
+    assert all(len(e) == 2 for e in h.hyperedges)
+    assert is_k_connected(h, d).verdict
+    cut = min_facet_cut(h)
+    assert cut is None or cut[0] >= d
