@@ -142,8 +142,8 @@ def build_hypergraph(c: Complex) -> FacetRidgeHypergraph:
         raise ImpureComplex("; ".join(report.issues))
     return FacetRidgeHypergraph(
         tuple(f.label() for f in c.facet_polyhedra),
-        tuple(frozenset(fids) for _, fids in c.ridges),
-        tuple(ridge.label() for ridge, _ in c.ridges),
+        tuple(frozenset(fids) for _, fids, _ in c.ridges),
+        tuple(ridge.label() for ridge, _, _ in c.ridges),
     )
 
 
@@ -355,18 +355,21 @@ def min_facet_cut(h: FacetRidgeHypergraph,
                   budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, tuple[int, ...]]]:
     """Smallest facet set whose removal disconnects at least two facets.
 
-    Sizes are capped by the cheapest facet isolation (removing all neighbors
-    of one facet), which is tried first.  The pair engine lowers the size
-    while it finds smaller separators.  It then fixes the colex-least cut of
-    that size from its largest element down: each element is the least m
-    such that facets 0..m, with the elements already fixed, hold a cut of
-    that size (a binary search, as holding one is monotone in m).  None
-    means no cut of size below #facets - 1 exists.  The budget bounds all of
-    this work together.
+    A hypergraph that is already disconnected has the empty cut, (0, ()).
+    Otherwise sizes are capped by the cheapest facet isolation (removing all
+    neighbors of one facet), which is tried first.  The pair engine lowers
+    the size while it finds smaller separators.  It then fixes the
+    colex-least cut of that size from its largest element down: each
+    element is the least m such that facets 0..m, with the elements already
+    fixed, hold a cut of that size (a binary search, as holding one is
+    monotone in m).  None means no cut of size below #facets - 1 exists.
+    The budget bounds all of this work together.
     """
     n = h.num_facets
     if n < 2:
         raise TooFewFacets("need at least two facets")
+    if not connected_after_removal(h, ()):
+        return 0, ()
     neighbors = [set() for _ in range(n)]
     for edge in h.hyperedges:
         for f in edge:

@@ -2,13 +2,15 @@
 
 A polyhedron is stored by generators (vertices, rays, lineality); cones leave
 the vertex list empty and have an implicit apex at the origin.  The facet
-description is computed lazily by an exact double description pass and cached;
-it is the only source of face structure: canonical forms keep the generators
-whose tight facet sets have full rank, and a face is the cell's canonical
-generators that lie on its tight inequalities, so its canonical key needs no
-double description of its own.  Complexes store shared generator pools plus
-per-facet index sets; one face walk, `lower_faces`, gives the ridges (cached
-per complex) and, repeated, every lower face.
+description is computed lazily by an exact double description pass over
+integer rows and cached; it is the only source of face structure: canonical
+forms keep the generators whose tight facet sets have full rank, and a face
+is the cell's canonical generators that lie on its tight inequalities, so its
+canonical key needs no double description of its own.  Complexes store shared
+generator pools plus per-facet index sets; one face walk, `lower_faces`, gives
+the ridges (cached per complex) with the facet inequality of each cell that
+cuts each ridge out, and the faces below are cut out of the same cells by
+more of their inequalities.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .ratlin import (
-    Mat, Vec, ZeroVector, add, dot, frac, identity_mat, is_zero, mat, matrix_rank,
-    primitive_vector, rank_and_kernel, reduce_mod_subspace, scale, sub, neg,
-    subspace_canonical_basis, subspace_contains, vec, zero_vec,
+    Mat, Vec, ZeroVector, _int_kernel, _primitive_ints, add, dot, frac,
+    identity_mat, is_zero, matrix_rank, primitive_vector, reduce_mod_subspace,
+    saturation_basis, scale, sub, neg, subspace_canonical_basis,
+    subspace_contains, vec, zero_vec,
 )
 
 
@@ -43,86 +47,70 @@ def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[Mat, Mat]
 
     Incremental double description with the combinatorial adjacency test;
     the ray list stays minimal throughout, so the output rays are exactly
-    the extreme rays modulo the output lineality space.
+    the extreme rays modulo the output lineality space.  It runs fraction
+    free (Fukuda & Prodon 1996): each row is scaled once to its primitive
+    integer row, a positive multiple that leaves the cone unchanged, and
+    every combination of rays is made primitive again.  A primitive
+    direction is unique, so the rays equal those of the same pass over
+    fractions.
     """
     if eqs:
-        _, kernel = rank_and_kernel(mat(eqs))
-        lin = [primitive_vector(k) for k in kernel]
+        _, lin = _int_kernel(eqs)
     else:
-        lin = list(identity_mat(n))
-    rays: list[Vec] = []
-    zeros: list[set[int]] = []  # per ray: processed inequalities tight on it
-    step = 0
+        lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays: list[tuple[int, ...]] = []
+    zeros: list[int] = []  # per ray: bit mask of processed inequalities tight on it
+    bit = 1
 
     for a in ineqs:
         if is_zero(a):
             continue
-        lin_vals = [dot(a, l) for l in lin]
-        pivot = next((i for i, v in enumerate(lin_vals) if v != 0), None)
+        a = _primitive_ints(a)
+        lin_vals = [sum(map(mul, a, l)) for l in lin]
+        pivot = next((i for i, v in enumerate(lin_vals) if v), None)
         if pivot is not None:
-            l0 = lin[pivot]
-            v0 = lin_vals[pivot]
+            l0, v0 = lin[pivot], lin_vals[pivot]
             if v0 < 0:
-                l0, v0 = neg(l0), -v0
-            new_lin = []
-            for i, l in enumerate(lin):
-                if i == pivot:
-                    continue
-                if lin_vals[i] != 0:
-                    l = sub(l, scale(lin_vals[i] / v0, l0))
-                new_lin.append(primitive_vector(l))
-            lin = new_lin
+                l0, v0 = tuple(-x for x in l0), -v0
+            lin = [_primitive_ints([v0 * x - v * y for x, y in zip(l, l0)]) if v else l
+                   for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != pivot]
             # push existing rays into the hyperplane of a; adopt l0 as a ray
-            new_rays, new_zeros = [], []
-            for r, z in zip(rays, zeros):
-                rv = dot(a, r)
-                if rv != 0:
-                    r = primitive_vector(sub(r, scale(rv / v0, l0)))
-                new_rays.append(r)
-                new_zeros.append(z | {step})
-            new_rays.append(l0)
-            new_zeros.append(set(range(step)))
-            rays, zeros = new_rays, new_zeros
-            step += 1
+            for i, r in enumerate(rays):
+                rv = sum(map(mul, a, r))
+                if rv:
+                    rays[i] = _primitive_ints([v0 * x - rv * y for x, y in zip(r, l0)])
+            zeros = [z | bit for z in zeros]
+            rays.append(l0)
+            zeros.append(bit - 1)
+            bit <<= 1
             continue
-        vals = [dot(a, r) for r in rays]
+        vals = [sum(map(mul, a, r)) for r in rays]
         if all(v >= 0 for v in vals):
-            zeros = [z | {step} if v == 0 else z for z, v in zip(zeros, vals)]
-            step += 1
+            zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals)]
+            bit <<= 1
             continue
         keep_rays, keep_zeros = [], []
         for r, z, v in zip(rays, zeros, vals):
-            if v > 0:
+            if v >= 0:
                 keep_rays.append(r)
-                keep_zeros.append(z)
-            elif v == 0:
-                keep_rays.append(r)
-                keep_zeros.append(z | {step})
+                keep_zeros.append(z | bit if v == 0 else z)
         for (i, j) in itertools.combinations(range(len(rays)), 2):
             vi, vj = vals[i], vals[j]
             if vi * vj >= 0:
                 continue
             common = zeros[i] & zeros[j]
-            adjacent = all(not common <= zeros[k]
-                           for k in range(len(rays)) if k not in (i, j))
-            if not adjacent:
-                continue
+            if any(zeros[k] & common == common
+                   for k in range(len(rays)) if k != i and k != j):
+                continue  # not adjacent
             p, m = (i, j) if vi > 0 else (j, i)
-            w = sub(scale(vals[p], rays[m]), scale(vals[m], rays[p]))
-            keep_rays.append(primitive_vector(w))
-            keep_zeros.append(common | {step})
+            w = [vals[p] * x - vals[m] * y for x, y in zip(rays[m], rays[p])]
+            keep_rays.append(_primitive_ints(w))
+            keep_zeros.append(common | bit)
         rays, zeros = keep_rays, keep_zeros
-        step += 1
+        bit <<= 1
 
-    seen: dict[Vec, set[int]] = {}
-    for r, z in zip(rays, zeros):
-        if r in seen:
-            seen[r] |= z
-        else:
-            seen[r] = set(z)
-    out_rays = tuple(sorted(seen.keys()))
-    out_lin = subspace_canonical_basis(lin)
-    return out_rays, out_lin
+    out_rays = tuple(tuple(map(Fraction, r)) for r in sorted(set(rays)))
+    return out_rays, subspace_canonical_basis(lin)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +262,12 @@ class Polyhedron:
         return subspace_canonical_basis(gens)
 
     @cached_property
+    def _lattice(self) -> Mat:
+        """Basis of the saturated lattice of the direction span, which every
+        lattice normal of this cell is combined from."""
+        return saturation_basis(self.direction_span, self.ambient_dim)
+
+    @cached_property
     def dim(self) -> int:
         return len(self.direction_span)
 
@@ -284,8 +278,7 @@ class Polyhedron:
         normals += [a for a, _ in self.hrep.equations]
         if not normals:
             return subspace_canonical_basis(identity_mat(self.ambient_dim))
-        _, kernel = rank_and_kernel(mat(normals))
-        return subspace_canonical_basis(kernel)
+        return subspace_canonical_basis(_int_kernel(normals)[1])
 
     @cached_property
     def is_pointed(self) -> bool:
@@ -426,13 +419,17 @@ def face_is_tight(face: Polyhedron, a: Vec, b: Fraction) -> bool:
         all(dot(a, l) == 0 for l in face.lineality)
 
 
-def _face(p: Polyhedron, tight: Sequence[tuple[Vec, Fraction]]) -> Polyhedron:
+def _face(p: Polyhedron, tight: Sequence[tuple[Vec, Fraction]]
+          ) -> Optional[Polyhedron]:
     """The face of p on which every valid inequality a.x >= b in tight is an
-    equality.  A nonempty face has the lineality of p, and its extreme
-    generators are those of p that lie on it, so its canonical key is read
-    off p's and no double description runs."""
-    n, lin, verts, rays = p.canonical_key
-    verts = tuple(v for v in verts if all(dot(a, v) == b for a, b in tight))
+    equality, or None when that face is empty.  A nonempty face has the
+    lineality of p, and its extreme generators are those of p that lie on
+    it, so its canonical key is read off p's and no double description
+    runs."""
+    n, lin, all_verts, rays = p.canonical_key
+    verts = tuple(v for v in all_verts if all(dot(a, v) == b for a, b in tight))
+    if all_verts and not verts:
+        return None
     rays = tuple(r for r in rays if all(dot(a, r) == 0 for a, _ in tight))
     if verts == (zero_vec(n),):
         verts = ()
@@ -450,17 +447,55 @@ def codim1_faces(p: Polyhedron) -> list[Polyhedron]:
     return [seen[k] for k in sorted(seen)]
 
 
-def lower_faces(cells: Sequence[Polyhedron]
-                ) -> tuple[tuple[Polyhedron, tuple[int, ...]], ...]:
-    """Distinct codimension-one faces of the cells, sorted by canonical key,
-    each paired with the indices of the cells it is a face of."""
-    faces: dict[tuple, tuple[Polyhedron, list[int]]] = {}
+def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
+        tuple[Polyhedron, tuple[int, ...], tuple[tuple[Vec, Fraction], ...]], ...]:
+    """Distinct codimension-one faces of the cells, sorted by canonical key.
+
+    Each face comes with the indices of the cells it is a face of and, for
+    each of those cells, the facet inequality (a, b) of the cell that cuts it
+    out, so later steps need not prove the incidence again.
+    """
+    faces: dict[tuple, tuple[Polyhedron, list[int], list]] = {}
     for i, cell in enumerate(cells):
         for face in codim1_faces(cell):
             if face.dim != cell.dim - 1:
                 raise AssertionError("codimension-one face has wrong dimension")
-            faces.setdefault(face.canonical_key, (face, []))[1].append(i)
-    return tuple((faces[key][0], tuple(faces[key][1])) for key in sorted(faces))
+            cut = next(ineq for ineq in cell.hrep.inequalities
+                       if face_is_tight(face, *ineq))
+            _, fids, cuts = faces.setdefault(face.canonical_key, (face, [], []))
+            fids.append(i)
+            cuts.append(cut)
+    return tuple((faces[key][0], tuple(faces[key][1]), tuple(faces[key][2]))
+                 for key in sorted(faces))
+
+
+def _faces_below(c: Complex) -> Iterator[list[Polyhedron]]:
+    """The faces of the complex from the ridges down, one list per
+    codimension, each in canonical-key order.
+
+    Every face is kept with one cell it lies in and the cell's facet
+    inequalities that cut it out.  A face of codimension two lies in exactly
+    two facets of its cell, so the facets of a face are cut out by one more
+    inequality of the same cell, and no face needs a double description of
+    its own.
+    """
+    cells = c.facet_polyhedra
+    level = {face.canonical_key: (face, cells[fids[0]], [cuts[0]])
+             for face, fids, cuts in c.ridges}
+    while level:
+        keys = sorted(level)
+        yield [level[key][0] for key in keys]
+        below: dict[tuple, tuple[Polyhedron, Polyhedron, list]] = {}
+        for key in keys:
+            face, cell, tight = level[key]
+            for ineq in cell.hrep.inequalities:
+                if ineq in tight:
+                    continue
+                sub = _face(cell, tight + [ineq])
+                if sub is not None and sub.canonical_key not in below and \
+                        sub.dim == face.dim - 1:
+                    below[sub.canonical_key] = (sub, cell, tight + [ineq])
+        level = below
 
 
 def is_face_of(tau: Polyhedron, sigma: Polyhedron) -> bool:
@@ -552,9 +587,11 @@ class Complex:
         return tuple(self.facet(i) for i in range(len(self.cells)))
 
     @cached_property
-    def ridges(self) -> tuple[tuple[Polyhedron, tuple[int, ...]], ...]:
+    def ridges(self) -> tuple[tuple[Polyhedron, tuple[int, ...],
+                                    tuple[tuple[Vec, Fraction], ...]], ...]:
         """Distinct codimension-one faces of the facets, sorted by canonical
-        key, each paired with the ids of the facets it is a face of."""
+        key, each with the ids of the facets it is a face of and the facet
+        inequality of each of those facets that cuts it out."""
         return lower_faces(self.facet_polyhedra)
 
     @cached_property

@@ -1,12 +1,19 @@
 """Exact rational linear algebra, integer lattice utilities, and LP feasibility.
 
-All arithmetic is over ``fractions.Fraction``; there is no floating point
-anywhere in this package.  Vectors are immutable tuples of fractions and
-matrices are tuples of equal-length vectors, so every value is hashable and
-safe to share.  The LP solver is a two-phase exact simplex with Bland's rule,
-which terminates and returns reproducible witnesses.  The lattice normal of a
-cell at a ridge comes from one saturated basis of the cell's lattice and an
-extended gcd of the tight facet inequality's values on it.
+All arithmetic is exact; there is no floating point anywhere in this
+package.  Vectors are immutable tuples of ``fractions.Fraction`` and matrices
+are tuples of equal-length vectors, so every value is hashable and safe to
+share.  Inside, the elimination kernels work on Python ints: rank, kernels,
+canonical bases and saturated lattices scale each rational row once to an
+integer row (a nonzero multiple, which changes no row space) and eliminate
+fraction free by Bareiss's method; primitive vectors, dot products and
+lattice normals go through integer numerators; `polyhedral.dd_cone` runs on
+primitive integer rows.  Results are converted back to fractions at each
+public function.  The LP solver is a two-phase exact simplex over fractions
+with Bland's rule, which terminates and returns reproducible witnesses.  The
+lattice normal of a cell at a ridge comes from one saturated basis of the
+cell's lattice and an extended gcd of the tight facet inequality's values on
+it.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -65,9 +73,18 @@ def is_zero(v: Vec) -> bool:
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
+    """Exact dot product, summed over integer numerators and reduced once."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        d = a.denominator * b.denominator
+        if d == den:
+            num += a.numerator * b.numerator
+        else:
+            num = num * d + a.numerator * b.numerator * den
+            den *= d
+    return Fraction(num, den)
 
 
 def add(u: Vec, v: Vec) -> Vec:
@@ -108,30 +125,77 @@ def identity_mat(n: int) -> Mat:
 # elimination, rank, kernel
 
 
-def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns."""
-    rows = [list(r) for r in A]
+def _int_row(v: Iterable) -> list[int]:
+    """The row m*v for the least m > 0 that makes every entry an integer;
+    integral rows (ints or fractions) come back as their numerators."""
+    m = 1
+    for x in v:
+        if x.denominator != 1:
+            m = m * x.denominator // gcd(m, x.denominator)
+    if m == 1:
+        return [x.numerator for x in v]
+    return [x.numerator * (m // x.denominator) for x in v]
+
+
+def _primitive_ints(v: Iterable) -> tuple[int, ...]:
+    """The integer vector with gcd 1 that is a positive multiple of the
+    nonzero rational vector v."""
+    ints = _int_row(v)
+    g = gcd(*ints)
+    return tuple(ints) if g == 1 else tuple(a // g for a in ints)
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
+
+    Each pivot step replaces every other row by (p*row - f*pivot_row) // prev,
+    with p the new pivot, f the row's entry in the pivot column and prev the
+    pivot before.  Every entry is then a minor of the input, so the division
+    is exact and entries stay as small as the input's minors.  Returns the
+    nonzero rows, which are d times the reduced row echelon form for one
+    d > 0, and the pivot columns.  The input rows are overwritten.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
+    pivots: list[int] = []
+    prev = 1
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
+            if i != r:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(pivots) == nrows:
             break
-    kept = tuple(tuple(row) for row in rows[:r])
-    return kept, tuple(pivots)
+    kept = rows[:len(pivots)]
+    if prev < 0:
+        kept = [[-x for x in row] for row in kept]
+    return kept, pivots
+
+
+def _int_kernel(A: Sequence[Iterable]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Pivot columns of the rational matrix A and a basis of {x : A x = 0}
+    made of primitive integer vectors, one per free column in order: the
+    positive multiples of the basis `rank_and_kernel` returns."""
+    ncols = len(A[0])
+    red, pivots = _bareiss([_int_row(row) for row in A])
+    d = red[0][pivots[0]] if red else 1
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        x = [0] * ncols
+        x[free] = d
+        for row, pc in zip(red, pivots):
+            x[pc] = -row[free]
+        basis.append(_primitive_ints(x))
+    return pivots, basis
 
 
 def rank_and_kernel(A: Mat) -> tuple[int, list[Vec]]:
@@ -142,26 +206,17 @@ def rank_and_kernel(A: Mat) -> tuple[int, list[Vec]]:
     """
     if not A:
         raise ValueError("empty matrix")
-    ncols = len(A[0])
-    red, pivots = rref(A)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    basis: list[Vec] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            x[pc] = -red[r][free]
-        basis.append(tuple(x))
-    return rank, basis
+    pivots, kernel = _int_kernel(A)
+    frees = sorted(set(range(len(A[0]))) - set(pivots))
+    # each basis vector is 1 at its free column
+    return len(pivots), [tuple(Fraction(x, k[free]) for x in k)
+                         for k, free in zip(kernel, frees)]
 
 
-def matrix_rank(A: Mat) -> int:
-    if not A:
-        return 0
-    return len(rref(A)[1])
+def matrix_rank(A: Sequence[Iterable]) -> int:
+    """Rank of a rational matrix, by Bareiss elimination of its rows scaled
+    to integers."""
+    return len(_bareiss([_int_row(row) for row in A])[1])
 
 
 def primitive_vector(v: Vec) -> Vec:
@@ -171,14 +226,7 @@ def primitive_vector(v: Vec) -> Vec:
     """
     if is_zero(v):
         raise ZeroVector("zero vector has no direction")
-    denom_lcm = 1
-    for x in v:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    return tuple(Fraction(a // g) for a in ints)
+    return tuple(map(Fraction, _primitive_ints(v)))
 
 
 def as_int_list(v: Vec) -> list[int]:
@@ -200,8 +248,8 @@ def subspace_canonical_basis(gens: Sequence[Vec]) -> Mat:
     gens = [g for g in gens if not is_zero(g)]
     if not gens:
         return ()
-    red, _ = rref(mat(gens))
-    return tuple(primitive_vector(row) for row in red)
+    red, _ = _bareiss([_int_row(g) for g in gens])
+    return tuple(tuple(map(Fraction, _primitive_ints(row))) for row in red)
 
 
 def reduce_mod_subspace(v: Vec, basis: Mat) -> Vec:
@@ -334,10 +382,9 @@ def saturation_basis(gens: Sequence[Vec], ambient_dim: Optional[int] = None) -> 
     if not gens:
         return ()
     n = len(gens[0]) if ambient_dim is None else ambient_dim
-    _, kernel = rank_and_kernel(mat(gens))
-    if not kernel:
+    _, equations = _int_kernel(gens)
+    if not equations:
         return identity_mat(n)
-    equations = mat([primitive_vector(k) for k in kernel])
     return integer_kernel_basis(equations)
 
 
@@ -582,10 +629,18 @@ def lattice_normal_generator(sigma, tau) -> Vec:
     if tau.dim != sigma.dim - 1:
         raise WrongCodimension(
             f"expected codimension one, got dim {tau.dim} inside dim {sigma.dim}")
-    a = next(primitive_vector(a) for a, b in sigma.hrep.inequalities
+    a = next(a for a, b in sigma.hrep.inequalities
              if polyhedral.face_is_tight(tau, a, b))
-    basis = saturation_basis(sigma.direction_span, sigma.ambient_dim)
-    u = zero_vec(sigma.ambient_dim)
-    for x, w in zip(_bezout([int(dot(a, w)) for w in basis]), basis):
-        u = add(u, scale(x, w))
-    return u
+    return _lattice_normal(sigma, a)
+
+
+def _lattice_normal(sigma, a: Vec) -> Vec:
+    """The lattice normal of sigma at the facet cut out by its facet
+    inequality with normal a, from the saturated lattice basis that sigma
+    caches."""
+    a = _primitive_ints(a)
+    basis = [_int_row(w) for w in sigma._lattice]
+    u = [0] * sigma.ambient_dim
+    for x, w in zip(_bezout([sum(map(mul, a, w)) for w in basis]), basis):
+        u = [ui + x * wi for ui, wi in zip(u, w)]
+    return tuple(map(Fraction, u))

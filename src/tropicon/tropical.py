@@ -9,17 +9,18 @@ separating-hyperplane predicate for triples of cells.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
-    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, dd_cone,
-    is_face_of, lower_faces,
+    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _faces_below,
+    dd_cone, is_face_of,
 )
 from .ratlin import (
-    LinearProgram, Mat, Vec, add, dot, identity_mat, is_zero,
-    lattice_complement_projection, lattice_normal_generator, lp_feasible, mat,
+    LinearProgram, Mat, Vec, _lattice_normal, add, dot, identity_mat, is_zero,
+    lattice_complement_projection, lp_feasible, mat,
     mat_vec, neg, primitive_vector, rank_and_kernel, reduce_mod_subspace, scale,
     sub, subspace_canonical_basis, subspace_contains, unit_vec, vec, zero_vec,
 )
@@ -166,11 +167,14 @@ def normal_fan(vertices: Sequence[Iterable]) -> WeightedComplex:
     if not pts:
         raise ValueError("at least one point required")
     n = len(pts[0])
+    # scaling every point by the same m > 0 scales every normal cone's
+    # inequalities alike, so the normals can be integer rows
+    m = math.lcm(*(x.denominator for p in pts for x in p))
+    ipts = [tuple(x.numerator * (m // x.denominator) for x in p) for p in pts]
     cones: list[Polyhedron] = []
     seen = set()
-    for i, v in enumerate(pts):
-        normals = [sub(v, w) for j, w in enumerate(pts)
-                   if j != i and not is_zero(sub(v, w))]
+    for v in ipts:
+        normals = [d for w in ipts if any(d := tuple(a - b for a, b in zip(v, w)))]
         rays, lin = dd_cone(normals, [], n)
         cone = Polyhedron(n, (), rays, lin)
         if cone.dim != n:
@@ -179,10 +183,9 @@ def normal_fan(vertices: Sequence[Iterable]) -> WeightedComplex:
         if key not in seen:
             seen.add(key)
             cones.append(cone)
-    directions = [sub(w, pts[0]) for w in pts[1:]]
-    if directions and any(not is_zero(d) for d in directions):
-        _, complement = rank_and_kernel(mat([d for d in directions if not is_zero(d)]))
-        lineality = subspace_canonical_basis(complement)
+    directions = [d for w in ipts[1:] if any(d := tuple(a - b for a, b in zip(w, ipts[0])))]
+    if directions:
+        lineality = subspace_canonical_basis(rank_and_kernel(directions)[1])
     else:
         lineality = subspace_canonical_basis(identity_mat(n))
     fan = Complex.from_facets(cones, lineality=lineality, ambient_dim=n)
@@ -200,9 +203,7 @@ def skeleton(c: Complex, k: int) -> Complex:
         raise ValueError(f"need lineality dim <= k <= {d}")
     if k == d:
         return c
-    faces = [f for f, _ in c.ridges]
-    for _ in range(d - 1 - k):
-        faces = [f for f, _ in lower_faces(faces)]
+    faces = next(itertools.islice(_faces_below(c), d - 1 - k, None), [])
     return Complex.from_facets(faces, lineality=c.lineality,
                                ambient_dim=c.ambient_dim)
 
@@ -256,10 +257,10 @@ def balancing_check(w: WeightedComplex) -> BalancingReport:
     facets = c.facet_polyhedra
     entries = []
     ok = True
-    for tau, fids in c.ridges:
+    for tau, fids, cuts in c.ridges:
         total = zero_vec(c.ambient_dim)
-        for fid in fids:
-            u = lattice_normal_generator(facets[fid], tau)
+        for fid, (a, _) in zip(fids, cuts):
+            u = _lattice_normal(facets[fid], a)
             total = add(total, scale(w.weights[fid], u))
         residual = reduce_mod_subspace(total, tau.direction_span)
         balanced = is_zero(residual)
@@ -287,10 +288,8 @@ class SectionResult:
 def _all_faces(c: Complex) -> list[Polyhedron]:
     """The facets, then the faces of each lower dimension in key order."""
     faces = list(c.facet_polyhedra)
-    level = [f for f, _ in c.ridges]
-    while level:
+    for level in _faces_below(c):
         faces += level
-        level = [f for f, _ in lower_faces(level)]
     return faces
 
 

@@ -172,6 +172,19 @@ class TestMinFacetCut:
         # removing anything leaves at most one facet, so nothing disconnects
         assert min_facet_cut(build_hypergraph(cube_normal_fan(1))) is None
 
+    def test_disconnected_hypergraph_has_the_empty_cut(self):
+        # facet 0 shares no ridge: rays -e1,-e2,e2,e3,e1 with cells
+        # {-e1,-e2}, {e3,e2}, {e2,e1}
+        rays = [[-1, 0, 0], [0, -1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        c = Complex.from_facets([Polyhedron.cone([rays[i], rays[j]])
+                                 for i, j in ((0, 1), (3, 2), (2, 4))])
+        assert min_facet_cut(build_hypergraph(c)) == (0, ())
+        # two components of two facets each: no facet is isolated
+        h = FacetRidgeHypergraph(("0", "1", "2", "3"),
+                                 (frozenset({0, 1}), frozenset({2, 3})), ("a", "b"))
+        assert min_facet_cut(h) == (0, ())
+        assert min_facet_cut(FacetRidgeHypergraph(("0", "1"), (), ())) == (0, ())
+
     def test_shared_origin_ridge_cuts_at_one(self):
         # 1-skeleton of the cube fan: six rays joined by the single origin ridge
         h = build_hypergraph(skeleton(cube_normal_fan(3), 1))
@@ -284,12 +297,12 @@ def _oracle_certificate(h, k):
 
 
 def _oracle_min_cut(h):
-    """Scan sizes 1, 2, ... up to the cheapest facet isolation, and n - 2."""
+    """Scan sizes 0, 1, ... up to the cheapest facet isolation, and n - 2."""
     n = h.num_facets
     isolation = [len(set().union(*(e for e in h.hyperedges if f in e)) - {f})
                  for f in range(n)]
     cap = min([c for c in isolation if n - c >= 2] + [n - 1, n - 2])
-    for s in range(1, cap + 1):
+    for s in range(cap + 1):
         witness, _ = _oracle_scan(h, s)
         if witness is not None:
             return s, witness

@@ -175,6 +175,21 @@ class TestCliCheck:
         witness_cell = fan.facet(cert["witness"][0])
         assert witness_cell.contains_point(vec([1, 0, 0, 0, 0]))
 
+    def test_mincut_of_a_disconnected_fan_is_empty(self, tmp_path, capsys):
+        # the first cell shares no ridge with the other two
+        path = tmp_path / "disc.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 3, "vertices": [], "lineality": [],
+            "rays": [[-1, 0, 0], [0, -1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]],
+            "cells": [{"v": [], "r": [0, 1]}, {"v": [], "r": [2, 3]},
+                      {"v": [], "r": [2, 4]}],
+            "weights": [1, 1, 1]}))
+        code, out, _ = run_cli(["check", str(path), "--mincut"], capsys)
+        assert code == 2
+        cert = json.loads(out)
+        assert (cert["witness"], cert["mincut_size"], cert["mincut_witness"]) == \
+            ([1], 0, [])
+
     def test_two_planes_k1_passes(self, tmp_path, capsys):
         path = tmp_path / "tp.json"
         run_cli(["gen", "two-planes", "-o", str(path)], capsys)

@@ -31,9 +31,29 @@ def loopless_matroids(draw):
     return Matroid.graphic(draw(st.lists(edge, min_size=1, max_size=6)))
 
 
+@st.composite
+def linear_matroids(draw):
+    """Vector matroids of three to six nonzero integer columns in Q^2 .. Q^4
+    with entries in -2..2, so parallel, dependent and non-uniform columns
+    occur."""
+    rows = draw(st.integers(2, 4))
+    column = st.lists(st.integers(-2, 2), min_size=rows, max_size=rows).filter(any)
+    return Matroid.linear(draw(st.lists(column, min_size=3, max_size=6)))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(loopless_matroids())
 def test_bergman_fans_are_balanced_and_sharply_connected(m):
+    _assert_balanced_and_sharply_connected(m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(linear_matroids())
+def test_bergman_fans_of_linear_matroids(m):
+    _assert_balanced_and_sharply_connected(m)
+
+
+def _assert_balanced_and_sharply_connected(m):
     fan = bergman_fine(m)
     k = fan.dim - fan.lineality_dim
     assert balancing_check(WeightedComplex(fan)).balanced

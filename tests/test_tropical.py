@@ -220,6 +220,43 @@ class TestSkeleton:
         assert sk.lineality_dim == 1 and sk.dim == 2
         assert len(sk) == 10  # one cell per proper flat ray
 
+    @pytest.mark.parametrize("k", [3, 2, 1])
+    def test_one_double_description_per_facet(self, monkeypatch, k):
+        # faces below the ridges are cut out of their cells by more of the
+        # cells' own inequalities, so only the 60 facets of U(4,5) run one
+        import tropicon.polyhedral as polyhedral
+        from tropicon.fanjson import fan_from_text, fan_to_text
+        text = fan_to_text(bergman_fine(Matroid.uniform(4, 5)))
+        fan = fan_from_text(text)
+        calls = []
+        real = polyhedral.dd_cone
+        monkeypatch.setattr(polyhedral, "dd_cone",
+                            lambda *args: calls.append(args) or real(*args))
+        got = fan_to_text(skeleton(fan, k))
+        assert len(calls) == 60
+        # the same faces as a face walk that describes every face by its own
+        # double description
+        monkeypatch.setattr(polyhedral, "dd_cone", real)
+        fan = fan_from_text(text)
+        faces = [f for f, _, _ in fan.ridges]
+        for _ in range(fan.dim - 1 - k):
+            faces = [f for f, _, _ in polyhedral.lower_faces(
+                [Polyhedron(f.ambient_dim, f.vertices, f.rays, f.lineality)
+                 for f in faces])]
+        assert got == fan_to_text(Complex.from_facets(
+            faces, lineality=fan.lineality, ambient_dim=fan.ambient_dim))
+
+    def test_faces_of_polyhedra_skip_empty_intersections(self):
+        # the facets x = 1 and x = 2 of a slab meet nowhere, although the
+        # ray (0, 1, 0) is tight on both: the slab has eight edges, and the
+        # empty intersection must not pass for a ninth (the cone on that ray)
+        slab = Polyhedron.from_vertices(
+            [[1, 0, 1], [2, 0, 1], [1, 0, 2], [2, 0, 2]], rays=[[0, 1, 0]])
+        c = Complex.from_facets([slab])
+        edges = skeleton(c, 1)
+        assert len(edges) == 8
+        assert sorted(len(f.vertices) for f in edges.facet_polyhedra) == [1] * 4 + [2] * 4
+
 
 class TestRecessionFan:
     def test_bounded_cell_recedes_to_origin(self):
@@ -287,6 +324,24 @@ class TestBalancing:
         build_hypergraph(fan)
         assert balancing_check(WeightedComplex(fan)).balanced
         assert len(fan) == 30 and len(calls) == 30
+
+    def test_lattice_normals_from_the_recorded_cut(self, monkeypatch):
+        # balancing reads each facet inequality off the ridge walk and
+        # proves no incidence again; the normals are those of the public
+        # function, which proves it
+        import tropicon.polyhedral as polyhedral
+        from tropicon.ratlin import _lattice_normal, lattice_normal_generator
+        fans = [bergman_fine(Matroid.uniform(3, 5)), cube_normal_fan(3),
+                tropical_line(), two_planes_fan()]
+        for fan in fans:
+            for tau, fids, cuts in fan.ridges:
+                for fid, (a, _) in zip(fids, cuts):
+                    sigma = fan.facet_polyhedra[fid]
+                    assert _lattice_normal(sigma, a) == \
+                        lattice_normal_generator(sigma, tau)
+        monkeypatch.setattr(polyhedral, "is_face_of", None)
+        for fan in fans:
+            assert balancing_check(WeightedComplex(fan)).balanced
 
     def test_verdict_independent_of_normal_representative(self):
         # shifting a lattice normal by a ridge-span vector keeps the sum's
