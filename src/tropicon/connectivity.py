@@ -331,21 +331,23 @@ def is_k_connected(h: FacetRidgeHypergraph, k: int,
                    budget: int = DEFAULT_BUDGET) -> ConnectivityCertificate:
     """Certify k-connectivity through codimension one.
 
-    The pair engine decides whether some set of at most k-1 facets
-    disconnects; by cut extension that is whether some (k-1)-subset does.
-    A true verdict counts all C(#facets, k-1) subsets as examined, since the
-    proof decides every one of them.  A false verdict carries the colex-first
-    disconnecting (k-1)-subset and its colex rank.  k = 0 holds vacuously, as
-    do subsets of size at least #facets - 1 (at most one facet remains).
+    A separator has at most #facets - 2 facets, so the search runs at size
+    t = min(k-1, #facets-2).  The pair engine decides whether some set of
+    at most t facets disconnects; by cut extension that is whether some
+    t-subset does.  A true verdict counts all C(#facets, t) subsets as
+    examined, since the proof decides every one of them.  A false verdict
+    carries the colex-first disconnecting t-subset and its colex rank; for
+    t = 0 that is the empty set of a disconnected hypergraph.  k = 0 and
+    hypergraphs with at most one facet hold vacuously.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    t = k - 1
     n = h.num_facets
-    if t < 0 or t > n:
+    t = min(k - 1, n - 2)
+    if t < 0:
         return ConnectivityCertificate(k, True, None, 0)
     work = _Work(budget)
-    if t >= n - 1 or (t > 0 and _Separators(h, work).find(t) is None):
+    if t > 0 and _Separators(h, work).find(t) is None:
         return ConnectivityCertificate(k, True, None, math.comb(n, t))
     witness, examined = _first_cut(h, t, work)
     return ConnectivityCertificate(k, witness is None, witness, examined)

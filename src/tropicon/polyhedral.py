@@ -284,9 +284,6 @@ class Polyhedron:
     def is_pointed(self) -> bool:
         return not self.true_lineality
 
-    def base_point(self) -> Vec:
-        return self.vertices[0] if self.vertices else zero_vec(self.ambient_dim)
-
     def recession(self) -> "Polyhedron":
         """Recession cone: rays plus lineality, apex at the origin."""
         return Polyhedron(self.ambient_dim, (), self.rays, self.lineality)
@@ -439,12 +436,10 @@ def _face(p: Polyhedron, tight: Sequence[tuple[Vec, Fraction]]
 
 
 def codim1_faces(p: Polyhedron) -> list[Polyhedron]:
-    """All faces of dimension dim(p) - 1, canonicalized and sorted."""
-    seen = {}
-    for a, b in p.hrep.inequalities:
-        face = _face(p, [(a, b)])
-        seen.setdefault(face.canonical_key, face)
-    return [seen[k] for k in sorted(seen)]
+    """All faces of dimension dim(p) - 1, one per facet inequality of p in
+    the order of `p.hrep.inequalities`: an irredundant facet description
+    cuts out distinct, nonempty facets."""
+    return [_face(p, [ineq]) for ineq in p.hrep.inequalities]
 
 
 def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
@@ -457,11 +452,9 @@ def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
     """
     faces: dict[tuple, tuple[Polyhedron, list[int], list]] = {}
     for i, cell in enumerate(cells):
-        for face in codim1_faces(cell):
+        for face, cut in zip(codim1_faces(cell), cell.hrep.inequalities):
             if face.dim != cell.dim - 1:
                 raise AssertionError("codimension-one face has wrong dimension")
-            cut = next(ineq for ineq in cell.hrep.inequalities
-                       if face_is_tight(face, *ineq))
             _, fids, cuts = faces.setdefault(face.canonical_key, (face, [], []))
             fids.append(i)
             cuts.append(cut)

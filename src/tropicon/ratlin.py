@@ -10,7 +10,9 @@ fraction free by Bareiss's method; primitive vectors, dot products and
 lattice normals go through integer numerators; `polyhedral.dd_cone` runs on
 primitive integer rows.  Results are converted back to fractions at each
 public function.  The LP solver is a two-phase exact simplex over fractions
-with Bland's rule, which terminates and returns reproducible witnesses.  The
+with Bland's rule, which terminates and returns reproducible witnesses; in
+the library it serves only the separating-hyperplane search
+(`tropical.witness_hyperplane`) and its independent check.  The
 lattice normal of a cell at a ridge comes from one saturated basis of the
 cell's lattice and an extended gcd of the tight facet inequality's values on
 it.

@@ -3,7 +3,9 @@
 Covers lineality quotients along lattice-compatible projections, stars at
 faces of fans, outer normal fans and their skeleta, recession fans, the
 balancing condition at ridges, transverse affine hyperplane sections, and a
-separating-hyperplane predicate for triples of cells.
+separating-hyperplane predicate for triples of cells.  Sections take only
+dot products on the cells' generators; the exact simplex serves only the
+separating-hyperplane search and its check.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from .polyhedral import (
     dd_cone, is_face_of,
 )
 from .ratlin import (
-    LinearProgram, Mat, Vec, _lattice_normal, add, dot, identity_mat, is_zero,
-    lattice_complement_projection, lp_feasible, mat,
+    LinearProgram, Mat, Vec, _int_kernel, _lattice_normal, add, dot,
+    identity_mat, is_zero, lattice_complement_projection, lp_feasible, mat,
     mat_vec, neg, primitive_vector, rank_and_kernel, reduce_mod_subspace, scale,
-    sub, subspace_canonical_basis, subspace_contains, unit_vec, vec, zero_vec,
+    subspace_canonical_basis, subspace_contains, transpose, unit_vec, vec,
+    zero_vec,
 )
 
 
@@ -163,7 +166,7 @@ def normal_fan(vertices: Sequence[Iterable]) -> WeightedComplex:
     lower-dimensional cones and are skipped.  The fan is complete; its
     lineality is the orthogonal complement of the hull's direction span.
     """
-    pts = [vec(v) for v in vertices]
+    pts = mat(vertices)
     if not pts:
         raise ValueError("at least one point required")
     n = len(pts[0])
@@ -285,24 +288,20 @@ class SectionResult:
     pure: bool
 
 
-def _all_faces(c: Complex) -> list[Polyhedron]:
-    """The facets, then the faces of each lower dimension in key order."""
-    faces = list(c.facet_polyhedra)
-    for level in _faces_below(c):
-        faces += level
-    return faces
-
-
 def check_transversality(c: Complex, H: AffineHyperplane) -> None:
-    """Raise NotTransverse if H hits a vertex or contains a cell's span."""
-    for face in _all_faces(c):
-        base = face.base_point()
-        on_base = H.value(base) == 0
-        if face.dim == 0 and on_base:
-            raise NotTransverse(f"hyperplane contains the vertex {base}")
-        if on_base and all(dot(H.normal, d) == 0 for d in face.direction_span):
-            raise NotTransverse(
-                "hyperplane contains the affine span of a cell")
+    """Raise NotTransverse if H contains a face of a cell.  Every face
+    contains a minimal face (Schrijver 1986, 8.5): a canonical vertex (the
+    origin for a cone) plus the cell's lineality space."""
+    for f in c.facet_polyhedra:
+        lin = f.true_lineality
+        if any(dot(H.normal, l) != 0 for l in lin):
+            continue
+        _, _, verts, _ = f.canonical_key
+        for v in verts or (zero_vec(c.ambient_dim),):
+            if H.value(v) == 0:
+                face = Polyhedron(c.ambient_dim, (v,), (), lin)
+                raise NotTransverse(
+                    f"hyperplane contains {face.label()}, a face of a cell")
 
 
 def hyperplane_section(c: Complex, H: AffineHyperplane) -> SectionResult:
@@ -310,7 +309,9 @@ def hyperplane_section(c: Complex, H: AffineHyperplane) -> SectionResult:
 
     The section's facets are the slices of the facets whose relative
     interior meets H; lower faces are derived.  Slice weights are inherited
-    from the source facets.
+    from the source facets.  The relative interior is the set of
+    combinations with positive weights on all generators (Rockafellar 1970,
+    Thm 6.6), so H meets it exactly when H takes both signs on them.
     """
     check_transversality(c, H)
     n = c.ambient_dim
@@ -319,31 +320,20 @@ def hyperplane_section(c: Complex, H: AffineHyperplane) -> SectionResult:
     provenance: list[int] = []
     weights: list[int] = []
     for i, f in enumerate(c.facet_polyhedra):
-        h = f.hrep
-        cons = [(a, b, ">") for a, b in h.inequalities]
-        cons += [(a, b, "=") for a, b in h.equations]
-        cons.append((H.normal, H.offset, "="))
-        if lp_feasible(LinearProgram(n, tuple(cons))) is None:
+        vals = [H.value(v) for v in f.vertices or (zero_vec(n),)]
+        vals += [dot(H.normal, r) for r in f.rays]
+        vals += [s * dot(H.normal, l) for l in f.lineality for s in (1, -1)]
+        if not min(vals) < 0 < max(vals):
             continue
+        h = f.hrep
         merged = HRep(n, h.inequalities,
                       h.equations + ((H.normal, H.offset),))
-        piece = Polyhedron.from_hrep(merged)
-        slices.append(piece)
+        slices.append(Polyhedron.from_hrep(merged))
         provenance.append(i)
         weights.append(c.weights[i])
-    # lineality directions of the source that remain parallel to H
-    lin_vals = [dot(H.normal, l) for l in c.lineality]
-    pivot = next((i for i, v in enumerate(lin_vals) if v != 0), None)
-    if pivot is None:
-        new_lin = c.lineality
-    else:
-        new_lin = []
-        for i, l in enumerate(c.lineality):
-            if i == pivot:
-                continue
-            if lin_vals[i] != 0:
-                l = sub(l, scale(lin_vals[i] / lin_vals[pivot], c.lineality[pivot]))
-            new_lin.append(primitive_vector(l))
+    # the combinations of the source lineality that stay parallel to H
+    _, coeffs = _int_kernel([[dot(H.normal, l) for l in c.lineality]])
+    new_lin = [mat_vec(transpose(c.lineality), vec(ks)) for ks in coeffs]
     section = Complex.from_facets(slices, lineality=new_lin, ambient_dim=n,
                                   weights=weights)
     pure = all(p.dim == d - 1 for p in slices)

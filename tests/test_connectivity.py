@@ -113,6 +113,29 @@ class TestIsKConnected:
         h = build_hypergraph(cube_normal_fan(1))
         assert is_k_connected(h, 5).verdict is True
 
+    def test_separators_found_at_every_k_beyond_facet_count(self):
+        # the middle facet of a path of three separates the ends
+        path = FacetRidgeHypergraph(("a", "b", "c"),
+                                    (frozenset({0, 1}), frozenset({1, 2})), ("r", "s"))
+        for k in (2, 3, 4, 7):
+            cert = is_k_connected(path, k)
+            assert (cert.verdict, cert.witness, cert.subsets_examined) == \
+                (False, (1,), 2), k
+        # two facets without a common ridge: the empty set separates
+        apart = FacetRidgeHypergraph(("a", "b"), (), ())
+        for k in (1, 2, 5):
+            cert = is_k_connected(apart, k)
+            assert (cert.verdict, cert.witness, cert.subsets_examined) == \
+                (False, (), 1), k
+
+    def test_vacuous_with_at_most_one_facet(self):
+        for h in (FacetRidgeHypergraph((), (), ()),
+                  FacetRidgeHypergraph(("a",), (frozenset({0}),), ("r",))):
+            for k in range(4):
+                cert = is_k_connected(h, k)
+                assert (cert.verdict, cert.witness, cert.subsets_examined) == \
+                    (True, None, 0)
+
     def test_k_zero_vacuous_negative_rejected(self):
         h = build_hypergraph(two_planes_fan())
         cert = is_k_connected(h, 0)
@@ -289,8 +312,9 @@ def _oracle_scan(h, t):
 
 
 def _oracle_certificate(h, k):
-    t = k - 1
-    if t < 0 or t > h.num_facets:
+    """Scan at k-1 clamped to #facets - 2, the largest size a separator has."""
+    t = min(k - 1, h.num_facets - 2)
+    if t < 0:
         return True, None, 0
     witness, examined = _oracle_scan(h, t)
     return witness is None, witness, examined
@@ -319,12 +343,18 @@ def _random_hypergraph(rng):
 
 class TestPairEngineAgainstScan:
     def assert_agrees(self, h, ks):
+        # past k = 5, small hypergraphs also run every k up to #facets + 1
+        if h.num_facets <= 12:
+            ks = sorted(set(ks) | set(range(h.num_facets + 2)))
+        cut = _oracle_min_cut(h) if h.num_facets >= 2 else None
         for k in ks:
             cert = is_k_connected(h, k)
             assert (cert.verdict, cert.witness, cert.subsets_examined) == \
                 _oracle_certificate(h, k), k
+            # k-connected: no separator has at most k-1 facets
+            assert cert.verdict == (cut is None or cut[0] >= k), k
         if h.num_facets >= 2:
-            assert min_facet_cut(h) == _oracle_min_cut(h)
+            assert min_facet_cut(h) == cut
 
     @pytest.mark.parametrize("fan", [
         two_planes_fan, lambda: cube_normal_fan(3),

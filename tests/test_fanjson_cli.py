@@ -150,6 +150,12 @@ class TestCliGen:
         code, _, err = run_cli(["gen", "normal-fan", str(vfile)], capsys)
         assert code == 1 and "points file" in err
 
+    def test_normal_fan_ragged_points_exit_1(self, tmp_path, capsys):
+        vfile = tmp_path / "verts.json"
+        vfile.write_text(json.dumps([[0, 0], [1, 0, 0], [0, 1]]))
+        code, out, err = run_cli(["gen", "normal-fan", str(vfile)], capsys)
+        assert code == 1 and "ragged" in err and out == ""
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(["gen", "two-planes"], capsys)
         _, out2, _ = run_cli(["gen", "two-planes"], capsys)
@@ -189,6 +195,28 @@ class TestCliCheck:
         cert = json.loads(out)
         assert (cert["witness"], cert["mincut_size"], cert["mincut_witness"]) == \
             ([1], 0, [])
+
+    @pytest.mark.parametrize("rays,cells,k,witness,mincut", [
+        # a path of three facets; the middle one separates the ends
+        ([[-1, 0], [0, -1], [0, 1], [1, 0]], [[3, 2], [2, 0], [0, 1]], 3, [1], 1),
+        # the first cell shares no ridge with the other two
+        ([[-1, 0, 0], [0, -1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]],
+         [[0, 1], [2, 3], [2, 4]], 3, [1], 0),
+        # two opposite quadrants share only the origin
+        ([[-1, 0], [0, -1], [0, 1], [1, 0]], [[0, 1], [2, 3]], 5, [], 0),
+    ], ids=["path", "disconnected", "two-apart"])
+    def test_separator_within_k_minus_1_refutes_past_the_facet_count(
+            self, tmp_path, capsys, rays, cells, k, witness, mincut):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({
+            "ambient_dim": len(rays[0]), "vertices": [], "lineality": [],
+            "rays": rays, "cells": [{"v": [], "r": r} for r in cells],
+            "weights": [1] * len(cells)}))
+        code, out, _ = run_cli(["check", str(path), "--k", str(k), "--mincut"], capsys)
+        assert code == 2
+        cert = json.loads(out)
+        assert (cert["verdict"], cert["witness"], cert["mincut_size"]) == \
+            (False, witness, mincut)
 
     def test_two_planes_k1_passes(self, tmp_path, capsys):
         path = tmp_path / "tp.json"

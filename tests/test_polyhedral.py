@@ -155,6 +155,24 @@ class TestCodim1Faces:
             assert f.dim == p.dim - 1
 
 
+    @pytest.mark.parametrize("kind,seed", [("cone", 811), ("polytope", 812),
+                                           ("polyhedron", 813)])
+    def test_one_face_per_facet_inequality(self, kind, seed):
+        # an irredundant facet description cuts out distinct facets, each
+        # tight on exactly the inequality that produced it
+        rng = random.Random(seed)
+        for _ in range(60):
+            p = TestCanonicalFormAgainstLP._random_polyhedron(rng, kind)
+            ineqs = p.hrep.inequalities
+            faces = codim1_faces(p)
+            assert len(faces) == len(ineqs)
+            assert len({f.canonical_key for f in faces}) == len(faces)
+            for i, f in enumerate(faces):
+                assert [j for j, (a, b) in enumerate(ineqs)
+                        if face_is_tight(f, a, b)] == [i]
+                assert f.dim == p.dim - 1
+
+
 class TestIsFaceOf:
     def test_ray_of_quadrant(self):
         assert is_face_of(cone([1, 0]), cone([1, 0], [0, 1]))

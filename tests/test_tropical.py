@@ -4,13 +4,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from tropicon import polyhedral, ratlin, tropical
 from tropicon.connectivity import build_hypergraph, connected_components
+from tropicon.fanjson import fan_to_text
 from tropicon.matroid import Matroid, bergman_fine, contraction, proper_flats
 from tropicon.polyhedral import (
-    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, codim1_faces,
-    intersect,
+    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _faces_below,
+    codim1_faces, intersect,
 )
-from tropicon.ratlin import is_zero, mat_vec, vec
+from tropicon.ratlin import (
+    LinearProgram, dot, is_zero, lp_feasible, mat_vec, primitive_vector, scale,
+    sub, vec, zero_vec,
+)
 from tropicon.tropical import (
     DegenerateInput, LinealityObstruction, NotAFan, NotTransverse,
     WeightedComplex, balancing_check, check_witness_hyperplane,
@@ -422,6 +427,155 @@ class TestHyperplaneSection:
 def _hyperplane_polyhedron(H):
     return Polyhedron.from_hrep(
         HRep(len(H.normal), (), ((H.normal, H.offset),)))
+
+
+# ---------------------------------------------------------------------------
+# the generator-sign section against the LP and face-walk reference
+
+
+def _reference_section(c, H, faces):
+    """Section by the LP and face-walk path.  H is not transverse when it
+    contains the affine span of one of `faces` (every face of c, from the
+    facets down); a facet is sliced when an exact strict-feasibility program
+    finds a point of its relative interior on H."""
+    n = c.ambient_dim
+    for face in faces:
+        base = face.vertices[0] if face.vertices else zero_vec(n)
+        if H.value(base) == 0 and \
+                all(dot(H.normal, d) == 0 for d in face.direction_span):
+            raise NotTransverse("hyperplane contains the affine span of a face")
+    slices, provenance, weights = [], [], []
+    for i, f in enumerate(c.facet_polyhedra):
+        h = f.hrep
+        cons = [(a, b, ">") for a, b in h.inequalities]
+        cons += [(a, b, "=") for a, b in h.equations]
+        cons.append((H.normal, H.offset, "="))
+        if lp_feasible(LinearProgram(n, tuple(cons))) is None:
+            continue
+        slices.append(Polyhedron.from_hrep(
+            HRep(n, h.inequalities, h.equations + ((H.normal, H.offset),))))
+        provenance.append(i)
+        weights.append(c.weights[i])
+    vals = [dot(H.normal, l) for l in c.lineality]
+    pivot = next((i for i, v in enumerate(vals) if v != 0), None)
+    lin = c.lineality if pivot is None else [
+        primitive_vector(sub(l, scale(v / vals[pivot], c.lineality[pivot])))
+        for i, (l, v) in enumerate(zip(c.lineality, vals)) if i != pivot]
+    section = Complex.from_facets(slices, lineality=lin, ambient_dim=n,
+                                  weights=weights)
+    return section, tuple(provenance), all(p.dim == c.dim - 1 for p in slices)
+
+
+def _section_fixtures():
+    """(name, complex, hyperplane count): fans, complexes with vertices,
+    extra lineality encoded as opposite rays, and redundant generators."""
+    cone, poly = Polyhedron.cone, Polyhedron.from_vertices
+    e3 = [[0, 0, 1]]
+    plane_rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    line_rays = [[1, 0, 0], [0, 1, 0], [-1, -1, 0]]
+    return [
+        ("tropical-plane", standard_tropical_plane(), 40),
+        ("two-planes", two_planes_fan(), 25),
+        ("U(3,6)", bergman_fine(Matroid.uniform(3, 6)), 15),
+        ("U(4,5)", bergman_fine(Matroid.uniform(4, 5)), 6),
+        ("M(K4)", bergman_fine(Matroid.graphic(K4_EDGES)), 10),
+        ("cube3", cube_normal_fan(3), 30),
+        ("plane-slice", hyperplane_section(
+            standard_tropical_plane(), AffineHyperplane(vec([1, 2, 4]), F(1))
+        ).section, 30),
+        ("polytopes", Complex.from_facets([
+            poly([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+            poly([[0, 0, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1]]),
+            poly([[1, 0, 0], [1, 1, 0], [2, 0, 1]])]), 30),
+        ("opposite-rays", Complex.from_facets(
+            [cone([r], lineality=e3, ambient_dim=3) for r in line_rays]), 30),
+        ("unbounded", Complex.from_facets(
+            [poly([[1, -1, 2]], rays=[a, b])
+             for i, a in enumerate(plane_rays) for b in plane_rays[i + 1:]]), 30),
+        ("unbounded-lineality", Complex.from_facets(
+            [poly([[1, 2, 0]], rays=[r], lineality=e3) for r in line_rays]
+            + [poly([[1, 2, 0], [3, 2, 0]], rays=[[0, 1, 0]], lineality=e3)],
+            lineality=e3), 30),
+        ("redundant", Complex.from_facets([
+            cone([[1, 0], [1, 1], [0, 1]]), cone([[0, 1], [-1, 1], [-1, 0]]),
+            cone([[-1, 0], [0, -1]]), cone([[0, -1], [1, -1], [1, 0], [2, -1]])]),
+         30),
+        ("redundant-polytopes", Complex.from_facets([
+            poly([[0, 0], [2, 0], [0, 2], [2, 2], [1, 1], [1, 0]]),
+            poly([[2, 0], [4, 0], [2, 2], [4, 2], [2, 1]])]), 30),
+    ]
+
+
+def _random_hyperplane(rng, c):
+    """Small integer normal; the offset is zero, the value at a pool vertex,
+    or a small rational.  Some normals are made orthogonal to the all-ones
+    vector, so that they are parallel to a Bergman fan's lineality."""
+    n = c.ambient_dim
+    normal = [0] * n
+    while not any(normal):
+        normal = [rng.randint(-3, 3) for _ in range(n)]
+        if rng.random() < 0.3:
+            normal[-1] = -sum(normal[:-1])
+    roll = rng.random()
+    if roll < 0.2:
+        offset = F(0)
+    elif roll < 0.4 and c.vertex_pool:
+        offset = dot(vec(normal), rng.choice(c.vertex_pool))
+    else:
+        offset = F(rng.randint(-4, 4), rng.randint(1, 3))
+    return AffineHyperplane(vec(normal), offset)
+
+
+class TestSectionAgainstLPReference:
+    def test_agrees_with_reference(self):
+        rng = random.Random(8)
+        pairs = raised = sliced = 0
+        for name, c, count in _section_fixtures():
+            faces = list(c.facet_polyhedra)
+            for level in _faces_below(c):
+                faces += level
+            for _ in range(count):
+                H = _random_hyperplane(rng, c)
+                pairs += 1
+                try:
+                    expected = _reference_section(c, H, faces)
+                except NotTransverse:
+                    with pytest.raises(NotTransverse):
+                        hyperplane_section(c, H)
+                    raised += 1
+                    continue
+                got = hyperplane_section(c, H)
+                section, provenance, pure = expected
+                assert fan_to_text(got.section) == fan_to_text(section), (name, H)
+                assert got.section.weights == section.weights, (name, H)
+                assert (got.facet_provenance, got.pure) == (provenance, pure), \
+                    (name, H)
+                sliced += len(got.section) > 0
+        assert pairs >= 300 and raised >= 30 and sliced >= 150
+
+    def test_no_lp_and_no_face_walk(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (ratlin, tropical):
+            monkeypatch.setattr(module, "lp_feasible",
+                                counted("lp_feasible", lp_feasible))
+        for module in (polyhedral, tropical):
+            monkeypatch.setattr(module, "_faces_below",
+                                counted("_faces_below", _faces_below))
+        for name, c, _ in _section_fixtures():
+            sec = hyperplane_section(c, AffineHyperplane(
+                vec([3 ** i for i in range(c.ambient_dim)]), F(1, 7)))
+            assert len(sec.section) > 0, name
+        with pytest.raises(NotTransverse):
+            hyperplane_section(standard_tropical_plane(),
+                               AffineHyperplane(vec([1, 2, 4]), F(0)))
+        assert calls == Counter()
 
 
 class TestWitnessHyperplane:
