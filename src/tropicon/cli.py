@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import connectivity, fanjson, matroid, tropical
@@ -50,6 +51,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-2,1,3" and "-1/2" are values, as argparse already takes "-1"
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # usage problems are input errors: exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -8,9 +8,8 @@ least two components; the hypergraph is k-connected when no separator has
 at most k-1 facets.  Verdicts carry re-checkable witnesses.
 
 Certification decides whether a separator of at most t facets exists with a
-pair engine.  `is_k_connected` scans facet subsets in colex order only to
-pull out the colex-first witness once a cut is known to exist;
-`min_facet_cut` finds its colex-least witness with the engine alone.
+pair engine.  `is_k_connected` and `min_facet_cut` pull their colex-least
+witnesses out of the same engine with one search, and neither scans subsets.
 
 **Cut extension.**  If S separates and |S| + 1 <= #facets - 2, some S + {f}
 separates: at least three facets remain in at least two components; remove
@@ -52,17 +51,24 @@ lies in C or S, so removing S leaves x_j joined only to C, and test 2 fails
 at j.  Nothing here needs S to range over all facets, so the reduction also
 decides whether a separator of at most t facets lies inside A.
 
-**Colex-least minimum cut.**  Let s be the least cut size.  A separator of
-at most s facets has exactly s, so "some s-subset of A disconnects" is
-"a separator lies inside A", which the engine decides.  Colex order
-compares largest elements first, so the colex-least cut has as its largest
-element the least m for which facets 0..m hold a cut; given its largest
-elements m_1 > .. > m_i, the next is the least m for which 0..m together
-with m_1..m_i hold one (a cut there avoiding some m_l would lie in a
-prefix already ruled out).  Holding a cut grows with m, so each element is
-a binary search.
+**Colex-least witness.**  Let "A holds a witness" grow with the facet set A
+and hold for all facets, witnesses being disconnecting sets of one size s.
+Colex order compares largest elements first, so the largest element of the
+colex-least witness is the least m for which facets 0..m hold one; given
+its largest elements m_1 > .. > m_i, the next is the least m for which 0..m
+with m_1..m_i hold one (one there avoiding some m_l would be colex-less).
+Each element is a binary search.  For `min_facet_cut`, s is the least cut
+size, so a separator inside A, which the engine decides, has exactly s
+facets.  For `is_k_connected`, A holds a witness when some t-subset of A
+disconnects.  If |A| >= t+2 that is again a separator S0 inside A: keep one
+facet in each of two components that survive S0 and remove other facets of
+A up to t; removing facets never merges components, and at most two kept
+facets lie in A.  If |A| <= t+1, its at most t+1 t-subsets are tested
+directly.  The t-subsets before a witness w_0 < .. < w_{t-1} agree with it
+above some position i and have i+1 elements below w_i, so its colex rank,
+reported as `subsets_examined`, is 1 + sum C(w_i, i+1).
 
-Work (pair tests, search nodes, paths and witness-scan subsets, one unit
+Work (pair tests, search nodes, paths and direct subset tests, one unit
 each) counts against a budget.
 """
 
@@ -147,28 +153,30 @@ def build_hypergraph(c: Complex) -> FacetRidgeHypergraph:
     )
 
 
-def _union_find(nodes: Iterable[int],
-                edges: Iterable[Iterable[int]]) -> Callable[[int], int]:
-    """Merge the members of every edge; return the root finder."""
-    parent = {f: f for f in nodes}
+def _components(h: FacetRidgeHypergraph, removed: Iterable[int] = (),
+                closed: bool = True) -> Iterator[set[int]]:
+    """Components of the facets left after deleting `removed`, by least facet.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in edges:
-        it = iter(edge)
-        first = next(it, None)
-        if first is None:
+    Closed deletion drops every hyperedge through a removed facet; open
+    deletion (the clique expansion) drops only the removed members.
+    """
+    incidence, edges = h._incidence, h.hyperedges
+    seen = set(range(h.num_facets)).intersection(removed)
+    used = {e for f in seen for e in incidence[f]} if closed else set()
+    for start in range(h.num_facets):
+        if start in seen:
             continue
-        r0 = find(first)
-        for other in it:
-            r1 = find(other)
-            if r1 != r0:
-                parent[r1] = r0
-    return find
+        seen.add(start)
+        comp, stack = {start}, [start]
+        while stack:
+            for e in incidence[stack.pop()]:
+                if e not in used:
+                    used.add(e)
+                    fresh = edges[e] - seen
+                    seen |= fresh
+                    comp |= fresh
+                    stack.extend(fresh)
+        yield comp
 
 
 def connected_after_removal(h: FacetRidgeHypergraph, removed: Iterable[int]) -> bool:
@@ -177,32 +185,14 @@ def connected_after_removal(h: FacetRidgeHypergraph, removed: Iterable[int]) -> 
     Every hyperedge meeting the removed set disappears entirely.  With at
     most one facet left the result is vacuously true.
     """
-    removed = set(removed)
-    incidence, edges = h._incidence, h.hyperedges
-    gone = [f for f in range(h.num_facets) if f in removed]
-    if h.num_facets - len(gone) <= 1:
-        return True
-    used = {e for f in gone for e in incidence[f]}
-    seen = set(gone)
-    stack = [next(f for f in range(h.num_facets) if f not in seen)]
-    seen.add(stack[0])
-    while stack:
-        for e in incidence[stack.pop()]:
-            if e not in used:
-                used.add(e)
-                fresh = edges[e] - seen
-                seen |= fresh
-                stack.extend(fresh)
-    return len(seen) == h.num_facets
+    comps = _components(h, removed)
+    next(comps, None)
+    return next(comps, None) is None
 
 
 def connected_components(h: FacetRidgeHypergraph) -> list[set[int]]:
-    """Connected components of the facet set."""
-    find = _union_find(range(h.num_facets), h.hyperedges)
-    comps: dict[int, set[int]] = {}
-    for f in range(h.num_facets):
-        comps.setdefault(find(f), set()).add(f)
-    return sorted(comps.values(), key=lambda s: min(s))
+    """Connected components of the facet set, by least facet."""
+    return list(_components(h))
 
 
 def colex_combinations(n: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -311,20 +301,23 @@ class _Separators:
         return None
 
 
-def _first_cut(h: FacetRidgeHypergraph, t: int,
-               work: _Work) -> tuple[Optional[tuple[int, ...]], int]:
-    """Scan the t-subsets of facets in colex order, one unit of work each.
-
-    Returns the first subset whose removal disconnects the hypergraph (None
-    if there is none) and the number of subsets examined.
-    """
-    examined = 0
-    for S in colex_combinations(h.num_facets, t):
-        work.spend()
-        examined += 1
-        if not connected_after_removal(h, S):
-            return S, examined
-    return None, examined
+def _colex_least(n: int, size: int,
+                 holds: Callable[[frozenset[int]], bool]) -> tuple[int, ...]:
+    """The colex-least `size`-subset witness of range(n), where holds(A),
+    monotone and true on range(n), says that facet set A contains one."""
+    cut: list[int] = []
+    top = n - 1
+    for level in range(size, 0, -1):
+        least = level - 1
+        while least < top:
+            m = (least + top) // 2
+            if holds(frozenset(range(m + 1)).union(cut)):
+                top = m
+            else:
+                least = m + 1
+        cut.append(least)
+        top = least - 1
+    return tuple(reversed(cut))
 
 
 def is_k_connected(h: FacetRidgeHypergraph, k: int,
@@ -336,7 +329,7 @@ def is_k_connected(h: FacetRidgeHypergraph, k: int,
     at most t facets disconnects; by cut extension that is whether some
     t-subset does.  A true verdict counts all C(#facets, t) subsets as
     examined, since the proof decides every one of them.  A false verdict
-    carries the colex-first disconnecting t-subset and its colex rank; for
+    carries the colex-least disconnecting t-subset and its colex rank; for
     t = 0 that is the empty set of a disconnected hypergraph.  k = 0 and
     hypergraphs with at most one facet hold vacuously.
     """
@@ -347,10 +340,23 @@ def is_k_connected(h: FacetRidgeHypergraph, k: int,
     if t < 0:
         return ConnectivityCertificate(k, True, None, 0)
     work = _Work(budget)
-    if t > 0 and _Separators(h, work).find(t) is None:
+    separators = _Separators(h, work)
+
+    def disconnects(S: tuple[int, ...]) -> bool:
+        work.spend()
+        return not connected_after_removal(h, S)
+
+    def holds(A: frozenset[int]) -> bool:
+        if len(A) >= t + 2:
+            return separators.find(t, A) is not None
+        return any(map(disconnects, itertools.combinations(sorted(A), t)))
+
+    refuted = disconnects(()) if t == 0 else separators.find(t) is not None
+    if not refuted:
         return ConnectivityCertificate(k, True, None, math.comb(n, t))
-    witness, examined = _first_cut(h, t, work)
-    return ConnectivityCertificate(k, witness is None, witness, examined)
+    witness = _colex_least(n, t, holds)
+    rank = 1 + sum(math.comb(w, i + 1) for i, w in enumerate(witness))
+    return ConnectivityCertificate(k, False, witness, rank)
 
 
 def min_facet_cut(h: FacetRidgeHypergraph,
@@ -361,10 +367,8 @@ def min_facet_cut(h: FacetRidgeHypergraph,
     Otherwise sizes are capped by the cheapest facet isolation (removing all
     neighbors of one facet), which is tried first.  The pair engine lowers
     the size while it finds smaller separators.  It then fixes the
-    colex-least cut of that size from its largest element down: each
-    element is the least m such that facets 0..m, with the elements already
-    fixed, hold a cut of that size (a binary search, as holding one is
-    monotone in m).  None means no cut of size below #facets - 1 exists.
+    colex-least cut of that size by the colex search that `is_k_connected`
+    shares.  None means no cut of size below #facets - 1 exists.
     The budget bounds all of this work together.
     """
     n = h.num_facets
@@ -392,19 +396,8 @@ def min_facet_cut(h: FacetRidgeHypergraph,
         size = max(len(found), 1)
     if size > cap:
         return None
-    cut: list[int] = []
-    top = n - 1
-    for level in range(size, 0, -1):
-        least = level - 1
-        while least < top:
-            m = (least + top) // 2
-            if separators.find(size, frozenset(range(m + 1)).union(cut)) is None:
-                least = m + 1
-            else:
-                top = m
-        cut.append(least)
-        top = least - 1
-    return size, tuple(reversed(cut))
+    return size, _colex_least(
+        n, size, lambda A: separators.find(size, A) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +409,9 @@ def clique_connected_after_removal(h: FacetRidgeHypergraph,
     """Weaker removal semantics: hyperedges become cliques, only the removed
     vertices disappear, and surviving members of a touched hyperedge stay
     connected to each other."""
-    removed = set(removed)
-    remaining = [f for f in range(h.num_facets) if f not in removed]
-    if len(remaining) <= 1:
-        return True
-    find = _union_find(remaining, ([f for f in e if f not in removed]
-                                   for e in h.hyperedges))
-    return len({find(f) for f in remaining}) == 1
+    comps = _components(h, removed, closed=False)
+    next(comps, None)
+    return next(comps, None) is None
 
 
 def hypergraph_dot(h: FacetRidgeHypergraph) -> str:

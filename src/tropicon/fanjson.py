@@ -29,7 +29,7 @@ def format_rational(x: Fraction) -> Union[str, int]:
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, (int, str)):
+    if isinstance(s, (int, str)) and not isinstance(s, bool):
         try:
             return Fraction(s)
         except ZeroDivisionError:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, FrozenSet, Iterable, Sequence
 
+from .fanjson import _integer, parse_rational
 from .polyhedral import Complex, Polyhedron
 from .ratlin import Mat, Vec, mat, matrix_rank, vec
 
@@ -295,16 +296,19 @@ def matroid_from_json(obj: dict) -> Matroid:
       {"type": "graphic", "edges": [[0, 1], ...]}
       {"type": "linear", "columns": [[...], ...]}   (rationals as "p/q" or int)
       {"type": "bases", "n": 3, "bases": [[0], [1]]}
+    Floats and booleans raise ValueError, as in fan files.
     """
     kind = obj.get("type")
     if kind == "uniform":
-        return Matroid.uniform(int(obj["r"]), int(obj["n"]))
+        return Matroid.uniform(_integer(obj["r"], "r"), _integer(obj["n"], "n"))
     if kind == "graphic":
-        return Matroid.graphic([tuple(int(v) for v in e) for e in obj["edges"]])
+        return Matroid.graphic([[_integer(v, "vertex") for v in e]
+                                for e in obj["edges"]])
     if kind == "linear":
-        return Matroid.linear([[Fraction(x) for x in col] for col in obj["columns"]])
+        return Matroid.linear([list(map(parse_rational, c)) for c in obj["columns"]])
     if kind == "bases":
-        return Matroid.from_bases(int(obj["n"]), [list(b) for b in obj["bases"]])
+        return Matroid.from_bases(_integer(obj["n"], "n"),
+                                  [[_integer(i, "element") for i in b] for b in obj["bases"]])
     raise ValueError(f"unknown matroid type {kind!r}")
 
 

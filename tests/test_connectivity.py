@@ -392,3 +392,19 @@ class TestPairEngineAgainstScan:
         for _ in range(2000):
             self.assert_agrees(_random_hypergraph(rng), range(1, 5))
         assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_refutation_tests_few_subsets(monkeypatch):
+    # U(4,6) at k = 4: the witness sits at colex rank 1148, found without
+    # scanning the subsets before it
+    calls = []
+    check = connectivity.connected_after_removal
+
+    def counted(h, removed):
+        calls.append(removed)
+        return check(h, removed)
+
+    monkeypatch.setattr(connectivity, "connected_after_removal", counted)
+    cert = is_k_connected(build_hypergraph(bergman_fine(Matroid.uniform(4, 6))), 4)
+    assert (cert.verdict, cert.witness, cert.subsets_examined) == (False, (1, 4, 20), 1148)
+    assert len(calls) <= 15

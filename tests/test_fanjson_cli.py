@@ -31,6 +31,8 @@ class TestRationalStrings:
         assert parse_rational(7) == F(7)
         with pytest.raises(ValueError):
             parse_rational(0.5)
+        with pytest.raises(ValueError):
+            parse_rational(True)
         with pytest.raises(ValueError, match="denominator"):
             parse_rational("1/0")
 
@@ -348,6 +350,16 @@ class TestCliSlice:
         run_cli(["gen", "tropical-plane", "-o", str(path)], capsys)
         code, _, err = run_cli(["slice", str(path), "--h", "1,2,4", "--c", "0"], capsys)
         assert code == 1 and "transverse" in err
+
+    @pytest.mark.parametrize("h,c", [("-2,1,3", "-1"), ("1,2,4", "-1/2")],
+                             ids=["negative-normal", "negative-fraction"])
+    def test_negative_values_as_separate_arguments(self, tmp_path, capsys, h, c):
+        path = tmp_path / "plane.json"
+        run_cli(["gen", "tropical-plane", "-o", str(path)], capsys)
+        joined = run_cli(["slice", str(path), f"--h={h}", f"--c={c}"], capsys)
+        assert joined[0] == 0
+        separate = run_cli(["slice", str(path), "--h", h, "--c", c], capsys)
+        assert separate[:2] == joined[:2]
 
     @pytest.mark.parametrize("h,c", [("1,2,4", "1/0"), ("1/0,1,1", "1")],
                              ids=["offset", "normal"])

@@ -211,6 +211,19 @@ class TestMatroidJson:
         m = matroid_from_json({"type": "bases", "n": 3, "bases": [[0], [1]]})
         assert m.rank({0, 1}) == 1
 
+    @pytest.mark.parametrize("obj", [
+        {"type": "linear", "columns": [[0.1, 1], [1, 0]]},
+        {"type": "linear", "columns": [[True, 0], [0, 1]]},
+        {"type": "uniform", "r": 2.7, "n": 4},
+        {"type": "uniform", "r": True, "n": 4},
+        {"type": "graphic", "edges": [[0, 1.0], [1, 2]]},
+        {"type": "bases", "n": 3, "bases": [[0], [True]]},
+    ], ids=["float-entry", "bool-entry", "float-rank", "bool-rank",
+            "float-vertex", "bool-basis"])
+    def test_floats_and_bools_rejected(self, obj):
+        with pytest.raises(ValueError):
+            matroid_from_json(obj)
+
     def test_unknown_type(self):
         with pytest.raises(ValueError, match="unknown matroid type"):
             matroid_from_json({"type": "transversal"})
