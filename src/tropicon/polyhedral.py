@@ -1,21 +1,36 @@
 """Rational polyhedra and pure polyhedral complexes.
 
 A polyhedron is stored by generators (vertices, rays, lineality); cones leave
-the vertex list empty and have an implicit apex at the origin.  The facet
-description is computed lazily by an exact double description pass over
-integer rows and cached; it is the only source of face structure: canonical
-forms keep the generators whose tight facet sets have full rank, and a face
-is the cell's canonical generators that lie on its tight inequalities, so its
-canonical key needs no double description of its own.  Complexes store shared
-generator pools plus per-facet index sets; one face walk, `lower_faces`, gives
-the ridges (cached per complex) with the facet inequality of each cell that
-cuts each ridge out, and the faces below are cut out of the same cells by
-more of their inequalities.
+the vertex list empty and have an implicit apex at the origin.  Its face
+structure comes from one private integer record, `Polyhedron._rec`, built
+from its one exact double description: the primitive integer facet and
+equation normals of the cone its generators span (homogenized when it has
+vertices) and, per generator, the bit mask of the facets tight on it, from
+integer dot products (Fukuda & Prodon 1996).  Everything else is read off
+that record, with no elimination over fractions:
+
+- the dimension is n minus the number of equations, and the true lineality
+  is the declared one plus the rays tight on every facet;
+- a generator is extreme when no other canonical generator's tight set
+  contains its own (proof at `Polyhedron.canonical_key`);
+- a face is the cell's canonical generators whose tight sets contain the
+  face's facets, so no face needs a double description of its own, and a
+  face without a record gets its dimension as an integer rank;
+- membership is a sign test of integer dot products;
+- the saturated lattice of a cell is the integer kernel of its equations,
+  from an integer Smith normal form.
+
+Complexes store shared generator pools plus per-facet index sets; one face
+walk, `lower_faces`, gives the ridges (cached per complex), keyed and sorted
+on integer tuples, with the facet inequality of each cell that cuts each
+ridge out, and the faces below are cut out of the same cells by more of
+their inequalities.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,11 +38,12 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .ratlin import (
-    Mat, Vec, ZeroVector, _int_kernel, _primitive_ints, add, dot, frac,
-    identity_mat, is_zero, matrix_rank, primitive_vector, reduce_mod_subspace,
-    saturation_basis, scale, sub, neg, subspace_canonical_basis,
-    subspace_contains, vec, zero_vec,
+    Mat, Vec, ZeroVector, _int_kernel, _int_rank, _int_reduce, _int_row,
+    _lattice_kernel, _primitive_ints, add, dot, frac, is_zero, primitive_vector,
+    scale, sub, neg, subspace_canonical_basis, subspace_contains, vec, zero_vec,
 )
+
+_ZERO = Fraction(0)
 
 
 class EmptyPolyhedron(ValueError):
@@ -36,6 +52,11 @@ class EmptyPolyhedron(ValueError):
 
 class NotInComplex(ValueError):
     """The given face does not occur in the complex."""
+
+
+def _numerators(v: Vec) -> tuple[int, ...]:
+    """The integer vector equal to the integral rational vector v."""
+    return tuple(x.numerator for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +73,20 @@ def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[Mat, Mat]
     integer row, a positive multiple that leaves the cone unchanged, and
     every combination of rays is made primitive again.  A primitive
     direction is unique, so the rays equal those of the same pass over
-    fractions.
+    fractions.  Rows may be given as integers or fractions.
+
+    Two rays are adjacent when they span a 2-face modulo the current
+    lineality.  Within the space of dimension w cut out by the equations, a
+    2-face of a cone with lineality of dimension l has dimension l + 2, so
+    the processed inequalities tight on it have rank, and thus number, at
+    least w - l - 2; a pair with fewer common tight inequalities is rejected
+    before the combinatorial test.
     """
     if eqs:
         _, lin = _int_kernel(eqs)
     else:
         lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    width = len(lin)
     rays: list[tuple[int, ...]] = []
     zeros: list[int] = []  # per ray: bit mask of processed inequalities tight on it
     bit = 1
@@ -94,11 +123,14 @@ def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[Mat, Mat]
             if v >= 0:
                 keep_rays.append(r)
                 keep_zeros.append(z | bit if v == 0 else z)
+        need = width - len(lin) - 2
         for (i, j) in itertools.combinations(range(len(rays)), 2):
             vi, vj = vals[i], vals[j]
             if vi * vj >= 0:
                 continue
             common = zeros[i] & zeros[j]
+            if common.bit_count() < need:
+                continue  # too few common tight inequalities for a 2-face
             if any(zeros[k] & common == common
                    for k in range(len(rays)) if k != i and k != j):
                 continue  # not adjacent
@@ -144,6 +176,75 @@ class AffineHyperplane:
         return dot(self.normal, x) - self.offset
 
 
+class _Record:
+    """Integer facet description of a polyhedron P in R^n.
+
+    Rows live in R^n for a cone.  When P has vertices they live in R^(n+1):
+    a point x is the row (1, x) and a direction d the row (0, d), up to
+    positive multiples, and P is the slice x0 = 1 of the cone C that the
+    rows of its generators span; for a cone, C = P.
+
+    - `facets`: the primitive facet normals of C, those of
+      `P.hrep.inequalities` first and in that order, then the trivial facet
+      x0 >= 0 when it is one of C (it never cuts out a face of P);
+    - `eqs`: the equation normals of C, a basis of the normals of its span;
+    - `verts`, `rays`: per vertex and per ray of P, its row and the bit mask
+      of the facets tight on it;
+    - `lin`, `lin_rows`: the true lineality of P, as its canonical basis and
+      as rows;
+    - `normals`, `eq_normals`: the fraction rows `dd_cone` returned, which
+      `P.hrep` is built from.
+    """
+    __slots__ = ("affine", "facets", "eqs", "verts", "rays", "lin", "lin_rows",
+                 "normals", "eq_normals")
+
+    def __init__(self, p: "Polyhedron"):
+        self.affine = affine = bool(p.vertices)
+        rays = [_numerators(r) for r in p.rays]
+        lin = [_numerators(l) for l in p.lineality]
+        verts: list[tuple[int, ...]] = []
+        if affine:
+            verts = [tuple(_int_row((1,) + v)) for v in p.vertices]
+            rays = [(0,) + r for r in rays]
+            lin = [(0,) + l for l in lin]
+        normals, eq_normals = dd_cone(verts + rays, lin, p.ambient_dim + affine)
+        pairs = [(a, _numerators(a)) for a in normals]
+        kept = [pair for pair in pairs if any(pair[1][1:])] if affine else pairs
+        trivial = [row for a, row in pairs if not any(row[1:])] if affine else []
+        self.normals = tuple(a for a, _ in kept)
+        self.eq_normals = eq_normals
+        self.facets = facets = [row for _, row in kept] + trivial
+        self.eqs = [_numerators(e) for e in eq_normals]
+
+        def tight(g: tuple[int, ...]) -> int:
+            mask = 0
+            for i, f in enumerate(facets):
+                if not sum(map(mul, f, g)):
+                    mask |= 1 << i
+            return mask
+
+        self.verts = [(g, tight(g)) for g in verts]
+        self.rays = [(g, tight(g)) for g in rays]
+        # the lineality of C is its least face: the rays tight on every
+        # facet lie in it, and with the declared lineality they span it
+        full = (1 << len(facets)) - 1
+        extra = [r for r, (_, mask) in zip(p.rays, self.rays) if mask == full]
+        self.lin = p.lineality
+        self.lin_rows = lin
+        if extra:
+            self.lin = subspace_canonical_basis(list(p.lineality) + extra)
+            self.lin_rows = [(0,) * affine + _numerators(l) for l in self.lin]
+
+    def holds(self, row: Sequence[int]) -> bool:
+        """Whether the row lies in C: every facet value >= 0, every equation 0."""
+        return all(sum(map(mul, f, row)) >= 0 for f in self.facets) and \
+            not any(sum(map(mul, e, row)) for e in self.eqs)
+
+    def cut(self, i: int) -> tuple[int, ...]:
+        """The linear part of facet normal i, as integers."""
+        return self.facets[i][1:] if self.affine else self.facets[i]
+
+
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
     """Rational polyhedron conv(vertices) + cone(rays) + span(lineality).
@@ -161,20 +262,35 @@ class Polyhedron:
         n = self.ambient_dim
         verts = tuple(vec(v) for v in self.vertices)
         lin = subspace_canonical_basis([vec(l) for l in self.lineality])
-        rays = []
+        lin_rows = [_numerators(l) for l in lin]
+        rays, seen = [], set()
         for r in self.rays:
             r = vec(r)
-            if is_zero(r) or subspace_contains(lin, r):
+            row = _int_row(r)
+            if not _outside(row, lin_rows):
                 continue
-            r = primitive_vector(r)
-            if r not in rays:
-                rays.append(r)
+            g = math.gcd(*row)
+            prim = tuple(x // g for x in row)
+            if prim not in seen:
+                seen.add(prim)
+                rays.append(tuple(map(Fraction, prim)))
         for g in itertools.chain(verts, rays, lin):
             if len(g) != n:
                 raise ValueError("generator has wrong ambient dimension")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "rays", tuple(rays))
         object.__setattr__(self, "lineality", lin)
+
+    @classmethod
+    def _raw(cls, n: int, vertices: tuple[Vec, ...], rays: tuple[Vec, ...],
+             lineality: Mat) -> "Polyhedron":
+        """A polyhedron from generators already in the form `__post_init__`
+        gives them: fraction vertices, distinct primitive rays outside the
+        lineality, and a canonical lineality basis."""
+        p = object.__new__(cls)
+        p.__dict__.update(ambient_dim=n, vertices=vertices, rays=rays,
+                          lineality=lineality)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -228,29 +344,21 @@ class Polyhedron:
     # -- lazily computed structure -----------------------------------------
 
     @cached_property
+    def _rec(self) -> _Record:
+        """The integer facet record, from this polyhedron's one double
+        description."""
+        return _Record(self)
+
+    @cached_property
     def hrep(self) -> HRep:
         """Irredundant facet inequalities plus minimal equations."""
+        rec = self._rec
         n = self.ambient_dim
-        if not self.vertices:
-            normals, eq_normals = dd_cone(list(self.rays),
-                                          list(self.lineality), n)
-            return HRep(n,
-                        tuple((a, Fraction(0)) for a in normals),
-                        tuple((e, Fraction(0)) for e in eq_normals))
-        gens = [(Fraction(1),) + v for v in self.vertices]
-        gens += [(Fraction(0),) + r for r in self.rays]
-        eqs = [(Fraction(0),) + l for l in self.lineality]
-        normals, eq_normals = dd_cone(gens, eqs, n + 1)
-        ineqs, eqns = [], []
-        for a in normals:
-            if is_zero(a[1:]):
-                continue  # the trivial x0 >= 0 facet of the homogenization
-            ineqs.append((a[1:], -a[0]))
-        for e in eq_normals:
-            if is_zero(e[1:]):
-                continue
-            eqns.append((e[1:], -e[0]))
-        return HRep(n, tuple(ineqs), tuple(eqns))
+        if not rec.affine:
+            return HRep(n, tuple((a, _ZERO) for a in rec.normals),
+                        tuple((e, _ZERO) for e in rec.eq_normals))
+        return HRep(n, tuple((a[1:], -a[0]) for a in rec.normals),
+                    tuple((e[1:], -e[0]) for e in rec.eq_normals if not is_zero(e[1:])))
 
     @cached_property
     def direction_span(self) -> Mat:
@@ -262,23 +370,36 @@ class Polyhedron:
         return subspace_canonical_basis(gens)
 
     @cached_property
-    def _lattice(self) -> Mat:
-        """Basis of the saturated lattice of the direction span, which every
-        lattice normal of this cell is combined from."""
-        return saturation_basis(self.direction_span, self.ambient_dim)
+    def _lattice(self) -> list[tuple[int, ...]]:
+        """Integer basis of the saturated lattice of the direction span,
+        which every lattice normal of this cell is combined from: the
+        integer kernel of the linear parts of the equations."""
+        rec = self._rec
+        n = self.ambient_dim
+        eqs = [e[1:] for e in rec.eqs] if rec.affine else rec.eqs
+        if not eqs:
+            return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return _lattice_kernel(eqs)
 
     @cached_property
     def dim(self) -> int:
-        return len(self.direction_span)
+        """n minus the number of equations once the record is built;
+        otherwise, as for faces, the integer rank of the generators."""
+        rec = self.__dict__.get("_rec")
+        if rec is not None:
+            return self.ambient_dim - len(rec.eqs)
+        rows = [_numerators(r) for r in self.rays]
+        rows += [_numerators(l) for l in self.lineality]
+        if not self.vertices:
+            return _int_rank(rows)
+        rows = [(0,) + r for r in rows]
+        rows += [_int_row((1,) + v) for v in self.vertices]
+        return _int_rank(rows) - 1
 
     @cached_property
     def true_lineality(self) -> Mat:
-        """Maximal subspace V with P + V = P, from the facet normals."""
-        normals = [a for a, _ in self.hrep.inequalities]
-        normals += [a for a, _ in self.hrep.equations]
-        if not normals:
-            return subspace_canonical_basis(identity_mat(self.ambient_dim))
-        return subspace_canonical_basis(_int_kernel(normals)[1])
+        """Maximal subspace V with P + V = P, from the facet record."""
+        return self._rec.lin
 
     @cached_property
     def is_pointed(self) -> bool:
@@ -294,32 +415,68 @@ class Polyhedron:
     def canonical_key(self) -> tuple:
         """Hashable form identifying the polyhedron as a point set.
 
-        Vertices and rays are reduced modulo the true lineality space,
+        Vertices and rays are reduced modulo the true lineality space L,
         filtered down to extreme generators and sorted, so any two generator
-        presentations of the same set produce the same key.  Extremality is
-        read off the facet description by the rank test of double
-        description: with L the true lineality, a ray is extreme when the
-        equation normals and the inequality normals vanishing on it have rank
-        n - dim L - 1, and a vertex when those tight at it have rank n - dim L.
-        """
-        lin = self.true_lineality
-        full = self.ambient_dim - len(lin)
-        verts = {reduce_mod_subspace(v, lin) for v in self.vertices}
-        rays = {primitive_vector(r2) for r in self.rays
-                if not is_zero(r2 := reduce_mod_subspace(r, lin))}
-        verts = sorted(v for v in verts if self._tight_rank(v, point=True) == full)
-        rays = sorted(r for r in rays if self._tight_rank(r, point=False) == full - 1)
-        if verts == [zero_vec(self.ambient_dim)]:
-            verts = []
-        return (self.ambient_dim, lin, tuple(verts), tuple(rays))
+        presentations of the same set produce the same key.
 
-    def _tight_rank(self, x: Vec, point: bool) -> int:
-        """Rank of the equation normals plus the inequality normals tight at
-        the point x (a.x = b) or along the direction x (a.x = 0)."""
-        h = self.hrep
-        rows = [a for a, _ in h.equations]
-        rows += [a for a, b in h.inequalities if dot(a, x) == (b if point else 0)]
-        return matrix_rank(rows)
+        Extremality is read off the record's tight sets.  Let C be the cone
+        of the record, G the distinct canonical generators (reduced modulo
+        L, nonzero, rays made primitive), and T(g) the set of facets of C
+        tight on g.  Claim: g is extreme iff no other h in G has T(h)
+        containing T(g).  The least face of C containing g is
+        F_g = {x in C : f(x) = 0 for f in T(g)}, and a face of C is
+        generated by L and the generators in it: if x = sum c_i g_i + l lies
+        in the face with c_i > 0, every g_i is tight on the face's facets.
+        The generators in F_g are exactly those h with T(h) containing T(g).
+        If g is extreme, F_g = cone(g) + L, so each such h is a positive
+        multiple of g modulo L, that is h = g in G.  If g is not extreme,
+        F_g has dimension at least dim L + 2, so it has an extreme ray, which
+        is an extreme ray of C; its generator h is in F_g and differs from
+        g.  This replaces the rank test of double description.
+        """
+        return self._canon[0]
+
+    @cached_property
+    def _canon(self) -> tuple:
+        """(canonical key, tight masks of its vertices, tight masks of its
+        rays, common denominator D of its vertices, the vertices times D,
+        the rays and the lineality rows as integers)."""
+        rec = self._rec
+        n = self.ambient_dim
+        lin_rows = rec.lin_rows
+        reps: dict[tuple[int, ...], int] = {}
+        for row, mask in rec.verts:
+            if lin_rows:
+                row = _int_reduce(row, lin_rows)
+            g = math.gcd(*row)
+            reps.setdefault(tuple(x // g for x in row), mask)
+        for row, mask in rec.rays:
+            if lin_rows:
+                row = _int_reduce(row, lin_rows)
+            g = math.gcd(*row)
+            if g:
+                reps.setdefault(tuple(x // g for x in row), mask)
+        gens = list(reps.items())
+        extreme = [(r, mask) for i, (r, mask) in enumerate(gens)
+                   if not any(other & mask == mask
+                              for j, (_, other) in enumerate(gens) if j != i)]
+        if rec.affine:
+            verts = sorted((tuple(Fraction(x, r[0]) for x in r[1:]), mask, r)
+                           for r, mask in extreme if r[0])
+            rays = sorted((r[1:], mask) for r, mask in extreme if not r[0])
+            lin_ints = tuple(l[1:] for l in lin_rows)
+        else:
+            verts = []
+            rays = sorted(extreme)
+            lin_ints = tuple(lin_rows)
+        if len(verts) == 1 and not any(verts[0][2][1:]):
+            verts = []  # a lone vertex at the origin is the apex of a cone
+        den = math.lcm(*(r[0] for _, _, r in verts))
+        key = (n, rec.lin, tuple(v for v, _, _ in verts),
+               tuple(tuple(map(Fraction, r)) for r, _ in rays))
+        return (key, tuple(mask for _, mask, _ in verts), tuple(mask for _, mask in rays),
+                den, tuple(tuple(x * (den // r[0]) for x in r[1:]) for _, _, r in verts),
+                tuple(r for r, _ in rays), lin_ints)
 
     def canonical(self) -> "Polyhedron":
         n, lin, verts, rays = self.canonical_key
@@ -347,15 +504,17 @@ class Polyhedron:
     # -- membership --------------------------------------------------------
 
     def contains_point(self, x: Vec) -> bool:
-        h = self.hrep
-        return all(dot(a, x) >= b for a, b in h.inequalities) and \
-            all(dot(a, x) == b for a, b in h.equations)
+        if len(x) != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        rec = self._rec
+        return rec.holds(_int_row((1, *x)) if rec.affine else _int_row(x))
 
     def contains_direction(self, d: Vec) -> bool:
         """Whether d is a recession direction of the polyhedron."""
-        h = self.hrep
-        return all(dot(a, d) >= 0 for a, _ in h.inequalities) and \
-            all(dot(a, d) == 0 for a, _ in h.equations)
+        if len(d) != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        rec = self._rec
+        return rec.holds(_int_row((0, *d)) if rec.affine else _int_row(d))
 
     def contains(self, other: "Polyhedron") -> bool:
         pts = other.vertices if other.vertices else (zero_vec(self.ambient_dim),)
@@ -416,30 +575,74 @@ def face_is_tight(face: Polyhedron, a: Vec, b: Fraction) -> bool:
         all(dot(a, l) == 0 for l in face.lineality)
 
 
-def _face(p: Polyhedron, tight: Sequence[tuple[Vec, Fraction]]
-          ) -> Optional[Polyhedron]:
-    """The face of p on which every valid inequality a.x >= b in tight is an
-    equality, or None when that face is empty.  A nonempty face has the
-    lineality of p, and its extreme generators are those of p that lie on
-    it, so its canonical key is read off p's and no double description
-    runs."""
-    n, lin, all_verts, rays = p.canonical_key
-    verts = tuple(v for v in all_verts if all(dot(a, v) == b for a, b in tight))
-    if all_verts and not verts:
+def _face(p: Polyhedron, tight: int) -> Optional[Polyhedron]:
+    """The face of p on which the facet inequalities of p with bit set in
+    the mask `tight` are equalities, or None when that face is empty.  A
+    nonempty face has the lineality of p, and its extreme generators are
+    those of p whose tight sets contain `tight`, so its canonical key is read
+    off p's and no double description runs.  The face also carries its
+    integer sort data (see `_sort_key`)."""
+    n, lin, verts, rays = p.canonical_key
+    _, vmasks, rmasks, den, vrows, rrows, lin_ints = p._canon
+    vs = [i for i, mask in enumerate(vmasks) if mask & tight == tight]
+    if verts and not vs:
         return None
-    rays = tuple(r for r in rays if all(dot(a, r) == 0 for a, _ in tight))
-    if verts == (zero_vec(n),):
-        verts = ()
-    face = Polyhedron(n, verts, rays, lin)
-    object.__setattr__(face, "canonical_key", (n, lin, verts, rays))
+    rs = [i for i, mask in enumerate(rmasks) if mask & tight == tight]
+    face_verts = tuple(verts[i] for i in vs)
+    face_vrows = tuple(vrows[i] for i in vs)
+    if len(vs) == 1 and not any(face_vrows[0]):
+        face_verts = face_vrows = ()
+    face_rays = tuple(rays[i] for i in rs)
+    face = Polyhedron._raw(n, face_verts, face_rays, lin)
+    face.__dict__["canonical_key"] = (n, lin, face_verts, face_rays)
+    face.__dict__["_sort"] = (den, lin_ints, face_vrows, tuple(rrows[i] for i in rs))
     return face
+
+
+def _sort_key(face: Polyhedron, scale: int) -> tuple:
+    """Integer tuples that order faces made by `_face` as their canonical
+    keys do: the lineality rows, the vertices times `scale` (a common
+    multiple of the denominators of every vertex compared) and the rays."""
+    den, lin_ints, vrows, rrows = face._sort
+    if vrows and den != scale:
+        f = scale // den
+        vrows = tuple(tuple(f * x for x in row) for row in vrows)
+    return (lin_ints, vrows, rrows)
+
+
+def _vertex_scale(cells: Sequence[Polyhedron]) -> int:
+    return math.lcm(*(cell._canon[3] for cell in cells))
 
 
 def codim1_faces(p: Polyhedron) -> list[Polyhedron]:
     """All faces of dimension dim(p) - 1, one per facet inequality of p in
     the order of `p.hrep.inequalities`: an irredundant facet description
     cuts out distinct, nonempty facets."""
-    return [_face(p, [ineq]) for ineq in p.hrep.inequalities]
+    return [_face(p, 1 << i) for i in range(len(p.hrep.inequalities))]
+
+
+def _lower_faces(cells: Sequence[Polyhedron]) -> tuple[
+        tuple[Polyhedron, tuple[int, ...], tuple[int, ...]], ...]:
+    """`lower_faces` with, per cell, the index of the cutting inequality in
+    its `hrep.inequalities` in place of the inequality."""
+    per_cell = [codim1_faces(cell) for cell in cells]
+    scale = _vertex_scale(cells)
+    faces: dict[tuple, tuple[Polyhedron, list[int], list[int]]] = {}
+    for i, (cell, cell_faces) in enumerate(zip(cells, per_cell)):
+        d = cell.dim - 1
+        for k, face in enumerate(cell_faces):
+            key = _sort_key(face, scale)
+            entry = faces.get(key)
+            if entry is None:
+                entry = faces[key] = (face, [], [])
+            # equal keys are equal point sets, so the first face's dimension
+            # is every later one's
+            if entry[0].dim != d:
+                raise AssertionError("codimension-one face has wrong dimension")
+            entry[1].append(i)
+            entry[2].append(k)
+    return tuple((face, tuple(fids), tuple(cuts))
+                 for _, (face, fids, cuts) in sorted(faces.items()))
 
 
 def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
@@ -450,44 +653,46 @@ def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
     each of those cells, the facet inequality (a, b) of the cell that cuts it
     out, so later steps need not prove the incidence again.
     """
-    faces: dict[tuple, tuple[Polyhedron, list[int], list]] = {}
-    for i, cell in enumerate(cells):
-        for face, cut in zip(codim1_faces(cell), cell.hrep.inequalities):
-            if face.dim != cell.dim - 1:
-                raise AssertionError("codimension-one face has wrong dimension")
-            _, fids, cuts = faces.setdefault(face.canonical_key, (face, [], []))
-            fids.append(i)
-            cuts.append(cut)
-    return tuple((faces[key][0], tuple(faces[key][1]), tuple(faces[key][2]))
-                 for key in sorted(faces))
+    return _with_inequalities(cells, _lower_faces(cells))
+
+
+def _with_inequalities(cells, walk):
+    return tuple((face, fids, tuple(cells[i].hrep.inequalities[k]
+                                    for i, k in zip(fids, cuts)))
+                 for face, fids, cuts in walk)
 
 
 def _faces_below(c: Complex) -> Iterator[list[Polyhedron]]:
     """The faces of the complex from the ridges down, one list per
     codimension, each in canonical-key order.
 
-    Every face is kept with one cell it lies in and the cell's facet
-    inequalities that cut it out.  A face of codimension two lies in exactly
-    two facets of its cell, so the facets of a face are cut out by one more
-    inequality of the same cell, and no face needs a double description of
-    its own.
+    Every face is kept with one cell it lies in and the mask of the cell's
+    facet inequalities that cut it out.  A face of codimension two lies in
+    exactly two facets of its cell, so the facets of a face are cut out by
+    one more inequality of the same cell, and no face needs a double
+    description of its own.
     """
     cells = c.facet_polyhedra
-    level = {face.canonical_key: (face, cells[fids[0]], [cuts[0]])
-             for face, fids, cuts in c.ridges}
+    scale = _vertex_scale(cells)
+    level = {_sort_key(face, scale): (face, cells[fids[0]], 1 << cuts[0])
+             for face, fids, cuts in c._walk}
     while level:
         keys = sorted(level)
         yield [level[key][0] for key in keys]
-        below: dict[tuple, tuple[Polyhedron, Polyhedron, list]] = {}
+        below: dict[tuple, tuple[Polyhedron, Polyhedron, int]] = {}
         for key in keys:
             face, cell, tight = level[key]
-            for ineq in cell.hrep.inequalities:
-                if ineq in tight:
+            d = face.dim - 1
+            for i in range(len(cell.hrep.inequalities)):
+                bit = 1 << i
+                if tight & bit:
                     continue
-                sub = _face(cell, tight + [ineq])
-                if sub is not None and sub.canonical_key not in below and \
-                        sub.dim == face.dim - 1:
-                    below[sub.canonical_key] = (sub, cell, tight + [ineq])
+                sub = _face(cell, tight | bit)
+                if sub is None:
+                    continue
+                sub_key = _sort_key(sub, scale)
+                if sub_key not in below and sub.dim == d:
+                    below[sub_key] = (sub, cell, tight | bit)
         level = below
 
 
@@ -498,7 +703,10 @@ def is_face_of(tau: Polyhedron, sigma: Polyhedron) -> bool:
         raise ValueError("ambient dimension mismatch")
     if not sigma.contains(tau):
         return False
-    tight = [(a, b) for a, b in sigma.hrep.inequalities if face_is_tight(tau, a, b)]
+    tight = 0
+    for i, (a, b) in enumerate(sigma.hrep.inequalities):
+        if face_is_tight(tau, a, b):
+            tight |= 1 << i
     return tau.canonical_key == _face(sigma, tight).canonical_key
 
 
@@ -577,7 +785,51 @@ class Complex:
 
     @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
-        return tuple(self.facet(i) for i in range(len(self.cells)))
+        """`facet(i)` for every cell, with the lineality put in canonical
+        form once and each pool generator normalized once."""
+        if not self.cells:
+            return ()
+        n = self.ambient_dim
+        lin = subspace_canonical_basis([vec(l) for l in self.lineality])
+        lin_rows = [_numerators(l) for l in lin]
+        verts: dict[int, Vec] = {}
+        rays: dict[int, Optional[tuple[tuple[int, ...], Vec]]] = {}
+
+        def vertex(j: int) -> Vec:
+            if j not in verts:
+                verts[j] = _checked(vec(self.vertex_pool[j]), n)
+            return verts[j]
+
+        def ray(j: int) -> Optional[tuple[tuple[int, ...], Vec]]:
+            if j not in rays:
+                r = vec(self.ray_pool[j])
+                row = _int_row(r)
+                rays[j] = None
+                if _outside(row, lin_rows):
+                    g = math.gcd(*row)
+                    prim = tuple(x // g for x in row)
+                    rays[j] = (prim, _checked(tuple(map(Fraction, prim)), n))
+            return rays[j]
+
+        for l in lin:
+            _checked(l, n)
+        out = []
+        for vidx, ridx in self.cells:
+            cell_rays, seen = [], set()
+            for j in ridx:
+                r = ray(j)
+                if r is not None and r[0] not in seen:
+                    seen.add(r[0])
+                    cell_rays.append(r[1])
+            out.append(Polyhedron._raw(n, tuple(vertex(j) for j in vidx),
+                                       tuple(cell_rays), lin))
+        return tuple(out)
+
+    @cached_property
+    def _walk(self) -> tuple[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]], ...]:
+        """The ridges with, per facet, the index of the cutting inequality in
+        its `hrep.inequalities`."""
+        return _lower_faces(self.facet_polyhedra)
 
     @cached_property
     def ridges(self) -> tuple[tuple[Polyhedron, tuple[int, ...],
@@ -585,7 +837,7 @@ class Complex:
         """Distinct codimension-one faces of the facets, sorted by canonical
         key, each with the ids of the facets it is a face of and the facet
         inequality of each of those facets that cuts it out."""
-        return lower_faces(self.facet_polyhedra)
+        return _with_inequalities(self.facet_polyhedra, self._walk)
 
     @cached_property
     def _validation(self) -> "ValidationReport":
@@ -604,6 +856,18 @@ class Complex:
 
     def __len__(self) -> int:
         return len(self.cells)
+
+
+def _outside(row: Sequence[int], lin_rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the integer row is nonzero modulo the span of the canonical
+    basis rows lin_rows."""
+    return any(row) and (not lin_rows or any(_int_reduce(row, lin_rows)))
+
+
+def _checked(g: Vec, n: int) -> Vec:
+    if len(g) != n:
+        raise ValueError("generator has wrong ambient dimension")
+    return g
 
 
 def _pool_index(pool: list[Vec], v: Vec) -> int:
@@ -629,12 +893,18 @@ def _validate(c: Complex) -> ValidationReport:
     facets = c.facet_polyhedra
     if not facets:
         return ValidationReport(True, c.lineality_dim, ())
+    # one double description per facet: dimensions are read off its record
+    recs = [f._rec for f in facets]
     d = c.dim
-    for i, f in enumerate(facets):
+    lines = [_int_row(l) for l in c.lineality]
+    for i, (f, rec) in enumerate(zip(facets, recs)):
         if f.dim != d:
             issues.append(f"facet {i} has dimension {f.dim}, expected {d}")
-        for l in c.lineality:
-            if not (f.contains_direction(l) and f.contains_direction(neg(l))):
+        for l in lines:
+            # the line through l lies in the cell iff every facet and
+            # equation normal vanishes on it
+            row = (0, *l) if rec.affine else l
+            if any(sum(map(mul, a, row)) for a in itertools.chain(rec.facets, rec.eqs)):
                 issues.append(f"facet {i} does not contain the declared lineality")
                 break
     return ValidationReport(not issues, d, tuple(issues))

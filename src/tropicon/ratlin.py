@@ -269,12 +269,27 @@ def subspace_contains(basis: Mat, v: Vec) -> bool:
     return is_zero(reduce_mod_subspace(v, basis))
 
 
+def _int_reduce(row: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]:
+    """A positive multiple of the normal form of the integer row modulo the
+    span of a canonical basis given as integer rows: `reduce_mod_subspace`
+    with each step scaled by the row's pivot, which is positive."""
+    out = list(row)
+    for b in basis:
+        p = next(i for i, x in enumerate(b) if x)
+        f = out[p]
+        if f:
+            q = b[p]
+            out = [q * x - f * y for x, y in zip(out, b)]
+    return out
+
+
+def _int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows, by Bareiss elimination."""
+    return len(_bareiss([list(row) for row in rows])[1]) if rows else 0
+
+
 # ---------------------------------------------------------------------------
 # integer lattices via Smith normal form
-
-
-def _int_rows(A: Mat) -> list[list[int]]:
-    return [as_int_list(row) for row in A]
 
 
 def smith_normal_form(A: Mat) -> tuple[Mat, Mat, Mat]:
@@ -283,15 +298,24 @@ def smith_normal_form(A: Mat) -> tuple[Mat, Mat, Mat]:
     U and V are unimodular; D is diagonal with d_1 | d_2 | ... >= 0.
     Deterministic pivot choice (smallest |entry|, then lex position).
     """
-    D = _int_rows(A)
+    D, U, V = _smith([as_int_list(row) for row in A], track_u=True)
+    to_mat = lambda rows: tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return to_mat(D), to_mat(U), to_mat(V)
+
+
+def _smith(D: list[list[int]], track_u: bool = False
+           ) -> tuple[list[list[int]], Optional[list[list[int]]], list[list[int]]]:
+    """The integer core of `smith_normal_form`: reduces the rows D in place
+    and returns (D, U, V), with U None unless track_u."""
     m = len(D)
     n = len(D[0]) if D else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_u else None
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        if U is not None:
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in range(m):
@@ -301,7 +325,8 @@ def smith_normal_form(A: Mat) -> tuple[Mat, Mat, Mat]:
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in range(m):
@@ -355,13 +380,23 @@ def smith_normal_form(A: Mat) -> tuple[Mat, Mat, Mat]:
             if offender is None:
                 break
             D[t] = [a + b for a, b in zip(D[t], D[offender])]
-            U[t] = [a + b for a, b in zip(U[t], U[offender])]
+            if U is not None:
+                U[t] = [a + b for a, b in zip(U[t], U[offender])]
         if D[t][t] < 0:
             D[t] = [-a for a in D[t]]
-            U[t] = [-a for a in U[t]]
+            if U is not None:
+                U[t] = [-a for a in U[t]]
         t += 1
-    to_mat = lambda rows: tuple(tuple(Fraction(x) for x in row) for row in rows)
-    return to_mat(D), to_mat(U), to_mat(V)
+    return D, U, V
+
+
+def _lattice_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Basis of {x in Z^n : A x = 0} for the nonempty integer rows A: the
+    last columns of V in the Smith normal form U A V = D."""
+    n = len(rows[0])
+    D, _, V = _smith([list(row) for row in rows])
+    rank = sum(1 for i in range(min(len(D), n)) if D[i][i] != 0)
+    return [tuple(row[j] for row in V) for j in range(rank, n)]
 
 
 def integer_kernel_basis(A: Mat) -> Mat:
@@ -371,11 +406,8 @@ def integer_kernel_basis(A: Mat) -> Mat:
     """
     if not A:
         raise ValueError("empty matrix")
-    n = len(A[0])
-    D, _, V = smith_normal_form(A)
-    rank = sum(1 for i in range(min(len(D), n)) if D[i][i] != 0)
-    cols = transpose(V)
-    return tuple(cols[j] for j in range(rank, n))
+    return tuple(tuple(map(Fraction, k))
+                 for k in _lattice_kernel([as_int_list(row) for row in A]))
 
 
 def saturation_basis(gens: Sequence[Vec], ambient_dim: Optional[int] = None) -> Mat:
@@ -387,7 +419,7 @@ def saturation_basis(gens: Sequence[Vec], ambient_dim: Optional[int] = None) -> 
     _, equations = _int_kernel(gens)
     if not equations:
         return identity_mat(n)
-    return integer_kernel_basis(equations)
+    return tuple(tuple(map(Fraction, k)) for k in _lattice_kernel(equations))
 
 
 def lattice_complement_projection(gens: Sequence[Vec], ambient_dim: int) -> Mat:
@@ -633,16 +665,17 @@ def lattice_normal_generator(sigma, tau) -> Vec:
             f"expected codimension one, got dim {tau.dim} inside dim {sigma.dim}")
     a = next(a for a, b in sigma.hrep.inequalities
              if polyhedral.face_is_tight(tau, a, b))
-    return _lattice_normal(sigma, a)
+    return tuple(map(Fraction, _lattice_normal(sigma, a)))
 
 
-def _lattice_normal(sigma, a: Vec) -> Vec:
-    """The lattice normal of sigma at the facet cut out by its facet
-    inequality with normal a, from the saturated lattice basis that sigma
-    caches."""
+def _lattice_normal(sigma, a: Sequence) -> tuple[int, ...]:
+    """The lattice normal of sigma, as integers, at the facet cut out by its
+    facet inequality with normal a (integers or fractions), from the
+    saturated lattice basis that sigma caches."""
     a = _primitive_ints(a)
-    basis = [_int_row(w) for w in sigma._lattice]
+    basis = sigma._lattice
     u = [0] * sigma.ambient_dim
     for x, w in zip(_bezout([sum(map(mul, a, w)) for w in basis]), basis):
-        u = [ui + x * wi for ui, wi in zip(u, w)]
-    return tuple(map(Fraction, u))
+        if x:
+            u = [ui + x * wi for ui, wi in zip(u, w)]
+    return tuple(u)

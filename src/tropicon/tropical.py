@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
@@ -23,7 +24,7 @@ from .polyhedral import (
 from .ratlin import (
     LinearProgram, Mat, Vec, _int_kernel, _lattice_normal, add, dot,
     identity_mat, is_zero, lattice_complement_projection, lp_feasible, mat,
-    mat_vec, neg, primitive_vector, rank_and_kernel, reduce_mod_subspace, scale,
+    mat_vec, neg, primitive_vector, rank_and_kernel, reduce_mod_subspace,
     subspace_canonical_basis, subspace_contains, transpose, unit_vec, vec,
     zero_vec,
 )
@@ -254,19 +255,30 @@ def balancing_check(w: WeightedComplex) -> BalancingReport:
     At a ridge tau, the weighted sum of lattice normal generators of the
     incident facets must lie in the linear span of tau.  The verdict does
     not depend on the choice of generator representatives, which are only
-    defined modulo that span.
+    defined modulo that span.  With sigma one facet at tau, that span is
+    the part of sigma's span on which the facet inequality of sigma cutting
+    out tau vanishes, so membership is a test of integer dot products with
+    sigma's equations and that inequality; the residual modulo the span is
+    computed only at an unbalanced ridge.
     """
     c = w.complex
     facets = c.facet_polyhedra
+    zero = zero_vec(c.ambient_dim)
     entries = []
     ok = True
-    for tau, fids, cuts in c.ridges:
-        total = zero_vec(c.ambient_dim)
-        for fid, (a, _) in zip(fids, cuts):
-            u = _lattice_normal(facets[fid], a)
-            total = add(total, scale(w.weights[fid], u))
-        residual = reduce_mod_subspace(total, tau.direction_span)
-        balanced = is_zero(residual)
+    for tau, fids, cuts in c._walk:
+        total = [0] * c.ambient_dim
+        for fid, cut in zip(fids, cuts):
+            sigma = facets[fid]
+            u = _lattice_normal(sigma, sigma._rec.cut(cut))
+            weight = w.weights[fid]
+            total = [t + weight * x for t, x in zip(total, u)]
+        rec = facets[fids[0]]._rec
+        normals = [e[1:] for e in rec.eqs] if rec.affine else rec.eqs
+        balanced = not any(sum(map(mul, a, total))
+                           for a in itertools.chain(normals, [rec.cut(cuts[0])]))
+        residual = zero if balanced else \
+            reduce_mod_subspace(tuple(map(Fraction, total)), tau.direction_span)
         ok = ok and balanced
         entries.append(RidgeBalance(tau.label(), balanced, residual))
     return BalancingReport(ok, tuple(entries))
