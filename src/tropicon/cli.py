@@ -25,8 +25,8 @@ import sys
 
 from . import connectivity, fanjson, matroid, tropical
 from .connectivity import (
-    BudgetExceeded, build_hypergraph, connected_components, hypergraph_dot,
-    is_k_connected, min_facet_cut,
+    BudgetExceeded, TooFewFacets, build_hypergraph, connected_components,
+    hypergraph_dot, is_k_connected, min_facet_cut,
 )
 from .fanjson import fan_to_text, load_fan, parse_rational, save_fan
 from .matroid import Matroid, bergman_fine
@@ -146,7 +146,10 @@ def cmd_check(args) -> int:
         "subsets_examined": cert.subsets_examined,
     }
     if args.mincut:
-        cut = min_facet_cut(h, budget)
+        try:
+            cut = min_facet_cut(h, budget)
+        except TooFewFacets:  # no two facets to separate: no cut exists
+            cut = None
         out["mincut_size"] = None if cut is None else cut[0]
         out["mincut_witness"] = None if cut is None else list(cut[1])
     sys.stdout.write(json.dumps(out, indent=2) + "\n")

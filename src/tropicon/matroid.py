@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, FrozenSet, Iterable, Sequence
 
-from .fanjson import _integer, parse_rational
+from .fanjson import _integer, _list, parse_rational
 from .polyhedral import Complex, Polyhedron
 from .ratlin import Mat, Vec, mat, matrix_rank, vec
 
@@ -296,19 +296,32 @@ def matroid_from_json(obj: dict) -> Matroid:
       {"type": "graphic", "edges": [[0, 1], ...]}
       {"type": "linear", "columns": [[...], ...]}   (rationals as "p/q" or int)
       {"type": "bases", "n": 3, "bases": [[0], [1]]}
-    Floats and booleans raise ValueError, as in fan files.
+    Floats and booleans raise ValueError, as in fan files, and so do values
+    of the wrong shape: a non-object input, non-list edges, columns, bases
+    or rows, edges that are not pairs and basis elements outside range(n).
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a matroid is a JSON object, not {obj!r}")
     kind = obj.get("type")
     if kind == "uniform":
         return Matroid.uniform(_integer(obj["r"], "r"), _integer(obj["n"], "n"))
     if kind == "graphic":
-        return Matroid.graphic([[_integer(v, "vertex") for v in e]
-                                for e in obj["edges"]])
+        edges = [_list(e, "edge") for e in _list(obj["edges"], "edges")]
+        for e in edges:
+            if len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a pair of vertices")
+        return Matroid.graphic([[_integer(v, "vertex") for v in e] for e in edges])
     if kind == "linear":
-        return Matroid.linear([list(map(parse_rational, c)) for c in obj["columns"]])
+        return Matroid.linear([list(map(parse_rational, _list(c, "column")))
+                               for c in _list(obj["columns"], "columns")])
     if kind == "bases":
-        return Matroid.from_bases(_integer(obj["n"], "n"),
-                                  [[_integer(i, "element") for i in b] for b in obj["bases"]])
+        n = _integer(obj["n"], "n")
+        bases = [[_integer(i, "element") for i in _list(b, "basis")]
+                 for b in _list(obj["bases"], "bases")]
+        for b in bases:
+            if any(not 0 <= i < n for i in b):
+                raise ValueError(f"basis {b} leaves the ground set range({n})")
+        return Matroid.from_bases(n, bases)
     raise ValueError(f"unknown matroid type {kind!r}")
 
 

@@ -198,6 +198,22 @@ class TestCliCheck:
         assert (cert["witness"], cert["mincut_size"], cert["mincut_witness"]) == \
             ([1], 0, [])
 
+    @pytest.mark.parametrize("rays,cells", [
+        ([[0, 1], [1, 0]], [[0, 1]]),
+        ([], []),
+    ], ids=["one-facet", "empty"])
+    def test_mincut_below_two_facets_is_null(self, tmp_path, capsys, rays, cells):
+        # no two facets to separate: the verdict is vacuous and no cut exists
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 2, "vertices": [], "lineality": [], "rays": rays,
+            "cells": [{"v": [], "r": r} for r in cells], "weights": [1] * len(cells)}))
+        code, out, err = run_cli(["check", str(path), "--mincut"], capsys)
+        assert code == 0 and err == ""
+        cert = json.loads(out)
+        assert cert["verdict"] is True and cert["facets"] == len(cells)
+        assert (cert["mincut_size"], cert["mincut_witness"]) == (None, None)
+
     @pytest.mark.parametrize("rays,cells,k,witness,mincut", [
         # a path of three facets; the middle one separates the ends
         ([[-1, 0], [0, -1], [0, 1], [1, 0]], [[3, 2], [2, 0], [0, 1]], 3, [1], 1),

@@ -224,6 +224,27 @@ class TestMatroidJson:
         with pytest.raises(ValueError):
             matroid_from_json(obj)
 
+    @pytest.mark.parametrize("obj,word", [
+        ({"type": "bases", "n": 3, "bases": [[0], [7]]}, "ground set"),
+        ({"type": "bases", "n": 3, "bases": [[0], [-1]]}, "ground set"),
+        ([{"type": "uniform", "r": 1, "n": 2}], "object"),
+        ("uniform", "object"),
+        ({"type": "graphic", "edges": 5}, "edges"),
+        ({"type": "graphic", "edges": [5, [0, 1]]}, "edge"),
+        ({"type": "graphic", "edges": [[0]]}, "pair"),
+        ({"type": "graphic", "edges": [[0, 1, 2]]}, "pair"),
+        ({"type": "linear", "columns": 5}, "columns"),
+        ({"type": "linear", "columns": [5, [1, 0]]}, "column"),
+        ({"type": "bases", "n": 3, "bases": 5}, "bases"),
+        ({"type": "bases", "n": 3, "bases": [0, 1]}, "basis"),
+    ], ids=["basis-past-n", "basis-negative", "list-input", "string-input",
+            "edges-not-list", "edge-not-list", "edge-single", "edge-triple",
+            "columns-not-list", "column-not-list", "bases-not-list",
+            "basis-not-list"])
+    def test_bad_shapes_rejected(self, obj, word):
+        with pytest.raises(ValueError, match=word):
+            matroid_from_json(obj)
+
     def test_unknown_type(self):
         with pytest.raises(ValueError, match="unknown matroid type"):
             matroid_from_json({"type": "transversal"})
