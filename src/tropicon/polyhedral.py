@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .ratlin import (
     Mat, Vec, ZeroVector, _int_kernel, _int_rank, _int_reduce, _int_row,
     _lattice_kernel, _primitive_ints, add, dot, frac, is_zero, primitive_vector,
-    scale, sub, neg, subspace_canonical_basis, subspace_contains, vec, zero_vec,
+    scale, sub, neg, subspace_canonical_basis, vec, zero_vec,
 )
 
 _ZERO = Fraction(0)
@@ -432,7 +432,9 @@ class Polyhedron:
         multiple of g modulo L, that is h = g in G.  If g is not extreme,
         F_g has dimension at least dim L + 2, so it has an extreme ray, which
         is an extreme ray of C; its generator h is in F_g and differs from
-        g.  This replaces the rank test of double description.
+        g.  This replaces the rank test of double description.  (Distinct
+        faces have distinct tight sets, so T(h) then strictly contains T(g):
+        equal tight sets never decide the test.)
         """
         return self._canon[0]
 
@@ -445,16 +447,11 @@ class Polyhedron:
         n = self.ambient_dim
         lin_rows = rec.lin_rows
         reps: dict[tuple[int, ...], int] = {}
-        for row, mask in rec.verts:
+        for row, mask in rec.verts + rec.rays:
             if lin_rows:
                 row = _int_reduce(row, lin_rows)
             g = math.gcd(*row)
-            reps.setdefault(tuple(x // g for x in row), mask)
-        for row, mask in rec.rays:
-            if lin_rows:
-                row = _int_reduce(row, lin_rows)
-            g = math.gcd(*row)
-            if g:
+            if g:  # a ray in the lineality is no generator of the key
                 reps.setdefault(tuple(x // g for x in row), mask)
         gens = list(reps.items())
         extreme = [(r, mask) for i, (r, mask) in enumerate(gens)
@@ -752,26 +749,43 @@ class Complex:
                 raise ValueError("ambient_dim required without facets")
             ambient_dim = facets[0].ambient_dim
         lin = subspace_canonical_basis([vec(l) for l in lineality])
+        lin_rows = [_numerators(l) for l in lin]
         vpool: list[Vec] = []
         rpool: list[Vec] = []
+        vindex: dict[Vec, int] = {}
+        rindex: dict[tuple[int, ...], int] = {}
+
+        def vertex_index(v) -> int:
+            v = vec(v)
+            if v not in vindex:
+                vindex[v] = len(vpool)
+                vpool.append(v)
+            return vindex[v]
+
+        def ray_index(r) -> int:
+            prim = _primitive_ints(r)
+            if prim not in rindex:
+                rindex[prim] = len(rpool)
+                rpool.append(tuple(map(Fraction, prim)))
+            return rindex[prim]
+
         cells = []
         for f in facets:
             if f.ambient_dim != ambient_dim:
                 raise ValueError("facet ambient dimension mismatch")
-            for l in lin:
+            f_lin = [_numerators(l) for l in f.lineality]
+            for l in lin_rows:
                 # pooling would silently fatten a cell missing the lineality
-                if not subspace_contains(f.lineality, l) and not (
+                if _outside(l, f_lin) and not (
                         f.contains_direction(l) and f.contains_direction(neg(l))):
                     raise ValueError(
                         "facet does not contain the declared lineality space")
-            vidx = sorted(_pool_index(vpool, vec(v)) for v in f.vertices)
-            ridx = set()
-            for r in f.rays:
-                ridx.add(_pool_index(rpool, primitive_vector(r)))
-            for l in f.lineality:
-                if not subspace_contains(lin, l):
-                    ridx.add(_pool_index(rpool, primitive_vector(l)))
-                    ridx.add(_pool_index(rpool, primitive_vector(neg(l))))
+            vidx = sorted(vertex_index(v) for v in f.vertices)
+            ridx = {ray_index(r) for r in f.rays}
+            for l in f_lin:
+                if _outside(l, lin_rows):
+                    ridx.add(ray_index(l))
+                    ridx.add(ray_index(neg(l)))
             cells.append((tuple(vidx), tuple(sorted(ridx))))
         return Complex(ambient_dim, tuple(vpool), tuple(rpool), lin,
                        tuple(cells), tuple(weights) if weights else ())
@@ -868,14 +882,6 @@ def _checked(g: Vec, n: int) -> Vec:
     if len(g) != n:
         raise ValueError("generator has wrong ambient dimension")
     return g
-
-
-def _pool_index(pool: list[Vec], v: Vec) -> int:
-    try:
-        return pool.index(v)
-    except ValueError:
-        pool.append(v)
-        return len(pool) - 1
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,303 @@
+"""The integer cell record against the Fraction computations it replaced.
+
+Every `Polyhedron` reads its dimension, true lineality, extreme generators,
+faces, membership and lattice off one integer record (`Polyhedron._rec`),
+and balancing tests span membership with integer dot products.  The
+Fraction versions below are kept here as oracles: the rank test of double
+description for extremality, the rank of `direction_span` for dimensions,
+dot-product tightness for faces and `reduce_mod_subspace` for balancing.
+They run on seeded cones, polytopes and polyhedra with lineality, with
+repeated, scaled and redundant generators and with rays inside the
+lineality.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+import sympy
+
+from tropicon.matroid import Matroid, bergman_fine
+from tropicon.polyhedral import (
+    Complex, Polyhedron, _face, codim1_faces, lower_faces,
+)
+from tropicon.ratlin import (
+    identity_mat, is_zero, lattice_normal_generator, primitive_vector,
+    rank_and_kernel, reduce_mod_subspace, subspace_canonical_basis, zero_vec,
+)
+from tropicon.tropical import (
+    WeightedComplex, balancing_check, cube_normal_fan, normal_fan, two_planes_fan,
+)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles
+
+
+def _dot(u, v):
+    return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
+
+
+def _rank(rows):
+    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).rank() \
+        if rows else 0
+
+
+def _oracle_lineality(p):
+    """The kernel of every facet and equation normal."""
+    h = p.hrep
+    normals = [a for a, _ in h.inequalities] + [a for a, _ in h.equations]
+    if not normals:
+        return subspace_canonical_basis(identity_mat(p.ambient_dim))
+    return subspace_canonical_basis(rank_and_kernel(normals)[1])
+
+
+def _oracle_canonical_key(p):
+    """Extremality by the rank test: with L the true lineality, a ray is
+    extreme when the equation normals and the inequality normals vanishing
+    on it have rank n - dim L - 1, and a vertex when those tight at it have
+    rank n - dim L."""
+    h = p.hrep
+    n = p.ambient_dim
+    lin = _oracle_lineality(p)
+    full = n - len(lin)
+
+    def tight_rank(x, point):
+        rows = [a for a, _ in h.equations]
+        rows += [a for a, b in h.inequalities if _dot(a, x) == (b if point else 0)]
+        return _rank(rows)
+
+    verts = {reduce_mod_subspace(v, lin) for v in p.vertices}
+    rays = {primitive_vector(r2) for r in p.rays
+            if not is_zero(r2 := reduce_mod_subspace(r, lin))}
+    verts = sorted(v for v in verts if tight_rank(v, True) == full)
+    rays = sorted(r for r in rays if tight_rank(r, False) == full - 1)
+    if verts == [zero_vec(n)]:
+        verts = []
+    return (n, lin, tuple(verts), tuple(rays))
+
+
+def _oracle_face_key(p, tight):
+    """The face of p cut out by the inequalities `tight`, by dot products
+    on p's canonical generators, or None when it is empty."""
+    n, lin, all_verts, rays = p.canonical_key
+    verts = tuple(v for v in all_verts if all(_dot(a, v) == b for a, b in tight))
+    if all_verts and not verts:
+        return None
+    rays = tuple(r for r in rays if all(_dot(a, r) == 0 for a, _ in tight))
+    if verts == (zero_vec(n),):
+        verts = ()
+    return (n, lin, verts, rays)
+
+
+def _oracle_balancing(w):
+    """Per ridge: the weighted sum of the public lattice normals, reduced
+    modulo the span of the ridge."""
+    c = w.complex
+    out = []
+    for tau, fids, _ in c.ridges:
+        total = zero_vec(c.ambient_dim)
+        for fid in fids:
+            u = lattice_normal_generator(c.facet_polyhedra[fid], tau)
+            total = tuple(t + w.weights[fid] * x for t, x in zip(total, u))
+        residual = reduce_mod_subspace(total, tau.direction_span)
+        out.append((tau.label(), is_zero(residual), residual))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# seeded polyhedra
+
+
+def _direction(rng, n, span=3):
+    return [rng.randint(-span, span) for _ in range(n)]
+
+
+def _polyhedron(rng, kind):
+    """A cone, polytope or polyhedron given with redundant generators."""
+    n = rng.randint(1, 4)
+    lin = [l for l in (_direction(rng, n) for _ in range(rng.choice((0, 0, 1, 2)))) if any(l)]
+    rays = [r for r in (_direction(rng, n) for _ in range(rng.randint(0, n + 2))) if any(r)]
+    extra = []
+    for r in rays:
+        roll = rng.random()
+        if roll < 0.15:
+            extra.append(list(r))  # repeated
+        elif roll < 0.3:
+            extra.append([rng.randint(2, 3) * x for x in r])  # scaled
+        elif roll < 0.4:
+            extra.append([-x for x in r])  # an opposite pair: a lineality direction
+    if len(rays) > 1 and rng.random() < 0.5:
+        u, v = rng.sample(rays, 2)
+        extra.append([x + y for x, y in zip(u, v)])  # redundant
+    if lin and rng.random() < 0.5:
+        extra.append([rng.choice((-2, 1, 3)) * x for x in lin[0]])  # inside the lineality
+    rays += extra
+    rng.shuffle(rays)
+    if kind == "cone":
+        return Polyhedron.cone(rays, lin, ambient_dim=n)
+    verts = [[F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+             for _ in range(rng.randint(1, n + 2))]
+    if len(verts) > 1 and rng.random() < 0.5:
+        u, v = rng.sample(verts, 2)
+        verts.append([(x + y) / 2 for x, y in zip(u, v)])  # not extreme
+    if rng.random() < 0.3:
+        verts.append(list(verts[0]))  # repeated
+    if lin and rng.random() < 0.3:
+        verts.append([x + rng.choice((-1, 2)) * y for x, y in zip(verts[0], lin[0])])
+    if kind == "polytope":
+        return Polyhedron.from_vertices(verts, ambient_dim=n)
+    return Polyhedron.from_vertices(verts, rays, lin, ambient_dim=n)
+
+
+def _polyhedra(seed, count):
+    rng = random.Random(seed)
+    kinds = ("cone", "polytope", "polyhedron")
+    return [_polyhedron(rng, kinds[i % 3]) for i in range(count)]
+
+
+def _fresh(p):
+    return Polyhedron(p.ambient_dim, p.vertices, p.rays, p.lineality)
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@pytest.mark.parametrize("seed", range(3))
+class TestRecordReads:
+    def test_extremality_against_the_rank_test(self, seed):
+        for p in _polyhedra(seed, 150):
+            assert p.canonical_key == _oracle_canonical_key(p), p
+            assert p.true_lineality == _oracle_lineality(p)
+
+    def test_dim_against_the_direction_span(self, seed):
+        for p in _polyhedra(seed, 150):
+            # before the record exists the dimension is an integer rank,
+            # after it n minus the number of equations
+            assert p.dim == len(p.direction_span)
+            q = _fresh(p)
+            q.hrep
+            assert q.dim == len(q.direction_span) == p.dim
+
+    def test_tight_masks_against_dot_products(self, seed):
+        for p in _polyhedra(seed, 150):
+            rec = p._rec
+            ineqs = p.hrep.inequalities
+            assert [rec.cut(i) for i in range(len(ineqs))] == \
+                [tuple(map(int, a)) for a, _ in ineqs]
+            for v, (_, mask) in zip(p.vertices, rec.verts):
+                assert mask & ((1 << len(ineqs)) - 1) == sum(
+                    1 << i for i, (a, b) in enumerate(ineqs) if _dot(a, v) == b)
+            for r, (_, mask) in zip(p.rays, rec.rays):
+                assert mask & ((1 << len(ineqs)) - 1) == sum(
+                    1 << i for i, (a, _) in enumerate(ineqs) if _dot(a, r) == 0)
+
+    def test_faces_against_dot_product_tightness(self, seed):
+        for p in _polyhedra(seed, 100):
+            ineqs = p.hrep.inequalities
+            for face, ineq in zip(codim1_faces(p), ineqs):
+                assert face.canonical_key == _oracle_face_key(p, [ineq])
+                assert face.dim == p.dim - 1 == len(face.direction_span)
+            for size in (2, 3):
+                for combo in itertools.combinations(range(len(ineqs)), size):
+                    face = _face(p, sum(1 << i for i in combo))
+                    want = _oracle_face_key(p, [ineqs[i] for i in combo])
+                    assert (face and face.canonical_key) == want
+
+    def test_membership_against_dot_products(self, seed):
+        rng = random.Random(seed)
+        for p in _polyhedra(seed, 100):
+            h = p.hrep
+            n = p.ambient_dim
+            for _ in range(10):
+                x = [F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
+                if p.vertices and rng.random() < 0.5:
+                    x = list(p.vertices[0])  # on the boundary
+                assert p.contains_point(x) == (
+                    all(_dot(a, x) >= b for a, b in h.inequalities)
+                    and all(_dot(a, x) == b for a, b in h.equations))
+                assert p.contains_direction(x) == (
+                    all(_dot(a, x) >= 0 for a, _ in h.inequalities)
+                    and all(_dot(a, x) == 0 for a, _ in h.equations))
+
+    def test_lattice_is_the_saturated_direction_lattice(self, seed):
+        for p in _polyhedra(seed, 100):
+            basis = p._lattice
+            span = p.direction_span
+            assert len(basis) == len(span)
+            if not span:
+                continue
+            assert subspace_canonical_basis([tuple(map(F, w)) for w in basis]) == span
+            # saturated: the maximal minors have gcd 1
+            M = sympy.Matrix(basis)
+            minors = [M[:, list(cols)].det()
+                      for cols in itertools.combinations(range(p.ambient_dim), len(basis))]
+            assert sympy.gcd_list(minors) == 1
+
+
+class TestRidgeKeys:
+    def test_ridges_sort_as_their_canonical_keys(self):
+        # rational vertices: the integer sort keys put the faces in the
+        # order of their fraction keys
+        rng = random.Random(31)
+        for _ in range(40):
+            cells = [_polyhedron(rng, "polyhedron") for _ in range(3)]
+            n = cells[0].ambient_dim
+            cells = [c for c in cells if c.ambient_dim == n]
+            ridges = lower_faces(cells)
+            keys = [face.canonical_key for face, _, _ in ridges]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            for face, fids, cuts in ridges:
+                for i, (a, b) in zip(fids, cuts):
+                    assert face.canonical_key == _oracle_face_key(cells[i], [(a, b)])
+
+
+def _star_fans(seed, count):
+    """Fans of rays or of 2-cones around a shared ray, in R^2 and R^3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        rays, target = [], rng.randint(2, 5)
+        while len(rays) < target:
+            d = _direction(rng, n, 2)
+            if any(d) and primitive_vector(d) not in rays:
+                rays.append(primitive_vector(d))
+        if n == 2 or rng.random() < 0.5:
+            cells = [Polyhedron.cone([r], ambient_dim=n) for r in rays]
+        else:
+            axis = rays[0]
+            cells = [Polyhedron.cone([axis, r], ambient_dim=n) for r in rays[1:]
+                     if _rank([axis, r]) == 2]
+            if len(cells) < 2:
+                continue
+        yield Complex.from_facets(cells, ambient_dim=n)
+
+
+class TestBalancingMembership:
+    @staticmethod
+    def _fans():
+        fans = [bergman_fine(Matroid.uniform(3, 4)),
+                bergman_fine(Matroid.graphic([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])),
+                cube_normal_fan(3), two_planes_fan(),
+                normal_fan([[0, 0], [3, 1], [1, 3]]).complex]
+        tri = [[F(0), F(0)], [F(3, 2), F(0)], [F(0), F(2, 3)], [F(3, 2), F(2, 3)]]
+        fans.append(Complex.from_facets([
+            Polyhedron.from_vertices(tri[:3]), Polyhedron.from_vertices(tri[1:]),
+            Polyhedron.from_vertices([tri[1], tri[3]], rays=[[1, 0]])]))
+        return fans + list(_star_fans(5, 60))
+
+    def test_against_reduce_mod_subspace(self):
+        rng = random.Random(17)
+        unbalanced = 0
+        for fan in self._fans():
+            for weights in [fan.weights] + [
+                    tuple(rng.randint(1, 3) for _ in fan.weights) for _ in range(3)]:
+                w = WeightedComplex(fan, weights)
+                report = balancing_check(w)
+                got = [(e.ridge_label, e.balanced, e.residual) for e in report.entries]
+                assert got == _oracle_balancing(w)
+                assert report.balanced == all(b for _, b, _ in got)
+                unbalanced += not report.balanced
+        assert unbalanced > 50
