@@ -12,13 +12,18 @@ that record, with no elimination over fractions:
 - the dimension is n minus the number of equations, and the true lineality
   is the declared one plus the rays tight on every facet;
 - a generator is extreme when no other canonical generator's tight set
-  contains its own (proof at `Polyhedron.canonical_key`);
+  contains its own: the least face containing it is cut out by its tight
+  facets, holds exactly the generators whose tight sets contain its own,
+  and is a ray exactly when it holds no other (proof at
+  `Polyhedron.canonical_key`);
 - a face is the cell's canonical generators whose tight sets contain the
   face's facets, so no face needs a double description of its own, and a
   face without a record gets its dimension as an integer rank;
 - membership is a sign test of integer dot products;
 - the saturated lattice of a cell is the integer kernel of its equations,
-  from an integer Smith normal form.
+  from an integer Smith normal form, and balancing tests a weighted sum of
+  lattice normals against a cell's equations and its recorded cut
+  inequality by integer dot products (see `tropical.balancing_check`).
 
 Complexes store shared generator pools plus per-facet index sets; one face
 walk, `lower_faces`, gives the ridges (cached per complex), keyed and sorted
@@ -57,6 +62,33 @@ class NotInComplex(ValueError):
 def _numerators(v: Vec) -> tuple[int, ...]:
     """The integer vector equal to the integral rational vector v."""
     return tuple(x.numerator for x in v)
+
+
+def _outside(row: Sequence[int], lin_rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the integer row is nonzero modulo the span of the canonical
+    basis rows lin_rows."""
+    return any(row) and (not lin_rows or any(_int_reduce(row, lin_rows)))
+
+
+def _generators(n: int, vertices: Iterable, rays: Iterable, lin: Mat
+                ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """The vertices as fractions and the distinct primitive rays outside the
+    span of the canonical basis lin, all checked to lie in R^n."""
+    verts = tuple(vec(v) for v in vertices)
+    lin_rows = [_numerators(l) for l in lin]
+    prims: dict[tuple[int, ...], Vec] = {}
+    for r in rays:
+        row = _int_row(vec(r))
+        if _outside(row, lin_rows):
+            g = math.gcd(*row)
+            prim = tuple(x // g for x in row)
+            if prim not in prims:
+                prims[prim] = tuple(map(Fraction, prim))
+    out = tuple(prims.values())
+    for g in itertools.chain(verts, out, lin):
+        if len(g) != n:
+            raise ValueError("generator has wrong ambient dimension")
+    return verts, out
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +276,12 @@ class _Record:
         """The linear part of facet normal i, as integers."""
         return self.facets[i][1:] if self.affine else self.facets[i]
 
+    @property
+    def span_eqs(self) -> list[tuple[int, ...]]:
+        """The linear parts of the equations: normals of the direction span
+        of P."""
+        return [e[1:] for e in self.eqs] if self.affine else self.eqs
+
 
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
@@ -259,26 +297,10 @@ class Polyhedron:
     lineality: tuple[Vec, ...] = ()
 
     def __post_init__(self):
-        n = self.ambient_dim
-        verts = tuple(vec(v) for v in self.vertices)
         lin = subspace_canonical_basis([vec(l) for l in self.lineality])
-        lin_rows = [_numerators(l) for l in lin]
-        rays, seen = [], set()
-        for r in self.rays:
-            r = vec(r)
-            row = _int_row(r)
-            if not _outside(row, lin_rows):
-                continue
-            g = math.gcd(*row)
-            prim = tuple(x // g for x in row)
-            if prim not in seen:
-                seen.add(prim)
-                rays.append(tuple(map(Fraction, prim)))
-        for g in itertools.chain(verts, rays, lin):
-            if len(g) != n:
-                raise ValueError("generator has wrong ambient dimension")
+        verts, rays = _generators(self.ambient_dim, self.vertices, self.rays, lin)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "rays", tuple(rays))
+        object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "lineality", lin)
 
     @classmethod
@@ -374,10 +396,9 @@ class Polyhedron:
         """Integer basis of the saturated lattice of the direction span,
         which every lattice normal of this cell is combined from: the
         integer kernel of the linear parts of the equations."""
-        rec = self._rec
-        n = self.ambient_dim
-        eqs = [e[1:] for e in rec.eqs] if rec.affine else rec.eqs
+        eqs = self._rec.span_eqs
         if not eqs:
+            n = self.ambient_dim
             return [tuple(int(i == j) for j in range(n)) for i in range(n)]
         return _lattice_kernel(eqs)
 
@@ -753,22 +774,7 @@ class Complex:
         vpool: list[Vec] = []
         rpool: list[Vec] = []
         vindex: dict[Vec, int] = {}
-        rindex: dict[tuple[int, ...], int] = {}
-
-        def vertex_index(v) -> int:
-            v = vec(v)
-            if v not in vindex:
-                vindex[v] = len(vpool)
-                vpool.append(v)
-            return vindex[v]
-
-        def ray_index(r) -> int:
-            prim = _primitive_ints(r)
-            if prim not in rindex:
-                rindex[prim] = len(rpool)
-                rpool.append(tuple(map(Fraction, prim)))
-            return rindex[prim]
-
+        rindex: dict[Vec, int] = {}
         cells = []
         for f in facets:
             if f.ambient_dim != ambient_dim:
@@ -780,12 +786,12 @@ class Complex:
                         f.contains_direction(l) and f.contains_direction(neg(l))):
                     raise ValueError(
                         "facet does not contain the declared lineality space")
-            vidx = sorted(vertex_index(v) for v in f.vertices)
-            ridx = {ray_index(r) for r in f.rays}
+            vidx = sorted(_pool_index(vpool, vindex, vec(v)) for v in f.vertices)
+            ridx = {_pool_index(rpool, rindex, primitive_vector(r)) for r in f.rays}
             for l in f_lin:
                 if _outside(l, lin_rows):
-                    ridx.add(ray_index(l))
-                    ridx.add(ray_index(neg(l)))
+                    ridx.add(_pool_index(rpool, rindex, primitive_vector(l)))
+                    ridx.add(_pool_index(rpool, rindex, primitive_vector(neg(l))))
             cells.append((tuple(vidx), tuple(sorted(ridx))))
         return Complex(ambient_dim, tuple(vpool), tuple(rpool), lin,
                        tuple(cells), tuple(weights) if weights else ())
@@ -800,44 +806,13 @@ class Complex:
     @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
         """`facet(i)` for every cell, with the lineality put in canonical
-        form once and each pool generator normalized once."""
-        if not self.cells:
-            return ()
+        form once."""
         n = self.ambient_dim
         lin = subspace_canonical_basis([vec(l) for l in self.lineality])
-        lin_rows = [_numerators(l) for l in lin]
-        verts: dict[int, Vec] = {}
-        rays: dict[int, Optional[tuple[tuple[int, ...], Vec]]] = {}
-
-        def vertex(j: int) -> Vec:
-            if j not in verts:
-                verts[j] = _checked(vec(self.vertex_pool[j]), n)
-            return verts[j]
-
-        def ray(j: int) -> Optional[tuple[tuple[int, ...], Vec]]:
-            if j not in rays:
-                r = vec(self.ray_pool[j])
-                row = _int_row(r)
-                rays[j] = None
-                if _outside(row, lin_rows):
-                    g = math.gcd(*row)
-                    prim = tuple(x // g for x in row)
-                    rays[j] = (prim, _checked(tuple(map(Fraction, prim)), n))
-            return rays[j]
-
-        for l in lin:
-            _checked(l, n)
-        out = []
-        for vidx, ridx in self.cells:
-            cell_rays, seen = [], set()
-            for j in ridx:
-                r = ray(j)
-                if r is not None and r[0] not in seen:
-                    seen.add(r[0])
-                    cell_rays.append(r[1])
-            out.append(Polyhedron._raw(n, tuple(vertex(j) for j in vidx),
-                                       tuple(cell_rays), lin))
-        return tuple(out)
+        return tuple(
+            Polyhedron._raw(n, *_generators(n, (self.vertex_pool[j] for j in vidx),
+                                            (self.ray_pool[j] for j in ridx), lin), lin)
+            for vidx, ridx in self.cells)
 
     @cached_property
     def _walk(self) -> tuple[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]], ...]:
@@ -872,16 +847,11 @@ class Complex:
         return len(self.cells)
 
 
-def _outside(row: Sequence[int], lin_rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the integer row is nonzero modulo the span of the canonical
-    basis rows lin_rows."""
-    return any(row) and (not lin_rows or any(_int_reduce(row, lin_rows)))
-
-
-def _checked(g: Vec, n: int) -> Vec:
-    if len(g) != n:
-        raise ValueError("generator has wrong ambient dimension")
-    return g
+def _pool_index(pool: list[Vec], index: dict[Vec, int], v: Vec) -> int:
+    if v not in index:
+        index[v] = len(pool)
+        pool.append(v)
+    return index[v]
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,25 @@ canonical bases and saturated lattices scale each rational row once to an
 integer row (a nonzero multiple, which changes no row space) and eliminate
 fraction free by Bareiss's method; primitive vectors, dot products and
 lattice normals go through integer numerators; `polyhedral.dd_cone` runs on
-primitive integer rows.  Results are converted back to fractions at each
-public function.  The LP solver is a two-phase exact simplex over fractions
-with Bland's rule, which terminates and returns reproducible witnesses; in
-the library it serves only the separating-hyperplane search
-(`tropical.witness_hyperplane`) and its independent check.  The
-lattice normal of a cell at a ridge comes from one saturated basis of the
-cell's lattice and an extended gcd of the tight facet inequality's values on
-it.
-"""
+primitive integer rows.  The Smith normal form has an integer core that the
+public function wraps.  Results are converted back to fractions at each
+public function; the private helpers that the geometry layer's integer cell
+record calls (`_int_reduce`, `_int_rank`, `_lattice_kernel`,
+`_lattice_normal`) take and return ints.  The LP solver is a two-phase exact
+simplex over fractions with Bland's rule, which terminates and returns
+reproducible witnesses; in the library it serves only the
+separating-hyperplane search (`tropical.witness_hyperplane`) and its
+independent check.
 
+A cell's saturated lattice is the integer kernel of its equations, read off
+the Smith normal form of their integer rows.  The lattice normal of a cell
+at a ridge comes from that basis and an extended gcd of the cutting facet
+inequality's values on it.  Balancing then needs no fractions either: the
+span of a ridge is the part of one incident cell's span on which the
+cutting inequality vanishes, so the weighted sum of the integer normals lies
+in it iff its dot products with that cell's equations and that inequality
+are all zero.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -274,9 +274,8 @@ def balancing_check(w: WeightedComplex) -> BalancingReport:
             weight = w.weights[fid]
             total = [t + weight * x for t, x in zip(total, u)]
         rec = facets[fids[0]]._rec
-        normals = [e[1:] for e in rec.eqs] if rec.affine else rec.eqs
         balanced = not any(sum(map(mul, a, total))
-                           for a in itertools.chain(normals, [rec.cut(cuts[0])]))
+                           for a in rec.span_eqs + [rec.cut(cuts[0])])
         residual = zero if balanced else \
             reduce_mod_subspace(tuple(map(Fraction, total)), tau.direction_span)
         ok = ok and balanced
