@@ -27,6 +27,7 @@ cutting inequality vanishes, so the weighted sum of the integer normals lies
 in it iff its dot products with that cell's equations and that inequality
 are all zero.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -307,24 +308,22 @@ def smith_normal_form(A: Mat) -> tuple[Mat, Mat, Mat]:
     U and V are unimodular; D is diagonal with d_1 | d_2 | ... >= 0.
     Deterministic pivot choice (smallest |entry|, then lex position).
     """
-    D, U, V = _smith([as_int_list(row) for row in A], track_u=True)
+    D, U, V = _smith([as_int_list(row) for row in A])
     to_mat = lambda rows: tuple(tuple(Fraction(x) for x in row) for row in rows)
     return to_mat(D), to_mat(U), to_mat(V)
 
 
-def _smith(D: list[list[int]], track_u: bool = False
-           ) -> tuple[list[list[int]], Optional[list[list[int]]], list[list[int]]]:
+def _smith(D: list[list[int]]) -> tuple[list[list[int]], ...]:
     """The integer core of `smith_normal_form`: reduces the rows D in place
-    and returns (D, U, V), with U None unless track_u."""
+    and returns (D, U, V)."""
     m = len(D)
     n = len(D[0]) if D else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_u else None
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        if U is not None:
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in range(m):
@@ -334,8 +333,7 @@ def _smith(D: list[list[int]], track_u: bool = False
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
+        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in range(m):
@@ -389,12 +387,10 @@ def _smith(D: list[list[int]], track_u: bool = False
             if offender is None:
                 break
             D[t] = [a + b for a, b in zip(D[t], D[offender])]
-            if U is not None:
-                U[t] = [a + b for a, b in zip(U[t], U[offender])]
+            U[t] = [a + b for a, b in zip(U[t], U[offender])]
         if D[t][t] < 0:
             D[t] = [-a for a in D[t]]
-            if U is not None:
-                U[t] = [-a for a in U[t]]
+            U[t] = [-a for a in U[t]]
         t += 1
     return D, U, V
 
