@@ -674,7 +674,9 @@ def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
     return _with_inequalities(cells, _lower_faces(cells))
 
 
-def _with_inequalities(cells, walk):
+def _with_inequalities(cells: Sequence[Polyhedron], walk: tuple) -> tuple:
+    """The face walk with each cut index replaced by the inequality of
+    `hrep.inequalities` it names."""
     return tuple((face, fids, tuple(cells[i].hrep.inequalities[k]
                                     for i, k in zip(fids, cuts)))
                  for face, fids, cuts in walk)
