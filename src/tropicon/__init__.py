@@ -16,8 +16,7 @@ from .ratlin import (
 )
 from .polyhedral import (
     AffineHyperplane, Complex, EmptyPolyhedron, HRep, NotInComplex, Polyhedron,
-    ValidationReport, codim1_faces, dim_lineality_pointed, dual_description,
-    is_face_of, relint_point, validate_complex,
+    ValidationReport, codim1_faces, is_face_of, relint_point, validate_complex,
 )
 from .matroid import (
     FlagChain, Flat, HasLoops, LoopContraction, Matroid, bergman_fine,

@@ -18,6 +18,7 @@ The environment variable TROPICON_BUDGET overrides the certification work budget
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -237,7 +238,10 @@ def cmd_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it between calls."""
     parser = _Parser(prog="tropicon",
                      description="Exact fans, Bergman fans, and facet-ridge "
                                  "connectivity certificates.")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .ratlin import (
     Mat, Vec, ZeroVector, _int_kernel, _int_rank, _int_reduce, _int_row,
@@ -544,19 +544,6 @@ class Polyhedron:
 
 # ---------------------------------------------------------------------------
 # free-standing operations on polyhedra
-
-
-def dual_description(x: Union[Polyhedron, HRep]) -> Union[HRep, Polyhedron]:
-    """Convert between generator and inequality descriptions."""
-    if isinstance(x, Polyhedron):
-        return x.hrep
-    return Polyhedron.from_hrep(x)
-
-
-def dim_lineality_pointed(p: Polyhedron) -> tuple[int, Mat, bool]:
-    """Dimension, maximal lineality subspace, and pointedness of p."""
-    lin = p.true_lineality
-    return p.dim, lin, not lin
 
 
 def relint_point(p: Polyhedron) -> Vec:

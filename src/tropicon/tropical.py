@@ -11,7 +11,6 @@ separating-hyperplane search and its check.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -19,10 +18,10 @@ from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
     AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _faces_below,
-    dd_cone, is_face_of,
+    _numerators, _outside, is_face_of,
 )
 from .ratlin import (
-    LinearProgram, Mat, Vec, _int_kernel, _lattice_normal, add, dot,
+    LinearProgram, Mat, Vec, _int_kernel, _lattice_normal, _primitive_ints, add, dot,
     identity_mat, is_zero, lattice_complement_projection, lp_feasible, mat,
     mat_vec, neg, primitive_vector, rank_and_kernel, reduce_mod_subspace,
     subspace_canonical_basis, subspace_contains, transpose, unit_vec, vec,
@@ -160,38 +159,39 @@ def star(c: Complex, face: Polyhedron) -> Complex:
 
 
 def normal_fan(vertices: Sequence[Iterable]) -> WeightedComplex:
-    """Outer normal fan of the convex hull of the given rational points.
+    """Outer normal fan of the convex hull P of the given rational points.
 
     The maximal cone attached to an extreme point v is
-    {h : h.v >= h.w for all w}; non-extreme input points contribute
-    lower-dimensional cones and are skipped.  The fan is complete; its
-    lineality is the orthogonal complement of the hull's direction span.
+    N_v = {h : h.v >= h.w for all w}, one per distinct extreme point in
+    input order; the fan is complete, and its lineality is the orthogonal
+    complement of the direction span of P.  All is read off the integer
+    record of P (one double description): by polarity (Ziegler 1995, 7.1)
+    N_v is spanned by the outer normals of the facets of P through v plus
+    that complement, so a facet row a0 + a.x >= 0 gives the primitive -a,
+    and rows with a in the complement (x0 >= 0 among them) give none.  A
+    point lies on exactly the facets its tight mask names, and distinct
+    faces have distinct masks, so a point is an extreme vertex of P iff its
+    mask is one the canonical key keeps for its extreme vertices.  The key
+    drops a lone vertex at the origin, so one point (fan R^n) is set apart.
     """
     pts = mat(vertices)
     if not pts:
         raise ValueError("at least one point required")
     n = len(pts[0])
-    # scaling every point by the same m > 0 scales every normal cone's
-    # inequalities alike, so the normals can be integer rows
-    m = math.lcm(*(x.denominator for p in pts for x in p))
-    ipts = [tuple(x.numerator * (m // x.denominator) for x in p) for p in pts]
+    hull = Polyhedron(n, pts)
+    rec = hull._rec
+    lineality = subspace_canonical_basis(rec.span_eqs)
+    lin_rows = [_numerators(l) for l in lineality]
+    outer = {i: _primitive_ints([-x for x in a]) for i in range(len(rec.facets))
+             if _outside(a := rec.cut(i), lin_rows)}
+    extreme = set(hull._canon[1]) if hull.dim else {rec.verts[0][1]}
     cones: list[Polyhedron] = []
-    seen = set()
-    for v in ipts:
-        normals = [d for w in ipts if any(d := tuple(a - b for a, b in zip(v, w)))]
-        rays, lin = dd_cone(normals, [], n)
-        cone = Polyhedron(n, (), rays, lin)
-        if cone.dim != n:
-            continue  # v is not an extreme point of the hull
-        key = cone.canonical_key
-        if key not in seen:
-            seen.add(key)
-            cones.append(cone)
-    directions = [d for w in ipts[1:] if any(d := tuple(a - b for a, b in zip(w, ipts[0])))]
-    if directions:
-        lineality = subspace_canonical_basis(rank_and_kernel(directions)[1])
-    else:
-        lineality = subspace_canonical_basis(identity_mat(n))
+    for _, mask in rec.verts:
+        if mask in extreme:
+            extreme.remove(mask)
+            rays = sorted(r for i, r in outer.items() if mask >> i & 1)
+            cones.append(Polyhedron._raw(
+                n, (), tuple(tuple(map(Fraction, r)) for r in rays), lineality))
     fan = Complex.from_facets(cones, lineality=lineality, ambient_dim=n)
     return WeightedComplex(fan)
 

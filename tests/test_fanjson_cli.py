@@ -459,6 +459,21 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["ambient_dim"] == 5
 
 
+def test_cached_parser_after_a_usage_error_matches_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process, so a usage error must leave
+    # nothing behind for the next command
+    path = tmp_path / "plane.json"
+    assert cli.main(["gen", "tropical-plane", "-o", str(path)]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+    for argv in (["check"], ["check", str(path), "--mincut"]):
+        code, out, err = run_cli(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "tropicon.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and json.loads(out)["verdict"] is True
+
+
 # fans as `gen` writes them, one with vertices from a slice
 CLI_FIXTURES = {
     "two-planes": ["gen", "two-planes"],

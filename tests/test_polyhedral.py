@@ -5,8 +5,7 @@ import pytest
 
 from tropicon.polyhedral import (
     AffineHyperplane, Complex, EmptyPolyhedron, HRep, Polyhedron, codim1_faces,
-    dim_lineality_pointed, dual_description, face_is_tight, intersect,
-    is_face_of, relint_point, validate_complex,
+    face_is_tight, intersect, is_face_of, relint_point, validate_complex,
 )
 from tropicon.ratlin import ZeroVector, dot, vec
 
@@ -17,7 +16,7 @@ def cone(*rays, lineality=(), n=None):
 
 class TestDualDescription:
     def test_coordinate_cone(self):
-        h = dual_description(cone([1, 0], [0, 1]))
+        h = cone([1, 0], [0, 1]).hrep
         assert sorted(h.inequalities) == [
             (vec([0, 1]), F(0)), (vec([1, 0]), F(0))]
         assert h.equations == ()
@@ -30,7 +29,7 @@ class TestDualDescription:
             (vec([0, 1]), F(0)), (vec([1, 0]), F(0))]
 
     def test_halfplane_decomposition(self):
-        p = dual_description(HRep(2, ((vec([1, 0]), F(0)),), ()))
+        p = Polyhedron.from_hrep(HRep(2, ((vec([1, 0]), F(0)),), ()))
         assert p.vertices == ()  # implicit apex at the origin
         assert p.rays == (vec([1, 0]),)
         assert p.lineality == (vec([0, 1]),)
@@ -88,22 +87,23 @@ class TestDualDescription:
 
 class TestDimLinealityPointed:
     def test_pointed_cone(self):
-        d, lin, pointed = dim_lineality_pointed(cone([1, 0], [0, 1]))
+        p = cone([1, 0], [0, 1])
+        d, lin, pointed = p.dim, p.true_lineality, p.is_pointed
         assert (d, lin, pointed) == (2, (), True)
 
     def test_halfplane(self):
         p = Polyhedron.from_hrep(HRep(2, ((vec([1, 0]), F(0)),), ()))
-        d, lin, pointed = dim_lineality_pointed(p)
+        d, lin, pointed = p.dim, p.true_lineality, p.is_pointed
         assert d == 2 and lin == (vec([0, 1]),) and not pointed
 
     def test_segment(self):
         p = Polyhedron.from_vertices([[0, 0, 0], [1, 0, 0]])
-        d, lin, pointed = dim_lineality_pointed(p)
+        d, lin, pointed = p.dim, p.true_lineality, p.is_pointed
         assert d == 1 and lin == () and pointed
 
     def test_hidden_lineality_in_rays(self):
         p = cone([1, 0], [-1, 0], [0, 1])
-        d, lin, pointed = dim_lineality_pointed(p)
+        d, lin, pointed = p.dim, p.true_lineality, p.is_pointed
         assert d == 2 and lin == (vec([1, 0]),) and not pointed
 
 

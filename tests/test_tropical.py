@@ -1,8 +1,10 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropicon import polyhedral, ratlin, tropical
 from tropicon.connectivity import build_hypergraph, connected_components
@@ -13,8 +15,9 @@ from tropicon.polyhedral import (
     codim1_faces, intersect,
 )
 from tropicon.ratlin import (
-    LinearProgram, dot, is_zero, lp_feasible, mat_vec, primitive_vector, scale,
-    sub, vec, zero_vec,
+    LinearProgram, dot, identity_mat, is_zero, lp_feasible, mat, mat_vec,
+    primitive_vector, rank_and_kernel, scale, sub, subspace_canonical_basis,
+    vec, zero_vec,
 )
 from tropicon.tropical import (
     DegenerateInput, LinealityObstruction, NotAFan, NotTransverse,
@@ -164,6 +167,96 @@ def _embedded_contraction_fan(m, e, face):
                                  tuple(r for r in rays if not is_zero(r)),
                                  tuple(l for l in lin if not is_zero(l))))
     return Complex.from_facets(facets, lineality=(), ambient_dim=target)
+
+
+def per_vertex_normal_fan(vertices) -> Complex:
+    """The normal fan by one double description per input point: the cone
+    of v is {h : h.(v - w) >= 0 for all w}, kept when it is full-dimensional
+    and new, and the lineality is the kernel of the difference vectors."""
+    pts = mat(vertices)
+    n = len(pts[0])
+    m = math.lcm(*(x.denominator for p in pts for x in p))
+    ipts = [tuple(x.numerator * (m // x.denominator) for x in p) for p in pts]
+    cones, seen = [], set()
+    for v in ipts:
+        normals = [d for w in ipts if any(d := tuple(a - b for a, b in zip(v, w)))]
+        cone = Polyhedron(n, (), *polyhedral.dd_cone(normals, [], n))
+        if cone.dim == n and cone.canonical_key not in seen:
+            seen.add(cone.canonical_key)
+            cones.append(cone)
+    directions = [d for w in ipts[1:]
+                  if any(d := tuple(a - b for a, b in zip(w, ipts[0])))]
+    lineality = subspace_canonical_basis(
+        rank_and_kernel(directions)[1] if directions else identity_mat(n))
+    return Complex.from_facets(cones, lineality=lineality, ambient_dim=n)
+
+
+def seeded_point_set(rng: random.Random, n: int, k: int) -> list[list[F]]:
+    """Points with rational coordinates in a random affine subspace of
+    dimension at most k, some of them repeated."""
+    base = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
+    if rng.random() < 0.2:
+        base = [F(0)] * n
+    dirs = [[F(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(n)]
+            for _ in range(k)]
+    pts = [[b + sum((c * d[i] for c, d in zip(cs, dirs)), F(0))
+            for i, b in enumerate(base)]
+           for cs in ([rng.randint(-3, 3) for _ in range(k)]
+                      for _ in range(rng.randint(1, 8)))]
+    return pts + [list(p) for p in pts if rng.random() < 0.2]
+
+
+# hexagon x heptagon: the product of two lattice polygons in R^4
+HEX_HEPT = [p + q for p in ([2, 0], [1, 2], [-1, 2], [-2, 0], [-1, -2], [1, -2])
+            for q in ([3, 0], [2, 2], [0, 3], [-2, 2], [-3, 0], [-1, -3], [2, -2])]
+
+
+def assert_per_vertex_fan(points):
+    """Same bytes as the per-vertex construction, and the same pools and
+    cells in memory, where the order of cones and rays shows."""
+    got, want = normal_fan(points).complex, per_vertex_normal_fan(points)
+    assert fan_to_text(got) == fan_to_text(want), points
+    assert (got.ray_pool, got.lineality, got.cells) == \
+        (want.ray_pool, want.lineality, want.cells), points
+
+
+class TestNormalFanOracle:
+    """`normal_fan` reads every cone off one double description of the hull;
+    the per-vertex construction must give the same fan."""
+
+    @pytest.mark.parametrize("points", [
+        HEX_HEPT,
+        [[0, 0], [2, 0], [0, 2], [1, 1], [F(1, 2), F(1, 2)], [2, 0]],  # interior, repeated
+        [[0, 0, 0], [1, 2, 3], [2, 4, 6], [F(1, 2), 1, F(3, 2)]],  # a segment in R^3
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # a triangle off the origin
+        [[F(-3, 2)], [F(5, 3)], [0]],  # n = 1
+        [[7]], [[0]], [[0, 0, 0]], [[0, 0], [0, 0]], [[F(1, 2), -3, 2]],  # one point
+    ])
+    def test_fixed_point_sets(self, points):
+        assert_per_vertex_fan(points)
+
+    def test_seeded_point_sets(self):
+        rng = random.Random(1995)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            assert_per_vertex_fan(seeded_point_set(rng, n, rng.randint(0, n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n),
+        min_size=1, max_size=7)))
+    def test_matches_per_vertex_construction(self, pts):
+        assert_per_vertex_fan(pts)
+
+    def test_one_double_description(self, monkeypatch):
+        calls = []
+        real = polyhedral.dd_cone
+        counted = lambda *args: calls.append(args) or real(*args)
+        monkeypatch.setattr(polyhedral, "dd_cone", counted)
+        # a per-vertex loop would call its own imported name: count that too
+        monkeypatch.setattr(tropical, "dd_cone", counted, raising=False)
+        assert len(normal_fan(HEX_HEPT).complex) == 42
+        assert len(calls) == 1
 
 
 class TestNormalFan:
