@@ -36,7 +36,7 @@ rng = random.Random(7)
 for trial in range(3):
     pts = [[F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
            for _ in range(8)]
-    fan = normal_fan(pts).complex
+    fan = normal_fan(pts)
     if fan.dim < 3:
         continue
     hf = build_hypergraph(fan)
@@ -45,5 +45,5 @@ for trial in range(3):
           "min cut:", min_facet_cut(hf)[0])
 
 seg = normal_fan([[0, 0], [1, 0]])
-print("\nnormal fan of a segment in R^2:", len(seg.complex),
-      "halfplanes with lineality dim", seg.complex.lineality_dim)
+print("\nnormal fan of a segment in R^2:", len(seg),
+      "halfplanes with lineality dim", seg.lineality_dim)

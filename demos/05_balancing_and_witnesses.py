@@ -9,16 +9,15 @@ LP family decides it and every witness is re-verified independently.
 """
 
 from tropicon import (
-    Complex, Polyhedron, WeightedComplex, balancing_check,
-    check_witness_hyperplane, quotient_by_lineality, two_planes_fan,
-    witness_hyperplane,
+    Complex, Polyhedron, balancing_check, check_witness_hyperplane,
+    quotient_by_lineality, two_planes_fan, witness_hyperplane,
 )
 
 
 def tropical_line(weights=None):
     cones = [Polyhedron.cone([r], ambient_dim=2)
              for r in ([1, 0], [0, 1], [-1, -1])]
-    return WeightedComplex(Complex.from_facets(cones), weights or ())
+    return Complex.from_facets(cones, weights=weights)
 
 
 print("tropical line, weights (1,1,1):",
@@ -30,7 +29,7 @@ print("tropical line, weights (1,1,2): unbalanced at ridge", entry.ridge_label,
       "with residual", tuple(int(x) for x in entry.residual))
 
 tp = two_planes_fan()
-rep = balancing_check(WeightedComplex(tp))
+rep = balancing_check(tp)
 print("two-planes fan: balanced at all", len(rep.entries), "ridges ->",
       rep.balanced)
 

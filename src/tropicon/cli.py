@@ -24,7 +24,7 @@ import os
 import re
 import sys
 
-from . import connectivity, fanjson, matroid, tropical
+from . import connectivity, fanjson
 from .connectivity import (
     BudgetExceeded, TooFewFacets, build_hypergraph, connected_components,
     hypergraph_dot, is_k_connected, min_facet_cut,
@@ -34,9 +34,9 @@ from .matroid import Matroid, bergman_fine
 from .polyhedral import AffineHyperplane, Complex, Polyhedron, validate_complex
 from .ratlin import vec
 from .tropical import (
-    NotTransverse, WeightedComplex, balancing_check, cube_normal_fan,
-    hyperplane_section, normal_fan, quotient_by_lineality, standard_tropical_plane,
-    star, two_planes_fan,
+    NotTransverse, balancing_check, cube_normal_fan, hyperplane_section,
+    normal_fan, quotient_by_lineality, standard_tropical_plane, star,
+    two_planes_fan,
 )
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def cmd_gen(args) -> int:
             pts = json.load(fh)
         if not isinstance(pts, list) or not all(isinstance(p, list) for p in pts):
             raise UsageError("a points file holds a list of coordinate lists")
-        fan = normal_fan([[parse_rational(x) for x in p] for p in pts]).complex
+        fan = normal_fan([[parse_rational(x) for x in p] for p in pts])
     else:
         raise UsageError(f"unknown kind {kind!r}; choose from {', '.join(GEN_KINDS)}")
     _write(fan_to_text(fan), args.output)
@@ -181,7 +181,7 @@ def cmd_slice(args) -> int:
 
 def cmd_balance(args) -> int:
     fan = _load_checked(args.fan)
-    report = balancing_check(WeightedComplex(fan))
+    report = balancing_check(fan)
     out = {
         "balanced": report.balanced,
         "ridges": len(report.entries),

@@ -195,16 +195,6 @@ def connected_components(h: FacetRidgeHypergraph) -> list[set[int]]:
     return list(_components(h))
 
 
-def colex_combinations(n: int, t: int) -> Iterator[tuple[int, ...]]:
-    """All t-subsets of range(n) in colexicographic order."""
-    if t == 0:
-        yield ()
-        return
-    for top in range(t - 1, n):
-        for rest in colex_combinations(top, t - 1):
-            yield rest + (top,)
-
-
 class _Work:
     """Units of certification work, checked against a budget as they are spent."""
 

@@ -17,7 +17,7 @@ from typing import Callable, FrozenSet, Iterable, Sequence
 
 from .fanjson import _integer, _list, parse_rational
 from .polyhedral import Complex, Polyhedron
-from .ratlin import Mat, Vec, mat, matrix_rank, vec
+from .ratlin import Vec, mat, matrix_rank, vec
 
 GROUND_LIMIT = 12
 
@@ -177,27 +177,6 @@ class Matroid:
         return not self.loops()
 
 
-def closure_and_rank(m: Matroid, S: Iterable[int]) -> tuple[Flat, int]:
-    """Minimal flat containing S together with rank(S)."""
-    S = frozenset(S)
-    r = m.rank(S)
-    return Flat(m.closure(S), r), r
-
-
-def parallel_classes_and_loops(m: Matroid) -> tuple[list[FrozenSet[int]], FrozenSet[int]]:
-    """Partition of the non-loops into rank-one flats, plus the loop set."""
-    loops = m.loops()
-    classes = []
-    seen: set[int] = set()
-    for e in m.elements:
-        if e in loops or e in seen:
-            continue
-        cls = m.closure({e}) - loops
-        classes.append(cls)
-        seen |= cls
-    return classes, loops
-
-
 def proper_flats(m: Matroid) -> dict[int, list[Flat]]:
     """All flats strictly between the empty set and the ground set, by rank.
 
@@ -324,23 +303,3 @@ def matroid_from_json(obj: dict) -> Matroid:
         return Matroid.from_bases(n, bases)
     raise ValueError(f"unknown matroid type {kind!r}")
 
-
-def check_rank_axioms(m: Matroid) -> None:
-    """Exhaustively verify the rank axioms; intended for small ground sets."""
-    elems = m.elements
-    if len(elems) > 8:
-        raise ValueError("exhaustive axiom check limited to 8 elements")
-    subsets = [frozenset(c) for k in range(len(elems) + 1)
-               for c in itertools.combinations(elems, k)]
-    assert m.rank(frozenset()) == 0
-    for S in subsets:
-        rs = m.rank(S)
-        assert 0 <= rs <= len(S), f"rank out of range on {set(S)}"
-        for e in elems:
-            gain = m.rank(S | {e}) - rs
-            assert gain in (0, 1), f"unit increase fails on {set(S)} + {e}"
-    for S in subsets:
-        for T in subsets:
-            lhs = m.rank(S | T) + m.rank(S & T)
-            rhs = m.rank(S) + m.rank(T)
-            assert lhs <= rhs, f"submodularity fails on {set(S)}, {set(T)}"

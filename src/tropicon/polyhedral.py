@@ -20,16 +20,23 @@ that record, with no elimination over fractions:
   face's facets, so no face needs a double description of its own, and a
   face without a record gets its dimension as an integer rank;
 - membership is a sign test of integer dot products;
-- the saturated lattice of a cell is the integer kernel of its equations,
-  from an integer Smith normal form, and balancing tests a weighted sum of
-  lattice normals against a cell's equations and its recorded cut
-  inequality by integer dot products (see `tropical.balancing_check`).
+- the saturated lattice of a cell, `Polyhedron._lattice`, is the integer
+  kernel of its equations, from an integer Smith normal form.
+
+The lattice normal of a cell at a ridge (`_lattice_normal`, on ints) comes
+from that lattice basis and an extended gcd (`_bezout`) of the cutting
+facet inequality's values on it.  Balancing then needs no fractions either:
+the span of a ridge is the part of one incident cell's span on which the
+cutting inequality vanishes, so the weighted sum of the integer normals lies
+in it iff its dot products with that cell's equations and that inequality
+are all zero (see `tropical.balancing_check`).
 
 Complexes store shared generator pools plus per-facet index sets; one face
-walk, `lower_faces`, gives the ridges (cached per complex), keyed and sorted
-on integer tuples, with the facet inequality of each cell that cuts each
-ridge out, and the faces below are cut out of the same cells by more of
-their inequalities.
+walk, `lower_faces`, gives the ridges (cached per complex as
+`Complex.ridges`), keyed and sorted on integer tuples, each with the ids of
+its facets and, per facet, the index of the inequality in the facet's
+`hrep.inequalities` that cuts it out.  The faces below are cut out of the
+same cells by more of their inequalities.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .ratlin import (
     Mat, Vec, ZeroVector, _int_kernel, _int_rank, _int_reduce, _int_row,
-    _lattice_kernel, _primitive_ints, add, dot, frac, is_zero, primitive_vector,
-    scale, sub, neg, subspace_canonical_basis, vec, zero_vec,
+    _lattice_kernel, _primitive_ints, dot, frac, is_zero, primitive_vector, sub,
+    neg, subspace_canonical_basis, vec, zero_vec,
 )
 
 _ZERO = Fraction(0)
@@ -422,14 +429,6 @@ class Polyhedron:
         """Maximal subspace V with P + V = P, from the facet record."""
         return self._rec.lin
 
-    @cached_property
-    def is_pointed(self) -> bool:
-        return not self.true_lineality
-
-    def recession(self) -> "Polyhedron":
-        """Recession cone: rays plus lineality, apex at the origin."""
-        return Polyhedron(self.ambient_dim, (), self.rays, self.lineality)
-
     # -- canonical form ----------------------------------------------------
 
     @cached_property
@@ -543,30 +542,48 @@ class Polyhedron:
 
 
 # ---------------------------------------------------------------------------
-# free-standing operations on polyhedra
+# lattice normals, from the saturated lattice `Polyhedron._lattice`
 
 
-def relint_point(p: Polyhedron) -> Vec:
-    """Deterministic relative interior point: vertex barycenter plus ray sum.
+def _bezout(values: Sequence[int]) -> list[int]:
+    """Integers x with sum(x_i * values_i) = gcd(values) >= 0."""
+    g, xs = 0, []
+    for v in values:
+        # extended Euclid on (g, v), tracking the coefficients of g and of v
+        r0, r1, s0, s1, t0, t1 = g, v, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        if r0 < 0:
+            r0, s0, t0 = -r0, -s0, -t0
+        g, xs = r0, [s0 * x for x in xs] + [t0]
+    return xs
 
-    The result is checked to satisfy every irredundant facet inequality
-    strictly.
+
+def _lattice_normal(sigma: Polyhedron, a: Sequence) -> tuple[int, ...]:
+    """The lattice normal of sigma, as integers, at the facet cut out by its
+    facet inequality with normal a (integers or fractions): an integral
+    vector in the direction span of sigma pointing from the facet into
+    sigma, generating the rank-one quotient of the two saturated lattices.
+
+    The facet's lattice is the kernel of a on the lattice of sigma, so u is
+    the combination of a basis of that lattice on which a takes its least
+    positive value.  It is well defined up to the facet's lattice, which
+    does not affect balancing verdicts.
     """
-    n = p.ambient_dim
-    point = zero_vec(n)
-    if p.vertices:
-        k = Fraction(len(p.vertices))
-        for v in p.vertices:
-            point = add(point, scale(1 / k, v))
-    for r in p.rays:
-        point = add(point, r)
-    for a, b in p.hrep.inequalities:
-        if not dot(a, point) > b:
-            raise AssertionError("relative interior point failed strictness")
-    for a, b in p.hrep.equations:
-        if dot(a, point) != b:
-            raise AssertionError("relative interior point violates an equation")
-    return point
+    a = _primitive_ints(a)
+    basis = sigma._lattice
+    u = [0] * sigma.ambient_dim
+    for x, w in zip(_bezout([sum(map(mul, a, w)) for w in basis]), basis):
+        if x:
+            u = [ui + x * wi for ui, wi in zip(u, w)]
+    return tuple(u)
+
+
+# ---------------------------------------------------------------------------
+# faces
 
 
 def face_is_tight(face: Polyhedron, a: Vec, b: Fraction) -> bool:
@@ -626,10 +643,15 @@ def codim1_faces(p: Polyhedron) -> list[Polyhedron]:
     return [_face(p, 1 << i) for i in range(len(p.hrep.inequalities))]
 
 
-def _lower_faces(cells: Sequence[Polyhedron]) -> tuple[
+def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
         tuple[Polyhedron, tuple[int, ...], tuple[int, ...]], ...]:
-    """`lower_faces` with, per cell, the index of the cutting inequality in
-    its `hrep.inequalities` in place of the inequality."""
+    """Distinct codimension-one faces of the cells, sorted by canonical key.
+
+    Each face comes with the indices of the cells it is a face of and, for
+    each of those cells, the index in the cell's `hrep.inequalities` of the
+    facet inequality that cuts it out, so later steps need not prove the
+    incidence again.
+    """
     per_cell = [codim1_faces(cell) for cell in cells]
     scale = _vertex_scale(cells)
     faces: dict[tuple, tuple[Polyhedron, list[int], list[int]]] = {}
@@ -650,25 +672,6 @@ def _lower_faces(cells: Sequence[Polyhedron]) -> tuple[
                  for _, (face, fids, cuts) in sorted(faces.items()))
 
 
-def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
-        tuple[Polyhedron, tuple[int, ...], tuple[tuple[Vec, Fraction], ...]], ...]:
-    """Distinct codimension-one faces of the cells, sorted by canonical key.
-
-    Each face comes with the indices of the cells it is a face of and, for
-    each of those cells, the facet inequality (a, b) of the cell that cuts it
-    out, so later steps need not prove the incidence again.
-    """
-    return _with_inequalities(cells, _lower_faces(cells))
-
-
-def _with_inequalities(cells: Sequence[Polyhedron], walk: tuple) -> tuple:
-    """The face walk with each cut index replaced by the inequality of
-    `hrep.inequalities` it names."""
-    return tuple((face, fids, tuple(cells[i].hrep.inequalities[k]
-                                    for i, k in zip(fids, cuts)))
-                 for face, fids, cuts in walk)
-
-
 def _faces_below(c: Complex) -> Iterator[list[Polyhedron]]:
     """The faces of the complex from the ridges down, one list per
     codimension, each in canonical-key order.
@@ -682,7 +685,7 @@ def _faces_below(c: Complex) -> Iterator[list[Polyhedron]]:
     cells = c.facet_polyhedra
     scale = _vertex_scale(cells)
     level = {_sort_key(face, scale): (face, cells[fids[0]], 1 << cuts[0])
-             for face, fids, cuts in c._walk}
+             for face, fids, cuts in c.ridges}
     while level:
         keys = sorted(level)
         yield [level[key][0] for key in keys]
@@ -804,18 +807,12 @@ class Complex:
             for vidx, ridx in self.cells)
 
     @cached_property
-    def _walk(self) -> tuple[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]], ...]:
-        """The ridges with, per facet, the index of the cutting inequality in
-        its `hrep.inequalities`."""
-        return _lower_faces(self.facet_polyhedra)
-
-    @cached_property
-    def ridges(self) -> tuple[tuple[Polyhedron, tuple[int, ...],
-                                    tuple[tuple[Vec, Fraction], ...]], ...]:
+    def ridges(self) -> tuple[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]], ...]:
         """Distinct codimension-one faces of the facets, sorted by canonical
-        key, each with the ids of the facets it is a face of and the facet
-        inequality of each of those facets that cuts it out."""
-        return _with_inequalities(self.facet_polyhedra, self._walk)
+        key, each with the ids of the facets it is a face of and, per facet,
+        the index in its `hrep.inequalities` of the inequality that cuts it
+        out (see `lower_faces`)."""
+        return lower_faces(self.facet_polyhedra)
 
     @cached_property
     def _validation(self) -> "ValidationReport":

@@ -6,26 +6,17 @@ are tuples of equal-length vectors, so every value is hashable and safe to
 share.  Inside, the elimination kernels work on Python ints: rank, kernels,
 canonical bases and saturated lattices scale each rational row once to an
 integer row (a nonzero multiple, which changes no row space) and eliminate
-fraction free by Bareiss's method; primitive vectors, dot products and
-lattice normals go through integer numerators; `polyhedral.dd_cone` runs on
-primitive integer rows.  The Smith normal form has an integer core that the
-public function wraps.  Results are converted back to fractions at each
-public function; the private helpers that the geometry layer's integer cell
-record calls (`_int_reduce`, `_int_rank`, `_lattice_kernel`,
-`_lattice_normal`) take and return ints.  The LP solver is a two-phase exact
-simplex over fractions with Bland's rule, which terminates and returns
-reproducible witnesses; in the library it serves only the
-separating-hyperplane search (`tropical.witness_hyperplane`) and its
-independent check.
-
-A cell's saturated lattice is the integer kernel of its equations, read off
-the Smith normal form of their integer rows.  The lattice normal of a cell
-at a ridge comes from that basis and an extended gcd of the cutting facet
-inequality's values on it.  Balancing then needs no fractions either: the
-span of a ridge is the part of one incident cell's span on which the
-cutting inequality vanishes, so the weighted sum of the integer normals lies
-in it iff its dot products with that cell's equations and that inequality
-are all zero.
+fraction free by Bareiss's method; primitive vectors and dot products go
+through integer numerators; `polyhedral.dd_cone` runs on primitive integer
+rows.  The Smith normal form has an integer core that the public function
+wraps.  Results are converted back to fractions at each public function;
+the private helpers that the geometry layer's integer cell record calls
+(`_int_kernel`, `_int_reduce`, `_int_rank`, `_lattice_kernel`) take and
+return ints.  The LP solver is a two-phase exact simplex over fractions
+with Bland's rule, which terminates and returns reproducible witnesses; in
+the library it serves only the separating-hyperplane search
+(`tropical.witness_hyperplane`) and its independent check.  This module
+imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -33,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -42,14 +32,6 @@ Mat = tuple[Vec, ...]
 
 class ZeroVector(ValueError):
     """A direction was requested for the zero vector."""
-
-
-class NotAFace(ValueError):
-    """The second polyhedron is not a face of the first."""
-
-
-class WrongCodimension(ValueError):
-    """A face has the wrong codimension for the requested operation."""
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +81,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return Fraction(num, den)
 
 
-def add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -111,22 +89,12 @@ def neg(v: Vec) -> Vec:
     return tuple(-a for a in v)
 
 
-def scale(c, v: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in v)
-
-
 def mat_vec(A: Mat, x: Vec) -> Vec:
     return tuple(dot(row, x) for row in A)
 
 
 def transpose(A: Mat) -> Mat:
     return tuple(zip(*A)) if A else ()
-
-
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    Bt = transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
 
 
 def identity_mat(n: int) -> Mat:
@@ -195,8 +163,8 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 def _int_kernel(A: Sequence[Iterable]) -> tuple[list[int], list[tuple[int, ...]]]:
     """Pivot columns of the rational matrix A and a basis of {x : A x = 0}
-    made of primitive integer vectors, one per free column in order: the
-    positive multiples of the basis `rank_and_kernel` returns."""
+    made of primitive integer vectors, one per free column in order, each
+    read off the reduced echelon form with its free column positive."""
     ncols = len(A[0])
     red, pivots = _bareiss([_int_row(row) for row in A])
     d = red[0][pivots[0]] if red else 1
@@ -208,21 +176,6 @@ def _int_kernel(A: Sequence[Iterable]) -> tuple[list[int], list[tuple[int, ...]]
             x[pc] = -row[free]
         basis.append(_primitive_ints(x))
     return pivots, basis
-
-
-def rank_and_kernel(A: Mat) -> tuple[int, list[Vec]]:
-    """Rank of A and a basis of {x : A x = 0}.
-
-    The basis comes from the free columns of the reduced echelon form, so
-    rank + len(kernel) equals the column count.
-    """
-    if not A:
-        raise ValueError("empty matrix")
-    pivots, kernel = _int_kernel(A)
-    frees = sorted(set(range(len(A[0]))) - set(pivots))
-    # each basis vector is 1 at its free column
-    return len(pivots), [tuple(Fraction(x, k[free]) for x in k)
-                         for k, free in zip(kernel, frees)]
 
 
 def matrix_rank(A: Sequence[Iterable]) -> int:
@@ -273,10 +226,6 @@ def reduce_mod_subspace(v: Vec, basis: Mat) -> Vec:
             f = out[pc] / row[pc]
             out = [x - f * y for x, y in zip(out, row)]
     return tuple(out)
-
-
-def subspace_contains(basis: Mat, v: Vec) -> bool:
-    return is_zero(reduce_mod_subspace(v, basis))
 
 
 def _int_reduce(row: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]:
@@ -404,17 +353,6 @@ def _lattice_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(row[j] for row in V) for j in range(rank, n)]
 
 
-def integer_kernel_basis(A: Mat) -> Mat:
-    """Basis of the lattice {x in Z^n : A x = 0} for integer A.
-
-    The output lattice is saturated: it equals span() ∩ Z^n.
-    """
-    if not A:
-        raise ValueError("empty matrix")
-    return tuple(tuple(map(Fraction, k))
-                 for k in _lattice_kernel([as_int_list(row) for row in A]))
-
-
 def saturation_basis(gens: Sequence[Vec], ambient_dim: Optional[int] = None) -> Mat:
     """Basis of span(gens) ∩ Z^n, the saturated lattice of a rational subspace."""
     gens = [g for g in gens if not is_zero(g)]
@@ -472,14 +410,6 @@ class LinearProgram:
                 raise ValueError("constraint length mismatch")
             if rel not in ("=", ">=", ">"):
                 raise ValueError(f"bad relation {rel!r}")
-
-
-def make_lp(num_vars: int, constraints, objective=None) -> LinearProgram:
-    return LinearProgram(
-        num_vars,
-        tuple((vec(c), frac(b), rel) for (c, b, rel) in constraints),
-        None if objective is None else vec(objective),
-    )
 
 
 def _simplex(rows: list[list[Fraction]], rhs: list[Fraction],
@@ -631,56 +561,3 @@ def check_lp_witness(lp: LinearProgram, witness: Vec) -> None:
             raise AssertionError(f"inequality violated: {val} < {b}")
         if rel == ">" and not val > b:
             raise AssertionError(f"strict inequality violated: {val} <= {b}")
-
-
-def _bezout(values: Sequence[int]) -> list[int]:
-    """Integers x with sum(x_i * values_i) = gcd(values) >= 0."""
-    g, xs = 0, []
-    for v in values:
-        # extended Euclid on (g, v), tracking the coefficients of g and of v
-        r0, r1, s0, s1, t0, t1 = g, v, 1, 0, 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0 < 0:
-            r0, s0, t0 = -r0, -s0, -t0
-        g, xs = r0, [s0 * x for x in xs] + [t0]
-    return xs
-
-
-def lattice_normal_generator(sigma, tau) -> Vec:
-    """Integral vector in the direction span of sigma pointing from tau into
-    sigma, generating the rank-one quotient of the cells' saturated lattices.
-
-    sigma and tau are Polyhedron values with tau a codimension-one face of
-    sigma.  With a.x >= b the facet inequality of sigma tight on tau, the
-    face lattice is the kernel of a on the lattice of sigma, so u is the
-    combination of a basis of that lattice on which a takes its least
-    positive value.  The result is well defined up to the face lattice,
-    which does not affect balancing verdicts.
-    """
-    from . import polyhedral  # deferred: keeps the kernel importable alone
-
-    if not polyhedral.is_face_of(tau, sigma):
-        raise NotAFace("tau is not a face of sigma")
-    if tau.dim != sigma.dim - 1:
-        raise WrongCodimension(
-            f"expected codimension one, got dim {tau.dim} inside dim {sigma.dim}")
-    a = next(a for a, b in sigma.hrep.inequalities
-             if polyhedral.face_is_tight(tau, a, b))
-    return tuple(map(Fraction, _lattice_normal(sigma, a)))
-
-
-def _lattice_normal(sigma, a: Sequence) -> tuple[int, ...]:
-    """The lattice normal of sigma, as integers, at the facet cut out by its
-    facet inequality with normal a (integers or fractions), from the
-    saturated lattice basis that sigma caches."""
-    a = _primitive_ints(a)
-    basis = sigma._lattice
-    u = [0] * sigma.ambient_dim
-    for x, w in zip(_bezout([sum(map(mul, a, w)) for w in basis]), basis):
-        if x:
-            u = [ui + x * wi for ui, wi in zip(u, w)]
-    return tuple(u)

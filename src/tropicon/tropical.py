@@ -1,8 +1,8 @@
 """Operations on rational fans and complexes used in tropical geometry.
 
 Covers lineality quotients along lattice-compatible projections, stars at
-faces of fans, outer normal fans and their skeleta, recession fans, the
-balancing condition at ridges, transverse affine hyperplane sections, and a
+faces of fans, outer normal fans and their skeleta, the balancing condition
+at ridges, transverse affine hyperplane sections, and a
 separating-hyperplane predicate for triples of cells.  Sections take only
 dot products on the cells' generators; the exact simplex serves only the
 separating-hyperplane search and its check.
@@ -18,19 +18,14 @@ from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
     AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _faces_below,
-    _numerators, _outside, is_face_of,
+    _lattice_normal, _numerators, _outside, is_face_of,
 )
 from .ratlin import (
-    LinearProgram, Mat, Vec, _int_kernel, _lattice_normal, _primitive_ints, add, dot,
-    identity_mat, is_zero, lattice_complement_projection, lp_feasible, mat,
-    mat_vec, neg, primitive_vector, rank_and_kernel, reduce_mod_subspace,
-    subspace_canonical_basis, subspace_contains, transpose, unit_vec, vec,
+    LinearProgram, Mat, Vec, _int_kernel, _primitive_ints, dot, identity_mat,
+    is_zero, lattice_complement_projection, lp_feasible, mat, mat_vec,
+    reduce_mod_subspace, subspace_canonical_basis, transpose, unit_vec, vec,
     zero_vec,
 )
-
-
-class DeclarationMismatch(ValueError):
-    """Declared lineality is not contained in the computed lineality space."""
 
 
 class LinealityObstruction(ValueError):
@@ -49,63 +44,8 @@ class NotAFan(ValueError):
     """The operation is only defined for fans (complexes of cones)."""
 
 
-@dataclass(frozen=True)
-class WeightedComplex:
-    """A complex together with one positive integer weight per facet."""
-    complex: Complex
-    weights: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if not self.weights:
-            object.__setattr__(self, "weights", self.complex.weights)
-        if len(self.weights) != len(self.complex):
-            raise ValueError("one weight per facet required")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-
-
 # ---------------------------------------------------------------------------
 # lineality spaces and quotients
-
-
-def _subspace_intersection(bases: Sequence[Mat], n: int) -> Mat:
-    equations: list[Vec] = []
-    for basis in bases:
-        if not basis:
-            return ()
-        _, complement = rank_and_kernel(mat(basis))
-        equations.extend(primitive_vector(k) for k in complement)
-    if not equations:
-        return subspace_canonical_basis(identity_mat(n))
-    _, meet = rank_and_kernel(mat(equations))
-    return subspace_canonical_basis(meet)
-
-
-def complex_lineality_space(c: Complex) -> Mat:
-    """Largest subspace V with sigma + V = sigma for every cell.
-
-    Computed as the intersection of the facets' lineality spaces; raises
-    DeclarationMismatch when the declared lineality is not inside it.
-    """
-    facets = c.facet_polyhedra
-    if not facets:
-        return c.lineality
-    computed = _subspace_intersection([f.true_lineality for f in facets],
-                                      c.ambient_dim)
-    for f in facets:
-        for v in computed:
-            if not (f.contains_direction(v) and f.contains_direction(neg(v))):
-                raise AssertionError("computed lineality fails containment")
-    for l in c.lineality:
-        if not subspace_contains(computed, l):
-            raise DeclarationMismatch(
-                "declared lineality is not contained in the computed lineality space")
-    return computed
-
-
-def projection_along(subspace_gens: Sequence[Vec], ambient_dim: int) -> Mat:
-    """Deterministic integer projection with the given subspace as kernel."""
-    return lattice_complement_projection(subspace_gens, ambient_dim)
 
 
 def _project_polyhedron(p: Polyhedron, proj: Mat, target_dim: int) -> Polyhedron:
@@ -155,10 +95,10 @@ def star(c: Complex, face: Polyhedron) -> Complex:
 
 
 # ---------------------------------------------------------------------------
-# normal fans, skeleta, recession fans
+# normal fans and skeleta
 
 
-def normal_fan(vertices: Sequence[Iterable]) -> WeightedComplex:
+def normal_fan(vertices: Sequence[Iterable]) -> Complex:
     """Outer normal fan of the convex hull P of the given rational points.
 
     The maximal cone attached to an extreme point v is
@@ -192,8 +132,7 @@ def normal_fan(vertices: Sequence[Iterable]) -> WeightedComplex:
             rays = sorted(r for i, r in outer.items() if mask >> i & 1)
             cones.append(Polyhedron._raw(
                 n, (), tuple(tuple(map(Fraction, r)) for r in rays), lineality))
-    fan = Complex.from_facets(cones, lineality=lineality, ambient_dim=n)
-    return WeightedComplex(fan)
+    return Complex.from_facets(cones, lineality=lineality, ambient_dim=n)
 
 
 def skeleton(c: Complex, k: int) -> Complex:
@@ -209,23 +148,6 @@ def skeleton(c: Complex, k: int) -> Complex:
         return c
     faces = next(itertools.islice(_faces_below(c), d - 1 - k, None), [])
     return Complex.from_facets(faces, lineality=c.lineality,
-                               ambient_dim=c.ambient_dim)
-
-
-def recession_fan(c: Complex) -> Complex:
-    """Fan of recession cones of the cells, deduplicated and maximal.
-
-    Recession cones of a general complex may fail to form a valid fan;
-    validate_complex reports on the output but nothing is enforced here.
-    """
-    recs: dict[tuple, Polyhedron] = {}
-    for f in c.facet_polyhedra:
-        r = f.recession().canonical()
-        recs.setdefault(r.canonical_key, r)
-    cones = [recs[k] for k in sorted(recs)]
-    maximal = [p for p in cones
-               if not any(q is not p and q.contains(p) for q in cones)]
-    return Complex.from_facets(maximal, lineality=c.lineality,
                                ambient_dim=c.ambient_dim)
 
 
@@ -249,8 +171,9 @@ class BalancingReport:
         return [e for e in self.entries if not e.balanced]
 
 
-def balancing_check(w: WeightedComplex) -> BalancingReport:
-    """Verify the balancing condition at every ridge.
+def balancing_check(c: Complex) -> BalancingReport:
+    """Verify the balancing condition at every ridge, with the complex's
+    facet weights.
 
     At a ridge tau, the weighted sum of lattice normal generators of the
     incident facets must lie in the linear span of tau.  The verdict does
@@ -261,17 +184,16 @@ def balancing_check(w: WeightedComplex) -> BalancingReport:
     sigma's equations and that inequality; the residual modulo the span is
     computed only at an unbalanced ridge.
     """
-    c = w.complex
     facets = c.facet_polyhedra
     zero = zero_vec(c.ambient_dim)
     entries = []
     ok = True
-    for tau, fids, cuts in c._walk:
+    for tau, fids, cuts in c.ridges:
         total = [0] * c.ambient_dim
         for fid, cut in zip(fids, cuts):
             sigma = facets[fid]
             u = _lattice_normal(sigma, sigma._rec.cut(cut))
-            weight = w.weights[fid]
+            weight = c.weights[fid]
             total = [t + weight * x for t, x in zip(total, u)]
         rec = facets[fids[0]]._rec
         balanced = not any(sum(map(mul, a, total))
@@ -502,11 +424,5 @@ def cube_normal_fan(d: int) -> Complex:
         raise ValueError("dimension must be positive")
     corners = [tuple(Fraction(s) for s in signs)
                for signs in itertools.product((-1, 1), repeat=d)]
-    return normal_fan(corners).complex
+    return normal_fan(corners)
 
-
-def same_fan(c1: Complex, c2: Complex) -> bool:
-    """Equality of complexes as sets of maximal cells (canonical forms)."""
-    keys1 = sorted(f.canonical_key for f in c1.facet_polyhedra)
-    keys2 = sorted(f.canonical_key for f in c2.facet_polyhedra)
-    return c1.ambient_dim == c2.ambient_dim and keys1 == keys2

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from test_tropical import same_fan
 from tropicon import cli
 from tropicon.connectivity import (
     build_hypergraph, connected_components, is_k_connected, min_facet_cut,
@@ -20,14 +21,13 @@ from tropicon.fanjson import load_fan
 from tropicon.matroid import Matroid, bergman_fine, contraction, proper_flats
 from tropicon.polyhedral import AffineHyperplane, Complex, Polyhedron
 from tropicon.ratlin import (
-    check_lp_witness, is_zero, lp_feasible, make_lp, mat, mat_vec,
-    rank_and_kernel, vec,
+    LinearProgram, _int_kernel, check_lp_witness, is_zero,
+    lattice_complement_projection, lp_feasible, mat, mat_vec, vec,
 )
 from tropicon.tropical import (
-    WeightedComplex, balancing_check, check_witness_hyperplane,
-    cube_normal_fan, hyperplane_section, normal_fan, projection_along,
-    quotient_by_lineality, same_fan, skeleton, standard_tropical_plane, star,
-    two_planes_fan, witness_hyperplane,
+    balancing_check, check_witness_hyperplane, cube_normal_fan,
+    hyperplane_section, normal_fan, quotient_by_lineality, skeleton,
+    standard_tropical_plane, star, two_planes_fan, witness_hyperplane,
 )
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -44,7 +44,7 @@ def random_3_polytopes(count=5, max_vertices=10, seed=20240601):
     while len(polys) < count:
         pts = [[F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(3)]
                for _ in range(rng.randint(4, max_vertices))]
-        fan = normal_fan(pts).complex
+        fan = normal_fan(pts)
         if fan.dim == 3 and fan.lineality_dim == 0 and len(fan) >= 4:
             polys.append(fan)
     return polys
@@ -131,7 +131,7 @@ def test_criterion_4_star_contraction():
 
         mc = contraction(m, e)
         bc = bergman_fine(mc)
-        proj = projection_along(face.direction_span, n)
+        proj = lattice_complement_projection(face.direction_span, n)
         target = n - face.dim
 
         def embed(v):
@@ -175,13 +175,14 @@ def test_criterion_6_balancing():
         ("bergman K4", bergman_fine(Matroid.graphic(K4_EDGES))),
         ("two-planes", two_planes_fan()),
         ("cube normal fan", cube_normal_fan(3)),
-        ("triangle normal fan", normal_fan([[0, 0], [1, 0], [0, 1]]).complex),
+        ("triangle normal fan", normal_fan([[0, 0], [1, 0], [0, 1]])),
     ]
-    all_balanced = all(balancing_check(WeightedComplex(f)).balanced
+    all_balanced = all(balancing_check(f).balanced
                        for _, f in balanced_fans)
     line = Complex.from_facets(
-        [Polyhedron.cone([r], ambient_dim=2) for r in ([1, 0], [0, 1], [-1, -1])])
-    bad = balancing_check(WeightedComplex(line, (1, 1, 2)))
+        [Polyhedron.cone([r], ambient_dim=2) for r in ([1, 0], [0, 1], [-1, -1])],
+        weights=(1, 1, 2))
+    bad = balancing_check(line)
     perturbed_fails = (not bad.balanced and len(bad.failing()) == 1
                        and bad.failing()[0].residual == vec([-1, -1]))
     report("criterion 6: generated fans balanced; weight-2 tropical line fails "
@@ -229,9 +230,9 @@ def test_criterion_9_kernel_properties():
         cols = rng.randint(1, 5)
         A = mat([[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)]
                  for _ in range(rows)])
-        r, kernel = rank_and_kernel(A)
-        rank_ok &= (r + len(kernel) == cols)
-        rank_ok &= all(is_zero(mat_vec(A, k)) for k in kernel)
+        pivots, kernel = _int_kernel(A)
+        rank_ok &= (len(pivots) + len(kernel) == cols)
+        rank_ok &= all(is_zero(mat_vec(A, vec(k))) for k in kernel)
 
     round_trip_ok = True
     for _ in range(50):
@@ -252,7 +253,7 @@ def test_criterion_9_kernel_properties():
         cons = [([F(rng.randint(-3, 3)) for _ in range(nvars)],
                  F(rng.randint(-2, 2)), rng.choice(["=", ">=", ">"]))
                 for _ in range(rng.randint(1, 5))]
-        lp = make_lp(nvars, cons)
+        lp = LinearProgram(nvars, tuple((vec(c), b, rel) for c, b, rel in cons))
         w = lp_feasible(lp)
         if w is not None:
             witnesses += 1

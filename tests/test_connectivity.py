@@ -9,9 +9,8 @@ from test_theorem import loopless_matroids
 from tropicon import connectivity
 from tropicon.connectivity import (
     BudgetExceeded, FacetRidgeHypergraph, TooFewFacets, build_hypergraph,
-    clique_connected_after_removal, colex_combinations,
-    connected_after_removal, connected_components, hypergraph_dot,
-    is_k_connected, min_facet_cut,
+    clique_connected_after_removal, connected_after_removal,
+    connected_components, hypergraph_dot, is_k_connected, min_facet_cut,
 )
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import Complex, Polyhedron
@@ -153,18 +152,6 @@ class TestIsKConnected:
         h = build_hypergraph(cube_normal_fan(3))
         with pytest.raises(BudgetExceeded):
             is_k_connected(h, 4, budget=10)
-
-
-class TestColexOrder:
-    def test_small_case(self):
-        got = list(colex_combinations(4, 2))
-        assert got == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-
-    def test_complete_and_deterministic(self):
-        got = list(colex_combinations(6, 3))
-        assert len(got) == 20
-        assert len(set(got)) == 20
-        assert got == sorted(got, key=lambda s: tuple(reversed(s)))
 
 
 class TestMinFacetCut:

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from test_tropical import same_fan
 from tropicon import cli
 from tropicon.connectivity import build_hypergraph, connected_after_removal
 from tropicon.fanjson import (
@@ -17,7 +18,7 @@ from tropicon.fanjson import (
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import validate_complex
 from tropicon.ratlin import vec
-from tropicon.tropical import cube_normal_fan, same_fan, two_planes_fan
+from tropicon.tropical import cube_normal_fan, two_planes_fan
 
 
 class TestRationalStrings:

@@ -17,9 +17,8 @@ import sympy
 
 from tropicon.polyhedral import EmptyPolyhedron, HRep, Polyhedron, dd_cone
 from tropicon.ratlin import (
-    _bareiss, _int_row, dot, identity_mat, integer_kernel_basis, matrix_rank,
-    primitive_vector, rank_and_kernel, saturation_basis,
-    subspace_canonical_basis,
+    _bareiss, _int_kernel, _int_row, _lattice_kernel, dot, identity_mat,
+    matrix_rank, primitive_vector, saturation_basis, subspace_canonical_basis,
 )
 
 
@@ -259,13 +258,16 @@ class TestElimination:
             red, pivots = _bareiss([_int_row(row) for row in A])
             assert (tuple(tuple(F(x, red[0][pivots[0]]) for x in row) for row in red),
                     tuple(pivots)) == _oracle_rref(A)
-            assert rank_and_kernel(A) == _oracle_kernel(A)
+            rank, kernel = _oracle_kernel(A)
+            kernel = [_oracle_primitive(k) for k in kernel]
+            pivots, got = _int_kernel(A)
+            assert (len(pivots), got) == (rank, kernel)
             assert subspace_canonical_basis(A) == _oracle_canonical_basis(A)
             n = len(A[0])
-            kernel = [_oracle_primitive(k) for k in _oracle_kernel(A)[1]]
             if any(any(row) for row in A):
                 assert saturation_basis(A, n) == (
-                    integer_kernel_basis(kernel) if kernel else identity_mat(n))
+                    tuple(_lattice_kernel([_int_row(k) for k in kernel]))
+                    if kernel else identity_mat(n))
 
     def test_dot_products(self):
         rng = random.Random(4)

@@ -3,9 +3,8 @@ import itertools
 import pytest
 
 from tropicon.matroid import (
-    Flat, HasLoops, LoopContraction, Matroid, bergman_fine,
-    check_rank_axioms, closure_and_rank, contraction, matroid_from_json,
-    maximal_chains, parallel_classes_and_loops, proper_flats,
+    Flat, HasLoops, LoopContraction, Matroid, bergman_fine, contraction,
+    matroid_from_json, maximal_chains, proper_flats,
 )
 from tropicon.polyhedral import validate_complex
 
@@ -16,19 +15,46 @@ def k4():
     return Matroid.graphic(K4_EDGES)
 
 
+def parallel_classes(m):
+    """The rank-one flats minus the loops, one per class of non-loops."""
+    loops = m.loops()
+    return sorted(sorted(c) for c in {m.closure({e}) - loops
+                                      for e in m.elements if e not in loops})
+
+
+def check_rank_axioms(m):
+    """Exhaustively verify the rank axioms; intended for small ground sets."""
+    elems = m.elements
+    subsets = [frozenset(c) for k in range(len(elems) + 1)
+               for c in itertools.combinations(elems, k)]
+    assert m.rank(frozenset()) == 0
+    for S in subsets:
+        rs = m.rank(S)
+        assert 0 <= rs <= len(S), f"rank out of range on {set(S)}"
+        for e in elems:
+            gain = m.rank(S | {e}) - rs
+            assert gain in (0, 1), f"unit increase fails on {set(S)} + {e}"
+    for S in subsets:
+        for T in subsets:
+            lhs = m.rank(S | T) + m.rank(S & T)
+            rhs = m.rank(S) + m.rank(T)
+            assert lhs <= rhs, f"submodularity fails on {set(S)}, {set(T)}"
+
+
 class TestClosureAndRank:
     def test_uniform_pair(self):
-        flat, r = closure_and_rank(Matroid.uniform(3, 4), {0, 1})
-        assert flat.elements == frozenset({0, 1}) and r == 2
+        m = Matroid.uniform(3, 4)
+        assert m.closure({0, 1}) == frozenset({0, 1}) and m.rank({0, 1}) == 2
 
     def test_uniform_full_rank_closes_up(self):
-        flat, r = closure_and_rank(Matroid.uniform(3, 4), {0, 1, 2})
-        assert flat.elements == frozenset({0, 1, 2, 3}) and r == 3
+        m = Matroid.uniform(3, 4)
+        assert m.closure({0, 1, 2}) == frozenset({0, 1, 2, 3})
+        assert m.rank({0, 1, 2}) == 3
 
     def test_graphic_triangle_closes(self):
         # edges 0=(0,1) and 1=(0,2) span the triangle {0,1,3} on vertices 0,1,2
-        flat, r = closure_and_rank(k4(), {0, 1})
-        assert flat.elements == frozenset({0, 1, 3}) and r == 2
+        m = k4()
+        assert m.closure({0, 1}) == frozenset({0, 1, 3}) and m.rank({0, 1}) == 2
 
     def test_closure_idempotent_and_monotone(self):
         m = k4()
@@ -119,9 +145,9 @@ class TestContraction:
         assert c.full_rank == m.full_rank - 1
 
     def test_graphic_contraction_parallel_pairs(self):
-        classes, loops = parallel_classes_and_loops(contraction(k4(), 0))
-        assert not loops
-        assert sorted(sorted(c) for c in classes) == [[1, 3], [2, 4], [5]]
+        c = contraction(k4(), 0)
+        assert not c.loops()
+        assert parallel_classes(c) == [[1, 3], [2, 4], [5]]
 
     def test_loop_contraction_rejected(self):
         loopy = Matroid.from_bases(3, [[0], [1]])
@@ -131,16 +157,16 @@ class TestContraction:
 
 class TestParallelClassesAndLoops:
     def test_uniform_no_loops(self):
-        classes, loops = parallel_classes_and_loops(Matroid.uniform(3, 4))
-        assert sorted(sorted(c) for c in classes) == [[0], [1], [2], [3]]
-        assert not loops
+        m = Matroid.uniform(3, 4)
+        assert parallel_classes(m) == [[0], [1], [2], [3]]
+        assert not m.loops() and m.is_loop_free()
 
     def test_bases_oracle_parallel_and_loop(self):
         m = Matroid.from_bases(3, [[0], [1]])
         assert m.rank({0, 1}) == 1
-        classes, loops = parallel_classes_and_loops(m)
-        assert classes == [frozenset({0, 1})]
-        assert loops == frozenset({2})
+        assert m.closure({0}) == frozenset({0, 1, 2})  # the loop 2 is in every flat
+        assert parallel_classes(m) == [[0, 1]]
+        assert m.loops() == frozenset({2}) and not m.is_loop_free()
 
 
 class TestRankAxioms:

@@ -5,14 +5,14 @@ import pytest
 import sympy
 
 from tropicon.ratlin import (
-    ZeroVector, WrongCodimension, as_int_list, check_lp_witness, dot,
-    integer_kernel_basis, is_zero, lattice_complement_projection,
-    lattice_normal_generator, lp_feasible, make_lp,
-    mat, mat_mul, mat_vec, matrix_rank, primitive_vector, rank_and_kernel,
-    reduce_mod_subspace, saturation_basis, smith_normal_form,
-    subspace_canonical_basis, vec,
+    LinearProgram, ZeroVector, _int_kernel, _lattice_kernel, check_lp_witness,
+    dot, frac, is_zero, lattice_complement_projection, lp_feasible, mat,
+    mat_vec, matrix_rank, primitive_vector, reduce_mod_subspace,
+    saturation_basis, smith_normal_form, subspace_canonical_basis, vec,
 )
-from tropicon.polyhedral import Polyhedron
+from tropicon.polyhedral import (
+    Polyhedron, _lattice_normal, codim1_faces, face_is_tight, is_face_of,
+)
 
 
 def rand_fraction(rng, span=6):
@@ -23,16 +23,40 @@ def rand_matrix(rng, rows, cols, span=6):
     return mat([[rand_fraction(rng, span) for _ in range(cols)] for _ in range(rows)])
 
 
+def make_lp(num_vars, constraints, objective=None):
+    """A LinearProgram from plain numbers."""
+    return LinearProgram(num_vars,
+                         tuple((vec(c), frac(b), rel) for c, b, rel in constraints),
+                         None if objective is None else vec(objective))
+
+
+def mat_mul(*factors):
+    """The product of integer matrices, by sympy."""
+    out = sympy.Matrix([[int(x) for x in row] for row in factors[0]])
+    for f in factors[1:]:
+        out = out * sympy.Matrix([[int(x) for x in row] for row in f])
+    return out
+
+
+def lattice_normal_generator(sigma, tau):
+    """The lattice normal of sigma at its codimension-one face tau, with the
+    incidence proved first: tau is a face of sigma one dimension down, and
+    the normal is taken at the facet inequality of sigma tight on it."""
+    assert is_face_of(tau, sigma) and tau.dim == sigma.dim - 1
+    a = next(a for a, b in sigma.hrep.inequalities if face_is_tight(tau, a, b))
+    return vec(_lattice_normal(sigma, a))
+
+
 class TestRankAndKernel:
     def test_identity(self):
-        r, k = rank_and_kernel(mat([[1, 0], [0, 1]]))
-        assert r == 2 and k == []
+        pivots, k = _int_kernel(mat([[1, 0], [0, 1]]))
+        assert len(pivots) == 2 and k == []
 
     def test_proportional_rows(self):
         A = mat([[1, 2], [2, 4]])
-        r, k = rank_and_kernel(A)
-        assert r == 1 and len(k) == 1
-        assert is_zero(mat_vec(A, k[0]))
+        pivots, k = _int_kernel(A)
+        assert len(pivots) == 1 and len(k) == 1
+        assert is_zero(mat_vec(A, vec(k[0])))
 
     def test_against_sympy_oracle(self):
         rng = random.Random(1729)
@@ -40,7 +64,8 @@ class TestRankAndKernel:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
             A = rand_matrix(rng, rows, cols)
-            r, kernel = rank_and_kernel(A)
+            pivots, kernel = _int_kernel(A)
+            r, kernel = len(pivots), [vec(k) for k in kernel]
             sym = sympy.Matrix([[sympy.Rational(x) for x in row] for row in A])
             assert r == sym.rank()
             assert r + len(kernel) == cols
@@ -119,7 +144,7 @@ class TestSmithNormalForm:
     def test_unimodular_transforms(self):
         A = mat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         D, U, V = smith_normal_form(A)
-        assert mat_mul(mat_mul(U, A), V) == D
+        assert mat_mul(U, A, V) == mat_mul(D)
 
     def test_against_sympy_invariants(self):
         rng = random.Random(33)
@@ -128,7 +153,7 @@ class TestSmithNormalForm:
             cols = rng.randint(1, 4)
             A = mat([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
             D, U, V = smith_normal_form(A)
-            assert mat_mul(mat_mul(U, A), V) == D
+            assert mat_mul(U, A, V) == mat_mul(D)
             diag = [int(D[i][i]) for i in range(min(rows, cols)) if D[i][i] != 0]
             sym = sympy.Matrix([[int(x) for x in row] for row in A])
             from sympy.matrices.normalforms import invariant_factors
@@ -138,11 +163,11 @@ class TestSmithNormalForm:
                 assert b % a == 0
 
     def test_integer_kernel(self):
-        A = mat([[2, 4], [1, 2]])
-        basis = integer_kernel_basis(A)
+        A = [[2, 4], [1, 2]]
+        basis = _lattice_kernel(A)
         assert len(basis) == 1
-        assert is_zero(mat_vec(A, basis[0]))
-        assert as_int_list(basis[0]) in ([2, -1], [-2, 1])
+        assert is_zero(mat_vec(mat(A), vec(basis[0])))
+        assert list(basis[0]) in ([2, -1], [-2, 1])
 
     def test_saturation(self):
         # span((2,0),(0,3)) meets Z^2 in all of Z^2
@@ -230,7 +255,7 @@ class TestLatticeNormalGenerator:
         while checked < 20:
             sigma = self._random_cell(rng, kind)
             if sigma.dim < 1 or kind != "polyhedron" and \
-                    sigma.is_pointed != (kind == "pointed-cone"):
+                    (not sigma.true_lineality) != (kind == "pointed-cone"):
                 continue
             n = sigma.ambient_dim
             for tau in codim1_faces(sigma):
@@ -248,15 +273,20 @@ class TestLatticeNormalGenerator:
                 checked += 1
 
     def test_not_a_face(self):
-        from tropicon.ratlin import NotAFace
+        # the diagonal ray is no face of the quadrant, so no ridge of the
+        # quadrant lies on it and no lattice normal is taken there
         sigma = Polyhedron.cone([[1, 0], [0, 1]])
-        with pytest.raises(NotAFace):
-            lattice_normal_generator(sigma, Polyhedron.cone([[1, 1]]))
+        tau = Polyhedron.cone([[1, 1]])
+        assert not is_face_of(tau, sigma)
+        assert tau not in codim1_faces(sigma)
 
     def test_wrong_codimension(self):
+        # the apex is a face of codimension two: a face, but not one the
+        # ridge walk hands to the lattice normal
         sigma = Polyhedron.cone([[1, 0], [0, 1]])
-        with pytest.raises(WrongCodimension):
-            lattice_normal_generator(sigma, Polyhedron.cone([], ambient_dim=2))
+        apex = Polyhedron.cone([], ambient_dim=2)
+        assert is_face_of(apex, sigma) and apex.dim == sigma.dim - 2
+        assert apex not in codim1_faces(sigma)
 
 
 def test_reduce_mod_subspace_normal_form():

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from tropicon.connectivity import build_hypergraph, is_k_connected, min_facet_cut
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.ratlin import matrix_rank
-from tropicon.tropical import WeightedComplex, balancing_check, normal_fan
+from tropicon.tropical import balancing_check, normal_fan
 
 
 @st.composite
@@ -56,7 +56,7 @@ def test_bergman_fans_of_linear_matroids(m):
 def _assert_balanced_and_sharply_connected(m):
     fan = bergman_fine(m)
     k = fan.dim - fan.lineality_dim
-    assert balancing_check(WeightedComplex(fan)).balanced
+    assert balancing_check(fan).balanced
     h = build_hypergraph(fan)
     assert is_k_connected(h, k).verdict
     if len(fan) >= k + 2:
@@ -78,7 +78,7 @@ def test_balinski_normal_fans_are_d_connected(d, seed):
     """Balinski's theorem: the graph of a d-polytope is d-connected.  The
     normal fan's facet-ridge hypergraph is that graph, every ridge of the
     complete fan bounding two cones."""
-    fan = normal_fan(_random_lattice_polytope(random.Random(seed), d)).complex
+    fan = normal_fan(_random_lattice_polytope(random.Random(seed), d))
     assert (fan.dim, fan.lineality_dim) == (d, 0)
     h = build_hypergraph(fan)
     assert all(len(e) == 2 for e in h.hyperedges)
