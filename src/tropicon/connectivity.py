@@ -76,11 +76,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
-from .polyhedral import Complex, validate_complex
+from .polyhedral import Complex, Polyhedron, validate_complex
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -98,15 +99,27 @@ class ImpureComplex(ValueError):
 
 
 @dataclass(frozen=True)
+class _Labels(Sequence):
+    """The labels of a tuple of polyhedra, each made when it is read."""
+    cells: tuple[Polyhedron, ...]
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, i: int) -> str:
+        return self.cells[i].label()
+
+
+@dataclass(frozen=True)
 class FacetRidgeHypergraph:
     """Vertices are facet ids 0..F-1; hyperedge i joins the facets of ridge i.
 
     Ridges are identified by the canonical form of the cell, so two distinct
     ridges bounding the same facet set stay distinct hyperedges.
     """
-    facet_labels: tuple[str, ...]
+    facet_labels: Sequence[str]
     hyperedges: tuple[frozenset[int], ...]
-    ridge_labels: tuple[str, ...]
+    ridge_labels: Sequence[str]
 
     @property
     def num_facets(self) -> int:
@@ -121,7 +134,7 @@ class FacetRidgeHypergraph:
         """Per facet, the hyperedges through it that reach another facet,
         smallest first, so a search meets a 2-member ridge before others."""
         edges = self.hyperedges
-        incident: list[list[int]] = [[] for _ in self.facet_labels]
+        incident: list[list[int]] = [[] for _ in range(self.num_facets)]
         for i in sorted(range(len(edges)), key=lambda i: len(edges[i])):
             if len(edges[i]) > 1:
                 for f in edges[i]:
@@ -141,15 +154,16 @@ def build_hypergraph(c: Complex) -> FacetRidgeHypergraph:
     """Extract the facet-ridge hypergraph of a pure complex.
 
     Ridges are the deduplicated codimension-one faces of the facets; the
-    hyperedge of a ridge collects every facet it is a face of.
+    hyperedge of a ridge collects every facet it is a face of.  Labels are
+    made only when read, which only `hypergraph_dot` does.
     """
     report = validate_complex(c)
     if not report.valid:
         raise ImpureComplex("; ".join(report.issues))
     return FacetRidgeHypergraph(
-        tuple(f.label() for f in c.facet_polyhedra),
+        _Labels(c.facet_polyhedra),
         tuple(frozenset(fids) for _, fids, _ in c.ridges),
-        tuple(ridge.label() for ridge, _, _ in c.ridges),
+        _Labels(tuple(ridge for ridge, _, _ in c.ridges)),
     )
 
 

@@ -5,8 +5,8 @@ the vertex list empty and have an implicit apex at the origin.  Its face
 structure comes from one private integer record, `Polyhedron._rec`, built
 from its one exact double description: the primitive integer facet and
 equation normals of the cone its generators span (homogenized when it has
-vertices) and, per generator, the bit mask of the facets tight on it, from
-integer dot products (Fukuda & Prodon 1996).  Everything else is read off
+vertices), as `dd_cone` returns them, and, per generator, the bit mask of
+the facets tight on it (Fukuda & Prodon 1996).  Everything else is read off
 that record, with no elimination over fractions:
 
 - the dimension is n minus the number of equations, and the true lineality
@@ -36,11 +36,14 @@ walk, `lower_faces`, gives the ridges (cached per complex as
 `Complex.ridges`), keyed and sorted on integer tuples, each with the ids of
 its facets and, per facet, the index of the inequality in the facet's
 `hrep.inequalities` that cuts it out.  The faces below are cut out of the
-same cells by more of their inequalities.
+same cells by more of their inequalities.  Fractions are made only where a
+public value needs them: `hrep` and `from_hrep` convert integer rows, and
+pools are keyed on integer rows, each entry converted once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,6 +59,8 @@ from .ratlin import (
 )
 
 _ZERO = Fraction(0)
+# Fractions are immutable: the few distinct entries of integer rows share them
+_fraction = functools.lru_cache(maxsize=1024)(Fraction)
 
 
 class EmptyPolyhedron(ValueError):
@@ -77,24 +82,24 @@ def _outside(row: Sequence[int], lin_rows: Sequence[Sequence[int]]) -> bool:
     return any(row) and (not lin_rows or any(_int_reduce(row, lin_rows)))
 
 
+def _ray_key(r: Vec, lin_rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The primitive integer form of the ray r, or None when r lies in the
+    span of the canonical basis rows lin_rows."""
+    row = _int_row(r)
+    g = math.gcd(*row)
+    return tuple(x // g for x in row) if _outside(row, lin_rows) else None
+
+
 def _generators(n: int, vertices: Iterable, rays: Iterable, lin: Mat
                 ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """The vertices as fractions and the distinct primitive rays outside the
     span of the canonical basis lin, all checked to lie in R^n."""
     verts = tuple(vec(v) for v in vertices)
     lin_rows = [_numerators(l) for l in lin]
-    prims: dict[tuple[int, ...], Vec] = {}
-    for r in rays:
-        row = _int_row(vec(r))
-        if _outside(row, lin_rows):
-            g = math.gcd(*row)
-            prim = tuple(x // g for x in row)
-            if prim not in prims:
-                prims[prim] = tuple(map(Fraction, prim))
-    out = tuple(prims.values())
-    for g in itertools.chain(verts, out, lin):
-        if len(g) != n:
-            raise ValueError("generator has wrong ambient dimension")
+    keys = dict.fromkeys(_ray_key(vec(r), lin_rows) for r in rays)
+    out = tuple(tuple(map(_fraction, k)) for k in keys if k is not None)
+    if any(len(g) != n for g in itertools.chain(verts, out, lin)):
+        raise ValueError("generator has wrong ambient dimension")
     return verts, out
 
 
@@ -102,8 +107,9 @@ def _generators(n: int, vertices: Iterable, rays: Iterable, lin: Mat
 # double description: V-representation of {x : a.x >= 0, e.x = 0}
 
 
-def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[Mat, Mat]:
-    """Extreme rays and lineality basis of a homogeneous cone.
+def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[list, list]:
+    """Extreme rays and a lineality basis of a homogeneous cone, as sorted
+    primitive integer rays and primitive integer rows (not canonical).
 
     Incremental double description with the combinatorial adjacency test;
     the ray list stays minimal throughout, so the output rays are exactly
@@ -180,8 +186,7 @@ def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[Mat, Mat]
         rays, zeros = keep_rays, keep_zeros
         bit <<= 1
 
-    out_rays = tuple(tuple(map(Fraction, r)) for r in sorted(set(rays)))
-    return out_rays, subspace_canonical_basis(lin)
+    return sorted(set(rays)), lin
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +228,16 @@ class _Record:
     positive multiples, and P is the slice x0 = 1 of the cone C that the
     rows of its generators span; for a cone, C = P.
 
-    - `facets`: the primitive facet normals of C, those of
-      `P.hrep.inequalities` first and in that order, then the trivial facet
-      x0 >= 0 when it is one of C (it never cuts out a face of P);
-    - `eqs`: the equation normals of C, a basis of the normals of its span;
+    - `facets`: the primitive facet normals of C (the rays `dd_cone` finds
+      for the polar cone), those of `P.hrep.inequalities` first and in that
+      order, then the trivial facet x0 >= 0 when it is one of C;
+    - `eqs`: the equation normals of C, the lineality basis `dd_cone` finds;
     - `verts`, `rays`: per vertex and per ray of P, its row and the bit mask
       of the facets tight on it;
     - `lin`, `lin_rows`: the true lineality of P, as its canonical basis and
-      as rows;
-    - `normals`, `eq_normals`: the fraction rows `dd_cone` returned, which
-      `P.hrep` is built from.
+      as rows.
     """
-    __slots__ = ("affine", "facets", "eqs", "verts", "rays", "lin", "lin_rows",
-                 "normals", "eq_normals")
+    __slots__ = ("affine", "facets", "eqs", "verts", "rays", "lin", "lin_rows")
 
     def __init__(self, p: "Polyhedron"):
         self.affine = affine = bool(p.vertices)
@@ -246,14 +248,9 @@ class _Record:
             verts = [tuple(_int_row((1,) + v)) for v in p.vertices]
             rays = [(0,) + r for r in rays]
             lin = [(0,) + l for l in lin]
-        normals, eq_normals = dd_cone(verts + rays, lin, p.ambient_dim + affine)
-        pairs = [(a, _numerators(a)) for a in normals]
-        kept = [pair for pair in pairs if any(pair[1][1:])] if affine else pairs
-        trivial = [row for a, row in pairs if not any(row[1:])] if affine else []
-        self.normals = tuple(a for a, _ in kept)
-        self.eq_normals = eq_normals
-        self.facets = facets = [row for _, row in kept] + trivial
-        self.eqs = [_numerators(e) for e in eq_normals]
+        facets, self.eqs = dd_cone(verts + rays, lin, p.ambient_dim + affine)
+        # a stable sort puts the trivial facet x0 >= 0, if C has it, last
+        self.facets = facets = sorted(facets, key=lambda a: affine and not any(a[1:]))
 
         def tight(g: tuple[int, ...]) -> int:
             mask = 0
@@ -354,7 +351,7 @@ class Polyhedron:
         if homogeneous:
             rays, lin = dd_cone([a for a, _ in h.inequalities],
                                 [a for a, _ in h.equations], n)
-            return Polyhedron(n, (), rays, lin)
+            return Polyhedron(n, (), tuple(rays), tuple(lin))
         ineqs = [(Fraction(1),) + zero_vec(n)]
         ineqs += [(-b,) + tuple(a) for a, b in h.inequalities]
         eqs = [(-b,) + tuple(a) for a, b in h.equations]
@@ -362,13 +359,12 @@ class Polyhedron:
         verts, prays = [], []
         for r in rays:
             if r[0] > 0:
-                verts.append(tuple(x / r[0] for x in r[1:]))
+                verts.append(tuple(Fraction(x, r[0]) for x in r[1:]))
             else:
                 prays.append(r[1:])
-        plin = [l[1:] for l in lin]
         if not verts:
             raise EmptyPolyhedron("inequality system is infeasible")
-        return Polyhedron(n, tuple(verts), tuple(prays), tuple(plin))
+        return Polyhedron(n, tuple(verts), tuple(prays), tuple(l[1:] for l in lin))
 
     # -- lazily computed structure -----------------------------------------
 
@@ -380,14 +376,16 @@ class Polyhedron:
 
     @cached_property
     def hrep(self) -> HRep:
-        """Irredundant facet inequalities plus minimal equations."""
+        """Irredundant facet inequalities plus a basis of the equations, as
+        fractions made from the record's integer rows."""
         rec = self._rec
-        n = self.ambient_dim
-        if not rec.affine:
-            return HRep(n, tuple((a, _ZERO) for a in rec.normals),
-                        tuple((e, _ZERO) for e in rec.eq_normals))
-        return HRep(n, tuple((a[1:], -a[0]) for a in rec.normals),
-                    tuple((e[1:], -e[0]) for e in rec.eq_normals if not is_zero(e[1:])))
+        k = int(rec.affine)  # with vertices, column 0 of a row holds -b
+
+        def row(a: tuple[int, ...]) -> tuple[Vec, Fraction]:
+            return tuple(map(_fraction, a[k:])), _fraction(-a[0]) if k else _ZERO
+
+        return HRep(self.ambient_dim, tuple(row(a) for a in rec.facets if any(a[k:])),
+                    tuple(map(row, rec.eqs)))
 
     @cached_property
     def direction_span(self) -> Mat:
@@ -477,23 +475,22 @@ class Polyhedron:
         extreme = [(r, mask) for i, (r, mask) in enumerate(gens)
                    if not any(other & mask == mask
                               for j, (_, other) in enumerate(gens) if j != i)]
+        verts = [(r, mask) for r, mask in extreme if r[0]] if rec.affine else []
+        if len(verts) == 1 and not any(verts[0][0][1:]):
+            verts = []  # a lone vertex at the origin is the apex of a cone
+        den = math.lcm(*(r[0] for r, _ in verts))
+        # times den, the vertices sort on integers as their fractions do
+        verts = sorted((tuple(x * (den // r[0]) for x in r[1:]), mask, r) for r, mask in verts)
         if rec.affine:
-            verts = sorted((tuple(Fraction(x, r[0]) for x in r[1:]), mask, r)
-                           for r, mask in extreme if r[0])
             rays = sorted((r[1:], mask) for r, mask in extreme if not r[0])
             lin_ints = tuple(l[1:] for l in lin_rows)
         else:
-            verts = []
             rays = sorted(extreme)
             lin_ints = tuple(lin_rows)
-        if len(verts) == 1 and not any(verts[0][2][1:]):
-            verts = []  # a lone vertex at the origin is the apex of a cone
-        den = math.lcm(*(r[0] for _, _, r in verts))
-        key = (n, rec.lin, tuple(v for v, _, _ in verts),
-               tuple(tuple(map(Fraction, r)) for r, _ in rays))
+        key = (n, rec.lin, tuple(tuple(Fraction(x, r[0]) for x in r[1:]) for _, _, r in verts),
+               tuple(tuple(map(_fraction, r)) for r, _ in rays))
         return (key, tuple(mask for _, mask, _ in verts), tuple(mask for _, mask in rays),
-                den, tuple(tuple(x * (den // r[0]) for x in r[1:]) for _, _, r in verts),
-                tuple(r for r, _ in rays), lin_ints)
+                den, tuple(v for v, _, _ in verts), tuple(r for r, _ in rays), lin_ints)
 
     def canonical(self) -> "Polyhedron":
         n, lin, verts, rays = self.canonical_key
@@ -730,17 +727,17 @@ class Complex:
 
     Each cell is a pair (vertex indices, ray indices); every cell implicitly
     contains the declared lineality space.  Lower-dimensional faces are
-    derived on demand.  Weights are positive integers, one per facet.
+    derived on demand.  Weights are positive, one per facet (None: all 1).
     """
     ambient_dim: int
     vertex_pool: tuple[Vec, ...]
     ray_pool: tuple[Vec, ...]
     lineality: tuple[Vec, ...]
     cells: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    weights: tuple[int, ...] = ()
+    weights: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if not self.weights:
+        if self.weights is None:
             object.__setattr__(self, "weights", (1,) * len(self.cells))
         if len(self.weights) != len(self.cells):
             raise ValueError("one weight per facet required")
@@ -755,6 +752,8 @@ class Complex:
 
         Lineality generators of a facet beyond the declared complex lineality
         are encoded as opposite ray pairs, which describe the same point set.
+        Pools are keyed on integer rows: a vertex v on the least integer
+        multiple of (1, v), a ray on its primitive form.
         """
         facets = list(facets)
         if ambient_dim is None:
@@ -763,10 +762,8 @@ class Complex:
             ambient_dim = facets[0].ambient_dim
         lin = subspace_canonical_basis([vec(l) for l in lineality])
         lin_rows = [_numerators(l) for l in lin]
-        vpool: list[Vec] = []
-        rpool: list[Vec] = []
-        vindex: dict[Vec, int] = {}
-        rindex: dict[Vec, int] = {}
+        vindex: dict[tuple[int, ...], int] = {}
+        rindex: dict[tuple[int, ...], int] = {}
         cells = []
         for f in facets:
             if f.ambient_dim != ambient_dim:
@@ -778,15 +775,18 @@ class Complex:
                         f.contains_direction(l) and f.contains_direction(neg(l))):
                     raise ValueError(
                         "facet does not contain the declared lineality space")
-            vidx = sorted(_pool_index(vpool, vindex, vec(v)) for v in f.vertices)
-            ridx = {_pool_index(rpool, rindex, primitive_vector(r)) for r in f.rays}
+            vidx = sorted(vindex.setdefault(tuple(_int_row((1, *v))), len(vindex))
+                          for v in f.vertices)
+            ridx = {rindex.setdefault(_numerators(r), len(rindex)) for r in f.rays}
             for l in f_lin:
                 if _outside(l, lin_rows):
-                    ridx.add(_pool_index(rpool, rindex, primitive_vector(l)))
-                    ridx.add(_pool_index(rpool, rindex, primitive_vector(neg(l))))
+                    ridx.add(rindex.setdefault(l, len(rindex)))
+                    ridx.add(rindex.setdefault(tuple(-x for x in l), len(rindex)))
             cells.append((tuple(vidx), tuple(sorted(ridx))))
-        return Complex(ambient_dim, tuple(vpool), tuple(rpool), lin,
-                       tuple(cells), tuple(weights) if weights else ())
+        return Complex(ambient_dim,
+                       tuple(tuple(Fraction(x, v[0]) for x in v[1:]) for v in vindex),
+                       tuple(tuple(map(_fraction, r)) for r in rindex), lin,
+                       tuple(cells), None if weights is None else tuple(weights))
 
     def facet(self, i: int) -> Polyhedron:
         vidx, ridx = self.cells[i]
@@ -798,12 +798,19 @@ class Complex:
     @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
         """`facet(i)` for every cell, with the lineality put in canonical
-        form once."""
+        form and each pool entry converted once."""
         n = self.ambient_dim
         lin = subspace_canonical_basis([vec(l) for l in self.lineality])
+        lin_rows = [_numerators(l) for l in lin]
+        verts = [vec(v) for v in self.vertex_pool]
+        keys = [_ray_key(vec(r), lin_rows) for r in self.ray_pool]
+        rays = {k: tuple(map(_fraction, k)) for k in keys if k is not None}
+        if any(len(g) != n for g in itertools.chain(verts, rays, lin)):
+            raise ValueError("generator has wrong ambient dimension")
         return tuple(
-            Polyhedron._raw(n, *_generators(n, (self.vertex_pool[j] for j in vidx),
-                                            (self.ray_pool[j] for j in ridx), lin), lin)
+            Polyhedron._raw(n, tuple(verts[j] for j in vidx),
+                            tuple(rays[k] for k in dict.fromkeys(keys[j] for j in ridx)
+                                  if k is not None), lin)
             for vidx, ridx in self.cells)
 
     @cached_property
@@ -831,13 +838,6 @@ class Complex:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-
-def _pool_index(pool: list[Vec], index: dict[Vec, int], v: Vec) -> int:
-    if v not in index:
-        index[v] = len(pool)
-        pool.append(v)
-    return index[v]
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ canonical bases and saturated lattices scale each rational row once to an
 integer row (a nonzero multiple, which changes no row space) and eliminate
 fraction free by Bareiss's method; primitive vectors and dot products go
 through integer numerators; `polyhedral.dd_cone` runs on primitive integer
-rows.  The Smith normal form has an integer core that the public function
-wraps.  Results are converted back to fractions at each public function;
-the private helpers that the geometry layer's integer cell record calls
-(`_int_kernel`, `_int_reduce`, `_int_rank`, `_lattice_kernel`) take and
-return ints.  The LP solver is a two-phase exact simplex over fractions
+rows and returns ints, which `Polyhedron.hrep` and `from_hrep` turn into
+fractions.  The Smith normal form has an integer core that the public
+function wraps.  Results are converted back to fractions at each public
+function of this module; the private helpers that the geometry layer's
+integer cell record calls (`_int_kernel`, `_int_reduce`, `_int_rank`,
+`_lattice_kernel`) take and return ints.  The LP solver is a two-phase exact simplex over fractions
 with Bland's rule, which terminates and returns reproducible witnesses; in
 the library it serves only the separating-hyperplane search
 (`tropical.witness_hyperplane`) and its independent check.  This module

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
     AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _faces_below,
-    _lattice_normal, _numerators, _outside, is_face_of,
+    _fraction, _lattice_normal, _numerators, _outside, is_face_of,
 )
 from .ratlin import (
     LinearProgram, Mat, Vec, _int_kernel, _primitive_ints, dot, identity_mat,
@@ -124,14 +124,14 @@ def normal_fan(vertices: Sequence[Iterable]) -> Complex:
     lin_rows = [_numerators(l) for l in lineality]
     outer = {i: _primitive_ints([-x for x in a]) for i in range(len(rec.facets))
              if _outside(a := rec.cut(i), lin_rows)}
+    fracs = {r: tuple(map(_fraction, r)) for r in outer.values()}
     extreme = set(hull._canon[1]) if hull.dim else {rec.verts[0][1]}
     cones: list[Polyhedron] = []
     for _, mask in rec.verts:
         if mask in extreme:
             extreme.remove(mask)
             rays = sorted(r for i, r in outer.items() if mask >> i & 1)
-            cones.append(Polyhedron._raw(
-                n, (), tuple(tuple(map(Fraction, r)) for r in rays), lineality))
+            cones.append(Polyhedron._raw(n, (), tuple(map(fracs.get, rays)), lineality))
     return Complex.from_facets(cones, lineality=lineality, ambient_dim=n)
 
 
@@ -157,9 +157,13 @@ def skeleton(c: Complex, k: int) -> Complex:
 
 @dataclass(frozen=True)
 class RidgeBalance:
-    ridge_label: str
+    ridge: Polyhedron
     balanced: bool
     residual: Vec
+
+    @property
+    def ridge_label(self) -> str:
+        return self.ridge.label()
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,7 @@ def balancing_check(c: Complex) -> BalancingReport:
         residual = zero if balanced else \
             reduce_mod_subspace(tuple(map(Fraction, total)), tau.direction_span)
         ok = ok and balanced
-        entries.append(RidgeBalance(tau.label(), balanced, residual))
+        entries.append(RidgeBalance(tau, balanced, residual))
     return BalancingReport(ok, tuple(entries))
 
 

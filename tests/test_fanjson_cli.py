@@ -16,7 +16,7 @@ from tropicon.fanjson import (
     load_fan, parse_rational, save_fan,
 )
 from tropicon.matroid import Matroid, bergman_fine
-from tropicon.polyhedral import validate_complex
+from tropicon.polyhedral import Complex, Polyhedron, validate_complex
 from tropicon.ratlin import vec
 from tropicon.tropical import cube_normal_fan, two_planes_fan
 
@@ -451,6 +451,61 @@ class TestCliOther:
         assert out.count("shape=box") == 3
         assert out.count("shape=circle") == 1
         assert out.count(" -- ") == 3
+
+
+LINE_112_BALANCE = """{
+  "balanced": false,
+  "ridges": 1,
+  "failing": [
+    {
+      "ridge": "origin",
+      "residual": [
+        "-1",
+        "-1"
+      ]
+    }
+  ]
+}
+"""
+
+LINE_112_DOT = """graph facet_ridge {
+  f0 [shape=box, label="F0: r(-1,-1)"];
+  f1 [shape=box, label="F1: r(0,1)"];
+  f2 [shape=box, label="F2: r(1,0)"];
+  r0 [shape=circle, label="R0: origin"];
+  f0 -- r0;
+  f1 -- r0;
+  f2 -- r0;
+}
+"""
+
+
+class TestLabelsOnlyWhenPrinted:
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = Polyhedron.label
+        monkeypatch.setattr(Polyhedron, "label",
+                            lambda self: calls.append(1) or real(self))
+        return calls
+
+    def test_balanced_fan_makes_no_label(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "u35.json"
+        run_cli(["gen", "bergman-uniform", "3", "5", "-o", str(path)], capsys)
+        calls = self.counted(monkeypatch)
+        assert run_cli(["check", str(path), "--mincut"], capsys)[0] == 0
+        assert run_cli(["balance", str(path)], capsys)[0] == 0
+        assert calls == []
+
+    def test_printed_labels_keep_their_text(self, tmp_path, capsys, monkeypatch):
+        cones = [Polyhedron.cone([r], ambient_dim=2) for r in ([1, 0], [0, 1], [-1, -1])]
+        path = tmp_path / "line.json"
+        save_fan(Complex.from_facets(cones, weights=(1, 1, 2)), str(path))
+        calls = self.counted(monkeypatch)
+        assert run_cli(["balance", str(path)], capsys)[:2] == (2, LINE_112_BALANCE)
+        assert len(calls) == 1  # the one failing ridge
+        assert run_cli(["dot", str(path)], capsys)[:2] == (0, LINE_112_DOT)
+        assert len(calls) == 1 + 3 + 1  # and every facet and ridge
 
 
 def test_console_script_installed():

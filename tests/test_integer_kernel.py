@@ -3,8 +3,10 @@
 `dd_cone`, the elimination behind ranks, kernels and canonical bases, dot
 products and primitive vectors run on Python ints.  The Fraction versions below are kept here, and
 only here, as oracles: on seeded inputs the two must agree exactly, so fan
-files, keys and certificates keep their bytes.  sympy is a second oracle for
-ranks and determinants.
+files, keys and certificates keep their bytes.  `dd_cone` returns ints and a
+lineality basis that is not canonical, so its rays are compared exactly and
+its lineality as the canonical basis of its span.  sympy is a second oracle
+for ranks and determinants.
 """
 
 import itertools
@@ -185,6 +187,17 @@ def _as_fractions(out):
     return all(type(x) is F for group in out for row in group for x in row)
 
 
+def _as_oracle(out):
+    """`dd_cone`'s integer output in the oracle's form: the rays exactly as
+    they are, the lineality as the canonical basis of its span.  Every entry
+    must be an int and the lineality rows must be independent."""
+    rays, lin = out
+    assert all(type(x) is int for row in [*rays, *lin] for x in row), out
+    canonical = subspace_canonical_basis(lin)
+    assert len(canonical) == len(lin), lin
+    return tuple(rays), canonical
+
+
 # ---------------------------------------------------------------------------
 # tests
 
@@ -193,19 +206,19 @@ class TestDoubleDescription:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_fraction_pass(self, seed):
         for ineqs, eqs, n in _systems(seed, 300):
-            got = dd_cone(ineqs, eqs, n)
+            got = _as_oracle(dd_cone(ineqs, eqs, n))
             assert got == _oracle_dd_cone(ineqs, eqs, n), (ineqs, eqs)
-            assert _as_fractions(got)
 
     def test_lineality_only_and_integer_rows(self):
         rng = random.Random(11)
         for n in range(1, 6):
-            assert dd_cone([], [], n) == _oracle_dd_cone([], [], n)
+            assert _as_oracle(dd_cone([], [], n)) == _oracle_dd_cone([], [], n)
             rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(6)]
             # int rows and the same rows as fractions give the same cone
-            assert dd_cone(rows, rows[:1], n) == dd_cone(
-                [tuple(map(F, r)) for r in rows], [tuple(map(F, rows[0]))], n) == \
-                _oracle_dd_cone(rows, rows[:1], n)
+            got = dd_cone(rows, rows[:1], n)
+            assert got == dd_cone(
+                [tuple(map(F, r)) for r in rows], [tuple(map(F, rows[0]))], n)
+            assert _as_oracle(got) == _oracle_dd_cone(rows, rows[:1], n)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_homogenized_rows_of_from_hrep(self, seed):
@@ -223,7 +236,7 @@ class TestDoubleDescription:
             lifted = [(F(1),) + (F(0),) * n] + [(-b,) + a for a, b in ineqs]
             lifted_eqs = [(-b,) + a for a, b in eqs]
             rays, lin = _oracle_dd_cone(lifted, lifted_eqs, n + 1)
-            assert dd_cone(lifted, lifted_eqs, n + 1) == (rays, lin)
+            assert _as_oracle(dd_cone(lifted, lifted_eqs, n + 1)) == (rays, lin)
             verts = [tuple(x / r[0] for x in r[1:]) for r in rays if r[0] > 0]
             h = HRep(n, tuple(ineqs), tuple(eqs))
             if not verts:

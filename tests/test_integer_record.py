@@ -18,6 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from test_ratlin import lattice_normal_generator
 from tropicon.matroid import Matroid, bergman_fine
@@ -25,7 +26,7 @@ from tropicon.polyhedral import (
     Complex, Polyhedron, _face, codim1_faces, lower_faces,
 )
 from tropicon.ratlin import (
-    _int_kernel, identity_mat, is_zero, primitive_vector, reduce_mod_subspace,
+    _int_kernel, identity_mat, is_zero, neg, primitive_vector, reduce_mod_subspace,
     subspace_canonical_basis, vec, zero_vec,
 )
 from tropicon.tropical import (
@@ -93,6 +94,45 @@ def _oracle_face_key(p, tight):
     return (n, lin, verts, rays)
 
 
+def _oracle_equations(p):
+    """Canonical basis of the equation normals of p, homogenized as (-b, a)
+    when p has vertices: the kernel of its generator rows, by sympy."""
+    n = p.ambient_dim
+    if p.vertices:
+        rows = [(1,) + v for v in p.vertices]
+        rows += [(0,) + g for g in p.rays + p.lineality]
+    else:
+        rows = list(p.rays + p.lineality)
+    if not rows:
+        return subspace_canonical_basis(identity_mat(n))
+    kernel = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).nullspace()
+    return subspace_canonical_basis(
+        [tuple(F(int(x.p), int(x.q)) for x in k) for k in kernel])
+
+
+def _oracle_pools(facets, lineality):
+    """(vertex pool, ray pool, cells) as `Complex.from_facets` pooled them on
+    fraction tuples: vertices as they are, rays by `primitive_vector`, and
+    facet lineality outside the declared one as opposite ray pairs."""
+    lin = subspace_canonical_basis([vec(l) for l in lineality])
+    vpool, rpool, cells = [], [], []
+
+    def index(pool, v):
+        if v not in pool:
+            pool.append(v)
+        return pool.index(v)
+
+    for f in facets:
+        vidx = sorted(index(vpool, vec(v)) for v in f.vertices)
+        ridx = {index(rpool, primitive_vector(r)) for r in f.rays}
+        for l in f.lineality:
+            if not is_zero(reduce_mod_subspace(l, lin)):
+                ridx.add(index(rpool, primitive_vector(l)))
+                ridx.add(index(rpool, primitive_vector(neg(l))))
+        cells.append((tuple(vidx), tuple(sorted(ridx))))
+    return tuple(vpool), tuple(rpool), tuple(cells)
+
+
 def _oracle_balancing(c):
     """Per ridge: the weighted sum of the lattice normals, each with its
     incidence proved, reduced modulo the span of the ridge."""
@@ -115,9 +155,9 @@ def _direction(rng, n, span=3):
     return [rng.randint(-span, span) for _ in range(n)]
 
 
-def _polyhedron(rng, kind):
+def _polyhedron(rng, kind, n=None):
     """A cone, polytope or polyhedron given with redundant generators."""
-    n = rng.randint(1, 4)
+    n = rng.randint(1, 4) if n is None else n
     lin = [l for l in (_direction(rng, n) for _ in range(rng.choice((0, 0, 1, 2)))) if any(l)]
     rays = [r for r in (_direction(rng, n) for _ in range(rng.randint(0, n + 2))) if any(r)]
     extra = []
@@ -223,6 +263,18 @@ class TestRecordReads:
                     all(_dot(a, x) >= 0 for a, _ in h.inequalities)
                     and all(_dot(a, x) == 0 for a, _ in h.equations))
 
+    def test_hrep_equations_and_round_trip(self, seed):
+        for p in _polyhedra(seed, 150):
+            h = p.hrep
+            if p.vertices:
+                eqs = [(-b,) + a for a, b in h.equations]
+            else:
+                eqs = [a for a, _ in h.equations]
+            # a basis of the equation space, though not its canonical one
+            assert len(subspace_canonical_basis(eqs)) == len(eqs)
+            assert subspace_canonical_basis(eqs) == _oracle_equations(p)
+            assert Polyhedron.from_hrep(h) == p
+
     def test_lattice_is_the_saturated_direction_lattice(self, seed):
         for p in _polyhedra(seed, 100):
             basis = p._lattice
@@ -303,3 +355,67 @@ class TestBalancingMembership:
                 assert report.balanced == all(b for _, b, _ in got)
                 unbalanced += not report.balanced
         assert unbalanced > 50
+
+
+def _rational_multiple(rng, v):
+    m = F(rng.randint(1, 4), rng.randint(1, 3))
+    return [m * x for x in v]
+
+
+def _facet_sets(seed, count):
+    """Facets in one R^n, given with non-primitive and rational rays, some
+    repeated, and with lineality that is declared for the complex (scaled
+    differently in each facet) or that only some facets have."""
+    rng = random.Random(seed)
+    kinds = ("cone", "polytope", "polyhedron")
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        common = [d for d in [_direction(rng, n)] if any(d) and rng.random() < 0.4]
+        facets = []
+        for _ in range(rng.randint(1, 5)):
+            p = _polyhedron(rng, rng.choice(kinds), n)
+            rays = [_rational_multiple(rng, r) for r in p.rays]
+            lin = list(p.lineality) + [_rational_multiple(rng, l) for l in common]
+            facets.append(Polyhedron(n, p.vertices, tuple(map(vec, rays)),
+                                     tuple(map(vec, lin))))
+            if rng.random() < 0.3:
+                facets.append(rng.choice(facets))
+        yield facets, common, n
+
+
+def _assert_pools_match_the_fraction_pooling(facets, lineality, n):
+    c = Complex.from_facets(facets, lineality=lineality, ambient_dim=n)
+    assert (c.vertex_pool, c.ray_pool, c.cells) == _oracle_pools(facets, lineality)
+    assert all(type(x) is F for g in c.vertex_pool + c.ray_pool for x in g)
+    for i, f in enumerate(c.facet_polyhedra):
+        assert f.canonical_key == c.facet(i).canonical_key
+    return c
+
+
+class TestIntegerPools:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_against_the_fraction_pooling(self, seed):
+        rng = random.Random(seed)
+        for facets, common, n in _facet_sets(seed, 60):
+            c = _assert_pools_match_the_fraction_pooling(facets, common, n)
+            # pool rays given non-primitive, rational and repeated: each
+            # cell converts them as `facet(i)` does
+            rays = [_rational_multiple(rng, r) for r in c.ray_pool]
+            cells = [(v, r + r[:1] + (len(rays),) * bool(rays)) for v, r in c.cells]
+            scaled = Complex(n, c.vertex_pool, tuple(map(vec, rays + rays[:1])),
+                             c.lineality, tuple(cells))
+            for i, f in enumerate(scaled.facet_polyhedra):
+                g = scaled.facet(i)
+                assert (f.vertices, f.rays, f.lineality) == (g.vertices, g.rays, g.lineality)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(*(st.lists(st.lists(st.fractions(-3, 3, max_denominator=3),
+                                      min_size=n, max_size=n), max_size=size)
+                    for size in (2, 3, 1))),
+        min_size=1, max_size=4))))
+    def test_drawn_facet_sets(self, drawn):
+        n, gens = drawn
+        facets = [Polyhedron(n, tuple(map(vec, v)), tuple(map(vec, r)), tuple(map(vec, l)))
+                  for v, r, l in gens]
+        _assert_pools_match_the_fraction_pooling(facets, (), n)

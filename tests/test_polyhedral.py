@@ -383,6 +383,15 @@ class TestValidateComplex:
         assert validate_complex(c).valid
 
 
+class TestComplexWeights:
+    def test_only_omitted_weights_are_unit_weights(self):
+        cells = [cone([1, 0]), cone([0, 1])]
+        assert Complex.from_facets(cells).weights == (1, 1)
+        for weights in ([], (), [1]):
+            with pytest.raises(ValueError, match="one weight per facet required"):
+                Complex.from_facets(cells, weights=weights)
+
+
 class TestIntersect:
     def test_cones(self):
         a = cone([1, 0], [1, 2])
