@@ -141,6 +141,15 @@ class FacetRidgeHypergraph:
                     incident[f].append(i)
         return tuple(map(tuple, incident))
 
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]:
+        """Per facet u, its `_incidence` with each hyperedge e as (its bit
+        mask, e, its members other than u in the hyperedge's order)."""
+        edges = self.hyperedges
+        masks = [sum(map((1).__lshift__, edge)) for edge in edges]
+        return tuple(tuple((masks[e], e, tuple(w for w in edges[e] if w != u)) for e in incident)
+                     for u, incident in enumerate(self._incidence))
+
 
 @dataclass(frozen=True)
 class ConnectivityCertificate:
@@ -228,7 +237,7 @@ class _Separators:
     def __init__(self, h: FacetRidgeHypergraph, work: _Work):
         self.n = h.num_facets
         self.edges = h.hyperedges
-        self.incidence = h._incidence
+        self.adjacent = h._adjacency
         self.work = work
         self.facets = self.allowed = frozenset(range(self.n))
 
@@ -255,7 +264,7 @@ class _Separators:
         of the shortest surviving path.
         """
         self.work.spend()
-        blocked = set(removed)
+        blocked = sum(map((1).__lshift__, removed))
         shortest = None
         for _ in range(r + 1):
             interior = self._path(a, b, blocked)
@@ -265,7 +274,7 @@ class _Separators:
             if not interior:
                 return None
             shortest = shortest or interior
-            blocked |= interior
+            blocked |= sum(map((1).__lshift__, interior))
         else:
             return None
         if shortest is None:
@@ -279,19 +288,19 @@ class _Separators:
                     return found
         return None
 
-    def _path(self, a: Optional[int], b: int, blocked: set) -> Optional[set[int]]:
-        """The interior of a BFS-shortest hyperpath from b to a avoiding
-        `blocked`, or None.  With a None the path ends at any facet below b."""
+    def _path(self, a: Optional[int], b: int, blocked: int) -> Optional[set[int]]:
+        """The interior of a BFS-shortest hyperpath from b to a avoiding the
+        facets in the bit mask `blocked`, or None.  With a None the path
+        ends at any facet below b."""
         self.work.spend()
-        edges, incidence = self.edges, self.incidence
+        edges, adjacent = self.edges, self.adjacent
         parent = {b: None}
         queue = [b]
         for u in queue:
-            for e in incidence[u]:
-                edge = edges[e]
-                if not blocked.isdisjoint(edge):
+            for mask, e, others in adjacent[u]:
+                if blocked & mask:
                     continue
-                for w in edge:
+                for w in others:
                     if w in parent:
                         continue
                     parent[w] = (u, e)

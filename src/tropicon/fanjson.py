@@ -17,11 +17,14 @@ already-parsed canonical file reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Union
 
-from .polyhedral import Complex
-from .ratlin import Vec, as_int_list, is_zero, matrix_rank, primitive_vector
+from .polyhedral import Complex, _fraction
+from .ratlin import (
+    _int_reduce, _int_row, _primitive, as_int_list, matrix_rank, subspace_canonical_basis,
+)
 
 
 def format_rational(x: Fraction) -> Union[str, int]:
@@ -78,47 +81,78 @@ def _rows(obj: dict, key: str, what: str) -> list:
     return [_list(row, what) for row in _list(obj[key], key)]
 
 
-def _integer_vector(entries, what: str) -> Vec:
+def _integers(x, what: str, item: str) -> tuple[int, ...]:
+    """The list x as ints; a list of ints only (bools are not) skips `_integer`."""
+    x = _list(x, what)
+    return tuple(x) if all(type(i) is int for i in x) else tuple(_integer(i, item) for i in x)
+
+
+def _integer_vector(entries, what: str) -> tuple[int, ...]:
+    """The row as ints; a row of ints only (bools are not) skips the parser."""
+    if all(type(x) is int for x in entries):
+        return tuple(entries)
     v = tuple(parse_rational(x) for x in entries)
     if any(x.denominator != 1 for x in v):
         raise ValueError(f"{what} {entries} is not an integer vector")
-    return v
+    return tuple(x.numerator for x in v)
+
+
+def _distinct_rays(rays: list[tuple[int, ...]], lineality: list[tuple[int, ...]]) -> None:
+    """Reject two pool rays that are positive multiples modulo the lineality."""
+    lin_rows = [_int_row(l) for l in subspace_canonical_basis(lineality)]
+    seen: dict[tuple[int, ...], int] = {}
+    for i, r in enumerate(rays):
+        row = _int_reduce(r, lin_rows) if lin_rows else r
+        j = seen.setdefault(_primitive(row), i) if any(row) else i
+        if j != i:
+            raise ValueError(f"rays {list(rays[j])} and {list(r)} are equal modulo the lineality")
 
 
 def fan_from_obj(obj: dict) -> Complex:
+    """The complex of a fan file; rejects unknown keys, non-primitive or
+    repeated rays, and cells that repeat an index or another cell."""
     if not isinstance(obj, dict):
         raise ValueError(f"a fan file holds a JSON object, not {obj!r}")
     required = {"ambient_dim", "rays", "vertices", "lineality", "cells", "weights"}
     missing = required - set(obj)
     if missing:
         raise ValueError(f"fan file missing keys: {sorted(missing)}")
+    if len(obj) > len(required):
+        raise ValueError(f"fan file has unknown keys: {sorted(set(obj) - required)}")
     n = _integer(obj["ambient_dim"], "ambient_dim")
     if n < 0:
         raise ValueError(f"ambient_dim {n} is negative")
-    rays = tuple(_integer_vector(r, "ray") for r in _rows(obj, "rays", "ray"))
+    rays = [_integer_vector(r, "ray") for r in _rows(obj, "rays", "ray")]
     for r in rays:
-        if is_zero(r) or primitive_vector(r) != r:
-            raise ValueError(f"ray {as_int_list(r)} is not a primitive nonzero vector")
+        if math.gcd(*r) != 1:
+            raise ValueError(f"ray {list(r)} is not a primitive nonzero vector")
     vertices = tuple(tuple(parse_rational(x) for x in v)
                      for v in _rows(obj, "vertices", "vertex"))
-    lineality = tuple(_integer_vector(l, "lineality row")
-                      for l in _rows(obj, "lineality", "lineality row"))
+    lineality = [_integer_vector(l, "lineality row")
+                 for l in _rows(obj, "lineality", "lineality row")]
     if matrix_rank(lineality) < len(lineality):
         raise ValueError("lineality rows are zero or linearly dependent")
-    cells = []
+    _distinct_rays(rays, lineality)
+    cells: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    seen: dict[tuple[frozenset, frozenset], int] = {}
     for cell in _list(obj["cells"], "cells"):
-        if not isinstance(cell, dict):
-            raise ValueError(f"cell {cell!r} is not an object")
-        v = tuple(_integer(i, "cell index") for i in _list(cell.get("v", []), "cell v"))
-        r = tuple(_integer(i, "cell index") for i in _list(cell.get("r", []), "cell r"))
-        if any(i >= len(vertices) or i < 0 for i in v) or \
-                any(i >= len(rays) or i < 0 for i in r):
+        if not isinstance(cell, dict) or not set(cell) <= {"v", "r"}:
+            raise ValueError(f"cell {cell!r} is not an object with keys among 'v' and 'r'")
+        v, r = (_integers(cell.get(k, []), f"cell {k}", "cell index") for k in "vr")
+        if v and (min(v) < 0 or max(v) >= len(vertices)) or \
+                r and (min(r) < 0 or max(r) >= len(rays)):
             raise ValueError("cell references an index outside the pools")
+        key = frozenset(v), frozenset(r)
+        if len(key[0]) < len(v) or len(key[1]) < len(r):
+            raise ValueError(f"cell {cell!r} repeats an index")
+        if seen.setdefault(key, len(cells)) < len(cells):
+            raise ValueError(f"cells {seen[key]} and {len(cells)} are identical")
         cells.append((v, r))
-    weights = tuple(_integer(w, "weight") for w in _list(obj["weights"], "weights"))
+    weights = _integers(obj["weights"], "weights", "weight")
     if len(weights) != len(cells):
         raise ValueError(f"{len(weights)} weights for {len(cells)} cells")
-    return Complex(n, vertices, rays, lineality, tuple(cells), weights)
+    return Complex(n, vertices, tuple(tuple(map(_fraction, r)) for r in rays),
+                   tuple(tuple(map(_fraction, l)) for l in lineality), tuple(cells), weights)
 
 
 def fan_from_text(text: str) -> Complex:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Callable, FrozenSet, Iterable, Sequence
 
 from .fanjson import _integer, _list, parse_rational
-from .polyhedral import Complex, Polyhedron
-from .ratlin import Vec, mat, matrix_rank, vec
+from .polyhedral import Complex
+from .ratlin import mat, matrix_rank, vec
 
 GROUND_LIMIT = 12
 
@@ -75,6 +75,7 @@ class Matroid:
         if len(set(elements)) != len(elements):
             raise ValueError("repeated ground set labels")
         self.elements = elements
+        self._ground = frozenset(elements)
         self.provenance = provenance
         self._rank_fn = rank_fn
         self._memo: dict[FrozenSet[int], int] = {}
@@ -155,7 +156,7 @@ class Matroid:
 
     def rank(self, S: Iterable[int]) -> int:
         key = frozenset(S)
-        if not key <= set(self.elements):
+        if not key <= self._ground:
             raise ValueError("subset leaves the ground set")
         if key not in self._memo:
             self._memo[key] = self._rank_fn(key)
@@ -181,7 +182,8 @@ def proper_flats(m: Matroid) -> dict[int, list[Flat]]:
     """All flats strictly between the empty set and the ground set, by rank.
 
     Enumerated by closing covers upward from the bottom flat, so only the
-    actual lattice of flats is visited.
+    actual lattice of flats is visited.  The covers of a flat f partition
+    the elements outside f, so each cover is closed once.
     """
     ground = frozenset(m.elements)
     bottom = m.closure(())
@@ -195,9 +197,11 @@ def proper_flats(m: Matroid) -> dict[int, list[Flat]]:
                                key=lambda fl: sorted(fl.elements))
         nxt: set[FrozenSet[int]] = set()
         for f in level:
+            covered = set(f)
             for e in m.elements:
-                if e not in f:
+                if e not in covered:
                     g = m.closure(f | {e})
+                    covered |= g
                     if g != ground:
                         nxt.add(g)
         level = nxt
@@ -229,31 +233,26 @@ def maximal_chains(m: Matroid) -> list[FlagChain]:
     return chains
 
 
-def _indicator(flat_elements: FrozenSet[int], ground: Sequence[int]) -> Vec:
-    return tuple(Fraction(1 if e in flat_elements else 0) for e in ground)
-
-
 def bergman_fine(m: Matroid) -> Complex:
     """Bergman fan of the matroid in its fine fan structure.
 
     One ray per proper nonempty flat (the 0/1 indicator over the ground set),
     one maximal cone per maximal chain of flats, and the all-ones line as
     lineality.  The fan lives in R^(ground size) and is pure of dimension
-    rank(m), each facet being simplicial modulo the lineality line.
+    rank(m), each facet being simplicial modulo the lineality line.  Flats
+    are numbered as the chains first meet them, and a cell is the sorted
+    numbers of its chain's flats; a rank-one matroid has one cell, no rays.
     """
     if not m.is_loop_free():
         raise HasLoops("matroid has loops")
     ground = m.elements
     n = len(ground)
-    all_ones = (Fraction(1),) * n
-    chains = maximal_chains(m)
-    facets = []
-    for chain in chains:
-        rays = [_indicator(f.elements, ground) for f in chain.flats]
-        facets.append(Polyhedron.cone(rays, [all_ones], ambient_dim=n))
-    if not facets:  # rank-one matroid: the fan is the lineality line
-        facets = [Polyhedron.cone((), [all_ones], ambient_dim=n)]
-    return Complex.from_facets(facets, lineality=[all_ones], ambient_dim=n)
+    ids: dict[FrozenSet[int], int] = {}
+    cells = tuple(((), tuple(sorted(ids.setdefault(f.elements, len(ids)) for f in chain.flats)))
+                  for chain in maximal_chains(m))
+    bit = (Fraction(0), Fraction(1))
+    return Complex(n, (), tuple(tuple(bit[e in f] for e in ground) for f in ids),
+                   ((bit[1],) * n,) if n else (), cells or (((), ()),))
 
 
 def contraction(m: Matroid, e: int) -> Matroid:

@@ -17,8 +17,10 @@ that record, with no elimination over fractions:
   and is a ray exactly when it holds no other (proof at
   `Polyhedron.canonical_key`);
 - a face is the cell's canonical generators whose tight sets contain the
-  face's facets, so no face needs a double description of its own, and a
-  face without a record gets its dimension as an integer rank;
+  face's facets, so no face needs a double description of its own; a
+  codimension-one face, cut out by one facet inequality of an irredundant
+  description, has the cell's dimension minus one, and only deeper faces
+  get their dimension as an integer rank;
 - membership is a sign test of integer dot products;
 - the saturated lattice of a cell, `Polyhedron._lattice`, is the integer
   kernel of its equations, from an integer Smith normal form.
@@ -54,7 +56,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .ratlin import (
     Mat, Vec, ZeroVector, _int_kernel, _int_rank, _int_reduce, _int_row,
-    _lattice_kernel, _primitive_ints, dot, frac, is_zero, primitive_vector, sub,
+    _lattice_kernel, _primitive, _primitive_ints, dot, frac, is_zero, primitive_vector, sub,
     neg, subspace_canonical_basis, vec, zero_vec,
 )
 
@@ -107,6 +109,15 @@ def _generators(n: int, vertices: Iterable, rays: Iterable, lin: Mat
 # double description: V-representation of {x : a.x >= 0, e.x = 0}
 
 
+@functools.lru_cache(maxsize=256)
+def _eq_kernel(eqs: tuple, n: int) -> tuple[tuple[int, ...], ...]:
+    """A basis of primitive integer rows of {x in R^n : e.x = 0 for e in
+    eqs}; cached, since the cells of a complex share their equations."""
+    if eqs:
+        return tuple(_int_kernel(eqs)[1])
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[list, list]:
     """Extreme rays and a lineality basis of a homogeneous cone, as sorted
     primitive integer rays and primitive integer rows (not canonical).
@@ -116,9 +127,9 @@ def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[list, lis
     the extreme rays modulo the output lineality space.  It runs fraction
     free (Fukuda & Prodon 1996): each row is scaled once to its primitive
     integer row, a positive multiple that leaves the cone unchanged, and
-    every combination of rays is made primitive again.  A primitive
-    direction is unique, so the rays equal those of the same pass over
-    fractions.  Rows may be given as integers or fractions.
+    every combination of rays is made primitive again by one gcd.  A
+    primitive direction is unique, so the rays equal those of the same pass
+    over fractions.  Rows may be given as integers or fractions.
 
     Two rays are adjacent when they span a 2-face modulo the current
     lineality.  Within the space of dimension w cut out by the equations, a
@@ -127,32 +138,30 @@ def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[list, lis
     least w - l - 2; a pair with fewer common tight inequalities is rejected
     before the combinatorial test.
     """
-    if eqs:
-        _, lin = _int_kernel(eqs)
-    else:
-        lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    lin = list(_eq_kernel(tuple(map(tuple, eqs)), n))
     width = len(lin)
     rays: list[tuple[int, ...]] = []
     zeros: list[int] = []  # per ray: bit mask of processed inequalities tight on it
     bit = 1
 
     for a in ineqs:
-        if is_zero(a):
+        a = _int_row(a)
+        if not any(a):
             continue
-        a = _primitive_ints(a)
+        a = _primitive(a)
         lin_vals = [sum(map(mul, a, l)) for l in lin]
         pivot = next((i for i, v in enumerate(lin_vals) if v), None)
         if pivot is not None:
             l0, v0 = lin[pivot], lin_vals[pivot]
             if v0 < 0:
                 l0, v0 = tuple(-x for x in l0), -v0
-            lin = [_primitive_ints([v0 * x - v * y for x, y in zip(l, l0)]) if v else l
+            lin = [_primitive([v0 * x - v * y for x, y in zip(l, l0)]) if v else l
                    for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != pivot]
             # push existing rays into the hyperplane of a; adopt l0 as a ray
             for i, r in enumerate(rays):
                 rv = sum(map(mul, a, r))
                 if rv:
-                    rays[i] = _primitive_ints([v0 * x - rv * y for x, y in zip(r, l0)])
+                    rays[i] = _primitive([v0 * x - rv * y for x, y in zip(r, l0)])
             zeros = [z | bit for z in zeros]
             rays.append(l0)
             zeros.append(bit - 1)
@@ -181,7 +190,7 @@ def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[list, lis
                 continue  # not adjacent
             p, m = (i, j) if vi > 0 else (j, i)
             w = [vals[p] * x - vals[m] * y for x, y in zip(rays[m], rays[p])]
-            keep_rays.append(_primitive_ints(w))
+            keep_rays.append(_primitive(w))
             keep_zeros.append(common | bit)
         rays, zeros = keep_rays, keep_zeros
         bit <<= 1
@@ -241,7 +250,7 @@ class _Record:
 
     def __init__(self, p: "Polyhedron"):
         self.affine = affine = bool(p.vertices)
-        rays = [_numerators(r) for r in p.rays]
+        rays = p.__dict__.get("_ray_rows") or [_numerators(r) for r in p.rays]
         lin = [_numerators(l) for l in p.lineality]
         verts: list[tuple[int, ...]] = []
         if affine:
@@ -249,8 +258,9 @@ class _Record:
             rays = [(0,) + r for r in rays]
             lin = [(0,) + l for l in lin]
         facets, self.eqs = dd_cone(verts + rays, lin, p.ambient_dim + affine)
-        # a stable sort puts the trivial facet x0 >= 0, if C has it, last
-        self.facets = facets = sorted(facets, key=lambda a: affine and not any(a[1:]))
+        if affine:  # a stable sort puts the trivial facet x0 >= 0, if C has it, last
+            facets.sort(key=lambda a: not any(a[1:]))
+        self.facets = facets
 
         def tight(g: tuple[int, ...]) -> int:
             mask = 0
@@ -410,7 +420,8 @@ class Polyhedron:
     @cached_property
     def dim(self) -> int:
         """n minus the number of equations once the record is built;
-        otherwise, as for faces, the integer rank of the generators."""
+        otherwise, as for faces below the ridges (`codim1_faces` sets the
+        ridges'), the integer rank of the generators."""
         rec = self.__dict__.get("_rec")
         if rec is not None:
             return self.ambient_dim - len(rec.eqs)
@@ -470,7 +481,7 @@ class Polyhedron:
                 row = _int_reduce(row, lin_rows)
             g = math.gcd(*row)
             if g:  # a ray in the lineality is no generator of the key
-                reps.setdefault(tuple(x // g for x in row), mask)
+                reps.setdefault(_primitive(row), mask)
         gens = list(reps.items())
         extreme = [(r, mask) for i, (r, mask) in enumerate(gens)
                    if not any(other & mask == mask
@@ -636,8 +647,12 @@ def _vertex_scale(cells: Sequence[Polyhedron]) -> int:
 def codim1_faces(p: Polyhedron) -> list[Polyhedron]:
     """All faces of dimension dim(p) - 1, one per facet inequality of p in
     the order of `p.hrep.inequalities`: an irredundant facet description
-    cuts out distinct, nonempty facets."""
-    return [_face(p, 1 << i) for i in range(len(p.hrep.inequalities))]
+    cuts out distinct, nonempty facets, so each face's dimension is known
+    and none needs a rank."""
+    faces = [_face(p, 1 << i) for i in range(len(p.hrep.inequalities))]
+    for face in faces:
+        face.__dict__["dim"] = p.dim - 1
+    return faces
 
 
 def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
@@ -807,11 +822,13 @@ class Complex:
         rays = {k: tuple(map(_fraction, k)) for k in keys if k is not None}
         if any(len(g) != n for g in itertools.chain(verts, rays, lin)):
             raise ValueError("generator has wrong ambient dimension")
-        return tuple(
-            Polyhedron._raw(n, tuple(verts[j] for j in vidx),
-                            tuple(rays[k] for k in dict.fromkeys(keys[j] for j in ridx)
-                                  if k is not None), lin)
-            for vidx, ridx in self.cells)
+        cells = []
+        for vidx, ridx in self.cells:
+            ks = [k for k in dict.fromkeys(keys[j] for j in ridx) if k is not None]
+            cell = Polyhedron._raw(n, tuple(verts[j] for j in vidx), tuple(rays[k] for k in ks), lin)
+            cell.__dict__["_ray_rows"] = ks  # the record reads these ints, not the fractions
+            cells.append(cell)
+        return tuple(cells)
 
     @cached_property
     def ridges(self) -> tuple[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]], ...]:

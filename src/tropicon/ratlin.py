@@ -118,12 +118,16 @@ def _int_row(v: Iterable) -> list[int]:
     return [x.numerator * (m // x.denominator) for x in v]
 
 
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    """The nonzero integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(row) if g == 1 else tuple(a // g for a in row)
+
+
 def _primitive_ints(v: Iterable) -> tuple[int, ...]:
     """The integer vector with gcd 1 that is a positive multiple of the
     nonzero rational vector v."""
-    ints = _int_row(v)
-    g = gcd(*ints)
-    return tuple(ints) if g == 1 else tuple(a // g for a in ints)
+    return _primitive(_int_row(v))
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -235,7 +239,7 @@ def _int_reduce(row: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]
     with each step scaled by the row's pivot, which is positive."""
     out = list(row)
     for b in basis:
-        p = next(i for i, x in enumerate(b) if x)
+        p = b.index(next(filter(None, b)))  # the pivot: the first nonzero entry
         f = out[p]
         if f:
             q = b[p]
@@ -258,47 +262,48 @@ def smith_normal_form(A: Mat) -> tuple[Mat, Mat, Mat]:
     U and V are unimodular; D is diagonal with d_1 | d_2 | ... >= 0.
     Deterministic pivot choice (smallest |entry|, then lex position).
     """
-    D, U, V = _smith([as_int_list(row) for row in A])
+    D, U, V_cols = _smith([as_int_list(row) for row in A])
     to_mat = lambda rows: tuple(tuple(Fraction(x) for x in row) for row in rows)
-    return to_mat(D), to_mat(U), to_mat(V)
+    return to_mat(D), to_mat(U), to_mat(zip(*V_cols))
 
 
 def _smith(D: list[list[int]]) -> tuple[list[list[int]], ...]:
     """The integer core of `smith_normal_form`: reduces the rows D in place
-    and returns (D, U, V)."""
+    and returns (D, U, the columns of V).  V is kept by columns, so that a
+    column operation is one list operation."""
     m = len(D)
     n = len(D[0]) if D else 0
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # W[j]: column j of V
 
     def row_op(i, j, q):  # row_i -= q * row_j
         D[i] = [a - q * b for a, b in zip(D[i], D[j])]
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(m):
-            D[r][i] -= q * D[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
+        for row in D:
+            row[i] -= q * row[j]
+        W[i] = [a - q * b for a, b in zip(W[i], W[j])]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
         U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
-        for r in range(m):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        for row in D:
+            row[i], row[j] = row[j], row[i]
+        W[i], W[j] = W[j], W[i]
 
     t = 0
     while t < min(m, n):
         # locate pivot: smallest nonzero magnitude in the trailing block
         best = None
         for i in range(t, m):
+            row = D[i]
             for j in range(t, n):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
         if best is None:
             break
         swap_rows(t, best[0])
@@ -342,16 +347,16 @@ def _smith(D: list[list[int]]) -> tuple[list[list[int]], ...]:
             D[t] = [-a for a in D[t]]
             U[t] = [-a for a in U[t]]
         t += 1
-    return D, U, V
+    return D, U, W
 
 
 def _lattice_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Basis of {x in Z^n : A x = 0} for the nonempty integer rows A: the
     last columns of V in the Smith normal form U A V = D."""
     n = len(rows[0])
-    D, _, V = _smith([list(row) for row in rows])
+    D, _, V_cols = _smith([list(row) for row in rows])
     rank = sum(1 for i in range(min(len(D), n)) if D[i][i] != 0)
-    return [tuple(row[j] for row in V) for j in range(rank, n)]
+    return [tuple(col) for col in V_cols[rank:]]
 
 
 def saturation_basis(gens: Sequence[Vec], ambient_dim: Optional[int] = None) -> Mat:

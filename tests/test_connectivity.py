@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from test_theorem import loopless_matroids
 from tropicon import connectivity
@@ -395,3 +395,127 @@ def test_refutation_tests_few_subsets(monkeypatch):
     cert = is_k_connected(build_hypergraph(bergman_fine(Matroid.uniform(4, 6))), 4)
     assert (cert.verdict, cert.witness, cert.subsets_examined) == (False, (1, 4, 20), 1148)
     assert len(calls) <= 15
+
+
+# ---------------------------------------------------------------------------
+# the BFS on bit masks against the BFS on sets it replaced
+
+
+def _set_search(self, a, b, removed, r, seen):
+    """`_Separators._search` as it was, with `blocked` a set."""
+    self.work.spend()
+    blocked = set(removed)
+    shortest = None
+    for _ in range(r + 1):
+        interior = self._path(a, b, blocked)
+        if interior is None:
+            break
+        interior &= self.allowed
+        if not interior:
+            return None
+        shortest = shortest or interior
+        blocked |= interior
+    else:
+        return None
+    if shortest is None:
+        return removed
+    for c in sorted(shortest):
+        grown = removed | {c}
+        if grown not in seen:
+            seen.add(grown)
+            found = self._search(a, b, grown, r - 1, seen)
+            if found is not None:
+                return found
+    return None
+
+
+def _set_path(self, a, b, blocked):
+    """`_Separators._path` as it was: each hyperedge tested against the set
+    `blocked` by `isdisjoint`, each member visited from the hyperedge."""
+    self.work.spend()
+    edges, incidence = self.edges, self.set_incidence
+    parent = {b: None}
+    queue = [b]
+    for u in queue:
+        for e in incidence[u]:
+            edge = edges[e]
+            if not blocked.isdisjoint(edge):
+                continue
+            for w in edge:
+                if w in parent:
+                    continue
+                parent[w] = (u, e)
+                if w == a or (a is None and w < b):
+                    interior = set()
+                    while w != b:
+                        w, e = parent[w]
+                        interior |= edges[e]
+                    return interior - {a, b}
+                queue.append(w)
+    return None
+
+
+def _certificates_and_work(h, ks):
+    """Every certificate of `is_k_connected` at ks and of `min_facet_cut`,
+    and the work each call spent."""
+    spent = []
+    base = connectivity._Work
+
+    class Counted(base):
+        def __init__(self, budget):
+            super().__init__(budget)
+            spent.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(connectivity, "_Work", Counted)
+        out = [is_k_connected(h, k) for k in ks]
+        if h.num_facets >= 2:
+            out.append(min_facet_cut(h))
+    return out, [w.done for w in spent]
+
+
+def _assert_masks_match_sets(h, ks):
+    got = _certificates_and_work(h, ks)
+    init = connectivity._Separators.__init__
+
+    def keep_incidence(self, hg, work):
+        init(self, hg, work)
+        self.set_incidence = hg._incidence
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(connectivity._Separators, "__init__", keep_incidence)
+        mp.setattr(connectivity._Separators, "_search", _set_search)
+        mp.setattr(connectivity._Separators, "_path", _set_path)
+        want = _certificates_and_work(h, ks)
+    assert got == want
+
+
+@st.composite
+def _drawn_hypergraphs(draw):
+    n = draw(st.integers(2, 10))
+    member = st.integers(0, n - 1)
+    edges = draw(st.lists(st.frozensets(member, min_size=1, max_size=4), max_size=3 * n))
+    return FacetRidgeHypergraph(tuple(map(str, range(n))), tuple(edges),
+                                tuple(map(str, range(len(edges)))))
+
+
+class TestBitMaskBreadthFirstSearch:
+    @pytest.mark.parametrize("fan", [
+        two_planes_fan, lambda: cube_normal_fan(3),
+        lambda: bergman_fine(Matroid.uniform(3, 6)),
+        lambda: bergman_fine(Matroid.graphic(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 1)])),
+        lambda: bergman_fine(Matroid.uniform(4, 6)),
+    ], ids=["two-planes", "cube3", "U(3,6)", "C5-parallel", "U(4,6)"])
+    def test_fixtures(self, fan):
+        _assert_masks_match_sets(build_hypergraph(fan()), range(6))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_drawn_hypergraphs())
+    def test_drawn_hypergraphs(self, h):
+        _assert_masks_match_sets(h, range(1, 5))
+
+    def test_seeded_hypergraphs(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            _assert_masks_match_sets(_random_hypergraph(rng), range(1, 5))

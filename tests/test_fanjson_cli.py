@@ -336,6 +336,100 @@ class TestCliCheck:
         assert code == 1 and word in err
 
 
+def _square_fan(**changes):
+    """Two quadrants of the plane, with the given keys replaced."""
+    obj = {"ambient_dim": 2, "rays": [[0, 1], [1, 0], [-1, 0]], "vertices": [],
+           "lineality": [], "cells": [{"v": [], "r": [0, 1]}, {"v": [], "r": [0, 2]}],
+           "weights": [1, 1]}
+    obj.update(changes)
+    return obj
+
+
+class TestStrictFanFiles:
+    """Files that a schema-blind reader would certify, all rejected with
+    exit 1: each used to print a true verdict."""
+
+    @pytest.mark.parametrize("obj,word", [
+        (_square_fan(cells=[{"v": [], "r": [0, 1]}, {"v": [], "r": [0, 1]}],
+                     rays=[[1, 0], [0, 1]]), "identical"),
+        ({"ambient_dim": 2, "rays": [[1, 0], [1, 0], [0, 1]], "vertices": [],
+          "lineality": [], "cells": [{"v": [], "r": [0, 2]}, {"v": [], "r": [1, 2]}],
+          "weights": [1, 1]}, "equal"),
+        (_square_fan(cells=[{"rays": [0, 1]}, {"rays": [0, 1]}]), "keys"),
+    ], ids=["duplicate-cells", "duplicate-rays", "cells-with-unknown-keys"])
+    def test_repros_exit_1(self, tmp_path, capsys, obj, word):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        for command in ("check", "balance"):
+            code, out, err = run_cli([command, str(path)], capsys)
+            assert (code, out) == (1, "") and word in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("obj,message", [
+        (dict(_square_fan(), name="quadrants"), "fan file has unknown keys: ['name']"),
+        (_square_fan(cells=[{"v": [], "r": [0, 1], "w": 2}, {"v": [], "r": [0, 2]}]),
+         "is not an object with keys among 'v' and 'r'"),
+        (_square_fan(cells=[{"v": [], "r": [0, 1, 0]}, {"v": [], "r": [0, 2]}]),
+         "repeats an index"),
+        (_square_fan(cells=[{"v": [], "r": [1, 0]}, {"v": [], "r": [0, 2]},
+                            {"r": [0, 1]}], weights=[1, 1, 1]),
+         "cells 0 and 2 are identical"),
+        (_square_fan(rays=[[0, 1], [1, 0], [0, 1]]),
+         "rays [0, 1] and [0, 1] are equal modulo the lineality"),
+        # (1, 0) and (2, 1) differ by the lineality (1, 1) up to a scale
+        (_square_fan(rays=[[1, 0], [2, 1]], lineality=[[1, 1]],
+                     cells=[{"v": [], "r": [0]}, {"v": [], "r": [1]}]),
+         "rays [1, 0] and [2, 1] are equal modulo the lineality"),
+    ], ids=["top-level-key", "cell-key", "repeated-index", "identical-cells",
+            "equal-rays", "equal-modulo-lineality"])
+    def test_rejected_with_a_message(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            fan_from_obj(obj)
+        assert message in str(info.value)
+
+    def test_opposite_and_distinct_rays_load(self):
+        # opposite rays modulo the lineality are different generators
+        c = fan_from_obj(_square_fan(rays=[[1, 0], [-1, 0]], lineality=[[0, 1]],
+                                     cells=[{"v": [], "r": [0]}, {"v": [], "r": [1]}]))
+        assert len(c.ray_pool) == 2 and c.lineality == ((F(0), F(1)),)
+
+    @pytest.mark.parametrize("row,message", [
+        ([0, 0], "ray [0, 0] is not a primitive nonzero vector"),
+        ([2, 0], "ray [2, 0] is not a primitive nonzero vector"),
+        (["2", "0"], "ray [2, 0] is not a primitive nonzero vector"),
+        (["1/2", 0], "ray ['1/2', 0] is not an integer vector"),
+        ([True, 0], "rationals must be strings or integers, got bool"),
+        ([1.0, 0], "rationals must be strings or integers, got float"),
+    ], ids=["zero", "non-primitive", "non-primitive-strings", "non-integer", "true",
+            "float"])
+    def test_ray_row_messages(self, row, message):
+        # integer rows skip the rational parser; the messages stay those of
+        # the parser's path, and a bool is never read as an int
+        with pytest.raises(ValueError) as info:
+            fan_from_obj(_square_fan(rays=[row, [0, 1], [-1, 0]]))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"cells": [{"v": [], "r": [True, 0]}, {"v": [], "r": [0, 2]}]},
+         "cell index True is not an integer"),
+        ({"weights": [1, True]}, "weight True is not an integer"),
+        ({"weights": [1, 1.0]}, "weight 1.0 is not an integer"),
+    ], ids=["bool-index", "bool-weight", "float-weight"])
+    def test_index_and_weight_lists_take_ints_only(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            fan_from_obj(_square_fan(**changes))
+        assert str(info.value) == message
+        # strings of integers still read as before
+        c = fan_from_obj(_square_fan(cells=[{"v": [], "r": ["0", 1]}, {"r": [0, "2"]}],
+                                     weights=["2", 3]))
+        assert c.cells == (((), (0, 1)), ((), (0, 2))) and c.weights == (2, 3)
+
+    def test_integer_rows_become_the_same_fractions(self):
+        ints = fan_from_obj(_square_fan(lineality=[]))
+        strings = fan_from_obj(_square_fan(rays=[["0", "1"], ["1", "0"], ["-1", "0"]]))
+        assert ints.ray_pool == strings.ray_pool == ((F(0), F(1)), (F(1), F(0)), (F(-1), F(0)))
+        assert all(type(x) is F for r in ints.ray_pool for x in r)
+
+
 class TestCliSlice:
     def test_tropical_plane_slice(self, tmp_path, capsys):
         path = tmp_path / "plane.json"

@@ -17,7 +17,7 @@ from math import gcd
 import pytest
 import sympy
 
-from tropicon.polyhedral import EmptyPolyhedron, HRep, Polyhedron, dd_cone
+from tropicon.polyhedral import EmptyPolyhedron, HRep, Polyhedron, _eq_kernel, dd_cone
 from tropicon.ratlin import (
     _bareiss, _int_kernel, _int_row, _lattice_kernel, dot, identity_mat,
     matrix_rank, primitive_vector, saturation_basis, subspace_canonical_basis,
@@ -249,6 +249,40 @@ class TestDoubleDescription:
                                   tuple(l[1:] for l in lin))
             assert (p.vertices, p.rays, p.lineality) == \
                 (expected.vertices, expected.rays, expected.lineality)
+
+
+class TestCachedEquationKernel:
+    """`dd_cone` computes the kernel of each distinct equation set once; a
+    cold and a warm cache must give the oracle's cone, and no caller may
+    share a mutable list with the cache."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cold_and_warm_cache_match_the_fraction_pass(self, seed):
+        for ineqs, eqs, n in _systems(seed, 150):
+            _eq_kernel.cache_clear()
+            cold = dd_cone(ineqs, eqs, n)
+            warm = dd_cone(ineqs, eqs, n)
+            assert cold == warm
+            assert _as_oracle(warm) == _oracle_dd_cone(ineqs, eqs, n), (ineqs, eqs)
+
+    def test_combinations_stay_primitive_ints(self):
+        for ineqs, eqs, n in _systems(7, 150):
+            rays, lin = dd_cone(ineqs, eqs, n)
+            for row in rays + lin:
+                assert all(type(x) is int for x in row) and gcd(*row) == 1, row
+
+    @pytest.mark.parametrize("ineqs", [[], [(1, 0, 0, 0)]], ids=["no-ineqs", "one-ineq"])
+    def test_mutating_a_returned_lineality_leaves_later_calls(self, ineqs):
+        eqs = [(1, 1, 1, 1)]
+        first = dd_cone(ineqs, eqs, 4)
+        rays, lin = dd_cone(ineqs, eqs, 4)
+        lin.append((9, 9, 9, 9))
+        lin[0] = (0, 0, 0, 0)
+        rays.clear()
+        assert dd_cone(ineqs, eqs, 4) == first
+        _, free = dd_cone([], [], 3)
+        free.pop()
+        assert dd_cone([], [], 3)[1] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 class TestElimination:

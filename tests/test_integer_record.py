@@ -20,17 +20,21 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from test_golden import HEX_HEPT, RATIONAL_COMPLEX
 from test_ratlin import lattice_normal_generator
+from test_tropical import _section_fixtures
+from tropicon import polyhedral
+from tropicon.fanjson import fan_from_obj
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import (
-    Complex, Polyhedron, _face, codim1_faces, lower_faces,
+    AffineHyperplane, Complex, Polyhedron, _face, _faces_below, codim1_faces, lower_faces,
 )
 from tropicon.ratlin import (
-    _int_kernel, identity_mat, is_zero, neg, primitive_vector, reduce_mod_subspace,
-    subspace_canonical_basis, vec, zero_vec,
+    _int_kernel, _int_rank, _int_row, identity_mat, is_zero, neg, primitive_vector,
+    reduce_mod_subspace, subspace_canonical_basis, vec, zero_vec,
 )
 from tropicon.tropical import (
-    balancing_check, cube_normal_fan, normal_fan, two_planes_fan,
+    balancing_check, cube_normal_fan, hyperplane_section, normal_fan, two_planes_fan,
 )
 
 
@@ -419,3 +423,69 @@ class TestIntegerPools:
         facets = [Polyhedron(n, tuple(map(vec, v)), tuple(map(vec, r)), tuple(map(vec, l)))
                   for v, r, l in gens]
         _assert_pools_match_the_fraction_pooling(facets, (), n)
+
+
+# ---------------------------------------------------------------------------
+# ridge dimensions: known for codimension one, an integer rank below
+
+
+def _rank_dim(face):
+    """The dimension of a face as an integer rank of its generators, which
+    is how every face without a record got it before."""
+    rows = [_int_row(g) for g in face.rays + face.lineality]
+    if not face.vertices:
+        return _int_rank(rows)
+    rows = [[0] + r for r in rows] + [_int_row((1,) + v) for v in face.vertices]
+    return _int_rank(rows) - 1
+
+
+def _dimension_fixtures():
+    """Fans, complexes with rational vertices and unbounded cells, slices and
+    normal fans of polytopes."""
+    fixtures = [(name, c) for name, c, _ in _section_fixtures()]
+    rational = fan_from_obj(RATIONAL_COMPLEX)
+    fixtures += [
+        ("U(2,3)", bergman_fine(Matroid.uniform(2, 3))),
+        ("U(3,4)", bergman_fine(Matroid.uniform(3, 4))),
+        ("rational", rational),
+        ("rational-slice", hyperplane_section(
+            rational, AffineHyperplane(vec([1, 2, 3]), F(1, 3))).section),
+        ("cube3-slice", hyperplane_section(
+            cube_normal_fan(3), AffineHyperplane(vec([1, 2, 4]), F(1))).section),
+        ("triangle", normal_fan([[0, 0], [3, 1], [1, 3]])),
+        ("hex-hept", normal_fan(HEX_HEPT)),
+    ]
+    return fixtures
+
+
+def _unknown_dims(p):
+    """`codim1_faces` as it was: the same faces, with no dimension set."""
+    return [_face(p, 1 << i) for i in range(len(p.hrep.inequalities))]
+
+
+def _copy(c):
+    return Complex(c.ambient_dim, c.vertex_pool, c.ray_pool, c.lineality, c.cells,
+                   c.weights)
+
+
+@pytest.mark.parametrize("name,c", _dimension_fixtures(),
+                         ids=[name for name, _ in _dimension_fixtures()])
+class TestKnownRidgeDimensions:
+    def test_ridge_dims_against_the_integer_rank(self, name, c):
+        cells = c.facet_polyhedra
+        assert c.ridges, name
+        for face, fids, _ in c.ridges:
+            assert face.dim == _rank_dim(face) == cells[fids[0]].dim - 1, name
+
+    def test_levels_below_are_unchanged(self, name, c, monkeypatch):
+        def levels(complex_):
+            return [[(f.canonical_key, f.dim) for f in level]
+                    for level in _faces_below(complex_)]
+
+        got = levels(_copy(c))
+        monkeypatch.setattr(polyhedral, "codim1_faces", _unknown_dims)
+        want = levels(_copy(c))
+        assert got == want and got, name
+        # and every dimension there is the integer rank
+        for level in _faces_below(_copy(c)):
+            assert all(f.dim == _rank_dim(f) for f in level), name

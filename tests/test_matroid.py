@@ -1,12 +1,16 @@
 import itertools
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_theorem import linear_matroids, loopless_matroids
+from tropicon.fanjson import fan_to_text
 from tropicon.matroid import (
     Flat, HasLoops, LoopContraction, Matroid, bergman_fine, contraction,
     matroid_from_json, maximal_chains, proper_flats,
 )
-from tropicon.polyhedral import validate_complex
+from tropicon.polyhedral import Complex, Polyhedron, validate_complex
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -274,3 +278,51 @@ class TestMatroidJson:
     def test_unknown_type(self):
         with pytest.raises(ValueError, match="unknown matroid type"):
             matroid_from_json({"type": "transversal"})
+
+
+# ---------------------------------------------------------------------------
+# bergman_fine builds its pools from the flats; the per-chain cones it
+# replaced are the oracle
+
+
+def _bergman_by_cones(m):
+    """One cone per maximal chain of flats, pooled by `Complex.from_facets`."""
+    ground = m.elements
+    n = len(ground)
+    all_ones = (F(1),) * n
+    facets = [Polyhedron.cone([[F(int(e in f)) for e in ground] for f in chain.flats],
+                              [all_ones], ambient_dim=n)
+              for chain in maximal_chains(m)]
+    if not facets:  # rank one: the fan is the lineality line
+        facets = [Polyhedron.cone((), [all_ones], ambient_dim=n)]
+    return Complex.from_facets(facets, lineality=[all_ones], ambient_dim=n)
+
+
+def _assert_same_complex(m):
+    got, want = bergman_fine(m), _bergman_by_cones(m)
+    assert (got.ambient_dim, got.vertex_pool, got.ray_pool, got.lineality, got.cells,
+            got.weights) == (want.ambient_dim, want.vertex_pool, want.ray_pool,
+                             want.lineality, want.cells, want.weights)
+    assert all(type(x) is F for r in got.ray_pool + got.lineality for x in r)
+    assert fan_to_text(got) == fan_to_text(want)
+    assert [f.canonical_key for f in got.facet_polyhedra] == \
+        [f.canonical_key for f in want.facet_polyhedra]
+
+
+@pytest.mark.parametrize("m", [
+    Matroid.uniform(1, 1), Matroid.uniform(1, 3), Matroid.uniform(2, 3),
+    Matroid.uniform(3, 4), Matroid.uniform(3, 6), Matroid.uniform(4, 6),
+    Matroid.uniform(5, 6), k4(),
+    Matroid.graphic([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 1)]),
+    Matroid.linear([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 2, 3]]),
+    Matroid.from_bases(4, [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3]]),
+], ids=["U(1,1)", "U(1,3)", "U(2,3)", "U(3,4)", "U(3,6)", "U(4,6)", "U(5,6)", "M(K4)",
+        "C5-parallel", "linear", "bases"])
+def test_bergman_fine_equals_the_per_chain_cones(m):
+    _assert_same_complex(m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(loopless_matroids(), linear_matroids()))
+def test_bergman_fine_equals_the_per_chain_cones_on_drawn_matroids(m):
+    _assert_same_complex(m)

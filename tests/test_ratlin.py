@@ -140,6 +140,75 @@ class TestLpFeasible:
         assert found > 0
 
 
+def _row_smith(D):
+    """The Smith normal form with V kept by rows, as `ratlin._smith` was
+    written before it kept V by columns: the reference for its values."""
+    m, n = len(D), len(D[0])
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):
+        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, q):
+        for r in range(m):
+            D[r][i] -= q * D[r][j]
+        for r in range(n):
+            V[r][i] -= q * V[r][j]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in range(m):
+            D[r][i], D[r][j] = D[r][j], D[r][i]
+        for r in range(n):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if D[i][t] != 0:
+                    row_op(i, t, D[i][t] // D[t][t])
+                    if D[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if D[t][j] != 0:
+                    col_op(j, t, D[t][j] // D[t][t])
+                    if D[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            offender = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                             if D[i][j] % D[t][t] != 0), None)
+            if offender is None:
+                break
+            D[t] = [a + b for a, b in zip(D[t], D[offender])]
+            U[t] = [a + b for a, b in zip(U[t], U[offender])]
+        if D[t][t] < 0:
+            D[t] = [-a for a in D[t]]
+            U[t] = [-a for a in U[t]]
+        t += 1
+    return D, U, V
+
+
 class TestSmithNormalForm:
     def test_unimodular_transforms(self):
         A = mat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -161,6 +230,20 @@ class TestSmithNormalForm:
             assert diag == expected
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0
+
+    def test_columns_of_v_match_the_row_reference(self):
+        # V is kept by columns; the same operations on rows of V give the
+        # same D, U and V, so lattice bases and normals keep their values
+        rng = random.Random(34)
+        for _ in range(400):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 7)
+            A = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 5, 7, -12]) for _ in range(cols)]
+                 for _ in range(rows)]
+            D, U, V = smith_normal_form(mat(A))
+            assert (D, U, V) == tuple(mat(m) for m in _row_smith([list(r) for r in A]))
+            assert _lattice_kernel(A) == [tuple(int(row[j]) for row in V)
+                                          for j in range(sum(1 for i in range(min(rows, cols))
+                                                             if D[i][i]), cols)]
 
     def test_integer_kernel(self):
         A = [[2, 4], [1, 2]]
