@@ -55,18 +55,26 @@ decides whether a separator of at most t facets lies inside A.
 and hold for all facets, witnesses being disconnecting sets of one size s.
 Colex order compares largest elements first, so the largest element of the
 colex-least witness is the least m for which facets 0..m hold one; given
-its largest elements m_1 > .. > m_i, the next is the least m for which 0..m
-with m_1..m_i hold one (one there avoiding some m_l would be colex-less).
-Each element is a binary search.  For `min_facet_cut`, s is the least cut
-size, so a separator inside A, which the engine decides, has exactly s
-facets.  For `is_k_connected`, A holds a witness when some t-subset of A
-disconnects.  If |A| >= t+2 that is again a separator S0 inside A: keep one
-facet in each of two components that survive S0 and remove other facets of
-A up to t; removing facets never merges components, and at most two kept
-facets lie in A.  If |A| <= t+1, its at most t+1 t-subsets are tested
-directly.  The t-subsets before a witness w_0 < .. < w_{t-1} agree with it
-above some position i and have i+1 elements below w_i, so its colex rank,
-reported as `subsets_examined`, is 1 + sum C(w_i, i+1).
+its largest elements m_1 > .. > m_i, the cut C, the next is the least m for
+which 0..m with C hold one (one there avoiding some m_l would be colex-less).
+Each is found by descent from a top for which 0..top with C holds one: probe
+0..top-1 with C.  A success returns a part S of the probe every superset of
+which holds one, and top falls to max(S - C); a failure fixes the element
+at top, as does a top below which only the elements still to come fit.  So
+an element costs one failing probe, a full pass of the engine, where a
+binary search fails about log2 #facets times; the witness is unique, so it
+is the same.  For `min_facet_cut`, s is the least cut size, so a separator
+inside A, which the engine decides, has exactly s facets and is S.  For
+`is_k_connected`, A holds a witness when some t-subset of A disconnects.
+If |A| >= t+2 that is again a separator S0 inside A: keep one facet in each
+of two components that survive S0 and remove other facets of A up to t;
+removing facets never merges components, and at most two kept facets lie
+in A.  So S is S0 with the t+2 least facets of A.  If |A| <= t+1, its at
+most t+1 t-subsets are tested directly and S is A.  The engine decides each
+size with every facet removable once per hypergraph, and the search starts
+from that answer.  The t-subsets before a witness w_0 < .. < w_{t-1} agree
+with it above some position i and have i+1 elements below w_i, so its colex
+rank, reported as `subsets_examined`, is 1 + sum C(w_i, i+1).
 
 Work (pair tests, search nodes, paths and direct subset tests, one unit
 each) counts against a budget.
@@ -149,6 +157,11 @@ class FacetRidgeHypergraph:
         masks = [sum(map((1).__lshift__, edge)) for edge in edges]
         return tuple(tuple((masks[e], e, tuple(w for w in edges[e] if w != u)) for e in incident)
                      for u, incident in enumerate(self._incidence))
+
+    @cached_property
+    def _decided(self) -> dict[int, Optional[frozenset[int]]]:
+        """Per size t, `_Separators.find(t)` with every facet removable."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -238,14 +251,19 @@ class _Separators:
         self.n = h.num_facets
         self.edges = h.hyperedges
         self.adjacent = h._adjacency
+        self.decided = h._decided
         self.work = work
         self.facets = self.allowed = frozenset(range(self.n))
 
     def find(self, t: int, allowed: Optional[frozenset[int]] = None
              ) -> Optional[frozenset[int]]:
-        """A separator of at most t facets, all in `allowed` (default: any),
-        or None; needs 1 <= t <= #facets - 2."""
-        self.allowed = self.facets if allowed is None else allowed
+        """A separator of at most t facets, all in `allowed` (default: any,
+        decided once per hypergraph), or None; needs 1 <= t <= #facets - 2."""
+        if allowed is None:
+            if t not in self.decided:
+                self.decided[t] = self.find(t, self.facets)
+            return self.decided[t]
+        self.allowed = allowed
         pairs = itertools.chain(itertools.combinations(range(t + 1), 2),
                                 ((None, j) for j in range(t + 1, self.n)))
         for a, b in pairs:
@@ -314,22 +332,21 @@ class _Separators:
         return None
 
 
-def _colex_least(n: int, size: int,
-                 holds: Callable[[frozenset[int]], bool]) -> tuple[int, ...]:
-    """The colex-least `size`-subset witness of range(n), where holds(A),
-    monotone and true on range(n), says that facet set A contains one."""
+def _colex_least(size: int, holds: Callable[[frozenset[int]], Optional[frozenset[int]]],
+                 known: Iterable[int]) -> tuple[int, ...]:
+    """The colex-least `size`-subset witness.  holds(A) is None when the
+    facet set A contains no witness, and otherwise a part of A every
+    superset of which contains one, as every superset of `known` does."""
     cut: list[int] = []
-    top = n - 1
+    top = max(known)
     for level in range(size, 0, -1):
-        least = level - 1
-        while least < top:
-            m = (least + top) // 2
-            if holds(frozenset(range(m + 1)).union(cut)):
-                top = m
-            else:
-                least = m + 1
-        cut.append(least)
-        top = least - 1
+        while top >= level:
+            found = holds(frozenset(range(top)).union(cut))
+            if found is None:
+                break
+            top = max(found.difference(cut))
+        cut.append(top)
+        top -= 1
     return tuple(reversed(cut))
 
 
@@ -359,15 +376,16 @@ def is_k_connected(h: FacetRidgeHypergraph, k: int,
         work.spend()
         return not connected_after_removal(h, S)
 
-    def holds(A: frozenset[int]) -> bool:
-        if len(A) >= t + 2:
-            return separators.find(t, A) is not None
-        return any(map(disconnects, itertools.combinations(sorted(A), t)))
+    def holds(A: frozenset[int]) -> Optional[frozenset[int]]:
+        if len(A) < t + 2:
+            return A if any(map(disconnects, itertools.combinations(sorted(A), t))) else None
+        found = separators.find(t, A)
+        return None if found is None else found.union(sorted(A)[:t + 2])
 
-    refuted = disconnects(()) if t == 0 else separators.find(t) is not None
-    if not refuted:
+    found = (frozenset() if disconnects(()) else None) if t == 0 else separators.find(t)
+    if found is None:
         return ConnectivityCertificate(k, True, None, math.comb(n, t))
-    witness = _colex_least(n, t, holds)
+    witness = _colex_least(t, holds, found.union(range(t + 2)))
     rank = 1 + sum(math.comb(w, i + 1) for i, w in enumerate(witness))
     return ConnectivityCertificate(k, False, witness, rank)
 
@@ -382,7 +400,8 @@ def min_facet_cut(h: FacetRidgeHypergraph,
     the size while it finds smaller separators.  It then fixes the
     colex-least cut of that size by the colex search that `is_k_connected`
     shares.  None means no cut of size below #facets - 1 exists.
-    The budget bounds all of this work together.
+    The budget bounds all of this work together; a size already decided on
+    this hypergraph with every facet removable costs none.
     """
     n = h.num_facets
     if n < 2:
@@ -409,8 +428,7 @@ def min_facet_cut(h: FacetRidgeHypergraph,
         size = max(len(found), 1)
     if size > cap:
         return None
-    return size, _colex_least(
-        n, size, lambda A: separators.find(size, A) is not None)
+    return size, _colex_least(size, lambda A: separators.find(size, A), range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .polyhedral import Complex, _fraction
 from .ratlin import (
@@ -97,15 +97,21 @@ def _integer_vector(entries, what: str) -> tuple[int, ...]:
     return tuple(x.numerator for x in v)
 
 
-def _distinct_rays(rays: list[tuple[int, ...]], lineality: list[tuple[int, ...]]) -> None:
-    """Reject two pool rays that are positive multiples modulo the lineality."""
+def _distinct_rays(rays: list[tuple[int, ...]], lineality: list[tuple[int, ...]]
+                   ) -> list[Optional[tuple[int, ...]]]:
+    """Reject two pool rays that are positive multiples modulo the lineality;
+    per primitive pool ray, its key for `Complex.facet_polyhedra`: the ray,
+    or None for a ray in the lineality."""
     lin_rows = [_int_row(l) for l in subspace_canonical_basis(lineality)]
     seen: dict[tuple[int, ...], int] = {}
+    keys: list[Optional[tuple[int, ...]]] = []
     for i, r in enumerate(rays):
         row = _int_reduce(r, lin_rows) if lin_rows else r
         j = seen.setdefault(_primitive(row), i) if any(row) else i
         if j != i:
             raise ValueError(f"rays {list(rays[j])} and {list(r)} are equal modulo the lineality")
+        keys.append(r if any(row) else None)
+    return keys
 
 
 def fan_from_obj(obj: dict) -> Complex:
@@ -132,7 +138,7 @@ def fan_from_obj(obj: dict) -> Complex:
                  for l in _rows(obj, "lineality", "lineality row")]
     if matrix_rank(lineality) < len(lineality):
         raise ValueError("lineality rows are zero or linearly dependent")
-    _distinct_rays(rays, lineality)
+    keys = _distinct_rays(rays, lineality)
     cells: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     seen: dict[tuple[frozenset, frozenset], int] = {}
     for cell in _list(obj["cells"], "cells"):
@@ -151,8 +157,10 @@ def fan_from_obj(obj: dict) -> Complex:
     weights = _integers(obj["weights"], "weights", "weight")
     if len(weights) != len(cells):
         raise ValueError(f"{len(weights)} weights for {len(cells)} cells")
-    return Complex(n, vertices, tuple(tuple(map(_fraction, r)) for r in rays),
-                   tuple(tuple(map(_fraction, l)) for l in lineality), tuple(cells), weights)
+    c = Complex(n, vertices, tuple(tuple(map(_fraction, r)) for r in rays),
+                tuple(tuple(map(_fraction, l)) for l in lineality), tuple(cells), weights)
+    c.__dict__["_ray_keys"] = keys  # `facet_polyhedra` reads these, not the fractions
+    return c
 
 
 def fan_from_text(text: str) -> Complex:

@@ -25,13 +25,16 @@ that record, with no elimination over fractions:
 - the saturated lattice of a cell, `Polyhedron._lattice`, is the integer
   kernel of its equations, from an integer Smith normal form.
 
-The lattice normal of a cell at a ridge (`_lattice_normal`, on ints) comes
-from that lattice basis and an extended gcd (`_bezout`) of the cutting
-facet inequality's values on it.  Balancing then needs no fractions either:
-the span of a ridge is the part of one incident cell's span on which the
-cutting inequality vanishes, so the weighted sum of the integer normals lies
-in it iff its dot products with that cell's equations and that inequality
-are all zero (see `tropical.balancing_check`).
+The lattice normal of a cell at a ridge (`_lattice_normal`, on ints) is a
+ray of the cell on which the primitive cutting facet inequality takes the
+value 1; only when no ray does, or when the cell is full-dimensional and its
+lattice basis the unit vectors, is it combined from that lattice basis by an
+extended gcd (`_bezout`) of the inequality's values on it.  On the Bergman
+fans of the tests every cell takes the ray.  Balancing then needs no
+fractions either: the span of a ridge is the part of one incident cell's
+span on which the cutting inequality vanishes, so the weighted sum of the
+integer normals lies in it iff its dot products with that cell's equations
+and that inequality are all zero (see `tropical.balancing_check`).
 
 Complexes store shared generator pools plus per-facet index sets; one face
 walk, `lower_faces`, gives the ridges (cached per complex as
@@ -550,7 +553,7 @@ class Polyhedron:
 
 
 # ---------------------------------------------------------------------------
-# lattice normals, from the saturated lattice `Polyhedron._lattice`
+# lattice normals, from a unit ray or the saturated lattice `Polyhedron._lattice`
 
 
 def _bezout(values: Sequence[int]) -> list[int]:
@@ -576,12 +579,21 @@ def _lattice_normal(sigma: Polyhedron, a: Sequence) -> tuple[int, ...]:
     vector in the direction span of sigma pointing from the facet into
     sigma, generating the rank-one quotient of the two saturated lattices.
 
-    The facet's lattice is the kernel of a on the lattice of sigma, so u is
-    the combination of a basis of that lattice on which a takes its least
-    positive value.  It is well defined up to the facet's lattice, which
-    does not affect balancing verdicts.
+    The facet's lattice is the kernel of a on the lattice L of sigma, so u
+    is any vector of L on which a takes its least positive value.  a is
+    primitive integral, so a.x is an integer for every integral x, and a
+    ray r of sigma (its direction, for a cell with vertices) with a.r = 1
+    is such a u.  Without one, or when L is Z^n and needs no Smith normal
+    form, u is combined from a basis of L.  u is well defined up to the
+    facet's lattice, which lies in the facet's span and so affects neither
+    balancing verdicts nor residuals.
     """
     a = _primitive_ints(a)
+    rec = sigma._rec
+    k = int(rec.affine)
+    for r, _ in rec.rays if rec.eqs else ():
+        if sum(map(mul, a, r[k:])) == 1:
+            return r[k:]
     basis = sigma._lattice
     u = [0] * sigma.ambient_dim
     for x, w in zip(_bezout([sum(map(mul, a, w)) for w in basis]), basis):
@@ -813,12 +825,13 @@ class Complex:
     @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
         """`facet(i)` for every cell, with the lineality put in canonical
-        form and each pool entry converted once."""
+        form and each pool entry converted once; `fan_from_obj` seeds the
+        `_ray_key` of each pool ray."""
         n = self.ambient_dim
         lin = subspace_canonical_basis([vec(l) for l in self.lineality])
         lin_rows = [_numerators(l) for l in lin]
         verts = [vec(v) for v in self.vertex_pool]
-        keys = [_ray_key(vec(r), lin_rows) for r in self.ray_pool]
+        keys = self.__dict__.get("_ray_keys") or [_ray_key(vec(r), lin_rows) for r in self.ray_pool]
         rays = {k: tuple(map(_fraction, k)) for k in keys if k is not None}
         if any(len(g) != n for g in itertools.chain(verts, rays, lin)):
             raise ValueError("generator has wrong ambient dimension")

@@ -207,7 +207,7 @@ class TestMinFacetCut:
         # 28 units: pairs (0,1) and (0,2) share a ridge (a search node and
         # one path each), pair (1,2) and the virtual facets x_3..x_7 pack 3
         # paths (4 units each).  Fixing the colex-least cut of size 3 takes
-        # five more searches, within facets {0..4}, {0..3}, {0,1,2,4},
+        # five more searches, within facets {0..6}, {0..3}, {0,1,2,4},
         # {0,1,4} and {0,2,4}: 18 + 30 + 18 + 26 + 24 = 116 units.
         h = build_hypergraph(cube_normal_fan(3))
         with pytest.raises(BudgetExceeded, match="144 units of work exceed budget 143"):
@@ -474,8 +474,14 @@ def _certificates_and_work(h, ks):
     return out, [w.done for w in spent]
 
 
+def _fresh(h):
+    """A hypergraph with the same hyperedges and nothing decided yet, so
+    the unrestricted probes one engine decided are not reused by another."""
+    return FacetRidgeHypergraph(h.facet_labels, h.hyperedges, h.ridge_labels)
+
+
 def _assert_masks_match_sets(h, ks):
-    got = _certificates_and_work(h, ks)
+    got = _certificates_and_work(_fresh(h), ks)
     init = connectivity._Separators.__init__
 
     def keep_incidence(self, hg, work):
@@ -486,7 +492,7 @@ def _assert_masks_match_sets(h, ks):
         mp.setattr(connectivity._Separators, "__init__", keep_incidence)
         mp.setattr(connectivity._Separators, "_search", _set_search)
         mp.setattr(connectivity._Separators, "_path", _set_path)
-        want = _certificates_and_work(h, ks)
+        want = _certificates_and_work(_fresh(h), ks)
     assert got == want
 
 
@@ -519,3 +525,106 @@ class TestBitMaskBreadthFirstSearch:
         rng = random.Random(4242)
         for _ in range(300):
             _assert_masks_match_sets(_random_hypergraph(rng), range(1, 5))
+
+
+# ---------------------------------------------------------------------------
+# the witness descent against the binary search it replaced
+
+
+def _bisection(n, size, holds):
+    """`_colex_least` as it was: each element by a binary search over the
+    facet prefixes, holds(A) read only as true or false."""
+    cut = []
+    top = n - 1
+    for level in range(size, 0, -1):
+        least = level - 1
+        while least < top:
+            m = (least + top) // 2
+            if holds(frozenset(range(m + 1)).union(cut)) is not None:
+                top = m
+            else:
+                least = m + 1
+        cut.append(least)
+        top = least - 1
+    return tuple(reversed(cut))
+
+
+def _bisection_certificates_and_work(h, ks):
+    """`_certificates_and_work` with the binary search, each unrestricted
+    probe decided afresh as before."""
+    find = connectivity._Separators.find
+
+    def undecided(self, t, allowed=None):
+        return find(self, t, self.facets if allowed is None else allowed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(connectivity, "_colex_least",
+                   lambda size, holds, known: _bisection(h.num_facets, size, holds))
+        mp.setattr(connectivity._Separators, "find", undecided)
+        return _certificates_and_work(h, ks)
+
+
+def _descent_against_bisection(h, ks):
+    """Equal certificates and min cuts; the work of both, summed over calls."""
+    got, work = _certificates_and_work(_fresh(h), ks)
+    want, oracle_work = _bisection_certificates_and_work(_fresh(h), ks)
+    assert got == want
+    return sum(work), sum(oracle_work)
+
+
+class TestWitnessDescent:
+    @pytest.mark.parametrize("fan", [
+        two_planes_fan, lambda: cube_normal_fan(3),
+        lambda: skeleton(cube_normal_fan(3), 2),
+        lambda: bergman_fine(Matroid.uniform(3, 6)),
+        lambda: bergman_fine(Matroid.graphic(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 1)])),
+        lambda: bergman_fine(Matroid.uniform(4, 6)),
+    ], ids=["two-planes", "cube3", "cube3-2-skeleton", "U(3,6)", "C5-parallel", "U(4,6)"])
+    def test_fixtures(self, fan):
+        _descent_against_bisection(build_hypergraph(fan()), range(6))
+
+    def test_bergman_fans_take_less_work(self):
+        # the sharp k of the theorem and the min cut, as `check --mincut` runs them
+        for m in (Matroid.uniform(4, 6), Matroid.graphic(
+                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 1)])):
+            fan = bergman_fine(m)
+            work, oracle_work = _descent_against_bisection(
+                build_hypergraph(fan), [fan.dim - fan.lineality_dim])
+            assert work < oracle_work
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_drawn_hypergraphs())
+    def test_drawn_hypergraphs(self, h):
+        _descent_against_bisection(h, range(1, 5))
+
+    def test_seeded_hypergraphs(self):
+        rng = random.Random(5151)
+        totals = [_descent_against_bisection(_random_hypergraph(rng), range(1, 5))
+                  for _ in range(300)]
+        assert sum(w for w, _ in totals) < sum(w for _, w in totals)
+
+    def test_check_decides_the_unrestricted_probe_once(self, tmp_path, monkeypatch):
+        # `check --mincut` on U(4,6): is_k_connected at k = 3 decides size 2,
+        # and min_facet_cut lowers its size to 2 without deciding it again
+        from tropicon import cli
+        path = tmp_path / "u46.json"
+        assert cli.main(["gen", "bergman-uniform", "4", "6", "-o", str(path)]) == 0
+        passes = []  # per pass of the engine with every facet removable, its size
+        search = connectivity._Separators._search
+
+        def counted(self, a, b, removed, r, seen):
+            if (a, b, removed) == (0, 1, frozenset()) and len(self.allowed) == self.n:
+                passes.append(r)
+            return search(self, a, b, removed, r, seen)
+
+        monkeypatch.setattr(connectivity._Separators, "_search", counted)
+        assert cli.main(["check", str(path), "--mincut"]) == 0
+        assert passes.count(2) == 1, passes
+
+    def test_budget_overrun_stores_nothing(self):
+        h = build_hypergraph(cube_normal_fan(3))
+        with pytest.raises(BudgetExceeded):
+            is_k_connected(h, 3, budget=5)
+        assert h._decided == {}
+        assert is_k_connected(h, 3).verdict and h._decided == {2: None}

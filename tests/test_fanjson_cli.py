@@ -602,6 +602,41 @@ class TestLabelsOnlyWhenPrinted:
         assert len(calls) == 1 + 3 + 1  # and every facet and ridge
 
 
+class TestBalanceTextOnBothNormalPaths:
+    """`balance` prints the same text whether lattice normals come from a
+    unit ray or from the saturated lattice (`_smith_normal`)."""
+
+    @staticmethod
+    def fans():
+        cones = [Polyhedron.cone(rays) for rays in (
+            [[1, 0], [1, 2]], [[1, 2], [-1, 0]], [[-1, 0], [0, -1]], [[0, -1], [1, 0]])]
+        u34 = bergman_fine(Matroid.uniform(3, 4))
+        return {
+            "line-112": Complex.from_facets(
+                [Polyhedron.cone([r], ambient_dim=2) for r in ([1, 0], [0, 1], [-1, -1])],
+                weights=(1, 1, 2)),
+            "plane-fan-1211": Complex.from_facets(cones, weights=(1, 2, 1, 1)),
+            "u34-one-weight-2": Complex(u34.ambient_dim, u34.vertex_pool, u34.ray_pool,
+                                        u34.lineality, u34.cells,
+                                        (2,) + (1,) * (len(u34) - 1)),
+            "sliced": hyperplane_section_fixture(),
+        }
+
+    @pytest.mark.parametrize("name", ["line-112", "plane-fan-1211", "u34-one-weight-2",
+                                      "sliced"])
+    def test_same_text(self, name, tmp_path, capsys, monkeypatch):
+        from test_integer_record import _smith_normal
+        from tropicon import tropical
+        path = tmp_path / "fan.json"
+        save_fan(self.fans()[name], str(path))
+        got = run_cli(["balance", str(path)], capsys)
+        monkeypatch.setattr(tropical, "_lattice_normal", _smith_normal)
+        want = run_cli(["balance", str(path)], capsys)
+        assert got == want
+        if name != "sliced":
+            assert got[0] == 2 and json.loads(got[1])["failing"]
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "tropicon.cli", "gen", "two-planes"],
                           capture_output=True, text=True)

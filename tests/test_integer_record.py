@@ -13,24 +13,27 @@ lineality.
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from test_golden import HEX_HEPT, RATIONAL_COMPLEX
 from test_ratlin import lattice_normal_generator
 from test_tropical import _section_fixtures
 from tropicon import polyhedral
-from tropicon.fanjson import fan_from_obj
+from tropicon.fanjson import fan_from_obj, fan_from_text, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import (
-    AffineHyperplane, Complex, Polyhedron, _face, _faces_below, codim1_faces, lower_faces,
+    AffineHyperplane, Complex, Polyhedron, _face, _faces_below, _lattice_normal, codim1_faces,
+    lower_faces,
 )
 from tropicon.ratlin import (
-    _int_kernel, _int_rank, _int_row, identity_mat, is_zero, neg, primitive_vector,
+    _int_kernel, _int_rank, _int_row, _primitive_ints, identity_mat, is_zero, neg, primitive_vector,
     reduce_mod_subspace, subspace_canonical_basis, vec, zero_vec,
 )
 from tropicon.tropical import (
@@ -489,3 +492,175 @@ class TestKnownRidgeDimensions:
         # and every dimension there is the integer rank
         for level in _faces_below(_copy(c)):
             assert all(f.dim == _rank_dim(f) for f in level), name
+
+
+# ---------------------------------------------------------------------------
+# lattice normals from a unit ray, against the Smith path they shortcut
+
+
+def _smith_normal(sigma, a):
+    """`_lattice_normal` without the ray: the combination of a basis of the
+    saturated lattice (a Smith normal form) on which a takes its least
+    positive value, by `_bezout`."""
+    a = _primitive_ints(a)
+    basis = sigma._lattice
+    u = [0] * sigma.ambient_dim
+    for x, w in zip(polyhedral._bezout([sum(map(mul, a, w)) for w in basis]), basis):
+        u = [ui + x * wi for ui, wi in zip(u, w)]
+    return tuple(u)
+
+
+def _assert_normal_matches_the_smith_path(sigma, i, tau):
+    """At facet inequality i of sigma, which cuts out tau: a takes the same
+    positive value on both normals, and they differ by a vector of tau's span."""
+    a = sigma._rec.cut(i)
+    u, v = _lattice_normal(sigma, a), _smith_normal(sigma, a)
+    assert all(type(x) is int for x in u)
+    assert _dot(a, u) == _dot(a, v) > 0
+    assert is_zero(reduce_mod_subspace(vec([x - y for x, y in zip(u, v)]),
+                                       tau.direction_span))
+
+
+def _loaded(c):
+    """The complex as the command line loads it from its fan file."""
+    return fan_from_text(fan_to_text(c))
+
+
+_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_BERGMAN = {
+    "U(3,5)": Matroid.uniform(3, 5),
+    "U(4,6)": Matroid.uniform(4, 6),
+    "M(K4)+parallel": Matroid.graphic(_K4 + [(0, 1)]),
+    "M(C5)+parallel": Matroid.graphic([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 1)]),
+    "linear": Matroid.linear([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 2, 1],
+                              [0, 1, -1], [2, 0, 1]]),
+}
+
+
+def _lattice_fixtures():
+    """Bergman fans, fans whose cells lack a unit ray, and complexes with
+    vertices; the tropical line carries the weights 1, 1, 2."""
+    line = Complex.from_facets([Polyhedron.cone([r], ambient_dim=2)
+                                for r in ([1, 0], [0, 1], [-1, -1])], weights=(1, 1, 2))
+    fixtures = [(name, _loaded(bergman_fine(m))) for name, m in _BERGMAN.items()]
+    return fixtures + [
+        ("cube3", cube_normal_fan(3)),
+        ("line-112", line),
+        ("triangle", normal_fan([[0, 0], [2, 0], [0, 1]])),
+        ("hex-hept", normal_fan(HEX_HEPT)),
+        ("plane-slice", hyperplane_section(
+            _loaded(bergman_fine(Matroid.uniform(3, 4))),
+            AffineHyperplane(vec([1, 2, 4, 8]), F(1))).section),
+        ("rational", fan_from_obj(RATIONAL_COMPLEX)),
+    ]
+
+
+class TestUnitRayLatticeNormals:
+    @pytest.mark.parametrize("name,c", _lattice_fixtures(),
+                             ids=[name for name, _ in _lattice_fixtures()])
+    def test_every_incidence_against_the_smith_path(self, name, c):
+        assert c.ridges, name
+        for tau, fids, cuts in c.ridges:
+            for fid, cut in zip(fids, cuts):
+                _assert_normal_matches_the_smith_path(c.facet_polyhedra[fid], cut, tau)
+
+    @pytest.mark.parametrize("name", sorted(_BERGMAN))
+    def test_bergman_cells_take_the_unit_ray(self, name):
+        # no saturated lattice, so no Smith normal form, is computed
+        fan = _loaded(bergman_fine(_BERGMAN[name]))
+        assert balancing_check(fan).balanced
+        assert not any("_lattice" in sigma.__dict__ for sigma in fan.facet_polyhedra)
+
+    def test_full_dimensional_cells_take_the_unit_lattice(self):
+        for fan in (normal_fan([[0, 0], [2, 0], [0, 1]]), normal_fan(HEX_HEPT),
+                    cube_normal_fan(3)):
+            assert balancing_check(fan).balanced
+            assert all(s._lattice == list(identity_mat(s.ambient_dim))
+                       for s in fan.facet_polyhedra)
+
+    def test_cells_without_a_unit_ray_take_the_lattice(self):
+        # a.r = 2 on the ray (1, 2, 0) of the cone over (1, 0, 0) and
+        # (1, 2, 0), and on (1, 0, 0) at the other facet
+        for i in range(2):
+            sigma = Polyhedron.cone([[1, 0, 0], [1, 2, 0]])
+            a = sigma._rec.cut(i)
+            assert sorted(_dot(a, r) for r, _ in sigma._rec.rays) == [0, 2]
+            u = _lattice_normal(sigma, a)
+            assert sigma._rec.eqs and "_lattice" in sigma.__dict__
+            assert u == _smith_normal(sigma, a)
+            _assert_normal_matches_the_smith_path(sigma, i, codim1_faces(sigma)[i])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_polyhedra(self, seed):
+        # cones, polytopes and polyhedra with lineality, on the record's rows
+        for p in _polyhedra(seed + 500, 90):
+            for i in range(len(p.hrep.inequalities)):
+                _assert_normal_matches_the_smith_path(p, i, _face(p, 1 << i))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*(st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any),
+        min_size=size, max_size=size + 4) for size in (1, 0)))))
+    def test_drawn_cones(self, drawn):
+        rays, lineality = drawn
+        sigma = Polyhedron.cone(rays, lineality[:1])
+        for i in range(len(sigma.hrep.inequalities)):
+            _assert_normal_matches_the_smith_path(sigma, i, _face(sigma, 1 << i))
+
+
+# ---------------------------------------------------------------------------
+# ray keys seeded by the loader
+
+
+def _assert_seeded_keys_change_nothing(c):
+    """The cells of the complex with the loader's ray keys equal those of a
+    copy that computes its own."""
+    assert "_ray_keys" in c.__dict__
+    got, want = c.facet_polyhedra, _copy(c).facet_polyhedra
+    assert "_ray_keys" not in _copy(c).__dict__
+    assert [(p.vertices, p.rays, p.lineality, p.__dict__["_ray_rows"]) for p in got] == \
+        [(p.vertices, p.rays, p.lineality, p.__dict__["_ray_rows"]) for p in want]
+
+
+@st.composite
+def _drawn_fan_objects(draw):
+    """Fan objects with lineality and with pool rays inside it."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(
+        lambda r: math.gcd(*r) == 1)
+    lineality = draw(st.lists(row, max_size=1))
+    rays = draw(st.lists(row, max_size=5))
+    if lineality and draw(st.booleans()):
+        rays.append([-x for x in lineality[0]])
+    cell = st.lists(st.integers(0, max(len(rays) - 1, 0)), unique=True,
+                    max_size=len(rays))
+    cells = draw(st.lists(cell, min_size=1, max_size=4))
+    return {"ambient_dim": n, "rays": rays, "vertices": [], "lineality": lineality,
+            "cells": [{"r": r} for r in cells], "weights": [1] * len(cells)}
+
+
+class TestSeededRayKeys:
+    @pytest.mark.parametrize("name,c", _dimension_fixtures() + _lattice_fixtures(),
+                             ids=[name for name, _ in _dimension_fixtures() + _lattice_fixtures()])
+    def test_fixtures(self, name, c):
+        _assert_seeded_keys_change_nothing(_loaded(c))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_drawn_fan_objects())
+    def test_drawn_fans(self, obj):
+        try:
+            c = fan_from_obj(obj)
+        except ValueError:  # equal rays or identical cells
+            assume(False)
+        _assert_seeded_keys_change_nothing(c)
+
+    def test_ray_inside_the_lineality(self):
+        c = fan_from_obj({"ambient_dim": 2, "rays": [[1, 1], [1, 0], [-1, -1]],
+                          "vertices": [], "lineality": [[1, 1]],
+                          "cells": [{"r": [0, 1]}, {"r": [1, 2]}], "weights": [1, 1]})
+        assert c.__dict__["_ray_keys"] == [None, (1, 0), None]
+        _assert_seeded_keys_change_nothing(c)
+
+    def test_derived_complexes_compute_their_keys(self):
+        c = _loaded(cube_normal_fan(2))
+        assert "_ray_keys" not in dataclasses.replace(c, weights=None).__dict__

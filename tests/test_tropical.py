@@ -422,7 +422,8 @@ class TestBalancing:
     def test_lattice_normals_from_the_recorded_cut(self, monkeypatch):
         # balancing reads each facet inequality off the ridge walk and
         # proves no incidence again; the normals are those taken after
-        # proving it
+        # proving it.  Both sides take the same `_lattice_normal`; its
+        # oracle is the Smith path in test_integer_record.py
         import tropicon.polyhedral as polyhedral
         fans = [bergman_fine(Matroid.uniform(3, 5)), cube_normal_fan(3),
                 tropical_line(), two_planes_fan()]
