@@ -52,7 +52,7 @@ at j.  Nothing here needs S to range over all facets, so the reduction also
 decides whether a separator of at most t facets lies inside A.
 
 **Colex-least witness.**  Let "A holds a witness" grow with the facet set A
-and hold for all facets, witnesses being disconnecting sets of one size s.
+and hold for all facets, witnesses being disconnecting sets of one size t.
 Colex order compares largest elements first, so the largest element of the
 colex-least witness is the least m for which facets 0..m hold one; given
 its largest elements m_1 > .. > m_i, the cut C, the next is the least m for
@@ -61,20 +61,23 @@ Each is found by descent from a top for which 0..top with C holds one: probe
 0..top-1 with C.  A success returns a part S of the probe every superset of
 which holds one, and top falls to max(S - C); a failure fixes the element
 at top, as does a top below which only the elements still to come fit.  So
-an element costs one failing probe, a full pass of the engine, where a
-binary search fails about log2 #facets times; the witness is unique, so it
-is the same.  For `min_facet_cut`, s is the least cut size, so a separator
-inside A, which the engine decides, has exactly s facets and is S.  For
-`is_k_connected`, A holds a witness when some t-subset of A disconnects.
-If |A| >= t+2 that is again a separator S0 inside A: keep one facet in each
+an element costs one failing probe, where a binary search fails about
+log2 #facets times; the witness is unique, so it is the same.
+
+Both searches read one test, whether A holds a disconnecting t-subset.  If
+|A| <= t+1, its at most t+1 t-subsets are tested directly, and S is the
+first that disconnects.  Otherwise A holds one exactly when the engine
+finds a separator S0 of at most t facets inside A: keep one facet in each
 of two components that survive S0 and remove other facets of A up to t;
 removing facets never merges components, and at most two kept facets lie
-in A.  So S is S0 with the t+2 least facets of A.  If |A| <= t+1, its at
-most t+1 t-subsets are tested directly and S is A.  The engine decides each
-size with every facet removable once per hypergraph, and the search starts
-from that answer.  The t-subsets before a witness w_0 < .. < w_{t-1} agree
-with it above some position i and have i+1 elements below w_i, so its colex
-rank, reported as `subsets_examined`, is 1 + sum C(w_i, i+1).
+in A.  So S is S0 when it has t facets, and otherwise S0 with the t+2
+least facets of A.  For `min_facet_cut`, t is the least cut size, so every
+separator has exactly t facets and the engine's is S.  The engine decides
+each size with every facet removable once per hypergraph, and the search
+starts from the separator that answer gave.  The t-subsets before a
+witness w_0 < .. < w_{t-1} agree with it above some position i and have
+i+1 elements below w_i, so its colex rank, reported as `subsets_examined`,
+is 1 + sum C(w_i, i+1).
 
 Work (pair tests, search nodes, paths and direct subset tests, one unit
 each) counts against a budget.
@@ -85,9 +88,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional
 
 from .polyhedral import Complex, Polyhedron, validate_complex
 
@@ -123,11 +125,30 @@ class FacetRidgeHypergraph:
     """Vertices are facet ids 0..F-1; hyperedge i joins the facets of ridge i.
 
     Ridges are identified by the canonical form of the cell, so two distinct
-    ridges bounding the same facet set stay distinct hyperedges.
+    ridges bounding the same facet set stay distinct hyperedges.  The
+    adjacency every search walks is built with the hypergraph: per facet u,
+    the hyperedges through it that reach another facet, smallest first (a
+    search meets a 2-member ridge before others), each as (its bit mask, its
+    index, its members other than u in the hyperedge's order).
     """
     facet_labels: Sequence[str]
     hyperedges: tuple[frozenset[int], ...]
     ridge_labels: Sequence[str]
+    _adjacency: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...] = \
+        field(init=False, repr=False, compare=False)
+    # per size t, `_Separators.find(t)` with every facet removable
+    _decided: dict[int, Optional[frozenset[int]]] = \
+        field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        edges = self.hyperedges
+        adjacent: list[list] = [[] for _ in range(self.num_facets)]
+        for e in sorted(range(len(edges)), key=lambda e: len(edges[e])):
+            if len(edges[e]) > 1:
+                mask = sum(map((1).__lshift__, edges[e]))
+                for u in edges[e]:
+                    adjacent[u].append((mask, e, tuple(w for w in edges[e] if w != u)))
+        object.__setattr__(self, "_adjacency", tuple(map(tuple, adjacent)))
 
     @property
     def num_facets(self) -> int:
@@ -136,32 +157,6 @@ class FacetRidgeHypergraph:
     @property
     def num_ridges(self) -> int:
         return len(self.hyperedges)
-
-    @cached_property
-    def _incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per facet, the hyperedges through it that reach another facet,
-        smallest first, so a search meets a 2-member ridge before others."""
-        edges = self.hyperedges
-        incident: list[list[int]] = [[] for _ in range(self.num_facets)]
-        for i in sorted(range(len(edges)), key=lambda i: len(edges[i])):
-            if len(edges[i]) > 1:
-                for f in edges[i]:
-                    incident[f].append(i)
-        return tuple(map(tuple, incident))
-
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]:
-        """Per facet u, its `_incidence` with each hyperedge e as (its bit
-        mask, e, its members other than u in the hyperedge's order)."""
-        edges = self.hyperedges
-        masks = [sum(map((1).__lshift__, edge)) for edge in edges]
-        return tuple(tuple((masks[e], e, tuple(w for w in edges[e] if w != u)) for e in incident)
-                     for u, incident in enumerate(self._incidence))
-
-    @cached_property
-    def _decided(self) -> dict[int, Optional[frozenset[int]]]:
-        """Per size t, `_Separators.find(t)` with every facet removable."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -196,23 +191,21 @@ def _components(h: FacetRidgeHypergraph, removed: Iterable[int] = (),
     Closed deletion drops every hyperedge through a removed facet; open
     deletion (the clique expansion) drops only the removed members.
     """
-    incidence, edges = h._incidence, h.hyperedges
     seen = set(range(h.num_facets)).intersection(removed)
-    used = {e for f in seen for e in incidence[f]} if closed else set()
+    blocked = sum(map((1).__lshift__, seen)) if closed else 0
     for start in range(h.num_facets):
         if start in seen:
             continue
         seen.add(start)
-        comp, stack = {start}, [start]
-        while stack:
-            for e in incidence[stack.pop()]:
-                if e not in used:
-                    used.add(e)
-                    fresh = edges[e] - seen
-                    seen |= fresh
-                    comp |= fresh
-                    stack.extend(fresh)
-        yield comp
+        comp = [start]
+        for u in comp:
+            for mask, _, others in h._adjacency[u]:
+                if not blocked & mask:
+                    for w in others:
+                        if w not in seen:
+                            seen.add(w)
+                            comp.append(w)
+        yield set(comp)
 
 
 def connected_after_removal(h: FacetRidgeHypergraph, removed: Iterable[int]) -> bool:
@@ -231,38 +224,63 @@ def connected_components(h: FacetRidgeHypergraph) -> list[set[int]]:
     return list(_components(h))
 
 
-class _Work:
-    """Units of certification work, checked against a budget as they are spent."""
+class _Separators:
+    """The pair engine (Even's reduction over packing-or-search pair tests)
+    and the colex witness search over it, spending units of work against a
+    budget as it goes."""
 
-    def __init__(self, budget: int):
+    def __init__(self, h: FacetRidgeHypergraph, budget: int):
+        self.h = h
+        self.n = h.num_facets
         self.budget = budget
         self.done = 0
+        self.facets = self.allowed = frozenset(range(self.n))
 
     def spend(self) -> None:
         self.done += 1
         if self.done > self.budget:
             raise BudgetExceeded(f"{self.done} units of work exceed budget {self.budget}")
 
+    def disconnects(self, S: Iterable[int]) -> bool:
+        """Whether removing S leaves two facets in two components; one unit."""
+        self.spend()
+        return not connected_after_removal(self.h, S)
 
-class _Separators:
-    """The pair engine: Even's reduction over packing-or-search pair tests."""
+    def witness(self, t: int, known: Iterable[int]) -> tuple[int, ...]:
+        """The colex-least disconnecting t-subset, by the descent of the
+        module docstring; every superset of `known` holds one."""
+        cut: list[int] = []
+        top = max(known)
+        for level in range(t, 0, -1):
+            while top >= level:
+                found = self._holds(t, frozenset(range(top)).union(cut))
+                if found is None:
+                    break
+                top = max(found.difference(cut))
+            cut.append(top)
+            top -= 1
+        return tuple(reversed(cut))
 
-    def __init__(self, h: FacetRidgeHypergraph, work: _Work):
-        self.n = h.num_facets
-        self.edges = h.hyperedges
-        self.adjacent = h._adjacency
-        self.decided = h._decided
-        self.work = work
-        self.facets = self.allowed = frozenset(range(self.n))
+    def _holds(self, t: int, A: frozenset[int]) -> Optional[frozenset[int]]:
+        """None when no t-subset of A disconnects, and otherwise a part of A
+        every superset of which holds one."""
+        if len(A) <= t + 1:
+            return next((frozenset(S) for S in itertools.combinations(sorted(A), t)
+                         if self.disconnects(S)), None)
+        found = self.find(t, A)
+        if found is None or len(found) == t:
+            return found
+        return found.union(sorted(A)[:t + 2])
 
     def find(self, t: int, allowed: Optional[frozenset[int]] = None
              ) -> Optional[frozenset[int]]:
         """A separator of at most t facets, all in `allowed` (default: any,
         decided once per hypergraph), or None; needs 1 <= t <= #facets - 2."""
         if allowed is None:
-            if t not in self.decided:
-                self.decided[t] = self.find(t, self.facets)
-            return self.decided[t]
+            decided = self.h._decided
+            if t not in decided:
+                decided[t] = self.find(t, self.facets)
+            return decided[t]
         self.allowed = allowed
         pairs = itertools.chain(itertools.combinations(range(t + 1), 2),
                                 ((None, j) for j in range(t + 1, self.n)))
@@ -281,7 +299,7 @@ class _Separators:
         removed (in `allowed`), then branches on that part of the interior
         of the shortest surviving path.
         """
-        self.work.spend()
+        self.spend()
         blocked = sum(map((1).__lshift__, removed))
         shortest = None
         for _ in range(r + 1):
@@ -310,8 +328,8 @@ class _Separators:
         """The interior of a BFS-shortest hyperpath from b to a avoiding the
         facets in the bit mask `blocked`, or None.  With a None the path
         ends at any facet below b."""
-        self.work.spend()
-        edges, adjacent = self.edges, self.adjacent
+        self.spend()
+        edges, adjacent = self.h.hyperedges, self.h._adjacency
         parent = {b: None}
         queue = [b]
         for u in queue:
@@ -330,24 +348,6 @@ class _Separators:
                         return interior - {a, b}
                     queue.append(w)
         return None
-
-
-def _colex_least(size: int, holds: Callable[[frozenset[int]], Optional[frozenset[int]]],
-                 known: Iterable[int]) -> tuple[int, ...]:
-    """The colex-least `size`-subset witness.  holds(A) is None when the
-    facet set A contains no witness, and otherwise a part of A every
-    superset of which contains one, as every superset of `known` does."""
-    cut: list[int] = []
-    top = max(known)
-    for level in range(size, 0, -1):
-        while top >= level:
-            found = holds(frozenset(range(top)).union(cut))
-            if found is None:
-                break
-            top = max(found.difference(cut))
-        cut.append(top)
-        top -= 1
-    return tuple(reversed(cut))
 
 
 def is_k_connected(h: FacetRidgeHypergraph, k: int,
@@ -369,23 +369,11 @@ def is_k_connected(h: FacetRidgeHypergraph, k: int,
     t = min(k - 1, n - 2)
     if t < 0:
         return ConnectivityCertificate(k, True, None, 0)
-    work = _Work(budget)
-    separators = _Separators(h, work)
-
-    def disconnects(S: tuple[int, ...]) -> bool:
-        work.spend()
-        return not connected_after_removal(h, S)
-
-    def holds(A: frozenset[int]) -> Optional[frozenset[int]]:
-        if len(A) < t + 2:
-            return A if any(map(disconnects, itertools.combinations(sorted(A), t))) else None
-        found = separators.find(t, A)
-        return None if found is None else found.union(sorted(A)[:t + 2])
-
-    found = (frozenset() if disconnects(()) else None) if t == 0 else separators.find(t)
+    separators = _Separators(h, budget)
+    found = (frozenset() if separators.disconnects(()) else None) if t == 0 else separators.find(t)
     if found is None:
         return ConnectivityCertificate(k, True, None, math.comb(n, t))
-    witness = _colex_least(t, holds, found.union(range(t + 2)))
+    witness = separators.witness(t, found.union(range(t + 2)))
     rank = 1 + sum(math.comb(w, i + 1) for i, w in enumerate(witness))
     return ConnectivityCertificate(k, False, witness, rank)
 
@@ -399,36 +387,34 @@ def min_facet_cut(h: FacetRidgeHypergraph,
     neighbors of one facet), which is tried first.  The pair engine lowers
     the size while it finds smaller separators.  It then fixes the
     colex-least cut of that size by the colex search that `is_k_connected`
-    shares.  None means no cut of size below #facets - 1 exists.
-    The budget bounds all of this work together; a size already decided on
-    this hypergraph with every facet removable costs none.
+    shares, starting from the last separator found.  None means no cut of
+    size below #facets - 1 exists.  The budget bounds all of this work
+    together; a size already decided on this hypergraph with every facet
+    removable costs none.
     """
     n = h.num_facets
     if n < 2:
         raise TooFewFacets("need at least two facets")
     if not connected_after_removal(h, ()):
         return 0, ()
-    neighbors = [set() for _ in range(n)]
-    for edge in h.hyperedges:
-        for f in edge:
-            neighbors[f] |= edge - {f}
-    isolation_cap = min((len(nb) for f, nb in enumerate(neighbors)
-                         if n - len(nb) >= 2), default=n - 1)
+    degrees = [len(set().union(*(others for _, _, others in adjacent)))
+               for adjacent in h._adjacency]
+    isolation_cap = min((d for d in degrees if n - d >= 2), default=n - 1)
     cap = min(isolation_cap, n - 2)
     if cap < 1:
         return None
     # removing the neighbors of one facet is a cut when it leaves two facets
     size = cap if isolation_cap <= n - 2 else cap + 1
-    work = _Work(budget)
-    separators = _Separators(h, work)
+    separators = _Separators(h, budget)
+    known: Iterable[int] = range(n)
     while size > 1:
         found = separators.find(size - 1)
         if found is None:
             break
-        size = max(len(found), 1)
+        size, known = len(found), found
     if size > cap:
         return None
-    return size, _colex_least(size, lambda A: separators.find(size, A), range(n))
+    return size, separators.witness(size, known)
 
 
 # ---------------------------------------------------------------------------

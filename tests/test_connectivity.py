@@ -207,12 +207,14 @@ class TestMinFacetCut:
         # 28 units: pairs (0,1) and (0,2) share a ridge (a search node and
         # one path each), pair (1,2) and the virtual facets x_3..x_7 pack 3
         # paths (4 units each).  Fixing the colex-least cut of size 3 takes
-        # five more searches, within facets {0..6}, {0..3}, {0,1,2,4},
-        # {0,1,4} and {0,2,4}: 18 + 30 + 18 + 26 + 24 = 116 units.
+        # one search within facets {0..6} (18 units), which returns the cut
+        # {1,2,4}, then direct tests of the 3-subsets of the probes of at
+        # most 4 facets, {0..3}, {0,1,2,4}, {0,1,4} and {0,2,4}: 4 + 4 + 1
+        # + 1 = 10 units, 56 in all.
         h = build_hypergraph(cube_normal_fan(3))
-        with pytest.raises(BudgetExceeded, match="144 units of work exceed budget 143"):
-            min_facet_cut(h, budget=143)
-        assert min_facet_cut(h, budget=144) == (3, (1, 2, 4))
+        with pytest.raises(BudgetExceeded, match="56 units of work exceed budget 55"):
+            min_facet_cut(h, budget=55)
+        assert min_facet_cut(h, budget=56) == (3, (1, 2, 4))
 
     def test_too_few_facets(self):
         single = Complex.from_facets([Polyhedron.cone([[1, 0]], ambient_dim=2)])
@@ -267,12 +269,11 @@ def test_connected_components_of_section():
 # the exhaustive colex scan as the oracle of the pair engine
 
 
-def _oracle_disconnects(h, removed):
-    """Closed-facet removal by union-find, independent of the module."""
+def _oracle_components(h, removed=(), closed=True):
+    """Components by union-find, independent of the module, by least facet.
+    Closed removal drops every hyperedge meeting `removed`; open removal
+    (the clique expansion) drops only the removed members."""
     removed = set(removed)
-    left = [f for f in range(h.num_facets) if f not in removed]
-    if len(left) <= 1:
-        return False
     root = list(range(h.num_facets))
 
     def find(x):
@@ -281,11 +282,20 @@ def _oracle_disconnects(h, removed):
         return x
 
     for edge in h.hyperedges:
-        if removed.isdisjoint(edge):
-            first, *rest = edge
-            for f in rest:
-                root[find(f)] = find(first)
-    return len({find(f) for f in left}) > 1
+        if not closed or removed.isdisjoint(edge):
+            members = sorted(edge - removed)
+            for f in members[1:]:
+                root[find(f)] = find(members[0])
+    comps = {}
+    for f in range(h.num_facets):
+        if f not in removed:
+            comps.setdefault(find(f), set()).add(f)
+    return list(comps.values())
+
+
+def _oracle_disconnects(h, removed):
+    """Closed-facet removal leaves two facets in two components."""
+    return len(_oracle_components(h, removed)) > 1
 
 
 def _oracle_scan(h, t):
@@ -403,7 +413,7 @@ def test_refutation_tests_few_subsets(monkeypatch):
 
 def _set_search(self, a, b, removed, r, seen):
     """`_Separators._search` as it was, with `blocked` a set."""
-    self.work.spend()
+    self.spend()
     blocked = set(removed)
     shortest = None
     for _ in range(r + 1):
@@ -432,8 +442,8 @@ def _set_search(self, a, b, removed, r, seen):
 def _set_path(self, a, b, blocked):
     """`_Separators._path` as it was: each hyperedge tested against the set
     `blocked` by `isdisjoint`, each member visited from the hyperedge."""
-    self.work.spend()
-    edges, incidence = self.edges, self.set_incidence
+    self.spend()
+    edges, incidence = self.h.hyperedges, self.set_incidence
     parent = {b: None}
     queue = [b]
     for u in queue:
@@ -459,15 +469,14 @@ def _certificates_and_work(h, ks):
     """Every certificate of `is_k_connected` at ks and of `min_facet_cut`,
     and the work each call spent."""
     spent = []
-    base = connectivity._Work
+    init = connectivity._Separators.__init__
 
-    class Counted(base):
-        def __init__(self, budget):
-            super().__init__(budget)
-            spent.append(self)
+    def counted(self, hg, budget):
+        init(self, hg, budget)
+        spent.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(connectivity, "_Work", Counted)
+        mp.setattr(connectivity._Separators, "__init__", counted)
         out = [is_k_connected(h, k) for k in ks]
         if h.num_facets >= 2:
             out.append(min_facet_cut(h))
@@ -480,13 +489,25 @@ def _fresh(h):
     return FacetRidgeHypergraph(h.facet_labels, h.hyperedges, h.ridge_labels)
 
 
+def _set_incidence(h):
+    """Per facet, the hyperedges through it that reach another facet,
+    smallest first, as the set-based BFS read them."""
+    edges = h.hyperedges
+    incident = [[] for _ in range(h.num_facets)]
+    for i in sorted(range(len(edges)), key=lambda i: len(edges[i])):
+        if len(edges[i]) > 1:
+            for f in edges[i]:
+                incident[f].append(i)
+    return incident
+
+
 def _assert_masks_match_sets(h, ks):
     got = _certificates_and_work(_fresh(h), ks)
     init = connectivity._Separators.__init__
 
-    def keep_incidence(self, hg, work):
-        init(self, hg, work)
-        self.set_incidence = hg._incidence
+    def keep_incidence(self, hg, budget):
+        init(self, hg, budget)
+        self.set_incidence = _set_incidence(hg)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(connectivity._Separators, "__init__", keep_incidence)
@@ -532,7 +553,7 @@ class TestBitMaskBreadthFirstSearch:
 
 
 def _bisection(n, size, holds):
-    """`_colex_least` as it was: each element by a binary search over the
+    """The colex search as it was: each element by a binary search over the
     facet prefixes, holds(A) read only as true or false."""
     cut = []
     top = n - 1
@@ -550,16 +571,18 @@ def _bisection(n, size, holds):
 
 
 def _bisection_certificates_and_work(h, ks):
-    """`_certificates_and_work` with the binary search, each unrestricted
-    probe decided afresh as before."""
+    """`_certificates_and_work` with the binary search over the same test
+    of a facet set, each unrestricted probe decided afresh as before."""
     find = connectivity._Separators.find
 
     def undecided(self, t, allowed=None):
         return find(self, t, self.facets if allowed is None else allowed)
 
+    def bisection(self, t, known):
+        return _bisection(self.n, t, lambda A: self._holds(t, A))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(connectivity, "_colex_least",
-                   lambda size, holds, known: _bisection(h.num_facets, size, holds))
+        mp.setattr(connectivity._Separators, "witness", bisection)
         mp.setattr(connectivity._Separators, "find", undecided)
         return _certificates_and_work(h, ks)
 
@@ -628,3 +651,82 @@ class TestWitnessDescent:
             is_k_connected(h, 3, budget=5)
         assert h._decided == {}
         assert is_k_connected(h, 3).verdict and h._decided == {2: None}
+
+
+# ---------------------------------------------------------------------------
+# one adjacency: both deletion semantics against union-find, and the
+# witness search's direct tests
+
+
+class TestComponentsAgainstUnionFind:
+    def test_seeded_hypergraphs(self):
+        # hyperedges of one to four members, removed sets of up to four facets
+        rng = random.Random(6161)
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            edges = tuple(frozenset(rng.sample(range(n), rng.randint(1, min(4, n))))
+                          for _ in range(rng.randint(0, 3 * n)))
+            h = FacetRidgeHypergraph(tuple(map(str, range(n))), edges,
+                                     tuple(map(str, range(len(edges)))))
+            assert connected_components(h) == _oracle_components(h)
+            for _ in range(5):
+                removed = rng.sample(range(n), rng.randint(0, min(4, n)))
+                closed = _oracle_components(h, removed)
+                open_ = _oracle_components(h, removed, closed=False)
+                assert connected_after_removal(h, removed) == (len(closed) <= 1)
+                assert clique_connected_after_removal(h, removed) == (len(open_) <= 1)
+
+    @pytest.mark.parametrize("fan", [
+        two_planes_fan, lambda: skeleton(cube_normal_fan(3), 1),
+        lambda: bergman_fine(Matroid.uniform(3, 6)),
+    ], ids=["two-planes", "cube3-1-skeleton", "U(3,6)"])
+    def test_every_facet_pair_of_fixtures(self, fan):
+        h = build_hypergraph(fan())
+        for removed in itertools.combinations(range(h.num_facets), 2):
+            assert connected_after_removal(h, removed) == \
+                (len(_oracle_components(h, removed)) <= 1)
+            assert clique_connected_after_removal(h, removed) == \
+                (len(_oracle_components(h, removed, closed=False)) <= 1)
+
+    def test_adjacency_is_built_with_the_hypergraph(self):
+        # smallest hyperedge first; a 1-member hyperedge reaches no facet
+        h = FacetRidgeHypergraph(("a", "b", "c"), (frozenset({0, 1, 2}), frozenset({1}),
+                                                   frozenset({0, 2})), ("r", "s", "t"))
+        assert vars(h)["_adjacency"] == (
+            ((0b101, 2, (2,)), (0b111, 0, (1, 2))),
+            ((0b111, 0, (0, 2)),),
+            ((0b101, 2, (0,)), (0b111, 0, (0, 1))),
+        )
+
+
+class TestDirectTestsOfSmallProbes:
+    @pytest.mark.parametrize("fan, k", [
+        (lambda: cube_normal_fan(3), 4), (two_planes_fan, 3),
+        (lambda: bergman_fine(Matroid.graphic(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 1)])), 4),
+        (lambda: bergman_fine(Matroid.uniform(4, 6)), 4),
+    ], ids=["cube3", "two-planes", "C5-parallel", "U(4,6)"])
+    def test_probes_of_at_most_t_plus_one_facets_run_no_engine_pass(self, fan, k, monkeypatch):
+        # a refutation at k and the min cut: every probe of at most t+1
+        # facets is decided by at most t+1 subset tests and no pass
+        h = build_hypergraph(fan())
+        probes, passes = [], []
+        holds, find = connectivity._Separators._holds, connectivity._Separators.find
+
+        def counted_holds(self, t, A):
+            before = (len(passes), self.done)
+            found = holds(self, t, A)
+            probes.append((t, len(A), len(passes) - before[0], self.done - before[1]))
+            return found
+
+        def counted_find(self, t, allowed=None):
+            passes.append(t)
+            return find(self, t, allowed)
+
+        monkeypatch.setattr(connectivity._Separators, "_holds", counted_holds)
+        monkeypatch.setattr(connectivity._Separators, "find", counted_find)
+        assert is_k_connected(h, k).verdict is False
+        min_facet_cut(h)
+        small = [(n_passes, units, t) for t, size, n_passes, units in probes if size <= t + 1]
+        assert small and all(n_passes == 0 and 1 <= units <= t + 1 for n_passes, units, t in small)
+        assert all(n_passes == 1 for t, size, n_passes, _ in probes if size > t + 1)

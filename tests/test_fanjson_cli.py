@@ -574,6 +574,38 @@ LINE_112_DOT = """graph facet_ridge {
 """
 
 
+class TestCliUsageExits:
+    @pytest.mark.parametrize("command", [
+        ["check"], ["balance"], ["dot"], ["star", "--face", "r0"],
+    ], ids=["check", "balance", "dot", "star"])
+    def test_impure_fan_file(self, tmp_path, capsys, command):
+        # a 2-cone and a 1-cone: a valid file, but not a pure complex
+        path = tmp_path / "impure.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "vertices": [],
+            "lineality": [], "cells": [{"r": [0, 1]}, {"r": [2]}], "weights": [1, 1]}))
+        code, out, err = run_cli([command[0], str(path), *command[1:]], capsys)
+        assert (code, out, err) == \
+            (1, "", "tropicon: invalid complex: facet 1 has dimension 1, expected 2\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "bergman-graphic", "0-1,2"], "edge '2' is not of the form u-v"),
+        (["gen", "bergman-graphic"], "bergman-graphic needs at least one edge u-v"),
+        (["gen", "bergman-uniform", "3"], "usage: gen bergman-uniform R N"),
+        (["gen", "normal-fan-cube"], "usage: gen normal-fan-cube D"),
+        (["gen", "normal-fan", "a.json", "b.json"], "usage: gen normal-fan <vertices-file>"),
+    ], ids=["bad-edge", "no-edge", "uniform-arity", "cube-arity", "normal-fan-arity"])
+    def test_gen_usage_errors(self, capsys, argv, message):
+        assert run_cli(argv, capsys) == (1, "", f"tropicon: {message}\n")
+
+    @pytest.mark.parametrize("spec", ["", " , "])
+    def test_empty_face_spec(self, tmp_path, capsys, spec):
+        path = tmp_path / "cube.json"
+        run_cli(["gen", "normal-fan-cube", "2", "-o", str(path)], capsys)
+        assert run_cli(["star", str(path), "--face", spec], capsys) == \
+            (1, "", "tropicon: empty face spec\n")
+
+
 class TestLabelsOnlyWhenPrinted:
     @staticmethod
     def counted(monkeypatch):
