@@ -15,7 +15,7 @@ from .ratlin import (
 )
 from .polyhedral import (
     AffineHyperplane, Complex, EmptyPolyhedron, HRep, NotInComplex, Polyhedron,
-    ValidationReport, codim1_faces, is_face_of, validate_complex,
+    ValidationReport, is_face_of, validate_complex,
 )
 from .matroid import (
     FlagChain, Flat, HasLoops, LoopContraction, Matroid, bergman_fine,

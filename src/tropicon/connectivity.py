@@ -79,8 +79,10 @@ witness w_0 < .. < w_{t-1} agree with it above some position i and have
 i+1 elements below w_i, so its colex rank, reported as `subsets_examined`,
 is 1 + sum C(w_i, i+1).
 
-Work (pair tests, search nodes, paths and direct subset tests, one unit
-each) counts against a budget.
+Work (pair tests, search nodes, path searches and direct subset tests, one
+unit each) counts against a budget.  Units bound work, not time: a path
+search stops at its target, while a direct subset test walks every facet
+left.
 """
 
 from __future__ import annotations

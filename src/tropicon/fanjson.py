@@ -98,10 +98,11 @@ def _integer_vector(entries, what: str) -> tuple[int, ...]:
 
 
 def _distinct_rays(rays: list[tuple[int, ...]], lineality: list[tuple[int, ...]]
-                   ) -> list[Optional[tuple[int, ...]]]:
+                   ) -> tuple[list[Optional[tuple[int, ...]]], dict]:
     """Reject two pool rays that are positive multiples modulo the lineality;
     per primitive pool ray, its key for `Complex.facet_polyhedra`: the ray,
-    or None for a ray in the lineality."""
+    or None for a ray in the lineality; and per key its canonical row, the
+    ray reduced modulo the lineality and made primitive."""
     lin_rows = [_int_row(l) for l in subspace_canonical_basis(lineality)]
     seen: dict[tuple[int, ...], int] = {}
     keys: list[Optional[tuple[int, ...]]] = []
@@ -111,7 +112,7 @@ def _distinct_rays(rays: list[tuple[int, ...]], lineality: list[tuple[int, ...]]
         if j != i:
             raise ValueError(f"rays {list(rays[j])} and {list(r)} are equal modulo the lineality")
         keys.append(r if any(row) else None)
-    return keys
+    return keys, {rays[i]: row for row, i in seen.items()}
 
 
 def fan_from_obj(obj: dict) -> Complex:
@@ -138,7 +139,7 @@ def fan_from_obj(obj: dict) -> Complex:
                  for l in _rows(obj, "lineality", "lineality row")]
     if matrix_rank(lineality) < len(lineality):
         raise ValueError("lineality rows are zero or linearly dependent")
-    keys = _distinct_rays(rays, lineality)
+    keys, canon_rows = _distinct_rays(rays, lineality)
     cells: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     seen: dict[tuple[frozenset, frozenset], int] = {}
     for cell in _list(obj["cells"], "cells"):
@@ -159,7 +160,8 @@ def fan_from_obj(obj: dict) -> Complex:
         raise ValueError(f"{len(weights)} weights for {len(cells)} cells")
     c = Complex(n, vertices, tuple(tuple(map(_fraction, r)) for r in rays),
                 tuple(tuple(map(_fraction, l)) for l in lineality), tuple(cells), weights)
-    c.__dict__["_ray_keys"] = keys  # `facet_polyhedra` reads these, not the fractions
+    # `facet_polyhedra` reads these, not the fractions
+    c.__dict__.update(_ray_keys=keys, _canon_rows=canon_rows)
     return c
 
 

@@ -38,12 +38,16 @@ and that inequality are all zero (see `tropical.balancing_check`).
 
 Complexes store shared generator pools plus per-facet index sets; one face
 walk, `lower_faces`, gives the ridges (cached per complex as
-`Complex.ridges`), keyed and sorted on integer tuples, each with the ids of
-its facets and, per facet, the index of the inequality in the facet's
-`hrep.inequalities` that cuts it out.  The faces below are cut out of the
-same cells by more of their inequalities.  Fractions are made only where a
-public value needs them: `hrep` and `from_hrep` convert integer rows, and
-pools are keyed on integer rows, each entry converted once.
+`Complex.ridges`), each with the ids of its facets and, per facet, the index
+of the inequality in the facet's `hrep.inequalities` that cuts it out.  The
+walk keys every (cell, inequality) incidence on integer rows read off the
+cell's canonical form (`_face_key`) and makes one face per distinct key.
+The faces below are cut out of the same cells by more of their inequalities,
+on the same keys.  Fractions are made only where a public value needs them:
+`hrep` and `from_hrep` convert integer rows (`_fraction_row` shares the rows
+that cells repeat), and pools are keyed on integer rows, each entry converted
+once; each pool ray's canonical row, reduced modulo the lineality, is also
+made once and shared by the cells.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ from .ratlin import (
 _ZERO = Fraction(0)
 # Fractions are immutable: the few distinct entries of integer rows share them
 _fraction = functools.lru_cache(maxsize=1024)(Fraction)
+# so do the rows: the cells of a complex repeat most normals, equations and rays
+_fraction_row = functools.lru_cache(maxsize=1024)(lambda row: tuple(map(_fraction, row)))
 
 
 class EmptyPolyhedron(ValueError):
@@ -254,7 +260,8 @@ class _Record:
     def __init__(self, p: "Polyhedron"):
         self.affine = affine = bool(p.vertices)
         rays = p.__dict__.get("_ray_rows") or [_numerators(r) for r in p.rays]
-        lin = [_numerators(l) for l in p.lineality]
+        pool = p.__dict__.get("_pool")
+        lin = pool[0] if pool else [_numerators(l) for l in p.lineality]
         verts: list[tuple[int, ...]] = []
         if affine:
             verts = [tuple(_int_row((1,) + v)) for v in p.vertices]
@@ -395,7 +402,7 @@ class Polyhedron:
         k = int(rec.affine)  # with vertices, column 0 of a row holds -b
 
         def row(a: tuple[int, ...]) -> tuple[Vec, Fraction]:
-            return tuple(map(_fraction, a[k:])), _fraction(-a[0]) if k else _ZERO
+            return _fraction_row(a[k:]), _fraction(-a[0]) if k else _ZERO
 
         return HRep(self.ambient_dim, tuple(row(a) for a in rec.facets if any(a[k:])),
                     tuple(map(row, rec.eqs)))
@@ -423,7 +430,7 @@ class Polyhedron:
     @cached_property
     def dim(self) -> int:
         """n minus the number of equations once the record is built;
-        otherwise, as for faces below the ridges (`codim1_faces` sets the
+        otherwise, as for faces below the ridges (`lower_faces` sets the
         ridges'), the integer rank of the generators."""
         rec = self.__dict__.get("_rec")
         if rec is not None:
@@ -474,21 +481,26 @@ class Polyhedron:
     def _canon(self) -> tuple:
         """(canonical key, tight masks of its vertices, tight masks of its
         rays, common denominator D of its vertices, the vertices times D,
-        the rays and the lineality rows as integers)."""
+        the rays and the lineality rows as integers).  A cone whose true
+        lineality is the declared one reads its rays' canonical rows from its
+        complex's pool (`Complex.facet_polyhedra`); others reduce their own."""
         rec = self._rec
-        n = self.ambient_dim
         lin_rows = rec.lin_rows
+        pool = self.__dict__.get("_pool")
         reps: dict[tuple[int, ...], int] = {}
-        for row, mask in rec.verts + rec.rays:
-            if lin_rows:
-                row = _int_reduce(row, lin_rows)
-            g = math.gcd(*row)
-            if g:  # a ray in the lineality is no generator of the key
-                reps.setdefault(_primitive(row), mask)
-        gens = list(reps.items())
-        extreme = [(r, mask) for i, (r, mask) in enumerate(gens)
-                   if not any(other & mask == mask
-                              for j, (_, other) in enumerate(gens) if j != i)]
+        if pool is not None and not rec.affine and rec.lin is self.lineality:
+            _, canon_rows = pool
+            for row, mask in rec.rays:
+                reps.setdefault(canon_rows[row], mask)
+        else:
+            for row, mask in rec.verts + rec.rays:
+                if lin_rows:
+                    row = _int_reduce(row, lin_rows)
+                if any(row):  # a ray in the lineality is no generator of the key
+                    reps.setdefault(_primitive(row), mask)
+        # extreme: no other generator's tight set contains this one's
+        extreme = [(r, mask) for r, mask in reps.items()
+                   if sum(other & mask == mask for other in reps.values()) == 1]
         verts = [(r, mask) for r, mask in extreme if r[0]] if rec.affine else []
         if len(verts) == 1 and not any(verts[0][0][1:]):
             verts = []  # a lone vertex at the origin is the apex of a cone
@@ -501,8 +513,9 @@ class Polyhedron:
         else:
             rays = sorted(extreme)
             lin_ints = tuple(lin_rows)
-        key = (n, rec.lin, tuple(tuple(Fraction(x, r[0]) for x in r[1:]) for _, _, r in verts),
-               tuple(tuple(map(_fraction, r)) for r, _ in rays))
+        key = (self.ambient_dim, rec.lin,
+               tuple(tuple(Fraction(x, r[0]) for x in r[1:]) for _, _, r in verts),
+               tuple(_fraction_row(r) for r, _ in rays))
         return (key, tuple(mask for _, mask, _ in verts), tuple(mask for _, mask in rays),
                 den, tuple(v for v, _, _ in verts), tuple(r for r, _ in rays), lin_ints)
 
@@ -622,49 +635,40 @@ def _face(p: Polyhedron, tight: int) -> Optional[Polyhedron]:
     the mask `tight` are equalities, or None when that face is empty.  A
     nonempty face has the lineality of p, and its extreme generators are
     those of p whose tight sets contain `tight`, so its canonical key is read
-    off p's and no double description runs.  The face also carries its
-    integer sort data (see `_sort_key`)."""
+    off p's and no double description runs."""
     n, lin, verts, rays = p.canonical_key
-    _, vmasks, rmasks, den, vrows, rrows, lin_ints = p._canon
+    _, vmasks, rmasks, _, vrows, _, _ = p._canon
     vs = [i for i, mask in enumerate(vmasks) if mask & tight == tight]
     if verts and not vs:
         return None
-    rs = [i for i, mask in enumerate(rmasks) if mask & tight == tight]
     face_verts = tuple(verts[i] for i in vs)
-    face_vrows = tuple(vrows[i] for i in vs)
-    if len(vs) == 1 and not any(face_vrows[0]):
-        face_verts = face_vrows = ()
-    face_rays = tuple(rays[i] for i in rs)
+    if len(vs) == 1 and not any(vrows[vs[0]]):
+        face_verts = ()
+    face_rays = tuple(rays[i] for i, mask in enumerate(rmasks) if mask & tight == tight)
     face = Polyhedron._raw(n, face_verts, face_rays, lin)
     face.__dict__["canonical_key"] = (n, lin, face_verts, face_rays)
-    face.__dict__["_sort"] = (den, lin_ints, face_vrows, tuple(rrows[i] for i in rs))
     return face
 
 
-def _sort_key(face: Polyhedron, scale: int) -> tuple:
-    """Integer tuples that order faces made by `_face` as their canonical
-    keys do: the lineality rows, the vertices times `scale` (a common
-    multiple of the denominators of every vertex compared) and the rays."""
-    den, lin_ints, vrows, rrows = face._sort
-    if vrows and den != scale:
-        f = scale // den
-        vrows = tuple(tuple(f * x for x in row) for row in vrows)
-    return (lin_ints, vrows, rrows)
+def _face_key(p: Polyhedron, tight: int, scale: int) -> Optional[tuple]:
+    """Integer tuples that identify `_face(p, tight)` and order faces as
+    their canonical keys do, or None when that face is empty: p's lineality
+    rows, the face's vertices times `scale` (a common multiple of the
+    denominators of every vertex compared) and its rays, all read off p's
+    canonical rows."""
+    _, vmasks, rmasks, den, vrows, rrows, lin_ints = p._canon
+    vs = [row for row, mask in zip(vrows, vmasks) if mask & tight == tight]
+    if vmasks and not vs:
+        return None
+    if len(vs) == 1 and not any(vs[0]):
+        vs = []  # the apex of a cone
+    elif den != scale:
+        vs = [tuple(scale // den * x for x in row) for row in vs]
+    return lin_ints, tuple(vs), tuple([r for r, m in zip(rrows, rmasks) if m & tight == tight])
 
 
 def _vertex_scale(cells: Sequence[Polyhedron]) -> int:
     return math.lcm(*(cell._canon[3] for cell in cells))
-
-
-def codim1_faces(p: Polyhedron) -> list[Polyhedron]:
-    """All faces of dimension dim(p) - 1, one per facet inequality of p in
-    the order of `p.hrep.inequalities`: an irredundant facet description
-    cuts out distinct, nonempty facets, so each face's dimension is known
-    and none needs a rank."""
-    faces = [_face(p, 1 << i) for i in range(len(p.hrep.inequalities))]
-    for face in faces:
-        face.__dict__["dim"] = p.dim - 1
-    return faces
 
 
 def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
@@ -674,26 +678,31 @@ def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
     Each face comes with the indices of the cells it is a face of and, for
     each of those cells, the index in the cell's `hrep.inequalities` of the
     facet inequality that cuts it out, so later steps need not prove the
-    incidence again.
+    incidence again.  Incidences are grouped on `_face_key`; one face is made
+    per group, from its first cell, with its cell's dimension minus one (an
+    irredundant facet description cuts out distinct, nonempty facets).
     """
-    per_cell = [codim1_faces(cell) for cell in cells]
     scale = _vertex_scale(cells)
-    faces: dict[tuple, tuple[Polyhedron, list[int], list[int]]] = {}
-    for i, (cell, cell_faces) in enumerate(zip(cells, per_cell)):
+    faces: dict[tuple, tuple[int, list[int], list[int]]] = {}
+    for i, cell in enumerate(cells):
         d = cell.dim - 1
-        for k, face in enumerate(cell_faces):
-            key = _sort_key(face, scale)
+        for k in range(len(cell.hrep.inequalities)):
+            key = _face_key(cell, 1 << k, scale)
             entry = faces.get(key)
             if entry is None:
-                entry = faces[key] = (face, [], [])
+                entry = faces[key] = (d, [], [])
             # equal keys are equal point sets, so the first face's dimension
             # is every later one's
-            if entry[0].dim != d:
+            elif entry[0] != d:
                 raise AssertionError("codimension-one face has wrong dimension")
             entry[1].append(i)
             entry[2].append(k)
-    return tuple((face, tuple(fids), tuple(cuts))
-                 for _, (face, fids, cuts) in sorted(faces.items()))
+    out = []
+    for _, (d, fids, cuts) in sorted(faces.items()):
+        face = _face(cells[fids[0]], 1 << cuts[0])
+        face.__dict__["dim"] = d
+        out.append((face, tuple(fids), tuple(cuts)))
+    return tuple(out)
 
 
 def _faces_below(c: Complex) -> Iterator[list[Polyhedron]]:
@@ -704,30 +713,29 @@ def _faces_below(c: Complex) -> Iterator[list[Polyhedron]]:
     facet inequalities that cut it out.  A face of codimension two lies in
     exactly two facets of its cell, so the facets of a face are cut out by
     one more inequality of the same cell, and no face needs a double
-    description of its own.
+    description of its own.  A face is made once per `_face_key`, the first
+    time the key is met.
     """
     cells = c.facet_polyhedra
     scale = _vertex_scale(cells)
-    level = {_sort_key(face, scale): (face, cells[fids[0]], 1 << cuts[0])
+    level = {_face_key(cells[fids[0]], 1 << cuts[0], scale): (face, cells[fids[0]], 1 << cuts[0])
              for face, fids, cuts in c.ridges}
     while level:
         keys = sorted(level)
         yield [level[key][0] for key in keys]
-        below: dict[tuple, tuple[Polyhedron, Polyhedron, int]] = {}
+        below: dict[tuple, Optional[tuple[Polyhedron, Polyhedron, int]]] = {}
         for key in keys:
             face, cell, tight = level[key]
             d = face.dim - 1
             for i in range(len(cell.hrep.inequalities)):
-                bit = 1 << i
-                if tight & bit:
+                sub_tight = tight | 1 << i
+                if sub_tight == tight:
                     continue
-                sub = _face(cell, tight | bit)
-                if sub is None:
-                    continue
-                sub_key = _sort_key(sub, scale)
-                if sub_key not in below and sub.dim == d:
-                    below[sub_key] = (sub, cell, tight | bit)
-        level = below
+                sub_key = _face_key(cell, sub_tight, scale)
+                if sub_key is not None and sub_key not in below:
+                    sub = _face(cell, sub_tight)  # a deeper face waits for its level
+                    below[sub_key] = (sub, cell, sub_tight) if sub.dim == d else None
+        level = {key: entry for key, entry in below.items() if entry}
 
 
 def is_face_of(tau: Polyhedron, sigma: Polyhedron) -> bool:
@@ -825,21 +833,27 @@ class Complex:
     @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
         """`facet(i)` for every cell, with the lineality put in canonical
-        form and each pool entry converted once; `fan_from_obj` seeds the
+        form and each pool entry converted once.  The cells share `_pool`:
+        the lineality rows and each pool ray's canonical row (reduced modulo
+        the lineality, primitive), which `fan_from_obj` seeds with the
         `_ray_key` of each pool ray."""
         n = self.ambient_dim
         lin = subspace_canonical_basis([vec(l) for l in self.lineality])
         lin_rows = [_numerators(l) for l in lin]
         verts = [vec(v) for v in self.vertex_pool]
         keys = self.__dict__.get("_ray_keys") or [_ray_key(vec(r), lin_rows) for r in self.ray_pool]
-        rays = {k: tuple(map(_fraction, k)) for k in keys if k is not None}
+        rays = {k: _fraction_row(k) for k in keys if k is not None}
         if any(len(g) != n for g in itertools.chain(verts, rays, lin)):
             raise ValueError("generator has wrong ambient dimension")
+        pool = lin_rows, self.__dict__.get("_canon_rows") or {
+            k: _primitive(_int_reduce(k, lin_rows)) if lin_rows else k for k in rays}
         cells = []
         for vidx, ridx in self.cells:
             ks = [k for k in dict.fromkeys(keys[j] for j in ridx) if k is not None]
             cell = Polyhedron._raw(n, tuple(verts[j] for j in vidx), tuple(rays[k] for k in ks), lin)
-            cell.__dict__["_ray_rows"] = ks  # the record reads these ints, not the fractions
+            # the record and the canonical form read these ints, not the fractions
+            cell.__dict__["_ray_rows"] = ks
+            cell.__dict__["_pool"] = pool
             cells.append(cell)
         return tuple(cells)
 

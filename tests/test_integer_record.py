@@ -23,18 +23,18 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from test_golden import HEX_HEPT, RATIONAL_COMPLEX
+from test_polyhedral import codim1_faces
 from test_ratlin import lattice_normal_generator
 from test_tropical import _section_fixtures
 from tropicon import polyhedral
 from tropicon.fanjson import fan_from_obj, fan_from_text, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import (
-    AffineHyperplane, Complex, Polyhedron, _face, _faces_below, _lattice_normal, codim1_faces,
-    lower_faces,
+    AffineHyperplane, Complex, Polyhedron, _face, _faces_below, _lattice_normal, lower_faces,
 )
 from tropicon.ratlin import (
-    _int_kernel, _int_rank, _int_row, _primitive_ints, identity_mat, is_zero, neg, primitive_vector,
-    reduce_mod_subspace, subspace_canonical_basis, vec, zero_vec,
+    _int_kernel, _int_rank, _int_reduce, _int_row, _primitive, _primitive_ints, identity_mat,
+    is_zero, neg, primitive_vector, reduce_mod_subspace, subspace_canonical_basis, vec, zero_vec,
 )
 from tropicon.tropical import (
     balancing_check, cube_normal_fan, hyperplane_section, normal_fan, two_planes_fan,
@@ -461,11 +461,6 @@ def _dimension_fixtures():
     return fixtures
 
 
-def _unknown_dims(p):
-    """`codim1_faces` as it was: the same faces, with no dimension set."""
-    return [_face(p, 1 << i) for i in range(len(p.hrep.inequalities))]
-
-
 def _copy(c):
     return Complex(c.ambient_dim, c.vertex_pool, c.ray_pool, c.lineality, c.cells,
                    c.weights)
@@ -480,14 +475,16 @@ class TestKnownRidgeDimensions:
         for face, fids, _ in c.ridges:
             assert face.dim == _rank_dim(face) == cells[fids[0]].dim - 1, name
 
-    def test_levels_below_are_unchanged(self, name, c, monkeypatch):
+    def test_levels_below_are_unchanged(self, name, c):
         def levels(complex_):
             return [[(f.canonical_key, f.dim) for f in level]
                     for level in _faces_below(complex_)]
 
         got = levels(_copy(c))
-        monkeypatch.setattr(polyhedral, "codim1_faces", _unknown_dims)
-        want = levels(_copy(c))
+        unknown = _copy(c)
+        for face, _, _ in unknown.ridges:  # the same ridges, with no dimension set
+            del face.__dict__["dim"]
+        want = levels(unknown)
         assert got == want and got, name
         # and every dimension there is the integer rank
         for level in _faces_below(_copy(c)):
@@ -618,8 +615,10 @@ def _assert_seeded_keys_change_nothing(c):
     assert "_ray_keys" in c.__dict__
     got, want = c.facet_polyhedra, _copy(c).facet_polyhedra
     assert "_ray_keys" not in _copy(c).__dict__
-    assert [(p.vertices, p.rays, p.lineality, p.__dict__["_ray_rows"]) for p in got] == \
-        [(p.vertices, p.rays, p.lineality, p.__dict__["_ray_rows"]) for p in want]
+    assert [(p.vertices, p.rays, p.lineality, p.__dict__["_ray_rows"], p.__dict__["_pool"])
+            for p in got] == \
+        [(p.vertices, p.rays, p.lineality, p.__dict__["_ray_rows"], p.__dict__["_pool"])
+         for p in want]
 
 
 @st.composite
@@ -659,8 +658,195 @@ class TestSeededRayKeys:
                           "vertices": [], "lineality": [[1, 1]],
                           "cells": [{"r": [0, 1]}, {"r": [1, 2]}], "weights": [1, 1]})
         assert c.__dict__["_ray_keys"] == [None, (1, 0), None]
+        assert c.__dict__["_canon_rows"] == {(1, 0): (0, -1)}
         _assert_seeded_keys_change_nothing(c)
 
     def test_derived_complexes_compute_their_keys(self):
         c = _loaded(cube_normal_fan(2))
         assert "_ray_keys" not in dataclasses.replace(c, weights=None).__dict__
+        assert "_canon_rows" not in dataclasses.replace(c, weights=None).__dict__
+
+
+# ---------------------------------------------------------------------------
+# the ridge walk on integer keys, against one face per incidence
+
+
+def _oracle_ridges(c):
+    """`Complex.ridges` as a walk over every incidence: the face
+    `_face(p, 1 << i)` for each inequality i of each facet p, grouped on its
+    canonical key and sorted."""
+    groups = {}
+    for fid, p in enumerate(c.facet_polyhedra):
+        for i in range(len(p.hrep.inequalities)):
+            face = _face(p, 1 << i)
+            entry = groups.setdefault(face.canonical_key, (face, [], []))
+            entry[1].append(fid)
+            entry[2].append(i)
+    return [(face, tuple(fids), tuple(cuts)) for _, (face, fids, cuts) in sorted(groups.items())]
+
+
+def _assert_ridges_match_the_oracle(c):
+    def rows(ridges, dim):
+        return [(f.canonical_key, f.vertices, f.rays, f.lineality, dim(f), fids, cuts)
+                for f, fids, cuts in ridges]
+
+    assert rows(c.ridges, lambda f: f.dim) == rows(_oracle_ridges(c), _rank_dim)
+
+
+_RIDGE_FIXTURES = _dimension_fixtures() + _lattice_fixtures()
+
+
+class TestRidgeWalk:
+    @pytest.mark.parametrize("name,c", _RIDGE_FIXTURES, ids=[name for name, _ in _RIDGE_FIXTURES])
+    def test_fixtures(self, name, c):
+        for complex_ in (_copy(c), _loaded(c)):
+            assert complex_.ridges, name
+            _assert_ridges_match_the_oracle(complex_)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_drawn_fan_objects())
+    def test_drawn_fans(self, obj):
+        try:
+            c = fan_from_obj(obj)
+        except ValueError:  # equal rays or identical cells
+            assume(False)
+        _assert_ridges_match_the_oracle(c)
+        _assert_ridges_match_the_oracle(_copy(c))
+
+    def test_affine_rational_complex(self):
+        c = fan_from_obj(RATIONAL_COMPLEX)
+        assert any(f.vertices for f, _, _ in c.ridges)
+        _assert_ridges_match_the_oracle(c)
+
+    def test_lineality_carried_as_opposite_rays(self):
+        e3 = [[0, 0, 1]]
+        c = Complex.from_facets([Polyhedron.cone([r], lineality=e3, ambient_dim=3)
+                                 for r in ([1, 0, 0], [0, 1, 0], [-1, -1, 0])])
+        assert not c.lineality and all(len(p.true_lineality) == 1 for p in c.facet_polyhedra)
+        _assert_ridges_match_the_oracle(c)
+
+    def test_one_face_per_ridge_on_U46(self, monkeypatch):
+        c = _loaded(bergman_fine(Matroid.uniform(4, 6)))
+        made = []
+
+        def counted(p, tight):
+            made.append(tight)
+            return _face(p, tight)
+
+        monkeypatch.setattr(polyhedral, "_face", counted)
+        ridges = c.ridges
+        assert sum(len(fids) for _, fids, _ in ridges) == 360
+        assert len(made) == len(ridges) == 150
+
+    @pytest.mark.parametrize("name,c", [
+        ("U(4,6)", _loaded(bergman_fine(Matroid.uniform(4, 6)))),
+        ("cube3", cube_normal_fan(3)),
+        ("rational", fan_from_obj(RATIONAL_COMPLEX)),
+    ], ids=["U(4,6)", "cube3", "rational"])
+    def test_faces_below_make_one_face_per_key(self, name, c, monkeypatch):
+        c = _copy(c)
+        c.ridges
+        made = []
+
+        def counted(p, tight):
+            face = _face(p, tight)
+            made.append(face.canonical_key)
+            return face
+
+        monkeypatch.setattr(polyhedral, "_face", counted)
+        levels = list(_faces_below(c))
+        made.clear()
+        found = []
+        for i, level in enumerate(_faces_below(c)):
+            # the ridges come made; each level below is found by one `next`
+            assert len(set(made)) == len(made) >= len(level) > 0 if i else not made, name
+            found.append(level)
+            made.clear()
+        assert found == levels and len(found) == c.dim - c.lineality_dim, name
+
+
+# ---------------------------------------------------------------------------
+# canonical rows read from the ray pool, against the general path
+
+
+def _general(p):
+    """p rebuilt from its generators, so its canonical form reduces its own
+    rows."""
+    return Polyhedron(p.ambient_dim, p.vertices, p.rays, p.lineality)
+
+
+def _canon_reduces(p, monkeypatch):
+    """Whether `p._canon` reduces rows itself rather than reading the
+    canonical rows of its pool."""
+    p._rec
+    p.__dict__.pop("_canon", None)  # computed afresh below
+    reduced = []
+    with monkeypatch.context() as m:
+        m.setattr(polyhedral, "_int_reduce",
+                  lambda row, basis: reduced.append(row) or _int_reduce(row, basis))
+        m.setattr(polyhedral, "_primitive", lambda row: reduced.append(row) or _primitive(row))
+        p._canon
+    return bool(reduced)
+
+
+def _assert_pool_rows_change_nothing(c, monkeypatch):
+    """Every cell's canonical form equals the general path's; a cone whose
+    true lineality is the declared one reads its pool's rows, and any other
+    cell takes the general path."""
+    for p in c.facet_polyhedra:
+        general = _canon_reduces(p, monkeypatch)
+        assert general == (bool(p.vertices) or len(p.true_lineality) > len(c.lineality))
+        assert p._canon == _general(p)._canon
+        assert p.canonical_key == _general(p).canonical_key
+
+
+class TestPoolCanonicalRows:
+    @pytest.mark.parametrize("name,c", _RIDGE_FIXTURES, ids=[name for name, _ in _RIDGE_FIXTURES])
+    def test_fixtures(self, name, c, monkeypatch):
+        for complex_ in (_copy(c), _loaded(c)):
+            _assert_pool_rows_change_nothing(complex_, monkeypatch)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_drawn_fan_objects())
+    def test_drawn_fans(self, obj):
+        try:
+            c = fan_from_obj(obj)
+        except ValueError:  # equal rays or identical cells
+            assume(False)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_pool_rows_change_nothing(c, monkeypatch)
+            _assert_pool_rows_change_nothing(_copy(c), monkeypatch)
+
+    def test_reduction_under_the_all_ones_lineality(self, monkeypatch):
+        # (1, 0, 0) has a nonzero first coordinate, so reducing it modulo
+        # (1, 1, 1) changes the row
+        obj = {"ambient_dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "vertices": [],
+               "lineality": [[1, 1, 1]], "cells": [{"r": [0]}, {"r": [1]}, {"r": [2]}],
+               "weights": [1, 1, 1]}
+        for c in (fan_from_obj(obj), _copy(fan_from_obj(obj))):
+            first = c.facet_polyhedra[0]
+            assert first.__dict__["_pool"][1][(1, 0, 0)] == (0, -1, -1)
+            assert first.canonical_key[3] == ((0, -1, -1),)
+            assert not _canon_reduces(first, monkeypatch)
+            _assert_pool_rows_change_nothing(c, monkeypatch)
+
+    def test_rays_equal_modulo_the_lineality_in_memory(self, monkeypatch):
+        # the loader rejects these two rays; an in-memory complex keeps both
+        c = Complex(3, (), ((F(1), F(0), F(0)), (F(0), F(-1), F(-1)), (F(0), F(1), F(0))),
+                    ((F(1), F(1), F(1)),), (((), (0, 1, 2)),))
+        p = c.facet_polyhedra[0]
+        assert len(p.rays) == 3 and len(p.canonical_key[3]) == 2
+        _assert_pool_rows_change_nothing(c, monkeypatch)
+
+    def test_extra_lineality_takes_the_general_path(self, monkeypatch):
+        e3 = [[0, 0, 1]]
+        c = Complex.from_facets([Polyhedron.cone([r], lineality=e3, ambient_dim=3)
+                                 for r in ([1, 0, 0], [0, 1, 0], [-1, -1, 0])])
+        assert all(_canon_reduces(p, monkeypatch) for p in c.facet_polyhedra)
+        _assert_pool_rows_change_nothing(c, monkeypatch)
+        _assert_pool_rows_change_nothing(_loaded(c), monkeypatch)
+
+    def test_vertices_take_the_general_path(self, monkeypatch):
+        c = fan_from_obj(RATIONAL_COMPLEX)
+        assert all(_canon_reduces(p, monkeypatch) for p in c.facet_polyhedra)
+        _assert_pool_rows_change_nothing(c, monkeypatch)

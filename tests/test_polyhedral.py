@@ -4,10 +4,17 @@ from fractions import Fraction as F
 import pytest
 
 from tropicon.polyhedral import (
-    AffineHyperplane, Complex, EmptyPolyhedron, HRep, Polyhedron, codim1_faces,
-    face_is_tight, intersect, is_face_of, validate_complex,
+    AffineHyperplane, Complex, EmptyPolyhedron, HRep, Polyhedron, face_is_tight,
+    intersect, is_face_of, lower_faces, validate_complex,
 )
 from tropicon.ratlin import ZeroVector, dot, vec
+
+
+def codim1_faces(p):
+    """The faces of dimension dim(p) - 1, one per facet inequality of p in
+    the order of `p.hrep.inequalities`: the ridge walk of p alone, ordered
+    by cutting inequality."""
+    return [face for face, _, _ in sorted(lower_faces([p]), key=lambda ridge: ridge[2])]
 
 
 def cone(*rays, lineality=(), n=None):

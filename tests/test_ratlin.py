@@ -10,8 +10,9 @@ from tropicon.ratlin import (
     mat_vec, matrix_rank, primitive_vector, reduce_mod_subspace,
     saturation_basis, smith_normal_form, subspace_canonical_basis, vec,
 )
+from test_polyhedral import codim1_faces
 from tropicon.polyhedral import (
-    Polyhedron, _lattice_normal, codim1_faces, face_is_tight, is_face_of,
+    Polyhedron, _lattice_normal, face_is_tight, is_face_of,
 )
 
 
@@ -332,7 +333,7 @@ class TestLatticeNormalGenerator:
     def test_random_cones_snf_oracle(self, kind, seed):
         # residue class generates the quotient lattice, on ambient dim <= 4,
         # and points into sigma across the facet inequality tight on tau
-        from tropicon.polyhedral import codim1_faces, face_is_tight
+        from tropicon.polyhedral import face_is_tight
         rng = random.Random(seed)
         checked = 0
         while checked < 20:

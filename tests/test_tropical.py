@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_polyhedral import codim1_faces
 from test_ratlin import lattice_normal_generator
 from tropicon import polyhedral, ratlin, tropical
 from tropicon.connectivity import build_hypergraph, connected_components
@@ -14,7 +15,7 @@ from tropicon.fanjson import fan_to_text
 from tropicon.matroid import Matroid, bergman_fine, contraction, proper_flats
 from tropicon.polyhedral import (
     AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _faces_below,
-    _lattice_normal, codim1_faces, intersect,
+    _lattice_normal, intersect,
 )
 from tropicon.ratlin import (
     LinearProgram, _int_kernel, dot, identity_mat, is_zero,
