@@ -19,12 +19,10 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .polyhedral import Complex, _fraction
-from .ratlin import (
-    _int_reduce, _int_row, _primitive, as_int_list, matrix_rank, subspace_canonical_basis,
-)
+from .ratlin import as_int_list, matrix_rank
 
 
 def format_rational(x: Fraction) -> Union[str, int]:
@@ -97,24 +95,6 @@ def _integer_vector(entries, what: str) -> tuple[int, ...]:
     return tuple(x.numerator for x in v)
 
 
-def _distinct_rays(rays: list[tuple[int, ...]], lineality: list[tuple[int, ...]]
-                   ) -> tuple[list[Optional[tuple[int, ...]]], dict]:
-    """Reject two pool rays that are positive multiples modulo the lineality;
-    per primitive pool ray, its key for `Complex.facet_polyhedra`: the ray,
-    or None for a ray in the lineality; and per key its canonical row, the
-    ray reduced modulo the lineality and made primitive."""
-    lin_rows = [_int_row(l) for l in subspace_canonical_basis(lineality)]
-    seen: dict[tuple[int, ...], int] = {}
-    keys: list[Optional[tuple[int, ...]]] = []
-    for i, r in enumerate(rays):
-        row = _int_reduce(r, lin_rows) if lin_rows else r
-        j = seen.setdefault(_primitive(row), i) if any(row) else i
-        if j != i:
-            raise ValueError(f"rays {list(rays[j])} and {list(r)} are equal modulo the lineality")
-        keys.append(r if any(row) else None)
-    return keys, {rays[i]: row for row, i in seen.items()}
-
-
 def fan_from_obj(obj: dict) -> Complex:
     """The complex of a fan file; rejects unknown keys, non-primitive or
     repeated rays, and cells that repeat an index or another cell."""
@@ -139,7 +119,6 @@ def fan_from_obj(obj: dict) -> Complex:
                  for l in _rows(obj, "lineality", "lineality row")]
     if matrix_rank(lineality) < len(lineality):
         raise ValueError("lineality rows are zero or linearly dependent")
-    keys, canon_rows = _distinct_rays(rays, lineality)
     cells: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     seen: dict[tuple[frozenset, frozenset], int] = {}
     for cell in _list(obj["cells"], "cells"):
@@ -160,8 +139,12 @@ def fan_from_obj(obj: dict) -> Complex:
         raise ValueError(f"{len(weights)} weights for {len(cells)} cells")
     c = Complex(n, vertices, tuple(tuple(map(_fraction, r)) for r in rays),
                 tuple(tuple(map(_fraction, l)) for l in lineality), tuple(cells), weights)
-    # `facet_polyhedra` reads these, not the fractions
-    c.__dict__.update(_ray_keys=keys, _canon_rows=canon_rows)
+    _, canon, _, keys = c._pool
+    first: dict[tuple[int, ...], int] = {}
+    for i, key in enumerate(keys):
+        if key and (j := first.setdefault(canon[key], i)) != i:
+            raise ValueError(
+                f"rays {list(rays[j])} and {list(rays[i])} are equal modulo the lineality")
     return c
 
 

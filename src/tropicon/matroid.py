@@ -66,17 +66,15 @@ class Matroid:
     interpreter lock, and a duplicated computation is harmless.
     """
 
-    def __init__(self, elements: Sequence[int], rank_fn: Callable[[FrozenSet[int]], int],
-                 provenance: str = "oracle", allow_large: bool = False):
+    def __init__(self, elements: Sequence[int], rank_fn: Callable[[FrozenSet[int]], int]):
         elements = tuple(sorted(elements))
-        if len(elements) > GROUND_LIMIT and not allow_large:
+        if len(elements) > GROUND_LIMIT:
             raise ValueError(
                 f"ground set of size {len(elements)} exceeds the limit {GROUND_LIMIT}")
         if len(set(elements)) != len(elements):
             raise ValueError("repeated ground set labels")
         self.elements = elements
         self._ground = frozenset(elements)
-        self.provenance = provenance
         self._rank_fn = rank_fn
         self._memo: dict[FrozenSet[int], int] = {}
 
@@ -87,7 +85,7 @@ class Matroid:
         """Uniform matroid of rank r on elements 0..n-1."""
         if not 0 <= r <= n:
             raise ValueError("need 0 <= r <= n")
-        return Matroid(range(n), lambda S: min(len(S), r), "uniform")
+        return Matroid(range(n), lambda S: min(len(S), r))
 
     @staticmethod
     def graphic(edges: Sequence[tuple[int, int]]) -> "Matroid":
@@ -114,9 +112,7 @@ class Matroid:
                     count += 1
             return count
 
-        m = Matroid(range(len(edges)), rank, "graphic")
-        m.edges = edges
-        return m
+        return Matroid(range(len(edges)), rank)
 
     @staticmethod
     def linear(columns: Sequence[Sequence]) -> "Matroid":
@@ -128,9 +124,7 @@ class Matroid:
                 return 0
             return matrix_rank(mat([cols[i] for i in sorted(S)]))
 
-        m = Matroid(range(len(cols)), rank, "linear")
-        m.columns = cols
-        return m
+        return Matroid(range(len(cols)), rank)
 
     @staticmethod
     def from_bases(n: int, bases: Sequence[Iterable[int]]) -> "Matroid":
@@ -148,9 +142,7 @@ class Matroid:
             for x in a - b:
                 if not any((a - {x}) | {y} in base_sets for y in b - a):
                     raise ValueError("basis exchange axiom fails")
-        return Matroid(range(n),
-                       lambda S: max(len(S & b) for b in base_sets),
-                       "bases")
+        return Matroid(range(n), lambda S: max(len(S & b) for b in base_sets))
 
     # -- rank and closure ----------------------------------------------------
 
@@ -262,8 +254,7 @@ def contraction(m: Matroid, e: int) -> Matroid:
     if m.rank({e}) == 0:
         raise LoopContraction(f"element {e} is a loop")
     rest = tuple(x for x in m.elements if x != e)
-    return Matroid(rest, lambda S: m.rank(S | {e}) - 1,
-                   provenance=f"{m.provenance}/contract")
+    return Matroid(rest, lambda S: m.rank(S | {e}) - 1)
 
 
 def matroid_from_json(obj: dict) -> Matroid:

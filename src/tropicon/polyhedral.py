@@ -36,18 +36,18 @@ span on which the cutting inequality vanishes, so the weighted sum of the
 integer normals lies in it iff its dot products with that cell's equations
 and that inequality are all zero (see `tropical.balancing_check`).
 
-Complexes store shared generator pools plus per-facet index sets; one face
-walk, `lower_faces`, gives the ridges (cached per complex as
-`Complex.ridges`), each with the ids of its facets and, per facet, the index
-of the inequality in the facet's `hrep.inequalities` that cuts it out.  The
-walk keys every (cell, inequality) incidence on integer rows read off the
-cell's canonical form (`_face_key`) and makes one face per distinct key.
-The faces below are cut out of the same cells by more of their inequalities,
-on the same keys.  Fractions are made only where a public value needs them:
-`hrep` and `from_hrep` convert integer rows (`_fraction_row` shares the rows
-that cells repeat), and pools are keyed on integer rows, each entry converted
-once; each pool ray's canonical row, reduced modulo the lineality, is also
-made once and shared by the cells.
+Complexes store shared generator pools plus per-facet index sets.  The pool
+facts the cells share are decided once per complex, in one integer pass
+(`Complex._pool`): the lineality rows and each pool ray's primitive and
+canonical rows.  One face walk, `_face_levels`, gives the faces level by
+level from the ridges down, keying each (cell, mask of facet inequalities)
+incidence on integer rows read off the cell's canonical form (`_face_key`)
+and making one face per distinct key.  The ridge level takes every
+incidence and is cached as `Complex.ridges`; each level below expands one
+incidence per face by one more inequality of its cell.  Fractions are made
+only where a public value needs them: `hrep` and `from_hrep` convert integer
+rows (`_fraction_row` shares the rows that cells repeat), and each pool
+entry is converted once.
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ class Polyhedron:
     @cached_property
     def dim(self) -> int:
         """n minus the number of equations once the record is built;
-        otherwise, as for faces below the ridges (`lower_faces` sets the
+        otherwise, as for faces below the ridges (`_face_levels` sets the
         ridges'), the integer rank of the generators."""
         rec = self.__dict__.get("_rec")
         if rec is not None:
@@ -483,15 +483,14 @@ class Polyhedron:
         rays, common denominator D of its vertices, the vertices times D,
         the rays and the lineality rows as integers).  A cone whose true
         lineality is the declared one reads its rays' canonical rows from its
-        complex's pool (`Complex.facet_polyhedra`); others reduce their own."""
+        complex's `Complex._pool`; others reduce their own."""
         rec = self._rec
         lin_rows = rec.lin_rows
         pool = self.__dict__.get("_pool")
         reps: dict[tuple[int, ...], int] = {}
         if pool is not None and not rec.affine and rec.lin is self.lineality:
-            _, canon_rows = pool
             for row, mask in rec.rays:
-                reps.setdefault(canon_rows[row], mask)
+                reps.setdefault(pool[1][row], mask)
         else:
             for row, mask in rec.verts + rec.rays:
                 if lin_rows:
@@ -671,70 +670,54 @@ def _vertex_scale(cells: Sequence[Polyhedron]) -> int:
     return math.lcm(*(cell._canon[3] for cell in cells))
 
 
-def lower_faces(cells: Sequence[Polyhedron]) -> tuple[
-        tuple[Polyhedron, tuple[int, ...], tuple[int, ...]], ...]:
-    """Distinct codimension-one faces of the cells, sorted by canonical key.
+def _face_levels(cells: Sequence[Polyhedron]) -> Iterator[
+        list[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]]]]:
+    """The distinct faces of the cells from the codimension-one faces down,
+    one list per codimension, each sorted by canonical key.
 
-    Each face comes with the indices of the cells it is a face of and, for
-    each of those cells, the index in the cell's `hrep.inequalities` of the
-    facet inequality that cuts it out, so later steps need not prove the
-    incidence again.  Incidences are grouped on `_face_key`; one face is made
-    per group, from its first cell, with its cell's dimension minus one (an
-    irredundant facet description cuts out distinct, nonempty facets).
+    Each face comes with the indices of cells it is a face of and, per cell,
+    the mask of the cell's facet inequalities (bits over its
+    `hrep.inequalities`) that cuts it out, so later steps need not prove the
+    incidence again.  Incidences are grouped on `_face_key`, and one face is
+    made per key, from its first incidence.  The first level takes every
+    incidence of one inequality, with its cell's dimension minus one (an
+    irredundant facet description cuts out distinct, nonempty facets).  A
+    face of codimension two lies in exactly two facets of its cell, so each
+    level below is cut out of one incidence per face of the level above by
+    one more inequality of the same cell, and keeps the faces of the next
+    dimension; no face needs a double description of its own.
     """
     scale = _vertex_scale(cells)
-    faces: dict[tuple, tuple[int, list[int], list[int]]] = {}
+    level: dict[tuple, tuple[Polyhedron, list[int], list[int]]] = {}
     for i, cell in enumerate(cells):
         d = cell.dim - 1
         for k in range(len(cell.hrep.inequalities)):
             key = _face_key(cell, 1 << k, scale)
-            entry = faces.get(key)
+            entry = level.get(key)
             if entry is None:
-                entry = faces[key] = (d, [], [])
+                entry = level[key] = (_face(cell, 1 << k), [], [])
+                entry[0].__dict__["dim"] = d
             # equal keys are equal point sets, so the first face's dimension
             # is every later one's
-            elif entry[0] != d:
+            elif entry[0].dim != d:
                 raise AssertionError("codimension-one face has wrong dimension")
             entry[1].append(i)
-            entry[2].append(k)
-    out = []
-    for _, (d, fids, cuts) in sorted(faces.items()):
-        face = _face(cells[fids[0]], 1 << cuts[0])
-        face.__dict__["dim"] = d
-        out.append((face, tuple(fids), tuple(cuts)))
-    return tuple(out)
-
-
-def _faces_below(c: Complex) -> Iterator[list[Polyhedron]]:
-    """The faces of the complex from the ridges down, one list per
-    codimension, each in canonical-key order.
-
-    Every face is kept with one cell it lies in and the mask of the cell's
-    facet inequalities that cut it out.  A face of codimension two lies in
-    exactly two facets of its cell, so the facets of a face are cut out by
-    one more inequality of the same cell, and no face needs a double
-    description of its own.  A face is made once per `_face_key`, the first
-    time the key is met.
-    """
-    cells = c.facet_polyhedra
-    scale = _vertex_scale(cells)
-    level = {_face_key(cells[fids[0]], 1 << cuts[0], scale): (face, cells[fids[0]], 1 << cuts[0])
-             for face, fids, cuts in c.ridges}
+            entry[2].append(1 << k)
     while level:
-        keys = sorted(level)
-        yield [level[key][0] for key in keys]
-        below: dict[tuple, Optional[tuple[Polyhedron, Polyhedron, int]]] = {}
-        for key in keys:
-            face, cell, tight = level[key]
-            d = face.dim - 1
-            for i in range(len(cell.hrep.inequalities)):
-                sub_tight = tight | 1 << i
-                if sub_tight == tight:
+        faces = [(face, tuple(fids), tuple(masks))
+                 for face, fids, masks in map(level.get, sorted(level))]
+        yield faces
+        below: dict[tuple, Optional[tuple[Polyhedron, list[int], list[int]]]] = {}
+        for face, fids, masks in faces:
+            cell, tight, d = cells[fids[0]], masks[0], face.dim - 1
+            for k in range(len(cell.hrep.inequalities)):
+                sub = tight | 1 << k
+                if sub == tight:
                     continue
-                sub_key = _face_key(cell, sub_tight, scale)
-                if sub_key is not None and sub_key not in below:
-                    sub = _face(cell, sub_tight)  # a deeper face waits for its level
-                    below[sub_key] = (sub, cell, sub_tight) if sub.dim == d else None
+                key = _face_key(cell, sub, scale)
+                if key is not None and key not in below:
+                    sub_face = _face(cell, sub)  # a deeper face waits for its level
+                    below[key] = (sub_face, [fids[0]], [sub]) if sub_face.dim == d else None
         level = {key: entry for key, entry in below.items() if entry}
 
 
@@ -778,6 +761,10 @@ class Complex:
             raise ValueError("one weight per facet required")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
+        n = self.ambient_dim
+        pools = itertools.chain(self.vertex_pool, self.ray_pool, self.lineality)
+        if any(len(g) != n for g in pools):
+            raise ValueError("generator has wrong ambient dimension")
 
     @staticmethod
     def from_facets(facets: Sequence[Polyhedron], lineality: Iterable = (),
@@ -831,29 +818,40 @@ class Complex:
                           self.lineality)
 
     @cached_property
-    def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
-        """`facet(i)` for every cell, with the lineality put in canonical
-        form and each pool entry converted once.  The cells share `_pool`:
-        the lineality rows and each pool ray's canonical row (reduced modulo
-        the lineality, primitive), which `fan_from_obj` seeds with the
-        `_ray_key` of each pool ray."""
-        n = self.ambient_dim
+    def _pool(self) -> tuple[list, dict, Mat, list]:
+        """What the cells share, from one integer pass over the pools: the
+        rows of the lineality's canonical basis, per primitive pool ray its
+        canonical row (reduced modulo the lineality, primitive), the basis,
+        and per pool ray its primitive row, or None inside the lineality."""
         lin = subspace_canonical_basis([vec(l) for l in self.lineality])
         lin_rows = [_numerators(l) for l in lin]
+        canon: dict[tuple[int, ...], tuple[int, ...]] = {}
+        keys: list[Optional[tuple[int, ...]]] = []
+        for r in self.ray_pool:
+            row = _int_row(r)
+            reduced = _int_reduce(row, lin_rows) if lin_rows else row
+            key = _primitive(row) if any(reduced) else None
+            if key:
+                canon[key] = _primitive(reduced)
+            keys.append(key)
+        return lin_rows, canon, lin, keys
+
+    @cached_property
+    def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
+        """`facet(i)` for every cell, with the lineality put in canonical
+        form and each pool entry converted once; every cell keeps its rays'
+        primitive rows and the complex's `_pool`, which its record and
+        canonical form read in place of the fractions."""
+        n = self.ambient_dim
+        pool = self._pool
+        _, canon, lin, keys = pool
         verts = [vec(v) for v in self.vertex_pool]
-        keys = self.__dict__.get("_ray_keys") or [_ray_key(vec(r), lin_rows) for r in self.ray_pool]
-        rays = {k: _fraction_row(k) for k in keys if k is not None}
-        if any(len(g) != n for g in itertools.chain(verts, rays, lin)):
-            raise ValueError("generator has wrong ambient dimension")
-        pool = lin_rows, self.__dict__.get("_canon_rows") or {
-            k: _primitive(_int_reduce(k, lin_rows)) if lin_rows else k for k in rays}
+        rays = {k: _fraction_row(k) for k in canon}
         cells = []
         for vidx, ridx in self.cells:
             ks = [k for k in dict.fromkeys(keys[j] for j in ridx) if k is not None]
             cell = Polyhedron._raw(n, tuple(verts[j] for j in vidx), tuple(rays[k] for k in ks), lin)
-            # the record and the canonical form read these ints, not the fractions
-            cell.__dict__["_ray_rows"] = ks
-            cell.__dict__["_pool"] = pool
+            cell.__dict__.update(_ray_rows=ks, _pool=pool)
             cells.append(cell)
         return tuple(cells)
 
@@ -862,8 +860,9 @@ class Complex:
         """Distinct codimension-one faces of the facets, sorted by canonical
         key, each with the ids of the facets it is a face of and, per facet,
         the index in its `hrep.inequalities` of the inequality that cuts it
-        out (see `lower_faces`)."""
-        return lower_faces(self.facet_polyhedra)
+        out: the first level of `_face_levels`."""
+        return tuple((face, fids, tuple(m.bit_length() - 1 for m in masks))
+                     for face, fids, masks in next(_face_levels(self.facet_polyhedra), ()))
 
     @cached_property
     def _validation(self) -> "ValidationReport":

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
-    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _faces_below,
+    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _face_levels,
     _fraction, _lattice_normal, _numerators, _outside, is_face_of,
 )
 from .ratlin import (
@@ -146,8 +146,8 @@ def skeleton(c: Complex, k: int) -> Complex:
         raise ValueError(f"need lineality dim <= k <= {d}")
     if k == d:
         return c
-    faces = next(itertools.islice(_faces_below(c), d - 1 - k, None), [])
-    return Complex.from_facets(faces, lineality=c.lineality,
+    level = next(itertools.islice(_face_levels(c.facet_polyhedra), d - 1 - k, None), [])
+    return Complex.from_facets([face for face, _, _ in level], lineality=c.lineality,
                                ambient_dim=c.ambient_dim)
 
 

@@ -429,6 +429,30 @@ class TestStrictFanFiles:
         assert ints.ray_pool == strings.ray_pool == ((F(0), F(1)), (F(1), F(0)), (F(-1), F(0)))
         assert all(type(x) is F for r in ints.ray_pool for x in r)
 
+    @pytest.mark.parametrize("changes", [
+        {"ambient_dim": 3, "rays": [[1, 0], [0, 1]], "cells": [{"r": [0, 1]}], "weights": [1]},
+        {"vertices": [["0", "0", "1/2"]], "cells": [{"v": [0], "r": [0, 1]}, {"r": [0, 2]}]},
+        {"lineality": [[1, 1, 1]]},
+    ], ids=["ray", "vertex", "lineality"])
+    def test_rows_of_the_wrong_length(self, tmp_path, capsys, changes):
+        # the complex rejects them on construction, so loading does, and
+        # validation never meets them
+        obj = _square_fan(**changes)
+        with pytest.raises(ValueError, match="^generator has wrong ambient dimension$"):
+            fan_from_obj(obj)
+        n = obj["ambient_dim"]
+        with pytest.raises(ValueError, match="^generator has wrong ambient dimension$"):
+            Complex(n, tuple(tuple(map(F, v)) for v in obj["vertices"]),
+                    tuple(tuple(map(F, r)) for r in obj["rays"]),
+                    tuple(tuple(map(F, l)) for l in obj["lineality"]),
+                    tuple((tuple(c.get("v", ())), tuple(c["r"])) for c in obj["cells"]))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        for command in ("check", "balance"):
+            code, out, err = run_cli([command, str(path)], capsys)
+            assert (code, out) == (1, "") and "wrong ambient dimension" in err
+            assert "Traceback" not in err
+
 
 class TestCliSlice:
     def test_tropical_plane_slice(self, tmp_path, capsys):

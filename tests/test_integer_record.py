@@ -30,7 +30,7 @@ from tropicon import polyhedral
 from tropicon.fanjson import fan_from_obj, fan_from_text, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import (
-    AffineHyperplane, Complex, Polyhedron, _face, _faces_below, _lattice_normal, lower_faces,
+    AffineHyperplane, Complex, Polyhedron, _face, _face_levels, _lattice_normal,
 )
 from tropicon.ratlin import (
     _int_kernel, _int_rank, _int_reduce, _int_row, _primitive, _primitive_ints, identity_mat,
@@ -306,13 +306,13 @@ class TestRidgeKeys:
             cells = [_polyhedron(rng, "polyhedron") for _ in range(3)]
             n = cells[0].ambient_dim
             cells = [c for c in cells if c.ambient_dim == n]
-            ridges = lower_faces(cells)
+            ridges = next(_face_levels(cells), [])
             keys = [face.canonical_key for face, _, _ in ridges]
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
-            for face, fids, cuts in ridges:
-                for i, k in zip(fids, cuts):
+            for face, fids, masks in ridges:
+                for i, mask in zip(fids, masks):
                     assert face.canonical_key == _oracle_face_key(
-                        cells[i], [cells[i].hrep.inequalities[k]])
+                        cells[i], [cells[i].hrep.inequalities[mask.bit_length() - 1]])
 
 
 def _star_fans(seed, count):
@@ -476,19 +476,15 @@ class TestKnownRidgeDimensions:
             assert face.dim == _rank_dim(face) == cells[fids[0]].dim - 1, name
 
     def test_levels_below_are_unchanged(self, name, c):
-        def levels(complex_):
-            return [[(f.canonical_key, f.dim) for f in level]
-                    for level in _faces_below(complex_)]
-
-        got = levels(_copy(c))
-        unknown = _copy(c)
-        for face, _, _ in unknown.ridges:  # the same ridges, with no dimension set
-            del face.__dict__["dim"]
-        want = levels(unknown)
+        # the walk, which sets its ridges' dimensions, against the oracle
+        # walk below ridges made one per incidence with no dimension set
+        got = [[(f.canonical_key, f.dim) for f, _, _ in level]
+               for level in _face_levels(_copy(c).facet_polyhedra)]
+        want = [[(f.canonical_key, f.dim) for f in level] for level in _faces_below(_copy(c))]
         assert got == want and got, name
         # and every dimension there is the integer rank
-        for level in _faces_below(_copy(c)):
-            assert all(f.dim == _rank_dim(f) for f in level), name
+        for level in _face_levels(_copy(c).facet_polyhedra):
+            assert all(f.dim == _rank_dim(f) for f, _, _ in level), name
 
 
 # ---------------------------------------------------------------------------
@@ -606,19 +602,34 @@ class TestUnitRayLatticeNormals:
 
 
 # ---------------------------------------------------------------------------
-# ray keys seeded by the loader
+# the pool facts a complex decides once, loaded or built in memory
 
 
-def _assert_seeded_keys_change_nothing(c):
-    """The cells of the complex with the loader's ray keys equal those of a
-    copy that computes its own."""
-    assert "_ray_keys" in c.__dict__
-    got, want = c.facet_polyhedra, _copy(c).facet_polyhedra
-    assert "_ray_keys" not in _copy(c).__dict__
+def _oracle_pool(c):
+    """`Complex._pool` over fractions: the lineality's canonical basis, and
+    per pool ray its primitive form and, by `reduce_mod_subspace`, its
+    canonical row, or None when it reduces to zero."""
+    lin = subspace_canonical_basis([vec(l) for l in c.lineality])
+    keys, canon = [], {}
+    for r in c.ray_pool:
+        reduced = reduce_mod_subspace(vec(r), lin)
+        key = None if is_zero(reduced) else tuple(x.numerator for x in primitive_vector(vec(r)))
+        if key:
+            canon[key] = tuple(x.numerator for x in primitive_vector(reduced))
+        keys.append(key)
+    return [tuple(x.numerator for x in l) for l in lin], canon, lin, keys
+
+
+def _assert_pool_matches_a_copy(c):
+    """The pool facts of the loaded complex, and the cells it gives, equal
+    those of an in-memory copy and of the fraction oracle."""
+    copy = _copy(c)
+    assert "_pool" not in copy.__dict__
+    assert c._pool == copy._pool == _oracle_pool(c)
     assert [(p.vertices, p.rays, p.lineality, p.__dict__["_ray_rows"], p.__dict__["_pool"])
-            for p in got] == \
+            for p in c.facet_polyhedra] == \
         [(p.vertices, p.rays, p.lineality, p.__dict__["_ray_rows"], p.__dict__["_pool"])
-         for p in want]
+         for p in copy.facet_polyhedra]
 
 
 @st.composite
@@ -639,10 +650,12 @@ def _drawn_fan_objects(draw):
 
 
 class TestSeededRayKeys:
+    """A loaded fan decides its pool facts as an in-memory complex does."""
+
     @pytest.mark.parametrize("name,c", _dimension_fixtures() + _lattice_fixtures(),
                              ids=[name for name, _ in _dimension_fixtures() + _lattice_fixtures()])
     def test_fixtures(self, name, c):
-        _assert_seeded_keys_change_nothing(_loaded(c))
+        _assert_pool_matches_a_copy(_loaded(c))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_drawn_fan_objects())
@@ -651,20 +664,20 @@ class TestSeededRayKeys:
             c = fan_from_obj(obj)
         except ValueError:  # equal rays or identical cells
             assume(False)
-        _assert_seeded_keys_change_nothing(c)
+        _assert_pool_matches_a_copy(c)
 
     def test_ray_inside_the_lineality(self):
         c = fan_from_obj({"ambient_dim": 2, "rays": [[1, 1], [1, 0], [-1, -1]],
                           "vertices": [], "lineality": [[1, 1]],
                           "cells": [{"r": [0, 1]}, {"r": [1, 2]}], "weights": [1, 1]})
-        assert c.__dict__["_ray_keys"] == [None, (1, 0), None]
-        assert c.__dict__["_canon_rows"] == {(1, 0): (0, -1)}
-        _assert_seeded_keys_change_nothing(c)
+        _, canon, _, keys = c._pool
+        assert (keys, canon) == ([None, (1, 0), None], {(1, 0): (0, -1)})
+        _assert_pool_matches_a_copy(c)
 
     def test_derived_complexes_compute_their_keys(self):
         c = _loaded(cube_normal_fan(2))
-        assert "_ray_keys" not in dataclasses.replace(c, weights=None).__dict__
-        assert "_canon_rows" not in dataclasses.replace(c, weights=None).__dict__
+        derived = dataclasses.replace(c, weights=None)
+        assert "_pool" not in derived.__dict__ and derived._pool == c._pool
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +698,53 @@ def _oracle_ridges(c):
     return [(face, tuple(fids), tuple(cuts)) for _, (face, fids, cuts) in sorted(groups.items())]
 
 
+def _faces_below(c):
+    """The faces from the ridges down, one list per codimension, as the walk
+    below the ridges made them when it was separate: the ridges of
+    `_oracle_ridges`, then per level one face per `_face_key`, cut out of one
+    incidence per face of the level above by one more inequality of its
+    cell and kept when its integer rank is the next dimension."""
+    cells = c.facet_polyhedra
+    scale = polyhedral._vertex_scale(cells)
+    level = {polyhedral._face_key(cells[fids[0]], 1 << cuts[0], scale):
+             (face, cells[fids[0]], 1 << cuts[0]) for face, fids, cuts in _oracle_ridges(c)}
+    while level:
+        keys = sorted(level)
+        yield [level[key][0] for key in keys]
+        below = {}
+        for key in keys:
+            face, cell, tight = level[key]
+            d = face.dim - 1
+            for i in range(len(cell.hrep.inequalities)):
+                sub_tight = tight | 1 << i
+                if sub_tight == tight:
+                    continue
+                sub_key = polyhedral._face_key(cell, sub_tight, scale)
+                if sub_key is not None and sub_key not in below:
+                    sub = _face(cell, sub_tight)
+                    below[sub_key] = (sub, cell, sub_tight) if sub.dim == d else None
+        level = {key: entry for key, entry in below.items() if entry}
+
+
+def _assert_levels_match_the_oracle(c):
+    """Every level of `_face_levels` equals the oracle's, its first is
+    `Complex.ridges`, and every (cell, mask) it lists cuts its face out of
+    that cell."""
+    cells = c.facet_polyhedra
+    got = list(_face_levels(cells))
+    assert [[(f.canonical_key, f.vertices, f.rays, f.lineality, f.dim) for f, _, _ in level]
+            for level in got] == \
+        [[(f.canonical_key, f.vertices, f.rays, f.lineality, _rank_dim(f)) for f in level]
+         for level in _faces_below(c)]
+    assert [(f.canonical_key, fids, masks) for f, fids, masks in (got[0] if got else [])] == \
+        [(f.canonical_key, fids, tuple(1 << k for k in cuts)) for f, fids, cuts in c.ridges]
+    for level in got:
+        for face, fids, masks in level:
+            assert len(fids) == len(masks) > 0
+            for i, mask in zip(fids, masks):
+                assert _face(cells[i], mask).canonical_key == face.canonical_key
+
+
 def _assert_ridges_match_the_oracle(c):
     def rows(ridges, dim):
         return [(f.canonical_key, f.vertices, f.rays, f.lineality, dim(f), fids, cuts)
@@ -702,6 +762,7 @@ class TestRidgeWalk:
         for complex_ in (_copy(c), _loaded(c)):
             assert complex_.ridges, name
             _assert_ridges_match_the_oracle(complex_)
+            _assert_levels_match_the_oracle(complex_)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_drawn_fan_objects())
@@ -712,11 +773,13 @@ class TestRidgeWalk:
             assume(False)
         _assert_ridges_match_the_oracle(c)
         _assert_ridges_match_the_oracle(_copy(c))
+        _assert_levels_match_the_oracle(c)
 
     def test_affine_rational_complex(self):
         c = fan_from_obj(RATIONAL_COMPLEX)
         assert any(f.vertices for f, _, _ in c.ridges)
         _assert_ridges_match_the_oracle(c)
+        _assert_levels_match_the_oracle(c)
 
     def test_lineality_carried_as_opposite_rays(self):
         e3 = [[0, 0, 1]]
@@ -724,6 +787,7 @@ class TestRidgeWalk:
                                  for r in ([1, 0, 0], [0, 1, 0], [-1, -1, 0])])
         assert not c.lineality and all(len(p.true_lineality) == 1 for p in c.facet_polyhedra)
         _assert_ridges_match_the_oracle(c)
+        _assert_levels_match_the_oracle(c)
 
     def test_one_face_per_ridge_on_U46(self, monkeypatch):
         c = _loaded(bergman_fine(Matroid.uniform(4, 6)))
@@ -745,7 +809,6 @@ class TestRidgeWalk:
     ], ids=["U(4,6)", "cube3", "rational"])
     def test_faces_below_make_one_face_per_key(self, name, c, monkeypatch):
         c = _copy(c)
-        c.ridges
         made = []
 
         def counted(p, tight):
@@ -754,13 +817,17 @@ class TestRidgeWalk:
             return face
 
         monkeypatch.setattr(polyhedral, "_face", counted)
-        levels = list(_faces_below(c))
+        levels = [[f.canonical_key for f, _, _ in level]
+                  for level in _face_levels(c.facet_polyhedra)]
         made.clear()
         found = []
-        for i, level in enumerate(_faces_below(c)):
-            # the ridges come made; each level below is found by one `next`
-            assert len(set(made)) == len(made) >= len(level) > 0 if i else not made, name
-            found.append(level)
+        for i, level in enumerate(_face_levels(c.facet_polyhedra)):
+            # each level is found by one `next`: one face per ridge, and
+            # below the ridges one face per key met
+            assert len(set(made)) == len(made) >= len(level) > 0, name
+            if not i:
+                assert len(made) == len(level), name
+            found.append([f.canonical_key for f, _, _ in level])
             made.clear()
         assert found == levels and len(found) == c.dim - c.lineality_dim, name
 

@@ -5,16 +5,16 @@ import pytest
 
 from tropicon.polyhedral import (
     AffineHyperplane, Complex, EmptyPolyhedron, HRep, Polyhedron, face_is_tight,
-    intersect, is_face_of, lower_faces, validate_complex,
+    _face_levels, intersect, is_face_of, validate_complex,
 )
 from tropicon.ratlin import ZeroVector, dot, vec
 
 
 def codim1_faces(p):
     """The faces of dimension dim(p) - 1, one per facet inequality of p in
-    the order of `p.hrep.inequalities`: the ridge walk of p alone, ordered
-    by cutting inequality."""
-    return [face for face, _, _ in sorted(lower_faces([p]), key=lambda ridge: ridge[2])]
+    the order of `p.hrep.inequalities`: the first level of the face walk of
+    p alone, ordered by cutting inequality."""
+    return [face for face, _, _ in sorted(next(_face_levels([p]), []), key=lambda ridge: ridge[2])]
 
 
 def cone(*rays, lineality=(), n=None):

@@ -14,7 +14,7 @@ from tropicon.connectivity import build_hypergraph, connected_components
 from tropicon.fanjson import fan_to_text
 from tropicon.matroid import Matroid, bergman_fine, contraction, proper_flats
 from tropicon.polyhedral import (
-    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _faces_below,
+    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _face_levels,
     _lattice_normal, intersect,
 )
 from tropicon.ratlin import (
@@ -353,9 +353,9 @@ class TestSkeleton:
         fan = fan_from_text(text)
         faces = [f for f, _, _ in fan.ridges]
         for _ in range(fan.dim - 1 - k):
-            faces = [f for f, _, _ in polyhedral.lower_faces(
+            faces = [f for f, _, _ in next(polyhedral._face_levels(
                 [Polyhedron(f.ambient_dim, f.vertices, f.rays, f.lineality)
-                 for f in faces])]
+                 for f in faces]), ())]
         assert got == fan_to_text(Complex.from_facets(
             faces, lineality=fan.lineality, ambient_dim=fan.ambient_dim))
 
@@ -623,8 +623,8 @@ class TestSectionAgainstLPReference:
         pairs = raised = sliced = 0
         for name, c, count in _section_fixtures():
             faces = list(c.facet_polyhedra)
-            for level in _faces_below(c):
-                faces += level
+            for level in _face_levels(c.facet_polyhedra):
+                faces += [face for face, _, _ in level]
             for _ in range(count):
                 H = _random_hyperplane(rng, c)
                 pairs += 1
@@ -657,8 +657,8 @@ class TestSectionAgainstLPReference:
             monkeypatch.setattr(module, "lp_feasible",
                                 counted("lp_feasible", lp_feasible))
         for module in (polyhedral, tropical):
-            monkeypatch.setattr(module, "_faces_below",
-                                counted("_faces_below", _faces_below))
+            monkeypatch.setattr(module, "_face_levels",
+                                counted("_face_levels", _face_levels))
         for name, c, _ in _section_fixtures():
             sec = hyperplane_section(c, AffineHyperplane(
                 vec([3 ** i for i in range(c.ambient_dim)]), F(1, 7)))
