@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from .polyhedral import Complex, _fraction
-from .ratlin import as_int_list, matrix_rank
+from .ratlin import as_int_list
 
 
 def format_rational(x: Fraction) -> Union[str, int]:
@@ -117,8 +117,6 @@ def fan_from_obj(obj: dict) -> Complex:
                      for v in _rows(obj, "vertices", "vertex"))
     lineality = [_integer_vector(l, "lineality row")
                  for l in _rows(obj, "lineality", "lineality row")]
-    if matrix_rank(lineality) < len(lineality):
-        raise ValueError("lineality rows are zero or linearly dependent")
     cells: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     seen: dict[tuple[frozenset, frozenset], int] = {}
     for cell in _list(obj["cells"], "cells"):
@@ -139,7 +137,9 @@ def fan_from_obj(obj: dict) -> Complex:
         raise ValueError(f"{len(weights)} weights for {len(cells)} cells")
     c = Complex(n, vertices, tuple(tuple(map(_fraction, r)) for r in rays),
                 tuple(tuple(map(_fraction, l)) for l in lineality), tuple(cells), weights)
-    _, canon, _, keys = c._pool
+    lin_rows, canon, _, keys = c._pool
+    if len(lin_rows) < len(lineality):
+        raise ValueError("lineality rows are zero or linearly dependent")
     first: dict[tuple[int, ...], int] = {}
     for i, key in enumerate(keys):
         if key and (j := first.setdefault(canon[key], i)) != i:

@@ -97,8 +97,7 @@ def _ray_key(r: Vec, lin_rows: Sequence[Sequence[int]]) -> Optional[tuple[int, .
     """The primitive integer form of the ray r, or None when r lies in the
     span of the canonical basis rows lin_rows."""
     row = _int_row(r)
-    g = math.gcd(*row)
-    return tuple(x // g for x in row) if _outside(row, lin_rows) else None
+    return _primitive(row) if _outside(row, lin_rows) else None
 
 
 def _generators(n: int, vertices: Iterable, rays: Iterable, lin: Mat
@@ -633,19 +632,17 @@ def _face(p: Polyhedron, tight: int) -> Optional[Polyhedron]:
     """The face of p on which the facet inequalities of p with bit set in
     the mask `tight` are equalities, or None when that face is empty.  A
     nonempty face has the lineality of p, and its extreme generators are
-    those of p whose tight sets contain `tight`, so its canonical key is read
-    off p's and no double description runs."""
-    n, lin, verts, rays = p.canonical_key
-    _, vmasks, rmasks, _, vrows, _, _ = p._canon
-    vs = [i for i, mask in enumerate(vmasks) if mask & tight == tight]
-    if verts and not vs:
+    those of p whose tight sets contain `tight`, so its canonical key is
+    made from the rows `_face_key` picks and no double description runs."""
+    den = p._canon[3]
+    key = _face_key(p, tight, den)
+    if key is None:
         return None
-    face_verts = tuple(verts[i] for i in vs)
-    if len(vs) == 1 and not any(vrows[vs[0]]):
-        face_verts = ()
-    face_rays = tuple(rays[i] for i, mask in enumerate(rmasks) if mask & tight == tight)
-    face = Polyhedron._raw(n, face_verts, face_rays, lin)
-    face.__dict__["canonical_key"] = (n, lin, face_verts, face_rays)
+    n, lin = p.ambient_dim, p.canonical_key[1]
+    verts = tuple(tuple(Fraction(x, den) for x in row) for row in key[1])
+    rays = tuple(map(_fraction_row, key[2]))
+    face = Polyhedron._raw(n, verts, rays, lin)
+    face.__dict__["canonical_key"] = (n, lin, verts, rays)
     return face
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
     AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _face_levels,
-    _fraction, _lattice_normal, _numerators, _outside, is_face_of,
+    _fraction_row, _lattice_normal, _numerators, _outside, is_face_of,
 )
 from .ratlin import (
     LinearProgram, Mat, Vec, _int_kernel, _primitive_ints, dot, identity_mat,
@@ -113,6 +113,8 @@ def normal_fan(vertices: Sequence[Iterable]) -> Complex:
     faces have distinct masks, so a point is an extreme vertex of P iff its
     mask is one the canonical key keeps for its extreme vertices.  The key
     drops a lone vertex at the origin, so one point (fan R^n) is set apart.
+    As `bergman_fine` does from flats, the pool is the distinct outer normals
+    and a cell the sorted pool ids of the facets through its vertex.
     """
     pts = mat(vertices)
     if not pts:
@@ -124,15 +126,15 @@ def normal_fan(vertices: Sequence[Iterable]) -> Complex:
     lin_rows = [_numerators(l) for l in lineality]
     outer = {i: _primitive_ints([-x for x in a]) for i in range(len(rec.facets))
              if _outside(a := rec.cut(i), lin_rows)}
-    fracs = {r: tuple(map(_fraction, r)) for r in outer.values()}
     extreme = set(hull._canon[1]) if hull.dim else {rec.verts[0][1]}
-    cones: list[Polyhedron] = []
+    pool: dict[tuple[int, ...], int] = {}
+    cells = []
     for _, mask in rec.verts:
         if mask in extreme:
             extreme.remove(mask)
             rays = sorted(r for i, r in outer.items() if mask >> i & 1)
-            cones.append(Polyhedron._raw(n, (), tuple(map(fracs.get, rays)), lineality))
-    return Complex.from_facets(cones, lineality=lineality, ambient_dim=n)
+            cells.append(((), tuple(sorted(pool.setdefault(r, len(pool)) for r in rays))))
+    return Complex(n, (), tuple(map(_fraction_row, pool)), lineality, tuple(cells))
 
 
 def skeleton(c: Complex, k: int) -> Complex:
@@ -225,43 +227,33 @@ class SectionResult:
     pure: bool
 
 
-def check_transversality(c: Complex, H: AffineHyperplane) -> None:
-    """Raise NotTransverse if H contains a face of a cell.  Every face
-    contains a minimal face (Schrijver 1986, 8.5): a canonical vertex (the
-    origin for a cone) plus the cell's lineality space."""
-    for f in c.facet_polyhedra:
-        lin = f.true_lineality
-        if any(dot(H.normal, l) != 0 for l in lin):
-            continue
-        _, _, verts, _ = f.canonical_key
-        for v in verts or (zero_vec(c.ambient_dim),):
-            if H.value(v) == 0:
-                face = Polyhedron(c.ambient_dim, (v,), (), lin)
-                raise NotTransverse(
-                    f"hyperplane contains {face.label()}, a face of a cell")
-
-
 def hyperplane_section(c: Complex, H: AffineHyperplane) -> SectionResult:
     """Intersect a pure complex with a transverse affine hyperplane.
 
-    The section's facets are the slices of the facets whose relative
-    interior meets H; lower faces are derived.  Slice weights are inherited
-    from the source facets.  The relative interior is the set of
-    combinations with positive weights on all generators (Rockafellar 1970,
-    Thm 6.6), so H meets it exactly when H takes both signs on them.
+    One pass over each cell's canonical generators decides transversality
+    and slicing.  Every face contains a minimal face, a canonical vertex
+    (the origin for a cone) plus the true lineality (Schrijver 1986, 8.5),
+    so H contains a face iff it contains such a vertex and is parallel to
+    that lineality.  H meets a relative interior iff it takes both signs on
+    a generating set (Rockafellar 1970, Thm 6.6); those cells are sliced,
+    keeping their weights, and lower faces are derived.
     """
-    check_transversality(c, H)
     n = c.ambient_dim
     d = c.dim
     slices: list[Polyhedron] = []
     provenance: list[int] = []
     weights: list[int] = []
     for i, f in enumerate(c.facet_polyhedra):
-        vals = [H.value(v) for v in f.vertices or (zero_vec(n),)]
-        vals += [dot(H.normal, r) for r in f.rays]
-        vals += [s * dot(H.normal, l) for l in f.lineality for s in (1, -1)]
-        if not min(vals) < 0 < max(vals):
-            continue
+        _, lin, verts, rays = f.canonical_key
+        pts = verts or (zero_vec(n),)
+        vals = [H.value(v) for v in pts]
+        if not any(dot(H.normal, l) for l in lin):
+            if 0 in vals:
+                face = Polyhedron(n, (pts[vals.index(0)],), (), lin)
+                raise NotTransverse(f"hyperplane contains {face.label()}, a face of a cell")
+            vals += [dot(H.normal, r) for r in rays]
+            if not min(vals) < 0 < max(vals):
+                continue
         h = f.hrep
         merged = HRep(n, h.inequalities,
                       h.equations + ((H.normal, H.offset),))

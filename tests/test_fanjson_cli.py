@@ -364,6 +364,22 @@ class TestStrictFanFiles:
             code, out, err = run_cli([command, str(path)], capsys)
             assert (code, out) == (1, "") and word in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("lineality", [
+        [[0, 0]], [[1, 1], [1, 1]], [[1, 1], [-2, -2]], [[1, 0], [0, 1], [1, 1]],
+        # rays equal modulo the span of the rows: the rows are reported first
+        [[1, 1], [2, 2], [0, 0]],
+    ], ids=["zero", "repeated", "parallel", "three-in-the-plane", "before-rays"])
+    def test_dependent_lineality_exits_1(self, tmp_path, capsys, lineality):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_square_fan(
+            rays=[[1, 0], [2, 1]], lineality=lineality,
+            cells=[{"v": [], "r": [0]}, {"v": [], "r": [1]}])))
+        for command in ("check", "balance", "slice"):
+            argv = [command, str(path)] + ["--h", "1,2", "--c", "1"] * (command == "slice")
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (1, "") and "Traceback" not in err
+            assert "lineality rows are zero or linearly dependent" in err, err
+
     @pytest.mark.parametrize("obj,message", [
         (dict(_square_fan(), name="quadrants"), "fan file has unknown keys: ['name']"),
         (_square_fan(cells=[{"v": [], "r": [0, 1], "w": 2}, {"v": [], "r": [0, 2]}]),

@@ -7,20 +7,22 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_golden import RATIONAL_COMPLEX
 from test_polyhedral import codim1_faces
 from test_ratlin import lattice_normal_generator
+from test_theorem import loopless_matroids
 from tropicon import polyhedral, ratlin, tropical
 from tropicon.connectivity import build_hypergraph, connected_components
-from tropicon.fanjson import fan_to_text
+from tropicon.fanjson import fan_from_obj, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine, contraction, proper_flats
 from tropicon.polyhedral import (
     AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _face_levels,
-    _lattice_normal, intersect,
+    _lattice_normal, _numerators, _outside, intersect,
 )
 from tropicon.ratlin import (
-    LinearProgram, _int_kernel, dot, identity_mat, is_zero,
+    LinearProgram, _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
     lattice_complement_projection, lp_feasible, mat, mat_vec, primitive_vector,
-    sub, subspace_canonical_basis, vec, zero_vec,
+    sub, subspace_canonical_basis, transpose, vec, zero_vec,
 )
 from tropicon.tropical import (
     DegenerateInput, LinealityObstruction, NotAFan, NotTransverse,
@@ -273,6 +275,67 @@ class TestNormalFanOracle:
         monkeypatch.setattr(tropical, "dd_cone", counted, raising=False)
         assert len(normal_fan(HEX_HEPT)) == 42
         assert len(calls) == 1
+
+
+def pooled_normal_fan(vertices) -> Complex:
+    """`normal_fan` as it was built through `Complex.from_facets`: the same
+    hull record, but one cone polyhedron per extreme vertex, re-pooled."""
+    pts = mat(vertices)
+    n = len(pts[0])
+    hull = Polyhedron(n, pts)
+    rec = hull._rec
+    lineality = subspace_canonical_basis(rec.span_eqs)
+    lin_rows = [_numerators(l) for l in lineality]
+    outer = {i: _primitive_ints([-x for x in a]) for i in range(len(rec.facets))
+             if _outside(a := rec.cut(i), lin_rows)}
+    extreme = set(hull._canon[1]) if hull.dim else {rec.verts[0][1]}
+    cones = []
+    for _, mask in rec.verts:
+        if mask in extreme:
+            extreme.remove(mask)
+            rays = sorted(r for i, r in outer.items() if mask >> i & 1)
+            cones.append(Polyhedron._raw(n, (), tuple(tuple(map(F, r)) for r in rays),
+                                        lineality))
+    return Complex.from_facets(cones, lineality=lineality, ambient_dim=n)
+
+
+def assert_pooled_fan(points):
+    got, want = normal_fan(points), pooled_normal_fan(points)
+    assert fan_to_text(got) == fan_to_text(want), points
+    assert (got.ray_pool, got.lineality, got.cells, got.weights) == \
+        (want.ray_pool, want.lineality, want.cells, want.weights), points
+
+
+class TestNormalFanFromMasks:
+    """`normal_fan` builds its complex from the hull record's masks; the
+    path through one cone polyhedron per vertex and `from_facets` must give
+    the same pools, cells and bytes."""
+
+    @pytest.mark.parametrize("points", [
+        HEX_HEPT,
+        # non-simple vertices: the apex of a square pyramid, the octahedron
+        [[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0], [1, 1, 2]],
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]],  # in R^4
+        [[0, 0], [2, 0], [0, 2], [2, 0], [0, 2], [1, 1]],  # repeated and interior
+        [[0, 0, 0], [1, 2, 3], [2, 4, 6]],  # a segment: lineality of dimension 2
+        [[F(1, 2), -3, 2]], [[0, 0]], [[5]],  # one point
+    ])
+    def test_fixed_point_sets(self, points):
+        assert_pooled_fan(points)
+
+    def test_seeded_point_sets(self):
+        rng = random.Random(2023)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            assert_pooled_fan(seeded_point_set(rng, n, rng.randint(0, n)))
+
+    def test_builds_no_cone_polyhedra(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("normal_fan pooled cone polyhedra")
+        monkeypatch.setattr(Complex, "from_facets", refuse)
+        monkeypatch.setattr(Polyhedron, "_raw", refuse)
+        assert len(normal_fan(HEX_HEPT)) == 42
 
 
 class TestNormalFan:
@@ -667,6 +730,124 @@ class TestSectionAgainstLPReference:
             hyperplane_section(standard_tropical_plane(),
                                AffineHyperplane(vec([1, 2, 4]), F(0)))
         assert calls == Counter()
+
+
+# ---------------------------------------------------------------------------
+# the one-pass section against a transversality pass plus a sign test
+
+
+def _two_pass_section(c, H):
+    """The section in two passes over the cells: transversality first, on
+    each cell's canonical vertices and true lineality, then a sign test on
+    the generators the cell was given, lineality in both directions."""
+    n = c.ambient_dim
+    for f in c.facet_polyhedra:
+        lin = f.true_lineality
+        if any(dot(H.normal, l) != 0 for l in lin):
+            continue
+        _, _, verts, _ = f.canonical_key
+        for v in verts or (zero_vec(n),):
+            if H.value(v) == 0:
+                face = Polyhedron(n, (v,), (), lin)
+                raise NotTransverse(f"hyperplane contains {face.label()}, a face of a cell")
+    slices, provenance = [], []
+    for i, f in enumerate(c.facet_polyhedra):
+        vals = [H.value(v) for v in f.vertices or (zero_vec(n),)]
+        vals += [dot(H.normal, r) for r in f.rays]
+        vals += [s * dot(H.normal, l) for l in f.lineality for s in (1, -1)]
+        if not min(vals) < 0 < max(vals):
+            continue
+        h = f.hrep
+        slices.append(Polyhedron.from_hrep(
+            HRep(n, h.inequalities, h.equations + ((H.normal, H.offset),))))
+        provenance.append(i)
+    _, coeffs = _int_kernel([[dot(H.normal, l) for l in c.lineality]])
+    lin = [mat_vec(transpose(c.lineality), vec(ks)) for ks in coeffs]
+    section = Complex.from_facets(slices, lineality=lin, ambient_dim=n,
+                                  weights=section_weights(c, H, provenance))
+    return section, tuple(provenance), all(p.dim == c.dim - 1 for p in slices)
+
+
+def section_weights(c, H, provenance):
+    """The weights of the section's cells: each keeps its source weight."""
+    return tuple(c.weights[i] for i in provenance)
+
+
+def assert_one_pass_section(c, H):
+    """`hyperplane_section` gives the two-pass section, or raises the same
+    NotTransverse; returns whether it raised."""
+    try:
+        section, provenance, pure = _two_pass_section(c, H)
+    except NotTransverse as e:
+        with pytest.raises(NotTransverse) as got:
+            hyperplane_section(c, H)
+        assert str(got.value) == str(e)
+        return True
+    got = hyperplane_section(c, H)
+    assert fan_to_text(got.section) == fan_to_text(section), H
+    assert (got.section.lineality, got.section.weights) == \
+        (section.lineality, section.weights), H
+    assert (got.facet_provenance, got.pure) == (provenance, pure), H
+    return False
+
+
+@st.composite
+def _drawn_fans(draw):
+    """Fans whose cells are arbitrary sets of small rays, so cells list
+    non-extreme rays and rays inside the lineality."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(
+        lambda r: math.gcd(*r) == 1)
+    lineality = draw(st.lists(row, max_size=1))
+    rays = draw(st.lists(row, min_size=1, max_size=5, unique_by=tuple))
+    cell = st.lists(st.integers(0, len(rays) - 1), unique=True, max_size=len(rays))
+    cells = draw(st.lists(cell, min_size=1, max_size=4, unique_by=frozenset))
+    return Complex(n, (), tuple(map(vec, rays)), tuple(map(vec, lineality)),
+                   tuple(((), tuple(sorted(r))) for r in cells))
+
+
+def _drawn_hyperplanes(n):
+    normal = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    offset = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-5, 3)])
+    return st.builds(lambda a, b: AffineHyperplane(vec(a), b), normal, offset)
+
+
+class TestOnePassSection:
+    """One pass over the canonical generators decides transversality and
+    slicing as the transversality pass plus the sign test did."""
+
+    def test_fixtures(self):
+        rng = random.Random(23)
+        fixtures = _section_fixtures() + [
+            ("rational", fan_from_obj(RATIONAL_COMPLEX), 40)]
+        pairs = raised = 0
+        for name, c, count in fixtures:
+            for _ in range(count):
+                raised += assert_one_pass_section(c, _random_hyperplane(rng, c))
+                pairs += 1
+        assert pairs >= 300 and raised >= 30
+
+    def test_messages_name_the_first_face(self):
+        c = standard_tropical_plane()
+        with pytest.raises(NotTransverse, match=r"^hyperplane contains origin, a face of a cell$"):
+            hyperplane_section(c, AffineHyperplane(vec([1, 2, 4]), F(0)))
+        square = Complex.from_facets(
+            [Polyhedron.from_vertices([[0, 0], [1, 0], [0, 1], [1, 1]])])
+        assert assert_one_pass_section(square, AffineHyperplane(vec([0, 1]), F(1)))
+        assert assert_one_pass_section(fan_from_obj(RATIONAL_COMPLEX),
+                                       AffineHyperplane(vec([0, 0, 2]), F(1)))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_drawn_fans(self, data):
+        c = data.draw(_drawn_fans())
+        assert_one_pass_section(c, data.draw(_drawn_hyperplanes(c.ambient_dim)))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_bergman_fans(self, data):
+        c = bergman_fine(data.draw(loopless_matroids()))
+        assert_one_pass_section(c, data.draw(_drawn_hyperplanes(c.ambient_dim)))
 
 
 class TestWitnessHyperplane:
