@@ -11,6 +11,7 @@ separating-hyperplane search and its check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -236,7 +237,11 @@ def hyperplane_section(c: Complex, H: AffineHyperplane) -> SectionResult:
     so H contains a face iff it contains such a vertex and is parallel to
     that lineality.  H meets a relative interior iff it takes both signs on
     a generating set (Rockafellar 1970, Thm 6.6); those cells are sliced,
-    keeping their weights, and lower faces are derived.
+    and lower faces are derived.  The slice of cell σ has weight
+    w_σ · gcd(h·u for u in `σ._lattice`), h the primitive normal: the
+    multiplicity [Z^n : L_σ + (h^⊥ ∩ Z^n)] of a transverse intersection
+    (Maclagan & Sturmfels 2015, §3.6), as x ↦ h·x maps Z^n onto Z with
+    kernel h^⊥ ∩ Z^n, so the index is that of h·L_σ in Z.
     """
     n = c.ambient_dim
     d = c.dim
@@ -259,7 +264,8 @@ def hyperplane_section(c: Complex, H: AffineHyperplane) -> SectionResult:
                       h.equations + ((H.normal, H.offset),))
         slices.append(Polyhedron.from_hrep(merged))
         provenance.append(i)
-        weights.append(c.weights[i])
+        weights.append(c.weights[i] * math.gcd(
+            *(dot(H.normal, u).numerator for u in f._lattice)))
     # the combinations of the source lineality that stay parallel to H
     _, coeffs = _int_kernel([[dot(H.normal, l) for l in c.lineality]])
     new_lin = [mat_vec(transpose(c.lineality), vec(ks)) for ks in coeffs]

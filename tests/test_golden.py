@@ -135,7 +135,7 @@ GOLDEN = {
     'tropical-plane skeleton 1': 'd0baab3e962a2997611fa406ba9a3ccf017300912b2773074b70084903ff1058',
     'tropical-plane slice 0': '4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865',
     'tropical-plane slice 1': 'bc15239aa726ba674fc201e99b90045287e383485b32e6f4f145bbd9a6549c1f',
-    'tropical-plane slice 2': '447d5ecc1e347be8fbe4bd009f213d903c16b99c3056d8c9415c5c792b7b581a',
+    'tropical-plane slice 2': '8fba305628d07d93c99b69cc2469da3a14d17cb1ce9ec38ad931690bd79cd438',
     'u34 gen': '23a8c1d4944dda6084f0bdc21889fc9f306c809ac1f2c634e75813f6627d4ef3',
     'u34 check': '75eb9b383ddaedf62f2b1cd560fbc534a91627ce85e1c36fe8a2b2dc24f96c9e',
     'u34 balance': '94b48f3c513a6bed4ec3358b085850b601eddce024fdeab6482b4aea9fac4eab',
@@ -144,8 +144,8 @@ GOLDEN = {
     'u34 star': '94348f598b5cbef95ae00dd66a231c5a0cb907cf2ca9ef72f34a360b1aea7fd3',
     'u34 skeleton 1': '97ca9986020626af98881b58ae1b3242af46342fdbb08cbc212ca8aca0dea925',
     'u34 skeleton 2': '758f254782cc3ed37ff88c99f92540fc354fdfe8614a20cdbd96389cccfc60a0',
-    'u34 slice 0': 'd3e5b232790a9d2a1291ac85b57f8bb459f77f4aa3c4a7f9ef0f0dd135d3f164',
-    'u34 slice 1': 'a510e6740dec13566a2ec9516ebbe7accfabeea8c51c4e89d0058a585ce6677d',
+    'u34 slice 0': 'a36518c97361294b1fc34cec3044bc1ff8743fda536dfdab94d4b67e526f9408',
+    'u34 slice 1': '64963e5b9654256bc487e60a8cb7ec8d31c61f8969a8447e03f03c664f8f9337',
     'u34 slice 2': '1e3746cb4d2172fe223a9a45083dbdddf4ca42ac818970a95bc6f96275cfd7db',
     'u45 gen': 'd2b3f547136472acc2c0e8e7d8e92f3815cbbaeed51724466e14895ef95d0983',
     'u45 check': '348d8e37b84fc14d17c7730ab2b11ed3e91b8ab503e2395766b96b81051932f9',
@@ -202,7 +202,7 @@ GOLDEN = {
     'rational star': '4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865',
     'rational skeleton 0': '5010f5dff591dd2be93d2f295d38aa82dafa7316b6911ff5279929066b6e560e',
     'rational skeleton 1': 'bd6b491e80e44e44a6507efbe87aafd40772afb52b3ae986ef67be6e66c6c97a',
-    'rational slice 0': '6ee26247ea64e1a51c350198af334e32139c2f902a223571a2a913e00710c8b8',
+    'rational slice 0': '05dfef7ba6fd1cbed8fa80193e3d933310fd252a42d2d854f475e1d615e70076',
     'rational slice 1': '4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865',
     'rational slice 2': '61021f07b7286a17a30486f273ba7a656049159d4a6a0d7f70f8790753b8e36f',
     'disconnected check': '880ef57b8eff8b849a93b6b20f2e4656769a6decf03debc79c2f4df3ca6b93e1',

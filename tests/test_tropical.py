@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
 from test_golden import RATIONAL_COMPLEX
 from test_polyhedral import codim1_faces
@@ -22,7 +24,7 @@ from tropicon.polyhedral import (
 from tropicon.ratlin import (
     LinearProgram, _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
     lattice_complement_projection, lp_feasible, mat, mat_vec, primitive_vector,
-    sub, subspace_canonical_basis, transpose, vec, zero_vec,
+    saturation_basis, sub, subspace_canonical_basis, transpose, vec, zero_vec,
 )
 from tropicon.tropical import (
     DegenerateInput, LinealityObstruction, NotAFan, NotTransverse,
@@ -367,6 +369,50 @@ class TestNormalFan:
         assert set(normal_fan([[0, 0], [1, 0], [0, 1]]).weights) == {1}
 
 
+def _ray_faces(c):
+    """The rays of the fan c outside its lineality, each with the
+    lineality, as cones."""
+    return [Polyhedron.cone([r], c.lineality, ambient_dim=c.ambient_dim)
+            for r, key in zip(c.ray_pool, c._pool[3]) if key]
+
+
+def _derived_weight_fans():
+    """Seeded Bergman fans and normal fans, some of these with lineality."""
+    rng = random.Random(26)
+    fans = [bergman_fine(m) for m in (
+        Matroid.uniform(2, 4), Matroid.uniform(3, 5), Matroid.graphic(K4_EDGES),
+        Matroid.graphic([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))]
+    fans += [normal_fan(pts) for pts in (
+        [[0, 0], [2, 0], [0, 1]], [[0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 1, 3]],
+        [[0, 0, 0], [2, 1, 0], [1, 3, 0]], [[1, 1, 1], [3, 2, 1]])]
+    fans += [normal_fan(seeded_point_set(rng, 3, k)) for k in (1, 2, 3, 3)]
+    return fans
+
+
+class TestDerivedFanWeights:
+    """`quotient_by_lineality` and `star` keep the weights of a balanced fan
+    on cells whose lattices they map isomorphically, so what they return is
+    balanced again."""
+
+    @pytest.mark.parametrize("c", _derived_weight_fans())
+    def test_quotient_is_balanced(self, c):
+        assert balancing_check(c).balanced
+        assert balancing_check(quotient_by_lineality(c)[0]).balanced
+
+    @pytest.mark.parametrize("c", _derived_weight_fans())
+    def test_star_at_every_ray_is_balanced(self, c):
+        faces = _ray_faces(c)
+        assert faces or not c.ray_pool
+        for face in faces:
+            assert balancing_check(star(c, face)).balanced, face.label()
+
+    def test_heavier_weights_carry_over(self):
+        c = bergman_fine(Matroid.uniform(3, 5))
+        c = dataclasses.replace(c, weights=(3,) * len(c))
+        assert set(quotient_by_lineality(c)[0].weights) == {3}
+        assert set(star(c, _ray_faces(c)[0]).weights) == {3}
+
+
 class TestSkeleton:
     def test_cube_2_skeleton(self):
         sk = skeleton(cube_normal_fan(3), 2)
@@ -575,7 +621,9 @@ class TestHyperplaneSection:
             [Polyhedron.cone([r], ambient_dim=2) for r in ([1, 0], [0, 1], [-1, -1])],
             weights=(5, 7, 11))
         sec = hyperplane_section(c, AffineHyperplane(vec([1, 1]), F(1)))
-        assert sec.section.weights == (5, 7)  # the (-1,-1) ray misses the slice
+        # the (-1,-1) ray misses the slice; (1,1) takes the value 1 on the
+        # other rays, so they meet it with multiplicity one
+        assert sec.section.weights == (5, 7)
 
 
 def _hyperplane_polyhedron(H):
@@ -598,7 +646,7 @@ def _reference_section(c, H, faces):
         if H.value(base) == 0 and \
                 all(dot(H.normal, d) == 0 for d in face.direction_span):
             raise NotTransverse("hyperplane contains the affine span of a face")
-    slices, provenance, weights = [], [], []
+    slices, provenance = [], []
     for i, f in enumerate(c.facet_polyhedra):
         h = f.hrep
         cons = [(a, b, ">") for a, b in h.inequalities]
@@ -609,14 +657,13 @@ def _reference_section(c, H, faces):
         slices.append(Polyhedron.from_hrep(
             HRep(n, h.inequalities, h.equations + ((H.normal, H.offset),))))
         provenance.append(i)
-        weights.append(c.weights[i])
     vals = [dot(H.normal, l) for l in c.lineality]
     pivot = next((i for i, v in enumerate(vals) if v != 0), None)
     lin = c.lineality if pivot is None else [
         primitive_vector(sub(l, tuple(v / vals[pivot] * x for x in c.lineality[pivot])))
         for i, (l, v) in enumerate(zip(c.lineality, vals)) if i != pivot]
     section = Complex.from_facets(slices, lineality=lin, ambient_dim=n,
-                                  weights=weights)
+                                  weights=section_weights(c, H, provenance))
     return section, tuple(provenance), all(p.dim == c.dim - 1 for p in slices)
 
 
@@ -768,9 +815,29 @@ def _two_pass_section(c, H):
     return section, tuple(provenance), all(p.dim == c.dim - 1 for p in slices)
 
 
+def _invariant_factors(rows):
+    m = Matrix([[int(x) for x in r] for r in rows])
+    return tuple(int(x) for x in invariant_factors(m, domain=ZZ))
+
+
+def smith_index(f, normal):
+    """[Z^n : L + (h^perp ∩ Z^n)] for the saturated lattice L of the cell f
+    and the normal h: the product of the invariant factors, by sympy, of a
+    basis of L stacked on a basis of h^perp ∩ Z^n.  Both bases are checked
+    to have the right rank and to be saturated (invariant factors all 1)."""
+    n = f.ambient_dim
+    perp = [vec(k) for k in _int_kernel([normal])[1]]
+    bases = [list(saturation_basis(f.direction_span, n)), list(saturation_basis(perp, n))]
+    for basis, rank in zip(bases, (len(f.direction_span), n - 1)):
+        assert len(basis) == rank and _invariant_factors(basis) == (1,) * rank
+    return math.prod(_invariant_factors(bases[0] + bases[1]))
+
+
 def section_weights(c, H, provenance):
-    """The weights of the section's cells: each keeps its source weight."""
-    return tuple(c.weights[i] for i in provenance)
+    """The weights of the section's cells: the source weight times the
+    multiplicity of the transverse intersection, by an independent index."""
+    return tuple(c.weights[i] * smith_index(c.facet_polyhedra[i], H.normal)
+                 for i in provenance)
 
 
 def assert_one_pass_section(c, H):
@@ -848,6 +915,52 @@ class TestOnePassSection:
     def test_bergman_fans(self, data):
         c = bergman_fine(data.draw(loopless_matroids()))
         assert_one_pass_section(c, data.draw(_drawn_hyperplanes(c.ambient_dim)))
+
+
+DIAMOND_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+
+
+class TestSectionMultiplicities:
+    """A slice weighs its source weight times the multiplicity of the
+    transverse intersection, so sections of balanced fans are balanced."""
+
+    def test_tropical_plane_by_2_3_7(self):
+        sec = hyperplane_section(standard_tropical_plane(),
+                                 AffineHyperplane(vec([2, 3, 7]), F(1)))
+        assert sec.section.weights == (1, 1, 2, 1, 3, 1)
+        assert balancing_check(sec.section).balanced
+        assert not balancing_check(dataclasses.replace(sec.section, weights=None)).balanced
+
+    def test_u35_by_1_2_3_4_6(self):
+        c = bergman_fine(Matroid.uniform(3, 5))
+        sec = hyperplane_section(c, AffineHyperplane(vec([1, 2, 3, 4, 6]), F(1)))
+        assert Counter(sec.section.weights) == Counter({1: 14, 2: 6})
+        assert balancing_check(sec.section).balanced
+        assert not balancing_check(dataclasses.replace(sec.section, weights=None)).balanced
+
+    def test_seeded_bergman_sections_balance(self):
+        rng = random.Random(56)
+        fans = [(bergman_fine(Matroid.uniform(3, 5)), 12),
+                (bergman_fine(Matroid.uniform(4, 6)), 3),
+                (bergman_fine(Matroid.graphic(DIAMOND_EDGES)), 12),
+                (bergman_fine(Matroid.graphic(K4_EDGES)), 12)]
+        sections = heavier = 0
+        for c, count in fans:
+            while count:
+                H = AffineHyperplane(vec([rng.randint(-3, 3) for _ in range(c.ambient_dim)])
+                                     if rng.random() < 0.9 else vec([1] * c.ambient_dim),
+                                     F(rng.choice([1, -1, 2]), rng.choice([1, 2])))
+                try:
+                    sec = hyperplane_section(c, H)
+                except (NotTransverse, ValueError):  # not transverse, or a zero normal
+                    continue
+                count -= 1
+                sections += 1
+                assert sec.section.weights == \
+                    section_weights(c, H, sec.facet_provenance), H
+                assert balancing_check(sec.section).balanced, H
+                heavier += max(sec.section.weights, default=1) > 1
+        assert sections == 39 and heavier >= 10
 
 
 class TestWitnessHyperplane:
