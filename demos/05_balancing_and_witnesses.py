@@ -4,8 +4,9 @@
 At every ridge of a balanced weighted complex, the weighted sum of lattice
 normal generators of the incident facets lies in the ridge's span.  The
 separating-hyperplane predicate asks for an affine hyperplane meeting the
-relative interiors of two cells while missing a third entirely; an exact
-LP family decides it and every witness is re-verified independently.
+relative interiors of two cells while missing a third entirely; a family
+of exact strict-feasibility systems, each decided by one double
+description, settles it, and every witness is re-verified independently.
 """
 
 from tropicon import (

@@ -10,8 +10,8 @@ tropicalization of an irreducible variety.
 """
 
 from .ratlin import (
-    Fraction, LinearProgram, Mat, Vec, ZeroVector, lattice_complement_projection,
-    lp_feasible, mat, primitive_vector, smith_normal_form, vec,
+    Fraction, Mat, Vec, ZeroVector, lattice_complement_projection, mat,
+    primitive_vector, smith_normal_form, vec,
 )
 from .polyhedral import (
     AffineHyperplane, Complex, EmptyPolyhedron, HRep, NotInComplex, Polyhedron,

@@ -206,6 +206,38 @@ def dd_cone(ineqs: Sequence[Vec], eqs: Sequence[Vec], n: int) -> tuple[list, lis
     return sorted(set(rays)), lin
 
 
+def _feasible_point(n: int, constraints: Sequence[tuple]) -> Optional[Vec]:
+    """A point x of R^n with a.x = b, a.x >= b or a.x > b for every
+    (a, b, relation) in constraints, relation "=", ">=" or ">", or None
+    when the system has no solution; decided by one `dd_cone`.
+
+    Homogenize x to (x, t) and give every strict row one shared slack s:
+    the cone C in R^(n+2) is cut out by a.x - b t = 0, a.x - b t >= 0 and
+    a.x - b t - s >= 0 for the three relations, plus t - s >= 0 and s >= 0.
+    C has a point with s > 0 exactly when the system is feasible: such a
+    point has t >= s > 0, and x/t satisfies every row, the strict ones by
+    s/t > 0; conversely a solution x gives (x, 1, s) in C with s the least
+    of 1 and the strict rows' values minus b.  The lineality of C has
+    s = t = 0, since s >= 0 and t >= s hold on it in both directions, so
+    C is the lineality plus the cone of `dd_cone`'s rays, and C has a
+    point with s > 0 exactly when a ray does.  Every ray lies in C, so x/t
+    from the least ray with s > 0 in `dd_cone`'s sorted order is a
+    solution, the same one on every run.
+    """
+    ineqs = [(0,) * n + (1, -1), (0,) * n + (0, 1)]
+    eqs = []
+    for a, b, rel in constraints:
+        if len(a) != n:
+            raise ValueError("constraint length mismatch")
+        if rel not in ("=", ">=", ">"):
+            raise ValueError(f"bad relation {rel!r}")
+        row = tuple(a) + (-b, -1 if rel == ">" else 0)
+        (eqs if rel == "=" else ineqs).append(row)
+    rays, _ = dd_cone(ineqs, eqs, n + 2)
+    r = next((r for r in rays if r[-1] > 0), None)
+    return None if r is None else tuple(Fraction(x, r[n]) for x in r[:n])
+
+
 # ---------------------------------------------------------------------------
 # polyhedron
 

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra, integer lattice utilities, and LP feasibility.
+"""Exact rational linear algebra and integer lattice utilities.
 
 All arithmetic is exact; there is no floating point anywhere in this
 package.  Vectors are immutable tuples of ``fractions.Fraction`` and matrices
@@ -13,16 +13,14 @@ fractions.  The Smith normal form has an integer core that the public
 function wraps.  Results are converted back to fractions at each public
 function of this module; the private helpers that the geometry layer's
 integer cell record calls (`_int_kernel`, `_int_reduce`, `_int_rank`,
-`_lattice_kernel`) take and return ints.  The LP solver is a two-phase exact simplex over fractions
-with Bland's rule, which terminates and returns reproducible witnesses; in
-the library it serves only the separating-hyperplane search
-(`tropical.witness_hyperplane`) and its independent check.  This module
-imports nothing else from the package.
+`_lattice_kernel`) take and return ints.  Feasibility of linear systems,
+strict rows included, is decided in the geometry layer by one double
+description (`polyhedral._feasible_point`).  This module imports nothing
+else from the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -392,178 +390,3 @@ def lattice_complement_projection(gens: Sequence[Vec], ambient_dim: int) -> Mat:
     # `ell` coordinates projects along the subspace.
     vt = transpose(V)
     return tuple(vt[i] for i in range(ell, n))
-
-
-# ---------------------------------------------------------------------------
-# linear programming: exact two-phase simplex, Bland's rule
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Feasibility problem over free rational variables.
-
-    constraints: tuples (coefficients, rhs, relation) with relation one of
-    "=", ">=", ">".  Strict constraints are certified by maximizing a shared
-    slack; the program is strictly feasible iff the optimal slack is positive.
-    """
-    num_vars: int
-    constraints: tuple[tuple[Vec, Fraction, str], ...]
-    objective: Optional[Vec] = None
-
-    def __post_init__(self):
-        for coeffs, _, rel in self.constraints:
-            if len(coeffs) != self.num_vars:
-                raise ValueError("constraint length mismatch")
-            if rel not in ("=", ">=", ">"):
-                raise ValueError(f"bad relation {rel!r}")
-
-
-def _simplex(rows: list[list[Fraction]], rhs: list[Fraction],
-             obj: list[Fraction]) -> tuple[str, list[Fraction], Fraction]:
-    """Maximize obj.x subject to rows.x = rhs, x >= 0, rhs >= 0.
-
-    Returns (status, x, value) with status "optimal" or "unbounded"
-    ("unbounded" still carries the last feasible basic solution).
-    Phase one uses artificial variables; Bland's rule guarantees termination.
-    """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    T = [list(rows[i]) + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
-         for i in range(m)]
-    basis = [n + i for i in range(m)]
-    total = n + m
-
-    def solve(costs: list[Fraction], allowed: int) -> str:
-        while True:
-            lam = [costs[basis[i]] for i in range(m)]
-            entering = None
-            for j in range(allowed):
-                if j in basis:
-                    continue
-                red = costs[j] - sum(lam[i] * T[i][j] for i in range(m))
-                if red > 0:
-                    entering = j
-                    break
-            if entering is None:
-                return "optimal"
-            leaving = None
-            best = None
-            for i in range(m):
-                if T[i][entering] > 0:
-                    ratio = T[i][total] / T[i][entering]
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
-                        leaving = i
-            if leaving is None:
-                return "unbounded"
-            piv = T[leaving][entering]
-            T[leaving] = [x / piv for x in T[leaving]]
-            for i in range(m):
-                if i != leaving and T[i][entering] != 0:
-                    f = T[i][entering]
-                    T[i] = [x - f * y for x, y in zip(T[i], T[leaving])]
-            basis[leaving] = entering
-
-    # phase one: drive artificials to zero
-    art_costs = [Fraction(0)] * n + [Fraction(-1)] * m
-    solve(art_costs, total)
-    art_value = sum(-T[i][total] for i in range(m) if basis[i] >= n)
-    if art_value != 0:
-        return "infeasible", [], Fraction(0)
-    # pivot remaining artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j] != 0), None)
-            if col is None:
-                continue  # redundant row; keep as zero row
-            piv = T[i][col]
-            T[i] = [x / piv for x in T[i]]
-            for r in range(m):
-                if r != i and T[r][col] != 0:
-                    f = T[r][col]
-                    T[r] = [x - f * y for x, y in zip(T[r], T[i])]
-            basis[i] = col
-
-    costs = list(obj) + [Fraction(0)] * m
-    status = solve(costs, n)
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i][total]
-    value = sum(obj[j] * x[j] for j in range(n))
-    return status, x, value
-
-
-def lp_feasible(lp: LinearProgram) -> Optional[Vec]:
-    """Exact rational witness satisfying all constraints (strict ones strictly),
-    or None iff the system is infeasible.
-
-    Free variables are split into positive and negative parts; strictness is
-    certified by maximizing a shared slack bounded by one.  Every witness is
-    re-checked by substitution before being returned.
-    """
-    n = lp.num_vars
-    strict = [i for i, (_, _, rel) in enumerate(lp.constraints) if rel == ">"]
-    n_surplus = sum(1 for (_, _, rel) in lp.constraints if rel in (">=", ">"))
-    has_delta = bool(strict)
-    # columns: x+ (n), x- (n), surplus (n_surplus), delta, cap
-    ncols = 2 * n + n_surplus + (2 if has_delta else 0)
-    delta_col = 2 * n + n_surplus if has_delta else None
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    s_idx = 0
-    for coeffs, b, rel in lp.constraints:
-        row = [Fraction(0)] * ncols
-        for j, a in enumerate(coeffs):
-            row[j] = a
-            row[n + j] = -a
-        if rel in (">=", ">"):
-            row[2 * n + s_idx] = Fraction(-1)
-            s_idx += 1
-        if rel == ">":
-            row[delta_col] = Fraction(-1)
-        rows.append(row)
-        rhs.append(b)
-    if has_delta:
-        cap = [Fraction(0)] * ncols
-        cap[delta_col] = Fraction(1)
-        cap[delta_col + 1] = Fraction(1)
-        rows.append(cap)
-        rhs.append(Fraction(1))
-    # normalize rhs >= 0
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-
-    if has_delta:
-        obj = [Fraction(0)] * ncols
-        obj[delta_col] = Fraction(1)
-    elif lp.objective is not None:
-        obj = list(lp.objective) + [-c for c in lp.objective] + \
-            [Fraction(0)] * (ncols - 2 * n)
-    else:
-        obj = [Fraction(0)] * ncols
-
-    status, x, value = _simplex(rows, rhs, obj)
-    if status == "infeasible":
-        return None
-    if has_delta and value <= 0:
-        return None
-    witness = tuple(x[j] - x[n + j] for j in range(n))
-    check_lp_witness(lp, witness)
-    return witness
-
-
-def check_lp_witness(lp: LinearProgram, witness: Vec) -> None:
-    """Independent substitution check; raises AssertionError on violation."""
-    for coeffs, b, rel in lp.constraints:
-        val = dot(coeffs, witness)
-        if rel == "=" and val != b:
-            raise AssertionError(f"equality violated: {val} != {b}")
-        if rel == ">=" and not val >= b:
-            raise AssertionError(f"inequality violated: {val} < {b}")
-        if rel == ">" and not val > b:
-            raise AssertionError(f"strict inequality violated: {val} <= {b}")

@@ -4,8 +4,9 @@ Covers lineality quotients along lattice-compatible projections, stars at
 faces of fans, outer normal fans and their skeleta, the balancing condition
 at ridges, transverse affine hyperplane sections, and a
 separating-hyperplane predicate for triples of cells.  Sections take only
-dot products on the cells' generators; the exact simplex serves only the
-separating-hyperplane search and its check.
+dot products on the cells' generators; the separating-hyperplane search and
+its check decide strict feasibility by one double description each
+(`polyhedral._feasible_point`).
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
     AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _face_levels,
-    _fraction_row, _lattice_normal, _numerators, _outside, is_face_of,
+    _feasible_point, _fraction_row, _lattice_normal, _numerators, _outside,
+    is_face_of,
 )
 from .ratlin import (
-    LinearProgram, Mat, Vec, _int_kernel, _primitive_ints, dot, identity_mat,
-    is_zero, lattice_complement_projection, lp_feasible, mat, mat_vec,
-    reduce_mod_subspace, subspace_canonical_basis, transpose, unit_vec, vec,
-    zero_vec,
+    Mat, Vec, _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
+    lattice_complement_projection, mat, mat_vec, reduce_mod_subspace,
+    subspace_canonical_basis, transpose, unit_vec, vec, zero_vec,
 )
 
 
@@ -331,7 +332,8 @@ def witness_hyperplane(P: Polyhedron, Q: Polyhedron,
     Tries F strictly above, then strictly below; within each side the
     requirement that a hyperplane meets a relative interior is a finite
     disjunction of linear conditions on (normal, offset), so the search is a
-    family of exact strict-feasibility programs.  Witnesses are re-verified
+    family of exact strict-feasibility systems, each decided by one double
+    description.  Witnesses are re-verified
     against the facet descriptions of all three cells before being returned;
     None means every program was infeasible.
     """
@@ -344,19 +346,16 @@ def witness_hyperplane(P: Polyhedron, Q: Polyhedron,
     for above in (True, False):
         side = _side_constraints(F, above)
         # a pair can be feasible only if each of its modes is on its own
-        live_p = [mp for mp in modes_p if lp_feasible(
-            LinearProgram(n + 1, tuple(side + mp))) is not None]
-        live_q = [mq for mq in modes_q if lp_feasible(
-            LinearProgram(n + 1, tuple(side + mq))) is not None]
+        live_p = [mp for mp in modes_p if _feasible_point(n + 1, side + mp) is not None]
+        live_q = [mq for mq in modes_q if _feasible_point(n + 1, side + mq) is not None]
         for mp, mq in itertools.product(live_p, live_q):
-            lp = LinearProgram(n + 1, tuple(side + mp + mq))
-            witness = lp_feasible(lp)
+            witness = _feasible_point(n + 1, side + mp + mq)
             if witness is None:
                 continue
             H = AffineHyperplane(witness[:n], witness[n])
             if check_witness_hyperplane(P, Q, F, H):
                 return H
-            raise AssertionError("LP witness failed the independent check")
+            raise AssertionError("witness hyperplane failed the independent check")
     return None
 
 
@@ -367,23 +366,15 @@ def check_witness_hyperplane(P: Polyhedron, Q: Polyhedron, F: Polyhedron,
     H must be solvable inside the relative interiors of P and Q (strict
     facet inequalities) and infeasible on all of F.
     """
-    n = P.ambient_dim
-
-    def meets_relint(cell: Polyhedron) -> bool:
+    def meets(cell: Polyhedron, rel: str) -> bool:
+        """Whether H meets the cell, with its facet inequalities under rel."""
         h = cell.hrep
-        cons = [(a, b, ">") for a, b in h.inequalities]
+        cons = [(a, b, rel) for a, b in h.inequalities]
         cons += [(a, b, "=") for a, b in h.equations]
         cons.append((H.normal, H.offset, "="))
-        return lp_feasible(LinearProgram(n, tuple(cons))) is not None
+        return _feasible_point(P.ambient_dim, cons) is not None
 
-    def misses(cell: Polyhedron) -> bool:
-        h = cell.hrep
-        cons = [(a, b, ">=") for a, b in h.inequalities]
-        cons += [(a, b, "=") for a, b in h.equations]
-        cons.append((H.normal, H.offset, "="))
-        return lp_feasible(LinearProgram(n, tuple(cons))) is None
-
-    return meets_relint(P) and meets_relint(Q) and misses(F)
+    return meets(P, ">") and meets(Q, ">") and not meets(F, ">=")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -15,6 +16,46 @@ def codim1_faces(p):
     the order of `p.hrep.inequalities`: the first level of the face walk of
     p alone, ordered by cutting inequality."""
     return [face for face, _, _ in sorted(next(_face_levels([p]), []), key=lambda ridge: ridge[2])]
+
+
+def fm_feasible(n, constraints):
+    """Whether some x in Q^n satisfies every (a, b, relation) row, relation
+    "=", ">=" or ">", by Fourier-Motzkin elimination (Schrijver 1986, 12.2).
+    Each variable in turn is solved from an equation that has it; else every
+    row with a positive coefficient on it is added to every row with a
+    negative one, both scaled to coefficient +1 and -1, strict when either
+    is.  Before each step the rows are scaled by a positive number to a
+    leading coefficient of +1 or -1 and kept once, and a row 0 rel b is
+    dropped when it holds and ends the search when it fails."""
+    rows = [(tuple(map(F, a)), F(b), rel) for a, b, rel in constraints]
+    for j in range(n + 1):
+        kept = set()
+        for a, b, rel in rows:
+            lead = next((abs(x) for x in a if x), None)
+            if lead:
+                kept.add((tuple(x / lead for x in a), b / lead, rel))
+            elif not (b == 0 if rel == "=" else b < 0 or b == 0 and rel == ">="):
+                return False
+        if j == n:
+            return True
+        eq = next((r for r in kept if r[2] == "=" and r[0][j]), None)
+        if eq is not None:
+            c, d, _ = eq
+            rows = [(tuple(x - a[j] / c[j] * y for x, y in zip(a, c)), b - a[j] / c[j] * d, rel)
+                    for a, b, rel in kept - {eq}]
+            continue
+        rows = [r for r in kept if not r[0][j]]
+        for (a, b, s), (c, d, t) in itertools.product(kept, kept):
+            if a[j] > 0 > c[j]:
+                rows.append((tuple(x / a[j] - y / c[j] for x, y in zip(a, c)),
+                             b / a[j] - d / c[j], ">" if ">" in (s, t) else ">="))
+
+
+def satisfies(x, constraints):
+    """Whether the point x satisfies every (a, b, relation) row, by
+    substitution."""
+    holds = {"=": lambda v, b: v == b, ">=": lambda v, b: v >= b, ">": lambda v, b: v > b}
+    return all(holds[rel](dot(vec(a), x), F(b)) for a, b, rel in constraints)
 
 
 def cone(*rays, lineality=(), n=None):
@@ -59,7 +100,6 @@ class TestDualDescription:
             assert q.canonical_key == p.canonical_key
 
     def test_hrep_inequalities_valid_and_irredundant(self):
-        from tropicon.ratlin import LinearProgram, lp_feasible
         rng = random.Random(5050)
         for _ in range(20):
             n = rng.randint(2, 4)
@@ -79,7 +119,7 @@ class TestDualDescription:
                         enumerate(h.inequalities) if j != i]
                 cons += [(e, F(0), "=") for e, _ in h.equations]
                 cons.append((tuple(-x for x in a_i), F(0), ">"))
-                assert lp_feasible(LinearProgram(n, tuple(cons))) is not None
+                assert fm_feasible(n, cons)
 
     def test_round_trip_random_polytopes(self):
         rng = random.Random(31415)
@@ -199,12 +239,11 @@ class TestCanonicalForm:
 
 
 def _lp_extreme_generators(p):
-    """Reduced generators of p that no LP writes from the others: rays as
-    nonnegative combinations of the other rays, points as convex
-    combinations of the other points plus a nonnegative ray combination."""
-    from tropicon.ratlin import (
-        LinearProgram, lp_feasible, primitive_vector, reduce_mod_subspace,
-    )
+    """Reduced generators of p that no linear system writes from the others,
+    by the Fourier-Motzkin oracle: rays as nonnegative combinations of the
+    other rays, points as convex combinations of the other points plus a
+    nonnegative ray combination."""
+    from tropicon.ratlin import primitive_vector, reduce_mod_subspace
     n, lin = p.ambient_dim, p.true_lineality
     verts = sorted({reduce_mod_subspace(v, lin) for v in p.vertices})
     rays = sorted({primitive_vector(r) for r in
@@ -222,7 +261,7 @@ def _lp_extreme_generators(p):
                          F(1), "="))
         cons += [(tuple(F(int(i == j)) for i in range(len(cols))), F(0), ">=")
                  for j in range(len(cols))]
-        return lp_feasible(LinearProgram(len(cols), tuple(cons))) is not None
+        return fm_feasible(len(cols), cons)
 
     ext_rays = [r for r in rays if not writable(r, None, [o for o in rays if o != r])]
     ext_verts = [v for v in verts if not writable(v, [o for o in verts if o != v], rays)]
@@ -233,7 +272,7 @@ def _lp_extreme_generators(p):
 
 class TestCanonicalFormAgainstLP:
     """The rank test on facet tight sets keeps exactly the generators that
-    the LP oracle finds extreme."""
+    the Fourier-Motzkin oracle finds extreme."""
 
     @staticmethod
     def _random_polyhedron(rng, kind):

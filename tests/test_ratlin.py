@@ -1,18 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from tropicon.ratlin import (
-    LinearProgram, ZeroVector, _int_kernel, _lattice_kernel, check_lp_witness,
-    dot, frac, is_zero, lattice_complement_projection, lp_feasible, mat,
-    mat_vec, matrix_rank, primitive_vector, reduce_mod_subspace,
-    saturation_basis, smith_normal_form, subspace_canonical_basis, vec,
+    ZeroVector, _int_kernel, _lattice_kernel, dot, frac, is_zero,
+    lattice_complement_projection, mat, mat_vec, matrix_rank, primitive_vector,
+    reduce_mod_subspace, saturation_basis, smith_normal_form,
+    subspace_canonical_basis, vec,
 )
-from test_polyhedral import codim1_faces
+from test_polyhedral import codim1_faces, fm_feasible, satisfies
 from tropicon.polyhedral import (
-    Polyhedron, _lattice_normal, face_is_tight, is_face_of,
+    Polyhedron, _feasible_point, _lattice_normal, face_is_tight, is_face_of,
 )
 
 
@@ -22,13 +24,6 @@ def rand_fraction(rng, span=6):
 
 def rand_matrix(rng, rows, cols, span=6):
     return mat([[rand_fraction(rng, span) for _ in range(cols)] for _ in range(rows)])
-
-
-def make_lp(num_vars, constraints, objective=None):
-    """A LinearProgram from plain numbers."""
-    return LinearProgram(num_vars,
-                         tuple((vec(c), frac(b), rel) for c, b, rel in constraints),
-                         None if objective is None else vec(objective))
 
 
 def mat_mul(*factors):
@@ -102,25 +97,34 @@ class TestPrimitiveVector:
 
 
 class TestLpFeasible:
+    """Strict feasibility of linear systems, decided by one double
+    description (`polyhedral._feasible_point`): its verdict is the
+    Fourier-Motzkin oracle's, and every point it returns satisfies its
+    system by substitution."""
+
+    @staticmethod
+    def decide(n, constraints):
+        """The kernel's point, after checking it against the oracle."""
+        cons = [(vec(c), frac(b), rel) for c, b, rel in constraints]
+        x = _feasible_point(n, cons)
+        assert (x is not None) == fm_feasible(n, cons), cons
+        assert x is None or satisfies(x, cons), (cons, x)
+        return x
+
     def test_simplex_point(self):
-        lp = make_lp(2, [([1, 0], 0, ">="), ([0, 1], 0, ">="), ([1, 1], 1, "=")])
-        w = lp_feasible(lp)
+        w = self.decide(2, [([1, 0], 0, ">="), ([0, 1], 0, ">="), ([1, 1], 1, "=")])
         assert w is not None
-        check_lp_witness(lp, w)
 
     def test_contradictory_strict_pair(self):
-        lp = make_lp(1, [([1], 0, ">"), ([-1], 0, ">")])
-        assert lp_feasible(lp) is None
+        assert self.decide(1, [([1], 0, ">"), ([-1], 0, ">")]) is None
 
     def test_strict_witness_by_substitution(self):
-        lp = make_lp(2, [([1, 0], 0, ">"), ([0, 1], 0, ">"), ([1, 2], 1, "=")])
-        w = lp_feasible(lp)
+        w = self.decide(2, [([1, 0], 0, ">"), ([0, 1], 0, ">"), ([1, 2], 1, "=")])
         assert w is not None
         assert w[0] > 0 and w[1] > 0 and w[0] + 2 * w[1] == 1
 
     def test_unbounded_feasible_returns_point(self):
-        lp = make_lp(1, [([1], 1, ">=")], objective=[1])
-        w = lp_feasible(lp)
+        w = self.decide(1, [([1], 1, ">=")])
         assert w is not None and w[0] >= 1
 
     def test_random_strict_systems(self):
@@ -133,12 +137,42 @@ class TestLpFeasible:
                 coeffs = [F(rng.randint(-3, 3)) for _ in range(nvars)]
                 rel = rng.choice(["=", ">=", ">"])
                 cons.append((coeffs, F(rng.randint(-2, 2)), rel))
-            lp = make_lp(nvars, cons)
-            w = lp_feasible(lp)
-            if w is not None:
-                check_lp_witness(lp, w)
-                found += 1
+            found += self.decide(nvars, cons) is not None
         assert found > 0
+
+    def test_zero_rows_no_rows_and_equations_only(self):
+        assert self.decide(2, [([0, 0], 0, ">")]) is None
+        assert self.decide(2, [([0, 0], -1, ">")]) is not None
+        assert self.decide(2, [([0, 0], 1, "=")]) is None
+        assert self.decide(2, [([0, 0], 0, ">=")]) is not None
+        assert self.decide(3, []) == vec([0, 0, 0])
+        assert self.decide(2, [([1, 1], 3, "="), ([1, -1], 1, "=")]) == vec([2, 1])
+        assert self.decide(2, [([1, 1], 3, "="), ([2, 2], 5, "=")]) is None
+        assert self.decide(1, [([1], 0, ">"), ([-1], 0, ">"), ([0], -1, ">")]) is None
+
+    def test_seeded_systems_against_fourier_motzkin(self):
+        rng = random.Random(2024)
+        verdicts = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            cons = [([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)],
+                     F(rng.randint(-2, 2)), rng.choice(["=", ">=", ">"]))
+                    for _ in range(rng.randint(0, 7))]
+            verdicts[self.decide(n, cons) is not None] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.tuples(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), st.integers(-2, 2),
+        st.sampled_from(["=", ">=", ">"])), max_size=6))))
+    def test_drawn_systems_against_fourier_motzkin(self, system):
+        self.decide(*system)
+
+    def test_malformed_rows_rejected(self):
+        with pytest.raises(ValueError):
+            _feasible_point(2, [(vec([1, 0, 0]), F(0), ">=")])
+        with pytest.raises(ValueError):
+            _feasible_point(2, [(vec([1, 0]), F(0), "<=")])
 
 
 def _row_smith(D):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -10,20 +11,20 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from test_golden import RATIONAL_COMPLEX
-from test_polyhedral import codim1_faces
+from test_polyhedral import codim1_faces, fm_feasible
 from test_ratlin import lattice_normal_generator
 from test_theorem import loopless_matroids
-from tropicon import polyhedral, ratlin, tropical
+from tropicon import polyhedral, tropical
 from tropicon.connectivity import build_hypergraph, connected_components
 from tropicon.fanjson import fan_from_obj, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine, contraction, proper_flats
 from tropicon.polyhedral import (
     AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _face_levels,
-    _lattice_normal, _numerators, _outside, intersect,
+    _feasible_point, _lattice_normal, _numerators, _outside, intersect,
 )
 from tropicon.ratlin import (
-    LinearProgram, _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
-    lattice_complement_projection, lp_feasible, mat, mat_vec, primitive_vector,
+    _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
+    lattice_complement_projection, mat, mat_vec, primitive_vector,
     saturation_basis, sub, subspace_canonical_basis, transpose, vec, zero_vec,
 )
 from tropicon.tropical import (
@@ -632,14 +633,14 @@ def _hyperplane_polyhedron(H):
 
 
 # ---------------------------------------------------------------------------
-# the generator-sign section against the LP and face-walk reference
+# the generator-sign section against the feasibility and face-walk reference
 
 
 def _reference_section(c, H, faces):
-    """Section by the LP and face-walk path.  H is not transverse when it
-    contains the affine span of one of `faces` (every face of c, from the
-    facets down); a facet is sliced when an exact strict-feasibility program
-    finds a point of its relative interior on H."""
+    """Section by the feasibility and face-walk path.  H is not transverse
+    when it contains the affine span of one of `faces` (every face of c,
+    from the facets down); a facet is sliced when the Fourier-Motzkin oracle
+    finds its relative interior meets H."""
     n = c.ambient_dim
     for face in faces:
         base = face.vertices[0] if face.vertices else zero_vec(n)
@@ -652,7 +653,7 @@ def _reference_section(c, H, faces):
         cons = [(a, b, ">") for a, b in h.inequalities]
         cons += [(a, b, "=") for a, b in h.equations]
         cons.append((H.normal, H.offset, "="))
-        if lp_feasible(LinearProgram(n, tuple(cons))) is None:
+        if not fm_feasible(n, cons):
             continue
         slices.append(Polyhedron.from_hrep(
             HRep(n, h.inequalities, h.equations + ((H.normal, H.offset),))))
@@ -763,10 +764,9 @@ class TestSectionAgainstLPReference:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (ratlin, tropical):
-            monkeypatch.setattr(module, "lp_feasible",
-                                counted("lp_feasible", lp_feasible))
         for module in (polyhedral, tropical):
+            monkeypatch.setattr(module, "_feasible_point",
+                                counted("_feasible_point", _feasible_point))
             monkeypatch.setattr(module, "_face_levels",
                                 counted("_face_levels", _face_levels))
         for name, c, _ in _section_fixtures():
@@ -1016,6 +1016,64 @@ class TestWitnessHyperplane:
                 found += 1
                 assert check_witness_hyperplane(P, Q, Fc, H)
         assert found > 0
+
+    @staticmethod
+    def _oracle_finds_witness(P, Q, Fc):
+        """Whether some pair of modes, one meeting relint(P) and one
+        relint(Q), is feasible with Fc strictly on one side, by the
+        Fourier-Motzkin oracle over the search's own constraint families."""
+        n = P.ambient_dim
+        pairs = list(itertools.product(tropical._meet_relint_modes(P),
+                                       tropical._meet_relint_modes(Q)))
+        return any(fm_feasible(n + 1, tropical._side_constraints(Fc, above) + mp + mq)
+                   for above in (True, False) for mp, mq in pairs)
+
+    @pytest.mark.parametrize("family", ["cones", "polyhedra"])
+    def test_verdicts_match_oracle_search(self, family):
+        """`witness_hyperplane` returns a hyperplane exactly when the
+        oracle finds a feasible mode pair, so its None verdicts are checked
+        too: cones of one or two rays in R^2 and R^3, and polyhedra of one
+        or two vertices plus at most one ray in R^1 and R^2."""
+        rng = random.Random(7 if family == "cones" else 8)
+
+        def vector(n):
+            while not any(v := [rng.randint(-3, 3) for _ in range(n)]):
+                pass
+            return v
+
+        def cell(n):
+            if family == "cones":
+                return Polyhedron.cone([vector(n) for _ in range(rng.randint(1, 2))],
+                                       ambient_dim=n)
+            pts = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+            rays = [vector(n) for _ in range(rng.randint(0, 1))]
+            return Polyhedron.from_vertices(pts, rays, ambient_dim=n)
+
+        verdicts = Counter()
+        for _ in range(60):
+            n = rng.choice((2, 3) if family == "cones" else (1, 2))
+            cells = []
+            while len(cells) < 3:
+                p = cell(n)
+                if all(p.canonical_key != q.canonical_key for q in cells):
+                    cells.append(p)
+            P, Q, Fc = cells
+            H = witness_hyperplane(P, Q, Fc)
+            assert (H is not None) == self._oracle_finds_witness(P, Q, Fc), cells
+            assert H is None or check_witness_hyperplane(P, Q, Fc, H)
+            verdicts[H is not None] += 1
+        assert verdicts[True] >= 5 and verdicts[False] >= 5, verdicts
+
+    def test_cells_of_different_dimensions_rejected(self):
+        P, Fc = Polyhedron.cone([[1, 0]]), Polyhedron.cone([[-1, -1]])
+        with pytest.raises(ValueError, match="length mismatch"):
+            witness_hyperplane(P, Polyhedron.cone([[0, 1, 0]]), Fc)
+
+    def test_hyperplane_of_another_dimension_rejected(self):
+        P, Q = Polyhedron.cone([[1, 0]]), Polyhedron.cone([[0, 1]])
+        H = AffineHyperplane(vec([1, 1, 1]), F(1))
+        with pytest.raises(ValueError, match="length mismatch"):
+            check_witness_hyperplane(P, Q, Polyhedron.cone([[-1, -1]]), H)
 
 
 class TestSharpness:
