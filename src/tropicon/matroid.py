@@ -38,12 +38,6 @@ class Flat:
     def __contains__(self, e: int) -> bool:
         return e in self.elements
 
-    def __le__(self, other: "Flat") -> bool:
-        return self.elements <= other.elements
-
-    def __lt__(self, other: "Flat") -> bool:
-        return self.elements < other.elements
-
 
 @dataclass(frozen=True)
 class FlagChain:
@@ -54,9 +48,6 @@ class FlagChain:
         for a, b in zip(self.flats, self.flats[1:]):
             if not a.elements < b.elements:
                 raise ValueError("chain is not strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.flats)
 
 
 class Matroid:

@@ -21,7 +21,11 @@ that record, with no elimination over fractions:
   codimension-one face, cut out by one facet inequality of an irredundant
   description, has the cell's dimension minus one, and only deeper faces
   get their dimension as an integer rank;
-- membership is a sign test of integer dot products;
+- membership and face incidence read one mask, `_Record.mask`: the facets
+  tight on a row of the (x0, x) frame, or None outside the cell.  tau is a
+  face of sigma when the AND of sigma's masks over tau's generator rows cuts
+  out a face with tau's integer key, and two cells fit when the least faces
+  of both containing their intersection (one `dd_cone`, `_meet`) are equal;
 - the saturated lattice of a cell, `Polyhedron._lattice`, is the integer
   kernel of its equations, from an integer Smith normal form.
 
@@ -39,15 +43,15 @@ and that inequality are all zero (see `tropical.balancing_check`).
 Complexes store shared generator pools plus per-facet index sets.  The pool
 facts the cells share are decided once per complex, in one integer pass
 (`Complex._pool`): the lineality rows and each pool ray's primitive and
-canonical rows.  One face walk, `_face_levels`, gives the faces level by
-level from the ridges down, keying each (cell, mask of facet inequalities)
-incidence on integer rows read off the cell's canonical form (`_face_key`)
-and making one face per distinct key.  The ridge level takes every
-incidence and is cached as `Complex.ridges`; each level below expands one
-incidence per face by one more inequality of its cell.  Fractions are made
-only where a public value needs them: `hrep` and `from_hrep` convert integer
-rows (`_fraction_row` shares the rows that cells repeat), and each pool
-entry is converted once.
+canonical rows.  The face walk gives the faces level by level from the
+ridges down, keying each (cell, mask of facet inequalities) incidence on
+integer rows read off the cell's canonical form (`_face_key`) and making
+one face per distinct key from it (`_face`).  The ridge level
+(`_ridge_level`) takes every incidence and is cached as `Complex.ridges`;
+each level below (`_level_below`) expands one incidence per face by one
+more inequality of its cell.  Fractions are made only where a public value
+needs them: `hrep` and `from_hrep` convert integer rows (`_fraction_row`
+shares the rows that cells repeat), and each pool entry is converted once.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .ratlin import (
     Mat, Vec, ZeroVector, _int_kernel, _int_rank, _int_reduce, _int_row,
@@ -322,10 +326,16 @@ class _Record:
             self.lin = subspace_canonical_basis(list(p.lineality) + extra)
             self.lin_rows = [(0,) * affine + _numerators(l) for l in self.lin]
 
-    def holds(self, row: Sequence[int]) -> bool:
-        """Whether the row lies in C: every facet value >= 0, every equation 0."""
-        return all(sum(map(mul, f, row)) >= 0 for f in self.facets) and \
-            not any(sum(map(mul, e, row)) for e in self.eqs)
+    def mask(self, row: Sequence[int]) -> Optional[int]:
+        """The bit mask of the facets of C tight on the row, or None when it
+        lies outside C.  The row is a positive multiple of (1, x) for a point
+        x and (0, d) for a direction d, with or without vertices."""
+        if not self.affine:
+            row = row[1:]
+        vals = [sum(map(mul, f, row)) for f in self.facets]
+        if min(vals, default=0) < 0 or any(sum(map(mul, e, row)) for e in self.eqs):
+            return None
+        return sum(1 << i for i, v in enumerate(vals) if not v)
 
     def cut(self, i: int) -> tuple[int, ...]:
         """The linear part of facet normal i, as integers."""
@@ -461,7 +471,7 @@ class Polyhedron:
     @cached_property
     def dim(self) -> int:
         """n minus the number of equations once the record is built;
-        otherwise, as for faces below the ridges (`_face_levels` sets the
+        otherwise, as for faces below the ridges (`_ridge_level` sets the
         ridges'), the integer rank of the generators."""
         rec = self.__dict__.get("_rec")
         if rec is not None:
@@ -473,11 +483,6 @@ class Polyhedron:
         rows = [(0,) + r for r in rows]
         rows += [_int_row((1,) + v) for v in self.vertices]
         return _int_rank(rows) - 1
-
-    @cached_property
-    def true_lineality(self) -> Mat:
-        """Maximal subspace V with P + V = P, from the facet record."""
-        return self._rec.lin
 
     # -- canonical form ----------------------------------------------------
 
@@ -549,10 +554,6 @@ class Polyhedron:
         return (key, tuple(mask for _, mask, _ in verts), tuple(mask for _, mask in rays),
                 den, tuple(v for v, _, _ in verts), tuple(r for r, _ in rays), lin_ints)
 
-    def canonical(self) -> "Polyhedron":
-        n, lin, verts, rays = self.canonical_key
-        return Polyhedron(n, verts, rays, lin)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polyhedron) and self.canonical_key == other.canonical_key
 
@@ -577,22 +578,13 @@ class Polyhedron:
     def contains_point(self, x: Vec) -> bool:
         if len(x) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        rec = self._rec
-        return rec.holds(_int_row((1, *x)) if rec.affine else _int_row(x))
+        return self._rec.mask(_int_row((1, *x))) is not None
 
     def contains_direction(self, d: Vec) -> bool:
         """Whether d is a recession direction of the polyhedron."""
         if len(d) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        rec = self._rec
-        return rec.holds(_int_row((0, *d)) if rec.affine else _int_row(d))
-
-    def contains(self, other: "Polyhedron") -> bool:
-        pts = other.vertices if other.vertices else (zero_vec(self.ambient_dim),)
-        return all(self.contains_point(v) for v in pts) and \
-            all(self.contains_direction(r) for r in other.rays) and \
-            all(self.contains_direction(l) and self.contains_direction(neg(l))
-                for l in other.lineality)
+        return self._rec.mask(_int_row((0, *d))) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -649,29 +641,12 @@ def _lattice_normal(sigma: Polyhedron, a: Sequence) -> tuple[int, ...]:
 # faces
 
 
-def face_is_tight(face: Polyhedron, a: Vec, b: Fraction) -> bool:
-    """Whether the valid inequality a.x >= b is an equality on all of face."""
-    if face.vertices:
-        if any(dot(a, v) != b for v in face.vertices):
-            return False
-    elif b != 0:
-        return False
-    return all(dot(a, r) == 0 for r in face.rays) and \
-        all(dot(a, l) == 0 for l in face.lineality)
-
-
-def _face(p: Polyhedron, tight: int) -> Optional[Polyhedron]:
-    """The face of p on which the facet inequalities of p with bit set in
-    the mask `tight` are equalities, or None when that face is empty.  A
-    nonempty face has the lineality of p, and its extreme generators are
-    those of p whose tight sets contain `tight`, so its canonical key is
-    made from the rows `_face_key` picks and no double description runs."""
-    den = p._canon[3]
-    key = _face_key(p, tight, den)
-    if key is None:
-        return None
+def _face(p: Polyhedron, key: tuple, scale: int) -> Polyhedron:
+    """The nonempty face of p whose `_face_key(p, tight, scale)` is key: it
+    has p's lineality and the extreme generators of p whose tight sets
+    contain `tight`, so its canonical key is read off the key."""
     n, lin = p.ambient_dim, p.canonical_key[1]
-    verts = tuple(tuple(Fraction(x, den) for x in row) for row in key[1])
+    verts = tuple(tuple(Fraction(x, scale) for x in row) for row in key[1])
     rays = tuple(map(_fraction_row, key[2]))
     face = Polyhedron._raw(n, verts, rays, lin)
     face.__dict__["canonical_key"] = (n, lin, verts, rays)
@@ -679,11 +654,12 @@ def _face(p: Polyhedron, tight: int) -> Optional[Polyhedron]:
 
 
 def _face_key(p: Polyhedron, tight: int, scale: int) -> Optional[tuple]:
-    """Integer tuples that identify `_face(p, tight)` and order faces as
-    their canonical keys do, or None when that face is empty: p's lineality
-    rows, the face's vertices times `scale` (a common multiple of the
-    denominators of every vertex compared) and its rays, all read off p's
-    canonical rows."""
+    """Integer tuples that identify the face of p on which the facet
+    inequalities with bit set in the mask `tight` are equalities, and order
+    faces as their canonical keys do, or None when that face is empty: p's
+    lineality rows, the face's vertices times `scale` (a common multiple of
+    the denominators of every vertex compared) and its rays, all read off
+    p's canonical rows.  Equal keys are equal point sets."""
     _, vmasks, rmasks, den, vrows, rrows, lin_ints = p._canon
     vs = [row for row, mask in zip(vrows, vmasks) if mask & tight == tight]
     if vmasks and not vs:
@@ -699,24 +675,23 @@ def _vertex_scale(cells: Sequence[Polyhedron]) -> int:
     return math.lcm(*(cell._canon[3] for cell in cells))
 
 
-def _face_levels(cells: Sequence[Polyhedron]) -> Iterator[
-        list[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]]]]:
-    """The distinct faces of the cells from the codimension-one faces down,
-    one list per codimension, each sorted by canonical key.
+def _sorted_level(level: dict) -> list[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]]]:
+    return [(face, tuple(fids), tuple(masks))
+            for face, fids, masks in map(level.get, sorted(level))]
+
+
+def _ridge_level(cells: Sequence[Polyhedron], scale: int) -> list:
+    """The distinct codimension-one faces of the cells, sorted by canonical
+    key, `scale` being `_vertex_scale(cells)`.
 
     Each face comes with the indices of cells it is a face of and, per cell,
     the mask of the cell's facet inequalities (bits over its
     `hrep.inequalities`) that cuts it out, so later steps need not prove the
     incidence again.  Incidences are grouped on `_face_key`, and one face is
-    made per key, from its first incidence.  The first level takes every
-    incidence of one inequality, with its cell's dimension minus one (an
-    irredundant facet description cuts out distinct, nonempty facets).  A
-    face of codimension two lies in exactly two facets of its cell, so each
-    level below is cut out of one incidence per face of the level above by
-    one more inequality of the same cell, and keeps the faces of the next
-    dimension; no face needs a double description of its own.
+    made per key, from its first incidence, with its cell's dimension minus
+    one (an irredundant facet description cuts out distinct, nonempty
+    facets).
     """
-    scale = _vertex_scale(cells)
     level: dict[tuple, tuple[Polyhedron, list[int], list[int]]] = {}
     for i, cell in enumerate(cells):
         d = cell.dim - 1
@@ -724,7 +699,7 @@ def _face_levels(cells: Sequence[Polyhedron]) -> Iterator[
             key = _face_key(cell, 1 << k, scale)
             entry = level.get(key)
             if entry is None:
-                entry = level[key] = (_face(cell, 1 << k), [], [])
+                entry = level[key] = (_face(cell, key, scale), [], [])
                 entry[0].__dict__["dim"] = d
             # equal keys are equal point sets, so the first face's dimension
             # is every later one's
@@ -732,36 +707,75 @@ def _face_levels(cells: Sequence[Polyhedron]) -> Iterator[
                 raise AssertionError("codimension-one face has wrong dimension")
             entry[1].append(i)
             entry[2].append(1 << k)
-    while level:
-        faces = [(face, tuple(fids), tuple(masks))
-                 for face, fids, masks in map(level.get, sorted(level))]
-        yield faces
-        below: dict[tuple, Optional[tuple[Polyhedron, list[int], list[int]]]] = {}
-        for face, fids, masks in faces:
-            cell, tight, d = cells[fids[0]], masks[0], face.dim - 1
-            for k in range(len(cell.hrep.inequalities)):
-                sub = tight | 1 << k
-                if sub == tight:
-                    continue
-                key = _face_key(cell, sub, scale)
-                if key is not None and key not in below:
-                    sub_face = _face(cell, sub)  # a deeper face waits for its level
-                    below[key] = (sub_face, [fids[0]], [sub]) if sub_face.dim == d else None
-        level = {key: entry for key, entry in below.items() if entry}
+    return _sorted_level(level)
+
+
+def _level_below(cells: Sequence[Polyhedron], level: list, scale: int) -> list:
+    """The distinct faces one dimension below those of `level`, in the form
+    `_ridge_level` gives.  A face of codimension two lies in exactly two
+    facets of its cell, so each is cut out of one incidence (the first) of a
+    face of `level` by one more inequality of the same cell; no face needs a
+    double description of its own."""
+    below: dict[tuple, Optional[tuple[Polyhedron, list[int], list[int]]]] = {}
+    for face, fids, masks in level:
+        cell, tight, d = cells[fids[0]], masks[0], face.dim - 1
+        for k in range(len(cell.hrep.inequalities)):
+            sub = tight | 1 << k
+            if sub == tight:
+                continue
+            key = _face_key(cell, sub, scale)
+            if key is not None and key not in below:
+                sub_face = _face(cell, key, scale)  # a deeper face waits for its level
+                below[key] = (sub_face, [fids[0]], [sub]) if sub_face.dim == d else None
+    return _sorted_level({key: entry for key, entry in below.items() if entry})
+
+
+def _generator_rows(p: Polyhedron) -> list[tuple[int, ...]]:
+    """Rows in the (x0, x) frame that generate p: its canonical vertices
+    times their common denominator (the origin when the key has none), its
+    canonical rays, and its lineality rows in both directions."""
+    _, _, _, den, vrows, rrows, lin_ints = p._canon
+    dirs = list(rrows) + list(lin_ints) + [tuple(-x for x in l) for l in lin_ints]
+    return ([(den,) + v for v in vrows] or [(1,) + (0,) * p.ambient_dim]) + [(0,) + d for d in dirs]
+
+
+def _least_face_key(p: Polyhedron, rows: Iterable[Sequence[int]], scale: int) -> Optional[tuple]:
+    """The `_face_key` of the least face of p containing every row, the face
+    cut out by the facets tight on all of them, or None when a row lies
+    outside p."""
+    rec, tight = p._rec, -1
+    for row in rows:
+        mask = rec.mask(row)
+        if mask is None:
+            return None
+        tight &= mask
+    return _face_key(p, tight, scale)
 
 
 def is_face_of(tau: Polyhedron, sigma: Polyhedron) -> bool:
-    """Whether tau is a face of sigma: tau lies in sigma and equals the face
-    of sigma cut out by the facet inequalities tight on tau."""
+    """Whether tau is a face of sigma: tau lies in sigma and equals the
+    least face of sigma containing it, the one cut out by the facets of
+    sigma tight on all of tau's generators."""
     if tau.ambient_dim != sigma.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if not sigma.contains(tau):
-        return False
-    tight = 0
-    for i, (a, b) in enumerate(sigma.hrep.inequalities):
-        if face_is_tight(tau, a, b):
-            tight |= 1 << i
-    return tau.canonical_key == _face(sigma, tight).canonical_key
+    scale = _vertex_scale((sigma, tau))
+    return _least_face_key(sigma, _generator_rows(tau), scale) == _face_key(tau, 0, scale)
+
+
+def _meet(p: Polyhedron, q: Polyhedron) -> list[tuple[int, ...]]:
+    """Rows in the (x0, x) frame that generate the intersection of p and q,
+    or [] when it is empty, from one `dd_cone`: the rows of both records (a
+    cone's with x0 = 0) and x0 >= 0 cut out the cone over the intersection,
+    whose lineality has x0 = 0 and comes in both directions."""
+    ineqs, eqs = [(1,) + (0,) * p.ambient_dim], []
+    for rec in (p._rec, q._rec):
+        lift = (0,) * (not rec.affine)
+        ineqs += [lift + a for a in rec.facets]
+        eqs += [lift + e for e in rec.eqs]
+    rays, lin = dd_cone(ineqs, eqs, p.ambient_dim + 1)
+    if not any(r[0] > 0 for r in rays):
+        return []
+    return rays + lin + [tuple(-x for x in l) for l in lin]
 
 
 # ---------------------------------------------------------------------------
@@ -889,9 +903,10 @@ class Complex:
         """Distinct codimension-one faces of the facets, sorted by canonical
         key, each with the ids of the facets it is a face of and, per facet,
         the index in its `hrep.inequalities` of the inequality that cuts it
-        out: the first level of `_face_levels`."""
+        out: `_ridge_level`."""
+        cells = self.facet_polyhedra
         return tuple((face, fids, tuple(m.bit_length() - 1 for m in masks))
-                     for face, fids, masks in next(_face_levels(self.facet_polyhedra), ()))
+                     for face, fids, masks in _ridge_level(cells, _vertex_scale(cells)))
 
     @cached_property
     def _validation(self) -> "ValidationReport":
@@ -918,9 +933,6 @@ class ValidationReport:
     dim: int
     issues: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return self.valid
-
 
 def _validate(c: Complex) -> ValidationReport:
     """Purity.  Every cell contains the declared lineality, since
@@ -940,6 +952,13 @@ def validate_complex(c: Complex, pairwise: bool = False) -> ValidationReport:
 
     Returns a structured report and never raises.  The report without the
     pairwise check is computed once per complex and then reused.
+
+    The fit takes one `dd_cone` per pair of cells p, q that do not
+    coincide (`_meet`).  Their intersection M, when nonempty, is a common
+    face exactly when the least face F_p of p containing M and the least
+    face F_q of q containing M have equal `_face_key`s: both contain M, and
+    when they are equal the face lies in p and in q, so in M, and equals it;
+    conversely a common face M is its own least face in both cells.
     """
     report = c._validation
     if not pairwise:
@@ -951,20 +970,8 @@ def validate_complex(c: Complex, pairwise: bool = False) -> ValidationReport:
         if keys[i] == keys[j]:
             issues.append(f"facets {i} and {j} coincide")
             continue
-        inter = intersect(facets[i], facets[j])
-        if inter is None:
-            continue
-        if not is_face_of(inter, facets[i]) or not is_face_of(inter, facets[j]):
+        p, q = facets[i], facets[j]
+        rows, scale = _meet(p, q), _vertex_scale((p, q))
+        if rows and _least_face_key(p, rows, scale) != _least_face_key(q, rows, scale):
             issues.append(f"facets {i} and {j} do not meet in a common face")
     return ValidationReport(not issues, report.dim, tuple(issues))
-
-
-def intersect(p: Polyhedron, q: Polyhedron) -> Optional[Polyhedron]:
-    """Intersection of two polyhedra, or None if empty."""
-    h1, h2 = p.hrep, q.hrep
-    merged = HRep(p.ambient_dim, h1.inequalities + h2.inequalities,
-                  h1.equations + h2.equations)
-    try:
-        return Polyhedron.from_hrep(merged)
-    except EmptyPolyhedron:
-        return None

@@ -19,9 +19,9 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
-    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _face_levels,
-    _feasible_point, _fraction_row, _lattice_normal, _numerators, _outside,
-    is_face_of,
+    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _feasible_point,
+    _fraction_row, _lattice_normal, _level_below, _numerators, _outside,
+    _vertex_scale, is_face_of,
 )
 from .ratlin import (
     Mat, Vec, _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
@@ -50,11 +50,17 @@ class NotAFan(ValueError):
 # lineality spaces and quotients
 
 
-def _project_polyhedron(p: Polyhedron, proj: Mat, target_dim: int) -> Polyhedron:
-    verts = tuple(mat_vec(proj, v) for v in p.vertices)
-    rays = tuple(r2 for r in p.rays if not is_zero(r2 := mat_vec(proj, r)))
-    lin = tuple(l2 for l in p.lineality if not is_zero(l2 := mat_vec(proj, l)))
-    return Polyhedron(target_dim, verts, rays, lin)
+def _project_cells(c: Complex, ids: Sequence[int], proj: Mat) -> Complex:
+    """The cells of c with the given ids, projected by the integer matrix
+    proj into R^(rows of proj), each keeping its weight."""
+    def image(gens: Iterable[Vec]) -> tuple[Vec, ...]:
+        return tuple(g2 for g in gens if not is_zero(g2 := mat_vec(proj, g)))
+
+    facets = [Polyhedron(len(proj), tuple(mat_vec(proj, v) for v in f.vertices),
+                         image(f.rays), image(f.lineality))
+              for f in map(c.facet_polyhedra.__getitem__, ids)]
+    return Complex.from_facets(facets, lineality=(), ambient_dim=len(proj),
+                               weights=tuple(c.weights[i] for i in ids))
 
 
 def quotient_by_lineality(c: Complex) -> tuple[Complex, Mat]:
@@ -69,11 +75,7 @@ def quotient_by_lineality(c: Complex) -> tuple[Complex, Mat]:
     if not c.lineality:
         return c, identity_mat(n)
     proj = lattice_complement_projection(c.lineality, n)
-    target = n - len(c.lineality)
-    facets = [_project_polyhedron(f, proj, target) for f in c.facet_polyhedra]
-    out = Complex.from_facets(facets, lineality=(), ambient_dim=target,
-                              weights=c.weights)
-    return out, proj
+    return _project_cells(c, range(len(c)), proj), proj
 
 
 def star(c: Complex, face: Polyhedron) -> Complex:
@@ -88,12 +90,7 @@ def star(c: Complex, face: Polyhedron) -> Complex:
     if not incident:
         raise NotInComplex("the given face is not a face of any cell")
     proj = lattice_complement_projection(face.direction_span, c.ambient_dim)
-    target = c.ambient_dim - face.dim
-    facets = [_project_polyhedron(c.facet_polyhedra[i], proj, target)
-              for i in incident]
-    weights = tuple(c.weights[i] for i in incident)
-    return Complex.from_facets(facets, lineality=(), ambient_dim=target,
-                               weights=weights)
+    return _project_cells(c, incident, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +147,11 @@ def skeleton(c: Complex, k: int) -> Complex:
         raise ValueError(f"need lineality dim <= k <= {d}")
     if k == d:
         return c
-    level = next(itertools.islice(_face_levels(c.facet_polyhedra), d - 1 - k, None), [])
+    cells = c.facet_polyhedra
+    scale = _vertex_scale(cells)
+    level = [(face, fids, tuple(1 << j for j in cuts)) for face, fids, cuts in c.ridges]
+    for _ in range(d - 1 - k):
+        level = _level_below(cells, level, scale)
     return Complex.from_facets([face for face, _, _ in level], lineality=c.lineality,
                                ambient_dim=c.ambient_dim)
 

@@ -23,21 +23,24 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from test_golden import HEX_HEPT, RATIONAL_COMPLEX
-from test_polyhedral import codim1_faces
+from test_polyhedral import (
+    _face_levels, codim1_faces, face_by_mask, intersect, oracle_fit_issues, oracle_is_face_of,
+)
 from test_ratlin import lattice_normal_generator
 from test_tropical import _section_fixtures
 from tropicon import polyhedral
 from tropicon.fanjson import fan_from_obj, fan_from_text, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import (
-    AffineHyperplane, Complex, Polyhedron, _face, _face_levels, _lattice_normal,
+    AffineHyperplane, Complex, Polyhedron, _face, _lattice_normal, is_face_of, validate_complex,
 )
 from tropicon.ratlin import (
     _int_kernel, _int_rank, _int_reduce, _int_row, _primitive, _primitive_ints, identity_mat,
     is_zero, neg, primitive_vector, reduce_mod_subspace, subspace_canonical_basis, vec, zero_vec,
 )
 from tropicon.tropical import (
-    balancing_check, cube_normal_fan, hyperplane_section, normal_fan, two_planes_fan,
+    balancing_check, cube_normal_fan, hyperplane_section, normal_fan, skeleton,
+    standard_tropical_plane, two_planes_fan,
 )
 
 
@@ -218,7 +221,7 @@ class TestRecordReads:
     def test_extremality_against_the_rank_test(self, seed):
         for p in _polyhedra(seed, 150):
             assert p.canonical_key == _oracle_canonical_key(p), p
-            assert p.true_lineality == _oracle_lineality(p)
+            assert p.canonical_key[1] == _oracle_lineality(p)
 
     def test_dim_against_the_direction_span(self, seed):
         for p in _polyhedra(seed, 150):
@@ -250,7 +253,7 @@ class TestRecordReads:
                 assert face.dim == p.dim - 1 == len(face.direction_span)
             for size in (2, 3):
                 for combo in itertools.combinations(range(len(ineqs)), size):
-                    face = _face(p, sum(1 << i for i in combo))
+                    face = face_by_mask(p, sum(1 << i for i in combo))
                     want = _oracle_face_key(p, [ineqs[i] for i in combo])
                     assert (face and face.canonical_key) == want
 
@@ -588,7 +591,7 @@ class TestUnitRayLatticeNormals:
         # cones, polytopes and polyhedra with lineality, on the record's rows
         for p in _polyhedra(seed + 500, 90):
             for i in range(len(p.hrep.inequalities)):
-                _assert_normal_matches_the_smith_path(p, i, _face(p, 1 << i))
+                _assert_normal_matches_the_smith_path(p, i, face_by_mask(p, 1 << i))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*(st.lists(
@@ -598,7 +601,7 @@ class TestUnitRayLatticeNormals:
         rays, lineality = drawn
         sigma = Polyhedron.cone(rays, lineality[:1])
         for i in range(len(sigma.hrep.inequalities)):
-            _assert_normal_matches_the_smith_path(sigma, i, _face(sigma, 1 << i))
+            _assert_normal_matches_the_smith_path(sigma, i, face_by_mask(sigma, 1 << i))
 
 
 # ---------------------------------------------------------------------------
@@ -686,12 +689,12 @@ class TestSeededRayKeys:
 
 def _oracle_ridges(c):
     """`Complex.ridges` as a walk over every incidence: the face
-    `_face(p, 1 << i)` for each inequality i of each facet p, grouped on its
+    `face_by_mask(p, 1 << i)` for each inequality i of each facet p, grouped on its
     canonical key and sorted."""
     groups = {}
     for fid, p in enumerate(c.facet_polyhedra):
         for i in range(len(p.hrep.inequalities)):
-            face = _face(p, 1 << i)
+            face = face_by_mask(p, 1 << i)
             entry = groups.setdefault(face.canonical_key, (face, [], []))
             entry[1].append(fid)
             entry[2].append(i)
@@ -721,7 +724,7 @@ def _faces_below(c):
                     continue
                 sub_key = polyhedral._face_key(cell, sub_tight, scale)
                 if sub_key is not None and sub_key not in below:
-                    sub = _face(cell, sub_tight)
+                    sub = face_by_mask(cell, sub_tight)
                     below[sub_key] = (sub, cell, sub_tight) if sub.dim == d else None
         level = {key: entry for key, entry in below.items() if entry}
 
@@ -742,7 +745,7 @@ def _assert_levels_match_the_oracle(c):
         for face, fids, masks in level:
             assert len(fids) == len(masks) > 0
             for i, mask in zip(fids, masks):
-                assert _face(cells[i], mask).canonical_key == face.canonical_key
+                assert face_by_mask(cells[i], mask).canonical_key == face.canonical_key
 
 
 def _assert_ridges_match_the_oracle(c):
@@ -785,7 +788,7 @@ class TestRidgeWalk:
         e3 = [[0, 0, 1]]
         c = Complex.from_facets([Polyhedron.cone([r], lineality=e3, ambient_dim=3)
                                  for r in ([1, 0, 0], [0, 1, 0], [-1, -1, 0])])
-        assert not c.lineality and all(len(p.true_lineality) == 1 for p in c.facet_polyhedra)
+        assert not c.lineality and all(len(p.canonical_key[1]) == 1 for p in c.facet_polyhedra)
         _assert_ridges_match_the_oracle(c)
         _assert_levels_match_the_oracle(c)
 
@@ -793,14 +796,32 @@ class TestRidgeWalk:
         c = _loaded(bergman_fine(Matroid.uniform(4, 6)))
         made = []
 
-        def counted(p, tight):
-            made.append(tight)
-            return _face(p, tight)
+        def counted(p, key, scale):
+            made.append(key)
+            return _face(p, key, scale)
 
         monkeypatch.setattr(polyhedral, "_face", counted)
         ridges = c.ridges
         assert sum(len(fids) for _, fids, _ in ridges) == 360
         assert len(made) == len(ridges) == 150
+
+    def test_skeleton_starts_from_the_cached_ridges(self, monkeypatch):
+        # U(4,6) has 150 ridges; the level below them takes 41 faces, and
+        # once the ridges are read the skeleton makes only those
+        text = fan_to_text(bergman_fine(Matroid.uniform(4, 6)))
+        made = []
+
+        def counted(p, key, scale):
+            made.append(key)
+            return _face(p, key, scale)
+
+        monkeypatch.setattr(polyhedral, "_face", counted)
+        fresh = fan_to_text(skeleton(fan_from_text(text), 2))
+        assert len(made) == 191
+        c = fan_from_text(text)
+        c.ridges
+        made.clear()
+        assert fan_to_text(skeleton(c, 2)) == fresh and len(made) == 41
 
     @pytest.mark.parametrize("name,c", [
         ("U(4,6)", _loaded(bergman_fine(Matroid.uniform(4, 6)))),
@@ -811,8 +832,8 @@ class TestRidgeWalk:
         c = _copy(c)
         made = []
 
-        def counted(p, tight):
-            face = _face(p, tight)
+        def counted(p, key, scale):
+            face = _face(p, key, scale)
             made.append(face.canonical_key)
             return face
 
@@ -862,7 +883,7 @@ def _assert_pool_rows_change_nothing(c, monkeypatch):
     cell takes the general path."""
     for p in c.facet_polyhedra:
         general = _canon_reduces(p, monkeypatch)
-        assert general == (bool(p.vertices) or len(p.true_lineality) > len(c.lineality))
+        assert general == (bool(p.vertices) or len(p.canonical_key[1]) > len(c.lineality))
         assert p._canon == _general(p)._canon
         assert p.canonical_key == _general(p).canonical_key
 
@@ -917,3 +938,158 @@ class TestPoolCanonicalRows:
         c = fan_from_obj(RATIONAL_COMPLEX)
         assert all(_canon_reduces(p, monkeypatch) for p in c.facet_polyhedra)
         _assert_pool_rows_change_nothing(c, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the face test and the pairwise fit on tight masks, against the Fraction
+# path they replaced (merged facet descriptions, dot-product tightness and
+# containment: test_polyhedral.oracle_is_face_of and oracle_fit_issues)
+
+
+def _assert_fit_matches_the_oracle(c):
+    """`validate_complex(c, pairwise=True)` reports the purity issues plus
+    the oracle's fit issues, and `is_face_of` agrees with the oracle on each
+    nonempty pairwise intersection in both of its cells; returns the number
+    of fit issues."""
+    report = validate_complex(c, pairwise=True)
+    fit = oracle_fit_issues(c)
+    assert list(report.issues) == list(c._validation.issues) + fit
+    cells = c.facet_polyhedra
+    for p, q in itertools.combinations(cells, 2):
+        inter = intersect(p, q)
+        if inter is not None:
+            for sigma in (p, q):
+                assert is_face_of(inter, sigma) == oracle_is_face_of(inter, sigma)
+    return len(fit)
+
+
+def _assert_face_tests_match_the_oracle(c, rng, per_level=8):
+    """`is_face_of` agrees with the oracle on sampled faces of every level,
+    in a cell they are a face of and in a random cell, and on cells in
+    other cells."""
+    cells = c.facet_polyhedra
+    for level in _face_levels(cells):
+        for face, fids, _ in rng.sample(level, min(per_level, len(level))):
+            for i in (fids[0], rng.randrange(len(cells))):
+                got = is_face_of(face, cells[i])
+                assert got == oracle_is_face_of(face, cells[i])
+                assert got or i not in fids
+    for _ in range(per_level):
+        tau, sigma = rng.choice(cells), rng.choice(cells)
+        assert is_face_of(tau, sigma) == oracle_is_face_of(tau, sigma)
+
+
+def _perturbed(c, rng):
+    """c with one generator of one cell swapped for another pool generator
+    of the same kind: a ray, or a vertex when the pool has one ray."""
+    cells = list(c.cells)
+    kind = int(len(c.ray_pool) > 1)  # 1: rays, 0: vertices
+    pool = (c.vertex_pool, c.ray_pool)[kind]
+    i = rng.choice([i for i, cell in enumerate(cells) if cell[kind]])
+    gens = set(cells[i][kind])
+    gens.remove(rng.choice(sorted(gens)))
+    gens.add(rng.choice([j for j in range(len(pool)) if j not in cells[i][kind]]))
+    cell = list(cells[i])
+    cell[kind] = tuple(sorted(gens))
+    cells[i] = tuple(cell)
+    return Complex(c.ambient_dim, c.vertex_pool, c.ray_pool, c.lineality, tuple(cells),
+                   c.weights)
+
+
+_HEXAGON = [[2, 0], [1, 2], [-1, 2], [-2, 0], [-1, -2], [1, -2]]
+_FIT_FIXTURES = [
+    ("U(3,4)", bergman_fine(Matroid.uniform(3, 4))),
+    ("U(3,5)", bergman_fine(Matroid.uniform(3, 5))),
+    ("tropical-plane", standard_tropical_plane()),
+    ("cube3", cube_normal_fan(3)),
+    ("two-planes", two_planes_fan()),
+    ("rational", fan_from_obj(RATIONAL_COMPLEX)),
+    ("hexagon", normal_fan(_HEXAGON)),
+]
+
+
+def _random_2_cone(rng):
+    return Polyhedron.cone([_direction(rng, 3, 2) for _ in range(2)], ambient_dim=3)
+
+
+def _random_triangle(rng):
+    verts = [[F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(2)] for _ in range(3)]
+    rays = [_direction(rng, 2, 2) for _ in range(rng.randint(0, 2))]
+    return Polyhedron.from_vertices(verts, [r for r in rays if any(r)], ambient_dim=2)
+
+
+_FACE_FIXTURES = _FIT_FIXTURES + [
+    (name, c) for name, c in _dimension_fixtures()
+    if len(c) <= 45 and name not in dict(_FIT_FIXTURES)]
+
+
+class TestFaceTestAndFitAgainstTheFractionPath:
+    @pytest.mark.parametrize("name,c", _FACE_FIXTURES, ids=[name for name, _ in _FACE_FIXTURES])
+    def test_fixtures(self, name, c):
+        issues = _assert_fit_matches_the_oracle(_copy(c))
+        # the complexes the perturbations start from are valid; a section
+        # fixture of overlapping strips is not
+        assert issues == (name == "unbounded-lineality"), name
+        _assert_face_tests_match_the_oracle(_copy(c), random.Random(name))
+
+    @pytest.mark.parametrize("name,c", _FIT_FIXTURES, ids=[name for name, _ in _FIT_FIXTURES])
+    def test_seeded_perturbations(self, name, c):
+        rng = random.Random(name)
+        defects = 0
+        for _ in range(20):
+            perturbed = _perturbed(c, rng)
+            defects += _assert_fit_matches_the_oracle(perturbed) > 0
+            _assert_face_tests_match_the_oracle(perturbed, rng, per_level=4)
+        assert defects > 0, name
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_drawn_fan_objects())
+    def test_drawn_fans(self, obj):
+        try:
+            c = fan_from_obj(obj)
+        except ValueError:  # equal rays or identical cells
+            assume(False)
+        _assert_fit_matches_the_oracle(c)
+        _assert_face_tests_match_the_oracle(c, random.Random(repr(obj)), per_level=4)
+
+    @pytest.mark.parametrize("kind", ["2-cones-in-R3", "triangles-with-rays", "mixed"])
+    def test_random_pairs(self, kind):
+        rng = random.Random(kind)
+        pairs = defects = 0
+        while pairs < 200:
+            if kind == "2-cones-in-R3":
+                p, q = _random_2_cone(rng), _random_2_cone(rng)
+            elif kind == "triangles-with-rays":
+                p, q = _random_triangle(rng), _random_triangle(rng)
+            else:
+                p = Polyhedron.cone([_direction(rng, 2, 2) for _ in range(2)], ambient_dim=2)
+                q = _random_triangle(rng)
+            if p.dim != q.dim:
+                continue
+            pairs += 1
+            defects += _assert_fit_matches_the_oracle(Complex.from_facets([p, q]))
+        assert 10 <= defects <= pairs - 10, defects
+
+    def test_overlap_repro(self):
+        c = fan_from_obj({"ambient_dim": 2, "rays": [[1, 0], [0, 1], [1, 1]], "vertices": [],
+                          "lineality": [], "cells": [{"r": [0, 1]}, {"r": [0, 2]}],
+                          "weights": [1, 1]})
+        report = validate_complex(c, pairwise=True)
+        assert not report.valid
+        assert report.issues == ("facets 0 and 1 do not meet in a common face",)
+        assert _assert_fit_matches_the_oracle(c) == 1
+
+    def test_one_double_description_per_pair(self, monkeypatch):
+        # the fit runs one dd_cone per pair that does not coincide; cells
+        # 0 and 3 are one cone given twice
+        c = Complex.from_facets([Polyhedron.cone(rays, ambient_dim=2) for rays in (
+            [[1, 0], [0, 1]], [[0, 1], [-1, 0]], [[-1, 0], [0, -1], [1, -1]],
+            [[1, 0], [1, 1], [0, 1]])])
+        c._validation
+        calls = []
+        real = polyhedral.dd_cone
+        monkeypatch.setattr(polyhedral, "dd_cone",
+                            lambda *args: calls.append(args) or real(*args))
+        report = validate_complex(c, pairwise=True)
+        assert report.issues == ("facets 0 and 3 coincide",)
+        assert len(calls) == 5

@@ -4,11 +4,101 @@ from fractions import Fraction as F
 
 import pytest
 
+from tropicon import polyhedral
 from tropicon.polyhedral import (
-    AffineHyperplane, Complex, EmptyPolyhedron, HRep, Polyhedron, face_is_tight,
-    _face_levels, intersect, is_face_of, validate_complex,
+    AffineHyperplane, Complex, EmptyPolyhedron, HRep, Polyhedron, _face, _face_key,
+    _level_below, _ridge_level, _vertex_scale, is_face_of, validate_complex,
 )
 from tropicon.ratlin import ZeroVector, dot, vec
+
+
+def face_by_mask(p, tight):
+    """The face of p on which the facet inequalities of p with bit set in
+    the mask `tight` are equalities, or None when it is empty."""
+    scale = p._canon[3]
+    key = _face_key(p, tight, scale)
+    return None if key is None else _face(p, key, scale)
+
+
+def _face_levels(cells):
+    """The face walk from the codimension-one faces down, one sorted list
+    per level: `_ridge_level`, then `_level_below` until a level is empty."""
+    scale = _vertex_scale(cells)
+    level = _ridge_level(cells, scale)
+    while level:
+        yield level
+        level = _level_below(cells, level, scale)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction face tests that `is_face_of` and the pairwise fit replaced,
+# kept as their oracle: containment and tightness by dot products with the
+# facet description, intersections by a merged facet description
+
+
+def face_is_tight(face, a, b):
+    """Whether the valid inequality a.x >= b is an equality on all of face."""
+    if face.vertices:
+        if any(dot(a, v) != b for v in face.vertices):
+            return False
+    elif b != 0:
+        return False
+    return all(dot(a, r) == 0 for r in face.rays) and \
+        all(dot(a, l) == 0 for l in face.lineality)
+
+
+def contains(p, q):
+    """Whether q lies in p, by the signs of p's facet and equation rows on
+    q's generators (the origin for a cone), lineality both ways."""
+    h = p.hrep
+    pts = q.vertices or (tuple(F(0) for _ in range(q.ambient_dim)),)
+    dirs = list(q.rays) + list(q.lineality) + [tuple(-x for x in l) for l in q.lineality]
+    return all(dot(a, x) >= b for a, b in h.inequalities for x in pts) and \
+        all(dot(a, x) == b for a, b in h.equations for x in pts) and \
+        all(dot(a, d) >= 0 for a, _ in h.inequalities for d in dirs) and \
+        all(dot(a, d) == 0 for a, _ in h.equations for d in dirs)
+
+
+def intersect(p, q):
+    """The intersection of two polyhedra from their merged facet
+    descriptions, or None when it is empty."""
+    h1, h2 = p.hrep, q.hrep
+    merged = HRep(p.ambient_dim, h1.inequalities + h2.inequalities,
+                  h1.equations + h2.equations)
+    try:
+        return Polyhedron.from_hrep(merged)
+    except EmptyPolyhedron:
+        return None
+
+
+def oracle_is_face_of(tau, sigma):
+    """Face test by canonical keys: tau lies in sigma and equals, as a point
+    set, sigma cut down by every facet inequality of sigma tight on tau."""
+    if not contains(sigma, tau):
+        return False
+    verts, rays = sigma.vertices, sigma.rays
+    for a, b in sigma.hrep.inequalities:
+        if face_is_tight(tau, a, b):
+            verts = tuple(v for v in verts if dot(a, v) == b)
+            rays = tuple(r for r in rays if dot(a, r) == 0)
+    cur = Polyhedron(sigma.ambient_dim, verts, rays, sigma.lineality)
+    return cur.canonical_key == tau.canonical_key
+
+
+def oracle_fit_issues(c):
+    """The pairwise-fit issues of `validate_complex(c, pairwise=True)` by
+    the merged facet descriptions and the oracle face test."""
+    facets = c.facet_polyhedra
+    issues = []
+    for i, j in itertools.combinations(range(len(facets)), 2):
+        if facets[i].canonical_key == facets[j].canonical_key:
+            issues.append(f"facets {i} and {j} coincide")
+            continue
+        inter = intersect(facets[i], facets[j])
+        if inter is not None and not (oracle_is_face_of(inter, facets[i])
+                                      and oracle_is_face_of(inter, facets[j])):
+            issues.append(f"facets {i} and {j} do not meet in a common face")
+    return issues
 
 
 def codim1_faces(p):
@@ -135,22 +225,22 @@ class TestDualDescription:
 class TestDimLinealityPointed:
     def test_pointed_cone(self):
         p = cone([1, 0], [0, 1])
-        d, lin, pointed = p.dim, p.true_lineality, not p.true_lineality
+        d, lin, pointed = p.dim, p.canonical_key[1], not p.canonical_key[1]
         assert (d, lin, pointed) == (2, (), True)
 
     def test_halfplane(self):
         p = Polyhedron.from_hrep(HRep(2, ((vec([1, 0]), F(0)),), ()))
-        d, lin, pointed = p.dim, p.true_lineality, not p.true_lineality
+        d, lin, pointed = p.dim, p.canonical_key[1], not p.canonical_key[1]
         assert d == 2 and lin == (vec([0, 1]),) and not pointed
 
     def test_segment(self):
         p = Polyhedron.from_vertices([[0, 0, 0], [1, 0, 0]])
-        d, lin, pointed = p.dim, p.true_lineality, not p.true_lineality
+        d, lin, pointed = p.dim, p.canonical_key[1], not p.canonical_key[1]
         assert d == 1 and lin == () and pointed
 
     def test_hidden_lineality_in_rays(self):
         p = cone([1, 0], [-1, 0], [0, 1])
-        d, lin, pointed = p.dim, p.true_lineality, not p.true_lineality
+        d, lin, pointed = p.dim, p.canonical_key[1], not p.canonical_key[1]
         assert d == 2 and lin == (vec([1, 0]),) and not pointed
 
 
@@ -244,7 +334,7 @@ def _lp_extreme_generators(p):
     other rays, points as convex combinations of the other points plus a
     nonnegative ray combination."""
     from tropicon.ratlin import primitive_vector, reduce_mod_subspace
-    n, lin = p.ambient_dim, p.true_lineality
+    n, lin = p.ambient_dim, p.canonical_key[1]
     verts = sorted({reduce_mod_subspace(v, lin) for v in p.vertices})
     rays = sorted({primitive_vector(r) for r in
                    (reduce_mod_subspace(r, lin) for r in p.rays) if any(r)})
@@ -339,25 +429,10 @@ class TestFacesAgainstFreshPolyhedra:
                 assert f.dim == fresh.dim
 
 
-def _is_face_by_keys(tau, sigma):
-    """Face test by canonical keys: tau lies in sigma and equals, as a point
-    set, sigma cut down by every facet inequality of sigma tight on tau."""
-    if not sigma.contains(tau):
-        return False
-    if tau.canonical_key == sigma.canonical_key:
-        return True
-    verts, rays = sigma.vertices, sigma.rays
-    for a, b in sigma.hrep.inequalities:
-        if face_is_tight(tau, a, b):
-            verts = tuple(v for v in verts if dot(a, v) == b)
-            rays = tuple(r for r in rays if dot(a, r) == 0)
-    cur = Polyhedron(sigma.ambient_dim, verts, rays, sigma.lineality)
-    return cur.canonical_key == tau.canonical_key
-
-
 class TestIsFaceOfAgainstKeys:
-    """is_face_of, which reads only facet descriptions, agrees with the face
-    test by canonical keys on faces and on near misses of random polyhedra."""
+    """is_face_of, which reads only the integer records, agrees with the
+    face test by canonical keys on faces and on near misses of random
+    polyhedra."""
 
     @staticmethod
     def _candidates(rng, p):
@@ -381,10 +456,9 @@ class TestIsFaceOfAgainstKeys:
         for _ in range(20):
             p = TestCanonicalFormAgainstLP._random_polyhedron(rng, kind)
             for tau in self._candidates(rng, p):
-                assert is_face_of(tau, p) == _is_face_by_keys(tau, p)
+                assert is_face_of(tau, p) == oracle_is_face_of(tau, p)
 
     def test_no_double_description_with_cached_facets(self, monkeypatch):
-        import tropicon.polyhedral as polyhedral
         sigma = Polyhedron.from_vertices([[0, 0, 0], [2, 0, 0], [0, 2, 0]],
                                          rays=[[0, 0, 1]])
         taus = codim1_faces(sigma) + [Polyhedron.from_vertices([[1, 1, 0]])]
@@ -438,17 +512,22 @@ class TestComplexWeights:
                 Complex.from_facets(cells, weights=weights)
 
 
+def _from_rows(n, rows):
+    """The polyhedron that rows in the (x0, x) frame generate."""
+    verts = [[F(x, r[0]) for x in r[1:]] for r in rows if r[0]]
+    return Polyhedron(n, verts, [r[1:] for r in rows if not r[0]])
+
+
 class TestIntersect:
     def test_cones(self):
         a = cone([1, 0], [1, 2])
         b = cone([1, 2], [-1, 1])
-        inter = intersect(a, b)
-        assert inter == cone([1, 2])
+        assert _from_rows(2, polyhedral._meet(a, b)) == cone([1, 2]) == intersect(a, b)
 
     def test_disjoint_polytopes(self):
         a = Polyhedron.from_vertices([[0], [1]])
         b = Polyhedron.from_vertices([[2], [3]])
-        assert intersect(a, b) is None
+        assert polyhedral._meet(a, b) == [] and intersect(a, b) is None
 
 
 class TestAffineHyperplane:

@@ -12,10 +12,8 @@ from tropicon.ratlin import (
     reduce_mod_subspace, saturation_basis, smith_normal_form,
     subspace_canonical_basis, vec,
 )
-from test_polyhedral import codim1_faces, fm_feasible, satisfies
-from tropicon.polyhedral import (
-    Polyhedron, _feasible_point, _lattice_normal, face_is_tight, is_face_of,
-)
+from test_polyhedral import codim1_faces, face_is_tight, fm_feasible, satisfies
+from tropicon.polyhedral import Polyhedron, _feasible_point, _lattice_normal, is_face_of
 
 
 def rand_fraction(rng, span=6):
@@ -349,12 +347,16 @@ class TestLatticeNormalGenerator:
         def direction():
             return [rng.randint(-3, 3) for _ in range(n)]
 
+        def canonical(p):
+            n, lin, verts, rays = p.canonical_key
+            return Polyhedron(n, verts, rays, lin)
+
         rays = [r for r in (direction() for _ in range(rng.randint(2, n + 1))) if any(r)]
         if kind == "pointed-cone":
-            return Polyhedron.cone(rays, ambient_dim=n).canonical()
+            return canonical(Polyhedron.cone(rays, ambient_dim=n))
         lin = [l for l in [direction()] if any(l)]
         if kind == "cone-with-lineality":
-            return Polyhedron.cone(rays, lin, ambient_dim=n).canonical()
+            return canonical(Polyhedron.cone(rays, lin, ambient_dim=n))
         pts = [[F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
                for _ in range(rng.randint(1, n + 1))]
         return Polyhedron.from_vertices(pts, rays[:rng.randint(0, len(rays))],
@@ -367,13 +369,12 @@ class TestLatticeNormalGenerator:
     def test_random_cones_snf_oracle(self, kind, seed):
         # residue class generates the quotient lattice, on ambient dim <= 4,
         # and points into sigma across the facet inequality tight on tau
-        from tropicon.polyhedral import face_is_tight
         rng = random.Random(seed)
         checked = 0
         while checked < 20:
             sigma = self._random_cell(rng, kind)
             if sigma.dim < 1 or kind != "polyhedron" and \
-                    (not sigma.true_lineality) != (kind == "pointed-cone"):
+                    (not sigma.canonical_key[1]) != (kind == "pointed-cone"):
                 continue
             n = sigma.ambient_dim
             for tau in codim1_faces(sigma):

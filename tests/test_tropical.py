@@ -11,7 +11,7 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from test_golden import RATIONAL_COMPLEX
-from test_polyhedral import codim1_faces, fm_feasible
+from test_polyhedral import _face_levels, codim1_faces, contains, fm_feasible, intersect
 from test_ratlin import lattice_normal_generator
 from test_theorem import loopless_matroids
 from tropicon import polyhedral, tropical
@@ -19,8 +19,8 @@ from tropicon.connectivity import build_hypergraph, connected_components
 from tropicon.fanjson import fan_from_obj, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine, contraction, proper_flats
 from tropicon.polyhedral import (
-    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _face_levels,
-    _feasible_point, _lattice_normal, _numerators, _outside, intersect,
+    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _feasible_point,
+    _lattice_normal, _numerators, _outside,
 )
 from tropicon.ratlin import (
     _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
@@ -57,18 +57,18 @@ class TestComplexLinealitySpace:
     def test_bergman_all_ones(self):
         b = bergman_fine(Matroid.uniform(3, 4))
         assert b.lineality == (vec([1, 1, 1, 1]),)
-        assert all(f.true_lineality == b.lineality for f in b.facet_polyhedra)
+        assert all(f.canonical_key[1] == b.lineality for f in b.facet_polyhedra)
 
     def test_two_planes_pointed(self):
         fan = two_planes_fan()
         assert fan.lineality == ()
-        assert all(f.true_lineality == () for f in fan.facet_polyhedra)
+        assert all(f.canonical_key[1] == () for f in fan.facet_polyhedra)
 
     def test_subspace_cell(self):
         # pooled without a declared lineality, the plane becomes opposite
         # ray pairs, and the record finds the plane again
         cell = Polyhedron.from_hrep(HRep(3, (), ((vec([1, -2, -2]), F(0)),)))
-        V = Complex.from_facets([cell]).facet_polyhedra[0].true_lineality
+        V = Complex.from_facets([cell]).facet_polyhedra[0].canonical_key[1]
         assert len(V) == 2
         for v in V:
             assert v[0] == 2 * v[1] + 2 * v[2]
@@ -81,7 +81,7 @@ class TestComplexLinealitySpace:
             [Polyhedron.cone([[1, 0]], lineality=[[0, 1]]),
              Polyhedron.cone([[-1, 0]], lineality=[[0, 1]])],
             lineality=[[0, 1]], ambient_dim=2)
-        assert all(vec([0, 1]) in f.true_lineality for f in fan.facet_polyhedra)
+        assert all(vec([0, 1]) in f.canonical_key[1] for f in fan.facet_polyhedra)
 
     def test_smaller_declaration_allowed(self):
         # using less lineality than the largest possible space is legitimate
@@ -90,7 +90,7 @@ class TestComplexLinealitySpace:
              Polyhedron.cone([[-1, 0]], lineality=[[0, 1]])],
             lineality=(), ambient_dim=2)
         assert fan.lineality == ()
-        assert all(f.true_lineality == (vec([0, 1]),) for f in fan.facet_polyhedra)
+        assert all(f.canonical_key[1] == (vec([0, 1]),) for f in fan.facet_polyhedra)
 
 
 class TestQuotientByLineality:
@@ -463,7 +463,7 @@ class TestSkeleton:
         fan = fan_from_text(text)
         faces = [f for f, _, _ in fan.ridges]
         for _ in range(fan.dim - 1 - k):
-            faces = [f for f, _, _ in next(polyhedral._face_levels(
+            faces = [f for f, _, _ in next(_face_levels(
                 [Polyhedron(f.ambient_dim, f.vertices, f.rays, f.lineality)
                  for f in faces]), ())]
         assert got == fan_to_text(Complex.from_facets(
@@ -604,7 +604,7 @@ class TestHyperplaneSection:
         assert len(sec.facet_provenance) == len(sec.section)
         source_facets = c.facet_polyhedra
         for sid, fid in enumerate(sec.facet_provenance):
-            assert source_facets[fid].contains(sec.section.facet(sid))
+            assert contains(source_facets[fid], sec.section.facet(sid))
         # every section ridge is the slice of a source ridge
         source_ridges = {r.canonical_key: r
                          for f in source_facets for r in codim1_faces(f)}
@@ -764,11 +764,12 @@ class TestSectionAgainstLPReference:
                 return fn(*args, **kwargs)
             return wrapper
 
+        ridge_level, level_below = polyhedral._ridge_level, polyhedral._level_below
         for module in (polyhedral, tropical):
             monkeypatch.setattr(module, "_feasible_point",
                                 counted("_feasible_point", _feasible_point))
-            monkeypatch.setattr(module, "_face_levels",
-                                counted("_face_levels", _face_levels))
+            monkeypatch.setattr(module, "_level_below", counted("_level_below", level_below))
+        monkeypatch.setattr(polyhedral, "_ridge_level", counted("_ridge_level", ridge_level))
         for name, c, _ in _section_fixtures():
             sec = hyperplane_section(c, AffineHyperplane(
                 vec([3 ** i for i in range(c.ambient_dim)]), F(1, 7)))
@@ -789,7 +790,7 @@ def _two_pass_section(c, H):
     the generators the cell was given, lineality in both directions."""
     n = c.ambient_dim
     for f in c.facet_polyhedra:
-        lin = f.true_lineality
+        lin = f.canonical_key[1]
         if any(dot(H.normal, l) != 0 for l in lin):
             continue
         _, _, verts, _ = f.canonical_key
