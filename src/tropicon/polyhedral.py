@@ -2,12 +2,13 @@
 
 A polyhedron is stored by generators (vertices, rays, lineality); cones leave
 the vertex list empty and have an implicit apex at the origin.  Its face
-structure comes from one private integer record, `Polyhedron._rec`, built
-from its one exact double description: the primitive integer facet and
-equation normals of the cone its generators span (homogenized when it has
-vertices), as `dd_cone` returns them, and, per generator, the bit mask of
-the facets tight on it (Fukuda & Prodon 1996).  Everything else is read off
-that record, with no elimination over fractions:
+structure comes from one private integer record, `Polyhedron._rec` (class
+`_Record`), built from its one exact double description: the primitive
+integer facet and equation normals of the cone its generators span
+(homogenized when it has vertices), as `dd_cone` returns them, per generator
+the bit mask of the facets tight on it (Fukuda & Prodon 1996), and the
+canonical form as named fields.  Everything else is read off that record,
+with no elimination over fractions:
 
 - the dimension is n minus the number of equations, and the true lineality
   is the declared one plus the rays tight on every facet;
@@ -22,7 +23,8 @@ that record, with no elimination over fractions:
   description, has the cell's dimension minus one, and only deeper faces
   get their dimension as an integer rank;
 - membership and face incidence read one mask, `_Record.mask`: the facets
-  tight on a row of the (x0, x) frame, or None outside the cell.  tau is a
+  tight on a row of the (x0, x) frame, or None outside the cell; the
+  record's own generator masks come from the same loop.  tau is a
   face of sigma when the AND of sigma's masks over tau's generator rows cuts
   out a face with tau's integer key, and two cells fit when the least faces
   of both containing their intersection (one `dd_cone`, `_meet`) are equal;
@@ -43,13 +45,14 @@ and that inequality are all zero (see `tropical.balancing_check`).
 Complexes store shared generator pools plus per-facet index sets.  The pool
 facts the cells share are decided once per complex, in one integer pass
 (`Complex._pool`): the lineality rows and each pool ray's primitive and
-canonical rows.  The face walk gives the faces level by level from the
-ridges down, keying each (cell, mask of facet inequalities) incidence on
-integer rows read off the cell's canonical form (`_face_key`) and making
-one face per distinct key from it (`_face`).  The ridge level
-(`_ridge_level`) takes every incidence and is cached as `Complex.ridges`;
-each level below (`_level_below`) expands one incidence per face by one
-more inequality of its cell.  Fractions are made only where a public value
+canonical rows.  `Complex.facet_polyhedra` builds each cell's record with
+the cell, from its rays' primitive rows and those pool facts.  The face walk
+gives the faces level by level from the ridges down, keying each (cell, mask
+of facet inequalities) incidence on integer rows read off the cell's
+canonical form (`_face_key`) and making one face per distinct key from it
+(`_face`).  The ridge level (`_ridge_level`) takes every incidence and is
+cached as `Complex.ridges`; each level below (`_level_below`) expands one
+incidence per face by one more inequality of its cell.  Fractions are made only where a public value
 needs them: `hrep` and `from_hrep` convert integer rows (`_fraction_row`
 shares the rows that cells repeat), and each pool entry is converted once.
 """
@@ -66,9 +69,9 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .ratlin import (
-    Mat, Vec, ZeroVector, _int_kernel, _int_rank, _int_reduce, _int_row,
-    _lattice_kernel, _primitive, _primitive_ints, dot, frac, is_zero, primitive_vector, sub,
-    neg, subspace_canonical_basis, vec, zero_vec,
+    Mat, Vec, ZeroVector, _int_kernel, _int_reduce, _int_row, _lattice_kernel, _primitive,
+    _primitive_ints, dot, frac, is_zero, matrix_rank, neg, primitive_vector, sub,
+    subspace_canonical_basis, vec, zero_vec,
 )
 
 _ZERO = Fraction(0)
@@ -274,28 +277,42 @@ class AffineHyperplane:
 
 
 class _Record:
-    """Integer facet description of a polyhedron P in R^n.
+    """Integer facet description and canonical form of a polyhedron P in
+    R^n, from one `dd_cone`.
 
     Rows live in R^n for a cone.  When P has vertices they live in R^(n+1):
     a point x is the row (1, x) and a direction d the row (0, d), up to
     positive multiples, and P is the slice x0 = 1 of the cone C that the
-    rows of its generators span; for a cone, C = P.
+    rows of its generators span; for a cone, C = P.  It is built from P's
+    vertices and lineality, its rays as primitive integer rows and, for a
+    cell of a complex, the complex's `Complex._pool`.
 
     - `facets`: the primitive facet normals of C (the rays `dd_cone` finds
       for the polar cone), those of `P.hrep.inequalities` first and in that
       order, then the trivial facet x0 >= 0 when it is one of C;
     - `eqs`: the equation normals of C, the lineality basis `dd_cone` finds;
     - `verts`, `rays`: per vertex and per ray of P, its row and the bit mask
-      of the facets tight on it;
-    - `lin`, `lin_rows`: the true lineality of P, as its canonical basis and
-      as rows.
-    """
-    __slots__ = ("affine", "facets", "eqs", "verts", "rays", "lin", "lin_rows")
+      of the facets tight on it (`_tight`);
+    - `key`: the canonical key, `Polyhedron.canonical_key`;
+    - `den`: the least common denominator of the key's vertices (1 without);
+    - `key_verts`: per vertex of the key, in its order, the vertex times
+      `den` as an integer row of R^n and its tight mask;
+    - `key_rays`: per ray of the key, in its order, its primitive integer
+      row of R^n and its tight mask;
+    - `lin_ints`: the rows of the key's lineality basis, as integers.
 
-    def __init__(self, p: "Polyhedron"):
+    The key's generators are P's generators reduced modulo the true
+    lineality L (the declared one plus the rays tight on every facet),
+    nonzero, made primitive and kept when extreme.  A cone of a complex
+    with no extra lineality reads its rays' reduced rows from the pool;
+    every other polyhedron reduces its own.
+    """
+    __slots__ = ("affine", "facets", "eqs", "verts", "rays", "key", "den", "key_verts",
+                 "key_rays", "lin_ints")
+
+    def __init__(self, p: "Polyhedron", rays: list[tuple[int, ...]],
+                 pool: Optional[tuple] = None):
         self.affine = affine = bool(p.vertices)
-        rays = p.__dict__.get("_ray_rows") or [_numerators(r) for r in p.rays]
-        pool = p.__dict__.get("_pool")
         lin = pool[0] if pool else [_numerators(l) for l in p.lineality]
         verts: list[tuple[int, ...]] = []
         if affine:
@@ -306,25 +323,41 @@ class _Record:
         if affine:  # a stable sort puts the trivial facet x0 >= 0, if C has it, last
             facets.sort(key=lambda a: not any(a[1:]))
         self.facets = facets
-
-        def tight(g: tuple[int, ...]) -> int:
-            mask = 0
-            for i, f in enumerate(facets):
-                if not sum(map(mul, f, g)):
-                    mask |= 1 << i
-            return mask
-
-        self.verts = [(g, tight(g)) for g in verts]
-        self.rays = [(g, tight(g)) for g in rays]
+        self.verts = [(g, self._tight(g)) for g in verts]
+        self.rays = [(g, self._tight(g)) for g in rays]
         # the lineality of C is its least face: the rays tight on every
         # facet lie in it, and with the declared lineality they span it
         full = (1 << len(facets)) - 1
-        extra = [r for r, (_, mask) in zip(p.rays, self.rays) if mask == full]
-        self.lin = p.lineality
-        self.lin_rows = lin
+        extra = [g[affine:] for g, mask in self.rays if mask == full]
+        lin_basis = p.lineality
         if extra:
-            self.lin = subspace_canonical_basis(list(p.lineality) + extra)
-            self.lin_rows = [(0,) * affine + _numerators(l) for l in self.lin]
+            lin_basis = subspace_canonical_basis(list(lin_basis) + extra)
+            lin = [(0,) * affine + _numerators(l) for l in lin_basis]
+        reps: dict[tuple[int, ...], int] = {}
+        if pool and not affine and not extra:
+            for g, mask in self.rays:
+                reps.setdefault(pool[1][g], mask)
+        else:
+            for g, mask in self.verts + self.rays:
+                if lin:
+                    g = _int_reduce(g, lin)
+                if any(g):  # a ray in the lineality is no generator of the key
+                    reps.setdefault(_primitive(g), mask)
+        # extreme: no other generator's tight set contains this one's
+        extreme = [(g, mask) for g, mask in reps.items()
+                   if sum(other & mask == mask for other in reps.values()) == 1]
+        kverts = [(g, mask) for g, mask in extreme if g[0]] if affine else []
+        if len(kverts) == 1 and not any(kverts[0][0][1:]):
+            kverts = []  # a lone vertex at the origin is the apex of a cone
+        self.den = den = math.lcm(*(g[0] for g, _ in kverts))
+        # times den, the vertices sort on integers as their fractions do
+        self.key_verts = sorted((tuple(x * (den // g[0]) for x in g[1:]), mask)
+                                for g, mask in kverts)
+        self.key_rays = sorted((g[affine:], mask) for g, mask in extreme if not affine or not g[0])
+        self.lin_ints = tuple(l[affine:] for l in lin)
+        self.key = (p.ambient_dim, lin_basis,
+                    tuple(tuple(Fraction(x, den) for x in v) for v, _ in self.key_verts),
+                    tuple(_fraction_row(r) for r, _ in self.key_rays))
 
     def mask(self, row: Sequence[int]) -> Optional[int]:
         """The bit mask of the facets of C tight on the row, or None when it
@@ -332,10 +365,22 @@ class _Record:
         x and (0, d) for a direction d, with or without vertices."""
         if not self.affine:
             row = row[1:]
-        vals = [sum(map(mul, f, row)) for f in self.facets]
-        if min(vals, default=0) < 0 or any(sum(map(mul, e, row)) for e in self.eqs):
+        if any(sum(map(mul, e, row)) for e in self.eqs):
             return None
-        return sum(1 << i for i, v in enumerate(vals) if not v)
+        return self._tight(row)
+
+    def _tight(self, row: Sequence[int]) -> Optional[int]:
+        """The bit mask of the facets of C tight on a row of C's own frame,
+        or None when a facet is negative on it: the one loop every tight
+        mask comes from."""
+        mask = 0
+        for i, f in enumerate(self.facets):
+            v = sum(map(mul, f, row))
+            if v < 0:
+                return None
+            if not v:
+                mask |= 1 << i
+        return mask
 
     def cut(self, i: int) -> tuple[int, ...]:
         """The linear part of facet normal i, as integers."""
@@ -433,7 +478,7 @@ class Polyhedron:
     def _rec(self) -> _Record:
         """The integer facet record, from this polyhedron's one double
         description."""
-        return _Record(self)
+        return _Record(self, [_numerators(r) for r in self.rays])
 
     @cached_property
     def hrep(self) -> HRep:
@@ -476,19 +521,17 @@ class Polyhedron:
         rec = self.__dict__.get("_rec")
         if rec is not None:
             return self.ambient_dim - len(rec.eqs)
-        rows = [_numerators(r) for r in self.rays]
-        rows += [_numerators(l) for l in self.lineality]
+        rows = self.rays + self.lineality
         if not self.vertices:
-            return _int_rank(rows)
-        rows = [(0,) + r for r in rows]
-        rows += [_int_row((1,) + v) for v in self.vertices]
-        return _int_rank(rows) - 1
+            return matrix_rank(rows)
+        return matrix_rank([(0, *r) for r in rows] + [(1, *v) for v in self.vertices]) - 1
 
     # -- canonical form ----------------------------------------------------
 
     @cached_property
     def canonical_key(self) -> tuple:
-        """Hashable form identifying the polyhedron as a point set.
+        """Hashable form identifying the polyhedron as a point set: the
+        record's `key` field, which `_Record` computes with the record.
 
         Vertices and rays are reduced modulo the true lineality space L,
         filtered down to extreme generators and sorted, so any two generator
@@ -511,48 +554,7 @@ class Polyhedron:
         faces have distinct tight sets, so T(h) then strictly contains T(g):
         equal tight sets never decide the test.)
         """
-        return self._canon[0]
-
-    @cached_property
-    def _canon(self) -> tuple:
-        """(canonical key, tight masks of its vertices, tight masks of its
-        rays, common denominator D of its vertices, the vertices times D,
-        the rays and the lineality rows as integers).  A cone whose true
-        lineality is the declared one reads its rays' canonical rows from its
-        complex's `Complex._pool`; others reduce their own."""
-        rec = self._rec
-        lin_rows = rec.lin_rows
-        pool = self.__dict__.get("_pool")
-        reps: dict[tuple[int, ...], int] = {}
-        if pool is not None and not rec.affine and rec.lin is self.lineality:
-            for row, mask in rec.rays:
-                reps.setdefault(pool[1][row], mask)
-        else:
-            for row, mask in rec.verts + rec.rays:
-                if lin_rows:
-                    row = _int_reduce(row, lin_rows)
-                if any(row):  # a ray in the lineality is no generator of the key
-                    reps.setdefault(_primitive(row), mask)
-        # extreme: no other generator's tight set contains this one's
-        extreme = [(r, mask) for r, mask in reps.items()
-                   if sum(other & mask == mask for other in reps.values()) == 1]
-        verts = [(r, mask) for r, mask in extreme if r[0]] if rec.affine else []
-        if len(verts) == 1 and not any(verts[0][0][1:]):
-            verts = []  # a lone vertex at the origin is the apex of a cone
-        den = math.lcm(*(r[0] for r, _ in verts))
-        # times den, the vertices sort on integers as their fractions do
-        verts = sorted((tuple(x * (den // r[0]) for x in r[1:]), mask, r) for r, mask in verts)
-        if rec.affine:
-            rays = sorted((r[1:], mask) for r, mask in extreme if not r[0])
-            lin_ints = tuple(l[1:] for l in lin_rows)
-        else:
-            rays = sorted(extreme)
-            lin_ints = tuple(lin_rows)
-        key = (self.ambient_dim, rec.lin,
-               tuple(tuple(Fraction(x, r[0]) for x in r[1:]) for _, _, r in verts),
-               tuple(_fraction_row(r) for r, _ in rays))
-        return (key, tuple(mask for _, mask, _ in verts), tuple(mask for _, mask in rays),
-                den, tuple(v for v, _, _ in verts), tuple(r for r, _ in rays), lin_ints)
+        return self._rec.key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polyhedron) and self.canonical_key == other.canonical_key
@@ -660,19 +662,19 @@ def _face_key(p: Polyhedron, tight: int, scale: int) -> Optional[tuple]:
     lineality rows, the face's vertices times `scale` (a common multiple of
     the denominators of every vertex compared) and its rays, all read off
     p's canonical rows.  Equal keys are equal point sets."""
-    _, vmasks, rmasks, den, vrows, rrows, lin_ints = p._canon
-    vs = [row for row, mask in zip(vrows, vmasks) if mask & tight == tight]
-    if vmasks and not vs:
+    rec = p._rec
+    vs = [row for row, mask in rec.key_verts if mask & tight == tight]
+    if rec.key_verts and not vs:
         return None
     if len(vs) == 1 and not any(vs[0]):
         vs = []  # the apex of a cone
-    elif den != scale:
-        vs = [tuple(scale // den * x for x in row) for row in vs]
-    return lin_ints, tuple(vs), tuple([r for r, m in zip(rrows, rmasks) if m & tight == tight])
+    elif rec.den != scale:
+        vs = [tuple(scale // rec.den * x for x in row) for row in vs]
+    return rec.lin_ints, tuple(vs), tuple([r for r, m in rec.key_rays if m & tight == tight])
 
 
 def _vertex_scale(cells: Sequence[Polyhedron]) -> int:
-    return math.lcm(*(cell._canon[3] for cell in cells))
+    return math.lcm(*(cell._rec.den for cell in cells))
 
 
 def _sorted_level(level: dict) -> list[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]]]:
@@ -734,9 +736,11 @@ def _generator_rows(p: Polyhedron) -> list[tuple[int, ...]]:
     """Rows in the (x0, x) frame that generate p: its canonical vertices
     times their common denominator (the origin when the key has none), its
     canonical rays, and its lineality rows in both directions."""
-    _, _, _, den, vrows, rrows, lin_ints = p._canon
-    dirs = list(rrows) + list(lin_ints) + [tuple(-x for x in l) for l in lin_ints]
-    return ([(den,) + v for v in vrows] or [(1,) + (0,) * p.ambient_dim]) + [(0,) + d for d in dirs]
+    rec = p._rec
+    dirs = [r for r, _ in rec.key_rays] + list(rec.lin_ints)
+    dirs += [tuple(-x for x in l) for l in rec.lin_ints]
+    verts = [(rec.den,) + v for v, _ in rec.key_verts] or [(1,) + (0,) * p.ambient_dim]
+    return verts + [(0,) + d for d in dirs]
 
 
 def _least_face_key(p: Polyhedron, rows: Iterable[Sequence[int]], scale: int) -> Optional[tuple]:
@@ -882,9 +886,9 @@ class Complex:
     @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
         """`facet(i)` for every cell, with the lineality put in canonical
-        form and each pool entry converted once; every cell keeps its rays'
-        primitive rows and the complex's `_pool`, which its record and
-        canonical form read in place of the fractions."""
+        form and each pool entry converted once; every cell gets its record
+        here, from its rays' primitive rows and the complex's `_pool`, in
+        place of the fractions."""
         n = self.ambient_dim
         pool = self._pool
         _, canon, lin, keys = pool
@@ -894,7 +898,7 @@ class Complex:
         for vidx, ridx in self.cells:
             ks = [k for k in dict.fromkeys(keys[j] for j in ridx) if k is not None]
             cell = Polyhedron._raw(n, tuple(verts[j] for j in vidx), tuple(rays[k] for k in ks), lin)
-            cell.__dict__.update(_ray_rows=ks, _pool=pool)
+            cell.__dict__["_rec"] = _Record(cell, ks, pool)
             cells.append(cell)
         return tuple(cells)
 
@@ -938,9 +942,6 @@ def _validate(c: Complex) -> ValidationReport:
     """Purity.  Every cell contains the declared lineality, since
     `facet_polyhedra` gives each cell exactly that lineality."""
     facets = c.facet_polyhedra
-    # one double description per facet: dimensions are read off its record
-    for f in facets:
-        f._rec
     d = c.dim
     issues = tuple(f"facet {i} has dimension {f.dim}, expected {d}"
                    for i, f in enumerate(facets) if f.dim != d)

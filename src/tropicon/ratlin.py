@@ -12,11 +12,12 @@ rows and returns ints, which `Polyhedron.hrep` and `from_hrep` turn into
 fractions.  The Smith normal form has an integer core that the public
 function wraps.  Results are converted back to fractions at each public
 function of this module; the private helpers that the geometry layer's
-integer cell record calls (`_int_kernel`, `_int_reduce`, `_int_rank`,
-`_lattice_kernel`) take and return ints.  Feasibility of linear systems,
-strict rows included, is decided in the geometry layer by one double
-description (`polyhedral._feasible_point`).  This module imports nothing
-else from the package.
+integer cell record calls (`_int_kernel`, `_int_reduce`, `_lattice_kernel`)
+take and return ints.  `matrix_rank` is the one rank, for rational and
+integer rows alike (integer rows pass `_int_row` unchanged).  Feasibility
+of linear systems, strict rows included, is decided in the geometry layer
+by one double description (`polyhedral._feasible_point`).  This module
+imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -243,11 +244,6 @@ def _int_reduce(row: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]
             q = b[p]
             out = [q * x - f * y for x, y in zip(out, b)]
     return out
-
-
-def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows, by Bareiss elimination."""
-    return len(_bareiss([list(row) for row in rows])[1]) if rows else 0
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,8 @@ def normal_fan(vertices: Sequence[Iterable]) -> Complex:
     and rows with a in the complement (x0 >= 0 among them) give none.  A
     point lies on exactly the facets its tight mask names, and distinct
     faces have distinct masks, so a point is an extreme vertex of P iff its
-    mask is one the canonical key keeps for its extreme vertices.  The key
-    drops a lone vertex at the origin, so one point (fan R^n) is set apart.
+    mask is one of the record's `key_verts` masks.  The key drops a lone
+    vertex at the origin, so one point (fan R^n) is set apart.
     As `bergman_fine` does from flats, the pool is the distinct outer normals
     and a cell the sorted pool ids of the facets through its vertex.
     """
@@ -125,7 +125,7 @@ def normal_fan(vertices: Sequence[Iterable]) -> Complex:
     lin_rows = [_numerators(l) for l in lineality]
     outer = {i: _primitive_ints([-x for x in a]) for i in range(len(rec.facets))
              if _outside(a := rec.cut(i), lin_rows)}
-    extreme = set(hull._canon[1]) if hull.dim else {rec.verts[0][1]}
+    extreme = {mask for _, mask in rec.key_verts} if hull.dim else {rec.verts[0][1]}
     pool: dict[tuple[int, ...], int] = {}
     cells = []
     for _, mask in rec.verts:

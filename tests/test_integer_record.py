@@ -35,8 +35,9 @@ from tropicon.polyhedral import (
     AffineHyperplane, Complex, Polyhedron, _face, _lattice_normal, is_face_of, validate_complex,
 )
 from tropicon.ratlin import (
-    _int_kernel, _int_rank, _int_reduce, _int_row, _primitive, _primitive_ints, identity_mat,
-    is_zero, neg, primitive_vector, reduce_mod_subspace, subspace_canonical_basis, vec, zero_vec,
+    _int_kernel, _int_reduce, _int_row, _primitive, _primitive_ints, identity_mat, is_zero,
+    matrix_rank, neg, primitive_vector, reduce_mod_subspace, subspace_canonical_basis, vec,
+    zero_vec,
 )
 from tropicon.tropical import (
     balancing_check, cube_normal_fan, hyperplane_section, normal_fan, skeleton,
@@ -440,9 +441,9 @@ def _rank_dim(face):
     is how every face without a record got it before."""
     rows = [_int_row(g) for g in face.rays + face.lineality]
     if not face.vertices:
-        return _int_rank(rows)
+        return matrix_rank(rows)
     rows = [[0] + r for r in rows] + [_int_row((1,) + v) for v in face.vertices]
-    return _int_rank(rows) - 1
+    return matrix_rank(rows) - 1
 
 
 def _dimension_fixtures():
@@ -623,16 +624,23 @@ def _oracle_pool(c):
     return [tuple(x.numerator for x in l) for l in lin], canon, lin, keys
 
 
+def _record_fields(p):
+    """The generators of p and every field of its integer record."""
+    rec = p._rec
+    return (p.vertices, p.rays, p.lineality, rec.affine, rec.facets, rec.eqs, rec.verts,
+            rec.rays, rec.key, rec.den, rec.key_verts, rec.key_rays, rec.lin_ints)
+
+
 def _assert_pool_matches_a_copy(c):
-    """The pool facts of the loaded complex, and the cells it gives, equal
-    those of an in-memory copy and of the fraction oracle."""
+    """The pool facts of the loaded complex equal those of an in-memory copy
+    and of the fraction oracle, and each cell it gives has the record of the
+    copy's cell and of the cell rebuilt from its generators."""
     copy = _copy(c)
     assert "_pool" not in copy.__dict__
     assert c._pool == copy._pool == _oracle_pool(c)
-    assert [(p.vertices, p.rays, p.lineality, p.__dict__["_ray_rows"], p.__dict__["_pool"])
-            for p in c.facet_polyhedra] == \
-        [(p.vertices, p.rays, p.lineality, p.__dict__["_ray_rows"], p.__dict__["_pool"])
-         for p in copy.facet_polyhedra]
+    assert [_record_fields(p) for p in c.facet_polyhedra] == \
+        [_record_fields(p) for p in copy.facet_polyhedra] == \
+        [_record_fields(_general(p)) for p in c.facet_polyhedra]
 
 
 @st.composite
@@ -863,28 +871,32 @@ def _general(p):
     return Polyhedron(p.ambient_dim, p.vertices, p.rays, p.lineality)
 
 
-def _canon_reduces(p, monkeypatch):
-    """Whether `p._canon` reduces rows itself rather than reading the
-    canonical rows of its pool."""
-    p._rec
-    p.__dict__.pop("_canon", None)  # computed afresh below
+def _record_reduces(p, pool, monkeypatch):
+    """Whether the record of the cell p, built again from its ray rows and
+    the complex's pool, reduces rows itself rather than reading the
+    canonical rows of its pool.  `dd_cone` returns p's facet description,
+    so only the canonical form's own steps are counted; the rebuilt record
+    must equal p's."""
+    rec = p._rec
     reduced = []
     with monkeypatch.context() as m:
+        m.setattr(polyhedral, "dd_cone", lambda *args: (list(rec.facets), rec.eqs))
         m.setattr(polyhedral, "_int_reduce",
                   lambda row, basis: reduced.append(row) or _int_reduce(row, basis))
         m.setattr(polyhedral, "_primitive", lambda row: reduced.append(row) or _primitive(row))
-        p._canon
+        again = polyhedral._Record(p, [tuple(map(int, r)) for r in p.rays], pool)
+    assert [getattr(again, f) for f in again.__slots__] == [getattr(rec, f) for f in rec.__slots__]
     return bool(reduced)
 
 
 def _assert_pool_rows_change_nothing(c, monkeypatch):
-    """Every cell's canonical form equals the general path's; a cone whose
-    true lineality is the declared one reads its pool's rows, and any other
-    cell takes the general path."""
+    """Every cell's record equals the general path's; a cone whose true
+    lineality is the declared one reads its pool's rows, and any other cell
+    takes the general path."""
     for p in c.facet_polyhedra:
-        general = _canon_reduces(p, monkeypatch)
+        general = _record_reduces(p, c._pool, monkeypatch)
         assert general == (bool(p.vertices) or len(p.canonical_key[1]) > len(c.lineality))
-        assert p._canon == _general(p)._canon
+        assert _record_fields(p) == _record_fields(_general(p))
         assert p.canonical_key == _general(p).canonical_key
 
 
@@ -913,9 +925,10 @@ class TestPoolCanonicalRows:
                "weights": [1, 1, 1]}
         for c in (fan_from_obj(obj), _copy(fan_from_obj(obj))):
             first = c.facet_polyhedra[0]
-            assert first.__dict__["_pool"][1][(1, 0, 0)] == (0, -1, -1)
+            assert c._pool[1][(1, 0, 0)] == (0, -1, -1)
+            assert [row for row, _ in first._rec.key_rays] == [(0, -1, -1)]
             assert first.canonical_key[3] == ((0, -1, -1),)
-            assert not _canon_reduces(first, monkeypatch)
+            assert not _record_reduces(first, c._pool, monkeypatch)
             _assert_pool_rows_change_nothing(c, monkeypatch)
 
     def test_rays_equal_modulo_the_lineality_in_memory(self, monkeypatch):
@@ -930,14 +943,29 @@ class TestPoolCanonicalRows:
         e3 = [[0, 0, 1]]
         c = Complex.from_facets([Polyhedron.cone([r], lineality=e3, ambient_dim=3)
                                  for r in ([1, 0, 0], [0, 1, 0], [-1, -1, 0])])
-        assert all(_canon_reduces(p, monkeypatch) for p in c.facet_polyhedra)
+        assert all(_record_reduces(p, c._pool, monkeypatch) for p in c.facet_polyhedra)
         _assert_pool_rows_change_nothing(c, monkeypatch)
         _assert_pool_rows_change_nothing(_loaded(c), monkeypatch)
 
     def test_vertices_take_the_general_path(self, monkeypatch):
         c = fan_from_obj(RATIONAL_COMPLEX)
-        assert all(_canon_reduces(p, monkeypatch) for p in c.facet_polyhedra)
+        assert all(_record_reduces(p, c._pool, monkeypatch) for p in c.facet_polyhedra)
         _assert_pool_rows_change_nothing(c, monkeypatch)
+
+    def test_cells_hold_their_records(self, monkeypatch):
+        # facet_polyhedra builds every cell's record, so validation runs no
+        # double description of its own
+        calls = []
+        real = polyhedral.dd_cone
+        monkeypatch.setattr(polyhedral, "dd_cone", lambda *args: calls.append(args) or real(*args))
+        for name, c in _RIDGE_FIXTURES:
+            for complex_ in (_copy(c), _loaded(c)):
+                cells = complex_.facet_polyhedra
+                assert all("_rec" in p.__dict__ for p in cells), name
+                built = len(calls)
+                assert built >= len(cells), name
+                validate_complex(complex_)
+                assert len(calls) == built, name
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from tropicon.ratlin import ZeroVector, dot, vec
 def face_by_mask(p, tight):
     """The face of p on which the facet inequalities of p with bit set in
     the mask `tight` are equalities, or None when it is empty."""
-    scale = p._canon[3]
+    scale = p._rec.den
     key = _face_key(p, tight, scale)
     return None if key is None else _face(p, key, scale)
 

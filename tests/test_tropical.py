@@ -292,7 +292,7 @@ def pooled_normal_fan(vertices) -> Complex:
     lin_rows = [_numerators(l) for l in lineality]
     outer = {i: _primitive_ints([-x for x in a]) for i in range(len(rec.facets))
              if _outside(a := rec.cut(i), lin_rows)}
-    extreme = set(hull._canon[1]) if hull.dim else {rec.verts[0][1]}
+    extreme = {mask for _, mask in rec.key_verts} if hull.dim else {rec.verts[0][1]}
     cones = []
     for _, mask in rec.verts:
         if mask in extreme:
