@@ -960,12 +960,12 @@ class TestPoolCanonicalRows:
         monkeypatch.setattr(polyhedral, "dd_cone", lambda *args: calls.append(args) or real(*args))
         for name, c in _RIDGE_FIXTURES:
             for complex_ in (_copy(c), _loaded(c)):
+                before = len(calls)
                 cells = complex_.facet_polyhedra
                 assert all("_rec" in p.__dict__ for p in cells), name
-                built = len(calls)
-                assert built >= len(cells), name
+                assert len(calls) - before == len(cells), name
                 validate_complex(complex_)
-                assert len(calls) == built, name
+                assert len(calls) - before == len(cells), name
 
 
 # ---------------------------------------------------------------------------
