@@ -871,30 +871,50 @@ def _general(p):
     return Polyhedron(p.ambient_dim, p.vertices, p.rays, p.lineality)
 
 
-def _record_reduces(p, pool, monkeypatch):
-    """Whether the record of the cell p, built again from its ray rows and
-    the complex's pool, reduces rows itself rather than reading the
-    canonical rows of its pool.  `dd_cone` returns p's facet description,
-    so only the canonical form's own steps are counted; the rebuilt record
-    must equal p's."""
-    rec = p._rec
-    reduced = []
+def _cells_reducing(c, monkeypatch):
+    """Per cell of c, whether `facet_polyhedra` builds its record by reducing
+    rows itself rather than reading the canonical rows of the complex's
+    pool.  The rows are counted on an in-memory copy of c, whose pool is
+    built first (it reduces the pool rays) and whose cells must then have
+    the records of c's; `dd_cone`'s own primitive rows are not counted."""
+    copy = _copy(c)
+    copy._pool
+    counts, quiet = [], [False]
+    init, dd_cone = polyhedral._Record.__init__, polyhedral.dd_cone
+
+    def counted_init(rec, *args):
+        counts.append(0)
+        init(rec, *args)
+
+    def counted(f):
+        def g(*args):
+            counts[-1] += not quiet[0]
+            return f(*args)
+        return g
+
+    def quiet_dd_cone(*args):
+        quiet[0] = True
+        try:
+            return dd_cone(*args)
+        finally:
+            quiet[0] = False
+
     with monkeypatch.context() as m:
-        m.setattr(polyhedral, "dd_cone", lambda *args: (list(rec.facets), rec.eqs))
-        m.setattr(polyhedral, "_int_reduce",
-                  lambda row, basis: reduced.append(row) or _int_reduce(row, basis))
-        m.setattr(polyhedral, "_primitive", lambda row: reduced.append(row) or _primitive(row))
-        again = polyhedral._Record(p, [tuple(map(int, r)) for r in p.rays], pool)
-    assert [getattr(again, f) for f in again.__slots__] == [getattr(rec, f) for f in rec.__slots__]
-    return bool(reduced)
+        m.setattr(polyhedral._Record, "__init__", counted_init)
+        m.setattr(polyhedral, "dd_cone", quiet_dd_cone)
+        m.setattr(polyhedral, "_int_reduce", counted(_int_reduce))
+        m.setattr(polyhedral, "_primitive", counted(_primitive))
+        cells = copy.facet_polyhedra
+    assert len(counts) == len(cells)
+    assert [_record_fields(p) for p in cells] == [_record_fields(p) for p in c.facet_polyhedra]
+    return [bool(n) for n in counts]
 
 
 def _assert_pool_rows_change_nothing(c, monkeypatch):
     """Every cell's record equals the general path's; a cone whose true
     lineality is the declared one reads its pool's rows, and any other cell
     takes the general path."""
-    for p in c.facet_polyhedra:
-        general = _record_reduces(p, c._pool, monkeypatch)
+    for p, general in zip(c.facet_polyhedra, _cells_reducing(c, monkeypatch)):
         assert general == (bool(p.vertices) or len(p.canonical_key[1]) > len(c.lineality))
         assert _record_fields(p) == _record_fields(_general(p))
         assert p.canonical_key == _general(p).canonical_key
@@ -928,7 +948,7 @@ class TestPoolCanonicalRows:
             assert c._pool[1][(1, 0, 0)] == (0, -1, -1)
             assert [row for row, _ in first._rec.key_rays] == [(0, -1, -1)]
             assert first.canonical_key[3] == ((0, -1, -1),)
-            assert not _record_reduces(first, c._pool, monkeypatch)
+            assert not _cells_reducing(c, monkeypatch)[0]
             _assert_pool_rows_change_nothing(c, monkeypatch)
 
     def test_rays_equal_modulo_the_lineality_in_memory(self, monkeypatch):
@@ -943,13 +963,13 @@ class TestPoolCanonicalRows:
         e3 = [[0, 0, 1]]
         c = Complex.from_facets([Polyhedron.cone([r], lineality=e3, ambient_dim=3)
                                  for r in ([1, 0, 0], [0, 1, 0], [-1, -1, 0])])
-        assert all(_record_reduces(p, c._pool, monkeypatch) for p in c.facet_polyhedra)
+        assert all(_cells_reducing(c, monkeypatch))
         _assert_pool_rows_change_nothing(c, monkeypatch)
         _assert_pool_rows_change_nothing(_loaded(c), monkeypatch)
 
     def test_vertices_take_the_general_path(self, monkeypatch):
         c = fan_from_obj(RATIONAL_COMPLEX)
-        assert all(_record_reduces(p, c._pool, monkeypatch) for p in c.facet_polyhedra)
+        assert all(_cells_reducing(c, monkeypatch))
         _assert_pool_rows_change_nothing(c, monkeypatch)
 
     def test_cells_hold_their_records(self, monkeypatch):
