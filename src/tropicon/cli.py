@@ -295,16 +295,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"tropicon: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NotTransverse as exc:
         print(f"tropicon: not transverse: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"tropicon: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetExceeded as exc:
+    except (UsageError, OSError, ValueError, KeyError, BudgetExceeded) as exc:
+        # a json.JSONDecodeError is a ValueError
         print(f"tropicon: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -52,9 +52,12 @@ of facet inequalities) incidence on integer rows read off the cell's
 canonical form (`_face_key`) and making one face per distinct key from it
 (`_face`).  The ridge level (`_ridge_level`) takes every incidence and is
 cached as `Complex.ridges`; each level below (`_level_below`) expands one
-incidence per face by one more inequality of its cell.  Fractions are made only where a public value
-needs them: `hrep` and `from_hrep` convert integer rows (`_fraction_row`
-shares the rows that cells repeat), and each pool entry is converted once.
+incidence per face by one more inequality of its cell.  Meets, slices and
+the witness check read a record's rows lifted to the (x0, x) frame
+(`_lifted`), and every H-description becomes generators through one
+conversion (`_from_rows`).  Fractions are made only where a public value
+needs them: `_from_rows` converts `dd_cone`'s rays (`_fraction_row` shares
+the rows that cells repeat), and each pool entry is converted once.
 """
 
 from __future__ import annotations
@@ -71,10 +74,9 @@ from typing import Iterable, Optional, Sequence
 from .ratlin import (
     Mat, Vec, ZeroVector, _int_kernel, _int_reduce, _int_row, _lattice_kernel, _primitive,
     _primitive_ints, dot, frac, is_zero, matrix_rank, neg, primitive_vector, sub,
-    subspace_canonical_basis, vec, zero_vec,
+    subspace_canonical_basis, vec,
 )
 
-_ZERO = Fraction(0)
 # Fractions are immutable: the few distinct entries of integer rows share them
 _fraction = functools.lru_cache(maxsize=1024)(Fraction)
 # so do the rows: the cells of a complex repeat most normals, equations and rays
@@ -288,8 +290,10 @@ class _Record:
     cell of a complex, the complex's `Complex._pool`.
 
     - `facets`: the primitive facet normals of C (the rays `dd_cone` finds
-      for the polar cone), those of `P.hrep.inequalities` first and in that
-      order, then the trivial facet x0 >= 0 when it is one of C;
+      for the polar cone): the `cuts` facet inequalities of P first, then
+      the trivial facet x0 >= 0 when it is one of C;
+    - `cuts`: the number of facet inequalities of P, every facet of C but
+      the trivial one; a cut's index is its facet's;
     - `eqs`: the equation normals of C, the lineality basis `dd_cone` finds;
     - `verts`, `rays`: per vertex and per ray of P, its row and the bit mask
       of the facets tight on it (`_tight`);
@@ -307,7 +311,7 @@ class _Record:
     with no extra lineality reads its rays' reduced rows from the pool;
     every other polyhedron reduces its own.
     """
-    __slots__ = ("affine", "facets", "eqs", "verts", "rays", "key", "den", "key_verts",
+    __slots__ = ("affine", "facets", "cuts", "eqs", "verts", "rays", "key", "den", "key_verts",
                  "key_rays", "lin_ints")
 
     def __init__(self, p: "Polyhedron", rays: list[tuple[int, ...]],
@@ -323,6 +327,7 @@ class _Record:
         if affine:  # a stable sort puts the trivial facet x0 >= 0, if C has it, last
             facets.sort(key=lambda a: not any(a[1:]))
         self.facets = facets
+        self.cuts = sum(1 for a in facets if any(a[affine:]))
         self.verts = [(g, self._tight(g)) for g in verts]
         self.rays = [(g, self._tight(g)) for g in rays]
         # the lineality of C is its least face: the rays tight on every
@@ -451,26 +456,9 @@ class Polyhedron:
 
     @staticmethod
     def from_hrep(h: HRep) -> "Polyhedron":
-        n = h.ambient_dim
-        homogeneous = all(b == 0 for _, b in h.inequalities) and \
-            all(b == 0 for _, b in h.equations)
-        if homogeneous:
-            rays, lin = dd_cone([a for a, _ in h.inequalities],
-                                [a for a, _ in h.equations], n)
-            return Polyhedron(n, (), tuple(rays), tuple(lin))
-        ineqs = [(Fraction(1),) + zero_vec(n)]
-        ineqs += [(-b,) + tuple(a) for a, b in h.inequalities]
-        eqs = [(-b,) + tuple(a) for a, b in h.equations]
-        rays, lin = dd_cone(ineqs, eqs, n + 1)
-        verts, prays = [], []
-        for r in rays:
-            if r[0] > 0:
-                verts.append(tuple(Fraction(x, r[0]) for x in r[1:]))
-            else:
-                prays.append(r[1:])
-        if not verts:
-            raise EmptyPolyhedron("inequality system is infeasible")
-        return Polyhedron(n, tuple(verts), tuple(prays), tuple(l[1:] for l in lin))
+        """The polyhedron of a facet description: `_from_rows` of its rows (-b, a)."""
+        return _from_rows(h.ambient_dim, [(-b, *a) for a, b in h.inequalities],
+                          [(-b, *a) for a, b in h.equations])
 
     # -- lazily computed structure -----------------------------------------
 
@@ -479,19 +467,6 @@ class Polyhedron:
         """The integer facet record, from this polyhedron's one double
         description."""
         return _Record(self, [_numerators(r) for r in self.rays])
-
-    @cached_property
-    def hrep(self) -> HRep:
-        """Irredundant facet inequalities plus a basis of the equations, as
-        fractions made from the record's integer rows."""
-        rec = self._rec
-        k = int(rec.affine)  # with vertices, column 0 of a row holds -b
-
-        def row(a: tuple[int, ...]) -> tuple[Vec, Fraction]:
-            return _fraction_row(a[k:]), _fraction(-a[0]) if k else _ZERO
-
-        return HRep(self.ambient_dim, tuple(row(a) for a in rec.facets if any(a[k:])),
-                    tuple(map(row, rec.eqs)))
 
     @cached_property
     def direction_span(self) -> Mat:
@@ -587,6 +562,38 @@ class Polyhedron:
         if len(d) != self.ambient_dim:
             raise ValueError("dimension mismatch")
         return self._rec.mask(_int_row((0, *d))) is not None
+
+
+# ---------------------------------------------------------------------------
+# facet rows in the (x0, x) frame
+
+
+def _lifted(rec: _Record) -> tuple[list, list]:
+    """The record's facet inequalities, without the trivial x0 >= 0, and its
+    equations, as rows of the (x0, x) frame (a row a reads a.(1, x) >= 0 or
+    = 0); a cone's rows get x0 coefficient 0."""
+    lift = (0,) * (not rec.affine)
+    return [lift + a for a in rec.facets[:rec.cuts]], [lift + e for e in rec.eqs]
+
+
+def _from_rows(n: int, ineqs: Sequence[Sequence], eqs: Sequence[Sequence]) -> Polyhedron:
+    """The polyhedron {x in R^n : a.(1, x) >= 0 for a in ineqs, e.(1, x) = 0
+    for e in eqs}, rows of ints or fractions, from one `dd_cone`: a cone when
+    every row has x0 coefficient 0, else the slice x0 = 1 of the cone that
+    the rows and x0 >= 0 cut out, or `EmptyPolyhedron` when it is empty."""
+    if not any(r[0] for r in itertools.chain(ineqs, eqs)):
+        rays, lin = dd_cone([a[1:] for a in ineqs], [e[1:] for e in eqs], n)
+        return Polyhedron(n, (), tuple(rays), tuple(lin))
+    rays, lin = dd_cone([(1,) + (0,) * n, *ineqs], eqs, n + 1)
+    verts, prays = [], []
+    for r in rays:
+        if r[0] > 0:
+            verts.append(tuple(Fraction(x, r[0]) for x in r[1:]))
+        else:
+            prays.append(r[1:])
+    if not verts:
+        raise EmptyPolyhedron("inequality system is infeasible")
+    return Polyhedron(n, tuple(verts), tuple(prays), tuple(l[1:] for l in lin))
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +694,9 @@ def _ridge_level(cells: Sequence[Polyhedron], scale: int) -> list:
     key, `scale` being `_vertex_scale(cells)`.
 
     Each face comes with the indices of cells it is a face of and, per cell,
-    the mask of the cell's facet inequalities (bits over its
-    `hrep.inequalities`) that cuts it out, so later steps need not prove the
-    incidence again.  Incidences are grouped on `_face_key`, and one face is
+    the mask of the cell's facet inequalities (bits over the first
+    `_Record.cuts` facets of its record) that cuts it out, so later steps
+    need not prove the incidence again.  Incidences are grouped on `_face_key`, and one face is
     made per key, from its first incidence, with its cell's dimension minus
     one (an irredundant facet description cuts out distinct, nonempty
     facets).
@@ -697,7 +704,7 @@ def _ridge_level(cells: Sequence[Polyhedron], scale: int) -> list:
     level: dict[tuple, tuple[Polyhedron, list[int], list[int]]] = {}
     for i, cell in enumerate(cells):
         d = cell.dim - 1
-        for k in range(len(cell.hrep.inequalities)):
+        for k in range(cell._rec.cuts):
             key = _face_key(cell, 1 << k, scale)
             entry = level.get(key)
             if entry is None:
@@ -721,7 +728,7 @@ def _level_below(cells: Sequence[Polyhedron], level: list, scale: int) -> list:
     below: dict[tuple, Optional[tuple[Polyhedron, list[int], list[int]]]] = {}
     for face, fids, masks in level:
         cell, tight, d = cells[fids[0]], masks[0], face.dim - 1
-        for k in range(len(cell.hrep.inequalities)):
+        for k in range(cell._rec.cuts):
             sub = tight | 1 << k
             if sub == tight:
                 continue
@@ -768,15 +775,12 @@ def is_face_of(tau: Polyhedron, sigma: Polyhedron) -> bool:
 
 def _meet(p: Polyhedron, q: Polyhedron) -> list[tuple[int, ...]]:
     """Rows in the (x0, x) frame that generate the intersection of p and q,
-    or [] when it is empty, from one `dd_cone`: the rows of both records (a
-    cone's with x0 = 0) and x0 >= 0 cut out the cone over the intersection,
+    or [] when it is empty, from one `dd_cone`: the lifted rows of both
+    records (`_lifted`) and x0 >= 0 cut out the cone over the intersection,
     whose lineality has x0 = 0 and comes in both directions."""
-    ineqs, eqs = [(1,) + (0,) * p.ambient_dim], []
-    for rec in (p._rec, q._rec):
-        lift = (0,) * (not rec.affine)
-        ineqs += [lift + a for a in rec.facets]
-        eqs += [lift + e for e in rec.eqs]
-    rays, lin = dd_cone(ineqs, eqs, p.ambient_dim + 1)
+    (p_ineqs, p_eqs), (q_ineqs, q_eqs) = _lifted(p._rec), _lifted(q._rec)
+    rays, lin = dd_cone([(1,) + (0,) * p.ambient_dim] + p_ineqs + q_ineqs, p_eqs + q_eqs,
+                        p.ambient_dim + 1)
     if not any(r[0] > 0 for r in rays):
         return []
     return rays + lin + [tuple(-x for x in l) for l in lin]
@@ -906,8 +910,8 @@ class Complex:
     def ridges(self) -> tuple[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]], ...]:
         """Distinct codimension-one faces of the facets, sorted by canonical
         key, each with the ids of the facets it is a face of and, per facet,
-        the index in its `hrep.inequalities` of the inequality that cuts it
-        out: `_ridge_level`."""
+        the index of the inequality that cuts it out among the facets of its
+        record (`_Record.cut`): `_ridge_level`."""
         cells = self.facet_polyhedra
         return tuple((face, fids, tuple(m.bit_length() - 1 for m in masks))
                      for face, fids, masks in _ridge_level(cells, _vertex_scale(cells)))

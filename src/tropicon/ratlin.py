@@ -8,7 +8,7 @@ canonical bases and saturated lattices scale each rational row once to an
 integer row (a nonzero multiple, which changes no row space) and eliminate
 fraction free by Bareiss's method; primitive vectors and dot products go
 through integer numerators; `polyhedral.dd_cone` runs on primitive integer
-rows and returns ints, which `Polyhedron.hrep` and `from_hrep` turn into
+rows and returns ints, which `polyhedral._from_rows` turns into
 fractions.  The Smith normal form has an integer core that the public
 function wraps.  Results are converted back to fractions at each public
 function of this module; the private helpers that the geometry layer's

@@ -3,10 +3,12 @@
 Covers lineality quotients along lattice-compatible projections, stars at
 faces of fans, outer normal fans and their skeleta, the balancing condition
 at ridges, transverse affine hyperplane sections, and a
-separating-hyperplane predicate for triples of cells.  Sections take only
-dot products on the cells' generators; the separating-hyperplane search and
-its check decide strict feasibility by one double description each
-(`polyhedral._feasible_point`).
+separating-hyperplane predicate for triples of cells.  Sections decide
+transversality by dot products on the cells' generators and slice a cell's
+lifted record rows (`polyhedral._lifted`) by one double description
+(`polyhedral._from_rows`); the separating-hyperplane search and its check,
+on the same lifted rows, decide strict feasibility by one double
+description each (`polyhedral._feasible_point`).
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .polyhedral import (
-    AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _feasible_point,
-    _fraction_row, _lattice_normal, _level_below, _numerators, _outside,
-    _vertex_scale, is_face_of,
+    AffineHyperplane, Complex, NotInComplex, Polyhedron, _feasible_point,
+    _fraction_row, _from_rows, _lattice_normal, _level_below, _lifted, _numerators,
+    _outside, _vertex_scale, is_face_of,
 )
 from .ratlin import (
     Mat, Vec, _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
@@ -56,9 +58,10 @@ def _project_cells(c: Complex, ids: Sequence[int], proj: Mat) -> Complex:
     def image(gens: Iterable[Vec]) -> tuple[Vec, ...]:
         return tuple(g2 for g in gens if not is_zero(g2 := mat_vec(proj, g)))
 
-    facets = [Polyhedron(len(proj), tuple(mat_vec(proj, v) for v in f.vertices),
-                         image(f.rays), image(f.lineality))
-              for f in map(c.facet_polyhedra.__getitem__, ids)]
+    lin = image(c.lineality)
+    facets = [Polyhedron(len(proj), tuple(mat_vec(proj, c.vertex_pool[j]) for j in vidx),
+                         image(c.ray_pool[j] for j in ridx), lin)
+              for vidx, ridx in map(c.cells.__getitem__, ids)]
     return Complex.from_facets(facets, lineality=(), ambient_dim=len(proj),
                                weights=tuple(c.weights[i] for i in ids))
 
@@ -261,10 +264,8 @@ def hyperplane_section(c: Complex, H: AffineHyperplane) -> SectionResult:
             vals += [dot(H.normal, r) for r in rays]
             if not min(vals) < 0 < max(vals):
                 continue
-        h = f.hrep
-        merged = HRep(n, h.inequalities,
-                      h.equations + ((H.normal, H.offset),))
-        slices.append(Polyhedron.from_hrep(merged))
+        ineqs, eqs = _lifted(f._rec)
+        slices.append(_from_rows(n, ineqs, eqs + [(-H.offset, *H.normal)]))
         provenance.append(i)
         weights.append(c.weights[i] * math.gcd(
             *(dot(H.normal, u).numerator for u in f._lattice)))
@@ -369,9 +370,8 @@ def check_witness_hyperplane(P: Polyhedron, Q: Polyhedron, F: Polyhedron,
     """
     def meets(cell: Polyhedron, rel: str) -> bool:
         """Whether H meets the cell, with its facet inequalities under rel."""
-        h = cell.hrep
-        cons = [(a, b, rel) for a, b in h.inequalities]
-        cons += [(a, b, "=") for a, b in h.equations]
+        ineqs, eqs = _lifted(cell._rec)
+        cons = [(a[1:], -a[0], rel) for a in ineqs] + [(e[1:], -e[0], "=") for e in eqs]
         cons.append((H.normal, H.offset, "="))
         return _feasible_point(P.ambient_dim, cons) is not None
 

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from test_polyhedral import fm_feasible, satisfies
+from test_polyhedral import fm_feasible, hrep, satisfies
 from test_tropical import same_fan
 from tropicon import cli
 from tropicon.connectivity import (
@@ -243,7 +243,7 @@ def test_criterion_9_kernel_properties():
         if not rays:
             continue
         p = Polyhedron.cone(rays, ambient_dim=n)
-        q = Polyhedron.from_hrep(p.hrep)
+        q = Polyhedron.from_hrep(hrep(p))
         round_trip_ok &= (q.canonical_key == p.canonical_key)
 
     feasibility_ok = True

@@ -24,7 +24,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from test_golden import HEX_HEPT, RATIONAL_COMPLEX
 from test_polyhedral import (
-    _face_levels, codim1_faces, face_by_mask, intersect, oracle_fit_issues, oracle_is_face_of,
+    _face_levels, codim1_faces, face_by_mask, hrep, intersect, oracle_fit_issues,
+    oracle_is_face_of,
 )
 from test_ratlin import lattice_normal_generator
 from test_tropical import _section_fixtures
@@ -60,7 +61,7 @@ def _rank(rows):
 
 def _oracle_lineality(p):
     """The kernel of every facet and equation normal."""
-    h = p.hrep
+    h = hrep(p)
     normals = [a for a, _ in h.inequalities] + [a for a, _ in h.equations]
     if not normals:
         return subspace_canonical_basis(identity_mat(p.ambient_dim))
@@ -72,7 +73,7 @@ def _oracle_canonical_key(p):
     extreme when the equation normals and the inequality normals vanishing
     on it have rank n - dim L - 1, and a vertex when those tight at it have
     rank n - dim L."""
-    h = p.hrep
+    h = hrep(p)
     n = p.ambient_dim
     lin = _oracle_lineality(p)
     full = n - len(lin)
@@ -230,13 +231,13 @@ class TestRecordReads:
             # after it n minus the number of equations
             assert p.dim == len(p.direction_span)
             q = _fresh(p)
-            q.hrep
+            q._rec
             assert q.dim == len(q.direction_span) == p.dim
 
     def test_tight_masks_against_dot_products(self, seed):
         for p in _polyhedra(seed, 150):
             rec = p._rec
-            ineqs = p.hrep.inequalities
+            ineqs = hrep(p).inequalities
             assert [rec.cut(i) for i in range(len(ineqs))] == \
                 [tuple(map(int, a)) for a, _ in ineqs]
             for v, (_, mask) in zip(p.vertices, rec.verts):
@@ -248,7 +249,7 @@ class TestRecordReads:
 
     def test_faces_against_dot_product_tightness(self, seed):
         for p in _polyhedra(seed, 100):
-            ineqs = p.hrep.inequalities
+            ineqs = hrep(p).inequalities
             for face, ineq in zip(codim1_faces(p), ineqs):
                 assert face.canonical_key == _oracle_face_key(p, [ineq])
                 assert face.dim == p.dim - 1 == len(face.direction_span)
@@ -261,7 +262,7 @@ class TestRecordReads:
     def test_membership_against_dot_products(self, seed):
         rng = random.Random(seed)
         for p in _polyhedra(seed, 100):
-            h = p.hrep
+            h = hrep(p)
             n = p.ambient_dim
             for _ in range(10):
                 x = [F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
@@ -276,7 +277,7 @@ class TestRecordReads:
 
     def test_hrep_equations_and_round_trip(self, seed):
         for p in _polyhedra(seed, 150):
-            h = p.hrep
+            h = hrep(p)
             if p.vertices:
                 eqs = [(-b,) + a for a, b in h.equations]
             else:
@@ -316,7 +317,7 @@ class TestRidgeKeys:
             for face, fids, masks in ridges:
                 for i, mask in zip(fids, masks):
                     assert face.canonical_key == _oracle_face_key(
-                        cells[i], [cells[i].hrep.inequalities[mask.bit_length() - 1]])
+                        cells[i], [hrep(cells[i]).inequalities[mask.bit_length() - 1]])
 
 
 def _star_fans(seed, count):
@@ -591,7 +592,7 @@ class TestUnitRayLatticeNormals:
     def test_seeded_polyhedra(self, seed):
         # cones, polytopes and polyhedra with lineality, on the record's rows
         for p in _polyhedra(seed + 500, 90):
-            for i in range(len(p.hrep.inequalities)):
+            for i in range(len(hrep(p).inequalities)):
                 _assert_normal_matches_the_smith_path(p, i, face_by_mask(p, 1 << i))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -601,7 +602,7 @@ class TestUnitRayLatticeNormals:
     def test_drawn_cones(self, drawn):
         rays, lineality = drawn
         sigma = Polyhedron.cone(rays, lineality[:1])
-        for i in range(len(sigma.hrep.inequalities)):
+        for i in range(len(hrep(sigma).inequalities)):
             _assert_normal_matches_the_smith_path(sigma, i, face_by_mask(sigma, 1 << i))
 
 
@@ -701,7 +702,7 @@ def _oracle_ridges(c):
     canonical key and sorted."""
     groups = {}
     for fid, p in enumerate(c.facet_polyhedra):
-        for i in range(len(p.hrep.inequalities)):
+        for i in range(len(hrep(p).inequalities)):
             face = face_by_mask(p, 1 << i)
             entry = groups.setdefault(face.canonical_key, (face, [], []))
             entry[1].append(fid)
@@ -726,7 +727,7 @@ def _faces_below(c):
         for key in keys:
             face, cell, tight = level[key]
             d = face.dim - 1
-            for i in range(len(cell.hrep.inequalities)):
+            for i in range(len(hrep(cell).inequalities)):
                 sub_tight = tight | 1 << i
                 if sub_tight == tight:
                     continue

@@ -36,6 +36,21 @@ def _face_levels(cells):
 # facet description, intersections by a merged facet description
 
 
+def hrep(p):
+    """The facet description of p as fractions, from its record's integer
+    rows: the irredundant facet inequalities a.x >= b, every facet but the
+    trivial x0 >= 0, and a basis of the equations a.x = b.  With vertices,
+    column 0 of a row holds -b."""
+    rec = p._rec
+    k = int(rec.affine)
+
+    def row(a):
+        return tuple(map(F, a[k:])), F(-a[0]) if k else F(0)
+
+    return HRep(p.ambient_dim, tuple(row(a) for a in rec.facets if any(a[k:])),
+                tuple(map(row, rec.eqs)))
+
+
 def face_is_tight(face, a, b):
     """Whether the valid inequality a.x >= b is an equality on all of face."""
     if face.vertices:
@@ -50,7 +65,7 @@ def face_is_tight(face, a, b):
 def contains(p, q):
     """Whether q lies in p, by the signs of p's facet and equation rows on
     q's generators (the origin for a cone), lineality both ways."""
-    h = p.hrep
+    h = hrep(p)
     pts = q.vertices or (tuple(F(0) for _ in range(q.ambient_dim)),)
     dirs = list(q.rays) + list(q.lineality) + [tuple(-x for x in l) for l in q.lineality]
     return all(dot(a, x) >= b for a, b in h.inequalities for x in pts) and \
@@ -62,7 +77,7 @@ def contains(p, q):
 def intersect(p, q):
     """The intersection of two polyhedra from their merged facet
     descriptions, or None when it is empty."""
-    h1, h2 = p.hrep, q.hrep
+    h1, h2 = hrep(p), hrep(q)
     merged = HRep(p.ambient_dim, h1.inequalities + h2.inequalities,
                   h1.equations + h2.equations)
     try:
@@ -77,7 +92,7 @@ def oracle_is_face_of(tau, sigma):
     if not contains(sigma, tau):
         return False
     verts, rays = sigma.vertices, sigma.rays
-    for a, b in sigma.hrep.inequalities:
+    for a, b in hrep(sigma).inequalities:
         if face_is_tight(tau, a, b):
             verts = tuple(v for v in verts if dot(a, v) == b)
             rays = tuple(r for r in rays if dot(a, r) == 0)
@@ -103,7 +118,7 @@ def oracle_fit_issues(c):
 
 def codim1_faces(p):
     """The faces of dimension dim(p) - 1, one per facet inequality of p in
-    the order of `p.hrep.inequalities`: the first level of the face walk of
+    the order of `hrep(p).inequalities`: the first level of the face walk of
     p alone, ordered by cutting inequality."""
     return [face for face, _, _ in sorted(next(_face_levels([p]), []), key=lambda ridge: ridge[2])]
 
@@ -154,14 +169,14 @@ def cone(*rays, lineality=(), n=None):
 
 class TestDualDescription:
     def test_coordinate_cone(self):
-        h = cone([1, 0], [0, 1]).hrep
+        h = hrep(cone([1, 0], [0, 1]))
         assert sorted(h.inequalities) == [
             (vec([0, 1]), F(0)), (vec([1, 0]), F(0))]
         assert h.equations == ()
 
     def test_unit_square(self):
         sq = Polyhedron.from_vertices([[0, 0], [1, 0], [0, 1], [1, 1]])
-        ineqs = sorted(sq.hrep.inequalities)
+        ineqs = sorted(hrep(sq).inequalities)
         assert ineqs == [
             (vec([-1, 0]), F(-1)), (vec([0, -1]), F(-1)),
             (vec([0, 1]), F(0)), (vec([1, 0]), F(0))]
@@ -186,7 +201,7 @@ class TestDualDescription:
             if not rays:
                 continue
             p = cone(*rays, n=n)
-            q = Polyhedron.from_hrep(p.hrep)
+            q = Polyhedron.from_hrep(hrep(p))
             assert q.canonical_key == p.canonical_key
 
     def test_hrep_inequalities_valid_and_irredundant(self):
@@ -199,7 +214,7 @@ class TestDualDescription:
             if not rays:
                 continue
             p = cone(*rays, n=n)
-            h = p.hrep
+            h = hrep(p)
             for a, b in h.inequalities:
                 assert b == 0
                 assert all(dot(a, vec(r)) >= 0 for r in rays)
@@ -218,7 +233,7 @@ class TestDualDescription:
             pts = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
                    for _ in range(rng.randint(1, 6))]
             p = Polyhedron.from_vertices(pts)
-            q = Polyhedron.from_hrep(p.hrep)
+            q = Polyhedron.from_hrep(hrep(p))
             assert q.canonical_key == p.canonical_key
 
 
@@ -280,7 +295,7 @@ class TestCodim1Faces:
         rng = random.Random(seed)
         for _ in range(60):
             p = TestCanonicalFormAgainstLP._random_polyhedron(rng, kind)
-            ineqs = p.hrep.inequalities
+            ineqs = hrep(p).inequalities
             faces = codim1_faces(p)
             assert len(faces) == len(ineqs)
             assert len({f.canonical_key for f in faces}) == len(faces)
@@ -463,7 +478,7 @@ class TestIsFaceOfAgainstKeys:
                                          rays=[[0, 0, 1]])
         taus = codim1_faces(sigma) + [Polyhedron.from_vertices([[1, 1, 0]])]
         for p in [sigma] + taus:
-            p.hrep  # cache every facet description
+            p._rec  # cache every facet record
         calls = []
         real = polyhedral.dd_cone
         monkeypatch.setattr(polyhedral, "dd_cone",

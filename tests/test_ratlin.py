@@ -12,7 +12,7 @@ from tropicon.ratlin import (
     reduce_mod_subspace, saturation_basis, smith_normal_form,
     subspace_canonical_basis, vec,
 )
-from test_polyhedral import codim1_faces, face_is_tight, fm_feasible, satisfies
+from test_polyhedral import codim1_faces, face_is_tight, fm_feasible, hrep, satisfies
 from tropicon.polyhedral import Polyhedron, _feasible_point, _lattice_normal, is_face_of
 
 
@@ -37,7 +37,7 @@ def lattice_normal_generator(sigma, tau):
     incidence proved first: tau is a face of sigma one dimension down, and
     the normal is taken at the facet inequality of sigma tight on it."""
     assert is_face_of(tau, sigma) and tau.dim == sigma.dim - 1
-    a = next(a for a, b in sigma.hrep.inequalities if face_is_tight(tau, a, b))
+    a = next(a for a, b in hrep(sigma).inequalities if face_is_tight(tau, a, b))
     return vec(_lattice_normal(sigma, a))
 
 
@@ -380,7 +380,7 @@ class TestLatticeNormalGenerator:
             for tau in codim1_faces(sigma):
                 u = lattice_normal_generator(sigma, tau)
                 assert all(x.denominator == 1 for x in u)
-                a = [a for a, b in sigma.hrep.inequalities if face_is_tight(tau, a, b)]
+                a = [a for a, b in hrep(sigma).inequalities if face_is_tight(tau, a, b)]
                 assert len(a) == 1 and dot(a[0], u) > 0
                 big = saturation_basis(sigma.direction_span, n)
                 small = list(saturation_basis(tau.direction_span, n))

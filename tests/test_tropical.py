@@ -11,12 +11,14 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from test_golden import RATIONAL_COMPLEX
-from test_polyhedral import _face_levels, codim1_faces, contains, fm_feasible, intersect
+from test_polyhedral import (
+    _face_levels, codim1_faces, contains, fm_feasible, hrep, intersect,
+)
 from test_ratlin import lattice_normal_generator
 from test_theorem import loopless_matroids
 from tropicon import polyhedral, tropical
 from tropicon.connectivity import build_hypergraph, connected_components
-from tropicon.fanjson import fan_from_obj, fan_to_text
+from tropicon.fanjson import fan_from_obj, fan_from_text, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine, contraction, proper_flats
 from tropicon.polyhedral import (
     AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _feasible_point,
@@ -117,6 +119,19 @@ class TestQuotientByLineality:
         assert h1.num_facets == h2.num_facets
         # facet order is preserved, so hyperedges must agree as multisets
         assert Counter(h1.hyperedges) == Counter(h2.hyperedges)
+
+    def test_unvalidated_fan_runs_no_double_description(self, monkeypatch):
+        # the projection reads each cell's generators off the pools, so the
+        # cells of a freshly loaded fan build no record
+        c = fan_from_text(fan_to_text(bergman_fine(Matroid.uniform(4, 6))))
+        calls = []
+        real = polyhedral.dd_cone
+        monkeypatch.setattr(polyhedral, "dd_cone",
+                            lambda *args: calls.append(args) or real(*args))
+        q, _ = quotient_by_lineality(c)
+        assert calls == []
+        monkeypatch.undo()
+        assert (len(q), len(q.ridges), q.dim, q.lineality_dim) == (120, 150, 3, 0)
 
     def test_projection_is_integral_with_kernel_lineality(self):
         b = bergman_fine(Matroid.uniform(3, 4))
@@ -542,7 +557,7 @@ class TestBalancing:
             for tau, fids, cuts in fan.ridges:
                 for fid, k in zip(fids, cuts):
                     sigma = fan.facet_polyhedra[fid]
-                    a, _ = sigma.hrep.inequalities[k]
+                    a, _ = hrep(sigma).inequalities[k]
                     assert _lattice_normal(sigma, a) == \
                         lattice_normal_generator(sigma, tau)
         monkeypatch.setattr(polyhedral, "is_face_of", None)
@@ -649,7 +664,7 @@ def _reference_section(c, H, faces):
             raise NotTransverse("hyperplane contains the affine span of a face")
     slices, provenance = [], []
     for i, f in enumerate(c.facet_polyhedra):
-        h = f.hrep
+        h = hrep(f)
         cons = [(a, b, ">") for a, b in h.inequalities]
         cons += [(a, b, "=") for a, b in h.equations]
         cons.append((H.normal, H.offset, "="))
@@ -805,7 +820,7 @@ def _two_pass_section(c, H):
         vals += [s * dot(H.normal, l) for l in f.lineality for s in (1, -1)]
         if not min(vals) < 0 < max(vals):
             continue
-        h = f.hrep
+        h = hrep(f)
         slices.append(Polyhedron.from_hrep(
             HRep(n, h.inequalities, h.equations + ((H.normal, H.offset),))))
         provenance.append(i)
@@ -894,6 +909,15 @@ class TestOnePassSection:
                 raised += assert_one_pass_section(c, _random_hyperplane(rng, c))
                 pairs += 1
         assert pairs >= 300 and raised >= 30
+
+    def test_u46_through_the_origin(self):
+        # h.x = 0 misses the all-ones lineality, so every slice is a cone,
+        # and it equals the from_hrep slice of the cell's facet description
+        c = bergman_fine(Matroid.uniform(4, 6))
+        H = AffineHyperplane(vec([1, 2, 4, 8, 16, 32]), F(0))
+        assert not assert_one_pass_section(c, H)
+        s = hyperplane_section(c, H).section
+        assert (s.vertex_pool, len(s), len(s.ridges)) == ((), 120, 150)
 
     def test_messages_name_the_first_face(self):
         c = standard_tropical_plane()
