@@ -238,6 +238,7 @@ class TestRecordReads:
         for p in _polyhedra(seed, 150):
             rec = p._rec
             ineqs = hrep(p).inequalities
+            assert rec.cuts == len(ineqs)
             assert [rec.cut(i) for i in range(len(ineqs))] == \
                 [tuple(map(int, a)) for a, _ in ineqs]
             for v, (_, mask) in zip(p.vertices, rec.verts):
