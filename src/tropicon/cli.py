@@ -64,8 +64,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget() -> int:
-    raw = os.environ.get("TROPICON_BUDGET")
-    return int(raw) if raw else connectivity.DEFAULT_BUDGET
+    raw = os.environ.get("TROPICON_BUDGET") or str(connectivity.DEFAULT_BUDGET)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise UsageError(f"TROPICON_BUDGET must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -129,12 +131,12 @@ def _load_checked(path: str) -> Complex:
 
 
 def cmd_check(args) -> int:
+    budget = _budget()
     fan = _load_checked(args.fan)
     h = build_hypergraph(fan)
     d = fan.dim
     ell = fan.lineality_dim
     k = args.k if args.k is not None else d - ell
-    budget = _budget()
     cert = is_k_connected(h, k, budget)
     out = {
         "k": cert.k,

@@ -130,13 +130,13 @@ class FacetRidgeHypergraph:
     ridges bounding the same facet set stay distinct hyperedges.  The
     adjacency every search walks is built with the hypergraph: per facet u,
     the hyperedges through it that reach another facet, smallest first (a
-    search meets a 2-member ridge before others), each as (its bit mask, its
-    index, its members other than u in the hyperedge's order).
+    search meets a 2-member ridge before others), each as the tuple of its
+    members other than u, in the hyperedge's order.
     """
     facet_labels: Sequence[str]
     hyperedges: tuple[frozenset[int], ...]
     ridge_labels: Sequence[str]
-    _adjacency: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...] = \
+    _adjacency: tuple[tuple[tuple[int, ...], ...], ...] = \
         field(init=False, repr=False, compare=False)
     # per size t, `_Separators.find(t)` with every facet removable
     _decided: dict[int, Optional[frozenset[int]]] = \
@@ -147,9 +147,8 @@ class FacetRidgeHypergraph:
         adjacent: list[list] = [[] for _ in range(self.num_facets)]
         for e in sorted(range(len(edges)), key=lambda e: len(edges[e])):
             if len(edges[e]) > 1:
-                mask = sum(map((1).__lshift__, edges[e]))
                 for u in edges[e]:
-                    adjacent[u].append((mask, e, tuple(w for w in edges[e] if w != u)))
+                    adjacent[u].append(tuple(w for w in edges[e] if w != u))
         object.__setattr__(self, "_adjacency", tuple(map(tuple, adjacent)))
 
     @property
@@ -194,15 +193,15 @@ def _components(h: FacetRidgeHypergraph, removed: Iterable[int] = (),
     deletion (the clique expansion) drops only the removed members.
     """
     seen = set(range(h.num_facets)).intersection(removed)
-    blocked = sum(map((1).__lshift__, seen)) if closed else 0
+    blocked = frozenset(seen) if closed else frozenset()
     for start in range(h.num_facets):
         if start in seen:
             continue
         seen.add(start)
         comp = [start]
         for u in comp:
-            for mask, _, others in h._adjacency[u]:
-                if not blocked & mask:
+            for others in h._adjacency[u]:
+                if blocked.isdisjoint(others):
                     for w in others:
                         if w not in seen:
                             seen.add(w)
@@ -302,7 +301,7 @@ class _Separators:
         of the shortest surviving path.
         """
         self.spend()
-        blocked = sum(map((1).__lshift__, removed))
+        blocked = set(removed)
         shortest = None
         for _ in range(r + 1):
             interior = self._path(a, b, blocked)
@@ -312,7 +311,7 @@ class _Separators:
             if not interior:
                 return None
             shortest = shortest or interior
-            blocked |= sum(map((1).__lshift__, interior))
+            blocked |= interior
         else:
             return None
         if shortest is None:
@@ -326,27 +325,29 @@ class _Separators:
                     return found
         return None
 
-    def _path(self, a: Optional[int], b: int, blocked: int) -> Optional[set[int]]:
+    def _path(self, a: Optional[int], b: int, blocked: set[int]) -> Optional[set[int]]:
         """The interior of a BFS-shortest hyperpath from b to a avoiding the
-        facets in the bit mask `blocked`, or None.  With a None the path
-        ends at any facet below b."""
+        facets in `blocked`, or None; with a None it ends at any facet below
+        b.  A hyperedge through u is dead exactly when its other members meet
+        `blocked`: b is not in it, and each queued u came by a live hyperedge.
+        The parents, (u, others) per facet, give the path's interior."""
         self.spend()
-        edges, adjacent = self.h.hyperedges, self.h._adjacency
+        adjacent, live = self.h._adjacency, blocked.isdisjoint
         parent = {b: None}
         queue = [b]
         for u in queue:
-            for mask, e, others in adjacent[u]:
-                if blocked & mask:
+            for others in adjacent[u]:
+                if not live(others):
                     continue
                 for w in others:
                     if w in parent:
                         continue
-                    parent[w] = (u, e)
+                    parent[w] = (u, others)
                     if w == a or (a is None and w < b):
                         interior = set()
                         while w != b:
-                            w, e = parent[w]
-                            interior |= edges[e]
+                            w, others = parent[w]
+                            interior |= {w, *others}
                         return interior - {a, b}
                     queue.append(w)
         return None
@@ -399,8 +400,7 @@ def min_facet_cut(h: FacetRidgeHypergraph,
         raise TooFewFacets("need at least two facets")
     if not connected_after_removal(h, ()):
         return 0, ()
-    degrees = [len(set().union(*(others for _, _, others in adjacent)))
-               for adjacent in h._adjacency]
+    degrees = [len(set().union(*adjacent)) for adjacent in h._adjacency]
     isolation_cap = min((d for d in degrees if n - d >= 2), default=n - 1)
     cap = min(isolation_cap, n - 2)
     if cap < 1:

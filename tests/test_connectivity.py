@@ -408,11 +408,12 @@ def test_refutation_tests_few_subsets(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the BFS on bit masks against the BFS on sets it replaced
+# the BFS on the adjacency's member tuples against the BFS on hyperedge sets
 
 
 def _set_search(self, a, b, removed, r, seen):
-    """`_Separators._search` as it was, with `blocked` a set."""
+    """`_Separators._search` as written, so that the two searches differ
+    only in how `_path` reads a hyperedge."""
     self.spend()
     blocked = set(removed)
     shortest = None
@@ -440,8 +441,9 @@ def _set_search(self, a, b, removed, r, seen):
 
 
 def _set_path(self, a, b, blocked):
-    """`_Separators._path` as it was: each hyperedge tested against the set
-    `blocked` by `isdisjoint`, each member visited from the hyperedge."""
+    """`_Separators._path` read off the hyperedges: each whole hyperedge
+    tested against the set `blocked` by `isdisjoint`, each member visited
+    from the hyperedge, and the interior the union of the path's hyperedges."""
     self.spend()
     edges, incidence = self.h.hyperedges, self.set_incidence
     parent = {b: None}
@@ -501,7 +503,7 @@ def _set_incidence(h):
     return incident
 
 
-def _assert_masks_match_sets(h, ks):
+def _assert_adjacency_matches_sets(h, ks):
     got = _certificates_and_work(_fresh(h), ks)
     init = connectivity._Separators.__init__
 
@@ -526,7 +528,7 @@ def _drawn_hypergraphs(draw):
                                 tuple(map(str, range(len(edges)))))
 
 
-class TestBitMaskBreadthFirstSearch:
+class TestAdjacencyBreadthFirstSearch:
     @pytest.mark.parametrize("fan", [
         two_planes_fan, lambda: cube_normal_fan(3),
         lambda: bergman_fine(Matroid.uniform(3, 6)),
@@ -535,17 +537,17 @@ class TestBitMaskBreadthFirstSearch:
         lambda: bergman_fine(Matroid.uniform(4, 6)),
     ], ids=["two-planes", "cube3", "U(3,6)", "C5-parallel", "U(4,6)"])
     def test_fixtures(self, fan):
-        _assert_masks_match_sets(build_hypergraph(fan()), range(6))
+        _assert_adjacency_matches_sets(build_hypergraph(fan()), range(6))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_drawn_hypergraphs())
     def test_drawn_hypergraphs(self, h):
-        _assert_masks_match_sets(h, range(1, 5))
+        _assert_adjacency_matches_sets(h, range(1, 5))
 
     def test_seeded_hypergraphs(self):
         rng = random.Random(4242)
         for _ in range(300):
-            _assert_masks_match_sets(_random_hypergraph(rng), range(1, 5))
+            _assert_adjacency_matches_sets(_random_hypergraph(rng), range(1, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -693,9 +695,9 @@ class TestComponentsAgainstUnionFind:
         h = FacetRidgeHypergraph(("a", "b", "c"), (frozenset({0, 1, 2}), frozenset({1}),
                                                    frozenset({0, 2})), ("r", "s", "t"))
         assert vars(h)["_adjacency"] == (
-            ((0b101, 2, (2,)), (0b111, 0, (1, 2))),
-            ((0b111, 0, (0, 2)),),
-            ((0b101, 2, (0,)), (0b111, 0, (0, 1))),
+            ((2,), (1, 2)),
+            ((0, 2),),
+            ((0,), (0, 1)),
         )
 
 

@@ -278,6 +278,22 @@ class TestCliCheck:
         code, _, err = run_cli(["check", str(path), "--k", "4"], capsys)
         assert code == 1 and "budget" in err
 
+    @pytest.mark.parametrize("raw", ["abc", "-1", "0", "1.5", "+5"])
+    def test_budget_env_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch, raw):
+        path = tmp_path / "cube.json"
+        run_cli(["gen", "normal-fan-cube", "3", "-o", str(path)], capsys)
+        monkeypatch.setenv("TROPICON_BUDGET", raw)
+        code, out, err = run_cli(["check", str(path), "--k", "4"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"tropicon: TROPICON_BUDGET must be a positive integer, not {raw!r}\n"
+
+    def test_empty_budget_env_is_the_default(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cube.json"
+        run_cli(["gen", "normal-fan-cube", "3", "-o", str(path)], capsys)
+        monkeypatch.setenv("TROPICON_BUDGET", "")
+        code, _, _ = run_cli(["check", str(path), "--k", "4"], capsys)
+        assert code == 2
+
     def test_missing_file_exits_1(self, capsys):
         code, _, _ = run_cli(["check", "/nonexistent/fan.json"], capsys)
         assert code == 1
