@@ -10,7 +10,7 @@ e1 disconnects it, so it cannot be such a tropicalization.
 """
 
 from tropicon import (
-    build_hypergraph, clique_connected_after_removal, connected_after_removal,
+    FacetRidgeHypergraph, build_hypergraph, connected_after_removal,
     hypergraph_dot, is_k_connected, min_facet_cut, two_planes_fan,
     validate_complex, vec,
 )
@@ -36,9 +36,13 @@ print("1-connected?", is_k_connected(h, 1).verdict)
 print("minimum facet cut:", min_facet_cut(h))
 
 # the clique-expansion graph hides the obstruction: hyperedges survive as
-# cliques among their remaining members, so one removal never disconnects it
+# cliques among their remaining members, so one removal never disconnects it.
+# With the facet taken out of every hyperedge, its closed removal drops no
+# hyperedge, which is the clique expansion's removal
+clique = FacetRidgeHypergraph(h.facet_labels, tuple(e - {bridge[0]} for e in h.hyperedges),
+                              h.ridge_labels)
 print("clique-expansion graph survives the same removal:",
-      clique_connected_after_removal(h, {bridge[0]}))
+      connected_after_removal(clique, {bridge[0]}))
 
 print("\nbipartite incidence graph (DOT), first lines:")
 print("\n".join(hypergraph_dot(h).splitlines()[:6]))

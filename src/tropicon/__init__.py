@@ -11,7 +11,7 @@ tropicalization of an irreducible variety.
 
 from .ratlin import (
     Fraction, Mat, Vec, ZeroVector, lattice_complement_projection, mat,
-    primitive_vector, smith_normal_form, vec,
+    primitive_vector, vec,
 )
 from .polyhedral import (
     AffineHyperplane, Complex, EmptyPolyhedron, HRep, NotInComplex, Polyhedron,
@@ -23,9 +23,8 @@ from .matroid import (
 )
 from .connectivity import (
     BudgetExceeded, ConnectivityCertificate, FacetRidgeHypergraph,
-    TooFewFacets, build_hypergraph, clique_connected_after_removal,
-    connected_after_removal, connected_components, hypergraph_dot,
-    is_k_connected, min_facet_cut,
+    TooFewFacets, build_hypergraph, connected_after_removal,
+    connected_components, hypergraph_dot, is_k_connected, min_facet_cut,
 )
 from .tropical import (
     BalancingReport, DegenerateInput, LinealityObstruction, NotTransverse,

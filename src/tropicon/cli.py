@@ -29,7 +29,7 @@ from .connectivity import (
     BudgetExceeded, TooFewFacets, build_hypergraph, connected_components,
     hypergraph_dot, is_k_connected, min_facet_cut,
 )
-from .fanjson import fan_to_text, load_fan, parse_rational, save_fan
+from .fanjson import fan_to_text, load_fan, parse_json, parse_rational, save_fan
 from .matroid import Matroid, bergman_fine
 from .polyhedral import AffineHyperplane, Complex, Polyhedron, validate_complex
 from .ratlin import vec
@@ -112,7 +112,7 @@ def cmd_gen(args) -> int:
         if len(params) != 1:
             raise UsageError("usage: gen normal-fan <vertices-file>")
         with open(params[0]) as fh:
-            pts = json.load(fh)
+            pts = parse_json(fh.read())
         if not isinstance(pts, list) or not all(isinstance(p, list) for p in pts):
             raise UsageError("a points file holds a list of coordinate lists")
         fan = normal_fan([[parse_rational(x) for x in p] for p in pts])
@@ -204,30 +204,25 @@ def cmd_quotient(args) -> int:
     return EXIT_OK
 
 
-def _parse_face_spec(raw: str) -> tuple[list[int], list[int]]:
-    """Face spec tokens: r<i> for ray pool indices, v<i> for vertex indices."""
-    rays, verts = [], []
+def _parse_face_spec(raw: str) -> list[int]:
+    """Face spec tokens: r<i> for ray pool indices.  A fan has no vertices,
+    so a face of it has rays only."""
+    rays = []
     for token in raw.replace(",", " ").split():
-        if token.startswith("r"):
-            rays.append(int(token[1:]))
-        elif token.startswith("v"):
-            verts.append(int(token[1:]))
-        else:
-            raise UsageError(f"face token {token!r} must look like r0 or v1")
-    if not rays and not verts:
+        if not token.startswith("r"):
+            raise UsageError(f"face token {token!r} must look like r0")
+        rays.append(int(token[1:]))
+    if not rays:
         raise UsageError("empty face spec")
-    return rays, verts
+    return rays
 
 
 def cmd_star(args) -> int:
     fan = _load_checked(args.fan)
-    ray_ids, vert_ids = _parse_face_spec(args.face)
-    if not all(0 <= i < len(fan.ray_pool) for i in ray_ids) or \
-            not all(0 <= i < len(fan.vertex_pool) for i in vert_ids):
+    ray_ids = _parse_face_spec(args.face)
+    if not all(0 <= i < len(fan.ray_pool) for i in ray_ids):
         raise UsageError("face index outside the fan's pools")
-    face = Polyhedron(fan.ambient_dim,
-                      tuple(fan.vertex_pool[i] for i in vert_ids),
-                      tuple(fan.ray_pool[i] for i in ray_ids),
+    face = Polyhedron(fan.ambient_dim, (), tuple(fan.ray_pool[i] for i in ray_ids),
                       fan.lineality)
     out = star(fan, face)
     _write(fan_to_text(out), args.output)
@@ -282,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("star", help="star of a fan at a face, modulo its span")
     p.add_argument("fan")
     p.add_argument("--face", required=True,
-                   help="face by pool indices, e.g. 'r0,r2' or 'v0 r1'")
+                   help="face by ray pool indices, e.g. 'r0,r2' or 'r0 r1'")
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.set_defaults(func=cmd_star)
 

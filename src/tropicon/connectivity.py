@@ -185,15 +185,12 @@ def build_hypergraph(c: Complex) -> FacetRidgeHypergraph:
     )
 
 
-def _components(h: FacetRidgeHypergraph, removed: Iterable[int] = (),
-                closed: bool = True) -> Iterator[set[int]]:
-    """Components of the facets left after deleting `removed`, by least facet.
-
-    Closed deletion drops every hyperedge through a removed facet; open
-    deletion (the clique expansion) drops only the removed members.
-    """
+def _components(h: FacetRidgeHypergraph, removed: Iterable[int] = ()
+                ) -> Iterator[set[int]]:
+    """Components of the facets left after deleting the closed facets
+    `removed`, by least facet: every hyperedge through one of them drops."""
     seen = set(range(h.num_facets)).intersection(removed)
-    blocked = frozenset(seen) if closed else frozenset()
+    blocked = frozenset(seen)
     for start in range(h.num_facets):
         if start in seen:
             continue
@@ -420,17 +417,7 @@ def min_facet_cut(h: FacetRidgeHypergraph,
 
 
 # ---------------------------------------------------------------------------
-# clique-expansion comparison and exports
-
-
-def clique_connected_after_removal(h: FacetRidgeHypergraph,
-                                   removed: Iterable[int]) -> bool:
-    """Weaker removal semantics: hyperedges become cliques, only the removed
-    vertices disappear, and surviving members of a touched hyperedge stay
-    connected to each other."""
-    comps = _components(h, removed, closed=False)
-    next(comps, None)
-    return next(comps, None) is None
+# DOT export
 
 
 def hypergraph_dot(h: FacetRidgeHypergraph) -> str:

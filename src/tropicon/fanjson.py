@@ -38,6 +38,15 @@ def parse_rational(s) -> Fraction:
     raise ValueError(f"rationals must be strings or integers, got {type(s).__name__}")
 
 
+def parse_json(text: str):
+    """The JSON value of the text; nesting too deep for the parser is a
+    ValueError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply to parse") from None
+
+
 def fan_to_obj(c: Complex) -> dict:
     """Canonical JSON-ready dict: pools sorted, cells remapped and sorted."""
     vperm = sorted(range(len(c.vertex_pool)), key=lambda i: c.vertex_pool[i])
@@ -149,7 +158,7 @@ def fan_from_obj(obj: dict) -> Complex:
 
 
 def fan_from_text(text: str) -> Complex:
-    return fan_from_obj(json.loads(text))
+    return fan_from_obj(parse_json(text))
 
 
 def save_fan(c: Complex, path: str) -> None:

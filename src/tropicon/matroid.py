@@ -51,11 +51,7 @@ class FlagChain:
 
 
 class Matroid:
-    """Ground set plus rank oracle, with memoization.
-
-    The memo table is a plain dict; lookups and inserts are atomic under the
-    interpreter lock, and a duplicated computation is harmless.
-    """
+    """Ground set plus rank oracle, with the ranks memoized in a plain dict."""
 
     def __init__(self, elements: Sequence[int], rank_fn: Callable[[FrozenSet[int]], int]):
         elements = tuple(sorted(elements))

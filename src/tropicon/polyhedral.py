@@ -796,7 +796,8 @@ class Complex:
 
     Each cell is a pair (vertex indices, ray indices); every cell implicitly
     contains the declared lineality space.  Lower-dimensional faces are
-    derived on demand.  Weights are positive, one per facet (None: all 1).
+    derived on demand.  Weights are positive ints (bools are not), one per
+    facet (None: all 1).
     """
     ambient_dim: int
     vertex_pool: tuple[Vec, ...]
@@ -810,8 +811,8 @@ class Complex:
             object.__setattr__(self, "weights", (1,) * len(self.cells))
         if len(self.weights) != len(self.cells):
             raise ValueError("one weight per facet required")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
+        if any(type(w) is not int or w <= 0 for w in self.weights):
+            raise ValueError("weights must be positive integers")
         n = self.ambient_dim
         pools = itertools.chain(self.vertex_pool, self.ray_pool, self.lineality)
         if any(len(g) != n for g in pools):

@@ -9,15 +9,16 @@ integer row (a nonzero multiple, which changes no row space) and eliminate
 fraction free by Bareiss's method; primitive vectors and dot products go
 through integer numerators; `polyhedral.dd_cone` runs on primitive integer
 rows and returns ints, which `polyhedral._from_rows` turns into
-fractions.  The Smith normal form has an integer core that the public
-function wraps.  Results are converted back to fractions at each public
-function of this module; the private helpers that the geometry layer's
-integer cell record calls (`_int_kernel`, `_int_reduce`, `_lattice_kernel`)
-take and return ints.  `matrix_rank` is the one rank, for rational and
-integer rows alike (integer rows pass `_int_row` unchanged).  Feasibility
-of linear systems, strict rows included, is decided in the geometry layer
-by one double description (`polyhedral._feasible_point`).  This module
-imports nothing else from the package.
+fractions.  The Smith normal form (`_smith`) works on ints and keeps D and
+V only, which the lattice functions read.  Results are converted back to
+fractions at each public function of this module; the private helpers that
+the geometry layer's integer cell record calls (`_int_kernel`,
+`_int_reduce`, `_lattice_kernel`) take and return ints.  `matrix_rank` is
+the one rank, for rational and integer rows alike (integer rows pass
+`_int_row` unchanged).  Feasibility of linear systems, strict rows
+included, is decided in the geometry layer by one double description
+(`polyhedral._feasible_point`).  This module imports nothing else from the
+package.
 """
 
 from __future__ import annotations
@@ -250,38 +251,21 @@ def _int_reduce(row: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]
 # integer lattices via Smith normal form
 
 
-def smith_normal_form(A: Mat) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form of an integer matrix: returns (D, U, V) with U A V = D.
-
-    U and V are unimodular; D is diagonal with d_1 | d_2 | ... >= 0.
-    Deterministic pivot choice (smallest |entry|, then lex position).
-    """
-    D, U, V_cols = _smith([as_int_list(row) for row in A])
-    to_mat = lambda rows: tuple(tuple(Fraction(x) for x in row) for row in rows)
-    return to_mat(D), to_mat(U), to_mat(zip(*V_cols))
-
-
-def _smith(D: list[list[int]]) -> tuple[list[list[int]], ...]:
-    """The integer core of `smith_normal_form`: reduces the rows D in place
-    and returns (D, U, the columns of V).  V is kept by columns, so that a
-    column operation is one list operation."""
+def _smith(D: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The Smith normal form U A V = D of the integer rows A = D: reduces D
+    in place and returns (D, the columns of V), with V unimodular and D
+    diagonal, d_1 | d_2 | ... >= 0.  The pivot is the smallest |entry|,
+    first in row-major order.  U is not kept: no caller reads it, and D and
+    V depend only on the operations.  V is kept by columns, so that a column
+    operation is one list operation."""
     m = len(D)
     n = len(D[0]) if D else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # W[j]: column j of V
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in D:
             row[i] -= q * row[j]
         W[i] = [a - q * b for a, b in zip(W[i], W[j])]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in D:
@@ -300,7 +284,7 @@ def _smith(D: list[list[int]]) -> tuple[list[list[int]], ...]:
                     best, least = (i, j), abs(x)
         if best is None:
             break
-        swap_rows(t, best[0])
+        D[t], D[best[0]] = D[best[0]], D[t]
         swap_cols(t, best[1])
         while True:
             # clear column t
@@ -308,9 +292,9 @@ def _smith(D: list[list[int]]) -> tuple[list[list[int]], ...]:
             for i in range(t + 1, m):
                 if D[i][t] != 0:
                     q = D[i][t] // D[t][t]
-                    row_op(i, t, q)
+                    D[i] = [a - q * b for a, b in zip(D[i], D[t])]
                     if D[i][t] != 0:
-                        swap_rows(t, i)
+                        D[t], D[i] = D[i], D[t]
                         dirty = True
             if dirty:
                 continue
@@ -336,19 +320,17 @@ def _smith(D: list[list[int]]) -> tuple[list[list[int]], ...]:
             if offender is None:
                 break
             D[t] = [a + b for a, b in zip(D[t], D[offender])]
-            U[t] = [a + b for a, b in zip(U[t], U[offender])]
         if D[t][t] < 0:
             D[t] = [-a for a in D[t]]
-            U[t] = [-a for a in U[t]]
         t += 1
-    return D, U, W
+    return D, W
 
 
 def _lattice_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Basis of {x in Z^n : A x = 0} for the nonempty integer rows A: the
     last columns of V in the Smith normal form U A V = D."""
     n = len(rows[0])
-    D, _, V_cols = _smith([list(row) for row in rows])
+    D, V_cols = _smith([list(row) for row in rows])
     rank = sum(1 for i in range(min(len(D), n)) if D[i][i] != 0)
     return [tuple(col) for col in V_cols[rank:]]
 
@@ -374,15 +356,13 @@ def lattice_complement_projection(gens: Sequence[Vec], ambient_dim: int) -> Mat:
     """
     basis = saturation_basis(gens, ambient_dim)
     ell = len(basis)
-    n = ambient_dim
     if ell == 0:
-        return identity_mat(n)
-    D, _, V = smith_normal_form(basis)
+        return identity_mat(ambient_dim)
+    D, V_cols = _smith([_int_row(row) for row in basis])
     for i in range(ell):
         if D[i][i] != 1:
             raise AssertionError("saturated lattice should have trivial invariants")
     # rows of V^{-1} form a Z^n basis whose first `ell` rows span the lattice;
     # coordinates w.r.t. that basis are given by V^T, so dropping the first
     # `ell` coordinates projects along the subspace.
-    vt = transpose(V)
-    return tuple(vt[i] for i in range(ell, n))
+    return tuple(tuple(map(Fraction, col)) for col in V_cols[ell:])

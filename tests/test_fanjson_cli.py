@@ -159,6 +159,12 @@ class TestCliGen:
         code, out, err = run_cli(["gen", "normal-fan", str(vfile)], capsys)
         assert code == 1 and "ragged" in err and out == ""
 
+    def test_normal_fan_deeply_nested_points_exit_1(self, tmp_path, capsys):
+        vfile = tmp_path / "verts.json"
+        vfile.write_text("[" * 5000 + "0" + "]" * 5000)
+        code, out, err = run_cli(["gen", "normal-fan", str(vfile)], capsys)
+        assert (code, out) == (1, "") and "JSON nests too deeply" in err
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run_cli(["gen", "two-planes"], capsys)
         _, out2, _ = run_cli(["gen", "two-planes"], capsys)
@@ -380,6 +386,19 @@ class TestStrictFanFiles:
             code, out, err = run_cli([command, str(path)], capsys)
             assert (code, out) == (1, "") and word in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"ambient_dim": 2, "rays": %s0%s, "vertices": [], "lineality": [], '
+        '"cells": [], "weights": []}' % ("[" * 5000, "]" * 5000),
+    ], ids=["open-brackets", "deep-rays"])
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys, text):
+        # a RecursionError of the parser is an input error, not a traceback
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        for command in ("check", "balance"):
+            code, out, err = run_cli([command, str(path)], capsys)
+            assert (code, out) == (1, "") and "JSON nests too deeply" in err
+
     @pytest.mark.parametrize("lineality", [
         [[0, 0]], [[1, 1], [1, 1]], [[1, 1], [-2, -2]], [[1, 0], [0, 1], [1, 1]],
         # rays equal modulo the span of the rows: the rows are reported first
@@ -578,7 +597,7 @@ class TestCliOther:
         ("x3", "face token"),
         ("r-1", "outside the fan's pools"),
         ("r4", "outside the fan's pools"),
-        ("v0", "outside the fan's pools"),
+        ("v0", "face token"),
     ], ids=["bad-token", "negative-index", "index-past-pool", "empty-vertex-pool"])
     def test_star_bad_face_spec(self, tmp_path, capsys, spec, word):
         path = tmp_path / "cube.json"

@@ -7,10 +7,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from tropicon.ratlin import (
-    ZeroVector, _int_kernel, _lattice_kernel, dot, frac, is_zero,
+    ZeroVector, _int_kernel, _lattice_kernel, _smith, dot, frac, is_zero,
     lattice_complement_projection, mat, mat_vec, matrix_rank, primitive_vector,
-    reduce_mod_subspace, saturation_basis, smith_normal_form,
-    subspace_canonical_basis, vec,
+    reduce_mod_subspace, saturation_basis, subspace_canonical_basis, vec,
 )
 from test_polyhedral import codim1_faces, face_is_tight, fm_feasible, hrep, satisfies
 from tropicon.polyhedral import Polyhedron, _feasible_point, _lattice_normal, is_face_of
@@ -174,8 +173,8 @@ class TestLpFeasible:
 
 
 def _row_smith(D):
-    """The Smith normal form with V kept by rows, as `ratlin._smith` was
-    written before it kept V by columns: the reference for its values."""
+    """The Smith normal form with U kept and V kept by rows, as
+    `ratlin._smith` was first written: the reference for its D and V."""
     m, n = len(D), len(D[0])
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -242,41 +241,57 @@ def _row_smith(D):
     return D, U, V
 
 
+def smith(A):
+    """`_smith` on a copy of the integer rows A: D, V by rows, and the rank."""
+    D, V_cols = _smith([list(row) for row in A])
+    return D, [list(row) for row in zip(*V_cols)], sum(
+        1 for i in range(min(len(D), len(V_cols))) if D[i][i])
+
+
+def assert_smith_form(A, D, V, rank):
+    """D is diagonal with d_1 | d_2 | ... > 0 on its first `rank` entries,
+    V is unimodular, and A V is zero past the rank (U A V = D with U
+    unimodular, the part that `_lattice_kernel` reads)."""
+    m, n = len(A), len(A[0])
+    assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [D[i][i] for i in range(rank)]
+    assert all(d > 0 for d in diag) and all(D[i][i] == 0 for i in range(rank, min(m, n)))
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert abs(sympy.Matrix(V).det()) == 1
+    AV = mat_mul(A, V)
+    assert all(AV[i, j] == 0 for i in range(m) for j in range(rank, n))
+
+
 class TestSmithNormalForm:
     def test_unimodular_transforms(self):
-        A = mat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-        D, U, V = smith_normal_form(A)
-        assert mat_mul(U, A, V) == mat_mul(D)
+        A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+        assert_smith_form(A, *smith(A))
 
     def test_against_sympy_invariants(self):
+        from sympy.matrices.normalforms import invariant_factors
         rng = random.Random(33)
         for _ in range(40):
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
-            A = mat([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
-            D, U, V = smith_normal_form(A)
-            assert mat_mul(U, A, V) == mat_mul(D)
-            diag = [int(D[i][i]) for i in range(min(rows, cols)) if D[i][i] != 0]
-            sym = sympy.Matrix([[int(x) for x in row] for row in A])
-            from sympy.matrices.normalforms import invariant_factors
-            expected = [int(d) for d in invariant_factors(sym) if d != 0]
-            assert diag == expected
-            for a, b in zip(diag, diag[1:]):
-                assert b % a == 0
+            A = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+            D, V, rank = smith(A)
+            assert_smith_form(A, D, V, rank)
+            expected = [int(d) for d in invariant_factors(sympy.Matrix(A)) if d != 0]
+            assert [D[i][i] for i in range(rank)] == expected
 
     def test_columns_of_v_match_the_row_reference(self):
-        # V is kept by columns; the same operations on rows of V give the
-        # same D, U and V, so lattice bases and normals keep their values
+        # V is kept by columns and U not at all; the same operations on rows
+        # of V give the same D and V, so lattice bases and normals keep
+        # their values
         rng = random.Random(34)
         for _ in range(400):
             rows, cols = rng.randint(1, 5), rng.randint(1, 7)
             A = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 5, 7, -12]) for _ in range(cols)]
                  for _ in range(rows)]
-            D, U, V = smith_normal_form(mat(A))
-            assert (D, U, V) == tuple(mat(m) for m in _row_smith([list(r) for r in A]))
-            assert _lattice_kernel(A) == [tuple(int(row[j]) for row in V)
-                                          for j in range(sum(1 for i in range(min(rows, cols))
-                                                             if D[i][i]), cols)]
+            D, V, rank = smith(A)
+            D_ref, _, V_ref = _row_smith([list(r) for r in A])
+            assert (D, V) == (D_ref, V_ref)
+            assert _lattice_kernel(A) == [tuple(row[j] for row in V) for j in range(rank, cols)]
 
     def test_integer_kernel(self):
         A = [[2, 4], [1, 2]]
@@ -308,7 +323,7 @@ class TestLatticeProjection:
             assert len(proj) == n - 1
             assert is_zero(mat_vec(proj, g))
             # integer matrix and full surjectivity onto Z^(n-1)
-            D, _, _ = smith_normal_form(proj)
+            D, _ = _smith([[int(x) for x in row] for row in proj])
             assert all(D[i][i] == 1 for i in range(n - 1))
 
 
