@@ -205,11 +205,11 @@ def cmd_quotient(args) -> int:
 
 
 def _parse_face_spec(raw: str) -> list[int]:
-    """Face spec tokens: r<i> for ray pool indices.  A fan has no vertices,
-    so a face of it has rays only."""
+    """Face spec tokens: r<i> for ray pool indices, i in ASCII digits.  A fan
+    has no vertices, so a face of it has rays only."""
     rays = []
     for token in raw.replace(",", " ").split():
-        if not token.startswith("r"):
+        if not re.fullmatch("r[0-9]+", token):
             raise UsageError(f"face token {token!r} must look like r0")
         rays.append(int(token[1:]))
     if not rays:

@@ -28,8 +28,9 @@ with no elimination over fractions:
   face of sigma when the AND of sigma's masks over tau's generator rows cuts
   out a face with tau's integer key, and two cells fit when the least faces
   of both containing their intersection (one `dd_cone`, `_meet`) are equal;
-- the saturated lattice of a cell, `Polyhedron._lattice`, is the integer
-  kernel of its equations, from an integer Smith normal form.
+- the lattice of a cell, its direction span meet Z^n (`Polyhedron._lattice`),
+  is the integer kernel of its equations, by unimodular column reduction
+  (`ratlin._lattice_kernel`).
 
 The lattice normal of a cell at a ridge (`_lattice_normal`, on ints) is a
 ray of the cell on which the primitive cutting facet inequality takes the
@@ -72,9 +73,9 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .ratlin import (
-    Mat, Vec, ZeroVector, _int_kernel, _int_reduce, _int_row, _lattice_kernel, _primitive,
-    _primitive_ints, dot, frac, is_zero, matrix_rank, neg, primitive_vector, sub,
-    subspace_canonical_basis, vec,
+    Mat, Vec, ZeroVector, _egcd, _int_kernel, _int_reduce, _int_row, _lattice_kernel,
+    _primitive, _primitive_ints, dot, frac, is_zero, matrix_rank, neg, primitive_vector,
+    sub, subspace_canonical_basis, vec,
 )
 
 # Fractions are immutable: the few distinct entries of integer rows share them
@@ -479,14 +480,11 @@ class Polyhedron:
 
     @cached_property
     def _lattice(self) -> list[tuple[int, ...]]:
-        """Integer basis of the saturated lattice of the direction span,
-        which every lattice normal of this cell is combined from: the
-        integer kernel of the linear parts of the equations."""
-        eqs = self._rec.span_eqs
-        if not eqs:
-            n = self.ambient_dim
-            return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        return _lattice_kernel(eqs)
+        """Integer basis of the direction span meet Z^n, which every
+        lattice normal of this cell is combined from: the integer kernel of
+        the linear parts of the equations, the unit basis when there are
+        none."""
+        return _lattice_kernel(self._rec.span_eqs, self.ambient_dim)
 
     @cached_property
     def dim(self) -> int:
@@ -597,23 +595,16 @@ def _from_rows(n: int, ineqs: Sequence[Sequence], eqs: Sequence[Sequence]) -> Po
 
 
 # ---------------------------------------------------------------------------
-# lattice normals, from a unit ray or the saturated lattice `Polyhedron._lattice`
+# lattice normals, from a unit ray or the cell's lattice `Polyhedron._lattice`
 
 
 def _bezout(values: Sequence[int]) -> list[int]:
-    """Integers x with sum(x_i * values_i) = gcd(values) >= 0."""
+    """Integers x with sum(x_i * values_i) = gcd(values) >= 0, by folding
+    the extended gcd over the values."""
     g, xs = 0, []
     for v in values:
-        # extended Euclid on (g, v), tracking the coefficients of g and of v
-        r0, r1, s0, s1, t0, t1 = g, v, 1, 0, 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0 < 0:
-            r0, s0, t0 = -r0, -s0, -t0
-        g, xs = r0, [s0 * x for x in xs] + [t0]
+        g, s, t = _egcd(g, v)
+        xs = [s * x for x in xs] + [t]
     return xs
 
 
@@ -627,10 +618,10 @@ def _lattice_normal(sigma: Polyhedron, a: Sequence) -> tuple[int, ...]:
     is any vector of L on which a takes its least positive value.  a is
     primitive integral, so a.x is an integer for every integral x, and a
     ray r of sigma (its direction, for a cell with vertices) with a.r = 1
-    is such a u.  Without one, or when L is Z^n and needs no Smith normal
-    form, u is combined from a basis of L.  u is well defined up to the
-    facet's lattice, which lies in the facet's span and so affects neither
-    balancing verdicts nor residuals.
+    is such a u.  Without one, or when sigma is full-dimensional and L is
+    Z^n with the unit basis, u is combined from a basis of L by an extended
+    gcd.  u is well defined up to the facet's lattice, which lies in the
+    facet's span and so affects neither balancing verdicts nor residuals.
     """
     a = _primitive_ints(a)
     rec = sigma._rec

@@ -3,29 +3,29 @@
 All arithmetic is exact; there is no floating point anywhere in this
 package.  Vectors are immutable tuples of ``fractions.Fraction`` and matrices
 are tuples of equal-length vectors, so every value is hashable and safe to
-share.  Inside, the elimination kernels work on Python ints: rank, kernels,
-canonical bases and saturated lattices scale each rational row once to an
-integer row (a nonzero multiple, which changes no row space) and eliminate
-fraction free by Bareiss's method; primitive vectors and dot products go
-through integer numerators; `polyhedral.dd_cone` runs on primitive integer
-rows and returns ints, which `polyhedral._from_rows` turns into
-fractions.  The Smith normal form (`_smith`) works on ints and keeps D and
-V only, which the lattice functions read.  Results are converted back to
-fractions at each public function of this module; the private helpers that
-the geometry layer's integer cell record calls (`_int_kernel`,
-`_int_reduce`, `_lattice_kernel`) take and return ints.  `matrix_rank` is
-the one rank, for rational and integer rows alike (integer rows pass
-`_int_row` unchanged).  Feasibility of linear systems, strict rows
-included, is decided in the geometry layer by one double description
-(`polyhedral._feasible_point`).  This module imports nothing else from the
-package.
+share.  Inside, the elimination kernels work on Python ints: rank, kernels
+and canonical bases scale each rational row once to an integer row (a
+nonzero multiple, which changes no row space) and eliminate fraction free by
+Bareiss's method; primitive vectors and dot products go through integer
+numerators; `polyhedral.dd_cone` runs on primitive integer rows and returns
+ints, which `polyhedral._from_rows` turns into fractions.  Integer lattice
+kernels (`_lattice_kernel`) come from unimodular column operations on ints,
+with an extended gcd (`_egcd`); the lattice projection along a subspace is
+one such kernel.  Results are converted back to fractions at each public
+function of this module; the private helpers that the geometry layer's
+integer cell record calls (`_int_kernel`, `_int_reduce`, `_lattice_kernel`)
+take and return ints.  `matrix_rank` is the one rank, for rational and
+integer rows alike (integer rows pass `_int_row` unchanged).  Feasibility of
+linear systems, strict rows included, is decided in the geometry layer by
+one double description (`polyhedral._feasible_point`).  This module imports
+nothing else from the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -248,121 +248,69 @@ def _int_reduce(row: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]
 
 
 # ---------------------------------------------------------------------------
-# integer lattices via Smith normal form
+# integer lattices by column reduction
 
 
-def _smith(D: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """The Smith normal form U A V = D of the integer rows A = D: reduces D
-    in place and returns (D, the columns of V), with V unimodular and D
-    diagonal, d_1 | d_2 | ... >= 0.  The pivot is the smallest |entry|,
-    first in row-major order.  U is not kept: no caller reads it, and D and
-    V depend only on the operations.  V is kept by columns, so that a column
-    operation is one list operation."""
-    m = len(D)
-    n = len(D[0]) if D else 0
-    W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # W[j]: column j of V
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0, by extended Euclid."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0 < 0:
+        return -r0, -s0, -t0
+    return r0, s0, t0
 
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in D:
-            row[i] -= q * row[j]
-        W[i] = [a - q * b for a, b in zip(W[i], W[j])]
 
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        W[i], W[j] = W[j], W[i]
-
-    t = 0
-    while t < min(m, n):
-        # locate pivot: smallest nonzero magnitude in the trailing block
-        best = None
-        for i in range(t, m):
-            row = D[i]
-            for j in range(t, n):
-                x = row[j]
-                if x and (best is None or abs(x) < least):
-                    best, least = (i, j), abs(x)
-        if best is None:
-            break
-        D[t], D[best[0]] = D[best[0]], D[t]
-        swap_cols(t, best[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    D[i] = [a - q * b for a, b in zip(D[i], D[t])]
-                    if D[i][t] != 0:
-                        D[t], D[i] = D[i], D[t]
-                        dirty = True
-            if dirty:
+def _lattice_kernel(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """Basis of {x in Z^n : A x = 0} for the integer rows A, by unimodular
+    column operations on the stacked matrix [A; I] (Cohen 1993, sec. 2.4).
+    Row by row, the live column with the least nonzero |entry| in the row
+    becomes the pivot, and every other live column is cleared in that row:
+    by subtracting a multiple of the pivot when the pivot divides its
+    entry, else by a unimodular gcd step on the pair.  Then A V = [H | 0]
+    with V unimodular, and V's columns past the rank are the basis; with no
+    rows it is the unit basis.  The kernel lattice is saturated, so it is a
+    direct summand of Z^n."""
+    m = len(rows)
+    # column j of [A; I]
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    r = 0
+    for i in range(m):
+        live = [j for j in range(r, n) if cols[j][i]]
+        if not live:
+            continue
+        best = min(live, key=lambda j: abs(cols[j][i]))
+        cols[r], cols[best] = cols[best], cols[r]
+        piv = cols[r]
+        for j in range(r + 1, n):
+            col = cols[j]
+            e = col[i]
+            if not e:
                 continue
-            # clear row t
-            for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    col_op(j, t, q)
-                    if D[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility: pivot must divide the trailing block
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % D[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            D[t] = [a + b for a, b in zip(D[t], D[offender])]
-        if D[t][t] < 0:
-            D[t] = [-a for a in D[t]]
-        t += 1
-    return D, W
-
-
-def _lattice_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of {x in Z^n : A x = 0} for the nonempty integer rows A: the
-    last columns of V in the Smith normal form U A V = D."""
-    n = len(rows[0])
-    D, V_cols = _smith([list(row) for row in rows])
-    rank = sum(1 for i in range(min(len(D), n)) if D[i][i] != 0)
-    return [tuple(col) for col in V_cols[rank:]]
-
-
-def saturation_basis(gens: Sequence[Vec], ambient_dim: Optional[int] = None) -> Mat:
-    """Basis of span(gens) ∩ Z^n, the saturated lattice of a rational subspace."""
-    gens = [g for g in gens if not is_zero(g)]
-    if not gens:
-        return ()
-    n = len(gens[0]) if ambient_dim is None else ambient_dim
-    _, equations = _int_kernel(gens)
-    if not equations:
-        return identity_mat(n)
-    return tuple(tuple(map(Fraction, k)) for k in _lattice_kernel(equations))
+            p = piv[i]
+            if e % p == 0:
+                q = e // p
+                cols[j] = [a - q * b for a, b in zip(col, piv)]
+            else:
+                g, s, t = _egcd(p, e)
+                p, e = p // g, e // g
+                cols[j] = [p * a - e * b for a, b in zip(col, piv)]
+                piv = [s * b + t * a for a, b in zip(col, piv)]
+        cols[r] = piv
+        r += 1
+    return [tuple(col[m:]) for col in cols[r:]]
 
 
 def lattice_complement_projection(gens: Sequence[Vec], ambient_dim: int) -> Mat:
     """Integer projection matrix P with kernel span(gens), mapping Z^n onto Z^(n-l).
 
-    Built from a Smith-normal-form completion of the saturated lattice of the
-    subspace, so rational and integral data stay rational and integral, and
-    the construction is deterministic.
+    P's rows are the integer kernel basis of the generators' integer rows
+    (`_lattice_kernel`).  That lattice is a direct summand of Z^n, so P maps
+    Z^n onto Z^(n-l), rational and integral data stay rational and
+    integral, and the construction is deterministic.
     """
-    basis = saturation_basis(gens, ambient_dim)
-    ell = len(basis)
-    if ell == 0:
-        return identity_mat(ambient_dim)
-    D, V_cols = _smith([_int_row(row) for row in basis])
-    for i in range(ell):
-        if D[i][i] != 1:
-            raise AssertionError("saturated lattice should have trivial invariants")
-    # rows of V^{-1} form a Z^n basis whose first `ell` rows span the lattice;
-    # coordinates w.r.t. that basis are given by V^T, so dropping the first
-    # `ell` coordinates projects along the subspace.
-    return tuple(tuple(map(Fraction, col)) for col in V_cols[ell:])
+    rows = [_int_row(g) for g in gens]
+    return tuple(tuple(map(Fraction, k)) for k in _lattice_kernel(rows, ambient_dim))

@@ -595,15 +595,48 @@ class TestCliOther:
 
     @pytest.mark.parametrize("spec,word", [
         ("x3", "face token"),
-        ("r-1", "outside the fan's pools"),
+        ("r-1", "face token 'r-1'"),
         ("r4", "outside the fan's pools"),
         ("v0", "face token"),
-    ], ids=["bad-token", "negative-index", "index-past-pool", "empty-vertex-pool"])
+        # int() would take the digits of these, or fail with its own message
+        ("r0,r", "face token 'r'"),
+        ("r+1", "face token 'r+1'"),
+        ("r-0", "face token 'r-0'"),
+        ("r\u0663", "face token 'r\u0663'"),
+        ("r1x", "face token 'r1x'"),
+    ], ids=["bad-token", "negative-index", "index-past-pool", "empty-vertex-pool",
+            "no-digits", "plus-sign", "minus-zero", "arabic-digit", "trailing-letter"])
     def test_star_bad_face_spec(self, tmp_path, capsys, spec, word):
         path = tmp_path / "cube.json"
         run_cli(["gen", "normal-fan-cube", "2", "-o", str(path)], capsys)
         code, _, err = run_cli(["star", str(path), "--face", spec], capsys)
         assert code == 1 and word in err
+
+    def test_quotient_keeps_small_entries(self, tmp_path, capsys):
+        # two opposite rays modulo a rank-3 lineality in R^7, where a
+        # projection with entries of about 13,400 digits once overflowed
+        # Python's integer string limit
+        obj = {"ambient_dim": 7, "vertices": [],
+               "rays": [[1, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0]],
+               "lineality": [[14, -6, 24, 42, 0, -12, -3], [49, 14, 6, 4, -49, -1, 21],
+                             [392, -126, 132, 366, 588, -72, -21]],
+               "cells": [{"r": [0]}, {"r": [1]}], "weights": [1, 1]}
+        path, out_path = tmp_path / "f.json", tmp_path / "q.json"
+        path.write_text(json.dumps(obj))
+        code, _, _ = run_cli(["quotient", str(path), "-o", str(out_path)], capsys)
+        assert code == 0
+        q = load_fan(str(out_path))
+        assert q.ambient_dim == 4 and q.lineality_dim == 0
+
+        def report(command, p):
+            code, out, _ = run_cli([command, str(p)], capsys)
+            assert code == 0
+            return json.loads(out)
+
+        before, after = report("check", path), report("check", out_path)
+        assert (after["verdict"], after["facets"], after["ridges"]) == (before["verdict"], 2, 1)
+        before, after = report("balance", path), report("balance", out_path)
+        assert (after["balanced"], after["ridges"]) == (before["balanced"], 1)
 
     def test_dot_command(self, tmp_path, capsys):
         path = tmp_path / "tp.json"

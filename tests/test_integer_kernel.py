@@ -19,9 +19,10 @@ import sympy
 
 from tropicon.polyhedral import EmptyPolyhedron, HRep, Polyhedron, _eq_kernel, dd_cone
 from tropicon.ratlin import (
-    _bareiss, _int_kernel, _int_row, _lattice_kernel, dot, identity_mat,
-    matrix_rank, primitive_vector, saturation_basis, subspace_canonical_basis,
+    _bareiss, _int_kernel, _int_row, _lattice_kernel, dot, matrix_rank,
+    primitive_vector, subspace_canonical_basis,
 )
+from test_ratlin import hermite, saturation_basis
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +313,10 @@ class TestElimination:
             assert subspace_canonical_basis(A) == _oracle_canonical_basis(A)
             n = len(A[0])
             if any(any(row) for row in A):
-                assert saturation_basis(A, n) == (
-                    tuple(_lattice_kernel([_int_row(k) for k in kernel]))
-                    if kernel else identity_mat(n))
+                # the saturated lattice of the span is the integer kernel of
+                # its equations; with none, the unit basis
+                assert hermite(saturation_basis(A, n), n) == hermite(
+                    _lattice_kernel([_int_row(k) for k in kernel], n), n)
 
     def test_dot_products(self):
         rng = random.Random(4)

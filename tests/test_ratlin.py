@@ -6,10 +6,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
+
 from tropicon.ratlin import (
-    ZeroVector, _int_kernel, _lattice_kernel, _smith, dot, frac, is_zero,
+    ZeroVector, _int_kernel, _lattice_kernel, dot, frac, identity_mat, is_zero,
     lattice_complement_projection, mat, mat_vec, matrix_rank, primitive_vector,
-    reduce_mod_subspace, saturation_basis, subspace_canonical_basis, vec,
+    reduce_mod_subspace, subspace_canonical_basis, vec,
 )
 from test_polyhedral import codim1_faces, face_is_tight, fm_feasible, hrep, satisfies
 from tropicon.polyhedral import Polyhedron, _feasible_point, _lattice_normal, is_face_of
@@ -173,8 +175,9 @@ class TestLpFeasible:
 
 
 def _row_smith(D):
-    """The Smith normal form with U kept and V kept by rows, as
-    `ratlin._smith` was first written: the reference for its D and V."""
+    """The Smith normal form U A V = D of the integer rows A = D, with U and
+    V kept by rows and the pivot the smallest |entry|, first in row-major
+    order: the oracle for integer kernels and saturated lattices."""
     m, n = len(D), len(D[0])
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -242,24 +245,52 @@ def _row_smith(D):
 
 
 def smith(A):
-    """`_smith` on a copy of the integer rows A: D, V by rows, and the rank."""
-    D, V_cols = _smith([list(row) for row in A])
-    return D, [list(row) for row in zip(*V_cols)], sum(
-        1 for i in range(min(len(D), len(V_cols))) if D[i][i])
+    """`_row_smith` on a copy of the integer rows A: D, U, V and the rank."""
+    D, U, V = _row_smith([list(row) for row in A])
+    return D, U, V, sum(1 for i in range(min(len(D), len(V))) if D[i][i])
 
 
-def assert_smith_form(A, D, V, rank):
-    """D is diagonal with d_1 | d_2 | ... > 0 on its first `rank` entries,
-    V is unimodular, and A V is zero past the rank (U A V = D with U
-    unimodular, the part that `_lattice_kernel` reads)."""
+def saturation_basis(gens, ambient_dim=None):
+    """Basis of span(gens) ∩ Z^n, the saturated lattice of a rational
+    subspace: the integer kernel of the subspace's equations, read off the
+    columns of V past the rank in `_row_smith`."""
+    gens = [g for g in gens if not is_zero(g)]
+    if not gens:
+        return ()
+    n = len(gens[0]) if ambient_dim is None else ambient_dim
+    _, equations = _int_kernel(gens)
+    if not equations:
+        return identity_mat(n)
+    _, _, V, rank = smith(equations)
+    return tuple(vec(row[j] for row in V) for j in range(rank, n))
+
+
+def hermite(basis, n):
+    """The Hermite normal form of the lattice spanned by the integer
+    vectors `basis` in Z^n, by sympy: equal exactly for equal lattices."""
+    if not basis:
+        return sympy.zeros(n, 0)
+    return hermite_normal_form(sympy.Matrix([[int(x) for x in b] for b in basis]).T)
+
+
+def assert_onto(P, n):
+    """The integer rows P map Z^n onto Z^len(P): every invariant factor is 1."""
+    if P:
+        assert len(P[0]) == n
+        assert invariant_factors(sympy.Matrix([[int(x) for x in row] for row in P])) \
+            == (1,) * len(P)
+
+
+def assert_smith_form(A, D, U, V, rank):
+    """U A V = D with U and V unimodular, D diagonal with d_1 | d_2 | ... > 0
+    on its first `rank` entries and zero past them."""
     m, n = len(A), len(A[0])
     assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
     diag = [D[i][i] for i in range(rank)]
     assert all(d > 0 for d in diag) and all(D[i][i] == 0 for i in range(rank, min(m, n)))
     assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
-    assert abs(sympy.Matrix(V).det()) == 1
-    AV = mat_mul(A, V)
-    assert all(AV[i, j] == 0 for i in range(m) for j in range(rank, n))
+    assert abs(sympy.Matrix(U).det()) == 1 and abs(sympy.Matrix(V).det()) == 1
+    assert mat_mul(U, A, V) == sympy.Matrix(D)
 
 
 class TestSmithNormalForm:
@@ -268,34 +299,41 @@ class TestSmithNormalForm:
         assert_smith_form(A, *smith(A))
 
     def test_against_sympy_invariants(self):
-        from sympy.matrices.normalforms import invariant_factors
         rng = random.Random(33)
         for _ in range(40):
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
             A = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-            D, V, rank = smith(A)
-            assert_smith_form(A, D, V, rank)
+            D, U, V, rank = smith(A)
+            assert_smith_form(A, D, U, V, rank)
             expected = [int(d) for d in invariant_factors(sympy.Matrix(A)) if d != 0]
             assert [D[i][i] for i in range(rank)] == expected
 
     def test_columns_of_v_match_the_row_reference(self):
-        # V is kept by columns and U not at all; the same operations on rows
-        # of V give the same D and V, so lattice bases and normals keep
-        # their values
+        # the column reduction's kernel has n - rank rows, is killed by A, is
+        # saturated and spans the lattice of the columns of the row
+        # reference's V past the rank
         rng = random.Random(34)
         for _ in range(400):
             rows, cols = rng.randint(1, 5), rng.randint(1, 7)
             A = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 5, 7, -12]) for _ in range(cols)]
                  for _ in range(rows)]
-            D, V, rank = smith(A)
-            D_ref, _, V_ref = _row_smith([list(r) for r in A])
-            assert (D, V) == (D_ref, V_ref)
-            assert _lattice_kernel(A) == [tuple(row[j] for row in V) for j in range(rank, cols)]
+            K = _lattice_kernel(A, cols)
+            rank = sympy.Matrix(A).rank()
+            assert len(K) == cols - rank
+            assert all(sum(a * k for a, k in zip(row, x)) == 0 for row in A for x in K)
+            assert_onto(K, cols)
+            _, _, V, _ = smith(A)
+            oracle = [[row[j] for row in V] for j in range(rank, cols)]
+            assert hermite(K, cols) == hermite(oracle, cols)
+
+    def test_no_rows_gives_the_unit_basis(self):
+        for n in range(5):
+            assert _lattice_kernel([], n) == list(identity_mat(n))
 
     def test_integer_kernel(self):
         A = [[2, 4], [1, 2]]
-        basis = _lattice_kernel(A)
+        basis = _lattice_kernel(A, 2)
         assert len(basis) == 1
         assert is_zero(mat_vec(mat(A), vec(basis[0])))
         assert list(basis[0]) in ([2, -1], [-2, 1])
@@ -323,8 +361,33 @@ class TestLatticeProjection:
             assert len(proj) == n - 1
             assert is_zero(mat_vec(proj, g))
             # integer matrix and full surjectivity onto Z^(n-1)
-            D, _ = _smith([[int(x) for x in row] for row in proj])
-            assert all(D[i][i] == 1 for i in range(n - 1))
+            assert all(x.denominator == 1 for row in proj for x in row)
+            assert_onto(proj, n)
+
+    def test_no_growth_on_seeded_generators(self):
+        # P g = 0, n - rank rows, onto Z^(n - rank), and entries of bounded
+        # size: the bound is set from the measured maximum over these
+        # inputs, 258 digits; smallest-entry Smith pivoting reached
+        # thousands of digits on inputs like these
+        rng = random.Random(36)
+        widest = 0
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            gens = []
+            for _ in range(rng.randint(0, n + 1)):
+                if gens and rng.randrange(5) == 0:
+                    g = [sum(rng.randint(-3, 3) * x for x in col) for col in zip(*gens)]
+                else:
+                    g = [rng.randint(-10 ** 3, 10 ** 3) for _ in range(n)]
+                gens.append(g)
+            P = lattice_complement_projection([vec(g) for g in gens], n)
+            rank = sympy.Matrix(gens).rank() if gens else 0
+            assert len(P) == n - rank
+            assert all(dot(row, vec(g)) == 0 for row in P for g in gens)
+            assert all(x.denominator == 1 for row in P for x in row)
+            assert_onto(P, n)
+            widest = max([widest] + [len(str(abs(x.numerator))) for row in P for x in row])
+        assert widest <= 300
 
 
 class TestLatticeNormalGenerator:

@@ -14,7 +14,7 @@ from test_golden import RATIONAL_COMPLEX
 from test_polyhedral import (
     _face_levels, codim1_faces, contains, fm_feasible, hrep, intersect,
 )
-from test_ratlin import lattice_normal_generator
+from test_ratlin import lattice_normal_generator, saturation_basis
 from test_theorem import loopless_matroids
 from tropicon import polyhedral, tropical
 from tropicon.connectivity import build_hypergraph, connected_components
@@ -26,8 +26,8 @@ from tropicon.polyhedral import (
 )
 from tropicon.ratlin import (
     _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
-    lattice_complement_projection, mat, mat_vec, primitive_vector,
-    saturation_basis, sub, subspace_canonical_basis, transpose, vec, zero_vec,
+    lattice_complement_projection, mat, mat_vec, primitive_vector, sub,
+    subspace_canonical_basis, transpose, vec, zero_vec,
 )
 from tropicon.tropical import (
     DegenerateInput, LinealityObstruction, NotAFan, NotTransverse,
