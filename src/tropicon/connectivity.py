@@ -90,10 +90,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .polyhedral import Complex, Polyhedron, validate_complex
+from .polyhedral import Complex, Polyhedron, _Frozen, validate_complex
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -110,10 +109,11 @@ class ImpureComplex(ValueError):
     """The complex is not pure, so its facet-ridge hypergraph is undefined."""
 
 
-@dataclass(frozen=True)
 class _Labels(Sequence):
     """The labels of a tuple of polyhedra, each made when it is read."""
-    cells: tuple[Polyhedron, ...]
+
+    def __init__(self, cells: tuple[Polyhedron, ...]):
+        self.cells = cells
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -122,8 +122,7 @@ class _Labels(Sequence):
         return self.cells[i].label()
 
 
-@dataclass(frozen=True)
-class FacetRidgeHypergraph:
+class FacetRidgeHypergraph(_Frozen):
     """Vertices are facet ids 0..F-1; hyperedge i joins the facets of ridge i.
 
     Ridges are identified by the canonical form of the cell, so two distinct
@@ -136,20 +135,18 @@ class FacetRidgeHypergraph:
     facet_labels: Sequence[str]
     hyperedges: tuple[frozenset[int], ...]
     ridge_labels: Sequence[str]
-    _adjacency: tuple[tuple[tuple[int, ...], ...], ...] = \
-        field(init=False, repr=False, compare=False)
-    # per size t, `_Separators.find(t)` with every facet removable
-    _decided: dict[int, Optional[frozenset[int]]] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        edges = self.hyperedges
-        adjacent: list[list] = [[] for _ in range(self.num_facets)]
-        for e in sorted(range(len(edges)), key=lambda e: len(edges[e])):
-            if len(edges[e]) > 1:
-                for u in edges[e]:
-                    adjacent[u].append(tuple(w for w in edges[e] if w != u))
-        object.__setattr__(self, "_adjacency", tuple(map(tuple, adjacent)))
+    def __init__(self, facet_labels: Sequence[str], hyperedges: tuple[frozenset[int], ...],
+                 ridge_labels: Sequence[str]):
+        adjacent: list[list] = [[] for _ in range(len(facet_labels))]
+        for e in sorted(range(len(hyperedges)), key=lambda e: len(hyperedges[e])):
+            if len(hyperedges[e]) > 1:
+                for u in hyperedges[e]:
+                    adjacent[u].append(tuple(w for w in hyperedges[e] if w != u))
+        self.__dict__.update(facet_labels=facet_labels, hyperedges=hyperedges,
+                             ridge_labels=ridge_labels, _adjacency=tuple(map(tuple, adjacent)))
+        # per size t, `_Separators.find(t)` with every facet removable
+        self.__dict__["_decided"] = {}
 
     @property
     def num_facets(self) -> int:
@@ -160,8 +157,7 @@ class FacetRidgeHypergraph:
         return len(self.hyperedges)
 
 
-@dataclass(frozen=True)
-class ConnectivityCertificate:
+class ConnectivityCertificate(NamedTuple):
     k: int
     verdict: bool
     witness: Optional[tuple[int, ...]]

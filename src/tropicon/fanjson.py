@@ -19,13 +19,12 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Union
 
 from .polyhedral import Complex, _fraction
 from .ratlin import as_int_list
 
 
-def format_rational(x: Fraction) -> Union[str, int]:
+def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -11,12 +11,11 @@ all-ones vector as lineality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, FrozenSet, Iterable, Sequence
+from typing import Callable, FrozenSet, Iterable, NamedTuple, Sequence
 
 from .fanjson import _integer, _list, parse_rational
-from .polyhedral import Complex
+from .polyhedral import Complex, _Frozen
 from .ratlin import mat, matrix_rank, vec
 
 GROUND_LIMIT = 12
@@ -30,8 +29,7 @@ class LoopContraction(ValueError):
     """Contraction by a loop is undefined here."""
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     elements: FrozenSet[int]
     rank: int
 
@@ -39,15 +37,21 @@ class Flat:
         return e in self.elements
 
 
-@dataclass(frozen=True)
-class FlagChain:
+class FlagChain(_Frozen):
     """Strictly increasing chain of proper nonempty flats."""
     flats: tuple[Flat, ...]
 
-    def __post_init__(self):
-        for a, b in zip(self.flats, self.flats[1:]):
+    def __init__(self, flats: tuple[Flat, ...]):
+        for a, b in zip(flats, flats[1:]):
             if not a.elements < b.elements:
                 raise ValueError("chain is not strictly increasing")
+        self.__dict__["flats"] = flats
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.flats == other.flats
+
+    def __hash__(self) -> int:
+        return hash(self.flats)
 
 
 class Matroid:

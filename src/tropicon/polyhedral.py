@@ -66,11 +66,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .ratlin import (
     Mat, Vec, ZeroVector, _egcd, _int_kernel, _int_reduce, _int_row, _lattice_kernel,
@@ -252,28 +251,48 @@ def _feasible_point(n: int, constraints: Sequence[tuple]) -> Optional[Vec]:
 # polyhedron
 
 
-@dataclass(frozen=True)
-class HRep:
+class _Frozen:
+    """A value whose fields, the names its class annotates, the constructor
+    sets once in the instance dict: assigning or deleting an attribute
+    raises AttributeError.  Cached properties also write to that dict."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in type(self).__annotations__)
+        return f"{type(self).__name__}({fields})"
+
+
+class HRep(NamedTuple):
     """Facet description: inequalities a.x >= b and equations a.x = b."""
     ambient_dim: int
     inequalities: tuple[tuple[Vec, Fraction], ...]
     equations: tuple[tuple[Vec, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class AffineHyperplane:
+class AffineHyperplane(_Frozen):
     """The set {x : normal . x = offset} with a primitive integral normal."""
     normal: Vec
     offset: Fraction
 
-    def __post_init__(self):
-        normal = vec(self.normal)
+    def __init__(self, normal: Vec, offset: Fraction):
+        normal = vec(normal)
         if is_zero(normal):
             raise ZeroVector("hyperplane normal must be nonzero")
         prim = primitive_vector(normal)
         ratio = next(n / p for n, p in zip(normal, prim) if p != 0)
-        object.__setattr__(self, "normal", prim)
-        object.__setattr__(self, "offset", frac(self.offset) / ratio)
+        self.__dict__.update(normal=prim, offset=frac(offset) / ratio)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and \
+            (self.normal, self.offset) == (other.normal, other.offset)
+
+    def __hash__(self) -> int:
+        return hash((self.normal, self.offset))
 
     def value(self, x: Vec) -> Fraction:
         return dot(self.normal, x) - self.offset
@@ -399,8 +418,7 @@ class _Record:
         return [e[1:] for e in self.eqs] if self.affine else self.eqs
 
 
-@dataclass(frozen=True, eq=False)
-class Polyhedron:
+class Polyhedron(_Frozen):
     """Rational polyhedron conv(vertices) + cone(rays) + span(lineality).
 
     Cones carry no vertices; their apex is the implicit origin.  Rays and
@@ -408,21 +426,20 @@ class Polyhedron:
     construction; semantic equality and hashing go through canonical forms.
     """
     ambient_dim: int
-    vertices: tuple[Vec, ...] = ()
-    rays: tuple[Vec, ...] = ()
-    lineality: tuple[Vec, ...] = ()
+    vertices: tuple[Vec, ...]
+    rays: tuple[Vec, ...]
+    lineality: tuple[Vec, ...]
 
-    def __post_init__(self):
-        lin = subspace_canonical_basis([vec(l) for l in self.lineality])
-        verts, rays = _generators(self.ambient_dim, self.vertices, self.rays, lin)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "lineality", lin)
+    def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...] = (),
+                 rays: tuple[Vec, ...] = (), lineality: tuple[Vec, ...] = ()):
+        lin = subspace_canonical_basis([vec(l) for l in lineality])
+        verts, rays = _generators(ambient_dim, vertices, rays, lin)
+        self.__dict__.update(ambient_dim=ambient_dim, vertices=verts, rays=rays, lineality=lin)
 
     @classmethod
     def _raw(cls, n: int, vertices: tuple[Vec, ...], rays: tuple[Vec, ...],
              lineality: Mat) -> "Polyhedron":
-        """A polyhedron from generators already in the form `__post_init__`
+        """A polyhedron from generators already in the form `__init__`
         gives them: fraction vertices, distinct primitive rays outside the
         lineality, and a canonical lineality basis."""
         p = object.__new__(cls)
@@ -781,8 +798,7 @@ def _meet(p: Polyhedron, q: Polyhedron) -> list[tuple[int, ...]]:
 # complexes
 
 
-@dataclass(frozen=True, eq=False)
-class Complex:
+class Complex(_Frozen):
     """Pure polyhedral complex given by maximal cells over shared pools.
 
     Each cell is a pair (vertex indices, ray indices); every cell implicitly
@@ -795,19 +811,22 @@ class Complex:
     ray_pool: tuple[Vec, ...]
     lineality: tuple[Vec, ...]
     cells: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    weights: Optional[tuple[int, ...]] = None
+    weights: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.weights is None:
-            object.__setattr__(self, "weights", (1,) * len(self.cells))
-        if len(self.weights) != len(self.cells):
+    def __init__(self, ambient_dim: int, vertex_pool: tuple[Vec, ...], ray_pool: tuple[Vec, ...],
+                 lineality: tuple[Vec, ...],
+                 cells: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+                 weights: Optional[tuple[int, ...]] = None):
+        if weights is None:
+            weights = (1,) * len(cells)
+        if len(weights) != len(cells):
             raise ValueError("one weight per facet required")
-        if any(type(w) is not int or w <= 0 for w in self.weights):
+        if any(type(w) is not int or w <= 0 for w in weights):
             raise ValueError("weights must be positive integers")
-        n = self.ambient_dim
-        pools = itertools.chain(self.vertex_pool, self.ray_pool, self.lineality)
-        if any(len(g) != n for g in pools):
+        if any(len(g) != ambient_dim for g in itertools.chain(vertex_pool, ray_pool, lineality)):
             raise ValueError("generator has wrong ambient dimension")
+        self.__dict__.update(ambient_dim=ambient_dim, vertex_pool=vertex_pool, ray_pool=ray_pool,
+                             lineality=lineality, cells=cells, weights=weights)
 
     @staticmethod
     def from_facets(facets: Sequence[Polyhedron], lineality: Iterable = (),
@@ -927,8 +946,7 @@ class Complex:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     dim: int
     issues: tuple[str, ...]

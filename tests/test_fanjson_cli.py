@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from test_tropical import same_fan
-from tropicon import cli
+from tropicon import cli, tropical
 from tropicon.connectivity import build_hypergraph, connected_after_removal
 from tropicon.fanjson import (
     fan_from_obj, fan_from_text, fan_to_obj, fan_to_text, format_rational,
@@ -18,7 +18,7 @@ from tropicon.fanjson import (
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import Complex, Polyhedron, validate_complex
 from tropicon.ratlin import vec
-from tropicon.tropical import cube_normal_fan, two_planes_fan
+from tropicon.tropical import CUBE_DIM_LIMIT, cube_normal_fan, two_planes_fan
 
 
 class TestRationalStrings:
@@ -139,6 +139,18 @@ class TestCliGen:
         code, out, _ = run_cli(["gen", "normal-fan-cube", "3"], capsys)
         assert code == 0
         assert len(fan_from_text(out)) == 8
+
+    @pytest.mark.parametrize("d, message", [
+        (0, "dimension must be positive"),
+        (CUBE_DIM_LIMIT + 1, f"cube dimension {CUBE_DIM_LIMIT + 1} exceeds the limit "
+                             f"{CUBE_DIM_LIMIT}"),
+    ], ids=["zero", "past-the-limit"])
+    def test_normal_fan_cube_dimension_out_of_range(self, capsys, monkeypatch, d, message):
+        # the dimension is checked before the construction starts: building
+        # the fan would call None and raise TypeError, which main does not catch
+        monkeypatch.setattr(tropical, "normal_fan", None)
+        assert run_cli(["gen", "normal-fan-cube", str(d)], capsys) == \
+            (1, "", f"tropicon: {message}\n")
 
     def test_normal_fan_from_vertices_file(self, tmp_path, capsys):
         vfile = tmp_path / "verts.json"

@@ -11,7 +11,6 @@ repeated, scaled and redundant generators and with rays inside the
 lineality.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -28,7 +27,7 @@ from test_polyhedral import (
     oracle_is_face_of,
 )
 from test_ratlin import lattice_normal_generator
-from test_tropical import _section_fixtures
+from test_tropical import _reweighted, _section_fixtures
 from tropicon import polyhedral
 from tropicon.fanjson import fan_from_obj, fan_from_text, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine
@@ -361,7 +360,7 @@ class TestBalancingMembership:
         for fan in self._fans():
             for weights in [fan.weights] + [
                     tuple(rng.randint(1, 3) for _ in fan.weights) for _ in range(3)]:
-                w = dataclasses.replace(fan, weights=weights)
+                w = _reweighted(fan, weights)
                 report = balancing_check(w)
                 got = [(e.ridge_label, e.balanced, e.residual) for e in report.entries]
                 assert got == _oracle_balancing(w)
@@ -689,7 +688,7 @@ class TestSeededRayKeys:
 
     def test_derived_complexes_compute_their_keys(self):
         c = _loaded(cube_normal_fan(2))
-        derived = dataclasses.replace(c, weights=None)
+        derived = _reweighted(c, None)
         assert "_pool" not in derived.__dict__ and derived._pool == c._pool
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from test_theorem import linear_matroids, loopless_matroids
 from tropicon.fanjson import fan_to_text
 from tropicon.matroid import (
-    Flat, HasLoops, LoopContraction, Matroid, bergman_fine, contraction,
+    FlagChain, Flat, HasLoops, LoopContraction, Matroid, bergman_fine, contraction,
     matroid_from_json, maximal_chains, proper_flats,
 )
 from tropicon.polyhedral import Complex, Polyhedron, validate_complex
@@ -102,6 +102,14 @@ class TestMaximalChains:
         loopy = Matroid.from_bases(3, [[0], [1]])
         with pytest.raises(HasLoops):
             maximal_chains(loopy)
+
+    def test_chain_must_strictly_increase(self):
+        a, b = Flat(frozenset({0}), 1), Flat(frozenset({0, 1}), 2)
+        assert FlagChain((a, b)) == FlagChain((a, b))
+        assert hash(FlagChain((a, b))) == hash(FlagChain((a, b)))
+        for flats in ((b, a), (a, a)):
+            with pytest.raises(ValueError, match="chain is not strictly increasing"):
+                FlagChain(flats)
 
 
 class TestBergmanFine:

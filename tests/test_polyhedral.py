@@ -561,3 +561,23 @@ class TestAffineHyperplane:
     def test_zero_normal_rejected(self):
         with pytest.raises(ZeroVector):
             AffineHyperplane(vec([0, 0]), F(1))
+
+    def test_equal_by_value(self):
+        H = AffineHyperplane(vec([2, 4]), F(6))
+        assert H == AffineHyperplane(vec([1, 2]), F(3))
+        assert hash(H) == hash(AffineHyperplane(vec([1, 2]), F(3)))
+        assert H != AffineHyperplane(vec([1, 2]), F(2))
+
+
+@pytest.mark.parametrize("value, field", [
+    (cone([1, 0]), "rays"),
+    (Complex.from_facets([cone([1, 0])]), "weights"),
+    (AffineHyperplane(vec([1, 2]), F(3)), "offset"),
+], ids=["polyhedron", "complex", "hyperplane"])
+def test_fields_are_set_once(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(value, field)
+    assert getattr(value, field) is before
