@@ -39,10 +39,9 @@ print("minimum facet cut:", min_facet_cut(h))
 # cliques among their remaining members, so one removal never disconnects it.
 # With the facet taken out of every hyperedge, its closed removal drops no
 # hyperedge, which is the clique expansion's removal
-clique = FacetRidgeHypergraph(h.facet_labels, tuple(e - {bridge[0]} for e in h.hyperedges),
-                              h.ridge_labels)
+clique = FacetRidgeHypergraph(h.num_facets, tuple(e - {bridge[0]} for e in h.hyperedges))
 print("clique-expansion graph survives the same removal:",
       connected_after_removal(clique, {bridge[0]}))
 
 print("\nbipartite incidence graph (DOT), first lines:")
-print("\n".join(hypergraph_dot(h).splitlines()[:6]))
+print("\n".join(hypergraph_dot(fan).splitlines()[:6]))

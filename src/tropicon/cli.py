@@ -231,7 +231,7 @@ def cmd_star(args) -> int:
 
 def cmd_dot(args) -> int:
     fan = _load_checked(args.fan)
-    sys.stdout.write(hypergraph_dot(build_hypergraph(fan)))
+    sys.stdout.write(hypergraph_dot(fan))
     return EXIT_OK
 
 

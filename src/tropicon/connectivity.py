@@ -89,10 +89,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .polyhedral import Complex, Polyhedron, _Frozen, validate_complex
+from .polyhedral import Complex, _Frozen, validate_complex
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -109,22 +108,6 @@ class ImpureComplex(ValueError):
     """The complex is not pure, so its facet-ridge hypergraph is undefined."""
 
 
-class _Labels(Sequence):
-    """The labels of a tuple of polyhedra, each made when it is read."""
-
-    def __init__(self, cells: tuple[Polyhedron, ...]):
-        self.cells = cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __getitem__(self, i: int) -> str:
-        return self.cells[i].label()
-
-    def __repr__(self) -> str:
-        return f"_Labels(cells={self.cells!r})"
-
-
 class FacetRidgeHypergraph(_Frozen):
     """Vertices are facet ids 0..F-1; hyperedge i joins the facets of ridge i.
 
@@ -135,25 +118,19 @@ class FacetRidgeHypergraph(_Frozen):
     search meets a 2-member ridge before others), each as the tuple of its
     members other than u, in the hyperedge's order.
     """
-    facet_labels: Sequence[str]
+    num_facets: int
     hyperedges: tuple[frozenset[int], ...]
-    ridge_labels: Sequence[str]
 
-    def __init__(self, facet_labels: Sequence[str], hyperedges: tuple[frozenset[int], ...],
-                 ridge_labels: Sequence[str]):
-        adjacent: list[list] = [[] for _ in range(len(facet_labels))]
+    def __init__(self, num_facets: int, hyperedges: tuple[frozenset[int], ...]):
+        adjacent: list[list] = [[] for _ in range(num_facets)]
         for e in sorted(range(len(hyperedges)), key=lambda e: len(hyperedges[e])):
             if len(hyperedges[e]) > 1:
                 for u in hyperedges[e]:
                     adjacent[u].append(tuple(w for w in hyperedges[e] if w != u))
-        self.__dict__.update(facet_labels=facet_labels, hyperedges=hyperedges,
-                             ridge_labels=ridge_labels, _adjacency=tuple(map(tuple, adjacent)))
+        self.__dict__.update(num_facets=num_facets, hyperedges=hyperedges,
+                             _adjacency=tuple(map(tuple, adjacent)))
         # per size t, `_Separators.find(t)` with every facet removable
         self.__dict__["_decided"] = {}
-
-    @property
-    def num_facets(self) -> int:
-        return len(self.facet_labels)
 
     @property
     def num_ridges(self) -> int:
@@ -171,17 +148,12 @@ def build_hypergraph(c: Complex) -> FacetRidgeHypergraph:
     """Extract the facet-ridge hypergraph of a pure complex.
 
     Ridges are the deduplicated codimension-one faces of the facets; the
-    hyperedge of a ridge collects every facet it is a face of.  Labels are
-    made only when read, which only `hypergraph_dot` does.
+    hyperedge of a ridge collects every facet it is a face of.
     """
     report = validate_complex(c)
     if not report.valid:
         raise ImpureComplex("; ".join(report.issues))
-    return FacetRidgeHypergraph(
-        _Labels(c.facet_polyhedra),
-        tuple(frozenset(fids) for _, fids, _ in c.ridges),
-        _Labels(tuple(ridge for ridge, _, _ in c.ridges)),
-    )
+    return FacetRidgeHypergraph(len(c), tuple(frozenset(fids) for _, fids, _ in c.ridges))
 
 
 def _components(h: FacetRidgeHypergraph, removed: Iterable[int] = ()
@@ -419,13 +391,15 @@ def min_facet_cut(h: FacetRidgeHypergraph,
 # DOT export
 
 
-def hypergraph_dot(h: FacetRidgeHypergraph) -> str:
-    """Bipartite DOT rendering: facets as boxes, ridges as circles."""
+def hypergraph_dot(c: Complex) -> str:
+    """Bipartite DOT rendering of a pure complex's facet-ridge hypergraph:
+    facets as boxes, ridges as circles, each labelled by its cell."""
+    h = build_hypergraph(c)
     lines = ["graph facet_ridge {"]
-    for i, label in enumerate(h.facet_labels):
-        lines.append(f'  f{i} [shape=box, label="F{i}: {label}"];')
-    for j, label in enumerate(h.ridge_labels):
-        lines.append(f'  r{j} [shape=circle, label="R{j}: {label}"];')
+    for i, facet in enumerate(c.facet_polyhedra):
+        lines.append(f'  f{i} [shape=box, label="F{i}: {facet.label()}"];')
+    for j, (ridge, _, _) in enumerate(c.ridges):
+        lines.append(f'  r{j} [shape=circle, label="R{j}: {ridge.label()}"];')
     for j, edge in enumerate(h.hyperedges):
         for i in sorted(edge):
             lines.append(f"  f{i} -- r{j};")

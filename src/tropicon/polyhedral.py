@@ -872,13 +872,6 @@ class Complex(_Frozen):
                        tuple(tuple(map(_fraction, r)) for r in rindex), lin,
                        tuple(cells), None if weights is None else tuple(weights))
 
-    def facet(self, i: int) -> Polyhedron:
-        vidx, ridx = self.cells[i]
-        return Polyhedron(self.ambient_dim,
-                          tuple(self.vertex_pool[j] for j in vidx),
-                          tuple(self.ray_pool[j] for j in ridx),
-                          self.lineality)
-
     @cached_property
     def _pool(self) -> tuple[list, dict, Mat, list]:
         """What the cells share, from one integer pass over the pools: the
@@ -900,7 +893,7 @@ class Complex(_Frozen):
 
     @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
-        """`facet(i)` for every cell, with the lineality put in canonical
+        """The polyhedron of every cell, with the lineality put in canonical
         form and each pool entry converted once; every cell gets its record
         here, from its rays' primitive rows and the complex's `_pool`, in
         place of the fractions."""

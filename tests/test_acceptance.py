@@ -64,7 +64,7 @@ def test_criterion_1_two_planes_regression(tmp_path, capsys):
     fan = load_fan(str(path))
     e1 = vec([1, 0, 0, 0, 0])
     witness_contains_e1 = (len(cert2["witness"]) == 1 and
-                           fan.facet(cert2["witness"][0]).contains_point(e1))
+                           fan.facet_polyhedra[cert2["witness"][0]].contains_point(e1))
     elapsed = time.time() - start
     ok = (code2 == 2 and cert2["verdict"] is False and witness_contains_e1
           and cert2["mincut_size"] == 1

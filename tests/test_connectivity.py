@@ -114,22 +114,21 @@ class TestIsKConnected:
 
     def test_separators_found_at_every_k_beyond_facet_count(self):
         # the middle facet of a path of three separates the ends
-        path = FacetRidgeHypergraph(("a", "b", "c"),
-                                    (frozenset({0, 1}), frozenset({1, 2})), ("r", "s"))
+        path = FacetRidgeHypergraph(3, (frozenset({0, 1}), frozenset({1, 2})))
         for k in (2, 3, 4, 7):
             cert = is_k_connected(path, k)
             assert (cert.verdict, cert.witness, cert.subsets_examined) == \
                 (False, (1,), 2), k
         # two facets without a common ridge: the empty set separates
-        apart = FacetRidgeHypergraph(("a", "b"), (), ())
+        apart = FacetRidgeHypergraph(2, ())
         for k in (1, 2, 5):
             cert = is_k_connected(apart, k)
             assert (cert.verdict, cert.witness, cert.subsets_examined) == \
                 (False, (), 1), k
 
     def test_vacuous_with_at_most_one_facet(self):
-        for h in (FacetRidgeHypergraph((), (), ()),
-                  FacetRidgeHypergraph(("a",), (frozenset({0}),), ("r",))):
+        for h in (FacetRidgeHypergraph(0, ()),
+                  FacetRidgeHypergraph(1, (frozenset({0}),))):
             for k in range(4):
                 cert = is_k_connected(h, k)
                 assert (cert.verdict, cert.witness, cert.subsets_examined) == \
@@ -190,10 +189,9 @@ class TestMinFacetCut:
                                  for i, j in ((0, 1), (3, 2), (2, 4))])
         assert min_facet_cut(build_hypergraph(c)) == (0, ())
         # two components of two facets each: no facet is isolated
-        h = FacetRidgeHypergraph(("0", "1", "2", "3"),
-                                 (frozenset({0, 1}), frozenset({2, 3})), ("a", "b"))
+        h = FacetRidgeHypergraph(4, (frozenset({0, 1}), frozenset({2, 3})))
         assert min_facet_cut(h) == (0, ())
-        assert min_facet_cut(FacetRidgeHypergraph(("0", "1"), (), ())) == (0, ())
+        assert min_facet_cut(FacetRidgeHypergraph(2, ())) == (0, ())
 
     def test_shared_origin_ridge_cuts_at_one(self):
         # 1-skeleton of the cube fan: six rays joined by the single origin ridge
@@ -242,18 +240,28 @@ class TestCliqueComparison:
 
 class TestDotExport:
     def test_two_planes_dot(self):
-        h = build_hypergraph(two_planes_fan())
-        dot = hypergraph_dot(h)
+        c = two_planes_fan()
+        h = build_hypergraph(c)
+        dot = hypergraph_dot(c)
         assert dot.count("shape=box") == 12
         assert dot.count("shape=circle") == 7
         assert dot.count(" -- ") == sum(len(e) for e in h.hyperedges) == 24
-        assert hypergraph_dot(h) == dot  # deterministic
+        assert hypergraph_dot(c) == dot  # deterministic
 
     def test_single_cone(self):
         c = Complex.from_facets([Polyhedron.cone([[1, 0], [0, 1]])])
-        dot = hypergraph_dot(build_hypergraph(c))
+        dot = hypergraph_dot(c)
         assert dot.count("shape=box") == 1
         assert dot.count("shape=circle") == 2
+
+    def test_impure_complex_rejected(self):
+        # as build_hypergraph does
+        from tropicon.connectivity import ImpureComplex
+        c = Complex.from_facets(
+            [Polyhedron.cone([[1, 0, 0]], ambient_dim=3),
+             Polyhedron.cone([[0, 1, 0], [0, 0, 1]], ambient_dim=3)])
+        with pytest.raises(ImpureComplex):
+            hypergraph_dot(c)
 
 
 def test_connected_components_of_section():
@@ -335,8 +343,7 @@ def _random_hypergraph(rng):
     n = rng.randint(4, 10)
     edges = [frozenset(rng.sample(range(n), rng.randint(2, min(4, n))))
              for _ in range(rng.randint(n // 2, 3 * n))]
-    return FacetRidgeHypergraph(tuple(map(str, range(n))), tuple(edges),
-                                tuple(map(str, range(len(edges)))))
+    return FacetRidgeHypergraph(n, tuple(edges))
 
 
 class TestPairEngineAgainstScan:
@@ -489,7 +496,7 @@ def _certificates_and_work(h, ks):
 def _fresh(h):
     """A hypergraph with the same hyperedges and nothing decided yet, so
     the unrestricted probes one engine decided are not reused by another."""
-    return FacetRidgeHypergraph(h.facet_labels, h.hyperedges, h.ridge_labels)
+    return FacetRidgeHypergraph(h.num_facets, h.hyperedges)
 
 
 def _set_incidence(h):
@@ -525,8 +532,7 @@ def _drawn_hypergraphs(draw):
     n = draw(st.integers(2, 10))
     member = st.integers(0, n - 1)
     edges = draw(st.lists(st.frozensets(member, min_size=1, max_size=4), max_size=3 * n))
-    return FacetRidgeHypergraph(tuple(map(str, range(n))), tuple(edges),
-                                tuple(map(str, range(len(edges)))))
+    return FacetRidgeHypergraph(n, tuple(edges))
 
 
 class TestAdjacencyBreadthFirstSearch:
@@ -669,8 +675,7 @@ class TestComponentsAgainstUnionFind:
             n = rng.randint(1, 10)
             edges = tuple(frozenset(rng.sample(range(n), rng.randint(1, min(4, n))))
                           for _ in range(rng.randint(0, 3 * n)))
-            h = FacetRidgeHypergraph(tuple(map(str, range(n))), edges,
-                                     tuple(map(str, range(len(edges)))))
+            h = FacetRidgeHypergraph(n, edges)
             assert connected_components(h) == _oracle_components(h)
             for _ in range(5):
                 removed = rng.sample(range(n), rng.randint(0, min(4, n)))
@@ -689,8 +694,7 @@ class TestComponentsAgainstUnionFind:
 
     def test_adjacency_is_built_with_the_hypergraph(self):
         # smallest hyperedge first; a 1-member hyperedge reaches no facet
-        h = FacetRidgeHypergraph(("a", "b", "c"), (frozenset({0, 1, 2}), frozenset({1}),
-                                                   frozenset({0, 2})), ("r", "s", "t"))
+        h = FacetRidgeHypergraph(3, (frozenset({0, 1, 2}), frozenset({1}), frozenset({0, 2})))
         assert vars(h)["_adjacency"] == (
             ((2,), (1, 2)),
             ((0, 2),),

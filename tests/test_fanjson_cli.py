@@ -199,7 +199,7 @@ class TestCliCheck:
         assert len(cert["witness"]) == 1
         assert cert["mincut_size"] == 1
         fan = load_fan(str(path))
-        witness_cell = fan.facet(cert["witness"][0])
+        witness_cell = fan.facet_polyhedra[cert["witness"][0]]
         assert witness_cell.contains_point(vec([1, 0, 0, 0, 0]))
 
     def test_mincut_of_a_disconnected_fan_is_empty(self, tmp_path, capsys):

@@ -395,12 +395,19 @@ def _facet_sets(seed, count):
         yield facets, common, n
 
 
+def _pooled_cell(c, i):
+    """Cell i of c from its pool entries by the generic constructor."""
+    vidx, ridx = c.cells[i]
+    return Polyhedron(c.ambient_dim, tuple(c.vertex_pool[j] for j in vidx),
+                      tuple(c.ray_pool[j] for j in ridx), c.lineality)
+
+
 def _assert_pools_match_the_fraction_pooling(facets, lineality, n):
     c = Complex.from_facets(facets, lineality=lineality, ambient_dim=n)
     assert (c.vertex_pool, c.ray_pool, c.cells) == _oracle_pools(facets, lineality)
     assert all(type(x) is F for g in c.vertex_pool + c.ray_pool for x in g)
     for i, f in enumerate(c.facet_polyhedra):
-        assert f.canonical_key == c.facet(i).canonical_key
+        assert f.canonical_key == _pooled_cell(c, i).canonical_key
     return c
 
 
@@ -411,13 +418,13 @@ class TestIntegerPools:
         for facets, common, n in _facet_sets(seed, 60):
             c = _assert_pools_match_the_fraction_pooling(facets, common, n)
             # pool rays given non-primitive, rational and repeated: each
-            # cell converts them as `facet(i)` does
+            # cell converts them as the generic constructor does
             rays = [_rational_multiple(rng, r) for r in c.ray_pool]
             cells = [(v, r + r[:1] + (len(rays),) * bool(rays)) for v, r in c.cells]
             scaled = Complex(n, c.vertex_pool, tuple(map(vec, rays + rays[:1])),
                              c.lineality, tuple(cells))
             for i, f in enumerate(scaled.facet_polyhedra):
-                g = scaled.facet(i)
+                g = _pooled_cell(scaled, i)
                 assert (f.vertices, f.rays, f.lineality) == (g.vertices, g.rays, g.lineality)
 
     @settings(max_examples=60, deadline=None)

@@ -153,7 +153,7 @@ class TestStar:
 
     def test_star_at_facet_is_quotient_point(self):
         cube = cube_normal_fan(3)
-        st = star(cube, cube.facet(0))
+        st = star(cube, cube.facet_polyhedra[0])
         assert len(st) == 1 and st.ambient_dim == 0 and st.dim == 0
 
     def test_not_in_complex(self):
@@ -623,7 +623,7 @@ class TestHyperplaneSection:
         assert len(sec.facet_provenance) == len(sec.section)
         source_facets = c.facet_polyhedra
         for sid, fid in enumerate(sec.facet_provenance):
-            assert contains(source_facets[fid], sec.section.facet(sid))
+            assert contains(source_facets[fid], sec.section.facet_polyhedra[sid])
         # every section ridge is the slice of a source ridge
         source_ridges = {r.canonical_key: r
                          for f in source_facets for r in codim1_faces(f)}
