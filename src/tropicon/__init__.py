@@ -18,8 +18,8 @@ from .polyhedral import (
     ValidationReport, is_face_of, validate_complex,
 )
 from .matroid import (
-    FlagChain, Flat, HasLoops, LoopContraction, Matroid, bergman_fine,
-    contraction, matroid_from_json, maximal_chains, proper_flats,
+    Flat, HasLoops, LoopContraction, Matroid, bergman_fine, contraction,
+    matroid_from_json, maximal_chains, proper_flats,
 )
 from .connectivity import (
     BudgetExceeded, ConnectivityCertificate, FacetRidgeHypergraph,
@@ -32,6 +32,6 @@ from .tropical import (
     hyperplane_section, normal_fan, quotient_by_lineality, skeleton,
     standard_tropical_plane, star, two_planes_fan, witness_hyperplane,
 )
-from .fanjson import fan_from_obj, fan_from_text, fan_to_obj, fan_to_text, load_fan, save_fan
+from .fanjson import fan_from_obj, fan_from_text, fan_to_obj, fan_to_text, load_fan
 
 __version__ = "0.1.0"

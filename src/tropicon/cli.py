@@ -29,7 +29,7 @@ from .connectivity import (
     BudgetExceeded, TooFewFacets, build_hypergraph, connected_components,
     hypergraph_dot, is_k_connected, min_facet_cut,
 )
-from .fanjson import fan_to_text, load_fan, parse_json, parse_rational, save_fan
+from .fanjson import fan_to_text, load_fan, parse_json, parse_rational
 from .matroid import Matroid, bergman_fine
 from .polyhedral import AffineHyperplane, Complex, Polyhedron, validate_complex
 from .ratlin import vec
@@ -65,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _budget() -> int:
     raw = os.environ.get("TROPICON_BUDGET") or str(connectivity.DEFAULT_BUDGET)
-    if not raw.isdecimal() or int(raw) < 1:
+    if not re.fullmatch("[0-9]+", raw) or int(raw) < 1:
         raise UsageError(f"TROPICON_BUDGET must be a positive integer, not {raw!r}")
     return int(raw)
 
@@ -78,6 +78,14 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _natural(raw: str, what: str) -> int:
+    """A command-line integer: ASCII digits only, so no sign, spaces,
+    underscores or other scripts' digits, which int() takes."""
+    if not re.fullmatch("[0-9]+", raw):
+        raise UsageError(f"{what} must be written in the digits 0-9, not {raw!r}")
+    return int(raw)
+
+
 def _parse_edges(params: list[str]) -> list[tuple[int, int]]:
     edges = []
     for chunk in params:
@@ -85,7 +93,7 @@ def _parse_edges(params: list[str]) -> list[tuple[int, int]]:
             a, _, b = token.partition("-")
             if not b:
                 raise UsageError(f"edge {token!r} is not of the form u-v")
-            edges.append((int(a), int(b)))
+            edges.append(tuple(_natural(x, f"endpoint of edge {token!r}") for x in (a, b)))
     if not edges:
         raise UsageError("bergman-graphic needs at least one edge u-v")
     return edges
@@ -101,13 +109,13 @@ def cmd_gen(args) -> int:
     elif kind == "bergman-uniform":
         if len(params) != 2:
             raise UsageError("usage: gen bergman-uniform R N")
-        fan = bergman_fine(Matroid.uniform(int(params[0]), int(params[1])))
+        fan = bergman_fine(Matroid.uniform(_natural(params[0], "R"), _natural(params[1], "N")))
     elif kind == "bergman-graphic":
         fan = bergman_fine(Matroid.graphic(_parse_edges(params)))
     elif kind == "normal-fan-cube":
         if len(params) != 1:
             raise UsageError("usage: gen normal-fan-cube D")
-        fan = cube_normal_fan(int(params[0]))
+        fan = cube_normal_fan(_natural(params[0], "D"))
     elif kind == "normal-fan":
         if len(params) != 1:
             raise UsageError("usage: gen normal-fan <vertices-file>")
@@ -132,11 +140,12 @@ def _load_checked(path: str) -> Complex:
 
 def cmd_check(args) -> int:
     budget = _budget()
+    k = None if args.k is None else _natural(args.k, "--k")
     fan = _load_checked(args.fan)
     h = build_hypergraph(fan)
     d = fan.dim
     ell = fan.lineality_dim
-    k = args.k if args.k is not None else d - ell
+    k = d - ell if k is None else k
     cert = is_k_connected(h, k, budget)
     out = {
         "k": cert.k,
@@ -173,10 +182,7 @@ def cmd_slice(args) -> int:
         "pure": result.pure,
         "provenance": list(result.facet_provenance),
     }
-    if args.output:
-        save_fan(result.section, args.output)
-    else:
-        sys.stdout.write(fan_to_text(result.section))
+    _write(fan_to_text(result.section), args.output)
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK
 
@@ -252,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="certify k-connectivity through codimension one")
     p.add_argument("fan")
-    p.add_argument("--k", type=int, default=None,
-                   help="connectivity to test (default: dim minus lineality dim)")
+    p.add_argument("--k", default=None,
+                   help="connectivity to test (default: dim minus the cells' shared lineality)")
     p.add_argument("--mincut", action="store_true",
                    help="also search for a minimum disconnecting facet set")
     p.set_defaults(func=cmd_check)

@@ -160,11 +160,6 @@ def fan_from_text(text: str) -> Complex:
     return fan_from_obj(parse_json(text))
 
 
-def save_fan(c: Complex, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(fan_to_text(c))
-
-
 def load_fan(path: str) -> Complex:
     with open(path) as fh:
         return fan_from_text(fh.read())

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, FrozenSet, Iterable, NamedTuple, Sequence
 
 from .fanjson import _integer, _list, parse_rational
-from .polyhedral import Complex, _Frozen
+from .polyhedral import Complex
 from .ratlin import mat, matrix_rank, vec
 
 GROUND_LIMIT = 12
@@ -32,26 +32,6 @@ class LoopContraction(ValueError):
 class Flat(NamedTuple):
     elements: FrozenSet[int]
     rank: int
-
-    def __contains__(self, e: int) -> bool:
-        return e in self.elements
-
-
-class FlagChain(_Frozen):
-    """Strictly increasing chain of proper nonempty flats."""
-    flats: tuple[Flat, ...]
-
-    def __init__(self, flats: tuple[Flat, ...]):
-        for a, b in zip(flats, flats[1:]):
-            if not a.elements < b.elements:
-                raise ValueError("chain is not strictly increasing")
-        self.__dict__["flats"] = flats
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.flats == other.flats
-
-    def __hash__(self) -> int:
-        return hash(self.flats)
 
 
 class Matroid:
@@ -192,18 +172,19 @@ def proper_flats(m: Matroid) -> dict[int, list[Flat]]:
     return result
 
 
-def maximal_chains(m: Matroid) -> list[FlagChain]:
-    """All chains of proper nonempty flats with ranks 1, 2, ..., rank - 1."""
+def maximal_chains(m: Matroid) -> list[tuple[Flat, ...]]:
+    """All chains of proper nonempty flats with ranks 1, 2, ..., rank - 1,
+    as tuples built strictly increasing; `HasLoops` when m has loops."""
     if not m.is_loop_free():
         raise HasLoops("matroid has loops")
     d = m.full_rank - 1
     flats = proper_flats(m)
-    chains: list[FlagChain] = []
+    chains: list[tuple[Flat, ...]] = []
 
     def extend(chain: list[Flat]):
         r = len(chain)
         if r == d:
-            chains.append(FlagChain(tuple(chain)))
+            chains.append(tuple(chain))
             return
         for f in flats.get(r + 1, ()):
             if chain[-1].elements < f.elements:
@@ -226,12 +207,10 @@ def bergman_fine(m: Matroid) -> Complex:
     are numbered as the chains first meet them, and a cell is the sorted
     numbers of its chain's flats; a rank-one matroid has one cell, no rays.
     """
-    if not m.is_loop_free():
-        raise HasLoops("matroid has loops")
     ground = m.elements
     n = len(ground)
     ids: dict[FrozenSet[int], int] = {}
-    cells = tuple(((), tuple(sorted(ids.setdefault(f.elements, len(ids)) for f in chain.flats)))
+    cells = tuple(((), tuple(sorted(ids.setdefault(f.elements, len(ids)) for f in chain)))
                   for chain in maximal_chains(m))
     bit = (Fraction(0), Fraction(1))
     return Complex(n, (), tuple(tuple(bit[e in f] for e in ground) for f in ids),

@@ -74,7 +74,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .ratlin import (
     Mat, Vec, ZeroVector, _egcd, _int_kernel, _int_reduce, _int_row, _lattice_kernel,
     _primitive, _primitive_ints, dot, frac, is_zero, matrix_rank, neg, primitive_vector,
-    sub, subspace_canonical_basis, vec,
+    subspace_canonical_basis, vec,
 )
 
 # Fractions are immutable: the few distinct entries of integer rows share them
@@ -488,12 +488,9 @@ class Polyhedron(_Frozen):
 
     @cached_property
     def direction_span(self) -> Mat:
-        """Canonical basis of the linear space parallel to the affine hull."""
-        gens: list[Vec] = list(self.rays) + list(self.lineality)
-        if self.vertices:
-            v0 = self.vertices[0]
-            gens += [sub(v, v0) for v in self.vertices[1:]]
-        return subspace_canonical_basis(gens)
+        """Canonical basis of the linear space parallel to the affine hull:
+        that of `_lattice`, which spans it."""
+        return subspace_canonical_basis(self._lattice)
 
     @cached_property
     def _lattice(self) -> list[tuple[int, ...]]:
@@ -931,9 +928,17 @@ class Complex(_Frozen):
             return len(self.lineality)
         return max(f.dim for f in self.facet_polyhedra)
 
-    @property
+    @cached_property
     def lineality_dim(self) -> int:
-        return len(self.lineality)
+        """Dimension of the lineality every cell contains, the kernel of the
+        linear parts of all the cells' lifted rows (`_lifted`); a file may
+        declare less.  It is the declared count when some cell has no
+        lineality beyond it."""
+        cells, declared = self.facet_polyhedra, len(self._pool[0])
+        if not cells or any(len(f._rec.lin_ints) == declared for f in cells):
+            return declared
+        return self.ambient_dim - matrix_rank(
+            {a[1:] for f in cells for rows in _lifted(f._rec) for a in rows})
 
     def __len__(self) -> int:
         return len(self.cells)

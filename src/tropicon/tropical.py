@@ -386,11 +386,8 @@ def check_witness_hyperplane(P: Polyhedron, Q: Polyhedron, F: Polyhedron,
 def standard_tropical_plane() -> Complex:
     """Two-dimensional fan in R^3 with rays e1, e2, e3, -(1,1,1) and all six
     two-dimensional cones spanned by pairs of rays."""
-    rays = [unit_vec(i, 3) for i in range(3)]
-    rays.append((Fraction(-1), Fraction(-1), Fraction(-1)))
-    facets = [Polyhedron.cone([a, b], ambient_dim=3)
-              for a, b in itertools.combinations(rays, 2)]
-    return Complex.from_facets(facets, lineality=(), ambient_dim=3)
+    rays = (*(unit_vec(i, 3) for i in range(3)), vec([-1, -1, -1]))
+    return Complex(3, (), rays, (), tuple(((), ab) for ab in itertools.combinations(range(4), 2)))
 
 
 def two_planes_fan() -> Complex:
@@ -402,15 +399,10 @@ def two_planes_fan() -> Complex:
     its facet-ridge hypergraph.
     """
     e = [unit_vec(i, 5) for i in range(5)]
-    m123 = vec([-1, -1, -1, 0, 0])
-    m145 = vec([-1, 0, 0, -1, -1])
-    plane_a = [e[0], e[1], e[2], m123]
-    plane_b = [e[0], e[3], e[4], m145]
-    facets = [Polyhedron.cone([a, b], ambient_dim=5)
-              for a, b in itertools.combinations(plane_a, 2)]
-    facets += [Polyhedron.cone([a, b], ambient_dim=5)
-               for a, b in itertools.combinations(plane_b, 2)]
-    return Complex.from_facets(facets, lineality=(), ambient_dim=5)
+    rays = (e[0], e[1], e[2], vec([-1, -1, -1, 0, 0]), e[3], e[4], vec([-1, 0, 0, -1, -1]))
+    cells = tuple(((), ab) for plane in ((0, 1, 2, 3), (0, 4, 5, 6))
+                  for ab in itertools.combinations(plane, 2))
+    return Complex(5, (), rays, (), cells)
 
 
 def cube_normal_fan(d: int) -> Complex:

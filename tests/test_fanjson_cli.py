@@ -8,12 +8,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from test_tropical import same_fan
+from test_tropical import disjoint_lines, same_fan, u34_times_a_line
 from tropicon import cli, tropical
 from tropicon.connectivity import build_hypergraph, connected_after_removal
 from tropicon.fanjson import (
     fan_from_obj, fan_from_text, fan_to_obj, fan_to_text, format_rational,
-    load_fan, parse_rational, save_fan,
+    load_fan, parse_rational,
 )
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import Complex, Polyhedron, validate_complex
@@ -82,7 +82,7 @@ class TestFanFileRoundTrip:
 
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "fan.json"
-        save_fan(two_planes_fan(), str(path))
+        path.write_text(fan_to_text(two_planes_fan()))
         assert same_fan(load_fan(str(path)), two_planes_fan())
 
     def test_golden_bergman_u23(self):
@@ -296,7 +296,7 @@ class TestCliCheck:
         code, _, err = run_cli(["check", str(path), "--k", "4"], capsys)
         assert code == 1 and "budget" in err
 
-    @pytest.mark.parametrize("raw", ["abc", "-1", "0", "1.5", "+5"])
+    @pytest.mark.parametrize("raw", ["abc", "-1", "0", "1.5", "+5", "\u0661\u0660\u0660"])
     def test_budget_env_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch, raw):
         path = tmp_path / "cube.json"
         run_cli(["gen", "normal-fan-cube", "3", "-o", str(path)], capsys)
@@ -718,12 +718,55 @@ class TestCliUsageExits:
     def test_gen_usage_errors(self, capsys, argv, message):
         assert run_cli(argv, capsys) == (1, "", f"tropicon: {message}\n")
 
+    @pytest.mark.parametrize("argv, what, raw", [
+        (["gen", "bergman-uniform", "2", "0_3"], "N", "0_3"),
+        (["gen", "bergman-uniform", "\u0663", "4"], "R", "\u0663"),
+        (["gen", "normal-fan-cube", " +2 "], "D", " +2 "),
+        (["gen", "bergman-graphic", "\u0660-\u0661,0-2"],
+         "endpoint of edge '\u0660-\u0661'", "\u0660"),
+        (["gen", "bergman-graphic", "0-1,1-\u0662"], "endpoint of edge '1-\u0662'", "\u0662"),
+        (["check", "plane.json", "--k", " 0_2"], "--k", " 0_2"),
+        (["check", "plane.json", "--k", "-1"], "--k", "-1"),
+    ], ids=["underscore", "arabic-indic-R", "signed-spaced-D", "arabic-indic-edge",
+            "arabic-indic-endpoint", "spaced-k", "negative-k"])
+    def test_integers_take_ascii_digits_only(self, tmp_path, capsys, monkeypatch, argv,
+                                             what, raw):
+        # int() takes all of these; each would build or check something
+        monkeypatch.chdir(tmp_path)
+        run_cli(["gen", "tropical-plane", "-o", "plane.json"], capsys)
+        message = f"{what} must be written in the digits 0-9, not {raw!r}"
+        assert run_cli(argv, capsys) == (1, "", f"tropicon: {message}\n")
+
     @pytest.mark.parametrize("spec", ["", " , "])
     def test_empty_face_spec(self, tmp_path, capsys, spec):
         path = tmp_path / "cube.json"
         run_cli(["gen", "normal-fan-cube", "2", "-o", str(path)], capsys)
         assert run_cli(["star", str(path), "--face", spec], capsys) == \
             (1, "", "tropicon: empty face spec\n")
+
+
+class TestLinealityEveryCellContainsFromTheCli:
+    """`check` takes k = d - l with l the lineality every cell contains."""
+
+    def test_product_with_an_undeclared_line(self, tmp_path, capsys):
+        path, q = tmp_path / "u34r.json", tmp_path / "q.json"
+        path.write_text(fan_to_text(u34_times_a_line()))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        cert = json.loads(out)
+        assert (code, cert["verdict"], cert["k"], cert["d"], cert["lineality_dim"]) == \
+            (0, True, 2, 4, 2)
+        assert run_cli(["quotient", str(path), "-o", str(q)], capsys)[0] == 0
+        code, out, _ = run_cli(["check", str(q)], capsys)
+        cert = json.loads(out)
+        assert (code, cert["verdict"], cert["k"], cert["lineality_dim"]) == (0, True, 2, 1)
+
+    def test_disjoint_lines_stay_refuted(self, tmp_path, capsys):
+        path = tmp_path / "lines.json"
+        path.write_text(fan_to_text(disjoint_lines()))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        cert = json.loads(out)
+        assert (code, cert["verdict"], cert["k"], cert["lineality_dim"], cert["witness"]) == \
+            (2, False, 1, 0, [])
 
 
 class TestLabelsOnlyWhenPrinted:
@@ -746,7 +789,7 @@ class TestLabelsOnlyWhenPrinted:
     def test_printed_labels_keep_their_text(self, tmp_path, capsys, monkeypatch):
         cones = [Polyhedron.cone([r], ambient_dim=2) for r in ([1, 0], [0, 1], [-1, -1])]
         path = tmp_path / "line.json"
-        save_fan(Complex.from_facets(cones, weights=(1, 1, 2)), str(path))
+        path.write_text(fan_to_text(Complex.from_facets(cones, weights=(1, 1, 2))))
         calls = self.counted(monkeypatch)
         assert run_cli(["balance", str(path)], capsys)[:2] == (2, LINE_112_BALANCE)
         assert len(calls) == 1  # the one failing ridge
@@ -780,7 +823,7 @@ class TestBalanceTextOnBothNormalPaths:
         from test_integer_record import _smith_normal
         from tropicon import tropical
         path = tmp_path / "fan.json"
-        save_fan(self.fans()[name], str(path))
+        path.write_text(fan_to_text(self.fans()[name]))
         got = run_cli(["balance", str(path)], capsys)
         monkeypatch.setattr(tropical, "_lattice_normal", _smith_normal)
         want = run_cli(["balance", str(path)], capsys)

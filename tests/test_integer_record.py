@@ -4,7 +4,8 @@ Every `Polyhedron` reads its dimension, true lineality, extreme generators,
 faces, membership and lattice off one integer record (`Polyhedron._rec`),
 and balancing tests span membership with integer dot products.  The
 Fraction versions below are kept here as oracles: the rank test of double
-description for extremality, the rank of `direction_span` for dimensions,
+description for extremality, the generator elimination `direction_span`
+ran before it read the record's lattice, for spans and dimensions,
 dot-product tightness for faces and `reduce_mod_subspace` for balancing.
 They run on seeded cones, polytopes and polyhedra with lineality, with
 repeated, scaled and redundant generators and with rays inside the
@@ -65,6 +66,15 @@ def _oracle_lineality(p):
     if not normals:
         return subspace_canonical_basis(identity_mat(p.ambient_dim))
     return subspace_canonical_basis([vec(k) for k in _int_kernel(normals)[1]])
+
+
+def _oracle_direction_span(p):
+    """The generator elimination `Polyhedron.direction_span` ran before it
+    read the record's lattice: the canonical basis of the rays, the
+    lineality and the differences of the vertices."""
+    gens = list(p.rays) + list(p.lineality)
+    gens += [tuple(a - b for a, b in zip(v, p.vertices[0])) for v in p.vertices[1:]]
+    return subspace_canonical_basis(gens)
 
 
 def _oracle_canonical_key(p):
@@ -229,6 +239,7 @@ class TestRecordReads:
             # before the record exists the dimension is an integer rank,
             # after it n minus the number of equations
             assert p.dim == len(p.direction_span)
+            assert p.direction_span == _oracle_direction_span(p)
             q = _fresh(p)
             q._rec
             assert q.dim == len(q.direction_span) == p.dim
@@ -290,7 +301,7 @@ class TestRecordReads:
     def test_lattice_is_the_saturated_direction_lattice(self, seed):
         for p in _polyhedra(seed, 100):
             basis = p._lattice
-            span = p.direction_span
+            span = _oracle_direction_span(p)
             assert len(basis) == len(span)
             if not span:
                 continue
@@ -300,6 +311,19 @@ class TestRecordReads:
             minors = [M[:, list(cols)].det()
                       for cols in itertools.combinations(range(p.ambient_dim), len(basis))]
             assert sympy.gcd_list(minors) == 1
+
+
+@pytest.mark.parametrize("name,c", [(name, c) for name, c, _ in _section_fixtures()],
+                         ids=[name for name, _, _ in _section_fixtures()])
+def test_direction_span_against_the_generator_elimination(name, c):
+    # cells read the pooled record, their fresh copies their own, and the
+    # ridges and faces below the face walk's canonical generators
+    faces = [f for f, _, _ in c.ridges]
+    if c.dim - 1 >= c.lineality_dim:
+        faces += [f for f, _, _ in skeleton(c, c.dim - 1).ridges]
+    for p in [*c.facet_polyhedra, *map(_fresh, c.facet_polyhedra), *faces]:
+        assert p.direction_span == _oracle_direction_span(p), (name, p)
+        assert len(p.direction_span) == p.dim
 
 
 class TestRidgeKeys:

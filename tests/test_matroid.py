@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from test_theorem import linear_matroids, loopless_matroids
 from tropicon.fanjson import fan_to_text
 from tropicon.matroid import (
-    FlagChain, Flat, HasLoops, LoopContraction, Matroid, bergman_fine, contraction,
+    Flat, HasLoops, LoopContraction, Matroid, bergman_fine, contraction,
     matroid_from_json, maximal_chains, proper_flats,
 )
 from tropicon.polyhedral import Complex, Polyhedron, validate_complex
@@ -95,8 +95,8 @@ class TestMaximalChains:
 
     def test_chain_structure(self):
         for chain in maximal_chains(Matroid.uniform(3, 4)):
-            assert [f.rank for f in chain.flats] == [1, 2]
-            assert chain.flats[0].elements < chain.flats[1].elements
+            assert [f.rank for f in chain] == [1, 2]
+            assert chain[0].elements < chain[1].elements
 
     def test_loops_rejected(self):
         loopy = Matroid.from_bases(3, [[0], [1]])
@@ -104,12 +104,15 @@ class TestMaximalChains:
             maximal_chains(loopy)
 
     def test_chain_must_strictly_increase(self):
-        a, b = Flat(frozenset({0}), 1), Flat(frozenset({0, 1}), 2)
-        assert FlagChain((a, b)) == FlagChain((a, b))
-        assert hash(FlagChain((a, b))) == hash(FlagChain((a, b)))
-        for flats in ((b, a), (a, a)):
-            with pytest.raises(ValueError, match="chain is not strictly increasing"):
-                FlagChain(flats)
+        # chains are plain tuples of flats, built increasing: every maximal
+        # chain is a strictly increasing tuple of flats of ranks 1, ..., r - 1
+        for m in (Matroid.uniform(4, 6), k4()):
+            chains = maximal_chains(m)
+            assert chains and len(set(chains)) == len(chains)
+            for chain in chains:
+                assert all(type(f) is Flat for f in chain)
+                assert [f.rank for f in chain] == list(range(1, m.full_rank))
+                assert all(a.elements < b.elements for a, b in zip(chain, chain[1:]))
 
 
 class TestBergmanFine:
@@ -296,7 +299,7 @@ def _bergman_by_cones(m):
     ground = m.elements
     n = len(ground)
     all_ones = (F(1),) * n
-    facets = [Polyhedron.cone([[F(int(e in f)) for e in ground] for f in chain.flats],
+    facets = [Polyhedron.cone([[F(int(e in f.elements)) for e in ground] for f in chain],
                               [all_ones], ambient_dim=n)
               for chain in maximal_chains(m)]
     if not facets:  # rank one: the fan is the lineality line

@@ -16,17 +16,17 @@ from test_polyhedral import (
 from test_ratlin import lattice_normal_generator, saturation_basis
 from test_theorem import loopless_matroids
 from tropicon import polyhedral, tropical
-from tropicon.connectivity import build_hypergraph, connected_components
-from tropicon.fanjson import fan_from_obj, fan_from_text, fan_to_text
+from tropicon.connectivity import build_hypergraph, connected_components, is_k_connected
+from tropicon.fanjson import fan_from_obj, fan_from_text, fan_to_obj, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine, contraction, proper_flats
 from tropicon.polyhedral import (
     AffineHyperplane, Complex, HRep, NotInComplex, Polyhedron, _feasible_point,
-    _lattice_normal, _numerators, _outside,
+    _lattice_normal, _numerators, _outside, validate_complex,
 )
 from tropicon.ratlin import (
     _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
     lattice_complement_projection, mat, mat_vec, primitive_vector, sub,
-    subspace_canonical_basis, transpose, vec, zero_vec,
+    subspace_canonical_basis, transpose, unit_vec, vec, zero_vec,
 )
 from tropicon.tropical import (
     DegenerateInput, LinealityObstruction, NotAFan, NotTransverse,
@@ -97,6 +97,114 @@ class TestComplexLinealitySpace:
             lineality=(), ambient_dim=2)
         assert fan.lineality == ()
         assert all(f.canonical_key[1] == (vec([0, 1]),) for f in fan.facet_polyhedra)
+
+
+def u34_times_a_line():
+    """The Bergman fan of U(3,4) times R in R^5, the tropicalization of a
+    linear space times a torus.  The line e5 is given as the rays e5 and -e5
+    in every cell, not declared, so each cell's lineality is two-dimensional
+    and the declared one is the all-ones line alone."""
+    obj = fan_to_obj(bergman_fine(Matroid.uniform(3, 4)))
+    obj["ambient_dim"] = 5
+    obj["rays"] = [r + [0] for r in obj["rays"]] + [[0, 0, 0, 0, 1], [0, 0, 0, 0, -1]]
+    obj["lineality"] = [l + [0] for l in obj["lineality"]]
+    m = len(obj["rays"])
+    for cell in obj["cells"]:
+        cell["r"] = cell["r"] + [m - 2, m - 1]
+    return fan_from_obj(obj)
+
+
+def disjoint_lines():
+    """Two disjoint lines in R^3, through the origin along e1 and through
+    e3 along e2: each cell's lineality is its own line, so the lineality
+    both contain is the origin alone."""
+    return fan_from_obj({
+        "ambient_dim": 3, "vertices": [[0, 0, 0], [0, 0, 1]],
+        "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], "lineality": [],
+        "cells": [{"v": [0], "r": [0, 1]}, {"v": [1], "r": [2, 3]}], "weights": [1, 1]})
+
+
+def _oracle_shared_lineality_dim(c):
+    """The dimension of the meet of the cells' true lineality spaces, each
+    read off its canonical key, by sympy: n minus the rank of the stacked
+    orthogonal complements."""
+    n = c.ambient_dim
+    rows = []
+    for f in c.facet_polyhedra:
+        lin = f.canonical_key[1]
+        rows += Matrix(lin).nullspace() if lin else [Matrix(unit_vec(i, n)) for i in range(n)]
+    return n - (Matrix.hstack(*rows).rank() if rows else 0)
+
+
+class TestLinealityEveryCellContains:
+    """`Complex.lineality_dim` is the dimension of the lineality every cell
+    contains, which a file may declare only in part."""
+
+    def test_product_with_an_undeclared_line(self):
+        c = u34_times_a_line()
+        assert validate_complex(c, pairwise=True).valid
+        assert balancing_check(c).balanced
+        assert (c.dim, len(c.lineality), c.lineality_dim) == (4, 1, 2)
+        assert is_k_connected(build_hypergraph(c), c.dim - c.lineality_dim).verdict
+        q, _ = quotient_by_lineality(c)
+        assert (q.dim, len(q.lineality), q.lineality_dim) == (3, 0, 1)
+        assert is_k_connected(build_hypergraph(q), q.dim - q.lineality_dim).verdict
+        with pytest.raises(LinealityObstruction):
+            skeleton(c, 1)
+
+    def test_disjoint_lines_share_only_the_origin(self):
+        # the meet of the cells' lineality spaces, not the smallest of them
+        c = disjoint_lines()
+        assert validate_complex(c, pairwise=True).valid
+        assert (c.dim, c.lineality_dim) == (1, 0)
+        cert = is_k_connected(build_hypergraph(c), c.dim - c.lineality_dim)
+        assert (cert.k, cert.verdict, cert.witness) == (1, False, ())
+
+    def test_declared_count_takes_no_rank(self, monkeypatch):
+        # in every generated fan some cell has no lineality beyond the
+        # declared rows, so no rank is computed
+        fans = [two_planes_fan(), standard_tropical_plane(), cube_normal_fan(3),
+                bergman_fine(Matroid.uniform(4, 5)), bergman_fine(Matroid.graphic(K4_EDGES)),
+                normal_fan([[0, 0, 0], [1, 1, 0], [2, 0, 1]])]
+        for c in fans:
+            c.facet_polyhedra
+        monkeypatch.setattr(polyhedral, "matrix_rank", None)
+        assert [c.lineality_dim for c in fans] == [len(c.lineality) for c in fans]
+        assert fans[-1].lineality_dim == 1
+
+    def test_against_the_meet_of_the_cells_lineality(self):
+        fans = [c for _, c, _ in _section_fixtures()]
+        fans += [u34_times_a_line(), disjoint_lines(), tropical_line()]
+        for c in fans:
+            assert c.lineality_dim == _oracle_shared_lineality_dim(c)
+
+
+class TestHandBuiltFans:
+    """`standard_tropical_plane` and `two_planes_fan` write their pools and
+    cells directly; the oracle is one `Polyhedron.cone` per pair of rays of
+    a plane, pooled by `Complex.from_facets`."""
+
+    @staticmethod
+    def by_cones(planes, n):
+        facets = [Polyhedron.cone([a, b], ambient_dim=n)
+                  for plane in planes for a, b in itertools.combinations(plane, 2)]
+        return Complex.from_facets(facets, lineality=(), ambient_dim=n)
+
+    @staticmethod
+    def assert_same_pools(got, want):
+        fields = ("ambient_dim", "vertex_pool", "ray_pool", "lineality", "cells", "weights")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert fan_to_text(got) == fan_to_text(want)
+
+    def test_tropical_plane(self):
+        rays = [unit_vec(i, 3) for i in range(3)] + [vec([-1, -1, -1])]
+        self.assert_same_pools(standard_tropical_plane(), self.by_cones([rays], 3))
+
+    def test_two_planes(self):
+        e = [unit_vec(i, 5) for i in range(5)]
+        planes = [[e[0], e[1], e[2], vec([-1, -1, -1, 0, 0])],
+                  [e[0], e[3], e[4], vec([-1, 0, 0, -1, -1])]]
+        self.assert_same_pools(two_planes_fan(), self.by_cones(planes, 5))
 
 
 class TestQuotientByLineality:
