@@ -170,7 +170,7 @@ def cmd_check(args) -> int:
 
 def cmd_slice(args) -> int:
     fan = _load_checked(args.fan)
-    normal = vec([parse_rational(tok) for tok in args.h.split(",")])
+    normal = vec([parse_rational(tok) for tok in args.h.replace(",", " ").split()])
     offset = parse_rational(args.c)
     H = AffineHyperplane(normal, offset)
     result = hyperplane_section(fan, H)
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slice", help="transverse affine hyperplane section")
     p.add_argument("fan")
-    p.add_argument("--h", required=True, help="normal vector, e.g. 1,2,4")
+    p.add_argument("--h", required=True, help="normal vector, e.g. 1,2,4 or '1 2 4'")
     p.add_argument("--c", required=True, help="offset, e.g. 1 or 3/2")
     p.add_argument("-o", "--output", help="write the section fan here")
     p.set_defaults(func=cmd_slice)

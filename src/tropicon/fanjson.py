@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .polyhedral import Complex, _fraction
@@ -29,12 +30,17 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, (int, str)) and not isinstance(s, bool):
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ValueError(f"rational {s!r} has a zero denominator") from None
-    raise ValueError(f"rationals must be strings or integers, got {type(s).__name__}")
+    """An int, or a string of the ASCII characters 0-9 + - / . e E as
+    Fraction reads it: no spaces, underscores or other scripts' digits,
+    all of which Fraction() takes."""
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise ValueError(f"rationals must be strings or integers, got {type(s).__name__}")
+    if isinstance(s, str) and not re.fullmatch("[0-9+/.eE-]+", s):
+        raise ValueError(f"rational {s!r} is not written in 0-9 + - / . e E")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 def parse_json(text: str):
@@ -72,9 +78,10 @@ def fan_to_text(c: Complex) -> str:
 
 
 def _integer(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ValueError(f"{what} {x!r} is not an integer")
-    return int(x)
+    """An int (bools are not), or a string -?[0-9]+ in ASCII digits."""
+    if type(x) is int or isinstance(x, str) and re.fullmatch("-?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"{what} {x!r} is not an integer")
 
 
 def _list(x, what: str) -> list:

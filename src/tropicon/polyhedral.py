@@ -102,11 +102,13 @@ def _outside(row: Sequence[int], lin_rows: Sequence[Sequence[int]]) -> bool:
     return any(row) and (not lin_rows or any(_int_reduce(row, lin_rows)))
 
 
-def _ray_key(r: Vec, lin_rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """The primitive integer form of the ray r, or None when r lies in the
-    span of the canonical basis rows lin_rows."""
+def _ray_rows(r: Vec, lin_rows: Sequence[Sequence[int]]) -> Optional[tuple]:
+    """The primitive row of the ray r and its canonical row, the primitive
+    form of its normal form modulo the span of the canonical basis rows
+    lin_rows; None when r lies in that span."""
     row = _int_row(r)
-    return _primitive(row) if _outside(row, lin_rows) else None
+    reduced = _int_reduce(row, lin_rows) if lin_rows and any(row) else row
+    return (_primitive(row), _primitive(reduced)) if any(reduced) else None
 
 
 def _generators(n: int, vertices: Iterable, rays: Iterable, lin: Mat
@@ -115,7 +117,7 @@ def _generators(n: int, vertices: Iterable, rays: Iterable, lin: Mat
     span of the canonical basis lin, all checked to lie in R^n."""
     verts = tuple(vec(v) for v in vertices)
     lin_rows = [_numerators(l) for l in lin]
-    keys = dict.fromkeys(_ray_key(vec(r), lin_rows) for r in rays)
+    keys = dict.fromkeys(k and k[0] for k in (_ray_rows(vec(r), lin_rows) for r in rays))
     out = tuple(tuple(map(_fraction, k)) for k in keys if k is not None)
     if any(len(g) != n for g in itertools.chain(verts, out, lin)):
         raise ValueError("generator has wrong ambient dimension")
@@ -826,67 +828,73 @@ class Complex(_Frozen):
                              lineality=lineality, cells=cells, weights=weights)
 
     @staticmethod
+    def pooled(n: int, vertices: Sequence[Vec], rays: Sequence[Vec], lineality: Iterable,
+               cells: Iterable, weights: Optional[Iterable[int]] = None) -> "Complex":
+        """Candidate pools and index cells as a complex under the loader's
+        invariants.  A vertex v is keyed on the least integer multiple of
+        (1, v), a ray on its canonical row (`_ray_rows`): rays equal modulo
+        the lineality keep the first one given, as its primitive row, and
+        rays inside it drop out.  A cell is the set of its entries (repeated
+        indices collapse, unused entries go); identical cells raise
+        ValueError.  The keys are the result's `_pool`."""
+        lin = subspace_canonical_basis([vec(l) for l in lineality])
+        lin_rows = [_numerators(l) for l in lin]
+        vkeys = [tuple(_int_row((1, *v))) for v in vertices]
+        rkeys = [_ray_rows(r, lin_rows) for r in rays]
+        vindex, rindex, seen = {}, {}, {}
+        for i, (vidx, ridx) in enumerate(cells):
+            cell = (tuple(sorted({vindex.setdefault(vkeys[j], len(vindex)) for j in vidx})),
+                    tuple(sorted({rindex.setdefault(k[1], (len(rindex), k[0]))[0]
+                                  for j in ridx if (k := rkeys[j])})))
+            if (first := seen.setdefault(cell, i)) != i:
+                raise ValueError(f"cells {first} and {i} are identical")
+        firsts = [r for _, r in rindex.values()]
+        c = Complex(n, tuple(tuple(Fraction(x, v[0]) for x in v[1:]) for v in vindex),
+                    tuple(map(_fraction_row, firsts)), lin, tuple(seen),
+                    None if weights is None else tuple(weights))
+        c.__dict__["_pool"] = (lin_rows, {r: k for k, (_, r) in rindex.items()}, lin, firsts)
+        return c
+
+    @staticmethod
     def from_facets(facets: Sequence[Polyhedron], lineality: Iterable = (),
                     ambient_dim: Optional[int] = None,
                     weights: Optional[Sequence[int]] = None) -> "Complex":
-        """Build pools from facet polyhedra.
-
-        Lineality generators of a facet beyond the declared complex lineality
-        are encoded as opposite ray pairs, which describe the same point set.
-        Pools are keyed on integer rows: a vertex v on the least integer
-        multiple of (1, v), a ray on its primitive form.
-        """
+        """Pool facet polyhedra through `pooled`: each facet lists its
+        vertices, its rays and its lineality as opposite ray pairs (the same
+        point set), which drop out inside the declared lineality."""
         facets = list(facets)
         if ambient_dim is None:
             if not facets:
                 raise ValueError("ambient_dim required without facets")
             ambient_dim = facets[0].ambient_dim
         lin = subspace_canonical_basis([vec(l) for l in lineality])
-        lin_rows = [_numerators(l) for l in lin]
-        vindex: dict[tuple[int, ...], int] = {}
-        rindex: dict[tuple[int, ...], int] = {}
-        cells = []
+        verts, rays, cells = [], [], []
         for f in facets:
             if f.ambient_dim != ambient_dim:
                 raise ValueError("facet ambient dimension mismatch")
             f_lin = [_numerators(l) for l in f.lineality]
-            for l in lin_rows:
+            for l in map(_numerators, lin):
                 # pooling would silently fatten a cell missing the lineality
                 if _outside(l, f_lin) and not (
                         f.contains_direction(l) and f.contains_direction(neg(l))):
                     raise ValueError(
                         "facet does not contain the declared lineality space")
-            vidx = sorted(vindex.setdefault(tuple(_int_row((1, *v))), len(vindex))
-                          for v in f.vertices)
-            ridx = {rindex.setdefault(_numerators(r), len(rindex)) for r in f.rays}
-            for l in f_lin:
-                if _outside(l, lin_rows):
-                    ridx.add(rindex.setdefault(l, len(rindex)))
-                    ridx.add(rindex.setdefault(tuple(-x for x in l), len(rindex)))
-            cells.append((tuple(vidx), tuple(sorted(ridx))))
-        return Complex(ambient_dim,
-                       tuple(tuple(Fraction(x, v[0]) for x in v[1:]) for v in vindex),
-                       tuple(tuple(map(_fraction, r)) for r in rindex), lin,
-                       tuple(cells), None if weights is None else tuple(weights))
+            v0, r0 = len(verts), len(rays)
+            verts += f.vertices
+            rays += f.rays + tuple(g for l in f.lineality for g in (l, neg(l)))
+            cells.append((range(v0, len(verts)), range(r0, len(rays))))
+        return Complex.pooled(ambient_dim, verts, rays, lin, cells, weights)
 
     @cached_property
     def _pool(self) -> tuple[list, dict, Mat, list]:
         """What the cells share, from one integer pass over the pools: the
         rows of the lineality's canonical basis, per primitive pool ray its
-        canonical row (reduced modulo the lineality, primitive), the basis,
-        and per pool ray its primitive row, or None inside the lineality."""
+        canonical row (`_ray_rows`), the basis, and per pool ray its
+        primitive row, or None inside the lineality."""
         lin = subspace_canonical_basis([vec(l) for l in self.lineality])
         lin_rows = [_numerators(l) for l in lin]
-        canon: dict[tuple[int, ...], tuple[int, ...]] = {}
-        keys: list[Optional[tuple[int, ...]]] = []
-        for r in self.ray_pool:
-            row = _int_row(r)
-            reduced = _int_reduce(row, lin_rows) if lin_rows else row
-            key = _primitive(row) if any(reduced) else None
-            if key:
-                canon[key] = _primitive(reduced)
-            keys.append(key)
-        return lin_rows, canon, lin, keys
+        rows = [_ray_rows(r, lin_rows) for r in self.ray_pool]
+        return lin_rows, dict(filter(None, rows)), lin, [r and r[0] for r in rows]
 
     @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:

@@ -25,7 +25,7 @@ from .polyhedral import (
     _outside, _vertex_scale, is_face_of,
 )
 from .ratlin import (
-    Mat, Vec, _int_kernel, _primitive_ints, dot, identity_mat, is_zero,
+    Mat, Vec, _int_kernel, _primitive_ints, dot, identity_mat,
     lattice_complement_projection, mat, mat_vec, reduce_mod_subspace,
     subspace_canonical_basis, transpose, unit_vec, vec, zero_vec,
 )
@@ -58,16 +58,13 @@ class NotAFan(ValueError):
 
 def _project_cells(c: Complex, ids: Sequence[int], proj: Mat) -> Complex:
     """The cells of c with the given ids, projected by the integer matrix
-    proj into R^(rows of proj), each keeping its weight."""
-    def image(gens: Iterable[Vec]) -> tuple[Vec, ...]:
-        return tuple(g2 for g in gens if not is_zero(g2 := mat_vec(proj, g)))
-
-    lin = image(c.lineality)
-    facets = [Polyhedron(len(proj), tuple(mat_vec(proj, c.vertex_pool[j]) for j in vidx),
-                         image(c.ray_pool[j] for j in ridx), lin)
-              for vidx, ridx in map(c.cells.__getitem__, ids)]
-    return Complex.from_facets(facets, lineality=(), ambient_dim=len(proj),
-                               weights=tuple(c.weights[i] for i in ids))
+    proj into R^(rows of proj), each keeping its weight.  Each pool entry is
+    mapped once and the index cells are pooled again (`Complex.pooled`), so
+    images that are zero or equal merge.  Both callers project along a span
+    that holds the declared lineality, so its image is zero."""
+    return Complex.pooled(len(proj), [mat_vec(proj, v) for v in c.vertex_pool],
+                          [mat_vec(proj, r) for r in c.ray_pool], (),
+                          [c.cells[i] for i in ids], [c.weights[i] for i in ids])
 
 
 def quotient_by_lineality(c: Complex) -> tuple[Complex, Mat]:

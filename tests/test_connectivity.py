@@ -733,3 +733,75 @@ class TestDirectTestsOfSmallProbes:
         small = [(n_passes, units, t) for t, size, n_passes, units in probes if size <= t + 1]
         assert small and all(n_passes == 0 and 1 <= units <= t + 1 for n_passes, units, t in small)
         assert all(n_passes == 1 for t, size, n_passes, _ in probes if size > t + 1)
+
+
+def _assert_work(call, units):
+    """call(budget) runs within `units` units of work and raises
+    BudgetExceeded one unit below; returns its result."""
+    with pytest.raises(BudgetExceeded, match=f"^{units} units of work exceed budget {units - 1}$"):
+        call(units - 1)
+    return call(units)
+
+
+def _after_verdict(c, k):
+    """The hypergraph of c after the verdict at k, as `check --mincut` runs."""
+    h = build_hypergraph(c)
+    is_k_connected(h, k)
+    return h
+
+
+class TestCertifierWork:
+    """The units of work the certifier spends, pinned through the public
+    budget, so that a change to its sizing rules shows: each call runs
+    within its count and raises one unit below, from the same state."""
+
+    @pytest.mark.parametrize("name,from_file,verdict,mincut", [
+        ("U(4,6)", False, 488, 639), ("U(5,7)", False, 4210, 5940),
+        ("hexagon x heptagon", False, 211, 656),
+        ("U(4,6)", True, 488, 639), ("U(5,7)", True, 4210, 5896),
+        ("hexagon x heptagon", True, 211, 371),
+    ])
+    def test_verdict_then_min_cut(self, name, from_file, verdict, mincut):
+        # as `check --mincut` runs them: the min cut reuses the size the
+        # verdict decided (`_decided`); a file has the writer's facet order,
+        # a fan in memory its constructor's
+        from test_golden import HEX_HEPT
+        from tropicon.fanjson import fan_from_text, fan_to_text
+        from tropicon.tropical import normal_fan
+        fan = {"U(4,6)": lambda: bergman_fine(Matroid.uniform(4, 6)),
+               "U(5,7)": lambda: bergman_fine(Matroid.uniform(5, 7)),
+               "hexagon x heptagon": lambda: normal_fan(HEX_HEPT)}[name]()
+        if from_file:
+            fan = fan_from_text(fan_to_text(fan))
+        k = fan.dim - fan.lineality_dim
+        assert _assert_work(lambda b: is_k_connected(build_hypergraph(fan), k, b), verdict).verdict
+        assert _assert_work(lambda b: min_facet_cut(_after_verdict(fan, k), b), mincut)[0] == k
+
+    def test_witness_descent_padding(self):
+        # U(4,6) refuted at k = 5: the descent pads each probe with the
+        # t + 2 least facets of its range (`_Separators._holds`)
+        h = build_hypergraph(bergman_fine(Matroid.uniform(4, 6)))
+        cert = _assert_work(lambda b: is_k_connected(_fresh(h), 5, b), 399)
+        assert cert.witness == (1, 2, 4, 20)
+
+    def test_isolation_cap(self):
+        # the cube's four quadrants: removing a facet's two neighbours
+        # leaves two facets (n - d >= 2), so the cap is 2
+        c = cube_normal_fan(2)
+        assert _assert_work(lambda b: min_facet_cut(build_hypergraph(c), b), 13) == (2, (1, 2))
+        assert _assert_work(lambda b: min_facet_cut(_after_verdict(c, 2), b), 5) == (2, (1, 2))
+
+    @pytest.mark.parametrize("h,units,cut", [
+        (build_hypergraph(bergman_fine(Matroid.uniform(2, 3))), 6, (1, (0,))),
+        (FacetRidgeHypergraph(4, tuple(map(frozenset, itertools.combinations(range(4), 2)))),
+         10, None),
+    ], ids=["tropical-line", "complete-graph"])
+    def test_size_above_an_uncapped_isolation(self, h, units, cut):
+        # no facet can be isolated with two left, so the search starts one
+        # size above the cap (`cap + 1`)
+        assert _assert_work(lambda b: min_facet_cut(_fresh(h), b), units) == cut
+
+    def test_default_budget(self, monkeypatch):
+        from tropicon import cli
+        monkeypatch.delenv("TROPICON_BUDGET", raising=False)
+        assert connectivity.DEFAULT_BUDGET == cli._budget() == 10 ** 7

@@ -15,7 +15,7 @@ from tropicon.fanjson import (
     fan_from_obj, fan_from_text, fan_to_obj, fan_to_text, format_rational,
     load_fan, parse_rational,
 )
-from tropicon.matroid import Matroid, bergman_fine
+from tropicon.matroid import Matroid, bergman_fine, matroid_from_json
 from tropicon.polyhedral import Complex, Polyhedron, validate_complex
 from tropicon.ratlin import vec
 from tropicon.tropical import CUBE_DIM_LIMIT, cube_normal_fan, two_planes_fan
@@ -515,6 +515,72 @@ class TestStrictFanFiles:
             code, out, err = run_cli([command, str(path)], capsys)
             assert (code, out) == (1, "") and "wrong ambient dimension" in err
             assert "Traceback" not in err
+
+
+class TestWrittenNumbers:
+    """Strings become numbers by one rule, in fan, points and matroid files
+    and in `slice`'s arguments: integers -?[0-9]+, and rationals written
+    in 0-9 + - / . e E as Fraction reads them; ASCII only, with no spaces or
+    underscores, all of which int() and Fraction() take."""
+
+    def test_the_forms_kept(self):
+        assert [parse_rational(x) for x in ("3/4", "-2", "+5", "1.5", "2e3", 7)] == \
+            [F(3, 4), F(-2), F(5), F(3, 2), F(2000), F(7)]
+        c = fan_from_obj(_square_fan(rays=[["0", "1"], [1, 0], ["-1", "0"]],
+                                     ambient_dim="2", weights=["02", 1]))
+        assert (c.ambient_dim, c.ray_pool[0], c.weights) == (2, (F(0), F(1)), (2, 1))
+
+    @pytest.mark.parametrize("raw", [" 3/2 ", "3/2\n", "1_0", "\u0663", "1/\u0662", "\uff11"])
+    def test_rational_strings_take_ascii_without_spaces(self, raw):
+        with pytest.raises(ValueError) as info:
+            parse_rational(raw)
+        assert str(info.value) == f"rational {raw!r} is not written in 0-9 + - / . e E"
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"weights": ["1_0", 1]}, "weight '1_0' is not an integer"),
+        ({"ambient_dim": "\u0662"}, "ambient_dim '\u0662' is not an integer"),
+        ({"ambient_dim": "+2"}, "ambient_dim '+2' is not an integer"),
+        ({"cells": [{"r": [" 1", 0]}, {"r": [0, 2]}]}, "cell index ' 1' is not an integer"),
+        ({"vertices": [[" 3/2 ", "0"]], "cells": [{"v": [0], "r": [0, 1]}, {"v": [0], "r": [0, 2]}]},
+         "rational ' 3/2 ' is not written in 0-9 + - / . e E"),
+        ({"rays": [["0", "1"], ["1_0", "1"], [-1, 0]]},
+         "rational '1_0' is not written in 0-9 + - / . e E"),
+    ], ids=["underscored-weight", "arabic-indic-dim", "signed-dim", "spaced-index",
+            "spaced-vertex", "underscored-ray"])
+    def test_fan_files_exit_1(self, tmp_path, capsys, changes, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(_square_fan(**changes)))
+        assert run_cli(["check", str(path)], capsys) == (1, "", f"tropicon: {message}\n")
+
+    @pytest.mark.parametrize("argv,raw", [
+        (["slice", "plane.json", "--h", "1,2,4", "--c", "1_0"], "1_0"),
+        (["slice", "plane.json", "--h", "1,\u0662,4", "--c", "1"], "\u0662"),
+        (["gen", "normal-fan", "pts.json"], "1_0"),
+    ], ids=["underscored-offset", "arabic-indic-normal", "underscored-point"])
+    def test_arguments_and_points_exit_1(self, tmp_path, capsys, monkeypatch, argv, raw):
+        monkeypatch.chdir(tmp_path)
+        run_cli(["gen", "tropical-plane", "-o", "plane.json"], capsys)
+        (tmp_path / "pts.json").write_text(json.dumps([["1_0", 0], [0, 1], [1, 1]]))
+        message = f"rational {raw!r} is not written in 0-9 + - / . e E"
+        assert run_cli(argv, capsys) == (1, "", f"tropicon: {message}\n")
+
+    @pytest.mark.parametrize("h", ["1 2 4", "1, 2, 4", " 1,2 ,4 "])
+    def test_normals_split_on_commas_and_whitespace(self, tmp_path, capsys, monkeypatch, h):
+        monkeypatch.chdir(tmp_path)
+        run_cli(["gen", "tropical-plane", "-o", "plane.json"], capsys)
+        assert run_cli(["slice", "plane.json", "--h", h, "--c", "1"], capsys) == \
+            run_cli(["slice", "plane.json", "--h", "1,2,4", "--c", "1"], capsys)
+
+    @pytest.mark.parametrize("obj,message", [
+        ({"type": "uniform", "r": "1_0", "n": 12}, "r '1_0' is not an integer"),
+        ({"type": "graphic", "edges": [[0, " 1"]]}, "vertex ' 1' is not an integer"),
+        ({"type": "linear", "columns": [["1_0", 0], [0, 1]]},
+         "rational '1_0' is not written in 0-9 + - / . e E"),
+    ], ids=["uniform", "graphic", "linear"])
+    def test_matroid_files_share_the_rule(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            matroid_from_json(obj)
+        assert str(info.value) == message
 
 
 class TestCliSlice:
