@@ -170,7 +170,10 @@ def cmd_check(args) -> int:
 
 def cmd_slice(args) -> int:
     fan = _load_checked(args.fan)
-    normal = vec([parse_rational(tok) for tok in args.h.replace(",", " ").split()])
+    tokens = re.split(r"\s*,\s*|\s+", args.h.strip())
+    if "" in tokens:
+        raise UsageError(f"--h {args.h!r} has an empty field")
+    normal = vec([parse_rational(tok) for tok in tokens])
     offset = parse_rational(args.c)
     H = AffineHyperplane(normal, offset)
     result = hyperplane_section(fan, H)

@@ -32,11 +32,14 @@ def format_rational(x: Fraction) -> str:
 def parse_rational(s) -> Fraction:
     """An int, or a string of the ASCII characters 0-9 + - / . e E as
     Fraction reads it: no spaces, underscores or other scripts' digits,
-    all of which Fraction() takes."""
+    all of which Fraction() takes, and no exponent past 4 digits, which
+    Fraction() would expand to a power of ten that long."""
     if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise ValueError(f"rationals must be strings or integers, got {type(s).__name__}")
     if isinstance(s, str) and not re.fullmatch("[0-9+/.eE-]+", s):
         raise ValueError(f"rational {s!r} is not written in 0-9 + - / . e E")
+    if isinstance(s, str) and re.search("[eE][+-]?[0-9]{5}", s):
+        raise ValueError(f"rational {s!r} has an exponent of more than 4 digits")
     try:
         return Fraction(s)
     except ZeroDivisionError:

@@ -836,7 +836,7 @@ class Complex(_Frozen):
         the lineality keep the first one given, as its primitive row, and
         rays inside it drop out.  A cell is the set of its entries (repeated
         indices collapse, unused entries go); identical cells raise
-        ValueError.  The keys are the result's `_pool`."""
+        ValueError."""
         lin = subspace_canonical_basis([vec(l) for l in lineality])
         lin_rows = [_numerators(l) for l in lin]
         vkeys = [tuple(_int_row((1, *v))) for v in vertices]
@@ -848,12 +848,9 @@ class Complex(_Frozen):
                                   for j in ridx if (k := rkeys[j])})))
             if (first := seen.setdefault(cell, i)) != i:
                 raise ValueError(f"cells {first} and {i} are identical")
-        firsts = [r for _, r in rindex.values()]
-        c = Complex(n, tuple(tuple(Fraction(x, v[0]) for x in v[1:]) for v in vindex),
-                    tuple(map(_fraction_row, firsts)), lin, tuple(seen),
-                    None if weights is None else tuple(weights))
-        c.__dict__["_pool"] = (lin_rows, {r: k for k, (_, r) in rindex.items()}, lin, firsts)
-        return c
+        return Complex(n, tuple(tuple(Fraction(x, v[0]) for x in v[1:]) for v in vindex),
+                       tuple(_fraction_row(r) for _, r in rindex.values()), lin, tuple(seen),
+                       None if weights is None else tuple(weights))
 
     @staticmethod
     def from_facets(facets: Sequence[Polyhedron], lineality: Iterable = (),

@@ -564,6 +564,20 @@ class TestWrittenNumbers:
         message = f"rational {raw!r} is not written in 0-9 + - / . e E"
         assert run_cli(argv, capsys) == (1, "", f"tropicon: {message}\n")
 
+    @pytest.mark.parametrize("raw", ["1e99999", "1e-00001", "2.5E+10000", "1e999999999"])
+    def test_exponents_stop_at_4_digits(self, raw):
+        with pytest.raises(ValueError) as info:
+            parse_rational(raw)
+        assert str(info.value) == f"rational {raw!r} has an exponent of more than 4 digits"
+        assert parse_rational("1e9999") == 10 ** 9999 and parse_rational("1e-0004") == F(1, 10 ** 4)
+
+    @pytest.mark.parametrize("h", ["1,,2,4", "1,2,4,", ",1,2,4", "1, ,2"])
+    def test_empty_normal_fields_exit_1(self, tmp_path, capsys, monkeypatch, h):
+        monkeypatch.chdir(tmp_path)
+        run_cli(["gen", "tropical-plane", "-o", "plane.json"], capsys)
+        assert run_cli(["slice", "plane.json", "--h", h, "--c", "1"], capsys) == \
+            (1, "", f"tropicon: --h {h!r} has an empty field\n")
+
     @pytest.mark.parametrize("h", ["1 2 4", "1, 2, 4", " 1,2 ,4 "])
     def test_normals_split_on_commas_and_whitespace(self, tmp_path, capsys, monkeypatch, h):
         monkeypatch.chdir(tmp_path)

@@ -472,12 +472,15 @@ class TestIntegerPools:
     @pytest.mark.parametrize("seed", range(3))
     def test_against_the_fraction_pooling(self, seed):
         rng = random.Random(seed)
-        pooled = 0
+        repeated = 0
         for facets, common, n in _facet_sets(seed, 60):
             c = _assert_pools_match_the_fraction_pooling(facets, common, n)
             if c is None:
-                continue
-            pooled += 1
+                # a repeated facet is the same object: without the repeats
+                # the set pools in full
+                repeated += 1
+                c = _assert_pools_match_the_fraction_pooling(
+                    list(dict.fromkeys(facets)), common, n)
             # pool rays given non-primitive, rational and repeated: each
             # cell converts them as the generic constructor does
             rays = [_rational_multiple(rng, r) for r in c.ray_pool]
@@ -487,8 +490,9 @@ class TestIntegerPools:
             for i, f in enumerate(scaled.facet_polyhedra):
                 g = _pooled_cell(scaled, i)
                 assert (f.vertices, f.rays, f.lineality) == (g.vertices, g.rays, g.lineality)
-        # a facet set repeats a facet about half the time, so both outcomes occur
-        assert 10 <= pooled <= 50
+        # a facet set repeats a facet about three times in five, so both
+        # outcomes occur; every set, repeats removed, ran the full checks
+        assert 25 <= repeated <= 50
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
