@@ -1,6 +1,6 @@
 """Canonical JSON interchange for fans and complexes.
 
-Documents and enforces the file schema::
+Documents and parses the file schema, whose pool invariant `Complex` checks::
 
     {"ambient_dim": n,
      "rays": [[int, ...], ...],          # primitive integer vectors
@@ -17,7 +17,6 @@ already-parsed canonical file reproduces it byte for byte.
 from __future__ import annotations
 
 import json
-import math
 import re
 from fractions import Fraction
 
@@ -114,8 +113,9 @@ def _integer_vector(entries, what: str) -> tuple[int, ...]:
 
 
 def fan_from_obj(obj: dict) -> Complex:
-    """The complex of a fan file; rejects unknown keys, non-primitive or
-    repeated rays, and cells that repeat an index or another cell."""
+    """The complex of a fan file; rejects unknown keys and rows or indices
+    that are not integers, and `Complex` rejects a pool or cells that break
+    the invariant the format states."""
     if not isinstance(obj, dict):
         raise ValueError(f"a fan file holds a JSON object, not {obj!r}")
     required = {"ambient_dim", "rays", "vertices", "lineality", "cells", "weights"}
@@ -128,42 +128,20 @@ def fan_from_obj(obj: dict) -> Complex:
     if n < 0:
         raise ValueError(f"ambient_dim {n} is negative")
     rays = [_integer_vector(r, "ray") for r in _rows(obj, "rays", "ray")]
-    for r in rays:
-        if math.gcd(*r) != 1:
-            raise ValueError(f"ray {list(r)} is not a primitive nonzero vector")
     vertices = tuple(tuple(parse_rational(x) for x in v)
                      for v in _rows(obj, "vertices", "vertex"))
     lineality = [_integer_vector(l, "lineality row")
                  for l in _rows(obj, "lineality", "lineality row")]
-    cells: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    seen: dict[tuple[frozenset, frozenset], int] = {}
+    cells = []
     for cell in _list(obj["cells"], "cells"):
         if not isinstance(cell, dict) or not set(cell) <= {"v", "r"}:
             raise ValueError(f"cell {cell!r} is not an object with keys among 'v' and 'r'")
-        v, r = (_integers(cell.get(k, []), f"cell {k}", "cell index") for k in "vr")
-        if v and (min(v) < 0 or max(v) >= len(vertices)) or \
-                r and (min(r) < 0 or max(r) >= len(rays)):
-            raise ValueError("cell references an index outside the pools")
-        key = frozenset(v), frozenset(r)
-        if len(key[0]) < len(v) or len(key[1]) < len(r):
-            raise ValueError(f"cell {cell!r} repeats an index")
-        if seen.setdefault(key, len(cells)) < len(cells):
-            raise ValueError(f"cells {seen[key]} and {len(cells)} are identical")
-        cells.append((v, r))
+        cells.append(tuple(_integers(cell.get(k, []), f"cell {k}", "cell index") for k in "vr"))
     weights = _integers(obj["weights"], "weights", "weight")
     if len(weights) != len(cells):
         raise ValueError(f"{len(weights)} weights for {len(cells)} cells")
-    c = Complex(n, vertices, tuple(tuple(map(_fraction, r)) for r in rays),
-                tuple(tuple(map(_fraction, l)) for l in lineality), tuple(cells), weights)
-    lin_rows, canon, _, keys = c._pool
-    if len(lin_rows) < len(lineality):
-        raise ValueError("lineality rows are zero or linearly dependent")
-    first: dict[tuple[int, ...], int] = {}
-    for i, key in enumerate(keys):
-        if key and (j := first.setdefault(canon[key], i)) != i:
-            raise ValueError(
-                f"rays {list(rays[j])} and {list(rays[i])} are equal modulo the lineality")
-    return c
+    return Complex(n, vertices, tuple(tuple(map(_fraction, r)) for r in rays),
+                   tuple(tuple(map(_fraction, l)) for l in lineality), tuple(cells), weights)
 
 
 def fan_from_text(text: str) -> Complex:

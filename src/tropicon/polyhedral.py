@@ -43,10 +43,10 @@ span on which the cutting inequality vanishes, so the weighted sum of the
 integer normals lies in it iff its dot products with that cell's equations
 and that inequality are all zero (see `tropical.balancing_check`).
 
-Complexes store shared generator pools plus per-facet index sets.  The pool
-facts the cells share are decided once per complex, in one integer pass
-(`Complex._pool`): the lineality rows and each pool ray's primitive and
-canonical rows.  `Complex.facet_polyhedra` builds each cell's record with
+Complexes store shared generator pools plus per-facet index sets under one
+invariant, which the constructor checks as it decides the pool facts in one
+integer pass (`Complex._pool`): the lineality rows and each pool ray's
+primitive and canonical rows.  `Complex.facet_polyhedra` builds each record with
 the cell, from its rays' primitive rows and those pool facts.  The face walk
 gives the faces level by level from the ridges down, keying each (cell, mask
 of facet inequalities) incidence on integer rows read off the cell's
@@ -797,6 +797,11 @@ def _meet(p: Polyhedron, q: Polyhedron) -> list[tuple[int, ...]]:
 # complexes
 
 
+def _written(v: Vec) -> str:
+    """The vector as messages show it, its entries as written: [1/2, 0]."""
+    return "[" + ", ".join(map(str, v)) + "]"
+
+
 class Complex(_Frozen):
     """Pure polyhedral complex given by maximal cells over shared pools.
 
@@ -804,6 +809,12 @@ class Complex(_Frozen):
     contains the declared lineality space.  Lower-dimensional faces are
     derived on demand.  Weights are positive ints (bools are not), one per
     facet (None: all 1).
+
+    Every complex, loaded or built, holds the fan file's pool invariant,
+    and the constructor raises the loader's ValueError on one that does not:
+    primitive integer rays, none in the lineality and no two equal modulo
+    it; independent lineality rows; distinct vertices; and distinct cells
+    without repeated indices into the pools.  `pooled` merges pools into it.
     """
     ambient_dim: int
     vertex_pool: tuple[Vec, ...]
@@ -824,32 +835,58 @@ class Complex(_Frozen):
             raise ValueError("weights must be positive integers")
         if any(len(g) != ambient_dim for g in itertools.chain(vertex_pool, ray_pool, lineality)):
             raise ValueError("generator has wrong ambient dimension")
+        lin = subspace_canonical_basis([vec(l) for l in lineality])
+        if len(lin) < len(lineality):
+            raise ValueError("lineality rows are zero or linearly dependent")
+        lin_rows, keys, canon, first, seen = [_numerators(l) for l in lin], [], {}, {}, {}
+        for i, r in enumerate(ray_pool):
+            # None: zero or in the lineality; a primitive integer ray equals its row
+            if (rows := _ray_rows(r, lin_rows)) is None or rows[0] != r:
+                raise ValueError(f"ray {_written(r)} " + (
+                    "lies in the lineality" if rows is None and any(r) else
+                    "is not a primitive nonzero vector" if all(x.denominator == 1 for x in r)
+                    else "is not an integer vector"))
+            keys.append(rows[0])
+            if (j := first.setdefault(canon.setdefault(*rows), i)) != i:
+                raise ValueError(f"rays {_written(ray_pool[j])} and {_written(r)} are equal "
+                                 "modulo the lineality")
+        if len(set(vertex_pool)) < len(vertex_pool):
+            v = next(v for i, v in enumerate(vertex_pool) if v in vertex_pool[:i])
+            raise ValueError(f"vertex {_written(v)} is repeated in the pool")
+        for i, (v, r) in enumerate(cells):
+            if v and (min(v) < 0 or max(v) >= len(vertex_pool)) or \
+                    r and (min(r) < 0 or max(r) >= len(ray_pool)):
+                raise ValueError("cell references an index outside the pools")
+            key = tuple(sorted(v)), tuple(sorted(r))
+            if len(set(v)) < len(v) or len(set(r)) < len(r):
+                raise ValueError(f"cell {i} repeats an index")
+            if (j := seen.setdefault(key, i)) != i:
+                raise ValueError(f"cells {j} and {i} are identical")
+        # _pool: the lineality rows, each ray's canonical row, the basis, the ray rows
         self.__dict__.update(ambient_dim=ambient_dim, vertex_pool=vertex_pool, ray_pool=ray_pool,
-                             lineality=lineality, cells=cells, weights=weights)
+                             lineality=lineality, cells=cells, weights=weights,
+                             _pool=(lin_rows, canon, lin, keys))
 
     @staticmethod
     def pooled(n: int, vertices: Sequence[Vec], rays: Sequence[Vec], lineality: Iterable,
                cells: Iterable, weights: Optional[Iterable[int]] = None) -> "Complex":
-        """Candidate pools and index cells as a complex under the loader's
-        invariants.  A vertex v is keyed on the least integer multiple of
-        (1, v), a ray on its canonical row (`_ray_rows`): rays equal modulo
-        the lineality keep the first one given, as its primitive row, and
-        rays inside it drop out.  A cell is the set of its entries (repeated
-        indices collapse, unused entries go); identical cells raise
-        ValueError."""
+        """Candidate pools and index cells merged into `Complex`'s invariant.
+        A vertex v is keyed on the least integer multiple of (1, v), a ray on
+        its canonical row (`_ray_rows`): rays equal modulo the lineality keep
+        the first one given, as its primitive row, and rays inside it drop
+        out.  A cell is the set of its entries: repeated indices collapse,
+        unused entries go; identical cells raise ValueError."""
         lin = subspace_canonical_basis([vec(l) for l in lineality])
         lin_rows = [_numerators(l) for l in lin]
         vkeys = [tuple(_int_row((1, *v))) for v in vertices]
         rkeys = [_ray_rows(r, lin_rows) for r in rays]
-        vindex, rindex, seen = {}, {}, {}
-        for i, (vidx, ridx) in enumerate(cells):
-            cell = (tuple(sorted({vindex.setdefault(vkeys[j], len(vindex)) for j in vidx})),
-                    tuple(sorted({rindex.setdefault(k[1], (len(rindex), k[0]))[0]
-                                  for j in ridx if (k := rkeys[j])})))
-            if (first := seen.setdefault(cell, i)) != i:
-                raise ValueError(f"cells {first} and {i} are identical")
+        vindex, rindex = {}, {}
+        cells = tuple((tuple(sorted({vindex.setdefault(vkeys[j], len(vindex)) for j in vidx})),
+                       tuple(sorted({rindex.setdefault(k[1], (len(rindex), k[0]))[0]
+                                     for j in ridx if (k := rkeys[j])})))
+                      for vidx, ridx in cells)
         return Complex(n, tuple(tuple(Fraction(x, v[0]) for x in v[1:]) for v in vindex),
-                       tuple(_fraction_row(r) for _, r in rindex.values()), lin, tuple(seen),
+                       tuple(_fraction_row(r) for _, r in rindex.values()), lin, cells,
                        None if weights is None else tuple(weights))
 
     @staticmethod
@@ -883,32 +920,20 @@ class Complex(_Frozen):
         return Complex.pooled(ambient_dim, verts, rays, lin, cells, weights)
 
     @cached_property
-    def _pool(self) -> tuple[list, dict, Mat, list]:
-        """What the cells share, from one integer pass over the pools: the
-        rows of the lineality's canonical basis, per primitive pool ray its
-        canonical row (`_ray_rows`), the basis, and per pool ray its
-        primitive row, or None inside the lineality."""
-        lin = subspace_canonical_basis([vec(l) for l in self.lineality])
-        lin_rows = [_numerators(l) for l in lin]
-        rows = [_ray_rows(r, lin_rows) for r in self.ray_pool]
-        return lin_rows, dict(filter(None, rows)), lin, [r and r[0] for r in rows]
-
-    @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
         """The polyhedron of every cell, with the lineality put in canonical
         form and each pool entry converted once; every cell gets its record
         here, from its rays' primitive rows and the complex's `_pool`, in
         place of the fractions."""
-        n = self.ambient_dim
-        pool = self._pool
-        _, canon, lin, keys = pool
+        n, pool = self.ambient_dim, self._pool
+        lin, keys = pool[2:]
         verts = [vec(v) for v in self.vertex_pool]
-        rays = {k: _fraction_row(k) for k in canon}
+        rays = [_fraction_row(k) for k in keys]
         cells = []
         for vidx, ridx in self.cells:
-            ks = [k for k in dict.fromkeys(keys[j] for j in ridx) if k is not None]
-            cell = Polyhedron._raw(n, tuple(verts[j] for j in vidx), tuple(rays[k] for k in ks), lin)
-            cell.__dict__["_rec"] = _Record(cell, ks, pool)
+            cell = Polyhedron._raw(n, tuple(verts[j] for j in vidx),
+                                   tuple(rays[j] for j in ridx), lin)
+            cell.__dict__["_rec"] = _Record(cell, [keys[j] for j in ridx], pool)
             cells.append(cell)
         return tuple(cells)
 

@@ -82,10 +82,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return Fraction(num, den)
 
 
-def sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def neg(v: Vec) -> Vec:
     return tuple(-a for a in v)
 

@@ -481,14 +481,18 @@ class TestIntegerPools:
                 repeated += 1
                 c = _assert_pools_match_the_fraction_pooling(
                     list(dict.fromkeys(facets)), common, n)
-            # pool rays given non-primitive, rational and repeated: each
-            # cell converts them as the generic constructor does
-            rays = [_rational_multiple(rng, r) for r in c.ray_pool]
-            cells = [(v, r + r[:1] + (len(rays),) * bool(rays)) for v, r in c.cells]
-            scaled = Complex(n, c.vertex_pool, tuple(map(vec, rays + rays[:1])),
-                             c.lineality, tuple(cells))
-            for i, f in enumerate(scaled.facet_polyhedra):
-                g = _pooled_cell(scaled, i)
+            # pool rays given non-primitive, rational and repeated, and cells
+            # that repeat an index: pooling them gives c back, and each cell
+            # converts them as the generic constructor does
+            rays = tuple(map(vec, [_rational_multiple(rng, r) for r in c.ray_pool]))
+            rays += rays[:1]
+            cells = [(v, r + r[:1] + (len(rays) - 1,) * (0 in r)) for v, r in c.cells]
+            scaled = Complex.pooled(n, c.vertex_pool, rays, c.lineality, cells)
+            assert (scaled.vertex_pool, scaled.ray_pool, scaled.cells) == \
+                (c.vertex_pool, c.ray_pool, c.cells)
+            for (vidx, ridx), f in zip(cells, scaled.facet_polyhedra):
+                g = Polyhedron(n, tuple(c.vertex_pool[j] for j in vidx),
+                               tuple(rays[j] for j in ridx), c.lineality)
                 assert (f.vertices, f.rays, f.lineality) == (g.vertices, g.rays, g.lineality)
         # a facet set repeats a facet about three times in five, so both
         # outcomes occur; every set, repeats removed, ran the full checks
@@ -708,10 +712,10 @@ def _record_fields(p):
 
 def _assert_pool_matches_a_copy(c):
     """The pool facts of the loaded complex equal those of an in-memory copy
-    and of the fraction oracle, and each cell it gives has the record of the
-    copy's cell and of the cell rebuilt from its generators."""
+    (which computes its own on construction) and of the fraction oracle, and
+    each cell it gives has the record of the copy's cell and of the cell
+    rebuilt from its generators."""
     copy = _copy(c)
-    assert "_pool" not in copy.__dict__
     assert c._pool == copy._pool == _oracle_pool(c)
     assert [_record_fields(p) for p in c.facet_polyhedra] == \
         [_record_fields(p) for p in copy.facet_polyhedra] == \
@@ -720,17 +724,16 @@ def _assert_pool_matches_a_copy(c):
 
 @st.composite
 def _drawn_fan_objects(draw):
-    """Fan objects with lineality and with pool rays inside it."""
+    """Fan objects with lineality, whose distinct rays may lie inside it or
+    be equal modulo it, which the loader rejects."""
     n = draw(st.integers(1, 3))
     row = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(
         lambda r: math.gcd(*r) == 1)
     lineality = draw(st.lists(row, max_size=1))
-    rays = draw(st.lists(row, max_size=5))
-    if lineality and draw(st.booleans()):
-        rays.append([-x for x in lineality[0]])
+    rays = draw(st.lists(row, max_size=5, unique_by=tuple))
     cell = st.lists(st.integers(0, max(len(rays) - 1, 0)), unique=True,
                     max_size=len(rays))
-    cells = draw(st.lists(cell, min_size=1, max_size=4))
+    cells = draw(st.lists(cell, min_size=1, max_size=4, unique_by=frozenset))
     return {"ambient_dim": n, "rays": rays, "vertices": [], "lineality": lineality,
             "cells": [{"r": r} for r in cells], "weights": [1] * len(cells)}
 
@@ -753,17 +756,26 @@ class TestSeededRayKeys:
         _assert_pool_matches_a_copy(c)
 
     def test_ray_inside_the_lineality(self):
-        c = fan_from_obj({"ambient_dim": 2, "rays": [[1, 1], [1, 0], [-1, -1]],
-                          "vertices": [], "lineality": [[1, 1]],
-                          "cells": [{"r": [0, 1]}, {"r": [1, 2]}], "weights": [1, 1]})
-        _, canon, _, keys = c._pool
-        assert (keys, canon) == ([None, (1, 0), None], {(1, 0): (0, -1)})
+        # the two cells are one set, the upper half-plane; the file and the
+        # in-memory complex are rejected alike, and pooling merges the cells
+        obj = {"ambient_dim": 2, "rays": [[1, 1], [1, 0], [-1, -1]], "vertices": [],
+               "lineality": [[1, 1]], "cells": [{"r": [0, 1]}, {"r": [1, 2]}],
+               "weights": [1, 1]}
+        with pytest.raises(ValueError, match=r"^ray \[1, 1\] lies in the lineality$"):
+            fan_from_obj(obj)
+        rays = tuple(map(vec, obj["rays"]))
+        with pytest.raises(ValueError, match=r"^ray \[1, 1\] lies in the lineality$"):
+            Complex(2, (), rays, (vec([1, 1]),), (((), (0, 1)), ((), (1, 2))))
+        with pytest.raises(ValueError, match="^cells 0 and 1 are identical$"):
+            Complex.pooled(2, (), rays, (vec([1, 1]),), (((), (0, 1)), ((), (1, 2))))
+        c = Complex.pooled(2, (), rays, (vec([1, 1]),), (((), (0, 1)),))
+        assert c._pool[1:] == ({(1, 0): (0, -1)}, (vec([1, 1]),), [(1, 0)])
         _assert_pool_matches_a_copy(c)
 
     def test_derived_complexes_compute_their_keys(self):
         c = _loaded(cube_normal_fan(2))
         derived = _reweighted(c, None)
-        assert "_pool" not in derived.__dict__ and derived._pool == c._pool
+        assert derived._pool == c._pool == _oracle_pool(c)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,11 +1039,18 @@ class TestPoolCanonicalRows:
             _assert_pool_rows_change_nothing(c, monkeypatch)
 
     def test_rays_equal_modulo_the_lineality_in_memory(self, monkeypatch):
-        # the loader rejects these two rays; an in-memory complex keeps both
-        c = Complex(3, (), ((F(1), F(0), F(0)), (F(0), F(-1), F(-1)), (F(0), F(1), F(0))),
-                    ((F(1), F(1), F(1)),), (((), (0, 1, 2)),))
+        # the loader and the constructor reject these two rays; pooling
+        # keeps the first, and the cell is the one the three rays span
+        rays = ((F(1), F(0), F(0)), (F(0), F(-1), F(-1)), (F(0), F(1), F(0)))
+        args = (rays, ((F(1), F(1), F(1)),), (((), (0, 1, 2)),))
+        with pytest.raises(ValueError, match=r"^rays \[1, 0, 0\] and \[0, -1, -1\] are "
+                                             "equal modulo the lineality$"):
+            Complex(3, (), *args)
+        c = Complex.pooled(3, (), *args)
+        assert c.ray_pool == rays[::2]
         p = c.facet_polyhedra[0]
-        assert len(p.rays) == 3 and len(p.canonical_key[3]) == 2
+        assert p.canonical_key == Polyhedron(3, (), rays, args[1]).canonical_key
+        assert len(p.rays) == 2 and len(p.canonical_key[3]) == 2
         _assert_pool_rows_change_nothing(c, monkeypatch)
 
     def test_extra_lineality_takes_the_general_path(self, monkeypatch):
@@ -1104,7 +1123,9 @@ def _assert_face_tests_match_the_oracle(c, rng, per_level=8):
 
 def _perturbed(c, rng):
     """c with one generator of one cell swapped for another pool generator
-    of the same kind: a ray, or a vertex when the pool has one ray."""
+    of the same kind: a ray, or a vertex when the pool has one ray; None
+    when the swap makes the cell another one, which the constructor
+    rejects."""
     cells = list(c.cells)
     kind = int(len(c.ray_pool) > 1)  # 1: rays, 0: vertices
     pool = (c.vertex_pool, c.ray_pool)[kind]
@@ -1115,6 +1136,12 @@ def _perturbed(c, rng):
     cell = list(cells[i])
     cell[kind] = tuple(sorted(gens))
     cells[i] = tuple(cell)
+    twin = next((j for j, other in enumerate(cells) if other == cells[i] and j != i), None)
+    if twin is not None:
+        i, j = sorted((i, twin))
+        with pytest.raises(ValueError, match=f"^cells {i} and {j} are identical$"):
+            Complex(c.ambient_dim, c.vertex_pool, c.ray_pool, c.lineality, tuple(cells))
+        return None
     return Complex(c.ambient_dim, c.vertex_pool, c.ray_pool, c.lineality, tuple(cells),
                    c.weights)
 
@@ -1129,6 +1156,11 @@ _FIT_FIXTURES = [
     ("rational", fan_from_obj(RATIONAL_COMPLEX)),
     ("hexagon", normal_fan(_HEXAGON)),
 ]
+# per fixture, of its 20 seeded perturbations: those with a fit defect, and
+# those the constructor rejects for two identical cells
+_PERTURBATION_DEFECTS = {"U(3,4)": (4, 4), "U(3,5)": (4, 5), "tropical-plane": (0, 20),
+                         "cube3": (14, 6), "two-planes": (0, 7), "rational": (18, 0),
+                         "hexagon": (14, 6)}
 
 
 def _random_2_cone(rng):
@@ -1158,12 +1190,18 @@ class TestFaceTestAndFitAgainstTheFractionPath:
     @pytest.mark.parametrize("name,c", _FIT_FIXTURES, ids=[name for name, _ in _FIT_FIXTURES])
     def test_seeded_perturbations(self, name, c):
         rng = random.Random(name)
-        defects = 0
+        defects = rejected = 0
         for _ in range(20):
             perturbed = _perturbed(c, rng)
+            if perturbed is None:  # two identical cells, which the constructor rejected
+                rejected += 1
+                continue
             defects += _assert_fit_matches_the_oracle(perturbed) > 0
             _assert_face_tests_match_the_oracle(perturbed, rng, per_level=4)
-        assert defects > 0, name
+        # every pair of the tropical plane's rays is a cell, so each swap
+        # repeats one; the two planes' other swaps fit, so their only defects
+        # are repeated cells too
+        assert (defects, rejected) == _PERTURBATION_DEFECTS[name], name
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_drawn_fan_objects())

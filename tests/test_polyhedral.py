@@ -526,8 +526,9 @@ class TestComplexWeights:
             with pytest.raises(ValueError, match="one weight per facet required"):
                 Complex.from_facets(cells, weights=weights)
 
-    @pytest.mark.parametrize("weight", [0.5, 2.0, True, F(1, 2)],
-                             ids=["float", "integral-float", "bool", "fraction"])
+    @pytest.mark.parametrize("weight", [0.5, 2.0, True, F(1, 2), 0, -1],
+                             ids=["float", "integral-float", "bool", "fraction", "zero",
+                                  "negative"])
     def test_weights_are_positive_ints(self, weight):
         # a weight that a fan file cannot hold is refused when the complex is made
         with pytest.raises(ValueError, match="weights must be positive integers"):

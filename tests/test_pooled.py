@@ -1,15 +1,22 @@
-"""One pooling constructor for built complexes.
+"""One pool invariant, checked by one constructor.
 
-`Complex.pooled` turns candidate pools plus index cells into a complex under
-the loader's invariants, and `Complex.from_facets`, `quotient_by_lineality`
-and `star` end in it.  So whatever they build loads back from its own text:
-rays equal modulo the lineality are one pool ray, rays inside it are none,
-a cell repeats no index and no two cells are identical.  The per-cell
-projection `_project_cells` ran before it (one `Polyhedron` per cell,
-re-pooled through `from_facets`) is kept here as an oracle.
+Every complex holds the fan file's pool invariant: `Complex(...)` rejects,
+with the loader's messages, a pool or cells that break it, whether the
+loader or a builder calls it.  `Complex.pooled` turns candidate pools plus
+index cells into that invariant, and `Complex.from_facets`,
+`quotient_by_lineality` and `star` end in it.  So whatever is built loads
+back from its own text: rays equal modulo the lineality are one pool ray,
+rays inside it are none, a cell repeats no index and no two cells are
+identical.  The per-cell projection `_project_cells` ran before it (one
+`Polyhedron` per cell, re-pooled through `from_facets`) is kept here as an
+oracle.
 """
 
+import itertools
 import json
+import random
+import re
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,7 +33,8 @@ from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import Complex, Polyhedron, is_face_of
 from tropicon.ratlin import is_zero, lattice_complement_projection, mat_vec, vec
 from tropicon.tropical import (
-    NotTransverse, hyperplane_section, quotient_by_lineality, skeleton, star,
+    NotTransverse, cube_normal_fan, hyperplane_section, normal_fan, quotient_by_lineality,
+    skeleton, standard_tropical_plane, star, two_planes_fan,
 )
 
 
@@ -76,6 +84,115 @@ class TestFromFacets:
         with pytest.raises(ValueError, match="^cells 0 and 1 are identical$"):
             fan_from_obj({"ambient_dim": 2, "rays": [[1, 0]], "vertices": [], "lineality": [],
                           "cells": [{"r": [0]}, {"r": [0]}], "weights": [1, 1]})
+
+
+def _bad(n, rays, cells, vertices=(), lineality=(), message="", file_message=None):
+    return n, vertices, rays, lineality, cells, message, file_message or message
+
+
+# each complex breaks one part of the invariant; the file repros are the
+# FOUND fan whose ray lies in its lineality and the fan repeating a vertex
+BAD_COMPLEXES = {
+    "zero-ray": _bad(2, [[0, 0], [0, 1]], [((), (0, 1))],
+                     message="ray [0, 0] is not a primitive nonzero vector"),
+    "non-primitive-ray": _bad(2, [[2, 0], [0, 1]], [((), (0, 1))],
+                              message="ray [2, 0] is not a primitive nonzero vector"),
+    # a file's rays are integer rows, so its parser names the entry as written
+    "rational-ray": _bad(2, [["1/2", 0], [0, 1]], [((), (0, 1))],
+                         message="ray [1/2, 0] is not an integer vector",
+                         file_message="ray ['1/2', 0] is not an integer vector"),
+    "ray-in-the-lineality": _bad(2, [[1, 0], [0, 1]], [((), (1,)), ((), (0, 1))],
+                                 lineality=[[1, 0]], message="ray [1, 0] lies in the lineality"),
+    "rays-equal-modulo-the-lineality": _bad(
+        2, [[1, 0], [2, 1]], [((), (0,)), ((), (1,))], lineality=[[1, 1]],
+        message="rays [1, 0] and [2, 1] are equal modulo the lineality"),
+    "dependent-lineality": _bad(3, [[1, 0, 0]], [((), (0,))], lineality=[[0, 1, 1], [0, -2, -2]],
+                                message="lineality rows are zero or linearly dependent"),
+    "repeated-vertex": _bad(1, [[1]], [((0,), (0,)), ((1,), (0,))], vertices=[["0"], ["0"]],
+                            message="vertex [0] is repeated in the pool"),
+    "index-outside-the-pools": _bad(2, [[1, 0], [0, 1]], [((), (0, 2))],
+                                    message="cell references an index outside the pools"),
+    "vertex-index-outside-the-pools": _bad(1, [[1]], [((1,), (0,))], vertices=[["0"]],
+                                           message="cell references an index outside the pools"),
+    "negative-index": _bad(2, [[1, 0], [0, 1]], [((), (-1, 0))],
+                           message="cell references an index outside the pools"),
+    "repeated-index": _bad(2, [[1, 0], [0, 1]], [((), (0, 1)), ((), (0, 1, 1))],
+                           message="cell 1 repeats an index"),
+    "identical-cells": _bad(2, [[1, 0], [0, 1]], [((), (0, 1)), ((), (1, 0))],
+                            message="cells 0 and 1 are identical"),
+}
+
+
+class TestOneInvariant:
+    @pytest.mark.parametrize("name", BAD_COMPLEXES)
+    def test_memory_file_and_command_line_reject_alike(self, name, tmp_path, capsys):
+        n, vertices, rays, lineality, cells, message, file_message = BAD_COMPLEXES[name]
+        with pytest.raises(ValueError) as info:
+            Complex(n, tuple(map(vec, vertices)), tuple(map(vec, rays)),
+                    tuple(map(vec, lineality)), tuple(cells))
+        assert str(info.value) == message
+        obj = {"ambient_dim": n, "rays": rays, "vertices": list(vertices),
+               "lineality": list(lineality),
+               "cells": [{"v": list(v), "r": list(r)} for v, r in cells],
+               "weights": [1] * len(cells)}
+        with pytest.raises(ValueError) as info:
+            fan_from_obj(obj)
+        assert str(info.value) == file_message
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["check", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"tropicon: {file_message}\n")
+
+    def test_the_in_memory_repros(self):
+        # pools given as int rows, as a builder may give them
+        for rays, cells, message in [
+                (((2, 0), (0, 1)), (((), (0, 1)),), "ray [2, 0] is not a primitive nonzero vector"),
+                (((F(1, 2), 0), (0, 1)), (((), (0, 1)),), "ray [1/2, 0] is not an integer vector"),
+                (((1, 0), (0, 1)), (((), (0, 1, 1)),), "cell 0 repeats an index")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Complex(2, (), rays, (), cells)
+
+
+def _seeded_matroids(rng):
+    """Uniform, graphic and linear matroids without loops."""
+    for n in (3, 4, 5, 6):
+        yield Matroid.uniform(rng.randint(1, min(4, n)), n)
+        edges = [(u, (u + rng.randint(1, 4)) % 5) for u in rng.choices(range(5), k=n)]
+        yield Matroid.graphic(edges)
+        rows = rng.randint(2, 4)
+        yield Matroid.linear([[rng.randint(-2, 2) for _ in range(rows - 1)] + [rng.randint(1, 2)]
+                              for _ in range(n)])
+
+
+def _seeded_point_sets(rng):
+    """Point sets in R^1 to R^3 with hulls of every dimension: a point plus
+    small combinations of k drawn directions, k = 0 .. n, twice each."""
+    for n, k, _ in itertools.product((1, 2, 3), range(4), range(2)):
+        if k <= n:
+            base = [rng.randint(-2, 2) for _ in range(n)]
+            dirs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            weights = [[rng.randint(-2, 2) for _ in dirs] for _ in range(6)]
+            yield [[b + sum(w * d[i] for w, d in zip(ws, dirs)) for i, b in enumerate(base)]
+                   for ws in weights]
+
+
+def _direct_constructions():
+    rng = random.Random(42)
+    built = [(f"bergman-{i}", bergman_fine(m)) for i, m in enumerate(_seeded_matroids(rng))]
+    built += [(f"normal-fan-{i}", normal_fan(p)) for i, p in enumerate(_seeded_point_sets(rng))]
+    built += [(f"cube-{d}", cube_normal_fan(d)) for d in range(1, 5)]
+    return built + [("tropical-plane", standard_tropical_plane()),
+                    ("two-planes", two_planes_fan())]
+
+
+DIRECT = _direct_constructions()
+
+
+@pytest.mark.parametrize("name,c", DIRECT, ids=[name for name, _ in DIRECT])
+def test_direct_constructions_load_back(name, c):
+    # the builders that call Complex(...) directly are checked by it
+    assert_loads_back(c)
 
 
 class TestPooled:
