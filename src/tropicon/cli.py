@@ -24,7 +24,7 @@ import os
 import re
 import sys
 
-from . import connectivity, fanjson
+from . import connectivity
 from .connectivity import (
     BudgetExceeded, TooFewFacets, build_hypergraph, connected_components,
     hypergraph_dot, is_k_connected, min_facet_cut,
@@ -198,7 +198,7 @@ def cmd_balance(args) -> int:
         "ridges": len(report.entries),
         "failing": [
             {"ridge": e.ridge_label,
-             "residual": [fanjson.format_rational(x) for x in e.residual]}
+             "residual": [str(x) for x in e.residual]}
             for e in report.failing()
         ],
     }

@@ -5,7 +5,7 @@ Documents and parses the file schema, whose pool invariant `Complex` checks::
     {"ambient_dim": n,
      "rays": [[int, ...], ...],          # primitive integer vectors
      "vertices": [["p/q", ...], ...],    # rationals as strings
-     "lineality": [[int, ...], ...],
+     "lineality": [[int, ...], ...],     # independent integer rows
      "cells": [{"v": [...], "r": [...]}, ...],
      "weights": [int, ...]}
 
@@ -21,11 +21,6 @@ import re
 from fractions import Fraction
 
 from .polyhedral import Complex, _fraction
-from .ratlin import as_int_list
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(s) -> Fraction:
@@ -67,9 +62,9 @@ def fan_to_obj(c: Complex) -> dict:
     cells.sort(key=lambda t: (t[0], t[1]))
     return {
         "ambient_dim": c.ambient_dim,
-        "rays": [as_int_list(c.ray_pool[i]) for i in rperm],
-        "vertices": [[format_rational(x) for x in c.vertex_pool[i]] for i in vperm],
-        "lineality": [as_int_list(l) for l in c.lineality],
+        "rays": [[x.numerator for x in c.ray_pool[i]] for i in rperm],
+        "vertices": [[str(x) for x in c.vertex_pool[i]] for i in vperm],
+        "lineality": [[x.numerator for x in l] for l in c.lineality],
         "cells": [{"v": list(v), "r": list(r)} for v, r, _ in cells],
         "weights": [w for _, _, w in cells],
     }
@@ -92,30 +87,16 @@ def _list(x, what: str) -> list:
     return x
 
 
-def _rows(obj: dict, key: str, what: str) -> list:
-    return [_list(row, what) for row in _list(obj[key], key)]
-
-
 def _integers(x, what: str, item: str) -> tuple[int, ...]:
     """The list x as ints; a list of ints only (bools are not) skips `_integer`."""
     x = _list(x, what)
     return tuple(x) if all(type(i) is int for i in x) else tuple(_integer(i, item) for i in x)
 
 
-def _integer_vector(entries, what: str) -> tuple[int, ...]:
-    """The row as ints; a row of ints only (bools are not) skips the parser."""
-    if all(type(x) is int for x in entries):
-        return tuple(entries)
-    v = tuple(parse_rational(x) for x in entries)
-    if any(x.denominator != 1 for x in v):
-        raise ValueError(f"{what} {entries} is not an integer vector")
-    return tuple(x.numerator for x in v)
-
-
 def fan_from_obj(obj: dict) -> Complex:
-    """The complex of a fan file; rejects unknown keys and rows or indices
-    that are not integers, and `Complex` rejects a pool or cells that break
-    the invariant the format states."""
+    """The complex of a fan file; rejects unknown keys and integers (ray and
+    lineality entries, indices, weights) not written as `_integer` reads
+    them, and `Complex` rejects a pool or cells that break the invariant."""
     if not isinstance(obj, dict):
         raise ValueError(f"a fan file holds a JSON object, not {obj!r}")
     required = {"ambient_dim", "rays", "vertices", "lineality", "cells", "weights"}
@@ -127,11 +108,11 @@ def fan_from_obj(obj: dict) -> Complex:
     n = _integer(obj["ambient_dim"], "ambient_dim")
     if n < 0:
         raise ValueError(f"ambient_dim {n} is negative")
-    rays = [_integer_vector(r, "ray") for r in _rows(obj, "rays", "ray")]
-    vertices = tuple(tuple(parse_rational(x) for x in v)
-                     for v in _rows(obj, "vertices", "vertex"))
-    lineality = [_integer_vector(l, "lineality row")
-                 for l in _rows(obj, "lineality", "lineality row")]
+    rays = [_integers(r, "ray", "ray entry") for r in _list(obj["rays"], "rays")]
+    vertices = tuple(tuple(parse_rational(x) for x in _list(v, "vertex"))
+                     for v in _list(obj["vertices"], "vertices"))
+    lineality = [_integers(l, "lineality row", "lineality entry")
+                 for l in _list(obj["lineality"], "lineality")]
     cells = []
     for cell in _list(obj["cells"], "cells"):
         if not isinstance(cell, dict) or not set(cell) <= {"v", "r"}:

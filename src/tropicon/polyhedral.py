@@ -813,8 +813,9 @@ class Complex(_Frozen):
     Every complex, loaded or built, holds the fan file's pool invariant,
     and the constructor raises the loader's ValueError on one that does not:
     primitive integer rays, none in the lineality and no two equal modulo
-    it; independent lineality rows; distinct vertices; and distinct cells
-    without repeated indices into the pools.  `pooled` merges pools into it.
+    it; independent integer lineality rows; distinct vertices; and distinct
+    cells without repeated indices into the pools.  So the file's rays and
+    lineality rows are their numerators.  `pooled` merges pools into it.
     """
     ambient_dim: int
     vertex_pool: tuple[Vec, ...]
@@ -835,6 +836,9 @@ class Complex(_Frozen):
             raise ValueError("weights must be positive integers")
         if any(len(g) != ambient_dim for g in itertools.chain(vertex_pool, ray_pool, lineality)):
             raise ValueError("generator has wrong ambient dimension")
+        for l in lineality:
+            if any(x.denominator != 1 for x in l):
+                raise ValueError(f"lineality row {_written(l)} is not an integer vector")
         lin = subspace_canonical_basis([vec(l) for l in lineality])
         if len(lin) < len(lineality):
             raise ValueError("lineality rows are zero or linearly dependent")

@@ -195,12 +195,6 @@ def primitive_vector(v: Vec) -> Vec:
     return tuple(map(Fraction, _primitive_ints(v)))
 
 
-def as_int_list(v: Vec) -> list[int]:
-    if any(x.denominator != 1 for x in v):
-        raise ValueError("vector is not integral")
-    return [int(x) for x in v]
-
-
 # ---------------------------------------------------------------------------
 # subspaces: canonical bases, reduction
 

@@ -9,11 +9,10 @@ from fractions import Fraction as F
 import pytest
 
 from test_tropical import disjoint_lines, same_fan, u34_times_a_line
-from tropicon import cli, tropical
+from tropicon import cli, matroid, tropical
 from tropicon.connectivity import build_hypergraph, connected_after_removal
 from tropicon.fanjson import (
-    fan_from_obj, fan_from_text, fan_to_obj, fan_to_text, format_rational,
-    load_fan, parse_rational,
+    fan_from_obj, fan_from_text, fan_to_obj, fan_to_text, load_fan, parse_rational,
 )
 from tropicon.matroid import Matroid, bergman_fine, matroid_from_json
 from tropicon.polyhedral import Complex, Polyhedron, validate_complex
@@ -23,8 +22,9 @@ from tropicon.tropical import CUBE_DIM_LIMIT, cube_normal_fan, two_planes_fan
 
 class TestRationalStrings:
     def test_format(self):
-        assert format_rational(F(3)) == "3"
-        assert format_rational(F(-2, 5)) == "-2/5"
+        # the writer prints a Fraction as str does
+        assert str(F(3)) == "3"
+        assert str(F(-2, 5)) == "-2/5"
 
     def test_parse(self):
         assert parse_rational("3/4") == F(3, 4)
@@ -39,7 +39,7 @@ class TestRationalStrings:
 
     def test_round_trip(self):
         for x in (F(0), F(5), F(-3, 7), F(22, 6)):
-            assert parse_rational(format_rational(x)) == x
+            assert parse_rational(str(x)) == x
 
 
 class TestFanFileRoundTrip:
@@ -126,6 +126,12 @@ class TestCliGen:
         assert code == 0
         fan = load_fan(str(path))
         assert len(fan.ray_pool) == 10 and len(fan) == 12 and fan.lineality_dim == 1
+
+    def test_bergman_uniform_past_the_chain_limit(self, capsys, monkeypatch):
+        # U(4, 6) has 6!/3! = 120 cones, one more than this limit
+        monkeypatch.setattr(matroid, "CHAIN_LIMIT", 119)
+        assert run_cli(["gen", "bergman-uniform", "4", "6"], capsys) == \
+            (1, "", "tropicon: maximal chains of flats exceed the limit 119\n")
 
     def test_bergman_graphic(self, tmp_path, capsys):
         path = tmp_path / "k4.json"
@@ -459,14 +465,14 @@ class TestStrictFanFiles:
         ([0, 0], "ray [0, 0] is not a primitive nonzero vector"),
         ([2, 0], "ray [2, 0] is not a primitive nonzero vector"),
         (["2", "0"], "ray [2, 0] is not a primitive nonzero vector"),
-        (["1/2", 0], "ray ['1/2', 0] is not an integer vector"),
-        ([True, 0], "rationals must be strings or integers, got bool"),
-        ([1.0, 0], "rationals must be strings or integers, got float"),
+        (["1/2", 0], "ray entry '1/2' is not an integer"),
+        ([True, 0], "ray entry True is not an integer"),
+        ([1.0, 0], "ray entry 1.0 is not an integer"),
     ], ids=["zero", "non-primitive", "non-primitive-strings", "non-integer", "true",
             "float"])
     def test_ray_row_messages(self, row, message):
-        # integer rows skip the rational parser; the messages stay those of
-        # the parser's path, and a bool is never read as an int
+        # a ray's entries are read as every integer of the file is, so the
+        # message names the entry as written; a bool is never read as an int
         with pytest.raises(ValueError) as info:
             fan_from_obj(_square_fan(rays=[row, [0, 1], [-1, 0]]))
         assert str(info.value) == message
@@ -543,8 +549,7 @@ class TestWrittenNumbers:
         ({"cells": [{"r": [" 1", 0]}, {"r": [0, 2]}]}, "cell index ' 1' is not an integer"),
         ({"vertices": [[" 3/2 ", "0"]], "cells": [{"v": [0], "r": [0, 1]}, {"v": [0], "r": [0, 2]}]},
          "rational ' 3/2 ' is not written in 0-9 + - / . e E"),
-        ({"rays": [["0", "1"], ["1_0", "1"], [-1, 0]]},
-         "rational '1_0' is not written in 0-9 + - / . e E"),
+        ({"rays": [["0", "1"], ["1_0", "1"], [-1, 0]]}, "ray entry '1_0' is not an integer"),
     ], ids=["underscored-weight", "arabic-indic-dim", "signed-dim", "spaced-index",
             "spaced-vertex", "underscored-ray"])
     def test_fan_files_exit_1(self, tmp_path, capsys, changes, message):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_theorem import linear_matroids, loopless_matroids
+from tropicon import matroid
 from tropicon.fanjson import fan_to_text
 from tropicon.matroid import (
     Flat, HasLoops, LoopContraction, Matroid, bergman_fine, contraction,
@@ -97,6 +98,16 @@ class TestMaximalChains:
         for chain in maximal_chains(Matroid.uniform(3, 4)):
             assert [f.rank for f in chain] == [1, 2]
             assert chain[0].elements < chain[1].elements
+
+    def test_chain_limit(self, monkeypatch):
+        # U(4, 6) has 6!/3! = 120 maximal chains: a limit of 120 keeps them
+        # all, in the same order, and one of 119 refuses the matroid
+        chains = maximal_chains(Matroid.uniform(4, 6))
+        monkeypatch.setattr(matroid, "CHAIN_LIMIT", 120)
+        assert maximal_chains(Matroid.uniform(4, 6)) == chains
+        monkeypatch.setattr(matroid, "CHAIN_LIMIT", 119)
+        with pytest.raises(ValueError, match="^maximal chains of flats exceed the limit 119$"):
+            maximal_chains(Matroid.uniform(4, 6))
 
     def test_loops_rejected(self):
         loopy = Matroid.from_bases(3, [[0], [1]])

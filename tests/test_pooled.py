@@ -91,16 +91,21 @@ def _bad(n, rays, cells, vertices=(), lineality=(), message="", file_message=Non
 
 
 # each complex breaks one part of the invariant; the file repros are the
-# FOUND fan whose ray lies in its lineality and the fan repeating a vertex
+# FOUND fan whose ray lies in its lineality, the fan repeating a vertex and
+# the rational lineality row, which a caller gave and the writer could not write
 BAD_COMPLEXES = {
     "zero-ray": _bad(2, [[0, 0], [0, 1]], [((), (0, 1))],
                      message="ray [0, 0] is not a primitive nonzero vector"),
     "non-primitive-ray": _bad(2, [[2, 0], [0, 1]], [((), (0, 1))],
                               message="ray [2, 0] is not a primitive nonzero vector"),
-    # a file's rays are integer rows, so its parser names the entry as written
+    # a file's rays and lineality rows are integer rows, so its parser names
+    # the entry as written
     "rational-ray": _bad(2, [["1/2", 0], [0, 1]], [((), (0, 1))],
                          message="ray [1/2, 0] is not an integer vector",
-                         file_message="ray ['1/2', 0] is not an integer vector"),
+                         file_message="ray entry '1/2' is not an integer"),
+    "rational-lineality": _bad(2, [[1, 0]], [((), (0,))], lineality=[["1/2", "1/2"]],
+                               message="lineality row [1/2, 1/2] is not an integer vector",
+                               file_message="lineality entry '1/2' is not an integer"),
     "ray-in-the-lineality": _bad(2, [[1, 0], [0, 1]], [((), (1,)), ((), (0, 1))],
                                  lineality=[[1, 0]], message="ray [1, 0] lies in the lineality"),
     "rays-equal-modulo-the-lineality": _bad(
@@ -152,6 +157,23 @@ class TestOneInvariant:
                 (((1, 0), (0, 1)), (((), (0, 1, 1)),), "cell 0 repeats an index")]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Complex(2, (), rays, (), cells)
+
+    @pytest.mark.parametrize("rays,lineality,message", [
+        ([["1.0", "+0"], ["0", "2/2"]], [], "ray entry '1.0' is not an integer"),
+        ([[1, 0], ["+0", 1]], [], "ray entry '+0' is not an integer"),
+        ([[1, 0, 0]], [[0, "2/2", 0]], "lineality entry '2/2' is not an integer"),
+    ], ids=["decimal-ray", "signed-ray", "fraction-lineality"])
+    def test_a_file_writes_its_integers_as_integers(self, rays, lineality, message, tmp_path,
+                                                    capsys):
+        # the rows are integral in memory, but a file writes an integer -?[0-9]+
+        n = len(rays[0])
+        Complex(n, (), tuple(map(vec, rays)), tuple(map(vec, lineality)), (((), (0,)),))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"ambient_dim": n, "rays": rays, "vertices": [],
+                                    "lineality": lineality, "cells": [{"r": [0]}],
+                                    "weights": [1]}))
+        assert cli.main(["check", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"tropicon: {message}\n")
 
 
 def _seeded_matroids(rng):
