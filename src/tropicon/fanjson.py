@@ -20,7 +20,7 @@ import json
 import re
 from fractions import Fraction
 
-from .polyhedral import Complex, _fraction
+from .polyhedral import Complex
 
 
 def parse_rational(s) -> Fraction:
@@ -121,8 +121,7 @@ def fan_from_obj(obj: dict) -> Complex:
     weights = _integers(obj["weights"], "weights", "weight")
     if len(weights) != len(cells):
         raise ValueError(f"{len(weights)} weights for {len(cells)} cells")
-    return Complex(n, vertices, tuple(tuple(map(_fraction, r)) for r in rays),
-                   tuple(tuple(map(_fraction, l)) for l in lineality), tuple(cells), weights)
+    return Complex(n, vertices, tuple(rays), tuple(lineality), tuple(cells), weights)
 
 
 def fan_from_text(text: str) -> Complex:

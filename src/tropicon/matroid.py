@@ -11,7 +11,6 @@ all-ones vector as lineality.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable, FrozenSet, Iterable, NamedTuple, Sequence
 
 from .fanjson import _integer, _list, parse_rational
@@ -219,9 +218,8 @@ def bergman_fine(m: Matroid) -> Complex:
     ids: dict[FrozenSet[int], int] = {}
     cells = tuple(((), tuple(sorted(ids.setdefault(f.elements, len(ids)) for f in chain)))
                   for chain in maximal_chains(m))
-    bit = (Fraction(0), Fraction(1))
-    return Complex(n, (), tuple(tuple(bit[e in f] for e in ground) for f in ids),
-                   ((bit[1],) * n,) if n else (), cells or (((), ()),))
+    return Complex(n, (), tuple(tuple(int(e in f) for e in ground) for f in ids),
+                   ((1,) * n,) if n else (), cells or (((), ()),))
 
 
 def contraction(m: Matroid, e: int) -> Matroid:

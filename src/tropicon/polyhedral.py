@@ -46,26 +46,29 @@ and that inequality are all zero (see `tropical.balancing_check`).
 Complexes store shared generator pools plus per-facet index sets under one
 invariant, which the constructor checks as it decides the pool facts in one
 integer pass (`Complex._pool`): the lineality rows and each pool ray's
-primitive and canonical rows.  `Complex.facet_polyhedra` builds each record with
-the cell, from its rays' primitive rows and those pool facts.  The face walk
-gives the faces level by level from the ridges down, keying each (cell, mask
-of facet inequalities) incidence on integer rows read off the cell's
-canonical form (`_face_key`) and making one face per distinct key from it
-(`_face`).  The ridge level (`_ridge_level`) takes every incidence and is
-cached as `Complex.ridges`; each level below (`_level_below`) expands one
-incidence per face by one more inequality of its cell.  Meets, slices and
-the witness check read a record's rows lifted to the (x0, x) frame
-(`_lifted`), and every H-description becomes generators through one
-conversion (`_from_rows`).  Fractions are made only where a public value
-needs them: `_from_rows` converts `dd_cone`'s rays (`_fraction_row` shares
-the rows that cells repeat), and each pool entry is converted once.
+primitive and canonical rows.  It keeps only the forms it checks: the rays'
+primitive rows and the vertices as fractions, and the lineality as its
+canonical basis.  `Complex.facet_polyhedra` builds each cell over those
+pools, and its record from its rays' primitive rows and the pool facts.
+The face walk gives the faces level by level from the ridges down, keying
+each (cell, mask of facet inequalities) incidence on the rows of the cell's
+canonical form (`_face_key`: lineality and rays as integers, vertices as
+the fractions of the key, each held once) and making one face per
+distinct key from it (`_face`).  The ridge level (`_ridge_level`) takes
+every incidence and is cached as `Complex.ridges`; each level below
+(`_level_below`) expands one incidence per face by one more inequality of
+its cell.  Meets, slices and the witness check read a record's rows lifted
+to the (x0, x) frame (`_lifted`), and every H-description becomes
+generators through one conversion (`_from_rows`).  Fractions are made only
+where a public value needs them: `_from_rows` converts `dd_cone`'s rays
+(`_fraction_row` shares the rows that cells repeat), and the constructor
+converts each pool entry once.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -320,9 +323,8 @@ class _Record:
     - `verts`, `rays`: per vertex and per ray of P, its row and the bit mask
       of the facets tight on it (`_tight`);
     - `key`: the canonical key, `Polyhedron.canonical_key`;
-    - `den`: the least common denominator of the key's vertices (1 without);
-    - `key_verts`: per vertex of the key, in its order, the vertex times
-      `den` as an integer row of R^n and its tight mask;
+    - `key_verts`: per vertex of the key, in its order, the vertex as a
+      fraction row of R^n (the one the key holds) and its tight mask;
     - `key_rays`: per ray of the key, in its order, its primitive integer
       row of R^n and its tight mask;
     - `lin_ints`: the rows of the key's lineality basis, as integers.
@@ -333,7 +335,7 @@ class _Record:
     with no extra lineality reads its rays' reduced rows from the pool;
     every other polyhedron reduces its own.
     """
-    __slots__ = ("affine", "facets", "cuts", "eqs", "verts", "rays", "key", "den", "key_verts",
+    __slots__ = ("affine", "facets", "cuts", "eqs", "verts", "rays", "key", "key_verts",
                  "key_rays", "lin_ints")
 
     def __init__(self, p: "Polyhedron", rays: list[tuple[int, ...]],
@@ -376,14 +378,11 @@ class _Record:
         kverts = [(g, mask) for g, mask in extreme if g[0]] if affine else []
         if len(kverts) == 1 and not any(kverts[0][0][1:]):
             kverts = []  # a lone vertex at the origin is the apex of a cone
-        self.den = den = math.lcm(*(g[0] for g, _ in kverts))
-        # times den, the vertices sort on integers as their fractions do
-        self.key_verts = sorted((tuple(x * (den // g[0]) for x in g[1:]), mask)
+        self.key_verts = sorted((tuple(Fraction(x, g[0]) for x in g[1:]), mask)
                                 for g, mask in kverts)
         self.key_rays = sorted((g[affine:], mask) for g, mask in extreme if not affine or not g[0])
         self.lin_ints = tuple(l[affine:] for l in lin)
-        self.key = (p.ambient_dim, lin_basis,
-                    tuple(tuple(Fraction(x, den) for x in v) for v, _ in self.key_verts),
+        self.key = (p.ambient_dim, lin_basis, tuple(v for v, _ in self.key_verts),
                     tuple(_fraction_row(r) for r, _ in self.key_rays))
 
     def mask(self, row: Sequence[int]) -> Optional[int]:
@@ -657,38 +656,30 @@ def _lattice_normal(sigma: Polyhedron, a: Sequence) -> tuple[int, ...]:
 # faces
 
 
-def _face(p: Polyhedron, key: tuple, scale: int) -> Polyhedron:
-    """The nonempty face of p whose `_face_key(p, tight, scale)` is key: it
-    has p's lineality and the extreme generators of p whose tight sets
-    contain `tight`, so its canonical key is read off the key."""
-    n, lin = p.ambient_dim, p.canonical_key[1]
-    verts = tuple(tuple(Fraction(x, scale) for x in row) for row in key[1])
+def _face(p: Polyhedron, key: tuple) -> Polyhedron:
+    """The nonempty face of p whose `_face_key(p, tight)` is key: it has p's
+    lineality and the extreme generators of p whose tight sets contain
+    `tight`, so its canonical key is read off the key."""
+    n, lin, verts = p.ambient_dim, p.canonical_key[1], key[1]
     rays = tuple(map(_fraction_row, key[2]))
     face = Polyhedron._raw(n, verts, rays, lin)
     face.__dict__["canonical_key"] = (n, lin, verts, rays)
     return face
 
 
-def _face_key(p: Polyhedron, tight: int, scale: int) -> Optional[tuple]:
-    """Integer tuples that identify the face of p on which the facet
-    inequalities with bit set in the mask `tight` are equalities, and order
-    faces as their canonical keys do, or None when that face is empty: p's
-    lineality rows, the face's vertices times `scale` (a common multiple of
-    the denominators of every vertex compared) and its rays, all read off
-    p's canonical rows.  Equal keys are equal point sets."""
+def _face_key(p: Polyhedron, tight: int) -> Optional[tuple]:
+    """Rows that identify the face of p on which the facet inequalities with
+    bit set in the mask `tight` are equalities, and order faces as their
+    canonical keys do, or None when that face is empty: p's lineality rows
+    and the face's rays as integers, its vertices as the fractions of p's
+    key, all read off p's canonical rows.  Equal keys are equal point sets."""
     rec = p._rec
     vs = [row for row, mask in rec.key_verts if mask & tight == tight]
     if rec.key_verts and not vs:
         return None
     if len(vs) == 1 and not any(vs[0]):
         vs = []  # the apex of a cone
-    elif rec.den != scale:
-        vs = [tuple(scale // rec.den * x for x in row) for row in vs]
     return rec.lin_ints, tuple(vs), tuple([r for r, m in rec.key_rays if m & tight == tight])
-
-
-def _vertex_scale(cells: Sequence[Polyhedron]) -> int:
-    return math.lcm(*(cell._rec.den for cell in cells))
 
 
 def _sorted_level(level: dict) -> list[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]]]:
@@ -696,9 +687,9 @@ def _sorted_level(level: dict) -> list[tuple[Polyhedron, tuple[int, ...], tuple[
             for face, fids, masks in map(level.get, sorted(level))]
 
 
-def _ridge_level(cells: Sequence[Polyhedron], scale: int) -> list:
+def _ridge_level(cells: Sequence[Polyhedron]) -> list:
     """The distinct codimension-one faces of the cells, sorted by canonical
-    key, `scale` being `_vertex_scale(cells)`.
+    key.
 
     Each face comes with the indices of cells it is a face of and, per cell,
     the mask of the cell's facet inequalities (bits over the first
@@ -712,10 +703,10 @@ def _ridge_level(cells: Sequence[Polyhedron], scale: int) -> list:
     for i, cell in enumerate(cells):
         d = cell.dim - 1
         for k in range(cell._rec.cuts):
-            key = _face_key(cell, 1 << k, scale)
+            key = _face_key(cell, 1 << k)
             entry = level.get(key)
             if entry is None:
-                entry = level[key] = (_face(cell, key, scale), [], [])
+                entry = level[key] = (_face(cell, key), [], [])
                 entry[0].__dict__["dim"] = d
             # equal keys are equal point sets, so the first face's dimension
             # is every later one's
@@ -726,7 +717,7 @@ def _ridge_level(cells: Sequence[Polyhedron], scale: int) -> list:
     return _sorted_level(level)
 
 
-def _level_below(cells: Sequence[Polyhedron], level: list, scale: int) -> list:
+def _level_below(cells: Sequence[Polyhedron], level: list) -> list:
     """The distinct faces one dimension below those of `level`, in the form
     `_ridge_level` gives.  A face of codimension two lies in exactly two
     facets of its cell, so each is cut out of one incidence (the first) of a
@@ -739,25 +730,25 @@ def _level_below(cells: Sequence[Polyhedron], level: list, scale: int) -> list:
             sub = tight | 1 << k
             if sub == tight:
                 continue
-            key = _face_key(cell, sub, scale)
+            key = _face_key(cell, sub)
             if key is not None and key not in below:
-                sub_face = _face(cell, key, scale)  # a deeper face waits for its level
+                sub_face = _face(cell, key)  # a deeper face waits for its level
                 below[key] = (sub_face, [fids[0]], [sub]) if sub_face.dim == d else None
     return _sorted_level({key: entry for key, entry in below.items() if entry})
 
 
 def _generator_rows(p: Polyhedron) -> list[tuple[int, ...]]:
-    """Rows in the (x0, x) frame that generate p: its canonical vertices
-    times their common denominator (the origin when the key has none), its
+    """Rows in the (x0, x) frame that generate p: its canonical vertices as
+    integer multiples of (1, v) (the origin when the key has none), its
     canonical rays, and its lineality rows in both directions."""
     rec = p._rec
     dirs = [r for r, _ in rec.key_rays] + list(rec.lin_ints)
     dirs += [tuple(-x for x in l) for l in rec.lin_ints]
-    verts = [(rec.den,) + v for v, _ in rec.key_verts] or [(1,) + (0,) * p.ambient_dim]
+    verts = [_int_row((1, *v)) for v, _ in rec.key_verts] or [(1,) + (0,) * p.ambient_dim]
     return verts + [(0,) + d for d in dirs]
 
 
-def _least_face_key(p: Polyhedron, rows: Iterable[Sequence[int]], scale: int) -> Optional[tuple]:
+def _least_face_key(p: Polyhedron, rows: Iterable[Sequence[int]]) -> Optional[tuple]:
     """The `_face_key` of the least face of p containing every row, the face
     cut out by the facets tight on all of them, or None when a row lies
     outside p."""
@@ -767,7 +758,7 @@ def _least_face_key(p: Polyhedron, rows: Iterable[Sequence[int]], scale: int) ->
         if mask is None:
             return None
         tight &= mask
-    return _face_key(p, tight, scale)
+    return _face_key(p, tight)
 
 
 def is_face_of(tau: Polyhedron, sigma: Polyhedron) -> bool:
@@ -776,8 +767,7 @@ def is_face_of(tau: Polyhedron, sigma: Polyhedron) -> bool:
     sigma tight on all of tau's generators."""
     if tau.ambient_dim != sigma.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    scale = _vertex_scale((sigma, tau))
-    return _least_face_key(sigma, _generator_rows(tau), scale) == _face_key(tau, 0, scale)
+    return _least_face_key(sigma, _generator_rows(tau)) == _face_key(tau, 0)
 
 
 def _meet(p: Polyhedron, q: Polyhedron) -> list[tuple[int, ...]]:
@@ -814,8 +804,10 @@ class Complex(_Frozen):
     and the constructor raises the loader's ValueError on one that does not:
     primitive integer rays, none in the lineality and no two equal modulo
     it; independent integer lineality rows; distinct vertices; and distinct
-    cells without repeated indices into the pools.  So the file's rays and
-    lineality rows are their numerators.  `pooled` merges pools into it.
+    cells without repeated indices into the pools.  Pools and lineality may
+    be given as ints or fractions; the complex keeps the forms it checks:
+    rays and vertices as fraction rows, and the lineality as its canonical
+    basis, the one every cell receives.  `pooled` merges pools into it.
     """
     ambient_dim: int
     vertex_pool: tuple[Vec, ...]
@@ -854,6 +846,7 @@ class Complex(_Frozen):
             if (j := first.setdefault(canon.setdefault(*rows), i)) != i:
                 raise ValueError(f"rays {_written(ray_pool[j])} and {_written(r)} are equal "
                                  "modulo the lineality")
+        vertex_pool = tuple(map(vec, vertex_pool))
         if len(set(vertex_pool)) < len(vertex_pool):
             v = next(v for i, v in enumerate(vertex_pool) if v in vertex_pool[:i])
             raise ValueError(f"vertex {_written(v)} is repeated in the pool")
@@ -866,10 +859,10 @@ class Complex(_Frozen):
                 raise ValueError(f"cell {i} repeats an index")
             if (j := seen.setdefault(key, i)) != i:
                 raise ValueError(f"cells {j} and {i} are identical")
-        # _pool: the lineality rows, each ray's canonical row, the basis, the ray rows
-        self.__dict__.update(ambient_dim=ambient_dim, vertex_pool=vertex_pool, ray_pool=ray_pool,
-                             lineality=lineality, cells=cells, weights=weights,
-                             _pool=(lin_rows, canon, lin, keys))
+        # _pool: the lineality rows, each ray's canonical row, the ray rows
+        self.__dict__.update(ambient_dim=ambient_dim, vertex_pool=vertex_pool,
+                             ray_pool=tuple(map(_fraction_row, keys)), lineality=lin,
+                             cells=cells, weights=weights, _pool=(lin_rows, canon, keys))
 
     @staticmethod
     def pooled(n: int, vertices: Sequence[Vec], rays: Sequence[Vec], lineality: Iterable,
@@ -890,7 +883,7 @@ class Complex(_Frozen):
                                      for j in ridx if (k := rkeys[j])})))
                       for vidx, ridx in cells)
         return Complex(n, tuple(tuple(Fraction(x, v[0]) for x in v[1:]) for v in vindex),
-                       tuple(_fraction_row(r) for _, r in rindex.values()), lin, cells,
+                       tuple(r for _, r in rindex.values()), lin_rows, cells,
                        None if weights is None else tuple(weights))
 
     @staticmethod
@@ -925,18 +918,15 @@ class Complex(_Frozen):
 
     @cached_property
     def facet_polyhedra(self) -> tuple[Polyhedron, ...]:
-        """The polyhedron of every cell, with the lineality put in canonical
-        form and each pool entry converted once; every cell gets its record
-        here, from its rays' primitive rows and the complex's `_pool`, in
-        place of the fractions."""
-        n, pool = self.ambient_dim, self._pool
-        lin, keys = pool[2:]
-        verts = [vec(v) for v in self.vertex_pool]
-        rays = [_fraction_row(k) for k in keys]
+        """The polyhedron of every cell, over the pools and lineality as
+        stored; every cell gets its record here, from its rays' primitive
+        rows and the complex's `_pool`, in place of the fractions."""
+        n, pool, verts, rays = self.ambient_dim, self._pool, self.vertex_pool, self.ray_pool
+        keys = pool[2]
         cells = []
         for vidx, ridx in self.cells:
             cell = Polyhedron._raw(n, tuple(verts[j] for j in vidx),
-                                   tuple(rays[j] for j in ridx), lin)
+                                   tuple(rays[j] for j in ridx), self.lineality)
             cell.__dict__["_rec"] = _Record(cell, [keys[j] for j in ridx], pool)
             cells.append(cell)
         return tuple(cells)
@@ -947,9 +937,8 @@ class Complex(_Frozen):
         key, each with the ids of the facets it is a face of and, per facet,
         the index of the inequality that cuts it out among the facets of its
         record (`_Record.cut`): `_ridge_level`."""
-        cells = self.facet_polyhedra
         return tuple((face, fids, tuple(m.bit_length() - 1 for m in masks))
-                     for face, fids, masks in _ridge_level(cells, _vertex_scale(cells)))
+                     for face, fids, masks in _ridge_level(self.facet_polyhedra))
 
     @cached_property
     def _validation(self) -> "ValidationReport":
@@ -968,7 +957,7 @@ class Complex(_Frozen):
         linear parts of all the cells' lifted rows (`_lifted`); a file may
         declare less.  It is the declared count when some cell has no
         lineality beyond it."""
-        cells, declared = self.facet_polyhedra, len(self._pool[0])
+        cells, declared = self.facet_polyhedra, len(self.lineality)
         if not cells or any(len(f._rec.lin_ints) == declared for f in cells):
             return declared
         return self.ambient_dim - matrix_rank(
@@ -1018,7 +1007,7 @@ def validate_complex(c: Complex, pairwise: bool = False) -> ValidationReport:
             issues.append(f"facets {i} and {j} coincide")
             continue
         p, q = facets[i], facets[j]
-        rows, scale = _meet(p, q), _vertex_scale((p, q))
-        if rows and _least_face_key(p, rows, scale) != _least_face_key(q, rows, scale):
+        rows = _meet(p, q)
+        if rows and _least_face_key(p, rows) != _least_face_key(q, rows):
             issues.append(f"facets {i} and {j} do not meet in a common face")
     return ValidationReport(not issues, report.dim, tuple(issues))

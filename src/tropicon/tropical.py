@@ -21,8 +21,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .polyhedral import (
     AffineHyperplane, Complex, NotInComplex, Polyhedron, _feasible_point,
-    _fraction_row, _from_rows, _lattice_normal, _level_below, _lifted, _numerators,
-    _outside, _vertex_scale, is_face_of,
+    _from_rows, _lattice_normal, _level_below, _lifted, _numerators, _outside, is_face_of,
 )
 from .ratlin import (
     Mat, Vec, _int_kernel, _primitive_ints, dot, identity_mat,
@@ -137,7 +136,7 @@ def normal_fan(vertices: Sequence[Iterable]) -> Complex:
             extreme.remove(mask)
             rays = sorted(r for i, r in outer.items() if mask >> i & 1)
             cells.append(((), tuple(sorted(pool.setdefault(r, len(pool)) for r in rays))))
-    return Complex(n, (), tuple(map(_fraction_row, pool)), lineality, tuple(cells))
+    return Complex(n, (), tuple(pool), lineality, tuple(cells))
 
 
 def skeleton(c: Complex, k: int) -> Complex:
@@ -151,11 +150,9 @@ def skeleton(c: Complex, k: int) -> Complex:
         raise ValueError(f"need lineality dim <= k <= {d}")
     if k == d:
         return c
-    cells = c.facet_polyhedra
-    scale = _vertex_scale(cells)
     level = [(face, fids, tuple(1 << j for j in cuts)) for face, fids, cuts in c.ridges]
     for _ in range(d - 1 - k):
-        level = _level_below(cells, level, scale)
+        level = _level_below(c.facet_polyhedra, level)
     return Complex.from_facets([face for face, _, _ in level], lineality=c.lineality,
                                ambient_dim=c.ambient_dim)
 

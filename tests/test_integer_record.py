@@ -689,9 +689,9 @@ class TestUnitRayLatticeNormals:
 
 
 def _oracle_pool(c):
-    """`Complex._pool` over fractions: the lineality's canonical basis, and
-    per pool ray its primitive form and, by `reduce_mod_subspace`, its
-    canonical row, or None when it reduces to zero."""
+    """`Complex._pool` over fractions: the rows of the lineality's canonical
+    basis, and per pool ray its primitive form and, by `reduce_mod_subspace`,
+    its canonical row, or None when it reduces to zero."""
     lin = subspace_canonical_basis([vec(l) for l in c.lineality])
     keys, canon = [], {}
     for r in c.ray_pool:
@@ -700,14 +700,14 @@ def _oracle_pool(c):
         if key:
             canon[key] = tuple(x.numerator for x in primitive_vector(reduced))
         keys.append(key)
-    return [tuple(x.numerator for x in l) for l in lin], canon, lin, keys
+    return [tuple(x.numerator for x in l) for l in lin], canon, keys
 
 
 def _record_fields(p):
     """The generators of p and every field of its integer record."""
     rec = p._rec
     return (p.vertices, p.rays, p.lineality, rec.affine, rec.facets, rec.eqs, rec.verts,
-            rec.rays, rec.key, rec.den, rec.key_verts, rec.key_rays, rec.lin_ints)
+            rec.rays, rec.key, rec.key_verts, rec.key_rays, rec.lin_ints)
 
 
 def _assert_pool_matches_a_copy(c):
@@ -769,7 +769,7 @@ class TestSeededRayKeys:
         with pytest.raises(ValueError, match="^cells 0 and 1 are identical$"):
             Complex.pooled(2, (), rays, (vec([1, 1]),), (((), (0, 1)), ((), (1, 2))))
         c = Complex.pooled(2, (), rays, (vec([1, 1]),), (((), (0, 1)),))
-        assert c._pool[1:] == ({(1, 0): (0, -1)}, (vec([1, 1]),), [(1, 0)])
+        assert c._pool == ([(1, 1)], {(1, 0): (0, -1)}, [(1, 0)])
         _assert_pool_matches_a_copy(c)
 
     def test_derived_complexes_compute_their_keys(self):
@@ -803,8 +803,7 @@ def _faces_below(c):
     incidence per face of the level above by one more inequality of its
     cell and kept when its integer rank is the next dimension."""
     cells = c.facet_polyhedra
-    scale = polyhedral._vertex_scale(cells)
-    level = {polyhedral._face_key(cells[fids[0]], 1 << cuts[0], scale):
+    level = {polyhedral._face_key(cells[fids[0]], 1 << cuts[0]):
              (face, cells[fids[0]], 1 << cuts[0]) for face, fids, cuts in _oracle_ridges(c)}
     while level:
         keys = sorted(level)
@@ -817,7 +816,7 @@ def _faces_below(c):
                 sub_tight = tight | 1 << i
                 if sub_tight == tight:
                     continue
-                sub_key = polyhedral._face_key(cell, sub_tight, scale)
+                sub_key = polyhedral._face_key(cell, sub_tight)
                 if sub_key is not None and sub_key not in below:
                     sub = face_by_mask(cell, sub_tight)
                     below[sub_key] = (sub, cell, sub_tight) if sub.dim == d else None
@@ -891,9 +890,9 @@ class TestRidgeWalk:
         c = _loaded(bergman_fine(Matroid.uniform(4, 6)))
         made = []
 
-        def counted(p, key, scale):
+        def counted(p, key):
             made.append(key)
-            return _face(p, key, scale)
+            return _face(p, key)
 
         monkeypatch.setattr(polyhedral, "_face", counted)
         ridges = c.ridges
@@ -906,9 +905,9 @@ class TestRidgeWalk:
         text = fan_to_text(bergman_fine(Matroid.uniform(4, 6)))
         made = []
 
-        def counted(p, key, scale):
+        def counted(p, key):
             made.append(key)
-            return _face(p, key, scale)
+            return _face(p, key)
 
         monkeypatch.setattr(polyhedral, "_face", counted)
         fresh = fan_to_text(skeleton(fan_from_text(text), 2))
@@ -927,8 +926,8 @@ class TestRidgeWalk:
         c = _copy(c)
         made = []
 
-        def counted(p, key, scale):
-            face = _face(p, key, scale)
+        def counted(p, key):
+            face = _face(p, key)
             made.append(face.canonical_key)
             return face
 

@@ -154,6 +154,11 @@ class TestBergmanFine:
     def test_weights_are_one(self):
         assert set(bergman_fine(Matroid.uniform(3, 4)).weights) == {1}
 
+    def test_empty_ground_set(self):
+        # the fan R^0: one cell, and no lineality row (the all-ones row is empty)
+        b = bergman_fine(Matroid.uniform(0, 0))
+        assert (b.ambient_dim, b.ray_pool, b.lineality, b.cells) == (0, (), (), (((), ()),))
+
 
 class TestContraction:
     def test_uniform_contraction_is_uniform(self):

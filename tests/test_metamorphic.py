@@ -10,8 +10,13 @@ rational vector when it has vertices, and every other trial also shuffles
 its vertex pool, its ray pool and its cells (with their weights).  Validity,
 dimensions, the facet-ridge counts and hyperedge sizes, the verdict at
 k = d - l, the min-cut size and the balance verdict must all be unchanged.
+
+The lineality is a subspace, not the rows that span it: a fan whose
+lineality rows are rewritten (reordered, one row plus or minus another) has
+the same quotient, byte for byte.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -19,10 +24,12 @@ import pytest
 
 from test_golden import HEXAGON, RATIONAL_COMPLEX
 from tropicon.connectivity import build_hypergraph, is_k_connected, min_facet_cut
-from tropicon.fanjson import fan_from_obj
+from tropicon.fanjson import fan_from_obj, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine
 from tropicon.polyhedral import Complex, validate_complex
-from tropicon.tropical import balancing_check, normal_fan, standard_tropical_plane
+from tropicon.tropical import (
+    balancing_check, normal_fan, quotient_by_lineality, standard_tropical_plane,
+)
 
 _K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _COMPLEXES = {
@@ -100,3 +107,25 @@ def test_unimodular_maps_and_shuffles_change_nothing(name, trial):
     c = _COMPLEXES[name]()
     rng = random.Random(f"{name}/{trial}")
     assert _invariants(_mapped(c, rng, shuffle=trial % 2 == 1)) == _invariants(c)
+
+
+# two opposite rays modulo a rank-3 lineality with mixed entries in R^7
+_MIXED_LINEALITY = {
+    "ambient_dim": 7, "vertices": [],
+    "rays": [[1, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0]],
+    "lineality": [[14, -6, 24, 42, 0, -12, -3], [49, 14, 6, 4, -49, -1, 21],
+                  [392, -126, 132, 366, 588, -72, -21]],
+    "cells": [{"r": [0]}, {"r": [1]}], "weights": [1, 1],
+}
+
+
+def test_rewritten_lineality_rows_give_one_quotient():
+    # every row order, with one row plus or minus another: 72 rewritings
+    texts = set()
+    for rows in itertools.permutations(_MIXED_LINEALITY["lineality"]):
+        for (i, j), s in itertools.product(itertools.permutations(range(3), 2), (1, -1)):
+            lin = list(rows)
+            lin[i] = [a + s * b for a, b in zip(lin[i], lin[j])]
+            c = fan_from_obj({**_MIXED_LINEALITY, "lineality": lin})
+            texts.add(fan_to_text(quotient_by_lineality(c)[0]))
+    assert len(texts) == 1

@@ -7,7 +7,7 @@ import pytest
 from tropicon import polyhedral
 from tropicon.polyhedral import (
     AffineHyperplane, Complex, EmptyPolyhedron, HRep, Polyhedron, _face, _face_key,
-    _level_below, _ridge_level, _vertex_scale, is_face_of, validate_complex,
+    _level_below, _ridge_level, is_face_of, validate_complex,
 )
 from tropicon.ratlin import ZeroVector, dot, vec
 
@@ -15,19 +15,17 @@ from tropicon.ratlin import ZeroVector, dot, vec
 def face_by_mask(p, tight):
     """The face of p on which the facet inequalities of p with bit set in
     the mask `tight` are equalities, or None when it is empty."""
-    scale = p._rec.den
-    key = _face_key(p, tight, scale)
-    return None if key is None else _face(p, key, scale)
+    key = _face_key(p, tight)
+    return None if key is None else _face(p, key)
 
 
 def _face_levels(cells):
     """The face walk from the codimension-one faces down, one sorted list
     per level: `_ridge_level`, then `_level_below` until a level is empty."""
-    scale = _vertex_scale(cells)
-    level = _ridge_level(cells, scale)
+    level = _ridge_level(cells)
     while level:
         yield level
-        level = _level_below(cells, level, scale)
+        level = _level_below(cells, level)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +322,10 @@ class TestIsFaceOf:
         seg = Polyhedron.from_vertices([[0], [1]])
         assert is_face_of(Polyhedron.from_vertices([[1]]), seg)
         assert not is_face_of(Polyhedron.from_vertices([[F(1, 2)]]), seg)
+
+    def test_ambient_dimensions_must_agree(self):
+        with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+            is_face_of(cone([1, 0]), cone([1, 0, 0], [0, 1, 0]))
 
 
 class TestCanonicalForm:

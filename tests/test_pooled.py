@@ -158,6 +158,27 @@ class TestOneInvariant:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Complex(2, (), rays, (), cells)
 
+    def test_the_complex_keeps_the_forms_it_checks(self):
+        # two ways of writing one vertex are one vertex
+        with pytest.raises(ValueError, match=r"^vertex \[1/2\] is repeated in the pool$"):
+            Complex(1, (("1/2",), ("2/4",)), ((1,),), (), (((0,), (0,)), ((1,), (0,))))
+        # the message names the vertex that repeats, not the first one
+        with pytest.raises(ValueError, match=r"^vertex \[1/2\] is repeated in the pool$"):
+            Complex(1, ((0,), ("1/2",), ("2/4",)), (), (), (((0,), ()), ((1,), ()), ((2,), ())))
+        # int rows come back as fraction rows, so arithmetic on them is exact
+        c = Complex(2, ((0, 0),), ((1, 0), (0, 1)), (), (((0,), (0, 1)),))
+        assert all(type(x) is F for g in c.vertex_pool + c.ray_pool for x in g)
+        assert c.ray_pool[0][0] / 2 == F(1, 2)
+        # the lineality is its canonical basis, the one every cell receives
+        c = Complex(3, (), ((1, 0, 0),), ((0, 0, 2),), (((), (0,)),))
+        assert c.lineality == ((0, 0, 1),) == c.facet_polyhedra[0].lineality
+        assert all(type(x) is F for x in c.lineality[0])
+
+    def test_a_file_writes_the_canonical_lineality(self):
+        obj = {"ambient_dim": 2, "rays": [[1, 0]], "vertices": [], "lineality": [[0, 2]],
+               "cells": [{"r": [0]}], "weights": [1]}
+        assert json.loads(fan_to_text(fan_from_obj(obj)))["lineality"] == [[0, 1]]
+
     @pytest.mark.parametrize("rays,lineality,message", [
         ([["1.0", "+0"], ["0", "2/2"]], [], "ray entry '1.0' is not an integer"),
         ([[1, 0], ["+0", 1]], [], "ray entry '+0' is not an integer"),

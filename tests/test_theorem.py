@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from tropicon.connectivity import build_hypergraph, is_k_connected, min_facet_cut
 from tropicon.fanjson import fan_from_text, fan_to_text
 from tropicon.matroid import Matroid, bergman_fine, proper_flats
-from tropicon.polyhedral import _level_below, _vertex_scale, is_face_of
+from tropicon.polyhedral import _level_below, is_face_of
 from tropicon.ratlin import matrix_rank, vec
 from tropicon.tropical import balancing_check, normal_fan, star
 
@@ -118,7 +118,7 @@ def test_stars_of_a_bergman_fan_are_products_of_minors():
     flats = [f.elements for level in proper_flats(m).values() for f in level]
     cells = fan.facet_polyhedra
     ridges = [(face, fids, tuple(1 << j for j in cuts)) for face, fids, cuts in fan.ridges]
-    below = _level_below(cells, ridges, _vertex_scale(cells))
+    below = _level_below(cells, ridges)
     assert (len(ridges), len(below)) == (150, 41)
     sizes = Counter()
     for face, _, _ in ridges + below:

@@ -497,12 +497,16 @@ class TestNormalFan:
     def test_weights_default_one(self):
         assert set(normal_fan([[0, 0], [1, 0], [0, 1]]).weights) == {1}
 
+    def test_no_points(self):
+        with pytest.raises(ValueError, match="^at least one point required$"):
+            normal_fan([])
+
 
 def _ray_faces(c):
     """The rays of the fan c outside its lineality, each with the
     lineality, as cones."""
     return [Polyhedron.cone([r], c.lineality, ambient_dim=c.ambient_dim)
-            for r, key in zip(c.ray_pool, c._pool[3]) if key]
+            for r, key in zip(c.ray_pool, c._pool[2]) if key]
 
 
 def _derived_weight_fans():
@@ -563,6 +567,10 @@ class TestSkeleton:
         b = bergman_fine(Matroid.uniform(3, 4))
         with pytest.raises(LinealityObstruction):
             skeleton(b, 0)
+
+    def test_no_skeleton_above_the_dimension(self):
+        with pytest.raises(ValueError, match=r"^need lineality dim <= k <= 3$"):
+            skeleton(cube_normal_fan(3), 4)
 
     def test_bergman_skeleton_keeps_lineality(self):
         b = bergman_fine(Matroid.uniform(3, 4))
