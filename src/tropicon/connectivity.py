@@ -105,7 +105,8 @@ class TooFewFacets(ValueError):
 
 
 class ImpureComplex(ValueError):
-    """The complex is not pure, so its facet-ridge hypergraph is undefined."""
+    """The complex is not pure, or two of its cells are one point set, so its
+    facet-ridge hypergraph is undefined."""
 
 
 class FacetRidgeHypergraph(_Frozen):

@@ -292,12 +292,17 @@ class AffineHyperplane(_Frozen):
         ratio = next(n / p for n, p in zip(normal, prim) if p != 0)
         self.__dict__.update(normal=prim, offset=frac(offset) / ratio)
 
+    def _set_key(self) -> tuple[Vec, Fraction]:
+        """The set's one (normal, offset) pair of (h, c) and (-h, -c): the
+        normal's first nonzero entry positive."""
+        return (self.normal, self.offset) if next(x for x in self.normal if x) > 0 \
+            else (neg(self.normal), -self.offset)
+
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and \
-            (self.normal, self.offset) == (other.normal, other.offset)
+        return type(other) is type(self) and self._set_key() == other._set_key()
 
     def __hash__(self) -> int:
-        return hash((self.normal, self.offset))
+        return hash(self._set_key())
 
     def value(self, x: Vec) -> Fraction:
         return dot(self.normal, x) - self.offset
@@ -974,37 +979,46 @@ class ValidationReport(NamedTuple):
 
 
 def _validate(c: Complex) -> ValidationReport:
-    """Purity.  Every cell contains the declared lineality, since
-    `facet_polyhedra` gives each cell exactly that lineality."""
+    """Purity, and no two cells one point set.  Every cell contains the
+    declared lineality, since `facet_polyhedra` gives each cell exactly that
+    lineality.  Two cells coincide exactly when their integer keys
+    `_face_key(f, 0)` are equal, since equal keys are equal point sets and
+    the key is read off the canonical form; one message per such pair."""
     facets = c.facet_polyhedra
     d = c.dim
-    issues = tuple(f"facet {i} has dimension {f.dim}, expected {d}"
-                   for i, f in enumerate(facets) if f.dim != d)
-    return ValidationReport(not issues, d, issues)
+    issues = [f"facet {i} has dimension {f.dim}, expected {d}"
+              for i, f in enumerate(facets) if f.dim != d]
+    same: dict[tuple, list[int]] = {}
+    for i, f in enumerate(facets):
+        same.setdefault(_face_key(f, 0), []).append(i)
+    pairs = sorted(pair for ids in same.values() for pair in itertools.combinations(ids, 2))
+    issues += [f"facets {i} and {j} coincide" for i, j in pairs]
+    return ValidationReport(not issues, d, tuple(issues))
 
 
 def validate_complex(c: Complex, pairwise: bool = False) -> ValidationReport:
-    """Check purity; optionally pairwise face fit.
+    """Check purity and that no two cells coincide; optionally the
+    pairwise face fit.
 
     Returns a structured report and never raises.  The report without the
     pairwise check is computed once per complex and then reused.
 
     The fit takes one `dd_cone` per pair of cells p, q that do not
-    coincide (`_meet`).  Their intersection M, when nonempty, is a common
-    face exactly when the least face F_p of p containing M and the least
-    face F_q of q containing M have equal `_face_key`s: both contain M, and
-    when they are equal the face lies in p and in q, so in M, and equals it;
-    conversely a common face M is its own least face in both cells.
+    coincide (`_meet`); the report already names those that do.  Their
+    intersection M, when nonempty, is a common face exactly when the least
+    face F_p of p containing M and the least face F_q of q containing M
+    have equal `_face_key`s: both contain M, and when they are equal the
+    face lies in p and in q, so in M, and equals it; conversely a common
+    face M is its own least face in both cells.
     """
     report = c._validation
     if not pairwise:
         return report
     issues = list(report.issues)
     facets = c.facet_polyhedra
-    keys = [f.canonical_key for f in facets]
+    keys = [_face_key(f, 0) for f in facets]
     for i, j in itertools.combinations(range(len(facets)), 2):
         if keys[i] == keys[j]:
-            issues.append(f"facets {i} and {j} coincide")
             continue
         p, q = facets[i], facets[j]
         rows = _meet(p, q)

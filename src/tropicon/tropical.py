@@ -8,7 +8,9 @@ transversality by dot products on the cells' generators and slice a cell's
 lifted record rows (`polyhedral._lifted`) by one double description
 (`polyhedral._from_rows`); the separating-hyperplane search and its check,
 on the same lifted rows, decide strict feasibility by one double
-description each (`polyhedral._feasible_point`).
+description each (`polyhedral._feasible_point`).  The search works from one
+side of the cell it must miss, since (h, c) and (-h, -c) are one
+hyperplane.
 """
 
 from __future__ import annotations
@@ -277,48 +279,31 @@ def hyperplane_section(c: Complex, H: AffineHyperplane) -> SectionResult:
 # separating hyperplanes between cells
 
 
-def _side_constraints(F: Polyhedron, above: bool) -> list:
-    """Linear conditions on (h, c) putting F strictly above (or below) H."""
+def _side_constraints(F: Polyhedron) -> list:
+    """Linear conditions on (h, c) putting F strictly above H."""
     n = F.ambient_dim
-    cons = []
-    base_pts = F.vertices if F.vertices else (zero_vec(n),)
-    sign = 1 if above else -1
-    for v in base_pts:
-        coeffs = tuple(sign * x for x in v) + (Fraction(-sign),)
-        cons.append((coeffs, Fraction(0), ">"))
-    for r in F.rays:
-        coeffs = tuple(sign * x for x in r) + (Fraction(0),)
-        cons.append((coeffs, Fraction(0), ">="))
-    for l in F.lineality:
-        cons.append((tuple(l) + (Fraction(0),), Fraction(0), "="))
+    cons = [(tuple(v) + (Fraction(-1),), Fraction(0), ">") for v in F.vertices or (zero_vec(n),)]
+    cons += [(tuple(r) + (Fraction(0),), Fraction(0), ">=") for r in F.rays]
+    cons += [(tuple(l) + (Fraction(0),), Fraction(0), "=") for l in F.lineality]
     return cons
 
 
 def _meet_relint_modes(P: Polyhedron) -> list[list]:
     """Constraint families, one per mode, whose disjunction says that the
-    hyperplane {h.x = c} meets the relative interior of P.
-
-    Either P lies inside H, or P has generators witnessing points strictly
-    on both sides; a lineality direction not parallel to H witnesses both
-    sides at once.
-    """
+    hyperplane {h.x = c} meets the relative interior of P: P lies inside H,
+    or two distinct generators of P witness points strictly on both sides
+    (one cannot be on both), or a lineality direction not parallel to H
+    witnesses both sides at once.  `witness_hyperplane` needs them with F
+    above H only."""
     n = P.ambient_dim
-    base_pts = P.vertices if P.vertices else (zero_vec(n),)
-    contained = [(tuple(v) + (Fraction(-1),), Fraction(0), "=") for v in base_pts]
-    contained += [(tuple(r) + (Fraction(0),), Fraction(0), "=") for r in P.rays]
-    contained += [(tuple(l) + (Fraction(0),), Fraction(0), "=") for l in P.lineality]
-    below = [(tuple(-x for x in v) + (Fraction(1),), Fraction(0), ">")
-             for v in base_pts]
-    below += [(tuple(-x for x in r) + (Fraction(0),), Fraction(0), ">")
-              for r in P.rays]
-    above = [(tuple(v) + (Fraction(-1),), Fraction(0), ">") for v in base_pts]
-    above += [(tuple(r) + (Fraction(0),), Fraction(0), ">") for r in P.rays]
-    modes = [contained]
-    for b, a in itertools.product(below, above):
-        modes.append([b, a])
-    for l in P.lineality:
-        modes.append([(tuple(l) + (Fraction(0),), Fraction(0), ">")])
-        modes.append([(tuple(-x for x in l) + (Fraction(0),), Fraction(0), ">")])
+    gens = [tuple(v) + (Fraction(-1),) for v in P.vertices or (zero_vec(n),)]
+    gens += [tuple(r) + (Fraction(0),) for r in P.rays]
+    lin = [tuple(l) + (Fraction(0),) for l in P.lineality]
+    modes = [[(g, Fraction(0), "=") for g in gens + lin]]
+    # below g (h.g < c) and above g' (h.g' > c), in product order, g != g'
+    modes += [[(tuple(-x for x in b), Fraction(0), ">"), (a, Fraction(0), ">")]
+              for b, a in itertools.permutations(gens, 2)]
+    modes += [[(s, Fraction(0), ">")] for l in lin for s in (l, tuple(-x for x in l))]
     return modes
 
 
@@ -326,33 +311,32 @@ def witness_hyperplane(P: Polyhedron, Q: Polyhedron,
                        F: Polyhedron) -> Optional[AffineHyperplane]:
     """Hyperplane meeting the relative interiors of P and Q but missing F.
 
-    Tries F strictly above, then strictly below; within each side the
-    requirement that a hyperplane meets a relative interior is a finite
-    disjunction of linear conditions on (normal, offset), so the search is a
-    family of exact strict-feasibility systems, each decided by one double
-    description.  Witnesses are re-verified
-    against the facet descriptions of all three cells before being returned;
-    None means every program was infeasible.
+    Meeting a relative interior is a finite disjunction of linear conditions
+    on (normal, offset) (`_meet_relint_modes`), so the search is a family of
+    exact strict-feasibility systems, each decided by one double
+    description, all with F strictly above H.  F below is no other case:
+    negating (h, c), the same hyperplane, maps F's below-side conditions
+    onto its above-side ones, each cell's contained mode to itself, its two
+    lineality modes onto each other and (below g, above g') to (below g',
+    above g).  Witnesses are re-verified against the facet descriptions of
+    all three cells; None means every system was infeasible.
     """
     if P.canonical_key == Q.canonical_key or \
             F.canonical_key in (P.canonical_key, Q.canonical_key):
         raise DegenerateInput("cells must be pairwise distinct")
     n = P.ambient_dim
-    modes_p = _meet_relint_modes(P)
-    modes_q = _meet_relint_modes(Q)
-    for above in (True, False):
-        side = _side_constraints(F, above)
-        # a pair can be feasible only if each of its modes is on its own
-        live_p = [mp for mp in modes_p if _feasible_point(n + 1, side + mp) is not None]
-        live_q = [mq for mq in modes_q if _feasible_point(n + 1, side + mq) is not None]
-        for mp, mq in itertools.product(live_p, live_q):
-            witness = _feasible_point(n + 1, side + mp + mq)
-            if witness is None:
-                continue
-            H = AffineHyperplane(witness[:n], witness[n])
-            if check_witness_hyperplane(P, Q, F, H):
-                return H
-            raise AssertionError("witness hyperplane failed the independent check")
+    side = _side_constraints(F)
+    # a pair can be feasible only if each of its modes is on its own
+    live_p = [mp for mp in _meet_relint_modes(P) if _feasible_point(n + 1, side + mp) is not None]
+    live_q = [mq for mq in _meet_relint_modes(Q) if _feasible_point(n + 1, side + mq) is not None]
+    for mp, mq in itertools.product(live_p, live_q):
+        witness = _feasible_point(n + 1, side + mp + mq)
+        if witness is None:
+            continue
+        H = AffineHyperplane(witness[:n], witness[n])
+        if check_witness_hyperplane(P, Q, F, H):
+            return H
+        raise AssertionError("witness hyperplane failed the independent check")
     return None
 
 

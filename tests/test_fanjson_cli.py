@@ -396,7 +396,11 @@ class TestStrictFanFiles:
           "lineality": [], "cells": [{"v": [], "r": [0, 2]}, {"v": [], "r": [1, 2]}],
           "weights": [1, 1]}, "equal"),
         (_square_fan(cells=[{"rays": [0, 1]}, {"rays": [0, 1]}]), "keys"),
-    ], ids=["duplicate-cells", "duplicate-rays", "cells-with-unknown-keys"])
+        # (1, 1) lies inside cone((1, 0), (0, 1)): two index sets, one cone
+        ({"ambient_dim": 2, "rays": [[1, 0], [0, 1], [1, 1]], "vertices": [], "lineality": [],
+          "cells": [{"r": [0, 1]}, {"r": [0, 1, 2]}], "weights": [1, 1]},
+         "invalid complex: facets 0 and 1 coincide"),
+    ], ids=["duplicate-cells", "duplicate-rays", "cells-with-unknown-keys", "coinciding-cells"])
     def test_repros_exit_1(self, tmp_path, capsys, obj, word):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))

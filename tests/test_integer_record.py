@@ -1088,13 +1088,18 @@ class TestPoolCanonicalRows:
 
 
 def _assert_fit_matches_the_oracle(c):
-    """`validate_complex(c, pairwise=True)` reports the purity issues plus
-    the oracle's fit issues, and `is_face_of` agrees with the oracle on each
-    nonempty pairwise intersection in both of its cells; returns the number
-    of fit issues."""
+    """The default report names the purity issues and then the oracle's
+    coinciding pairs, `validate_complex(c, pairwise=True)` adds the oracle's
+    other fit issues, so each oracle issue appears exactly once, and
+    `is_face_of` agrees with the oracle on each nonempty pairwise
+    intersection in both of its cells; returns the number of fit issues."""
     report = validate_complex(c, pairwise=True)
     fit = oracle_fit_issues(c)
-    assert list(report.issues) == list(c._validation.issues) + fit
+    coincide = [m for m in fit if m.endswith(" coincide")]
+    default = list(c._validation.issues)
+    assert all(m.endswith(f" expected {c.dim}") for m in default[:len(default) - len(coincide)])
+    assert default[len(default) - len(coincide):] == coincide
+    assert list(report.issues) == default + [m for m in fit if m not in coincide]
     cells = c.facet_polyhedra
     for p, q in itertools.combinations(cells, 2):
         inter = intersect(p, q)
@@ -1262,9 +1267,25 @@ class TestFaceTestAndFitAgainstTheFractionPath:
         assert report.issues == ("facets 0 and 1 do not meet in a common face",)
         assert _assert_fit_matches_the_oracle(c) == 1
 
+    @pytest.mark.parametrize("rays, cells, pairs", [
+        # the ray (1, 1) lies inside cone((1, 0), (0, 1)), so the two cells
+        # are one cone
+        ([[1, 0], [0, 1], [1, 1]], [[0, 1], [0, 1, 2]], [(0, 1)]),
+        # cells 0, 2, 3 are one quadrant and 1, 4 another: pairs in index order
+        ([[1, 0], [0, 1], [1, 1], [1, 2], [-1, 0], [-1, 1]],
+         [[0, 1], [1, 4], [0, 1, 2], [0, 1, 3], [1, 4, 5]], [(0, 2), (0, 3), (1, 4), (2, 3)]),
+    ], ids=["repro", "two-groups"])
+    def test_coinciding_cells(self, rays, cells, pairs):
+        # the default report names every pair of cells that are one cone
+        c = fan_from_obj({"ambient_dim": 2, "rays": rays, "vertices": [], "lineality": [],
+                          "cells": [{"r": r} for r in cells], "weights": [1] * len(cells)})
+        assert validate_complex(c) == (False, 2, tuple(
+            f"facets {i} and {j} coincide" for i, j in pairs))
+        assert _assert_fit_matches_the_oracle(c) == len(pairs)
+
     def test_one_double_description_per_pair(self, monkeypatch):
         # the fit runs one dd_cone per pair that does not coincide; cells
-        # 0 and 3 are one cone given twice
+        # 0 and 3 are one cone given twice, which the default report names
         c = Complex.from_facets([Polyhedron.cone(rays, ambient_dim=2) for rays in (
             [[1, 0], [0, 1]], [[0, 1], [-1, 0]], [[-1, 0], [0, -1], [1, -1]],
             [[1, 0], [1, 1], [0, 1]])])
@@ -1274,5 +1295,5 @@ class TestFaceTestAndFitAgainstTheFractionPath:
         monkeypatch.setattr(polyhedral, "dd_cone",
                             lambda *args: calls.append(args) or real(*args))
         report = validate_complex(c, pairwise=True)
-        assert report.issues == ("facets 0 and 3 coincide",)
+        assert report.issues == c._validation.issues == ("facets 0 and 3 coincide",)
         assert len(calls) == 5

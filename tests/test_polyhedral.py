@@ -571,6 +571,16 @@ class TestAffineHyperplane:
         assert hash(H) == hash(AffineHyperplane(vec([1, 2]), F(3)))
         assert H != AffineHyperplane(vec([1, 2]), F(2))
 
+    @pytest.mark.parametrize("normal, offset", [([1, 0], 1), ([0, -2, 3], 4)])
+    def test_equal_as_sets(self, normal, offset):
+        # (h, c) and (-h, -c) are one set; each keeps the pair it was given
+        H = AffineHyperplane(vec(normal), F(offset))
+        G = AffineHyperplane(vec([-x for x in normal]), F(-offset))
+        assert H == G and hash(H) == hash(G)
+        assert (G.normal, G.offset) == (tuple(-x for x in H.normal), -H.offset)
+        assert H != AffineHyperplane(G.normal, H.offset)
+        assert H != (H.normal, H.offset)
+
 
 @pytest.mark.parametrize("value, field", [
     (cone([1, 0]), "rays"),

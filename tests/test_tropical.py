@@ -1136,6 +1136,53 @@ class TestWitnessHyperplane:
         assert H is not None
         assert check_witness_hyperplane(P, Q, Fc, H)
 
+    def test_feasibility_calls_of_criterion_8(self, monkeypatch):
+        # the search tries F above H only and pairs no generator with
+        # itself: 18 calls find the two-planes witness, 7 settle the
+        # interval triple
+        calls = []
+        real = tropical._feasible_point
+        monkeypatch.setattr(tropical, "_feasible_point",
+                            lambda *args: calls.append(args) or real(*args))
+        H = witness_hyperplane(Polyhedron.cone([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]),
+                               Polyhedron.cone([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+                               Polyhedron.cone([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]))
+        assert (H.normal, H.offset, len(calls)) == (vec([0, 0, -1, -1, 0]), F(-1), 18)
+        calls.clear()
+        assert witness_hyperplane(Polyhedron.from_vertices([[0], [1]]),
+                                  Polyhedron.from_vertices([[2], [3]]),
+                                  Polyhedron.from_vertices([[1], [2]])) is None
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("P, Q, Fc, expected", [
+        # F's lineality must be parallel to H: every line through both
+        # points meets F
+        (Polyhedron.from_vertices([[0, 0]]), Polyhedron.from_vertices([[5, -1]]),
+         Polyhedron.from_vertices([[0, 1]], lineality=[[1, 0]]), None),
+        # only h.l < 0 for P's lineality l puts F above H
+        (Polyhedron.cone([], lineality=[[1]], ambient_dim=1), Polyhedron.from_vertices([[2]]),
+         Polyhedron.from_vertices([[0]]), ([-1], -2)),
+        # h.l = 0 would miss P: its lineality mode is strict
+        (Polyhedron.from_vertices([[0, 5]], lineality=[[1, 0]]),
+         Polyhedron.from_vertices([[0, 0]]), Polyhedron.from_vertices([[0, 1]]), ([1, 1], 0)),
+        # P inside H holds H parallel to P's lineality
+        (Polyhedron.cone([], lineality=[[1, 0]]), Polyhedron.from_vertices([[0, 0]]),
+         Polyhedron.from_vertices([[1, 1]]), ([0, 1], 0)),
+    ], ids=["F-line", "P-line", "P-affine-line", "P-inside-H"])
+    def test_cells_with_lineality(self, P, Q, Fc, expected):
+        H = witness_hyperplane(P, Q, Fc)
+        if expected is None:
+            assert H is None
+        else:
+            assert (H.normal, H.offset) == (vec(expected[0]), expected[1])
+            assert check_witness_hyperplane(P, Q, Fc, H)
+
+    def test_witness_failing_the_check_raises(self, monkeypatch):
+        monkeypatch.setattr(tropical, "check_witness_hyperplane", lambda *args: False)
+        with pytest.raises(AssertionError, match="failed the independent check"):
+            witness_hyperplane(Polyhedron.cone([[1, 0]]), Polyhedron.cone([[0, 1]]),
+                               Polyhedron.cone([[-1, -1]]))
+
     def test_handpicked_witness_passes_checker(self):
         P = Polyhedron.cone([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
         Q = Polyhedron.cone([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
@@ -1172,13 +1219,17 @@ class TestWitnessHyperplane:
     @staticmethod
     def _oracle_finds_witness(P, Q, Fc):
         """Whether some pair of modes, one meeting relint(P) and one
-        relint(Q), is feasible with Fc strictly on one side, by the
-        Fourier-Motzkin oracle over the search's own constraint families."""
+        relint(Q), is feasible with Fc strictly on either side, by the
+        Fourier-Motzkin oracle over the search's own constraint families:
+        the rows of `_side_constraints` negated put Fc strictly below, so a
+        witness found only there would break the search's one-sided claim."""
         n = P.ambient_dim
+        above = tropical._side_constraints(Fc)
+        below = [(tuple(-x for x in a), -b, rel) for a, b, rel in above]
         pairs = list(itertools.product(tropical._meet_relint_modes(P),
                                        tropical._meet_relint_modes(Q)))
-        return any(fm_feasible(n + 1, tropical._side_constraints(Fc, above) + mp + mq)
-                   for above in (True, False) for mp, mq in pairs)
+        return any(fm_feasible(n + 1, side + mp + mq)
+                   for side in (above, below) for mp, mq in pairs)
 
     @pytest.mark.parametrize("family", ["cones", "polyhedra"])
     def test_verdicts_match_oracle_search(self, family):
