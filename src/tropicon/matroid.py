@@ -197,8 +197,6 @@ def maximal_chains(m: Matroid) -> list[tuple[Flat, ...]]:
                 extend(chain + [f])
 
     for f in flats.get(1, ()):
-        if d == 0:
-            break
         extend([f])
     return chains
 

@@ -18,10 +18,8 @@ with no elimination over fractions:
   and is a ray exactly when it holds no other (proof at
   `Polyhedron.canonical_key`);
 - a face is the cell's canonical generators whose tight sets contain the
-  face's facets, so no face needs a double description of its own; a
-  codimension-one face, cut out by one facet inequality of an irredundant
-  description, has the cell's dimension minus one, and only deeper faces
-  get their dimension as an integer rank;
+  face's facets, so no face needs a double description of its own, and a
+  facet of a face, a maximal proper face, has its dimension minus one;
 - membership and face incidence read one mask, `_Record.mask`: the facets
   tight on a row of the (x0, x) frame, or None outside the cell; the
   record's own generator masks come from the same loop.  tau is a
@@ -50,19 +48,18 @@ primitive and canonical rows.  It keeps only the forms it checks: the rays'
 primitive rows and the vertices as fractions, and the lineality as its
 canonical basis.  `Complex.facet_polyhedra` builds each cell over those
 pools, and its record from its rays' primitive rows and the pool facts.
-The face walk gives the faces level by level from the ridges down, keying
-each (cell, mask of facet inequalities) incidence on the rows of the cell's
-canonical form (`_face_key`: lineality and rays as integers, vertices as
-the fractions of the key, each held once) and making one face per
-distinct key from it (`_face`).  The ridge level (`_ridge_level`) takes
-every incidence and is cached as `Complex.ridges`; each level below
-(`_level_below`) expands one incidence per face by one more inequality of
-its cell.  Meets, slices and the witness check read a record's rows lifted
-to the (x0, x) frame (`_lifted`), and every H-description becomes
-generators through one conversion (`_from_rows`).  Fractions are made only
-where a public value needs them: `_from_rows` converts `dd_cone`'s rays
-(`_fraction_row` shares the rows that cells repeat), and the constructor
-converts each pool entry once.
+The face walk gives the faces level by level from the cells down, one
+step (`_level_below`) per level that cuts each face into its facets
+(`_facet_cuts`), keying each (cell, mask of facet inequalities) incidence
+on the rows of the cell's canonical form (`_face_key`: lineality and rays
+as integers, vertices as the fractions of the key, each held once) and
+making one face per distinct key from it (`_face`); its first step, the
+ridges, is cached as `Complex.ridges`.  Meets, slices and the witness
+check read a record's rows lifted to the (x0, x) frame (`_lifted`), and
+every H-description becomes generators through one conversion
+(`_from_rows`).  Fractions are made only where a public value needs them:
+`_from_rows` converts `dd_cone`'s rays (`_fraction_row` shares the rows
+that cells repeat), and the constructor converts each pool entry once.
 """
 
 from __future__ import annotations
@@ -508,16 +505,9 @@ class Polyhedron(_Frozen):
 
     @cached_property
     def dim(self) -> int:
-        """n minus the number of equations once the record is built;
-        otherwise, as for faces below the ridges (`_ridge_level` sets the
-        ridges'), the integer rank of the generators."""
-        rec = self.__dict__.get("_rec")
-        if rec is not None:
-            return self.ambient_dim - len(rec.eqs)
-        rows = self.rays + self.lineality
-        if not self.vertices:
-            return matrix_rank(rows)
-        return matrix_rank([(0, *r) for r in rows] + [(1, *v) for v in self.vertices]) - 1
+        """n minus the number of equations of the record; the face walk
+        (`_level_below`) sets its faces' dimensions without one."""
+        return self.ambient_dim - len(self._rec.eqs)
 
     # -- canonical form ----------------------------------------------------
 
@@ -678,68 +668,60 @@ def _face_key(p: Polyhedron, tight: int) -> Optional[tuple]:
     canonical keys do, or None when that face is empty: p's lineality rows
     and the face's rays as integers, its vertices as the fractions of p's
     key, all read off p's canonical rows.  Equal keys are equal point sets."""
-    rec = p._rec
-    vs = [row for row, mask in rec.key_verts if mask & tight == tight]
+    rec = p._rec  # a cone's key has no vertices to scan
+    vs = tuple([v for v, m in rec.key_verts if m & tight == tight] if rec.key_verts else ())
     if rec.key_verts and not vs:
         return None
     if len(vs) == 1 and not any(vs[0]):
-        vs = []  # the apex of a cone
-    return rec.lin_ints, tuple(vs), tuple([r for r, m in rec.key_rays if m & tight == tight])
+        vs = ()  # the apex of a cone
+    return rec.lin_ints, vs, tuple([r for r, m in rec.key_rays if m & tight == tight])
 
 
-def _sorted_level(level: dict) -> list[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]]]:
-    return [(face, tuple(fids), tuple(masks))
-            for face, fids, masks in map(level.get, sorted(level))]
+def _facet_cuts(rec: _Record, tight: int) -> list[int]:
+    """One mask tight | 1 << k per facet of the face F that `tight` cuts
+    out of the record's cell.  The facets of F are its maximal proper faces
+    (Ziegler 1995, 2.1), among F cut by one more facet inequality; a face is
+    the key generators on it, each known by its tight mask (distinct for
+    distinct ones), and a cut is kept when it holds a vertex (a cone's apex
+    lies on every face) but not all of F and no other cut holds more.  Every
+    cut of a cell (tight 0) is a facet, its description being irredundant."""
+    if not tight:
+        return [1 << k for k in range(rec.cuts)]
+    points = {mask for _, mask in rec.key_verts} or {-1}
+    on = [g for g in itertools.chain(points, (m for _, m in rec.key_rays)) if g & tight == tight]
+    cuts: dict[frozenset, int] = {}
+    for k in range(rec.cuts):
+        s = frozenset(g for g in on if g >> k & 1)
+        if len(s) < len(on) and not points.isdisjoint(s):
+            cuts.setdefault(s, tight | 1 << k)
+    return [sub for s, sub in cuts.items() if not any(s < t for t in cuts)]
 
 
-def _ridge_level(cells: Sequence[Polyhedron]) -> list:
-    """The distinct codimension-one faces of the cells, sorted by canonical
-    key.
-
-    Each face comes with the indices of cells it is a face of and, per cell,
-    the mask of the cell's facet inequalities (bits over the first
-    `_Record.cuts` facets of its record) that cuts it out, so later steps
-    need not prove the incidence again.  Incidences are grouped on `_face_key`, and one face is
-    made per key, from its first incidence, with its cell's dimension minus
-    one (an irredundant facet description cuts out distinct, nonempty
-    facets).
-    """
-    level: dict[tuple, tuple[Polyhedron, list[int], list[int]]] = {}
-    for i, cell in enumerate(cells):
-        d = cell.dim - 1
-        for k in range(cell._rec.cuts):
-            key = _face_key(cell, 1 << k)
-            entry = level.get(key)
-            if entry is None:
-                entry = level[key] = (_face(cell, key), [], [])
-                entry[0].__dict__["dim"] = d
-            # equal keys are equal point sets, so the first face's dimension
-            # is every later one's
-            elif entry[0].dim != d:
-                raise AssertionError("codimension-one face has wrong dimension")
-            entry[1].append(i)
-            entry[2].append(1 << k)
-    return _sorted_level(level)
-
-
-def _level_below(cells: Sequence[Polyhedron], level: list) -> list:
-    """The distinct faces one dimension below those of `level`, in the form
-    `_ridge_level` gives.  A face of codimension two lies in exactly two
-    facets of its cell, so each is cut out of one incidence (the first) of a
-    face of `level` by one more inequality of the same cell; no face needs a
-    double description of its own."""
-    below: dict[tuple, Optional[tuple[Polyhedron, list[int], list[int]]]] = {}
+def _level_below(cells: Sequence[Polyhedron], level: Optional[list] = None
+                 ) -> list[tuple[Polyhedron, tuple[int, ...], tuple[int, ...]]]:
+    """The distinct faces one dimension below those of `level` (by default
+    the cells), sorted by canonical key, each with the ids of cells it is a
+    face of and, per cell, the mask of the cell's facet inequalities (bits
+    over its record's first `_Record.cuts` facets) that cuts it out.  Each
+    face of `level` is cut, through its first incidence, into its facets
+    (`_facet_cuts`); incidences are grouped on `_face_key`, and one face is
+    made per key, with the dimension of the face it was cut from minus one.
+    Ridges list every incidence; a lower level lists those that reached a
+    face, which may name several cells, or one incidence twice."""
+    if level is None:
+        level = [(cell, (i,), (0,)) for i, cell in enumerate(cells)]
+    below: dict[tuple, tuple[Polyhedron, list[int], list[int]]] = {}
     for face, fids, masks in level:
-        cell, tight, d = cells[fids[0]], masks[0], face.dim - 1
-        for k in range(cell._rec.cuts):
-            sub = tight | 1 << k
-            if sub == tight:
-                continue
+        i, cell, d = fids[0], cells[fids[0]], face.dim - 1
+        for sub in _facet_cuts(cell._rec, masks[0]):
             key = _face_key(cell, sub)
-            if key is not None and key not in below:
-                sub_face = _face(cell, key)  # a deeper face waits for its level
-                below[key] = (sub_face, [fids[0]], [sub]) if sub_face.dim == d else None
-    return _sorted_level({key: entry for key, entry in below.items() if entry})
+            entry = below.get(key)
+            if entry is None:
+                entry = below[key] = (_face(cell, key), [], [])
+                entry[0].__dict__["dim"] = d
+            entry[1].append(i)
+            entry[2].append(sub)
+    return [(f, tuple(ids), tuple(ms)) for f, ids, ms in map(below.get, sorted(below))]
 
 
 def _generator_rows(p: Polyhedron) -> list[tuple[int, ...]]:
@@ -941,9 +923,9 @@ class Complex(_Frozen):
         """Distinct codimension-one faces of the facets, sorted by canonical
         key, each with the ids of the facets it is a face of and, per facet,
         the index of the inequality that cuts it out among the facets of its
-        record (`_Record.cut`): `_ridge_level`."""
+        record (`_Record.cut`): the face walk's first step, `_level_below`."""
         return tuple((face, fids, tuple(m.bit_length() - 1 for m in masks))
-                     for face, fids, masks in _ridge_level(self.facet_polyhedra))
+                     for face, fids, masks in _level_below(self.facet_polyhedra))
 
     @cached_property
     def _validation(self) -> "ValidationReport":

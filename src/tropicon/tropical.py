@@ -222,8 +222,8 @@ def balancing_check(c: Complex) -> BalancingReport:
 class SectionResult(NamedTuple):
     """Slice of a complex by a transverse affine hyperplane.
 
-    facet_provenance[i] is the index of the source facet whose slice is
-    section facet i.  pure records whether every slice has dimension d-1.
+    facet_provenance[i] is the source facet sliced into section facet i;
+    pure records whether every slice has dimension d-1: whether its cell has d.
     """
     section: Complex
     facet_provenance: tuple[int, ...]
@@ -238,8 +238,8 @@ def hyperplane_section(c: Complex, H: AffineHyperplane) -> SectionResult:
     (the origin for a cone) plus the true lineality (Schrijver 1986, 8.5),
     so H contains a face iff it contains such a vertex and is parallel to
     that lineality.  H meets a relative interior iff it takes both signs on
-    a generating set (Rockafellar 1970, Thm 6.6); those cells are sliced,
-    and lower faces are derived.  The slice of cell σ has weight
+    a generating set (Rockafellar 1970, Thm 6.6); such a cell, which H does
+    not contain, is sliced one dimension down.  The slice of cell σ has weight
     w_σ · gcd(h·u for u in `σ._lattice`), h the primitive normal: the
     multiplicity [Z^n : L_σ + (h^⊥ ∩ Z^n)] of a transverse intersection
     (Maclagan & Sturmfels 2015, §3.6), as x ↦ h·x maps Z^n onto Z with
@@ -271,7 +271,7 @@ def hyperplane_section(c: Complex, H: AffineHyperplane) -> SectionResult:
     new_lin = [mat_vec(transpose(c.lineality), vec(ks)) for ks in coeffs]
     section = Complex.from_facets(slices, lineality=new_lin, ambient_dim=n,
                                   weights=weights)
-    pure = all(p.dim == d - 1 for p in slices)
+    pure = all(c.facet_polyhedra[i].dim == d for i in provenance)
     return SectionResult(section, tuple(provenance), pure)
 
 

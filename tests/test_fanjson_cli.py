@@ -133,6 +133,10 @@ class TestCliGen:
         assert run_cli(["gen", "bergman-uniform", "4", "6"], capsys) == \
             (1, "", "tropicon: maximal chains of flats exceed the limit 119\n")
 
+    def test_bergman_uniform_rank_past_the_ground_set(self, capsys):
+        assert run_cli(["gen", "bergman-uniform", "3", "2"], capsys) == \
+            (1, "", "tropicon: need 0 <= r <= n\n")
+
     def test_bergman_graphic(self, tmp_path, capsys):
         path = tmp_path / "k4.json"
         code, _, _ = run_cli(

@@ -25,8 +25,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from test_golden import HEX_HEPT, RATIONAL_COMPLEX
 from test_polyhedral import (
-    _face_levels, codim1_faces, face_by_mask, hrep, intersect, oracle_fit_issues,
-    oracle_is_face_of,
+    TestCanonicalFormAgainstLP, _face_levels, codim1_faces, face_by_mask, hrep, intersect,
+    oracle_fit_issues, oracle_is_face_of,
 )
 from test_ratlin import lattice_normal_generator
 from test_tropical import _reweighted, _section_fixtures
@@ -945,6 +945,52 @@ class TestRidgeWalk:
             found.append([f.canonical_key for f, _, _ in level])
             made.clear()
         assert found == levels and len(found) == c.dim - c.lineality_dim, name
+
+
+class TestWalkDimensionsAgainstTheRank:
+    """Every face the walk makes takes the dimension of the face it was cut
+    from minus one; the integer rank of its generators, the rule faces below
+    the ridges had before, is the oracle."""
+
+    @staticmethod
+    def _level_sizes(cells, depth=8):
+        sizes = []
+        for level in itertools.islice(_face_levels(cells), depth):
+            assert all(f.dim == _rank_dim(f) for f, _, _ in level)
+            sizes.append(len(level))
+        return sizes
+
+    @pytest.mark.parametrize("name,c", _RIDGE_FIXTURES, ids=[name for name, _ in _RIDGE_FIXTURES])
+    def test_fixtures(self, name, c):
+        assert len(self._level_sizes(c.facet_polyhedra)) == c.dim - c.lineality_dim, name
+
+    @pytest.mark.parametrize("kind,seed", [("cone", 601), ("polytope", 602),
+                                           ("polyhedron", 603)])
+    def test_seeded_polyhedra(self, kind, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            p = TestCanonicalFormAgainstLP._random_polyhedron(rng, kind)
+            self._level_sizes([p])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_drawn_fan_objects())
+    def test_drawn_fans(self, obj):
+        try:
+            c = fan_from_obj(obj)
+        except ValueError:  # equal rays or identical cells
+            assume(False)
+        self._level_sizes(c.facet_polyhedra)
+
+    @pytest.mark.parametrize("p, sizes", [
+        # the vertex at the origin has no key rows, only its tight mask
+        (Polyhedron.from_vertices([[0, 0], [1, 0], [0, 1], [1, 1]]), [4, 4]),
+        (Polyhedron.from_vertices([[0, 0], [1, 0]], [[0, 1]]), [3, 2]),
+        # the apex cut by one more facet is the apex again, and no face of it
+        (Polyhedron.cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [3, 3, 1]),
+        (Polyhedron.cone([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]), [4, 4, 1]),
+    ], ids=["square", "half-strip", "orthant", "square-cone"])
+    def test_origin_vertex_and_apex(self, p, sizes):
+        assert self._level_sizes([p]) == sizes
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,21 @@ def check_rank_axioms(m):
             assert lhs <= rhs, f"submodularity fails on {set(S)}, {set(T)}"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Matroid([0, 1, 0], len), "repeated ground set labels"),
+    (lambda: Matroid.uniform(3, 2), "need 0 <= r <= n"),
+    (lambda: Matroid.from_bases(2, []), "at least one basis required"),
+    (lambda: Matroid.from_bases(3, [{0}, {1, 2}]), "bases must have equal size"),
+    (lambda: Matroid.uniform(2, 3).rank({0, 3}), "subset leaves the ground set"),
+    (lambda: contraction(Matroid.uniform(2, 3), 5), "element 5 not in the ground set"),
+], ids=["repeated-labels", "uniform-rank", "no-basis", "basis-sizes", "rank-subset",
+        "contraction"])
+def test_input_checks(build, message):
+    with pytest.raises(ValueError) as e:
+        build()
+    assert str(e.value) == message
+
+
 class TestClosureAndRank:
     def test_uniform_pair(self):
         m = Matroid.uniform(3, 4)

@@ -7,7 +7,7 @@ import pytest
 from tropicon import polyhedral
 from tropicon.polyhedral import (
     AffineHyperplane, Complex, EmptyPolyhedron, HRep, Polyhedron, _face, _face_key,
-    _level_below, _ridge_level, is_face_of, validate_complex,
+    _level_below, is_face_of, validate_complex,
 )
 from tropicon.ratlin import ZeroVector, dot, vec
 
@@ -21,8 +21,8 @@ def face_by_mask(p, tight):
 
 def _face_levels(cells):
     """The face walk from the codimension-one faces down, one sorted list
-    per level: `_ridge_level`, then `_level_below` until a level is empty."""
-    level = _ridge_level(cells)
+    per level: `_level_below` from the cells until a level is empty."""
+    level = _level_below(cells)
     while level:
         yield level
         level = _level_below(cells, level)
@@ -301,6 +301,23 @@ class TestCodim1Faces:
                 assert [j for j, (a, b) in enumerate(ineqs)
                         if face_is_tight(f, a, b)] == [i]
                 assert f.dim == p.dim - 1
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Polyhedron(2, [[0, 0, 0]]), "generator has wrong ambient dimension"),
+    (lambda: Polyhedron.cone([]), "ambient_dim required for a trivial cone"),
+    (lambda: Polyhedron.from_vertices([]), "ambient_dim required without vertices"),
+    (lambda: cone([1, 0]).contains_point(vec([1])), "dimension mismatch"),
+    (lambda: cone([1, 0]).contains_direction(vec([1, 0, 0])), "dimension mismatch"),
+    (lambda: Complex.from_facets([]), "ambient_dim required without facets"),
+    (lambda: Complex.from_facets([cone([1, 0]), cone([1, 0, 0])]),
+     "facet ambient dimension mismatch"),
+], ids=["generator", "trivial-cone", "no-vertices", "point", "direction", "no-facets",
+        "facet-dimension"])
+def test_input_checks(build, message):
+    with pytest.raises(ValueError) as e:
+        build()
+    assert str(e.value) == message
 
 
 class TestIsFaceOf:

@@ -42,6 +42,15 @@ def lattice_normal_generator(sigma, tau):
     return vec(_lattice_normal(sigma, a))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: dot(vec([1]), vec([1, 2])), "dimension mismatch"),
+], ids=["dot"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message
+
+
 class TestRankAndKernel:
     def test_identity(self):
         pivots, k = _int_kernel(mat([[1, 0], [0, 1]]))

@@ -604,6 +604,23 @@ class TestSkeleton:
         assert got == fan_to_text(Complex.from_facets(
             faces, lineality=fan.lineality, ambient_dim=fan.ambient_dim))
 
+    def test_no_rank(self, monkeypatch):
+        # every face the walk makes takes its dimension from the face it was
+        # cut from, and a slice from its cell, so no level and no section
+        # computes an integer rank (the old rule made 172 here, and 120 in
+        # the section)
+        fans = [cube_normal_fan(4), bergman_fine(Matroid.uniform(4, 6))]
+        calls = []
+        real = polyhedral.matrix_rank
+        monkeypatch.setattr(polyhedral, "matrix_rank",
+                            lambda *args: calls.append(args) or real(*args))
+        for fan in fans:
+            for k in range(fan.lineality_dim, fan.dim + 1):
+                assert len(skeleton(fan, k)) > 0
+        sec = hyperplane_section(fans[1], AffineHyperplane(vec([1, 2, 4, 8, 16, 32]), F(1)))
+        assert sec.pure and len(sec.section) == 120
+        assert calls == []
+
     def test_faces_of_polyhedra_skip_empty_intersections(self):
         # the facets x = 1 and x = 2 of a slab meet nowhere, although the
         # ray (0, 1, 0) is tight on both: the slab has eight edges, and the
@@ -899,12 +916,11 @@ class TestSectionAgainstLPReference:
                 return fn(*args, **kwargs)
             return wrapper
 
-        ridge_level, level_below = polyhedral._ridge_level, polyhedral._level_below
+        level_below = polyhedral._level_below
         for module in (polyhedral, tropical):
             monkeypatch.setattr(module, "_feasible_point",
                                 counted("_feasible_point", _feasible_point))
             monkeypatch.setattr(module, "_level_below", counted("_level_below", level_below))
-        monkeypatch.setattr(polyhedral, "_ridge_level", counted("_ridge_level", ridge_level))
         for name, c, _ in _section_fixtures():
             sec = hyperplane_section(c, AffineHyperplane(
                 vec([3 ** i for i in range(c.ambient_dim)]), F(1, 7)))
