@@ -16,37 +16,64 @@ already-parsed canonical file reproduces it byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .polyhedral import Complex
 
 
+def _digit_limit() -> int:
+    """The most decimal digits CPython converts between an int and a string
+    (`sys.get_int_max_str_digits()`), 0 for no limit; a number past it can
+    be read by value but never written back."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+# 10**limit: the least int with more digits than the limit, made once per limit
+_digit_bound = functools.lru_cache(maxsize=4)(lambda limit: 10 ** limit)
+
+
 def parse_rational(s) -> Fraction:
     """An int, or a string of the ASCII characters 0-9 + - / . e E as
     Fraction reads it: no spaces, underscores or other scripts' digits,
-    all of which Fraction() takes, and no exponent past 4 digits, which
-    Fraction() would expand to a power of ten that long."""
+    all of which Fraction() takes, no exponent past 4 digits, which
+    Fraction() would expand to a power of ten that long, and no numerator
+    or denominator longer than `_digit_limit()`, compared by magnitude."""
     if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise ValueError(f"rationals must be strings or integers, got {type(s).__name__}")
     if isinstance(s, str) and not re.fullmatch("[0-9+/.eE-]+", s):
         raise ValueError(f"rational {s!r} is not written in 0-9 + - / . e E")
     if isinstance(s, str) and re.search("[eE][+-]?[0-9]{5}", s):
         raise ValueError(f"rational {s!r} has an exponent of more than 4 digits")
+    limit = _digit_limit()
+    # Fraction() reads each run of digits with int(), which refuses a long one
+    if limit and isinstance(s, str) and re.search(f"[0-9]{{{limit + 1}}}", s):
+        raise ValueError(f"rational {s!r} has more than {limit} digits")
     try:
-        return Fraction(s)
+        x = Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"rational {s!r} has a zero denominator") from None
+    if limit and max(abs(x.numerator), x.denominator) >= _digit_bound(limit):
+        what = f"rational {s!r}" if isinstance(s, str) else "an integer"  # repr() refuses it
+        raise ValueError(f"{what} has more than {limit} digits")
+    return x
 
 
 def parse_json(text: str):
     """The JSON value of the text; nesting too deep for the parser is a
-    ValueError, not a RecursionError."""
+    ValueError, not a RecursionError, and so is an integer literal longer
+    than `_digit_limit()`, which int() refuses."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nests too deeply to parse") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the one other ValueError: int() refused a literal
+        raise ValueError(f"an integer literal has more than {_digit_limit()} digits") from None
 
 
 def fan_to_obj(c: Complex) -> dict:
@@ -75,8 +102,13 @@ def fan_to_text(c: Complex) -> str:
 
 
 def _integer(x, what: str) -> int:
-    """An int (bools are not), or a string -?[0-9]+ in ASCII digits."""
-    if type(x) is int or isinstance(x, str) and re.fullmatch("-?[0-9]+", x):
+    """An int (bools are not), or a string -?[0-9]+ in ASCII digits, of at
+    most `_digit_limit()` digits."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str) and re.fullmatch("-?[0-9]+", x):
+        if (limit := _digit_limit()) and len(x.lstrip("-")) > limit:
+            raise ValueError(f"{what} {x!r} has more than {limit} digits")
         return int(x)
     raise ValueError(f"{what} {x!r} is not an integer")
 

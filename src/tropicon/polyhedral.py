@@ -7,7 +7,7 @@ structure comes from one private integer record, `Polyhedron._rec` (class
 integer facet and equation normals of the cone its generators span
 (homogenized when it has vertices), as `dd_cone` returns them, per generator
 the bit mask of the facets tight on it (Fukuda & Prodon 1996), and the
-canonical form as named fields.  Everything else is read off that record,
+parts of its canonical key.  Everything else is read off that record,
 with no elimination over fractions:
 
 - the dimension is n minus the number of equations, and the true lineality
@@ -51,15 +51,15 @@ pools, and its record from its rays' primitive rows and the pool facts.
 The face walk gives the faces level by level from the cells down, one
 step (`_level_below`) per level that cuts each face into its facets
 (`_facet_cuts`), keying each (cell, mask of facet inequalities) incidence
-on the rows of the cell's canonical form (`_face_key`: lineality and rays
-as integers, vertices as the fractions of the key, each held once) and
-making one face per distinct key from it (`_face`); its first step, the
-ridges, is cached as `Complex.ridges`.  Meets, slices and the witness
+on its face's canonical key without n (`_face_key`: lineality and rays as
+ints, vertices as the record's fractions), the one key of cells and faces,
+and making one face per key from the key alone (`_face`); its first step,
+the ridges, is cached as `Complex.ridges`.  Meets, slices and the witness
 check read a record's rows lifted to the (x0, x) frame (`_lifted`), and
 every H-description becomes generators through one conversion
 (`_from_rows`).  Fractions are made only where a public value needs them:
-`_from_rows` converts `dd_cone`'s rays (`_fraction_row` shares the rows
-that cells repeat), and the constructor converts each pool entry once.
+`_from_rows` converts `dd_cone`'s rays and `_face` a face's (`_fraction_row`
+shares the rows that cells repeat), and the constructor each pool entry once.
 """
 
 from __future__ import annotations
@@ -324,9 +324,8 @@ class _Record:
     - `eqs`: the equation normals of C, the lineality basis `dd_cone` finds;
     - `verts`, `rays`: per vertex and per ray of P, its row and the bit mask
       of the facets tight on it (`_tight`);
-    - `key`: the canonical key, `Polyhedron.canonical_key`;
-    - `key_verts`: per vertex of the key, in its order, the vertex as a
-      fraction row of R^n (the one the key holds) and its tight mask;
+    - `key_verts`: per vertex of the canonical key, in its order, the
+      vertex as the fraction row the key holds and its tight mask;
     - `key_rays`: per ray of the key, in its order, its primitive integer
       row of R^n and its tight mask;
     - `lin_ints`: the rows of the key's lineality basis, as integers.
@@ -337,8 +336,8 @@ class _Record:
     with no extra lineality reads its rays' reduced rows from the pool;
     every other polyhedron reduces its own.
     """
-    __slots__ = ("affine", "facets", "cuts", "eqs", "verts", "rays", "key", "key_verts",
-                 "key_rays", "lin_ints")
+    __slots__ = ("affine", "facets", "cuts", "eqs", "verts", "rays", "key_verts", "key_rays",
+                 "lin_ints")
 
     def __init__(self, p: "Polyhedron", rays: list[tuple[int, ...]],
                  pool: Optional[tuple] = None):
@@ -360,10 +359,9 @@ class _Record:
         # facet lie in it, and with the declared lineality they span it
         full = (1 << len(facets)) - 1
         extra = [g[affine:] for g, mask in self.rays if mask == full]
-        lin_basis = p.lineality
         if extra:
-            lin_basis = subspace_canonical_basis(list(lin_basis) + extra)
-            lin = [(0,) * affine + _numerators(l) for l in lin_basis]
+            lin = [(0,) * affine + _numerators(l)
+                   for l in subspace_canonical_basis(list(p.lineality) + extra)]
         reps: dict[tuple[int, ...], int] = {}
         if pool and not affine and not extra:
             for g, mask in self.rays:
@@ -384,8 +382,6 @@ class _Record:
                                 for g, mask in kverts)
         self.key_rays = sorted((g[affine:], mask) for g, mask in extreme if not affine or not g[0])
         self.lin_ints = tuple(l[affine:] for l in lin)
-        self.key = (p.ambient_dim, lin_basis, tuple(v for v, _ in self.key_verts),
-                    tuple(_fraction_row(r) for r, _ in self.key_rays))
 
     def mask(self, row: Sequence[int]) -> Optional[int]:
         """The bit mask of the facets of C tight on the row, or None when it
@@ -513,8 +509,12 @@ class Polyhedron(_Frozen):
 
     @cached_property
     def canonical_key(self) -> tuple:
-        """Hashable form identifying the polyhedron as a point set: the
-        record's `key` field, which `_Record` computes with the record.
+        """Hashable form identifying the polyhedron as a point set: n, then its
+        integer face key `_face_key(self, 0)` (lineality, vertices, rays).  The
+        key is an identity: its lineality and ray rows are ints, its vertices
+        Fraction rows, and an int equals and hashes as its Fraction, so
+        `__eq__`, `__hash__`, `label()` and the ridge order are those of an
+        all-Fraction key.
 
         Vertices and rays are reduced modulo the true lineality space L,
         filtered down to extreme generators and sorted, so any two generator
@@ -537,7 +537,7 @@ class Polyhedron(_Frozen):
         faces have distinct tight sets, so T(h) then strictly contains T(g):
         equal tight sets never decide the test.)
         """
-        return self._rec.key
+        return (self.ambient_dim, *_face_key(self, 0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polyhedron) and self.canonical_key == other.canonical_key
@@ -652,22 +652,21 @@ def _lattice_normal(sigma: Polyhedron, a: Sequence) -> tuple[int, ...]:
 
 
 def _face(p: Polyhedron, key: tuple) -> Polyhedron:
-    """The nonempty face of p whose `_face_key(p, tight)` is key: it has p's
-    lineality and the extreme generators of p whose tight sets contain
-    `tight`, so its canonical key is read off the key."""
-    n, lin, verts = p.ambient_dim, p.canonical_key[1], key[1]
-    rays = tuple(map(_fraction_row, key[2]))
-    face = Polyhedron._raw(n, verts, rays, lin)
-    face.__dict__["canonical_key"] = (n, lin, verts, rays)
+    """The nonempty face of p whose `_face_key(p, tight)` is key, made from
+    the key alone: p's lineality and the extreme generators of p whose tight
+    sets contain `tight`, with canonical key (n, *key)."""
+    face = Polyhedron._raw(p.ambient_dim, key[1], tuple(map(_fraction_row, key[2])),
+                           tuple(map(_fraction_row, key[0])))
+    face.__dict__["canonical_key"] = (p.ambient_dim, *key)
     return face
 
 
 def _face_key(p: Polyhedron, tight: int) -> Optional[tuple]:
-    """Rows that identify the face of p on which the facet inequalities with
-    bit set in the mask `tight` are equalities, and order faces as their
-    canonical keys do, or None when that face is empty: p's lineality rows
-    and the face's rays as integers, its vertices as the fractions of p's
-    key, all read off p's canonical rows.  Equal keys are equal point sets."""
+    """The canonical key without n of the face of p on which the facet
+    inequalities with bit set in the mask `tight` are equalities, or None
+    when that face is empty: p's lineality rows and the face's rays as ints,
+    its vertices as the record's fraction rows, all read off p's canonical
+    rows.  Equal keys are equal point sets; tight 0 gives p's own key."""
     rec = p._rec  # a cone's key has no vertices to scan
     vs = tuple([v for v, m in rec.key_verts if m & tight == tight] if rec.key_verts else ())
     if rec.key_verts and not vs:
@@ -754,7 +753,7 @@ def is_face_of(tau: Polyhedron, sigma: Polyhedron) -> bool:
     sigma tight on all of tau's generators."""
     if tau.ambient_dim != sigma.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return _least_face_key(sigma, _generator_rows(tau)) == _face_key(tau, 0)
+    return _least_face_key(sigma, _generator_rows(tau)) == tau.canonical_key[1:]
 
 
 def _meet(p: Polyhedron, q: Polyhedron) -> list[tuple[int, ...]]:
@@ -963,16 +962,15 @@ class ValidationReport(NamedTuple):
 def _validate(c: Complex) -> ValidationReport:
     """Purity, and no two cells one point set.  Every cell contains the
     declared lineality, since `facet_polyhedra` gives each cell exactly that
-    lineality.  Two cells coincide exactly when their integer keys
-    `_face_key(f, 0)` are equal, since equal keys are equal point sets and
-    the key is read off the canonical form; one message per such pair."""
+    lineality.  Two cells coincide exactly when their canonical keys are
+    equal; one message per such pair."""
     facets = c.facet_polyhedra
     d = c.dim
     issues = [f"facet {i} has dimension {f.dim}, expected {d}"
               for i, f in enumerate(facets) if f.dim != d]
     same: dict[tuple, list[int]] = {}
     for i, f in enumerate(facets):
-        same.setdefault(_face_key(f, 0), []).append(i)
+        same.setdefault(f.canonical_key, []).append(i)
     pairs = sorted(pair for ids in same.values() for pair in itertools.combinations(ids, 2))
     issues += [f"facets {i} and {j} coincide" for i, j in pairs]
     return ValidationReport(not issues, d, tuple(issues))
@@ -989,7 +987,7 @@ def validate_complex(c: Complex, pairwise: bool = False) -> ValidationReport:
     coincide (`_meet`); the report already names those that do.  Their
     intersection M, when nonempty, is a common face exactly when the least
     face F_p of p containing M and the least face F_q of q containing M
-    have equal `_face_key`s: both contain M, and when they are equal the
+    have equal keys (`_face_key`): both contain M, and when equal the
     face lies in p and in q, so in M, and equals it; conversely a common
     face M is its own least face in both cells.
     """
@@ -998,11 +996,10 @@ def validate_complex(c: Complex, pairwise: bool = False) -> ValidationReport:
         return report
     issues = list(report.issues)
     facets = c.facet_polyhedra
-    keys = [_face_key(f, 0) for f in facets]
     for i, j in itertools.combinations(range(len(facets)), 2):
-        if keys[i] == keys[j]:
-            continue
         p, q = facets[i], facets[j]
+        if p.canonical_key == q.canonical_key:
+            continue
         rows = _meet(p, q)
         if rows and _least_face_key(p, rows) != _least_face_key(q, rows):
             issues.append(f"facets {i} and {j} do not meet in a common face")

@@ -12,7 +12,7 @@ from test_tropical import disjoint_lines, same_fan, u34_times_a_line
 from tropicon import cli, matroid, tropical
 from tropicon.connectivity import build_hypergraph, connected_after_removal
 from tropicon.fanjson import (
-    fan_from_obj, fan_from_text, fan_to_obj, fan_to_text, load_fan, parse_rational,
+    fan_from_obj, fan_from_text, fan_to_obj, fan_to_text, load_fan, parse_json, parse_rational,
 )
 from tropicon.matroid import Matroid, bergman_fine, matroid_from_json
 from tropicon.polyhedral import Complex, Polyhedron, validate_complex
@@ -531,6 +531,16 @@ class TestStrictFanFiles:
             assert "Traceback" not in err
 
 
+# the most digits CPython writes an int with, the bound of the number rule
+LIMIT = sys.get_int_max_str_digits()
+
+
+def _point_fan(vertex):
+    """A fan in R^1: one cell, the vertex plus the ray (1)."""
+    return {"ambient_dim": 1, "rays": [[1]], "vertices": [[vertex]], "lineality": [],
+            "cells": [{"v": [0], "r": [0]}], "weights": [1]}
+
+
 class TestWrittenNumbers:
     """Strings become numbers by one rule, in fan, points and matroid files
     and in `slice`'s arguments: integers -?[0-9]+, and rationals written
@@ -582,7 +592,56 @@ class TestWrittenNumbers:
         with pytest.raises(ValueError) as info:
             parse_rational(raw)
         assert str(info.value) == f"rational {raw!r} has an exponent of more than 4 digits"
-        assert parse_rational("1e9999") == 10 ** 9999 and parse_rational("1e-0004") == F(1, 10 ** 4)
+        assert parse_rational("1e4299") == 10 ** 4299 and parse_rational("1e-0004") == F(1, 10 ** 4)
+
+    def test_the_longest_numbers_are_written_back(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(_point_fan(f"1e{LIMIT - 1}")))
+        code, out, err = run_cli(["quotient", str(path)], capsys)
+        assert (code, err) == (0, "") and json.loads(out)["vertices"] == [[str(10 ** (LIMIT - 1))]]
+        assert str(parse_rational("9" * LIMIT)) == "9" * LIMIT
+        assert str(parse_rational("1/" + "9" * LIMIT)) == "1/" + "9" * LIMIT
+
+    @pytest.mark.parametrize("command", ["check", "quotient", "dot"])
+    @pytest.mark.parametrize("raw", [f"1e{LIMIT}", f"1e-{LIMIT}", f"-1e{LIMIT}"])
+    def test_numbers_past_the_digit_limit_exit_1(self, tmp_path, capsys, command, raw):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(_point_fan(raw)))
+        assert run_cli([command, str(path)], capsys) == \
+            (1, "", f"tropicon: rational {raw!r} has more than {LIMIT} digits\n")
+
+    def test_offsets_past_the_digit_limit_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli(["gen", "tropical-plane", "-o", "plane.json"], capsys)
+        assert run_cli(["slice", "plane.json", "--h", "1,2,3", "--c", f"1e{LIMIT}"], capsys) == \
+            (1, "", f"tropicon: rational '1e{LIMIT}' has more than {LIMIT} digits\n")
+
+    def test_integer_literals_past_the_digit_limit_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(_square_fan()).replace("[0, 1]", "[0, " + "1" * 5001 + "]", 1))
+        assert run_cli(["check", str(path)], capsys) == \
+            (1, "", f"tropicon: an integer literal has more than {LIMIT} digits\n")
+        with pytest.raises(json.JSONDecodeError):  # other errors keep the parser's words
+            parse_json("[1, ]")
+
+    @pytest.mark.parametrize("raw", ["1" * (LIMIT + 1), "0." + "0" * LIMIT + "1", 10 ** LIMIT],
+                             ids=["digits", "decimals", "int"])
+    def test_rationals_past_the_digit_limit(self, raw):
+        with pytest.raises(ValueError) as info:
+            parse_rational(raw)
+        # repr() refuses an int past the limit, so the message cannot show it
+        what = f"rational {raw!r}" if isinstance(raw, str) else "an integer"
+        assert str(info.value) == f"{what} has more than {LIMIT} digits"
+
+    def test_integer_strings_past_the_digit_limit(self):
+        raw = "-" + "0" * LIMIT + "1"
+        with pytest.raises(ValueError) as info:
+            fan_from_obj(_square_fan(weights=[raw, 1]))
+        assert str(info.value) == f"weight {raw!r} has more than {LIMIT} digits"
+        assert fan_from_obj(_square_fan(weights=["0" * (LIMIT - 1) + "2", 1])).weights == (2, 1)
+        # the sign is no digit
+        ray = "-" + "0" * (LIMIT - 1) + "1"
+        assert fan_from_obj(_square_fan(rays=[[0, 1], [1, 0], [ray, 0]])).ray_pool[2] == (-1, 0)
 
     @pytest.mark.parametrize("h", ["1,,2,4", "1,2,4,", ",1,2,4", "1, ,2"])
     def test_empty_normal_fields_exit_1(self, tmp_path, capsys, monkeypatch, h):

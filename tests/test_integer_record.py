@@ -352,6 +352,56 @@ class TestRidgeKeys:
                         cells[i], [hrep(cells[i]).inequalities[mask.bit_length() - 1]])
 
 
+def _key_fixtures():
+    """A polyhedron per form of key, each with the parts of its key that are
+    not empty: lineality rows, vertices, rays."""
+    return {
+        "cone": (Polyhedron.cone([[1, 0, 0], [0, 2, 0], [1, 1, 1], [1, 1, 0]]), "rays"),
+        "polytope": (Polyhedron.from_vertices(
+            [[F(1, 2), 0], [0, F(1, 3)], [1, 1], [F(1, 4), F(1, 4)]]), "verts"),
+        "polyhedron": (Polyhedron.from_vertices(
+            [[F(1, 2), 0, 0], [0, 0, F(3, 2)]], rays=[[0, 1, 0]], lineality=[[2, 2, 0]]),
+            "lin verts rays"),
+        "pooled cell": (bergman_fine(Matroid.uniform(3, 4)).facet_polyhedra[0], "lin rays"),
+    }
+
+
+class TestOneKeyForm:
+    """A polyhedron's canonical key is its integer face key with n in
+    front: the lineality rows and the rays as int tuples, the vertices as
+    Fraction rows."""
+
+    @pytest.mark.parametrize("name", list(_key_fixtures()))
+    def test_the_key_form(self, name):
+        p, parts = _key_fixtures()[name]
+        n, lin, verts, rays = key = p.canonical_key
+        assert n == p.ambient_dim
+        assert [part for part, rows in zip(("lin", "verts", "rays"), key[1:]) if rows] == \
+            parts.split()
+        for rows, kind in ((lin, int), (rays, int), (verts, F)):
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            assert all(type(x) is kind for row in rows for x in row)
+        assert key == _oracle_face_key(p, []) == _oracle_canonical_key(p)
+        assert key[1:] == polyhedral._face_key(p, 0)
+
+    def test_records_make_no_fraction_rows(self, monkeypatch):
+        # U(4,6)'s 120 cells build their records from integer rows alone
+        c = bergman_fine(Matroid.uniform(4, 6))
+        calls, real = [], polyhedral._fraction_row
+        monkeypatch.setattr(polyhedral, "_fraction_row", lambda row: calls.append(row) or real(row))
+        assert len(c.facet_polyhedra) == 120 and calls == []
+
+    def test_faces_are_made_from_their_keys(self, monkeypatch):
+        # a ridge carries its canonical key: reading it builds no record
+        c = bergman_fine(Matroid.uniform(4, 6))
+        c.facet_polyhedra
+        calls, real = [], polyhedral.dd_cone
+        monkeypatch.setattr(polyhedral, "dd_cone", lambda *args: calls.append(args) or real(*args))
+        keys = [face.canonical_key for face, _, _ in c.ridges]
+        assert len(keys) == 150 and calls == []
+        assert not any("_rec" in face.__dict__ for face, _, _ in c.ridges)
+
+
 def _star_fans(seed, count):
     """Fans of rays or of 2-cones around a shared ray, in R^2 and R^3."""
     rng = random.Random(seed)
@@ -707,7 +757,7 @@ def _record_fields(p):
     """The generators of p and every field of its integer record."""
     rec = p._rec
     return (p.vertices, p.rays, p.lineality, rec.affine, rec.facets, rec.eqs, rec.verts,
-            rec.rays, rec.key, rec.key_verts, rec.key_rays, rec.lin_ints)
+            rec.rays, rec.key_verts, rec.key_rays, rec.lin_ints)
 
 
 def _assert_pool_matches_a_copy(c):

@@ -611,3 +611,12 @@ def test_fields_are_set_once(value, field):
     with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
         delattr(value, field)
     assert getattr(value, field) is before
+
+
+def test_repr_names_the_class_and_every_field():
+    assert repr(AffineHyperplane(vec([2, 0]), F(1))) == \
+        "AffineHyperplane(normal=(Fraction(1, 1), Fraction(0, 1)), offset=Fraction(1, 2))"
+    assert repr(Polyhedron.from_vertices([[F(1, 2), 0]], rays=[[0, 3]], lineality=[[2, 2]])) == (
+        "Polyhedron(ambient_dim=2, vertices=((Fraction(1, 2), Fraction(0, 1)),), "
+        "rays=((Fraction(0, 1), Fraction(1, 1)),), "
+        "lineality=((Fraction(1, 1), Fraction(1, 1)),))")
